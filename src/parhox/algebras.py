@@ -19,7 +19,8 @@ Convention table (used consistently by every module):
 import random
 
 from .errors import (InvalidInput, NotCommuting, NotIdempotent,
-                     PreconditionFailed, SizeLimit, ValidationFailure)
+                     PreconditionFailed, SchemaError, SizeLimit,
+                     ValidationFailure)
 from .linalg import (Subspace, identity, matmul, matvec, nullspace,
                      rank, solve, transpose, zeros)
 
@@ -172,9 +173,18 @@ class StructureAlgebra:
     @staticmethod
     def from_json(field, obj, name=""):
         dim = obj["dim"]
+        if type(dim) is not int or dim < 0:
+            raise SchemaError(f"algebra dim must be a natural number: {dim!r}")
         sc = {}
-        for i, j, k, c in obj["sc"]:
+        for entry in obj["sc"]:
+            if not (isinstance(entry, list) and len(entry) == 4 and all(
+                    type(x) is int and 0 <= x < dim for x in entry[:3])):
+                raise SchemaError(f"structure constant {entry!r}: need "
+                                  f"[i, j, k, c] with indices in [0, {dim})")
+            i, j, k, c = entry
             sc.setdefault((i, j), []).append((k, field.parse(c)))
+        if len(obj["unit"]) != dim:
+            raise SchemaError(f"unit must have {dim} coordinates")
         unit = [field.parse(a) for a in obj["unit"]]
         return StructureAlgebra(field, dim, sc, unit,
                                 labels=obj.get("labels"), name=name)

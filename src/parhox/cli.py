@@ -19,8 +19,9 @@ from .fields import field_from_json
 from .algebras import ModuleData
 from .factor_sets import PartialFactorSet
 from .groups import FiniteGroup, enumerate_exel
-from .homology import (hochschild_cohomology_bar, hochschild_homology_bar,
-                       hochschild_homology_resolution, partial_homology_dims)
+from .homology import (DEFAULT_CHAIN_CAP, hochschild_cohomology_bar,
+                       hochschild_homology_bar, hochschild_homology_resolution,
+                       partial_homology_dims)
 from .partial_actions import validate_twisted
 from .partial_algebras import build_kpar, build_kpar_sigma
 from .problems import build_instance, parse_spec_file
@@ -67,7 +68,7 @@ def _cap(args, spec_options=None):
         return args.cap
     if spec_options and "cap" in spec_options:
         return spec_options["cap"]
-    return 200_000
+    return DEFAULT_CHAIN_CAP
 
 
 def cmd_validate(args):

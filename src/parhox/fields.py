@@ -130,10 +130,11 @@ class RationalField(Field):
         return None
 
     def parse(self, obj):
-        if isinstance(obj, str):
-            return Fraction(obj)
-        if isinstance(obj, int):
-            return Fraction(obj)
+        if isinstance(obj, (str, int)):
+            try:
+                return Fraction(obj)
+            except (ValueError, ZeroDivisionError):
+                pass
         raise SchemaError(f"cannot parse rational scalar from {obj!r}")
 
     def dump(self, a):
@@ -217,7 +218,10 @@ class PrimeField(Field):
         if isinstance(obj, int):
             return obj % self.p
         if isinstance(obj, str):
-            return int(obj) % self.p
+            try:
+                return int(obj) % self.p
+            except ValueError:
+                pass
         raise SchemaError(f"cannot parse F_{self.p} scalar from {obj!r}")
 
     def dump(self, a):
@@ -239,7 +243,10 @@ def field_from_json(obj):
     if obj["kind"] == "Q":
         return QQ
     if obj["kind"] == "Fp":
-        return PrimeField(obj["p"])
+        p = obj.get("p")
+        if type(p) is not int:
+            raise SchemaError(f"field p must be an integer, got {p!r}")
+        return PrimeField(p)
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
 
 

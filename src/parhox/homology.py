@@ -23,8 +23,10 @@ from .algebras import (ModuleData, ValidationReport,
                        bimodule_to_left_env_module,
                        bimodule_to_right_env_module, enveloping,
                        hom_over_algebra, module_from_generator_actions)
-from .linalg import (QuotientSpace, Subspace, identity, matmul, matvec,
-                     nullspace, rank, solve, transpose, zeros)
+from .linalg import (QuotientSpace, Subspace, _char, _dense, _Echelon,
+                     _kernel_of, _nonzero, _rank_of, _scalar, _sparse,
+                     identity, matmul, matvec, nullspace, rank, solve,
+                     transpose, zeros)
 
 __all__ = [
     "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
@@ -342,7 +344,8 @@ def homology_data(K, dim_q, d_in, d_out):
 
 class FreeResolution:
     """X <- F_0 <- F_1 <- ... with F_q = R^{ranks[q]}; gen_images[0] lives
-    in X, gen_images[q] (q >= 1) in kappa^{ranks[q-1] * dim R}."""
+    in X, gen_images[q] (q >= 1) in kappa^{ranks[q-1] * dim R}, all of them
+    as sparse {index: value} rows of the linalg kernel."""
 
     def __init__(self, R, module, side, ranks, gen_images):
         self.R = R
@@ -350,75 +353,102 @@ class FreeResolution:
         self.side = side
         self.ranks = ranks
         self.gen_images = gen_images
+        self.acts = _action_table(R, side)
+
+    def _columns(self, q):
+        """Sparse columns of d_q: F_q -> F_{q-1} (q >= 1) or of the
+        augmentation (q = 0), one per basis element u_j b_i of F_q."""
+        R = self.R
+        K = R.field
+        if q == 0:
+            X = self.module
+            cols = []
+            for img in self.gen_images[0]:
+                x = _dense(K, img, X.dim)
+                for i in range(R.dim):
+                    b = R.basis_vector(i)
+                    cols.append(_sparse(K, X.act_right(x, b)
+                                        if self.side == "right"
+                                        else X.act_left(b, x)))
+            return cols
+        p = _char(K)
+        return [_free_act(act, img, R.dim, p)
+                for img in self.gen_images[q] for act in self.acts]
 
     def boundary_matrix(self, q):
         """The kappa-matrix of d_q: F_q -> F_{q-1} (q >= 1) or of the
         augmentation (q = 0)."""
-        R = self.R
-        K = R.field
-        d = R.dim
-        tgt_dim = self.module.dim if q == 0 else self.ranks[q - 1] * d
-        cols = []
-        for img in self.gen_images[q]:
-            for i in range(d):
-                b = R.basis_vector(i)
-                if q == 0:
-                    col = self.module.act_right(img, b) if self.side == "right" \
-                        else self.module.act_left(b, img)
-                else:
-                    col = _free_act(R, img, b, self.side)
-                cols.append(col)
+        K = self.R.field
+        tgt_dim = self.module.dim if q == 0 else self.ranks[q - 1] * self.R.dim
+        cols = [_dense(K, col, tgt_dim) for col in self._columns(q)]
         if not cols:
             return [[] for _ in range(tgt_dim)]
         return transpose(cols)
 
 
-def _free_act(R, vec, b, side):
-    """Blockwise action of the algebra element b on R^r."""
+def _action_table(R, side):
+    """acts[i][j] = [(k, c), ...]: b_j . b_i (side right) or b_i . b_j
+    (side left) read off the structure constants, as kernel scalars."""
     K = R.field
-    d = R.dim
-    out = []
-    for k in range(0, len(vec), d):
-        block = vec[k:k + d]
-        if side == "right":
-            out.extend(R.mul(block, b))
-        else:
-            out.extend(R.mul(b, block))
-    return out
+    acts = [{} for _ in range(R.dim)]
+    for (i, j), row in R.sc.items():
+        b, u = (j, i) if side == "right" else (i, j)
+        acts[b][u] = [(k, _scalar(K, c)) for k, c in row]
+    return acts
 
 
-def _submodule_generators(R, vectors, side, r, fat=False):
-    """Greedy module generators of the span-closure of `vectors` inside
-    R^r (kappa-dim r * dim R)."""
-    K = R.field
-    N = r * R.dim
+def _free_act(act, vec, d, p):
+    """Blockwise action of one basis element of R on a sparse vector of
+    R^r; `act` is its row of the action table."""
+    out = {}
+    for idx, a in vec.items():
+        j = idx % d
+        terms = act.get(j)
+        if terms:
+            base = idx - j
+            for k, c in terms:
+                key = base + k
+                out[key] = out.get(key, 0) + a * c
+    return _nonzero(out, p)
+
+
+def _submodule_generators(acts, vectors, d, p, fat=False):
+    """Greedy module generators of the span-closure of the sparse `vectors`
+    inside R^r, taken in order."""
     if fat:
-        return [list(v) for v in vectors]
-    span = Subspace(K, N)
+        return list(vectors)
+    span = _Echelon(p)
     gens = []
-    basis_elements = [R.basis_vector(i) for i in range(R.dim)]
     for v in vectors:
-        if span.contains(v):
+        if not span.add(dict(v)):
             continue
-        gens.append(list(v))
-        work = [list(v)]
-        span.add(v)
+        gens.append(v)
+        work = [v]
         while work:
             w = work.pop()
-            for b in basis_elements:
-                u = _free_act(R, w, b, side)
-                if span.add(u):
+            for act in acts:
+                u = _free_act(act, w, d, p)
+                if span.add(dict(u)):
                     work.append(u)
     return gens
+
+
+def _check_size(q, rank_, d):
+    if rank_ * d > DEFAULT_CHAIN_CAP:
+        raise SizeLimit(f"free resolution degree {q}: {rank_} generators x "
+                        f"dim {d} = {rank_ * d} exceeds cap "
+                        f"{DEFAULT_CHAIN_CAP}")
 
 
 def free_resolution(R, module, side, length, style="greedy"):
     """A free resolution of `module` (left or right R-module) of the given
     length (boundaries available for q <= length).  style: greedy | fat |
-    greedy_reversed (a second, genuinely different resolution)."""
+    greedy_reversed (a second, genuinely different resolution).  Every
+    F_q is checked against DEFAULT_CHAIN_CAP before it is built."""
     K = R.field
     d = R.dim
     m = module.dim
+    p = _char(K)
     # step 0: generators of the module itself
     basis = [list(v) for v in identity(K, m)]
     if style == "greedy_reversed":
@@ -430,7 +460,7 @@ def free_resolution(R, module, side, length, style="greedy"):
     for v in cand0:
         if span.contains(v):
             continue
-        gens0.append(v)
+        gens0.append(_sparse(K, v))
         work = [v]
         span.add(v)
         while work:
@@ -443,92 +473,97 @@ def free_resolution(R, module, side, length, style="greedy"):
                     work.append(u)
     ranks = [len(gens0)]
     gen_images = [gens0]
+    _check_size(0, ranks[0], d)
     res = FreeResolution(R, module, side, ranks, gen_images)
-    prev = res.boundary_matrix(0)
-    if rank(K, prev) != m:
+    prev = res._columns(0)
+    if _rank_of(K, [dict(c) for c in prev]) != m:
         raise InvalidInput("augmentation not surjective")
     for q in range(1, length + 1):
-        ker = nullspace(K, prev, ranks[q - 1] * d)
+        ker = _kernel_of(K, _rows_of(prev), ranks[q - 1] * d)
         if style == "greedy_reversed":
             ker = list(reversed(ker))
-        gens = _submodule_generators(R, ker, side, ranks[q - 1],
+        gens = _submodule_generators(res.acts, ker, d, p,
                                      fat=(style == "fat"))
+        _check_size(q, len(gens), d)
         ranks.append(len(gens))
         gen_images.append(gens)
-        mat = res.boundary_matrix(q)
+        cols = res._columns(q)
         # d.d = 0 on the generators (hence everywhere: these are module maps)
         for w in gens:
-            if any(matvec(K, prev, w)):
+            if _combine(prev, w, p):
                 raise InvalidInput(f"d.d != 0 at degree {q}")
         # exactness gate: image of d_q spans exactly ker(d_{q-1})
-        if len(ker) and rank(K, mat) != len(ker):
+        if ker and _rank_of(K, [dict(c) for c in cols]) != len(ker):
             raise InvalidInput(f"resolution not exact at degree {q}")
-        prev = mat
+        prev = cols
     return res
 
 
-def _blocks_of(vec, d):
-    return [vec[k:k + d] for k in range(0, len(vec), d)]
+def _rows_of(cols):
+    """The rows of a matrix given by sparse columns."""
+    rows = {}
+    for s, col in enumerate(cols):
+        for t, a in col.items():
+            rows.setdefault(t, {})[s] = a
+    return list(rows.values())
+
+
+def _combine(cols, w, p):
+    """sum_s w[s] cols[s] for sparse columns and a sparse w."""
+    out = {}
+    for s, a in w.items():
+        for t, x in cols[s].items():
+            out[t] = out.get(t, 0) + a * x
+    return _nonzero(out, p)
+
+
+def _induced_dims(res, mats, m, max_n):
+    """dims of the complex Y^{r_q}, q <= max_n, whose boundary is induced by
+    the free resolution res over R: u_j (x) e_s goes to the sum over the
+    blocks k of gen_images[q][j] of  w_k . e_s  in block k, where R acts on
+    Y = kappa^m through `mats` (one m x m matrix per basis element)."""
+    K = res.R.field
+    d = res.R.dim
+    p = _char(K)
+    cols_of = [[[(t, _scalar(K, row[s])) for t, row in enumerate(A) if row[s]]
+                for s in range(m)] for A in mats]
+    rk = {}
+    for q in range(1, max_n + 2):
+        cols = []
+        for img in res.gen_images[q]:
+            for s in range(m):
+                col = {}
+                for idx, a in img.items():
+                    k, i = divmod(idx, d)
+                    base = k * m
+                    for t, c in cols_of[i][s]:
+                        key = base + t
+                        col[key] = col.get(key, 0) + a * c
+                cols.append(_nonzero(col, p))
+        rk[q] = _rank_of(K, cols)
+    return [res.ranks[n] * m - rk.get(n, 0) - rk.get(n + 1, 0)
+            for n in range(max_n + 1)]
 
 
 def tor_dims(R, X_right, Y_left, max_n, style="greedy", resolution=None):
     """dim Tor_n^R(X, Y) for n <= max_n; a precomputed right resolution of
     X may be supplied (it must reach degree max_n + 1)."""
-    K = R.field
     res = resolution if resolution is not None else \
         free_resolution(R, X_right, "right", max_n + 1, style=style)
     assert len(res.ranks) >= max_n + 2
-    mY = Y_left.dim
-    rk = {}
-    for q in range(1, max_n + 2):
-        # boundary Y^{r_q} -> Y^{r_{q-1}}
-        rows = res.ranks[q - 1] * mY
-        cols = []
-        for img in res.gen_images[q]:
-            blocks = _blocks_of(img, R.dim)
-            for iy in range(mY):
-                yv = [K.one if t == iy else K.zero for t in range(mY)]
-                col = [K.zero] * rows
-                for k, w in enumerate(blocks):
-                    out = Y_left.act_left(w, yv)
-                    for t, c in enumerate(out):
-                        if c != K.zero:
-                            col[k * mY + t] = K.add(col[k * mY + t], c)
-                cols.append(col)
-        rk[q] = rank(K, transpose(cols)) if cols else 0
-    dims = []
-    for n in range(max_n + 1):
-        dims.append(res.ranks[n] * mY - rk.get(n, 0) - rk.get(n + 1, 0))
-    return dims
+    # boundary Y^{r_q} -> Y^{r_{q-1}}: u_j (x) y -> sum_k w_k . y at block k
+    return _induced_dims(res, Y_left.left, Y_left.dim, max_n)
 
 
 def ext_dims(R, X_left, Y_left, max_n, style="greedy", resolution=None):
     """dim Ext^n_R(X, Y) for n <= max_n (projective resolution of X)."""
-    K = R.field
     res = resolution if resolution is not None else \
         free_resolution(R, X_left, "left", max_n + 1, style=style)
     assert len(res.ranks) >= max_n + 2
-    mY = Y_left.dim
-    rk = {}
-    for q in range(1, max_n + 2):
-        # delta: Y^{r_{q-1}} -> Y^{r_q}, f.d(u_j) = sum_k w_k . f(u_k)
-        rows = res.ranks[q] * mY
-        mat = zeros(K, rows, res.ranks[q - 1] * mY)
-        for j, img in enumerate(res.gen_images[q]):
-            blocks = _blocks_of(img, R.dim)
-            for k, w in enumerate(blocks):
-                L = Y_left.left_matrix_of(w)
-                for a in range(mY):
-                    for b in range(mY):
-                        c = L[a][b]
-                        if c != K.zero:
-                            mat[j * mY + a][k * mY + b] = K.add(
-                                mat[j * mY + a][k * mY + b], c)
-        rk[q] = rank(K, mat)
-    dims = []
-    for n in range(max_n + 1):
-        dims.append(res.ranks[n] * mY - rk.get(n, 0) - rk.get(n + 1, 0))
-    return dims
+    # delta: Y^{r_{q-1}} -> Y^{r_q}, f.d(u_j) = sum_k w_k . f(u_k); its
+    # transpose is the Tor-type boundary of the transposed action matrices
+    return _induced_dims(res, [transpose(L) for L in Y_left.left],
+                         Y_left.dim, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -554,30 +589,9 @@ def hochschild_homology_resolution(R, M, max_n, style="greedy", env_res=None):
     env, res = env_res if env_res is not None else \
         env_resolution(R, max_n + 1, style=style)
     M_right = bimodule_to_right_env_module(env, R, M)
-    X = ModuleData(env, M.dim, right=M_right.right, name="M right R^e")
-    K = R.field
-    mX = M.dim
-    rk = {}
-    for q in range(1, max_n + 2):
-        # M (x)_{R^e} F_q -> M (x)_{R^e} F_{q-1}: u_j (x) m has image
-        # sum_k w_k u_k (x) m = sum_k u_k (x) ... for LEFT free modules the
-        # tensor with a right module gives  m (x) u_j -> sum_k m.w_k (x) u_k
-        rows = res.ranks[q - 1] * mX
-        cols = []
-        for img in res.gen_images[q]:
-            blocks = _blocks_of(img, env.dim)
-            for im in range(mX):
-                mv = [K.one if t == im else K.zero for t in range(mX)]
-                col = [K.zero] * rows
-                for k, w in enumerate(blocks):
-                    out = X.act_right(mv, w)
-                    for t, c in enumerate(out):
-                        if c != K.zero:
-                            col[k * mX + t] = K.add(col[k * mX + t], c)
-                cols.append(col)
-        rk[q] = rank(K, transpose(cols)) if cols else 0
-    return [res.ranks[n] * mX - rk.get(n, 0) - rk.get(n + 1, 0)
-            for n in range(max_n + 1)]
+    # for LEFT free modules the tensor with a right module gives
+    # m (x) u_j -> sum_k m.w_k (x) u_k
+    return _induced_dims(res, M_right.right, M.dim, max_n)
 
 
 def _env_left_regular(env, R):

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a Field.
+"""Exact linear algebra over a Field, with one sparse elimination kernel.
 
 Conventions used across the whole package:
 
@@ -7,13 +7,21 @@ Conventions used across the whole package:
   * the linear map of an m x n matrix M is  v |-> M . v  (column vector);
   * composition of maps is matmul(A, B) ("A after B").
 
-Ranks over Q are computed by fraction-free Bareiss elimination on an
-integerized copy of the matrix, which keeps the inner loop on machine/big
-integers instead of Fraction objects.  Everything else is plain exact
-Gauss-Jordan elimination.
+`rank`, `rref`, `nullspace`, `solve` and `Subspace` take and return dense
+values, but all of them eliminate on sparse rows: `{col: value}` dicts kept
+in row echelon form under their leading column (`_Echelon`).  Over F_p the
+values are int residues; over Q they are ints where the value is integral
+and Fractions otherwise, so that the common +-1 entries never pay for
+Fraction arithmetic.  A vector is reduced against the stored rows in
+increasing pivot order, input rows are taken sparsest first, and the fully
+reduced (canonical) form is produced only when a caller needs it.  Callers
+that build sparse data themselves (free resolutions and the Tor/Ext
+boundaries in `homology`) use the kernel and its underscore helpers
+directly.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 __all__ = [
     "zeros", "identity", "matvec", "matmul", "transpose", "mat_add",
@@ -86,140 +94,203 @@ def is_zero_matrix(K, A):
     return not any(a for row in A for a in row)
 
 
-def _bareiss_rank(rows):
-    """Rank of an integer matrix, fraction-free."""
-    M = [row[:] for row in rows]
-    m = len(M)
-    if m == 0:
-        return 0
-    n = len(M[0])
-    rank_ = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if M[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            M[row], M[piv] = M[piv], M[row]
-        pivval = M[row][col]
-        for r in range(row + 1, m):
-            mr, mp = M[r], M[row]
-            vr = mr[col]
-            if vr:
-                for c in range(col, n):
-                    mr[c] = (pivval * mr[c] - vr * mp[c]) // prev
-            elif prev != 1 or pivval != 1:
-                for c in range(col, n):
-                    if mr[c]:
-                        mr[c] = (pivval * mr[c]) // prev
-        prev = pivval
-        row += 1
-        rank_ += 1
-        if row == m:
-            break
-    return rank_
+def _char(K):
+    return 0 if K.kind == "Q" else K.characteristic
+
+
+def _scalar(K, a):
+    """A field value as a kernel scalar."""
+    if K.kind == "Q":
+        return a.numerator if a.denominator == 1 else a
+    return a % K.characteristic
+
+
+def _nonzero(v, p):
+    """v without its zero entries (reduced mod p over F_p)."""
+    if p:
+        return {j: x % p for j, x in v.items() if x % p}
+    return {j: x for j, x in v.items() if x}
+
+
+def _sparse(K, vec):
+    """The nonzero entries of a dense vector as a kernel row."""
+    p = _char(K)
+    if p:
+        return {j: a % p for j, a in enumerate(vec) if a % p}
+    return {j: a.numerator if a.denominator == 1 else a
+            for j, a in enumerate(vec) if a}
+
+
+def _dense(K, row, n):
+    """A kernel row as a dense vector of length n over K."""
+    out = [K.zero] * n
+    if K.kind == "Q":
+        for j, a in row.items():
+            out[j] = a if type(a) is Fraction else Fraction(a)
+    else:
+        for j, a in row.items():
+            out[j] = a
+    return out
+
+
+def _inv(a, p):
+    if p:
+        return pow(a, p - 2, p)
+    if a == 1 or a == -1:
+        return a
+    inv = 1 / Fraction(a)
+    return inv.numerator if inv.denominator == 1 else inv
+
+
+class _Echelon:
+    """Sparse row echelon form over Q (p = 0) or F_p.
+
+    `rows[c]` is the row with leading column c, monic there; only its tail
+    (the entries right of c) is stored.  `reduce` clears every pivot column
+    of a vector, which is its canonical normal form modulo the row span.
+    `rref` back-substitutes, so that no tail holds a pivot column, and
+    returns the unique reduced row echelon form.
+    """
+
+    __slots__ = ("p", "rows", "reduced")
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}
+        self.reduced = True
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, v):
+        """Subtract rows from v in place until no pivot column is left."""
+        rows, p = self.rows, self.p
+        todo = [c for c in v if c in rows]
+        if not todo:
+            return v
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            a = v.pop(c, 0)
+            if not a:
+                continue
+            for j, x in rows[c].items():
+                y = v.get(j)
+                if y is None:
+                    v[j] = (-a * x) % p if p else -a * x
+                    if j in rows:
+                        heappush(todo, j)
+                else:
+                    y = (y - a * x) % p if p else y - a * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
+        return v
+
+    def add(self, v):
+        """Reduce v (consumed) and keep it as a row; False if v was in the
+        span already."""
+        self.reduce(v)
+        if not v:
+            return False
+        c = min(v)
+        a = v.pop(c)
+        if a != 1:
+            p = self.p
+            inv = _inv(a, p)
+            if p:
+                v = {j: x * inv % p for j, x in v.items()}
+            else:
+                v = {j: x * inv for j, x in v.items()}
+                for j, x in v.items():
+                    if type(x) is Fraction and x.denominator == 1:
+                        v[j] = x.numerator
+        self.rows[c] = v
+        self.reduced = False
+        return True
+
+    def rref(self):
+        """[(pivot, tail)] by increasing pivot, fully reduced."""
+        pivots = sorted(self.rows)
+        if not self.reduced:
+            for c in reversed(pivots):
+                self.reduce(self.rows[c])
+            self.reduced = True
+        return [(c, self.rows[c]) for c in pivots]
+
+
+def _echelon_of(K, vectors):
+    """The echelon form of kernel rows (consumed), sparsest first."""
+    ech = _Echelon(_char(K))
+    for v in sorted(vectors, key=len):
+        ech.add(v)
+    return ech
+
+
+def _rank_of(K, vectors):
+    """Rank of kernel rows (consumed)."""
+    return len(_echelon_of(K, vectors))
+
+
+def _kernel_of(K, rows, ncols):
+    """Basis of {v : M v = 0} for M given by kernel rows (consumed): one
+    vector per free column, in increasing order, as kernel rows."""
+    rref = _echelon_of(K, rows).rref()
+    pivset = {c for c, _ in rref}
+    ker = {fc: {fc: 1} for fc in range(ncols) if fc not in pivset}
+    p = _char(K)
+    for c, tail in rref:
+        for j, x in tail.items():
+            ker[j][c] = (-x) % p if p else -x
+    return list(ker.values())
+
+
+def _dense_rref(K, ech, n):
+    """The reduced rows of an echelon form as dense vectors, and their
+    pivots."""
+    rows, pivots = [], []
+    for c, tail in ech.rref():
+        row = _dense(K, tail, n)
+        row[c] = K.one
+        rows.append(row)
+        pivots.append(c)
+    return rows, pivots
 
 
 def rank(K, M):
-    if not M or not M[0]:
-        return 0
-    if K.kind == "Q":
-        introws = []
-        for row in M:
-            den = 1
-            for a in row:
-                den = den * a.denominator // _gcd(den, a.denominator)
-            introws.append([int(a * den) for a in row])
-        return _bareiss_rank(introws)
-    return len(rref(K, M)[1])
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return _rank_of(K, [_sparse(K, row) for row in M])
 
 
 def rref(K, M):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [row[:] for row in M]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    zero = K.zero
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        best = None
-        for i in range(r, m):
-            if rows[i][col]:
-                nz = sum(1 for a in rows[i] if a)
-                if best is None or nz < best:
-                    best = nz
-                    piv = i
-                    if nz == 1:
-                        break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = K.inv(rows[r][col])
-        if inv != K.one:
-            rows[r] = [K.mul(inv, a) for a in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                ri, rr = rows[i], rows[r]
-                for c in range(col, n):
-                    if rr[c]:
-                        ri[c] = K.sub(ri[c], K.mul(f, rr[c]))
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return rows[:r] + rows[r:], pivots
+    n = len(M[0]) if M else 0
+    rows, pivots = _dense_rref(
+        K, _echelon_of(K, [_sparse(K, row) for row in M]), n)
+    rows.extend([K.zero] * n for _ in range(len(M) - len(rows)))
+    return rows, pivots
 
 
 def nullspace(K, M, ncols=None):
     """Basis of the right kernel {v : M v = 0}."""
     if ncols is None:
         ncols = len(M[0]) if M else 0
-    if not M or ncols == 0:
-        return [list(col) for col in identity(K, ncols)]
-    rows, pivots = rref(K, M)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    zero, one = K.zero, K.one
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            a = rows[r][fc]
-            if a:
-                v[pc] = K.neg(a)
-        basis.append(v)
-    return basis
+    return [_dense(K, v, ncols)
+            for v in _kernel_of(K, [_sparse(K, row) for row in M], ncols)]
 
 
 def solve(K, M, b):
     """One solution of M x = b, or None if inconsistent."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    aug = [M[i][:] + [b[i]] for i in range(m)]
-    rows, pivots = rref(K, aug)
-    zero = K.zero
-    # inconsistent iff a pivot lands in the last column
-    if n in pivots:
-        return None
-    x = [zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n]
-    return x
+    n = len(M[0]) if M else 0
+    rows = [_sparse(K, list(row) + [bi]) for row, bi in zip(M, b)]
+    x = {}
+    for c, tail in _echelon_of(K, rows).rref():
+        # inconsistent iff a pivot lands in the last column
+        if c == n:
+            return None
+        if n in tail:
+            x[c] = tail[n]
+    return _dense(K, x, n)
 
 
 def invert_matrix(K, M):
@@ -232,64 +303,39 @@ def invert_matrix(K, M):
 
 
 class Subspace:
-    """A subspace of K^n kept in reduced row echelon form (monic pivots)."""
+    """A subspace of K^n in echelon form; `basis()` is its reduced row
+    echelon form (monic pivots)."""
 
-    __slots__ = ("K", "n", "rows", "pivots")
+    __slots__ = ("K", "n", "ech")
 
     def __init__(self, K, n, vectors=()):
         self.K = K
         self.n = n
-        self.rows = []
-        self.pivots = []
+        self.ech = _Echelon(_char(K))
         for v in vectors:
             self.add(v)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.ech)
+
+    @property
+    def pivots(self):
+        return sorted(self.ech.rows)
 
     def reduce(self, v):
         """Fully reduce v by the stored echelon basis (returns a copy)."""
-        K = self.K
-        sub, mul = K.sub, K.mul
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            a = v[p]
-            if a:
-                for c in range(p, self.n):
-                    rc = row[c]
-                    if rc:
-                        v[c] = sub(v[c], mul(a, rc))
-        return v
+        return _dense(self.K, self.ech.reduce(_sparse(self.K, v)), self.n)
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        return not self.ech.reduce(_sparse(self.K, v))
 
     def add(self, v):
         """Add v to the span; True if the dimension grew."""
-        K = self.K
-        r = self.reduce(v)
-        p = next((c for c, a in enumerate(r) if a), None)
-        if p is None:
-            return False
-        inv = K.inv(r[p])
-        if inv != K.one:
-            r = [K.mul(inv, a) for a in r]
-        # back-eliminate the new pivot from the existing rows
-        sub, mul = K.sub, K.mul
-        for row in self.rows:
-            a = row[p]
-            if a:
-                for c in range(p, self.n):
-                    if r[c]:
-                        row[c] = sub(row[c], mul(a, r[c]))
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, r)
-        self.pivots.insert(at, p)
-        return True
+        return self.ech.add(_sparse(self.K, v))
 
     def basis(self):
-        return [row[:] for row in self.rows]
+        return _dense_rref(self.K, self.ech, self.n)[0]
 
     def coords_in_basis(self, v, gens):
         """Express v as a combination of `gens` (must span v); or None."""

@@ -11,14 +11,15 @@ from .algebras import (ModuleData, StructureAlgebra,
                        module_from_generator_actions)
 from .factor_sets import PartialFactorSet
 from .groups import FiniteGroup
+from .homology import DEFAULT_CHAIN_CAP
 from .instance import Instance
 from .partial_actions import TwistedPartialAction, UnitalPartialAction
 
 __all__ = ["ProblemSpec", "parse_spec", "parse_spec_file", "build_instance",
            "fixture_dir", "bundled_fixtures", "load_fixture"]
 
-DEFAULT_OPTIONS = {"max_p": 2, "max_q": 2, "max_n": 2, "cap": 200_000,
-                   "seed": 0, "monoid_limit": 512}
+DEFAULT_OPTIONS = {"max_p": 2, "max_q": 2, "max_n": 2,
+                   "cap": DEFAULT_CHAIN_CAP, "seed": 0, "monoid_limit": 512}
 
 
 class ProblemSpec:

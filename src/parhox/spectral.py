@@ -13,8 +13,9 @@ from .algebras import (ModuleData, bimodule_to_left_env_module,
                        commutator_quotient, enveloping, group_algebra,
                        hom_over_algebra, regular_bimodule,
                        restrict_along_hom, tensor_over_algebra)
-from .homology import (_crossed_action_matrices, _env_left_regular,
-                       diagonal_chain_action, diagonal_cochain_action,
+from .homology import (DEFAULT_CHAIN_CAP, _crossed_action_matrices,
+                       _env_left_regular, diagonal_chain_action,
+                       diagonal_cochain_action,
                        env_resolution, free_resolution,
                        hochschild_cohomology_bar,
                        hochschild_cohomology_resolution,
@@ -91,7 +92,7 @@ def homology_module_tower(inst, max_q):
     for key, value in inst._cache.items():
         if isinstance(key, tuple) and key[0] == "hq_tower" and key[1] >= max_q:
             return value
-    cap = inst._cache.get("chain_cap", 200_000)
+    cap = inst._cache.get("chain_cap", DEFAULT_CHAIN_CAP)
     gmod, _ = diagonal_chain_action(inst.lam, inst.M, inst.xi, inst.sigma_dd,
                                     max_q + 1, cap=cap)
     ann = inst.ker_zeta_in_kpar()
@@ -111,7 +112,7 @@ def cohomology_module_tower(inst, max_q):
     for key, value in inst._cache.items():
         if isinstance(key, tuple) and key[0] == "hq_cotower" and key[1] >= max_q:
             return value
-    cap = inst._cache.get("chain_cap", 200_000)
+    cap = inst._cache.get("chain_cap", DEFAULT_CHAIN_CAP)
     gmod, _ = diagonal_cochain_action(inst.lam, inst.M, inst.xi,
                                       inst.sigma_dd, max_q + 1, cap=cap)
     ann = inst.ker_zeta_in_kpar()

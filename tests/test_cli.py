@@ -189,3 +189,34 @@ def test_report_carries_scope_note(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "differentials d_r are not constructed" in out
+
+
+def _set_field_p(doc):
+    doc["field"] = {"kind": "Fp", "p": "3"}
+
+
+def _set_sigma(value):
+    def mutate(doc):
+        doc["sigma"][1][1] = value
+    return mutate
+
+
+def _set_sc_index(doc):
+    doc["action"]["algebra"]["sc"][0][2] = 7
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_field_p,                # "3" instead of 3: was a TypeError
+    _set_sigma("abc"),           # was a ValueError
+    _set_sigma("1/0"),           # was a ZeroDivisionError
+    _set_sc_index,               # k = 7 in a dim-2 algebra: was an IndexError
+], ids=["p-string", "sigma-abc", "sigma-1/0", "sc-index"])
+def test_malformed_input_is_a_schema_error(mutate, tmp_path, capsys):
+    doc = json.loads(open(fixture_path("z3_kappa2_q.json")).read())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["validate", str(bad)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["type"] == "SchemaError"

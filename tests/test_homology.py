@@ -10,10 +10,13 @@ from parhox.algebras import (ModuleData, commutator_quotient, dual_numbers,
                              hom_over_algebra, tensor_over_algebra)
 from parhox.factor_sets import (EquivalenceWitness, trivial_factor_set,
                                 xi_sigma_double_prime, PartialFactorSet)
+from parhox.errors import InvalidInput, SizeLimit
 from parhox.groups import cyclic_group
+from parhox import homology
 from parhox.homology import (bar_complex, cobar_complex, diagonal_chain_action,
                              diagonal_cochain_action, ext_dims,
-                             free_resolution, hochschild_cohomology_bar,
+                             env_resolution, free_resolution,
+                             hochschild_cohomology_bar,
                              hochschild_cohomology_resolution,
                              hochschild_homology_bar,
                              hochschild_homology_resolution, hom_A_carrier,
@@ -23,6 +26,7 @@ from parhox.homology import (bar_complex, cobar_complex, diagonal_chain_action,
                              partial_homology_dims, tor_dims)
 from parhox.linalg import identity, matmul, rank, transpose
 from parhox.partial_actions import build_crossed_product
+from parhox.problems import build_instance, load_fixture
 from parhox.partial_algebras import (b_sigma_module_structures,
                                      build_B_sigma_omega, build_kpar,
                                      build_kpar_idempotent, build_kpar_sigma,
@@ -241,6 +245,41 @@ def test_free_resolution_exactness_gate():
         dq = res.boundary_matrix(q)
         prev = res.boundary_matrix(q - 1)
         assert rank(K, dq) == res.ranks[q - 1] * kp.algebra.dim - rank(K, prev)
+
+
+def test_env_resolution_ranks_are_pinned():
+    # Lambda^e-resolutions of Lambda (dim 4) for the dual-numbers fixture:
+    # the greedy and the reversed style give different, fixed ranks
+    lam = build_instance(load_fixture("z2_dual_q.json")).lam.algebra
+    assert env_resolution(lam, 3)[1].ranks == [1, 2, 3, 4]
+    assert env_resolution(lam, 3, style="greedy_reversed")[1].ranks == \
+        [2, 4, 7, 10]
+    lam2 = build_instance(load_fixture("z2_trivial_f2.json")).lam.algebra
+    assert env_resolution(lam2, 3)[1].ranks == [1, 2, 4, 7]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda gens: gens + [{0: 1}], "d.d != 0 at degree 1"),
+    (lambda gens: gens[:-1], "resolution not exact at degree 1"),
+], ids=["not-a-cycle", "missing-generator"])
+def test_free_resolution_gates_reject_corrupted_generators(
+        monkeypatch, corrupt, message):
+    lam = build_instance(load_fixture("z2_dual_q.json")).lam.algebra
+    original = homology._submodule_generators
+    monkeypatch.setattr(homology, "_submodule_generators",
+                        lambda *args, **kw: corrupt(original(*args, **kw)))
+    with pytest.raises(InvalidInput, match=message):
+        env_resolution(lam, 2)
+
+
+def test_free_resolution_size_budget(monkeypatch):
+    lam = build_instance(load_fixture("z2_dual_q.json")).lam.algebra
+    # F_1 = (Lambda^e)^2 has dim 2 * 16 = 32
+    monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 32)
+    env_resolution(lam, 1)
+    monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 31)
+    with pytest.raises(SizeLimit, match="degree 1: 2 generators x dim 16"):
+        env_resolution(lam, 1)
 
 
 def test_kron():

@@ -97,3 +97,134 @@ def test_prime_field_paths():
     assert len(ns) == 1
     assert matvec(F7, M, ns[0]) == [0, 0, 0]
     assert transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+
+
+# -- differential tests against a naive dense Gauss-Jordan reference -------
+
+def ref_rref(K, M, n):
+    """Textbook Gauss-Jordan on dense rows: (nonzero RREF rows, pivots)."""
+    rows = [list(r) for r in M]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != K.zero),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = K.inv(rows[r][col])
+        rows[r] = [K.mul(inv, a) for a in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != r and f != K.zero:
+                rows[i] = [K.sub(a, K.mul(f, b))
+                           for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
+
+
+def ref_nullspace(K, M, n):
+    rows, pivots = ref_rref(K, M, n)
+    out = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [K.zero] * n
+        v[fc] = K.one
+        for row, pc in zip(rows, pivots):
+            v[pc] = K.neg(row[fc])
+        out.append(v)
+    return out
+
+
+def ref_solve(K, M, b, n):
+    rows, pivots = ref_rref(K, [list(r) + [x] for r, x in zip(M, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [K.zero] * n
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[n]
+    return x
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
+SHAPES = [(0, 0), (0, 4), (3, 0), (1, 1), (4, 4), (5, 3), (3, 12), (2, 9),
+          (8, 6), (6, 15)]
+
+
+def random_matrix(K, rng, m, n, density):
+    def entry():
+        if rng.random() >= density:
+            return K.zero
+        if K.kind == "Q":
+            return F(rng.randrange(-3, 4)) / rng.choice([1, 1, 1, 2, 3])
+        return rng.randrange(K.characteristic)
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
+def random_cases():
+    rng = Random(2024)
+    for K in FIELDS:
+        for m, n in SHAPES:
+            for density in (0.0, 0.15, 0.5, 1.0):
+                yield K, random_matrix(K, rng, m, n, density), n
+            # low rank: a product of thin random factors
+            if m and n:
+                k = rng.randrange(1, 3)
+                A = random_matrix(K, rng, m, k, 0.7)
+                B = random_matrix(K, rng, k, n, 0.7)
+                yield K, matmul(K, A, B), n
+
+
+def same_values(K, got, want):
+    """Equal, and over Q every entry is a Fraction."""
+    assert got == want
+    if K.kind == "Q":
+        for row in got:
+            assert all(type(a) is Fraction for a in row)
+
+
+def test_kernel_matches_dense_reference():
+    for K, M, n in random_cases():
+        rows, pivots = ref_rref(K, M, n)
+        assert rank(K, M) == len(pivots)
+        got_rows, got_pivots = rref(K, M)
+        assert got_pivots == pivots
+        same_values(K, got_rows[:len(pivots)], rows)
+        assert all(a == K.zero for r in got_rows[len(pivots):] for a in r)
+        assert len(got_rows) == len(M)
+        same_values(K, nullspace(K, M, n), ref_nullspace(K, M, n))
+        sub = Subspace(K, n, M)
+        assert sub.pivots == pivots and sub.dim == len(pivots)
+        same_values(K, sub.basis(), rows)
+
+
+def test_solve_matches_dense_reference():
+    rng = Random(77)
+    for K, M, n in random_cases():
+        m = len(M)
+        n = n if m else 0        # no rows: solve cannot see the width
+        # a consistent right-hand side and a random (usually not) one
+        x0 = random_matrix(K, rng, 1, n, 0.6)[0] if n else []
+        for b in (matvec(K, M, x0), random_matrix(K, rng, 1, m, 0.8)[0]):
+            got, want = solve(K, M, b), ref_solve(K, M, b, n)
+            assert got == want
+            if got is not None:
+                assert matvec(K, M, got) == list(b)
+                same_values(K, [got], [want])
+
+
+def test_subspace_reduce_is_the_canonical_normal_form():
+    rng = Random(5)
+    for K in FIELDS:
+        for _ in range(20):
+            n = rng.randrange(1, 8)
+            vecs = random_matrix(K, rng, rng.randrange(0, 5), n, 0.5)
+            sub = Subspace(K, n, vecs)
+            v = random_matrix(K, rng, 1, n, 0.8)[0]
+            rows, pivots = ref_rref(K, vecs, n)
+            want = list(v)
+            for row, pc in zip(rows, pivots):
+                f = want[pc]
+                want = [K.sub(a, K.mul(f, b)) for a, b in zip(want, row)]
+            assert sub.reduce(v) == want
+            assert sub.contains(v) == all(a == K.zero for a in want)
