@@ -154,12 +154,20 @@ class StructureAlgebra:
             triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
                        for _ in range(RANDOM_TRIPLES))
             rep.note("associativity checked on", RANDOM_TRIPLES, "random triples")
+        sc = self.sc
+        kmul, kadd, zero = K.mul, K.add, K.zero
+
+        def times(terms, j, left):
+            """(sum c b_k) . b_j, or b_j . (sum c b_k) when left, sparse."""
+            out = {}
+            for k, c in terms:
+                for t, e in sc.get((j, k) if left else (k, j), ()):
+                    out[t] = kadd(out.get(t, zero), kmul(c, e))
+            return {t: e for t, e in out.items() if e}
+
         for (i, j, k) in triples:
-            lhs = self.mul(self.mul(self.basis_vector(i), self.basis_vector(j)),
-                           self.basis_vector(k))
-            rhs = self.mul(self.basis_vector(i),
-                           self.mul(self.basis_vector(j), self.basis_vector(k)))
-            if lhs != rhs:
+            if times(sc.get((i, j), ()), k, False) != \
+                    times(sc.get((j, k), ()), i, True):
                 rep.fail("associativity", i, j, k)
         return rep
 

@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import ParhoxError
+from .errors import ParhoxError, SchemaError
 from .fields import field_from_json
 from .algebras import ModuleData
 from .factor_sets import PartialFactorSet
@@ -63,7 +63,11 @@ def _cap(args, spec_options=None):
     """Cap priority: PARHOX_CAP env > explicit flag > problem options."""
     env = os.environ.get("PARHOX_CAP")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise SchemaError(f"PARHOX_CAP must be an integer: {env!r}") \
+                from None
     if args.cap is not None:
         return args.cap
     if spec_options and "cap" in spec_options:
@@ -253,12 +257,10 @@ def main(argv=None):
                         '{"kind":"Fp","p":7} or a path to one')
     p.add_argument("--cap", type=int, default=512,
                    help="monoid size limit (PARHOX_CAP overrides)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_build_kpar)
 
     p = sub.add_parser("build-crossed", help="build the crossed product")
     p.add_argument("spec")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=cmd_build_crossed)
 
     p = sub.add_parser("hochschild", help="Hochschild homology of Lambda")
@@ -272,7 +274,6 @@ def main(argv=None):
                        help="partial homology of G with coefficients M/[A,M]")
     p.add_argument("spec")
     p.add_argument("--max-n", type=int, default=2)
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=cmd_partial_homology)
 
     p = sub.add_parser("spectral", help="E2 pages plus the verdict battery")
@@ -281,12 +282,10 @@ def main(argv=None):
     p.add_argument("--max-q", type=int, default=None)
     p.add_argument("--cohomology", action="store_true")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_spectral)
 
     p = sub.add_parser("selfcheck",
                        help="run the full battery on all bundled fixtures")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=cmd_selfcheck)
 
     args = parser.parse_args(argv)

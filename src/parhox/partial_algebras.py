@@ -20,7 +20,9 @@ associativity of the resulting table: whenever two bracketings of a triple
 produce the same monomial with different scalars, that monomial joins V and
 the closure reruns.  The loop terminates because V only grows; reaching the
 identity monomial means sigma admits no algebra at all and is reported.
-The final table is gated by an exhaustive associativity sweep.
+The final table is gated by Light's associativity test: every triple whose
+middle factor lies in a generating set of the table, which is complete
+because the associating elements form a subalgebra.
 """
 
 from .errors import (CompletionDiverged, InvalidInput, NotARepresentation,
@@ -185,42 +187,82 @@ def _build_table(monoid, sigma, vanished):
     return surviving, pos, scal, targ
 
 
-def _associativity_defects(K, surviving, scal, targ, first_only=True):
-    """Monomials whose bracketings disagree in scalar (candidates for V)."""
-    n = len(surviving)
-    defects = set()
-    zero = K.zero
-    for i in range(n):
+def _light_generators(targ, gens):
+    """Sorted positions of a generating set of the table: the surviving
+    generators `gens` plus every monomial that right multiplication by them
+    does not reach from them."""
+    reached = set(gens)
+    work = list(gens)
+    while work:
+        row = targ[work.pop()]
+        for g in gens:
+            t = row[g]
+            if t >= 0 and t not in reached:
+                reached.add(t)
+                work.append(t)
+    return sorted(set(gens) | (set(range(len(targ))) - reached))
+
+
+def _associativity_defect(K, surviving, scal, targ, middles):
+    """The first monomial whose bracketings disagree, or None (Light's test).
+
+    Only the triples (x, a, y) with a in `middles` are checked, in the order
+    of the full sweep.  This is exhaustive when `middles` generates the table
+    (Clifford-Preston I, 1.2): the product is bilinear, so the associating
+    elements T = {a : (xa)y = x(ay) for all x, y} form a subspace, and T is
+    closed under products because for a, b in T
+
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+
+    T contains the generating set, hence the whole table.  When only one
+    bracketing is nonzero, its monomial is the defect; when both are, the
+    left one is (on tables over S(G) both land on the same monomial).
+    """
+    kmul = K.mul
+    for i in range(len(surviving)):
         ti, si = targ[i], scal[i]
-        for j in range(n):
+        for j in middles:
             p = ti[j]
-            s1 = si[j]
             tj, sj = targ[j], scal[j]
             if p >= 0:
-                tp, sp = targ[p], scal[p]
-            for k in range(n):
+                s1, tp, sp = si[j], targ[p], scal[p]
+            for k, r in enumerate(tj):
                 left_t = tp[k] if p >= 0 else -1
-                left_s = K.mul(s1, sp[k]) if (p >= 0 and tp[k] >= 0) else zero
-                r = tj[k]
-                right_t = ti_r = targ[i][r] if r >= 0 else -1
-                right_s = K.mul(sj[k], scal[i][r]) if (r >= 0 and targ[i][r] >= 0) \
-                    else zero
+                right_t = ti[r] if r >= 0 else -1
                 if left_t >= 0 and right_t >= 0:
-                    if left_s != right_s:
-                        defects.add(surviving[left_t])
-                        if first_only:
-                            return defects
+                    if left_t != right_t or \
+                            kmul(s1, sp[k]) != kmul(sj[k], si[r]):
+                        return surviving[left_t]
                 elif left_t >= 0:
-                    if left_s != zero:
-                        defects.add(surviving[left_t])
-                        if first_only:
-                            return defects
+                    return surviving[left_t]
                 elif right_t >= 0:
-                    if right_s != zero:
-                        defects.add(surviving[right_t])
-                        if first_only:
-                            return defects
-    return defects
+                    return surviving[right_t]
+    return None
+
+
+def _complete(monoid, sigma, vanished, max_rounds=None):
+    """The completion loop from a closed vanishing set: one defect per round
+    joins V until the table associates.  Returns the final V, its table
+    (surviving, pos, scal, targ) and the completion-round log entries."""
+    K = sigma.field
+    gens = [monoid.gen(g) for g in range(sigma.group.n)]
+    log = []
+    max_rounds = max_rounds or (monoid.size + 2)
+    for round_no in range(max_rounds):
+        if monoid.identity in vanished:
+            raise ValidationFailure(
+                "the identity monomial vanished: sigma admits no twisted "
+                "partial group algebra (not a partial factor set)")
+        table = _build_table(monoid, sigma, vanished)
+        surviving, pos, scal, targ = table
+        middles = _light_generators(targ, [pos[m] for m in gens if m in pos])
+        defect = _associativity_defect(K, surviving, scal, targ, middles)
+        if defect is None:
+            return vanished, table, log
+        vanished.add(defect)
+        log.append(("completion-round", round_no, [defect]))
+        vanished = _close_vanishing(monoid, sigma, vanished)
+    raise CompletionDiverged(f"no fixpoint after {max_rounds} rounds")
 
 
 def build_kpar_sigma(sigma, monoid=None, max_rounds=None):
@@ -259,24 +301,9 @@ def build_kpar_sigma(sigma, monoid=None, max_rounds=None):
                         _mask_of((g, gh, mul(gh, t)))))
     vanished = _close_vanishing(monoid, sigma, vanished)
     log.append(("seed-vanished", len(vanished)))
-    # completion loop; the terminating sweep doubles as the exhaustive
-    # associativity gate
-    max_rounds = max_rounds or (monoid.size + 2)
-    for round_no in range(max_rounds):
-        if monoid.identity in vanished:
-            raise ValidationFailure(
-                "the identity monomial vanished: sigma admits no twisted "
-                "partial group algebra (not a partial factor set)")
-        surviving, pos, scal, targ = _build_table(monoid, sigma, vanished)
-        defects = _associativity_defects(K, surviving, scal, targ)
-        if not defects:
-            break
-        for m in defects:
-            vanished.add(m)
-        log.append(("completion-round", round_no, sorted(defects)))
-        vanished = _close_vanishing(monoid, sigma, vanished)
-    else:
-        raise CompletionDiverged(f"no fixpoint after {max_rounds} rounds")
+    vanished, (surviving, pos, scal, targ), rounds = _complete(
+        monoid, sigma, vanished, max_rounds)
+    log.extend(rounds)
     n = len(surviving)
     sc = {}
     for p1 in range(n):

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from parhox.errors import InvalidInput, PreconditionFailed, SizeLimit
 from parhox.fields import QQ, PrimeField
-from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
+from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
+                             ModuleData, StructureAlgebra, ValidationReport,
                              bimodule_to_left_env_module, commutator_quotient,
                              dual_numbers, enveloping, group_algebra,
                              hom_over_algebra, ideal_and_quotient,
@@ -35,6 +37,64 @@ def test_validate_catches_corruption():
     rep = A.validate()
     assert not rep.ok
     assert any(v[0] == "associativity" for v in rep.violations)
+
+
+def dense_validate(A, seed=0):
+    """Reference: associativity and unit law by dense products of basis
+    vectors, triple by triple, in the order StructureAlgebra.validate uses."""
+    rep = ValidationReport(f"algebra {A.name}")
+    d = A.dim
+    for i in range(d):
+        bi = A.basis_vector(i)
+        if A.mul(A.unit, bi) != bi or A.mul(bi, A.unit) != bi:
+            rep.fail("unit", i)
+    if d <= EXHAUSTIVE_LIMIT:
+        triples = ((i, j, k) for i in range(d) for j in range(d)
+                   for k in range(d))
+    else:
+        rng = random.Random(seed)
+        triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
+                   for _ in range(RANDOM_TRIPLES))
+        rep.note("associativity checked on", RANDOM_TRIPLES, "random triples")
+    for (i, j, k) in triples:
+        b = A.basis_vector
+        if A.mul(A.mul(b(i), b(j)), b(k)) != A.mul(b(i), A.mul(b(j), b(k))):
+            rep.fail("associativity", i, j, k)
+    return rep
+
+
+def corrupted(A, pair, row):
+    A.sc[pair] = row
+    return A
+
+
+def test_validate_matches_dense_reference():
+    F7 = PrimeField(7)
+    G41 = cyclic_group(41)
+    # b_1 . b_j = 2 b_{1+j} in K[Z41]: dim 41 > EXHAUSTIVE_LIMIT, and the
+    # random triples with b_1 in the middle fail
+    doubled = group_algebra(QQ, G41)
+    for j in range(41):
+        doubled.sc[(1, j)] = [(G41.mul(1, j), F(2))]
+    algebras = [
+        matrix_algebra(QQ, 2), matrix_algebra(F7, 3), dual_numbers(F7),
+        product_field_algebra(QQ, 3), group_algebra(QQ, cyclic_group(4)),
+        corrupted(dual_numbers(QQ), (1, 0), [(1, F(3))]),
+        corrupted(dual_numbers(F7), (0, 1), [(1, 2)]),
+        corrupted(matrix_algebra(QQ, 2), (1, 2), [(3, F(1))]),
+        corrupted(matrix_algebra(QQ, 2), (0, 0), [(0, F(1)), (1, Fraction(-1, 2))]),
+        corrupted(matrix_algebra(F7, 2), (2, 1), [(3, 5)]),
+        matrix_algebra(QQ, 7), doubled,
+    ]
+    assert any(A.dim > EXHAUSTIVE_LIMIT for A in algebras)
+    for A in algebras:
+        for seed in (0, 1):
+            got, want = A.validate(seed=seed), dense_validate(A, seed=seed)
+            assert got.violations == want.violations, A.name
+            assert got.notes == want.notes
+    assert dense_validate(doubled).violations
+    assert dense_validate(doubled).notes == [
+        ("associativity checked on", RANDOM_TRIPLES, "random triples")]
 
 
 def test_opposite():

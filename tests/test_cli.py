@@ -205,18 +205,40 @@ def _set_sc_index(doc):
     doc["action"]["algebra"]["sc"][0][2] = 7
 
 
-@pytest.mark.parametrize("mutate", [
-    _set_field_p,                # "3" instead of 3: was a TypeError
-    _set_sigma("abc"),           # was a ValueError
-    _set_sigma("1/0"),           # was a ZeroDivisionError
-    _set_sc_index,               # k = 7 in a dim-2 algebra: was an IndexError
-], ids=["p-string", "sigma-abc", "sigma-1/0", "sc-index"])
-def test_malformed_input_is_a_schema_error(mutate, tmp_path, capsys):
+def _keep(doc):
+    pass
+
+
+@pytest.mark.parametrize("mutate, command, env", [
+    (_set_field_p, "validate", {}),          # "3" instead of 3: was a TypeError
+    (_set_sigma("abc"), "validate", {}),     # was a ValueError
+    (_set_sigma("1/0"), "validate", {}),     # was a ZeroDivisionError
+    (_set_sc_index, "validate", {}),         # k = 7 in dim 2: was an IndexError
+    (_keep, "build-kpar", {"PARHOX_CAP": "abc"}),    # was a ValueError
+], ids=["p-string", "sigma-abc", "sigma-1/0", "sc-index", "env-cap-abc"])
+def test_malformed_input_is_a_schema_error(mutate, command, env, tmp_path,
+                                           capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     doc = json.loads(open(fixture_path("z3_kappa2_q.json")).read())
     mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code = main(["validate", str(bad)])
+    code = main([command, str(bad)])
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-kpar", group_path("z3.json"), "--seed", "0"],
+    ["spectral", fixture_path("z2_trivial_q.json"), "--seed", "0"],
+    ["build-crossed", fixture_path("z2_trivial_q.json"), "--cap", "9"],
+    ["partial-homology", fixture_path("z2_trivial_q.json"), "--cap", "9"],
+    ["selfcheck", "--cap", "9"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

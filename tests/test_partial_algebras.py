@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,10 @@ from parhox.groups import (cyclic_group, direct_product, enumerate_exel,
 from parhox.linalg import identity, matmul, matvec, transpose
 from parhox.partial_actions import (PartialProjRepresentation,
                                     build_crossed_product, gamma_sigma)
-from parhox.partial_algebras import (b_sigma_module_structures, build_B_sigma_omega,
+from parhox.partial_algebras import (_associativity_defect, _build_table,
+                                     _close_vanishing, _complete,
+                                     _light_generators,
+                                     b_sigma_module_structures, build_B_sigma_omega,
                                      build_kpar, build_kpar_idempotent,
                                      build_kpar_sigma, check_defining_relations,
                                      extract_idempotent_subalgebra,
@@ -404,3 +408,144 @@ def test_kpar_idempotent_all_zero():
     assert ks.dim == 1
     ks2 = build_kpar_sigma(sigma, monoid=ks.monoid)
     assert ks2.dim == 1 and ks2.algebra.sc == ks.algebra.sc
+
+
+# --- the completion loop and Light's associativity test -------------------
+
+SMALL_GROUPS = [cyclic_group(3), direct_product(cyclic_group(2), cyclic_group(2)),
+                cyclic_group(4)]
+SCALARS = [(QQ, [QQ.zero, QQ.one, F(2), F(-1, 3)]),
+           (PrimeField(5), list(range(5)))]
+
+
+def random_sigma(rng, G, K, values):
+    """A random table passing the sigma prechecks (normalized, with
+    sigma(g, g^-1) = sigma(g^-1, g)); zeros anywhere else."""
+    t = [[rng.choice(values) for _ in range(G.n)] for _ in range(G.n)]
+    for g in range(G.n):
+        t[g][0] = t[0][g] = K.one
+    for g in range(G.n):
+        t[G.inv(g)][g] = t[g][G.inv(g)]
+    return PartialFactorSet(G, K, t)
+
+
+def random_sigmas(seed, per_case):
+    rng = random.Random(seed)
+    for G in SMALL_GROUPS:
+        monoid = enumerate_exel(G)
+        for K, values in SCALARS:
+            for _ in range(per_case):
+                yield monoid, random_sigma(rng, G, K, values)
+
+
+def r4_vanishing(monoid, sigma):
+    """The closed ideal of the R4 seeds alone: monomials with a dead letter."""
+    G = sigma.group
+    dead = sum(1 << g for g in range(G.n) if sigma.is_zero(g, G.inv(g)))
+    seeds = {m for m, (A, _) in enumerate(monoid.elements) if A & dead}
+    return _close_vanishing(monoid, sigma, seeds)
+
+
+def table_sc(targ, scal):
+    n = len(targ)
+    return {(a, b): [(targ[a][b], scal[a][b])]
+            for a in range(n) for b in range(n) if targ[a][b] >= 0}
+
+
+def test_completion_from_r4_seeds_reproduces_build():
+    # Without the Z and C seeds, the completion loop has to find every
+    # vanishing monomial by itself; it must reach the same algebra.
+    completed = 0
+    for monoid, sigma in random_sigmas(seed=11, per_case=25):
+        ks = build_kpar_sigma(sigma, monoid=monoid)
+        _, (surviving, _, scal, targ), log = _complete(
+            monoid, sigma, r4_vanishing(monoid, sigma))
+        assert surviving == ks.surviving
+        assert table_sc(targ, scal) == ks.algebra.sc
+        completed += bool(log)
+    assert completed >= 50      # 99 of the 150 need completion rounds
+
+
+def reference_defects(K, surviving, scal, targ):
+    """Every monomial a full n^3 sweep flags: for each triple whose two
+    bracketings differ as vectors, the left monomial if (xy)z != 0, else the
+    right one."""
+    n = len(surviving)
+
+    def prod(u, k):
+        # u = (target, scalar) or None, times basis element k on the right
+        if u is None or targ[u[0]][k] < 0:
+            return None
+        return targ[u[0]][k], K.mul(u[1], scal[u[0]][k])
+
+    defects = set()
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                ij = (targ[i][j], scal[i][j]) if targ[i][j] >= 0 else None
+                jk = targ[j][k]
+                left = prod(ij, k)
+                right = None
+                if jk >= 0 and targ[i][jk] >= 0:
+                    right = targ[i][jk], K.mul(scal[j][k], scal[i][jk])
+                if left != right:
+                    defects.add(surviving[(left or right)[0]])
+    return defects
+
+
+def light_defect(K, monoid, table):
+    surviving, pos, scal, targ = table
+    gens = [pos[m] for m in (monoid.gen(g) for g in range(monoid.group.n))
+            if m in pos]
+    return _associativity_defect(K, surviving, scal, targ,
+                                 _light_generators(targ, gens))
+
+
+def corruptions(rng, K, table):
+    """The table with one scalar changed, and with one target changed."""
+    surviving, pos, scal, targ = table
+    cells = [(a, b) for a in range(len(targ)) for b in range(len(targ))
+             if targ[a][b] >= 0]
+    a, b = rng.choice(cells)
+    scal2 = [list(row) for row in scal]
+    scal2[a][b] = K.add(scal2[a][b], K.one) or K.add(K.one, K.one)
+    yield surviving, pos, scal2, targ
+    a, b = rng.choice(cells)
+    targ2 = [list(row) for row in targ]
+    targ2[a][b] = rng.choice([t for t in range(len(targ)) if t != targ[a][b]])
+    yield surviving, pos, scal, targ2
+
+
+def test_light_test_matches_full_sweep():
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for monoid, sigma in random_sigmas(seed=3, per_case=4):
+        K = sigma.field
+        tables = [_build_table(monoid, sigma, r4_vanishing(monoid, sigma))]
+        ks = build_kpar_sigma(sigma, monoid=monoid)
+        final = _build_table(monoid, sigma, ks.vanished)
+        if len(final[0]) > 1:
+            tables += [final] + list(corruptions(rng, K, final))
+        for table in tables:
+            want = reference_defects(K, table[0], table[2], table[3])
+            got = light_defect(K, monoid, table)
+            assert (got is not None) == bool(want)
+            assert got is None or got in want
+            seen[bool(want)] += 1
+    assert seen[True] >= 20 and seen[False] >= 20
+
+
+def test_light_generators_keep_unreachable_monomials():
+    # [1] is the only generator; u and v are unreachable from it.  The table
+    # fails associativity only at triples with u in the middle:
+    # (u u) u = v u = v but u (u u) = u v = 0.
+    K = QQ
+    surviving = [10, 11, 12]                 # [1], u, v
+    o = K.one
+    targ = [[0, 1, 2], [1, 2, -1], [2, 2, -1]]
+    scal = [[o, o, o], [o, o, None], [o, o, None]]
+    middles = _light_generators(targ, [0])
+    assert middles == [0, 1, 2]
+    assert reference_defects(K, surviving, scal, targ)
+    assert _associativity_defect(K, surviving, scal, targ, middles) == 12
+    assert _associativity_defect(K, surviving, scal, targ, [0, 2]) is None
