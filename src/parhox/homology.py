@@ -18,6 +18,8 @@ algebra A uses the full (unnormalized) bar complex: the action does not
 preserve degenerate chains, so the normalized model would not carry it.
 """
 
+from itertools import product
+
 from .errors import EquivarianceFailure, InvalidInput, SizeLimit
 from .algebras import (ModuleData, ValidationReport,
                        bimodule_to_left_env_module,
@@ -25,8 +27,8 @@ from .algebras import (ModuleData, ValidationReport,
                        hom_over_algebra, module_from_generator_actions)
 from .linalg import (QuotientSpace, Subspace, _char, _dense, _Echelon,
                      _kernel_of, _nonzero, _rank_of, _scalar, _sparse,
-                     identity, matmul, matvec, nullspace, rank, solve,
-                     transpose, zeros)
+                     identity, is_zero_matrix, mat_scale, matmul, matvec,
+                     nullspace, rank, solve, transpose, zeros)
 
 __all__ = [
     "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
@@ -62,7 +64,7 @@ class ChainComplex:
             if self.dims[q] == 0 or self.dims[q - 2] == 0:
                 continue
             prod = matmul(K, self.d[q - 1], self.d[q]) if self.dims[q - 1] else []
-            if any(c != K.zero for row in prod for c in row):
+            if not is_zero_matrix(K, prod):
                 rep.fail("d.d != 0", q)
         return rep
 
@@ -91,7 +93,13 @@ def kron(K, A, B):
 
 
 class _BarBasis:
-    """Index bookkeeping for M (x) W^(x q), W either R or the reduced Rbar."""
+    """Index bookkeeping for M (x) W^(x q), W either R or the reduced Rbar,
+    and the face tables of the (co)bar differentials, built once per
+    complex as sparse [(index, coeff)] lists:
+
+      * prod[i][j]: a_i a_j in the reduced basis;
+      * left[i][m]: a_i . e_m and right[m][i]: e_m . a_i in the M-basis.
+    """
 
     def __init__(self, R, M, normalized):
         self.R = R
@@ -105,6 +113,19 @@ class _BarBasis:
         else:
             self.quot = None
             self.wdim = R.dim
+
+        def nonzero(vec):
+            return [(j, c) for j, c in enumerate(vec) if c != K.zero]
+
+        lifted = [self.lift(i) for i in range(self.wdim)]
+        units = [[K.one if t == m else K.zero for t in range(M.dim)]
+                 for m in range(M.dim)]
+        self.prod = [[nonzero(self.project(R.mul(x, y))) for y in lifted]
+                     for x in lifted]
+        self.left = [[nonzero(M.act_left(x, e)) for e in units]
+                     for x in lifted]
+        self.right = [[nonzero(M.act_right(e, x)) for x in lifted]
+                      for e in units]
 
     def lift(self, i):
         """The algebra element behind reduced-basis index i."""
@@ -124,22 +145,9 @@ class _BarBasis:
         return self.M.dim * self.wdim ** q
 
     def tuples(self, q):
-        """All q-tuples over range(wdim), lexicographic."""
-        if q == 0:
-            yield ()
-            return
-        idx = [0] * q
-        while True:
-            yield tuple(idx)
-            t = q - 1
-            while t >= 0:
-                idx[t] += 1
-                if idx[t] < self.wdim:
-                    break
-                idx[t] = 0
-                t -= 1
-            if t < 0:
-                return
+        """All q-tuples over range(wdim), lexicographic (none if wdim = 0
+        and q >= 1)."""
+        return product(range(self.wdim), repeat=q)
 
     def flat(self, im, tup):
         out = im
@@ -162,41 +170,31 @@ def bar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
     dims = [bb.dim_q(q) for q in range(max_q + 1)]
     if any(d > cap for d in dims):
         raise SizeLimit(f"bar complex dims {dims} exceed cap {cap}")
+    add, neg = K.add, K.neg
     diffs = {}
     for q in range(1, max_q + 1):
-        rowsdim = dims[q - 1]
-        mat = zeros(K, rowsdim, dims[q])
-        colidx = 0
+        mat = zeros(K, dims[q - 1], dims[q])
+        stride = bb.wdim ** (q - 1)
+        col = 0
         for im in range(M.dim):
-            mvec = [K.one if t == im else K.zero for t in range(M.dim)]
             for tup in bb.tuples(q):
-                lifted = [bb.lift(i) for i in tup]
-                col = colidx
-                colidx += 1
-                # face 0: (m.a1, a2..)
-                ma = M.act_right(mvec, lifted[0])
-                rest = tup[1:]
-                for jm, c in enumerate(ma):
-                    if c != K.zero:
-                        r = bb.flat(jm, rest)
-                        mat[r][col] = K.add(mat[r][col], c)
-                # inner faces: products a_i a_{i+1}
-                sign = K.one
+                # face 0: (m.a1, a2..aq)
+                rest = bb.flat(0, tup[1:])
+                faces = [(jm * stride + rest, c)
+                         for jm, c in bb.right[im][tup[0]]]
+                # inner faces: (-1)^(i+1) (m, a1.. a_i a_{i+1} ..aq)
                 for i in range(q - 1):
-                    sign = K.neg(sign)
-                    prod = bb.project(R.mul(lifted[i], lifted[i + 1]))
-                    for jw, c in enumerate(prod):
-                        if c != K.zero:
-                            newtup = tup[:i] + (jw,) + tup[i + 2:]
-                            r = bb.flat(im, newtup)
-                            mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
+                    for jw, c in bb.prod[tup[i]][tup[i + 1]]:
+                        r = bb.flat(im, tup[:i] + (jw,) + tup[i + 2:])
+                        faces.append((r, c if i % 2 else neg(c)))
                 # last face: (-1)^q (aq.m, a1..a_{q-1})
-                sign = K.one if q % 2 == 0 else K.neg(K.one)
-                am = M.act_left(lifted[-1], mvec)
-                for jm, c in enumerate(am):
-                    if c != K.zero:
-                        r = bb.flat(jm, tup[:-1])
-                        mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
+                rest = bb.flat(0, tup[:-1])
+                for jm, c in bb.left[tup[-1]][im]:
+                    faces.append((jm * stride + rest,
+                                  c if q % 2 == 0 else neg(c)))
+                for r, c in faces:
+                    mat[r][col] = add(mat[r][col], c)
+                col += 1
         diffs[q] = mat
     cc = ChainComplex(K, dims, diffs)
     cc.validate().raise_if_failed()
@@ -213,16 +211,21 @@ def cobar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
     Returns (ChainComplex-like with d[q]: C^{q-1} -> C^q, _BarBasis)."""
     K = R.field
     bb = _BarBasis(R, M, normalized)
-    dims = [bb.wdim ** q * M.dim for q in range(max_q + 1)]
+    W = bb.wdim
+    dims = [W ** q * M.dim for q in range(max_q + 1)]
     if any(d > cap for d in dims):
         raise SizeLimit(f"cochain complex dims {dims} exceed cap {cap}")
 
     def flat_c(tup, im):
-        out = 0
-        for i in tup:
-            out = out * bb.wdim + i
-        return out * M.dim + im
+        return bb.flat(0, tup) * M.dim + im
 
+    # pairs[w]: the (x, y, c) with a_x a_y = c a_w + ... in the reduced basis
+    pairs = [[] for _ in range(W)]
+    for x in range(W):
+        for y in range(W):
+            for w, c in bb.prod[x][y]:
+                pairs[w].append((x, y, c))
+    add, neg = K.add, K.neg
     diffs = {}
     for q in range(1, max_q + 1):
         # d: C^{q-1} -> C^q, built column by column over the elementary
@@ -230,48 +233,27 @@ def cobar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
         mat = zeros(K, dims[q], dims[q - 1])
         for tau in bb.tuples(q - 1):
             for jm in range(M.dim):
-                colv = [K.zero] * dims[q]
-                mvec = [K.one if t == jm else K.zero for t in range(M.dim)]
                 col = flat_c(tau, jm)
                 # (df)(a1..aq): a1 . f(a2..aq) when (a2..aq) = tau
-                for j1 in range(bb.wdim):
-                    out = M.act_left(bb.lift(j1), mvec)
-                    newtup = (j1,) + tau
-                    for km, c in enumerate(out):
-                        if c != K.zero:
-                            colv[flat_c(newtup, km)] = K.add(
-                                colv[flat_c(newtup, km)], c)
-                # inner: (-1)^i f(.. a_i a_{i+1} ..): for each position i and
-                # each pair (x, y) whose product has a component on tau[i-1]
+                faces = [(flat_c((j1,) + tau, km), c)
+                         for j1 in range(W) for km, c in bb.left[j1][jm]]
+                # inner: (-1)^i f(.. a_i a_{i+1} ..) for each pair (x, y)
+                # whose product has a component on tau[i-1]
                 for i in range(1, q):
-                    sign = K.one if i % 2 == 0 else K.neg(K.one)
-                    for x in range(bb.wdim):
-                        lx = bb.lift(x)
-                        for y in range(bb.wdim):
-                            prod = bb.project(R.mul(lx, bb.lift(y)))
-                            c = prod[tau[i - 1]]
-                            if c == K.zero:
-                                continue
-                            newtup = tau[:i - 1] + (x, y) + tau[i:]
-                            colv[flat_c(newtup, jm)] = K.add(
-                                colv[flat_c(newtup, jm)], K.mul(sign, c))
+                    for x, y, c in pairs[tau[i - 1]]:
+                        r = flat_c(tau[:i - 1] + (x, y) + tau[i:], jm)
+                        faces.append((r, c if i % 2 == 0 else neg(c)))
                 # last: (-1)^q f(a1..a_{q-1}) . a_q when (a1..a_{q-1}) = tau
-                sign = K.one if q % 2 == 0 else K.neg(K.one)
-                for jq in range(bb.wdim):
-                    out = M.act_right(mvec, bb.lift(jq))
-                    newtup = tau + (jq,)
-                    for km, c in enumerate(out):
-                        if c != K.zero:
-                            colv[flat_c(newtup, km)] = K.add(
-                                colv[flat_c(newtup, km)], K.mul(sign, c))
-                for r, c in enumerate(colv):
-                    if c != K.zero:
-                        mat[r][col] = c
+                for jq in range(W):
+                    for km, c in bb.right[jm][jq]:
+                        faces.append((flat_c(tau + (jq,), km),
+                                      c if q % 2 == 0 else neg(c)))
+                for r, c in faces:
+                    mat[r][col] = add(mat[r][col], c)
         diffs[q] = mat
     # validate d.d = 0
     for q in range(2, max_q + 1):
-        prod = matmul(K, diffs[q], diffs[q - 1])
-        if any(c != K.zero for row in prod for c in row):
+        if not is_zero_matrix(K, matmul(K, diffs[q], diffs[q - 1])):
             raise InvalidInput(f"cochain d.d != 0 at {q}")
     return ChainComplex(K, dims, diffs), bb
 
@@ -684,20 +666,16 @@ class GModuleOnChains:
                     Tgh = self.action[gh][q]
                     Thi = self.action[inv(h)][q]
                     s = sigma(g, h)
-                    lhs = matmul(K, Tgi, matmul(K, Tg, Th))
-                    rhs = [[K.mul(s, c) for c in row]
-                           for row in matmul(K, Tgi, Tgh)]
-                    if lhs != rhs:
+                    TgTh = matmul(K, Tg, Th)
+                    TgiTgh = matmul(K, Tgi, Tgh)
+                    TghThi = matmul(K, Tgh, Thi)
+                    if matmul(K, Tgi, TgTh) != mat_scale(K, s, TgiTgh):
                         rep.fail("left relation", g, h, q)
-                    lhs2 = matmul(K, matmul(K, Tg, Th), Thi)
-                    rhs2 = [[K.mul(s, c) for c in row]
-                            for row in matmul(K, Tgh, Thi)]
-                    if lhs2 != rhs2:
+                    if matmul(K, TgTh, Thi) != mat_scale(K, s, TghThi):
                         rep.fail("right relation", g, h, q)
-                    if s == K.zero:
-                        z = zeros(K, n, n)
-                        if matmul(K, Tgi, Tgh) != z or matmul(K, Tgh, Thi) != z:
-                            rep.fail("zero relation", g, h, q)
+                    if s == K.zero and not (is_zero_matrix(K, TgiTgh)
+                                            and is_zero_matrix(K, TghThi)):
+                        rep.fail("zero relation", g, h, q)
         return rep
 
 

@@ -240,14 +240,14 @@ def _associativity_defect(K, surviving, scal, targ, middles):
     return None
 
 
-def _complete(monoid, sigma, vanished, max_rounds=None):
+def _complete(monoid, sigma, vanished):
     """The completion loop from a closed vanishing set: one defect per round
     joins V until the table associates.  Returns the final V, its table
     (surviving, pos, scal, targ) and the completion-round log entries."""
     K = sigma.field
     gens = [monoid.gen(g) for g in range(sigma.group.n)]
     log = []
-    max_rounds = max_rounds or (monoid.size + 2)
+    max_rounds = monoid.size + 2
     for round_no in range(max_rounds):
         if monoid.identity in vanished:
             raise ValidationFailure(
@@ -265,7 +265,7 @@ def _complete(monoid, sigma, vanished, max_rounds=None):
     raise CompletionDiverged(f"no fixpoint after {max_rounds} rounds")
 
 
-def build_kpar_sigma(sigma, monoid=None, max_rounds=None):
+def build_kpar_sigma(sigma, monoid=None):
     """The rewriting/completion construction of kappa_par^sigma G."""
     G = sigma.group
     K = sigma.field
@@ -302,7 +302,7 @@ def build_kpar_sigma(sigma, monoid=None, max_rounds=None):
     vanished = _close_vanishing(monoid, sigma, vanished)
     log.append(("seed-vanished", len(vanished)))
     vanished, (surviving, pos, scal, targ), rounds = _complete(
-        monoid, sigma, vanished, max_rounds)
+        monoid, sigma, vanished)
     log.extend(rounds)
     n = len(surviving)
     sc = {}

@@ -19,7 +19,8 @@ __all__ = ["ProblemSpec", "parse_spec", "parse_spec_file", "build_instance",
            "fixture_dir", "bundled_fixtures", "load_fixture"]
 
 DEFAULT_OPTIONS = {"max_p": 2, "max_q": 2, "max_n": 2,
-                   "cap": DEFAULT_CHAIN_CAP, "seed": 0, "monoid_limit": 512}
+                   "cap": DEFAULT_CHAIN_CAP, "monoid_limit": 512}
+POSITIVE_OPTIONS = {"cap", "monoid_limit"}
 
 
 class ProblemSpec:
@@ -93,10 +94,23 @@ def parse_spec(obj, name=None):
         _require(isinstance(module, dict) and "dim" in module, "$.module",
                  "must be 'regular' or an object with 'dim'")
     options = dict(DEFAULT_OPTIONS)
-    options.update(obj.get("options", {}))
+    options.update(_parse_options(obj.get("options", {})))
     spec_name = name or obj.get("name", "problem")
     return ProblemSpec(spec_name, field, group, sigma, action, module,
                        options, obj)
+
+
+def _parse_options(opts):
+    """The problem options: an object over DEFAULT_OPTIONS' keys whose
+    values are non-negative ints (positive for POSITIVE_OPTIONS)."""
+    _require(isinstance(opts, dict), "$.options", "must be an object")
+    for key, value in opts.items():
+        _require(key in DEFAULT_OPTIONS, f"$.options.{key}",
+                 f"unknown option (allowed: {sorted(DEFAULT_OPTIONS)})")
+        least = 1 if key in POSITIVE_OPTIONS else 0
+        _require(type(value) is int and value >= least, f"$.options.{key}",
+                 f"must be an integer >= {least}, got {value!r}")
+    return opts
 
 
 def parse_spec_file(path):

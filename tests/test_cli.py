@@ -209,13 +209,25 @@ def _keep(doc):
     pass
 
 
+def _set_options(value):
+    def mutate(doc):
+        doc["options"] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, command, env", [
     (_set_field_p, "validate", {}),          # "3" instead of 3: was a TypeError
     (_set_sigma("abc"), "validate", {}),     # was a ValueError
     (_set_sigma("1/0"), "validate", {}),     # was a ZeroDivisionError
     (_set_sc_index, "validate", {}),         # k = 7 in dim 2: was an IndexError
     (_keep, "build-kpar", {"PARHOX_CAP": "abc"}),    # was a ValueError
-], ids=["p-string", "sigma-abc", "sigma-1/0", "sc-index", "env-cap-abc"])
+    (_set_options({"max_p": "2"}), "spectral", {}),  # was a TypeError
+    (_set_options(5), "spectral", {}),               # was a TypeError
+    (_set_options({"cap": "x"}), "spectral", {}),    # was a TypeError
+    (_set_options({"max_q": -1}), "spectral", {}),   # was an IndexError
+], ids=["p-string", "sigma-abc", "sigma-1/0", "sc-index", "env-cap-abc",
+        "options-max-p-string", "options-not-object", "options-cap-string",
+        "options-max-q-negative"])
 def test_malformed_input_is_a_schema_error(mutate, command, env, tmp_path,
                                            capsys, monkeypatch):
     for name, value in env.items():
@@ -242,3 +254,24 @@ def test_unread_flags_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [
+    {"seed": 0},                 # the unread option is gone
+    {"max_n": True},
+    {"cap": 0},
+    {"monoid_limit": 0},
+    {"max_p": 1.5},
+], ids=["seed", "bool", "cap-zero", "monoid-limit-zero", "float"])
+def test_parse_spec_rejects_bad_options(options):
+    doc = json.loads(open(fixture_path("z2_trivial_q.json")).read())
+    doc["options"] = options
+    with pytest.raises(SchemaError):
+        parse_spec(doc)
+
+
+def test_parse_spec_accepts_zero_degrees():
+    doc = json.loads(open(fixture_path("z2_trivial_q.json")).read())
+    doc["options"] = {"max_p": 0, "max_q": 0, "max_n": 0, "cap": 1,
+                      "monoid_limit": 1}
+    assert parse_spec(doc).options == doc["options"]

@@ -10,10 +10,11 @@ from parhox.algebras import (ModuleData, commutator_quotient, dual_numbers,
                              hom_over_algebra, tensor_over_algebra)
 from parhox.factor_sets import (EquivalenceWitness, trivial_factor_set,
                                 xi_sigma_double_prime, PartialFactorSet)
-from parhox.errors import InvalidInput, SizeLimit
+from parhox.errors import EquivarianceFailure, InvalidInput, SizeLimit
 from parhox.groups import cyclic_group
 from parhox import homology
-from parhox.homology import (bar_complex, cobar_complex, diagonal_chain_action,
+from parhox.homology import (GModuleOnChains, bar_complex, cobar_complex,
+                             diagonal_chain_action,
                              diagonal_cochain_action, ext_dims,
                              env_resolution, free_resolution,
                              hochschild_cohomology_bar,
@@ -23,8 +24,9 @@ from parhox.homology import (bar_complex, cobar_complex, diagonal_chain_action,
                              hom_A_module_structure, homology_data,
                              homology_dims_of_complex,
                              induced_action_on_homology, kron,
-                             partial_homology_dims, tor_dims)
-from parhox.linalg import identity, matmul, rank, transpose
+                             m_as_a_bimodule, partial_homology_dims,
+                             tor_dims)
+from parhox.linalg import identity, matmul, rank, transpose, zeros
 from parhox.partial_actions import build_crossed_product
 from parhox.problems import build_instance, load_fixture
 from parhox.partial_algebras import (b_sigma_module_structures,
@@ -463,3 +465,177 @@ def test_hom_A_classical_case():
     M = regular_bimodule(lam.algebra)
     carrier, mod = hom_A_module_structure(lam, M, xi, kp)
     assert mod.validate().ok
+
+
+# -- the face-table (co)bar builders against per-column references --------
+
+def ref_bar_differentials(R, M, max_q, normalized):
+    """The bar differentials built column by column, every face recomputed
+    from R.mul and the module actions."""
+    K = R.field
+    bb = homology._BarBasis(R, M, normalized)
+    dims = [bb.dim_q(q) for q in range(max_q + 1)]
+    diffs = {}
+    for q in range(1, max_q + 1):
+        mat = zeros(K, dims[q - 1], dims[q])
+        col = 0
+        for im in range(M.dim):
+            mvec = [K.one if t == im else K.zero for t in range(M.dim)]
+            for tup in bb.tuples(q):
+                lifted = [bb.lift(i) for i in tup]
+                for jm, c in enumerate(M.act_right(mvec, lifted[0])):
+                    if c != K.zero:
+                        r = bb.flat(jm, tup[1:])
+                        mat[r][col] = K.add(mat[r][col], c)
+                sign = K.one
+                for i in range(q - 1):
+                    sign = K.neg(sign)
+                    prod = bb.project(R.mul(lifted[i], lifted[i + 1]))
+                    for jw, c in enumerate(prod):
+                        if c != K.zero:
+                            r = bb.flat(im, tup[:i] + (jw,) + tup[i + 2:])
+                            mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
+                sign = K.one if q % 2 == 0 else K.neg(K.one)
+                for jm, c in enumerate(M.act_left(lifted[-1], mvec)):
+                    if c != K.zero:
+                        r = bb.flat(jm, tup[:-1])
+                        mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
+                col += 1
+        diffs[q] = mat
+    return diffs
+
+
+def ref_cobar_differentials(R, M, max_q, normalized):
+    """The cobar differentials built column by column over the elementary
+    cochains, every face recomputed from R.mul and the module actions."""
+    K = R.field
+    bb = homology._BarBasis(R, M, normalized)
+    W = bb.wdim
+    dims = [W ** q * M.dim for q in range(max_q + 1)]
+
+    def flat_c(tup, im):
+        return bb.flat(0, tup) * M.dim + im
+
+    diffs = {}
+    for q in range(1, max_q + 1):
+        mat = zeros(K, dims[q], dims[q - 1])
+        for tau in bb.tuples(q - 1):
+            for jm in range(M.dim):
+                colv = [K.zero] * dims[q]
+                mvec = [K.one if t == jm else K.zero for t in range(M.dim)]
+                for j1 in range(W):
+                    out = M.act_left(bb.lift(j1), mvec)
+                    for km, c in enumerate(out):
+                        if c != K.zero:
+                            r = flat_c((j1,) + tau, km)
+                            colv[r] = K.add(colv[r], c)
+                for i in range(1, q):
+                    sign = K.one if i % 2 == 0 else K.neg(K.one)
+                    for x in range(W):
+                        for y in range(W):
+                            prod = bb.project(R.mul(bb.lift(x), bb.lift(y)))
+                            c = prod[tau[i - 1]]
+                            if c != K.zero:
+                                r = flat_c(tau[:i - 1] + (x, y) + tau[i:], jm)
+                                colv[r] = K.add(colv[r], K.mul(sign, c))
+                sign = K.one if q % 2 == 0 else K.neg(K.one)
+                for jq in range(W):
+                    out = M.act_right(mvec, bb.lift(jq))
+                    for km, c in enumerate(out):
+                        if c != K.zero:
+                            r = flat_c(tau + (jq,), km)
+                            colv[r] = K.add(colv[r], K.mul(sign, c))
+                col = flat_c(tau, jm)
+                for r, c in enumerate(colv):
+                    if c != K.zero:
+                        mat[r][col] = c
+        diffs[q] = mat
+    return diffs
+
+
+def _same_entries(K, got, want):
+    assert got.keys() == want.keys()
+    for q in want:
+        assert got[q] == want[q], q
+        kind = Fraction if K.kind == "Q" else int
+        assert all(type(c) is kind for row in got[q] for c in row)
+
+
+@pytest.mark.parametrize("fixture", ["z2_dual_q.json", "z3_kappa2_f3.json",
+                                     "v4_partial_q.json",
+                                     "z2_trivial_f2.json"])
+def test_face_tables_match_per_column_builders(fixture):
+    inst = build_instance(load_fixture(fixture))
+    A, MA = inst.theta.algebra, m_as_a_bimodule(inst.lam, inst.M)
+    K = A.field
+    for R, M, max_q in ((A, MA, 3), (inst.lam.algebra, inst.M, 2)):
+        for normalized in (True, False):
+            cc, _ = bar_complex(R, M, max_q, normalized=normalized)
+            _same_entries(K, cc.d,
+                          ref_bar_differentials(R, M, max_q, normalized))
+            cc, _ = cobar_complex(R, M, max_q, normalized=normalized)
+            _same_entries(K, cc.d,
+                          ref_cobar_differentials(R, M, max_q, normalized))
+
+
+def test_bar_basis_has_no_tuples_when_the_reduced_basis_is_empty():
+    # the base field, normalized: Rbar = R / k.1 = 0, so C_q = 0 for q >= 1
+    A = product_field_algebra(QQ, 1)
+    bb = homology._BarBasis(A, regular_bimodule(A), normalized=True)
+    assert bb.wdim == 0 and bb.dim_q(2) == 0
+    assert list(bb.tuples(0)) == [()]
+    assert list(bb.tuples(1)) == [] and list(bb.tuples(2)) == []
+    cc, _ = bar_complex(A, regular_bimodule(A), 2)
+    assert cc.dims == [1, 0, 0]
+
+
+# -- the chain-action gate rejects corrupted actions -----------------------
+
+def _violations(gmod, group):
+    return {v[0] for v in gmod.gate(group).violations}
+
+
+@pytest.mark.parametrize("cochain", [False, True])
+def test_chain_action_gate_rejects_a_changed_entry(cochain):
+    G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
+    M = regular_bimodule(lam.algebra)
+    build = diagonal_cochain_action if cochain else diagonal_chain_action
+    gmod, _ = build(lam, M, xi, sdd, 2)
+    assert _violations(gmod, G) == set()
+    # one entry of T_t on C_1, in a column that the differential out of
+    # C_1 (chains) or into C_2 (cochains) does not kill
+    d = gmod.complex.d[2 if cochain else 1]
+    r = next(c for c in range(len(d[0])) if any(row[c] for row in d))
+    action = [[[row[:] for row in T] for T in mats] for mats in gmod.action]
+    action[1][1][r][r] = QQ.add(action[1][1][r][r], QQ.one)
+    bad = GModuleOnChains(gmod.complex, action, sdd, cochain=cochain)
+    names = _violations(bad, G)
+    assert "equivariance" in names
+    assert {"left relation", "right relation"} <= names
+
+
+def test_chain_action_gate_rejects_a_changed_sigma_pattern():
+    G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
+    M = regular_bimodule(lam.algebra)
+    gmod, _ = diagonal_chain_action(lam, M, xi, sdd, 2)
+    t, t2 = 1, G.inv(1)
+    assert sdd(t, t2) != QQ.zero
+
+    def pattern(g, h):
+        return QQ.zero if (g, h) == (t, t2) else sdd(g, h)
+
+    bad = GModuleOnChains(gmod.complex, gmod.action, pattern)
+    names = _violations(bad, G)
+    # T_{t^2} T_1 = T_{t^2} is not zero, so the zero relation fails too
+    assert {"left relation", "right relation", "zero relation"} <= names
+    assert "equivariance" not in names
+
+
+@pytest.mark.parametrize("build", [diagonal_chain_action,
+                                   diagonal_cochain_action])
+def test_diagonal_action_with_a_wrong_xi_is_rejected(build):
+    G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
+    M = regular_bimodule(lam.algebra)
+    wrong = EquivalenceWitness(G, QQ, [QQ.one, xi(1) * 2, xi(2)])
+    with pytest.raises(EquivarianceFailure):
+        build(lam, M, wrong, sdd, 2)

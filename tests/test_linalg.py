@@ -1,6 +1,8 @@
 from fractions import Fraction
 from random import Random
 
+from hypothesis import given, settings, strategies as st
+
 from parhox.fields import QQ, PrimeField
 from parhox.linalg import (QuotientSpace, Subspace, column_space_basis,
                            identity, invert_matrix, matmul, matvec, nullspace,
@@ -228,3 +230,92 @@ def test_subspace_reduce_is_the_canonical_normal_form():
                 want = [K.sub(a, K.mul(f, b)) for a, b in zip(want, row)]
             assert sub.reduce(v) == want
             assert sub.contains(v) == all(a == K.zero for a in want)
+
+
+# -- sparse matmul against a naive dense triple loop -----------------------
+
+def ref_matmul(K, A, B):
+    """Textbook triple loop; a B without rows gives rows of width 0."""
+    n = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        new = []
+        for j in range(n):
+            acc = K.zero
+            for a, brow in zip(row, B):
+                acc = K.add(acc, K.mul(a, brow[j]))
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def assert_field_entries(K, M):
+    """Fraction entries over Q, int residues in [0, p) over F_p."""
+    for row in M:
+        for a in row:
+            if K.kind == "Q":
+                assert type(a) is Fraction
+            else:
+                assert type(a) is int and 0 <= a < K.characteristic
+
+
+# (m, k, n): A is m x k, B is k x n; empty, n x 0, k = 0 and wide shapes
+PRODUCT_SHAPES = [(0, 0, 0), (0, 3, 2), (3, 0, 0), (4, 2, 0), (1, 1, 1),
+                  (4, 4, 4), (3, 5, 2), (2, 3, 12), (1, 6, 9), (7, 2, 5),
+                  (5, 8, 15)]
+
+
+def test_matmul_matches_dense_reference():
+    rng = Random(41)
+    for K in FIELDS:
+        for m, k, n in PRODUCT_SHAPES:
+            for density in (0.0, 0.15, 0.5, 1.0):
+                A = random_matrix(K, rng, m, k, density)
+                B = random_matrix(K, rng, k, n, rng.choice((0.15, density)))
+                got = matmul(K, A, B)
+                assert got == ref_matmul(K, A, B)
+                assert len(got) == m
+                assert all(len(row) == (n if k else 0) for row in got)
+                assert_field_entries(K, got)
+
+
+def test_matmul_all_zero_and_identity():
+    for K in FIELDS:
+        Z = [[K.zero] * 3 for _ in range(2)]
+        B = [[K.one, K.zero, K.one]] * 3
+        assert matmul(K, Z, B) == Z
+        assert_field_entries(K, matmul(K, Z, B))
+        I3 = identity(K, 3)
+        assert matmul(K, I3, B) == B and matmul(K, B, I3) == B
+    # over Q the integral entries come back as Fractions, not ints
+    half = Fraction(1, 2)
+    got = matmul(QQ, [[half, F(2)]], [[F(2)], [-half]])
+    assert got == [[F(0)]] and type(got[0][0]) is Fraction
+    assert_field_entries(QQ, matmul(QQ, [[F(3)]], [[Fraction(1, 3)]]))
+
+
+def matrices(K, m, n):
+    if K.kind == "Q":
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        entry = st.integers(0, K.characteristic - 1)
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=m, max_size=m)
+
+
+@st.composite
+def product_triples(draw):
+    K = draw(st.sampled_from(FIELDS))
+    m, k, l, n = (draw(st.integers(1, 4)) for _ in range(4))
+    return (K, draw(matrices(K, m, k)), draw(matrices(K, k, l)),
+            draw(matrices(K, l, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_triples())
+def test_matmul_is_associative_and_matches_reference(case):
+    K, A, B, C = case
+    AB = matmul(K, A, B)
+    assert AB == ref_matmul(K, A, B)
+    assert matmul(K, AB, C) == matmul(K, A, matmul(K, B, C))
+    assert_field_entries(K, AB)
