@@ -31,7 +31,7 @@ __all__ = [
     "ideal_and_quotient", "orthogonalize_idempotents",
     "is_von_neumann_regular_idempotent_generated", "separability_idempotent",
     "tensor_over_algebra", "hom_over_algebra", "restrict_along_hom",
-    "regular_bimodule", "module_from_generator_actions",
+    "regular_bimodule", "dual_bimodule", "module_from_generator_actions",
     "matrix_algebra", "product_field_algebra", "dual_numbers",
     "group_algebra", "commutator_quotient",
 ]
@@ -632,6 +632,15 @@ def regular_bimodule(A):
     left = [A.left_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
     right = [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
     return ModuleData(A, A.dim, left=left, right=right, name=f"{A.name} regular")
+
+
+def dual_bimodule(M):
+    """M* = Hom_k(M, k) with (a.f.b)(m) = f(b.m.a), in the dual basis: the
+    left action of a_i is (m -> m.a_i)^T, the right one (m -> a_i.m)^T."""
+    return ModuleData(M.algebra, M.dim,
+                      left=[transpose(R) for R in M.right],
+                      right=[transpose(L) for L in M.left],
+                      name=f"{M.name}*")
 
 
 class TensorOverAlgebra:

@@ -25,7 +25,7 @@ from .homology import (DEFAULT_CHAIN_CAP, hochschild_cohomology_bar,
 from .partial_actions import validate_twisted
 from .partial_algebras import build_kpar, build_kpar_sigma
 from .problems import build_instance, parse_spec_file
-from .spectral import homology_module_tower, run_all_checks
+from .spectral import module_tower, run_all_checks
 
 
 def _canonical_digest(obj):
@@ -173,11 +173,11 @@ def cmd_partial_homology(args):
     inst = build_instance(spec)
     n = args.max_n
     # coefficients: H_0(A, M) = M/[A, M] with its kappa_par G-structure
-    _, tower = homology_module_tower(inst, 0)
+    _, tower = module_tower(inst, 0)
     hd0, mod0, _ = tower[0]
     X0 = ModuleData(inst.kpar.algebra, hd0.dim, left=mod0.left)
-    dims = partial_homology_dims(inst.kpar.algebra, inst.b_right_over_kpar(),
-                                 X0, n)
+    _, B_right = inst.b_over_kpar
+    dims = partial_homology_dims(inst.kpar.algebra, B_right, X0, n)
     result = {
         "coefficients": "H_0(A, M) = M/[A,M]",
         "coefficient_dim": hd0.dim,
@@ -203,7 +203,7 @@ def cmd_spectral(args):
     raw = _load_json(args.spec)
     spec = parse_spec_file(args.spec)
     inst = build_instance(spec)
-    inst._cache["chain_cap"] = _cap(args, spec.options)
+    inst.chain_cap = _cap(args, spec.options)
     max_p = args.max_p if args.max_p is not None else spec.options["max_p"]
     max_q = args.max_q if args.max_q is not None else spec.options["max_q"]
     max_n = min(max_p, max_q)

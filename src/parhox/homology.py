@@ -3,15 +3,25 @@
 
 Degree conventions:
 
-  * a ChainComplex stores d[q]: C_q -> C_{q-1} (q >= 1), C_q = kappa^{dims[q]};
-  * homology dims use  dim H_q = dims[q] - rank d_q - rank d_{q+1};
+  * a ChainComplex stores d[q] for 1 <= q <= top, C_q = kappa^{dims[q]};
+    it knows its direction: d[q]: C_q -> C_{q-1} for chains and
+    d[q]: C^{q-1} -> C^q for cochains (only cobar_complex builds these),
+    and every reader (homology data, the chain-action gate) asks the
+    complex which map leaves and which enters a degree;
+  * homology dims use  dim H_q = dims[q] - rank d[q] - rank d[q+1]  in
+    both directions;
   * a FreeResolution of a module X over R keeps generator images, so the
     boundary in F_q = R^{r_q} is  u_j -> gen_images[q][j], and the induced
     complexes for Tor/Ext are assembled from action matrices of the blocks;
   * Hochschild homology of R with coefficients in a bimodule M is computed
     both on the (normalized or full) bar complex  C_q = M (x) Rbar^(x q)
     and as Tor over R^e via a free resolution of R; the two routes must
-    agree and that agreement is an acceptance gate, not an assumption.
+    agree and that agreement is an acceptance gate, not an assumption;
+  * the Hochschild cochain complex is the dual of the bar complex of the
+    dual bimodule, C^q(R, M) = C_q(R, M*)* (Cartan-Eilenberg, ch. IX): the
+    coboundary d[q] is the transpose of the bar boundary b_q of M*, and
+    C^q has the bar basis of M*, M-major: the cochain sending the tuple
+    t to e_m and every other tuple to 0 has flat index m * W^q + flat(t).
 
 The diagonal action of the group on Hochschild chains of the coefficient
 algebra A uses the full (unnormalized) bar complex: the action does not
@@ -22,7 +32,7 @@ from itertools import product
 
 from .errors import EquivarianceFailure, InvalidInput, SizeLimit
 from .algebras import (ModuleData, ValidationReport,
-                       bimodule_to_left_env_module,
+                       bimodule_to_left_env_module, dual_bimodule,
                        bimodule_to_right_env_module, enveloping,
                        hom_over_algebra, module_from_generator_actions)
 from .linalg import (QuotientSpace, Subspace, _char, _dense, _Echelon,
@@ -38,24 +48,36 @@ __all__ = [
     "hochschild_cohomology_resolution", "partial_homology_dims",
     "partial_cohomology_dims", "GModuleOnChains", "diagonal_chain_action",
     "diagonal_cochain_action", "induced_action_on_homology",
-    "induced_action_on_cohomology", "hom_A_carrier", "hom_A_module_structure",
-    "kron",
+    "hom_A_carrier", "hom_A_module_structure", "kron",
 ]
 
 DEFAULT_CHAIN_CAP = 200_000
 
 
 class ChainComplex:
-    """dims[q] for 0 <= q <= top; d[q]: C_q -> C_{q-1} for 1 <= q <= top."""
+    """dims[q] for 0 <= q <= top; d[q] for 1 <= q <= top, C_q -> C_{q-1}
+    for chains and C^{q-1} -> C^q when `cochain` is set."""
 
-    def __init__(self, field, dims, diffs):
+    def __init__(self, field, dims, diffs, cochain=False):
         self.field = field
         self.dims = list(dims)
         self.d = dict(diffs)
+        self.cochain = cochain
 
     @property
     def top(self):
         return len(self.dims) - 1
+
+    def ends(self, q):
+        """(source, target) degrees of d[q]."""
+        return (q - 1, q) if self.cochain else (q, q - 1)
+
+    def at(self, q):
+        """(the differential leaving degree q, the one entering it), None
+        where the complex has none."""
+        if self.cochain:
+            return self.d.get(q + 1), self.d.get(q)
+        return self.d.get(q), self.d.get(q + 1)
 
     def validate(self):
         rep = ValidationReport("chain complex")
@@ -63,7 +85,9 @@ class ChainComplex:
         for q in range(2, self.top + 1):
             if self.dims[q] == 0 or self.dims[q - 2] == 0:
                 continue
-            prod = matmul(K, self.d[q - 1], self.d[q]) if self.dims[q - 1] else []
+            first, second = (self.d[q - 1], self.d[q]) if self.cochain \
+                else (self.d[q], self.d[q - 1])
+            prod = matmul(K, second, first) if self.dims[q - 1] else []
             if not is_zero_matrix(K, prod):
                 rep.fail("d.d != 0", q)
         return rep
@@ -205,75 +229,29 @@ def cobar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
     """The Hochschild cochain complex C^q = maps W^(x q) -> M, with
 
         (df)(a1..a_{q+1}) = a1.f(a2..) + sum_i (-1)^i f(..a_i a_{i+1}..)
-                            + (-1)^{q+1} f(a1..aq).a_{q+1}.
+                            + (-1)^{q+1} f(a1..aq).a_{q+1},
 
-    Basis of C^q: pairs (tuple, M-basis); flat index = flat(tuple)*dimM + im.
-    Returns (ChainComplex-like with d[q]: C^{q-1} -> C^q, _BarBasis)."""
-    K = R.field
-    bb = _BarBasis(R, M, normalized)
-    W = bb.wdim
-    dims = [W ** q * M.dim for q in range(max_q + 1)]
-    if any(d > cap for d in dims):
-        raise SizeLimit(f"cochain complex dims {dims} exceed cap {cap}")
-
-    def flat_c(tup, im):
-        return bb.flat(0, tup) * M.dim + im
-
-    # pairs[w]: the (x, y, c) with a_x a_y = c a_w + ... in the reduced basis
-    pairs = [[] for _ in range(W)]
-    for x in range(W):
-        for y in range(W):
-            for w, c in bb.prod[x][y]:
-                pairs[w].append((x, y, c))
-    add, neg = K.add, K.neg
-    diffs = {}
-    for q in range(1, max_q + 1):
-        # d: C^{q-1} -> C^q, built column by column over the elementary
-        # cochains f = (tau, jm)
-        mat = zeros(K, dims[q], dims[q - 1])
-        for tau in bb.tuples(q - 1):
-            for jm in range(M.dim):
-                col = flat_c(tau, jm)
-                # (df)(a1..aq): a1 . f(a2..aq) when (a2..aq) = tau
-                faces = [(flat_c((j1,) + tau, km), c)
-                         for j1 in range(W) for km, c in bb.left[j1][jm]]
-                # inner: (-1)^i f(.. a_i a_{i+1} ..) for each pair (x, y)
-                # whose product has a component on tau[i-1]
-                for i in range(1, q):
-                    for x, y, c in pairs[tau[i - 1]]:
-                        r = flat_c(tau[:i - 1] + (x, y) + tau[i:], jm)
-                        faces.append((r, c if i % 2 == 0 else neg(c)))
-                # last: (-1)^q f(a1..a_{q-1}) . a_q when (a1..a_{q-1}) = tau
-                for jq in range(W):
-                    for km, c in bb.right[jm][jq]:
-                        faces.append((flat_c(tau + (jq,), km),
-                                      c if q % 2 == 0 else neg(c)))
-                for r, c in faces:
-                    mat[r][col] = add(mat[r][col], c)
-        diffs[q] = mat
-    # validate d.d = 0
-    for q in range(2, max_q + 1):
-        if not is_zero_matrix(K, matmul(K, diffs[q], diffs[q - 1])):
-            raise InvalidInput(f"cochain d.d != 0 at {q}")
-    return ChainComplex(K, dims, diffs), bb
+    built as the transpose of the bar complex of M*: d[q]: C^{q-1} -> C^q
+    is b_q^T for the bar boundary b_q of M*, and C^q has the M-major bar
+    basis of M*.  The bar complex's d.d = 0 gate covers the cochains,
+    since (b_q b_{q+1})^T = d[q+1] d[q].  Returns (ChainComplex, the
+    _BarBasis of M*)."""
+    cc, bb = bar_complex(R, dual_bimodule(M), max_q, normalized=normalized,
+                         cap=cap)
+    return ChainComplex(cc.field, cc.dims,
+                        {q: transpose(d) for q, d in cc.d.items()},
+                        cochain=True), bb
 
 
-def homology_dims_of_complex(cc, max_q, cochain=False):
-    """Betti-style dims; for cochains d[q]: C^{q-1} -> C^q."""
+def homology_dims_of_complex(cc, max_q):
+    """Betti-style dims dims[q] - rank d[q] - rank d[q+1], which holds in
+    either direction."""
     K = cc.field
-    out = []
     rk = {}
     for q in range(1, min(max_q + 1, cc.top) + 1):
         rk[q] = rank(K, cc.d[q]) if cc.dims[q] and cc.dims[q - 1] else 0
-    for q in range(max_q + 1):
-        if not cochain:
-            r_in = rk.get(q, 0)
-            r_out = rk.get(q + 1, 0)
-        else:
-            r_in = rk.get(q + 1, 0)   # d^q: C^q -> C^{q+1} stored at q+1
-            r_out = rk.get(q, 0)      # d^{q-1}: C^{q-1} -> C^q
-        out.append(cc.dims[q] - r_in - r_out)
-    return out
+    return [cc.dims[q] - rk.get(q, 0) - rk.get(q + 1, 0)
+            for q in range(max_q + 1)]
 
 
 class HomologyData:
@@ -592,7 +570,7 @@ def _env_left_regular(env, R):
 def hochschild_cohomology_bar(R, M, max_n, normalized=True,
                               cap=DEFAULT_CHAIN_CAP):
     cc, _ = cobar_complex(R, M, max_n + 1, normalized=normalized, cap=cap)
-    return homology_dims_of_complex(cc, max_n, cochain=True)
+    return homology_dims_of_complex(cc, max_n)
 
 
 def hochschild_cohomology_resolution(R, M, max_n, style="greedy",
@@ -601,8 +579,7 @@ def hochschild_cohomology_resolution(R, M, max_n, style="greedy",
     env, res = env_res if env_res is not None else \
         env_resolution(R, max_n + 1, style=style)
     M_left = bimodule_to_left_env_module(env, R, M)
-    R_as_left = ModuleData(env, R.dim, left=_env_left_regular(env, R))
-    return ext_dims(env, R_as_left,
+    return ext_dims(env, res.module,
                     ModuleData(env, M.dim, left=M_left.left), max_n,
                     style=style, resolution=res)
 
@@ -627,26 +604,22 @@ class GModuleOnChains:
     """A chain (or cochain) complex with one matrix per group element and
     degree, gated by equivariance and the partial-representation relations."""
 
-    def __init__(self, complex_, action, sigma_pattern, cochain=False):
+    def __init__(self, complex_, action, sigma_pattern):
         self.complex = complex_
         self.action = action            # action[g][q] = matrix on C_q
         self.sigma_pattern = sigma_pattern
-        self.cochain = cochain
 
     def gate(self, group):
         K = self.complex.field
         rep = ValidationReport("chain-level diagonal action")
         top = len(self.action[0]) - 1
-        # equivariance with the differential
+        # equivariance with the differential: d[q] T_source = T_target d[q]
         for g in range(len(self.action)):
             for q in range(1, top + 1):
                 dq = self.complex.d[q]
-                if not self.cochain:
-                    lhs = matmul(K, dq, self.action[g][q])
-                    rhs = matmul(K, self.action[g][q - 1], dq)
-                else:
-                    lhs = matmul(K, dq, self.action[g][q - 1])
-                    rhs = matmul(K, self.action[g][q], dq)
+                src, tgt = self.complex.ends(q)
+                lhs = matmul(K, dq, self.action[g][src])
+                rhs = matmul(K, self.action[g][tgt], dq)
                 if lhs != rhs:
                     rep.fail("equivariance", g, q)
         # partial representation relations with the given idempotent pattern
@@ -708,71 +681,59 @@ def m_as_a_bimodule(lam, M):
     return MA
 
 
+def _gated_kron_action(cc, MG, AG, sigma_dd, group):
+    """T_g = MG[g] (x) AG[g]^(x q) on degree q of the M-major complex cc,
+    hard-gated."""
+    K = cc.field
+    action = []
+    for g in range(group.n):
+        mats = [MG[g]]
+        for _ in range(cc.top):
+            mats.append(kron(K, mats[-1], AG[g]))
+        action.append(mats)
+    gmod = GModuleOnChains(cc, action, sigma_dd)
+    rep = gmod.gate(group)
+    if not rep.ok:
+        kind = "cochain" if cc.cochain else "chain"
+        raise EquivarianceFailure(
+            f"{kind} action gate failed: {rep.violations[:5]}")
+    return gmod
+
+
 def diagonal_chain_action(lam, M, xi, sigma_dd, max_q, group=None,
                           cap=DEFAULT_CHAIN_CAP):
     """T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq) on the full bar complex
     of A with coefficients in M; hard-gated."""
     group = group or lam.group
-    A = lam.theta.algebra
-    K = A.field
-    MA = m_as_a_bimodule(lam, M)
-    cc, bb = bar_complex(A, MA, max_q, normalized=False, cap=cap)
+    cc, bb = bar_complex(lam.theta.algebra, m_as_a_bimodule(lam, M), max_q,
+                         normalized=False, cap=cap)
     AG, MG = _crossed_action_matrices(lam, M, xi)
-    action = []
-    for g in range(group.n):
-        mats = []
-        for q in range(max_q + 1):
-            T = MG[g]
-            for _ in range(q):
-                T = kron(K, T, AG[g])
-            mats.append(T)
-        action.append(mats)
-    gmod = GModuleOnChains(cc, action, sigma_dd)
-    rep = gmod.gate(group)
-    if not rep.ok:
-        raise EquivarianceFailure(f"chain action gate failed: {rep.violations[:5]}")
-    return gmod, bb
+    return _gated_kron_action(cc, MG, AG, sigma_dd, group), bb
 
 
 def diagonal_cochain_action(lam, M, xi, sigma_dd, max_q, group=None,
                             cap=DEFAULT_CHAIN_CAP):
     """(T_g f)(a1..aq) = [g].f([g^-1].a1, ..., [g^-1].aq) on the full
-    Hochschild cochain complex of A with coefficients in M; hard-gated."""
+    Hochschild cochain complex of A with coefficients in M; hard-gated.
+    In the M-major cochain basis T_g = MG[g] (x) (AG[g^-1]^T)^(x q)."""
     group = group or lam.group
-    A = lam.theta.algebra
-    K = A.field
-    MA = m_as_a_bimodule(lam, M)
-    cc, bb = cobar_complex(A, MA, max_q, normalized=False, cap=cap)
+    cc, bb = cobar_complex(lam.theta.algebra, m_as_a_bimodule(lam, M), max_q,
+                           normalized=False, cap=cap)
     AG, MG = _crossed_action_matrices(lam, M, xi)
-    action = []
-    for g in range(group.n):
-        mats = []
-        AGt = transpose(AG[group.inv(g)])
-        for q in range(max_q + 1):
-            # basis of C^q is (tuple, im): tuple-major, M-minor
-            T = identity(K, 1)
-            for _ in range(q):
-                T = kron(K, T, AGt)
-            T = kron(K, T, MG[g])
-            mats.append(T)
-        action.append(mats)
-    gmod = GModuleOnChains(cc, action, sigma_dd, cochain=True)
-    rep = gmod.gate(group)
-    if not rep.ok:
-        raise EquivarianceFailure(f"cochain action gate failed: {rep.violations[:5]}")
-    return gmod, bb
+    AGt = [transpose(AG[group.inv(g)]) for g in range(group.n)]
+    return _gated_kron_action(cc, MG, AGt, sigma_dd, group), bb
 
 
 def induced_action_on_homology(gmod, q, target_algebra, group,
                                annihilator_vectors=None):
-    """The module structure on H_q induced by an equivariant chain action,
-    returned as a validated left ModuleData over a monomial group algebra
-    (kappa_par G or kappa_par^{sigma''} G, passed as the ktw object)."""
+    """The module structure on H_q (or H^q, for a cochain complex) induced
+    by an equivariant action, returned as a validated left ModuleData over
+    a monomial group algebra (kappa_par G or kappa_par^{sigma''} G, passed
+    as the ktw object)."""
     cc = gmod.complex
     K = cc.field
-    d_in = cc.d.get(q) if q >= 1 else None
-    d_out = cc.d.get(q + 1)
-    hd = homology_data(K, cc.dims[q], d_in, d_out)
+    d_leaving, d_entering = cc.at(q)
+    hd = homology_data(K, cc.dims[q], d_leaving, d_entering)
     gen_mats = {}
     for g in range(group.n):
         mono = target_algebra.monoid.gen(g)
@@ -790,38 +751,9 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
         z = zeros(K, hd.dim, hd.dim)
         for v in annihilator_vectors:
             if mod.left_matrix_of(v) != z:
+                kind = "cohomology" if cc.cochain else "homology"
                 raise EquivarianceFailure(
-                    "ker(zeta) does not annihilate the homology module")
-    return hd, mod
-
-
-def induced_action_on_cohomology(gmod, q, target_algebra, group,
-                                 annihilator_vectors=None):
-    """Dual of induced_action_on_homology for a cochain GModuleOnChains."""
-    cc = gmod.complex
-    K = cc.field
-    d_in = cc.d.get(q + 1)       # d^q: C^q -> C^{q+1}
-    d_out = cc.d.get(q)          # d^{q-1}: C^{q-1} -> C^q
-    hd = homology_data(K, cc.dims[q], d_in, d_out)
-    gen_mats = {}
-    for g in range(group.n):
-        mono = target_algebra.monoid.gen(g)
-        if not target_algebra.is_alive(mono):
-            continue
-        cols = []
-        for rep_vec in hd.reps:
-            img = matvec(K, gmod.action[g][q], rep_vec)
-            cols.append(hd.express(img))
-        gen_mats[target_algebra.position[mono]] = transpose(cols) if cols else []
-    mod = module_from_generator_actions(target_algebra.algebra, hd.dim,
-                                        gen_mats, side="left")
-    mod.validate().raise_if_failed()
-    if annihilator_vectors:
-        z = zeros(K, hd.dim, hd.dim)
-        for v in annihilator_vectors:
-            if mod.left_matrix_of(v) != z:
-                raise EquivarianceFailure(
-                    "ker(zeta) does not annihilate the cohomology module")
+                    f"ker(zeta) does not annihilate the {kind} module")
     return hd, mod
 
 

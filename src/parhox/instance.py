@@ -5,6 +5,8 @@ the coefficient bimodule.  Everything is validated at construction; the
 spectral-sequence checks consume instances.
 """
 
+from functools import cached_property
+
 from .errors import InvalidInput
 from .algebras import (ModuleData, regular_bimodule, restrict_along_hom,
                        separability_idempotent)
@@ -12,6 +14,7 @@ from .factor_sets import (EquivalenceWitness, trivial_factor_set,
                           normalize_inverse_pairs, sigma_prime,
                           involution_star, xi_sigma_double_prime)
 from .groups import enumerate_exel
+from .homology import DEFAULT_CHAIN_CAP
 from .partial_actions import (TwistedPartialAction, build_crossed_product,
                               check_ideal_splittings, gamma_sigma,
                               transport_by_equivalence, validate_twisted)
@@ -89,44 +92,45 @@ class Instance:
             else regular_bimodule(self.lam.algebra)
         if self.M.dim and validate:
             self.M.validate().raise_if_failed()
-        self._cache = {}
+        self.chain_cap = DEFAULT_CHAIN_CAP
+        self._longest = {}
+
+    def longest(self, key, length, build):
+        """build(length), memoized under key: the longest result built so
+        far is kept and reused for every length it covers."""
+        have = self._longest.get(key)
+        if have is None or have[0] < length:
+            have = self._longest[key] = (length, build(length))
+        return have[1]
 
     # -- module structures ------------------------------------------------
 
-    def b_right_over_kpar(self):
-        """B with its untwisted right kappa_par G-module structure."""
-        if "b_right" not in self._cache:
-            K = self.field
-            xi1 = EquivalenceWitness(self.group, K, [K.one] * self.group.n)
-            left, right, _ = b_sigma_module_structures(self.kpar, self.kpar, xi1)
-            self._cache["b_right"] = ModuleData(self.kpar.algebra, right.dim,
-                                                right=right.right, name="B right")
-            self._cache["b_left"] = ModuleData(self.kpar.algebra, left.dim,
-                                               left=left.left, name="B left")
-        return self._cache["b_right"]
+    @cached_property
+    def b_over_kpar(self):
+        """(B left, B right): B with its untwisted kappa_par G-module
+        structures."""
+        K = self.field
+        xi1 = EquivalenceWitness(self.group, K, [K.one] * self.group.n)
+        left, right, _ = b_sigma_module_structures(self.kpar, self.kpar, xi1)
+        return (ModuleData(self.kpar.algebra, left.dim, left=left.left,
+                           name="B left"),
+                ModuleData(self.kpar.algebra, right.dim, right=right.right,
+                           name="B right"))
 
-    def b_left_over_kpar(self):
-        self.b_right_over_kpar()
-        return self._cache["b_left"]
-
+    @cached_property
     def bsig_modules_over_ksdd(self):
         """(left, right, iota) for B^sigma over kappa_par^{sigma''} G."""
-        if "bsig_mods" not in self._cache:
-            self._cache["bsig_mods"] = b_sigma_module_structures(
-                self.ks, self.ksdd, self.xi, bsig=self.bsig)
-        return self._cache["bsig_mods"]
+        return b_sigma_module_structures(self.ks, self.ksdd, self.xi,
+                                         bsig=self.bsig)
 
+    @cached_property
     def kpar_to_ksdd(self):
-        if "epi" not in self._cache:
-            self._cache["epi"] = monomial_projection_hom(self.kpar, self.ksdd)
-        return self._cache["epi"]
+        return monomial_projection_hom(self.kpar, self.ksdd)
 
+    @cached_property
     def omega_right_over_kpar(self):
-        if "omega_right" not in self._cache:
-            om_reg = regular_bimodule(self.omega.algebra)
-            om = restrict_along_hom(self.omega.projection, om_reg)
-            self._cache["omega_right"] = om
-        return self._cache["omega_right"]
+        om_reg = regular_bimodule(self.omega.algebra)
+        return restrict_along_hom(self.omega.projection, om_reg)
 
     def ker_zeta_in_kpar(self):
         """ker(zeta) generators as vectors of kappa_par G."""
@@ -140,12 +144,10 @@ class Instance:
             out.append(vec)
         return out
 
+    @cached_property
     def lambda_as_bsdd(self):
-        if "lam_bsdd" not in self._cache:
-            self._cache["lam_bsdd"] = lambda_as_bsdd_module(self.lam, self.ksdd)
-        return self._cache["lam_bsdd"]
+        return lambda_as_bsdd_module(self.lam, self.ksdd)
 
+    @cached_property
     def separability(self):
-        if "sep" not in self._cache:
-            self._cache["sep"] = separability_idempotent(self.theta.algebra)
-        return self._cache["sep"]
+        return separability_idempotent(self.theta.algebra)

@@ -155,12 +155,12 @@ def criterion_resolution_independence(instances):
     def run():
         ok = True
         details = []
-        from .spectral import homology_module_tower
+        from .spectral import module_tower
         for fname, spec, inst in instances:
-            _, tower = homology_module_tower(inst, 0)
+            _, tower = module_tower(inst, 0)
             hd0, mod0, _ = tower[0]
             X0 = ModuleData(inst.kpar.algebra, hd0.dim, left=mod0.left)
-            B_right = inst.b_right_over_kpar()
+            _, B_right = inst.b_over_kpar
             styles = ["greedy", "greedy_reversed"]
             if inst.kpar.dim <= 8:
                 styles.append("fat")

@@ -18,7 +18,7 @@ from parhox.selfcheck import (criterion_factor_calculus,
                               criterion_resolution_independence,
                               criterion_untwisted_oracle, load_instances,
                               run_selfcheck)
-from parhox.spectral import homology_module_tower, cohomology_module_tower
+from parhox.spectral import module_tower
 
 
 @pytest.fixture(scope="module")
@@ -98,10 +98,10 @@ def test_criterion_6_equivariance_gate(battery):
     instances, reports, _ = battery
     ok = True
     for fname, spec, inst in instances:
-        gmod, _ = homology_module_tower(inst, spec.options["max_q"])
+        gmod, _ = module_tower(inst, spec.options["max_q"])
         rep = gmod.gate(inst.group)
         ok = ok and rep.ok
-        gmodc, _ = cohomology_module_tower(inst, spec.options["max_q"])
+        gmodc, _ = module_tower(inst, spec.options["max_q"], cochain=True)
         ok = ok and gmodc.gate(inst.group).ok
     rows = _checks_named(reports, {"degree-0 action matches tensor formula"})
     ok = ok and all(status == "pass" for (_, _, status, _) in rows)

@@ -183,6 +183,17 @@ def test_problem_file_cap_is_honored(tmp_path, capsys):
     assert doc["error"]["type"] == "SizeLimit"
 
 
+def test_spectral_cap_bounds_the_oracle_complexes(capsys):
+    # the battery's bar complex of Lambda at n = 4 has dims up to 324; the
+    # chain-action towers stay below 40, so only the oracle can trip here
+    code = main(["spectral", fixture_path("z2_dual_q.json"), "--cap", "40"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["error"] == {
+        "type": "SizeLimit",
+        "message": "bar complex dims [4, 12, 36, 108, 324] exceed cap 40"}
+
+
 def test_report_carries_scope_note(capsys):
     code = main(["spectral", fixture_path("z2_trivial_q.json"),
                  "--max-p", "1", "--max-q", "1"])

@@ -4,13 +4,14 @@ import pytest
 
 from conftest import z2_universal, z3_kappa2_action, z2_dual_numbers
 from parhox.fields import QQ, PrimeField
-from parhox.algebras import (ModuleData, commutator_quotient, dual_numbers,
-                             matrix_algebra, product_field_algebra,
+from parhox.algebras import (ModuleData, commutator_quotient, dual_bimodule,
+                             dual_numbers, matrix_algebra, product_field_algebra,
                              regular_bimodule, restrict_along_hom,
                              hom_over_algebra, tensor_over_algebra)
 from parhox.factor_sets import (EquivalenceWitness, trivial_factor_set,
                                 xi_sigma_double_prime, PartialFactorSet)
-from parhox.errors import EquivarianceFailure, InvalidInput, SizeLimit
+from parhox.errors import (EquivarianceFailure, InvalidInput, SizeLimit,
+                           ValidationFailure)
 from parhox.groups import cyclic_group
 from parhox import homology
 from parhox.homology import (GModuleOnChains, bar_complex, cobar_complex,
@@ -28,7 +29,7 @@ from parhox.homology import (GModuleOnChains, bar_complex, cobar_complex,
                              tor_dims)
 from parhox.linalg import identity, matmul, rank, transpose, zeros
 from parhox.partial_actions import build_crossed_product
-from parhox.problems import build_instance, load_fixture
+from parhox.problems import build_instance, bundled_fixtures, load_fixture
 from parhox.partial_algebras import (b_sigma_module_structures,
                                      build_B_sigma_omega, build_kpar,
                                      build_kpar_idempotent, build_kpar_sigma,
@@ -561,6 +562,24 @@ def _same_entries(K, got, want):
         assert all(type(c) is kind for row in got[q] for c in row)
 
 
+def _m_major(diffs, dims, mdim):
+    """The reference cochain differentials, whose basis is tuple-major
+    (flat(tuple) * dim M + m), re-indexed to the M-major basis
+    m * W^q + flat(tuple) of cobar_complex."""
+    def perm(q):
+        span = dims[q] // mdim if mdim else 0
+        return [(i % mdim) * span + i // mdim for i in range(dims[q])]
+    out = {}
+    for q, mat in diffs.items():
+        rows, cols = perm(q), perm(q - 1)
+        new = [[None] * dims[q - 1] for _ in range(dims[q])]
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                new[rows[r]][cols[c]] = x
+        out[q] = new
+    return out
+
+
 @pytest.mark.parametrize("fixture", ["z2_dual_q.json", "z3_kappa2_f3.json",
                                      "v4_partial_q.json",
                                      "z2_trivial_f2.json"])
@@ -574,8 +593,9 @@ def test_face_tables_match_per_column_builders(fixture):
             _same_entries(K, cc.d,
                           ref_bar_differentials(R, M, max_q, normalized))
             cc, _ = cobar_complex(R, M, max_q, normalized=normalized)
-            _same_entries(K, cc.d,
-                          ref_cobar_differentials(R, M, max_q, normalized))
+            _same_entries(K, cc.d, _m_major(
+                ref_cobar_differentials(R, M, max_q, normalized), cc.dims,
+                M.dim))
 
 
 def test_bar_basis_has_no_tuples_when_the_reduced_basis_is_empty():
@@ -587,6 +607,43 @@ def test_bar_basis_has_no_tuples_when_the_reduced_basis_is_empty():
     assert list(bb.tuples(1)) == [] and list(bb.tuples(2)) == []
     cc, _ = bar_complex(A, regular_bimodule(A), 2)
     assert cc.dims == [1, 0, 0]
+
+
+def test_bar_gate_rejects_a_non_bimodule_on_both_sides():
+    # one changed entry of m -> m.x over Q[x]/(x^2): no longer a bimodule,
+    # so d.d != 0 on the bar complex and on the cochains built from it
+    A = dual_numbers(QQ)
+    reg = regular_bimodule(A)
+    right = [[row[:] for row in R] for R in reg.right]
+    right[1][0][0] = QQ.one
+    bad = ModuleData(A, reg.dim, left=reg.left, right=right)
+    for build in (bar_complex, cobar_complex):
+        for normalized in (True, False):
+            with pytest.raises(ValidationFailure, match="d.d != 0"):
+                build(A, bad, 2, normalized=normalized)
+
+
+@pytest.mark.parametrize("fixture", bundled_fixtures())
+def test_dual_bimodule_is_an_involution(fixture):
+    inst = build_instance(load_fixture(fixture))
+    for M in (inst.M, m_as_a_bimodule(inst.lam, inst.M)):
+        dual = dual_bimodule(M)
+        assert dual.validate().ok
+        assert dual.left == [transpose(R) for R in M.right]
+        twice = dual_bimodule(dual)
+        assert (twice.left, twice.right) == (M.left, M.right)
+
+
+@pytest.mark.parametrize("fixture", bundled_fixtures())
+def test_base_algebra_cohomology_routes_agree(fixture):
+    # the cochain tower lives on A with M|A; the battery compares the two
+    # cohomology routes on Lambda only
+    inst = build_instance(load_fixture(fixture))
+    A, MA = inst.theta.algebra, m_as_a_bimodule(inst.lam, inst.M)
+    bar = hochschild_cohomology_bar(A, MA, 2)
+    assert bar == hochschild_cohomology_resolution(A, MA, 2)
+    if fixture == "z2_dual_q.json":
+        assert bar == [3, 2, 2]
 
 
 # -- the chain-action gate rejects corrupted actions -----------------------
@@ -608,7 +665,7 @@ def test_chain_action_gate_rejects_a_changed_entry(cochain):
     r = next(c for c in range(len(d[0])) if any(row[c] for row in d))
     action = [[[row[:] for row in T] for T in mats] for mats in gmod.action]
     action[1][1][r][r] = QQ.add(action[1][1][r][r], QQ.one)
-    bad = GModuleOnChains(gmod.complex, action, sdd, cochain=cochain)
+    bad = GModuleOnChains(gmod.complex, action, sdd)
     names = _violations(bad, G)
     assert "equivariance" in names
     assert {"left relation", "right relation"} <= names
