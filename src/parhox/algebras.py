@@ -21,8 +21,9 @@ import random
 from .errors import (InvalidInput, NotCommuting, NotIdempotent,
                      PreconditionFailed, SchemaError, SizeLimit,
                      ValidationFailure)
-from .linalg import (Subspace, identity, matmul, matvec, nullspace,
-                     rank, solve, transpose, zeros)
+from .linalg import (Subspace, _char, _dense, _scalar, _sp_combination,
+                     _sp_identity, _sp_matmul, _sparse_matrix, matmul,
+                     matvec, nullspace, rank, solve, transpose)
 
 __all__ = [
     "ValidationReport", "StructureAlgebra", "AlgebraHom", "ModuleData",
@@ -276,66 +277,62 @@ class ModuleData:
         return out
 
     def left_matrix_of(self, a_vec):
-        K = self.algebra.field
-        M = zeros(K, self.dim, self.dim)
-        for i, c in enumerate(a_vec):
-            if c:
-                for r in range(self.dim):
-                    row = self.left[i][r]
-                    M[r] = [K.add(M[r][s], K.mul(c, row[s])) for s in range(self.dim)]
-        return M
+        return self._matrix_of(self.left, a_vec)
 
     def right_matrix_of(self, a_vec):
+        return self._matrix_of(self.right, a_vec)
+
+    def _matrix_of(self, mats, a_vec):
+        """sum_i a_i mats[i] as a dense matrix."""
         K = self.algebra.field
-        M = zeros(K, self.dim, self.dim)
-        for i, c in enumerate(a_vec):
-            if c:
-                for r in range(self.dim):
-                    row = self.right[i][r]
-                    M[r] = [K.add(M[r][s], K.mul(c, row[s])) for s in range(self.dim)]
-        return M
+        terms = [(_scalar(K, c), _sparse_matrix(K, mats[i]))
+                 for i, c in enumerate(a_vec) if c]
+        return [_dense(K, row, self.dim)
+                for row in _sp_combination(terms, self.dim, _char(K))]
 
     def validate(self):
+        """The unit and product axioms of each action and, for a bimodule,
+        the commutation of the two; every action matrix is converted to
+        kernel rows once and all comparisons are made on those rows."""
         rep = ValidationReport(f"module {self.name} over {self.algebra.name}")
-        A = self.algebra
-        K = A.field
-        d = A.dim
-        idm = identity(K, self.dim)
+        K = self.algebra.field
+        left = right = None
         if self.left is not None:
-            if self.left_matrix_of(A.unit) != idm:
-                rep.fail("left unit")
-            for i in range(d):
-                for j in range(d):
-                    lhs = matmul(K, self.left[i], self.left[j])
-                    rhs = zeros(K, self.dim, self.dim)
-                    for k, c in A.mul_basis(i, j):
-                        for r in range(self.dim):
-                            rowk = self.left[k][r]
-                            rhs[r] = [K.add(rhs[r][s], K.mul(c, rowk[s]))
-                                      for s in range(self.dim)]
-                    if lhs != rhs:
-                        rep.fail("left action", i, j)
+            left = [_sparse_matrix(K, L) for L in self.left]
+            self._check_action(rep, "left", left)
         if self.right is not None:
-            if self.right_matrix_of(A.unit) != idm:
-                rep.fail("right unit")
+            right = [_sparse_matrix(K, R) for R in self.right]
+            self._check_action(rep, "right", right)
+        if left is not None and right is not None:
+            p = _char(K)
+            d = self.algebra.dim
             for i in range(d):
                 for j in range(d):
-                    lhs = matmul(K, self.right[j], self.right[i])
-                    rhs = zeros(K, self.dim, self.dim)
-                    for k, c in A.mul_basis(i, j):
-                        for r in range(self.dim):
-                            rowk = self.right[k][r]
-                            rhs[r] = [K.add(rhs[r][s], K.mul(c, rowk[s]))
-                                      for s in range(self.dim)]
-                    if lhs != rhs:
-                        rep.fail("right action", i, j)
-        if self.left is not None and self.right is not None:
-            for i in range(d):
-                for j in range(d):
-                    if matmul(K, self.left[i], self.right[j]) != \
-                       matmul(K, self.right[j], self.left[i]):
+                    if _sp_matmul(left[i], right[j], p) != \
+                       _sp_matmul(right[j], left[i], p):
                         rep.fail("actions do not commute", i, j)
         return rep
+
+    def _check_action(self, rep, side, mats):
+        """The unit acts as 1, and b_i b_j = sum_k c_ijk b_k acts as
+        sum_k c_ijk mats[k]: as L_i L_j on the left, R_j R_i on the right."""
+        A = self.algebra
+        K = A.field
+        p = _char(K)
+        n = self.dim
+
+        def combination(terms):
+            return _sp_combination([(_scalar(K, c), mats[k]) for k, c in terms],
+                                   n, p)
+
+        if combination(enumerate(A.unit)) != _sp_identity(n):
+            rep.fail(f"{side} unit")
+        for i in range(A.dim):
+            for j in range(A.dim):
+                lhs = _sp_matmul(mats[i], mats[j], p) if side == "left" \
+                    else _sp_matmul(mats[j], mats[i], p)
+                if lhs != combination(A.mul_basis(i, j)):
+                    rep.fail(f"{side} action", i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -798,26 +795,27 @@ def module_from_generator_actions(A, dim, given, side="left"):
         if side == "left":
             return ModuleData(A, 0, left=empty)
         return ModuleData(A, 0, right=empty)
+    p = _char(K)
     span = Subspace(K, A.dim)
-    known = []  # (algebra vector, action matrix)
+    known = []  # (algebra vector, action matrix as kernel rows)
 
     def push(vec, mat):
         if span.add(vec):
             known.append((vec, mat))
-            return True
-        return False
 
-    push(A.unit, identity(K, dim))
+    push(A.unit, _sp_identity(dim))
     for i, mat in given.items():
-        push(A.basis_vector(i), mat)
+        push(A.basis_vector(i), _sparse_matrix(K, mat))
     changed = True
     while changed and span.dim < A.dim:
         changed = False
         for (u, Mu) in list(known):
             for (v, Mv) in list(known):
                 w = A.mul(u, v)
-                mat = matmul(K, Mu, Mv) if side == "left" else matmul(K, Mv, Mu)
-                if push(w, mat):
+                # the product of the actions is formed only for a new w
+                if span.add(w):
+                    known.append((w, _sp_matmul(Mu, Mv, p) if side == "left"
+                                  else _sp_matmul(Mv, Mu, p)))
                     changed = True
     if span.dim < A.dim:
         raise InvalidInput("the given generators do not generate the algebra")
@@ -827,12 +825,9 @@ def module_from_generator_actions(A, dim, given, side="left"):
     for i in range(A.dim):
         coords = solve(K, Mb, A.basis_vector(i))
         assert coords is not None
-        acc = zeros(K, dim, dim)
-        for c, (_, mat) in zip(coords, known):
-            if c != K.zero:
-                acc = [[K.add(a, K.mul(c, b)) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(acc, mat)]
-        actions.append(acc)
+        acc = _sp_combination([(_scalar(K, c), mat)
+                               for c, (_, mat) in zip(coords, known)], dim, p)
+        actions.append([_dense(K, row, dim) for row in acc])
     if side == "left":
         return ModuleData(A, dim, left=actions)
     return ModuleData(A, dim, right=actions)

@@ -153,7 +153,8 @@ def cmd_hochschild(args):
     cap = _cap(args, spec.options)
     n = args.max_n
     bar = hochschild_homology_bar(inst.lam.algebra, inst.M, n, cap=cap)
-    res = hochschild_homology_resolution(inst.lam.algebra, inst.M, n)
+    res = hochschild_homology_resolution(inst.lam.algebra, inst.M, n,
+                                         cap=cap)
     agree = bar == res
     result = {
         "dims": {f"H{q}": bar[q] for q in range(n + 1)},

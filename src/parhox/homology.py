@@ -36,9 +36,10 @@ from .algebras import (ModuleData, ValidationReport,
                        bimodule_to_right_env_module, enveloping,
                        hom_over_algebra, module_from_generator_actions)
 from .linalg import (QuotientSpace, Subspace, _char, _dense, _Echelon,
-                     _kernel_of, _nonzero, _rank_of, _scalar, _sparse,
-                     identity, is_zero_matrix, mat_scale, matmul, matvec,
-                     nullspace, rank, solve, transpose, zeros)
+                     _kernel_of, _nonzero, _rank_of, _scalar, _sp_combination,
+                     _sp_identity, _sp_matmul, _sparse, _sparse_matrix,
+                     identity, matmul, matvec, nullspace, rank, solve,
+                     transpose, zeros)
 
 __all__ = [
     "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
@@ -82,13 +83,14 @@ class ChainComplex:
     def validate(self):
         rep = ValidationReport("chain complex")
         K = self.field
+        p = _char(K)
+        d = {q: _sparse_matrix(K, M) for q, M in self.d.items()}
         for q in range(2, self.top + 1):
             if self.dims[q] == 0 or self.dims[q - 2] == 0:
                 continue
-            first, second = (self.d[q - 1], self.d[q]) if self.cochain \
-                else (self.d[q], self.d[q - 1])
-            prod = matmul(K, second, first) if self.dims[q - 1] else []
-            if not is_zero_matrix(K, prod):
+            first, second = (d[q - 1], d[q]) if self.cochain \
+                else (d[q], d[q - 1])
+            if any(_sp_matmul(second, first, p)):
                 rep.fail("d.d != 0", q)
         return rep
 
@@ -393,18 +395,20 @@ def _submodule_generators(acts, vectors, d, p, fat=False):
     return gens
 
 
-def _check_size(q, rank_, d):
-    if rank_ * d > DEFAULT_CHAIN_CAP:
+def _check_size(q, rank_, d, cap):
+    if rank_ * d > cap:
         raise SizeLimit(f"free resolution degree {q}: {rank_} generators x "
-                        f"dim {d} = {rank_ * d} exceeds cap "
-                        f"{DEFAULT_CHAIN_CAP}")
+                        f"dim {d} = {rank_ * d} exceeds cap {cap}")
 
 
-def free_resolution(R, module, side, length, style="greedy"):
+def free_resolution(R, module, side, length, style="greedy", cap=None):
     """A free resolution of `module` (left or right R-module) of the given
     length (boundaries available for q <= length).  style: greedy | fat |
     greedy_reversed (a second, genuinely different resolution).  Every
-    F_q is checked against DEFAULT_CHAIN_CAP before it is built."""
+    F_q is checked against `cap` (default DEFAULT_CHAIN_CAP) before it is
+    built."""
+    if cap is None:
+        cap = DEFAULT_CHAIN_CAP
     K = R.field
     d = R.dim
     m = module.dim
@@ -433,7 +437,7 @@ def free_resolution(R, module, side, length, style="greedy"):
                     work.append(u)
     ranks = [len(gens0)]
     gen_images = [gens0]
-    _check_size(0, ranks[0], d)
+    _check_size(0, ranks[0], d, cap)
     res = FreeResolution(R, module, side, ranks, gen_images)
     prev = res._columns(0)
     if _rank_of(K, [dict(c) for c in prev]) != m:
@@ -444,7 +448,7 @@ def free_resolution(R, module, side, length, style="greedy"):
             ker = list(reversed(ker))
         gens = _submodule_generators(res.acts, ker, d, p,
                                      fat=(style == "fat"))
-        _check_size(q, len(gens), d)
+        _check_size(q, len(gens), d, cap)
         ranks.append(len(gens))
         gen_images.append(gens)
         cols = res._columns(q)
@@ -535,19 +539,21 @@ def hochschild_homology_bar(R, M, max_n, normalized=True, cap=DEFAULT_CHAIN_CAP)
     return homology_dims_of_complex(cc, max_n)
 
 
-def env_resolution(R, length, style="greedy"):
+def env_resolution(R, length, style="greedy", cap=None):
     """(R^e, free resolution of R as a left R^e-module)."""
     env = enveloping(R)
     R_as_left = ModuleData(env, R.dim,
                            left=_env_left_regular(env, R), name="R over R^e")
-    return env, free_resolution(env, R_as_left, "left", length, style=style)
+    return env, free_resolution(env, R_as_left, "left", length, style=style,
+                                cap=cap)
 
 
-def hochschild_homology_resolution(R, M, max_n, style="greedy", env_res=None):
+def hochschild_homology_resolution(R, M, max_n, style="greedy", env_res=None,
+                                   cap=None):
     """H_n(R, M) = Tor_n^{R^e}(M, R) via a free resolution of R as a left
     R^e-module, tensored with M as a right R^e-module."""
     env, res = env_res if env_res is not None else \
-        env_resolution(R, max_n + 1, style=style)
+        env_resolution(R, max_n + 1, style=style, cap=cap)
     M_right = bimodule_to_right_env_module(env, R, M)
     # for LEFT free modules the tensor with a right module gives
     # m (x) u_j -> sum_k m.w_k (x) u_k
@@ -610,44 +616,48 @@ class GModuleOnChains:
         self.sigma_pattern = sigma_pattern
 
     def gate(self, group):
+        """Equivariance and the partial-representation relations, checked on
+        kernel rows: every T_g on C_q and every d[q] is converted once."""
         K = self.complex.field
+        p = _char(K)
         rep = ValidationReport("chain-level diagonal action")
         top = len(self.action[0]) - 1
+        T = [[_sparse_matrix(K, M) for M in mats] for mats in self.action]
         # equivariance with the differential: d[q] T_source = T_target d[q]
-        for g in range(len(self.action)):
+        d = {q: _sparse_matrix(K, self.complex.d[q]) for q in range(1, top + 1)}
+        for g in range(len(T)):
             for q in range(1, top + 1):
-                dq = self.complex.d[q]
                 src, tgt = self.complex.ends(q)
-                lhs = matmul(K, dq, self.action[g][src])
-                rhs = matmul(K, self.action[g][tgt], dq)
-                if lhs != rhs:
+                if _sp_matmul(d[q], T[g][src], p) != \
+                   _sp_matmul(T[g][tgt], d[q], p):
                     rep.fail("equivariance", g, q)
         # partial representation relations with the given idempotent pattern
         sigma = self.sigma_pattern
         inv, mul = group.inv, group.mul
+
+        def scaled(s, X):
+            return X if s == 1 else _sp_combination([(s, X)], len(X), p)
+
         for q in range(top + 1):
             n = self.complex.dims[q]
-            idm = identity(K, n)
-            if self.action[0][q] != idm:
+            if T[0][q] != _sp_identity(n):
                 rep.fail("unit action", q)
             for g in range(group.n):
-                Tg = self.action[g][q]
-                Tgi = self.action[inv(g)][q]
+                Tg = T[g][q]
+                Tgi = T[inv(g)][q]
                 for h in range(group.n):
-                    Th = self.action[h][q]
-                    gh = mul(g, h)
-                    Tgh = self.action[gh][q]
-                    Thi = self.action[inv(h)][q]
-                    s = sigma(g, h)
-                    TgTh = matmul(K, Tg, Th)
-                    TgiTgh = matmul(K, Tgi, Tgh)
-                    TghThi = matmul(K, Tgh, Thi)
-                    if matmul(K, Tgi, TgTh) != mat_scale(K, s, TgiTgh):
+                    Th = T[h][q]
+                    Tgh = T[mul(g, h)][q]
+                    Thi = T[inv(h)][q]
+                    s = _scalar(K, sigma(g, h))
+                    TgTh = _sp_matmul(Tg, Th, p)
+                    TgiTgh = _sp_matmul(Tgi, Tgh, p)
+                    TghThi = _sp_matmul(Tgh, Thi, p)
+                    if _sp_matmul(Tgi, TgTh, p) != scaled(s, TgiTgh):
                         rep.fail("left relation", g, h, q)
-                    if matmul(K, TgTh, Thi) != mat_scale(K, s, TghThi):
+                    if _sp_matmul(TgTh, Thi, p) != scaled(s, TghThi):
                         rep.fail("right relation", g, h, q)
-                    if s == K.zero and not (is_zero_matrix(K, TgiTgh)
-                                            and is_zero_matrix(K, TghThi)):
+                    if not s and (any(TgiTgh) or any(TghThi)):
                         rep.fail("zero relation", g, h, q)
         return rep
 
@@ -725,15 +735,17 @@ def diagonal_cochain_action(lam, M, xi, sigma_dd, max_q, group=None,
 
 
 def induced_action_on_homology(gmod, q, target_algebra, group,
-                               annihilator_vectors=None):
+                               annihilator_vectors=None, hd=None):
     """The module structure on H_q (or H^q, for a cochain complex) induced
     by an equivariant action, returned as a validated left ModuleData over
     a monomial group algebra (kappa_par G or kappa_par^{sigma''} G, passed
-    as the ktw object)."""
+    as the ktw object).  hd: the homology data of degree q from an earlier
+    call on the same complex, reused instead of recomputed."""
     cc = gmod.complex
     K = cc.field
-    d_leaving, d_entering = cc.at(q)
-    hd = homology_data(K, cc.dims[q], d_leaving, d_entering)
+    if hd is None:
+        d_leaving, d_entering = cc.at(q)
+        hd = homology_data(K, cc.dims[q], d_leaving, d_entering)
     gen_mats = {}
     for g in range(group.n):
         mono = target_algebra.monoid.gen(g)

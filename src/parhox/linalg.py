@@ -19,20 +19,26 @@ that build sparse data themselves (free resolutions and the Tor/Ext
 boundaries in `homology`) use the kernel and its underscore helpers
 directly.
 
-`matmul` is sparse too: it takes the nonzeros of each row of B once, as
-kernel scalars, and adds up a_ik * (row k of B) over the nonzero a_ik of
-each row of A (Gustavson's row-wise product, ACM TOMS 4, 1978).  Its result
-is dense, with residues in [0, p) over F_p and Fraction entries over Q,
-where every zero entry is the shared `K.zero`.
+Matrices get the same treatment, in one sparse-matrix layer:
+`_sparse_matrix` turns a dense matrix into a list of kernel rows once
+(`_sp_identity` is the identity in that form), `_sp_matmul` multiplies two
+such lists row by row (Gustavson's row-wise product, ACM TOMS 4, 1978: each
+row of A adds up a_ik * (row k of B) over its nonzero a_ik in a dict) and
+`_sp_combination` forms sum_k c_k X_k.  Both results are normalized like
+`_nonzero` (reduced mod p over F_p, zeros dropped), so two matrices are
+equal exactly when their row lists compare equal.  The module-axiom and
+chain-action gates in `algebras` and `homology` convert each action matrix
+once and then work on these rows only.  `matmul` is a thin dense wrapper
+over `_sp_matmul`: its result has residues in [0, p) over F_p and Fraction
+entries over Q, where every zero entry is the shared `K.zero`.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 __all__ = [
-    "zeros", "identity", "matvec", "matmul", "transpose", "mat_add",
-    "mat_scale", "mat_eq", "is_zero_matrix", "rank", "rref", "nullspace",
-    "solve", "Subspace", "QuotientSpace", "column_space_basis",
+    "zeros", "identity", "matvec", "matmul", "transpose", "rank", "rref",
+    "nullspace", "solve", "Subspace", "QuotientSpace", "column_space_basis",
     "invert_matrix",
 ]
 
@@ -62,60 +68,18 @@ def matvec(K, M, v):
 
 
 def matmul(K, A, B):
-    """A . B, multiplying only nonzeros (see the module docstring)."""
+    """A . B as a dense matrix, computed by `_sp_matmul`."""
     if not A:
         return []
     if not B:
         return [[] for _ in A]
     n = len(B[0])
-    p = _char(K)
-    Bs = [list(_sparse(K, row).items()) for row in B]
-    zero = K.zero
-    out = []
-    for row in A:
-        acc = {}
-        get = acc.get
-        for a, bk in zip(row, Bs):
-            if bk and a is not zero and a:
-                if not p and a.denominator == 1:
-                    a = a.numerator
-                for j, b in bk:
-                    acc[j] = get(j, 0) + a * b
-        new = [zero] * n
-        if p:
-            for j, x in acc.items():
-                new[j] = x % p
-        else:
-            for j, x in acc.items():
-                if x:
-                    new[j] = x if type(x) is Fraction else Fraction(x)
-        out.append(new)
-    return out
+    prod = _sp_matmul(_sparse_matrix(K, A), _sparse_matrix(K, B), _char(K))
+    return [_dense(K, row, n) for row in prod]
 
 
 def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
-
-def mat_add(K, A, B):
-    return [[K.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(K, c, A):
-    if c == K.one:
-        return [row[:] for row in A]
-    if c == K.zero:
-        return [[K.zero] * len(row) for row in A]
-    return [[K.mul(c, a) for a in row] for row in A]
-
-
-def mat_eq(A, B):
-    return A == B
-
-
-def is_zero_matrix(K, A):
-    # list equality tests identity first, so the shared K.zero entries that
-    # zeros() and matmul() produce cost no Fraction comparison
-    return all(row == [K.zero] * len(row) for row in A)
 
 
 def _char(K):
@@ -158,6 +122,43 @@ def _dense(K, row, n):
         for j, a in row.items():
             out[j] = a
     return out
+
+
+def _sparse_matrix(K, M):
+    """A dense matrix as a list of kernel rows."""
+    return [_sparse(K, row) for row in M]
+
+
+def _sp_identity(n):
+    """The n x n identity as kernel rows."""
+    return [{r: 1} for r in range(n)]
+
+
+def _sp_matmul(A, B, p):
+    """A . B for matrices given as kernel rows, normalized like `_nonzero`."""
+    out = []
+    for row in A:
+        acc = {}
+        get = acc.get
+        for k, a in row.items():
+            for j, b in B[k].items():
+                acc[j] = get(j, 0) + a * b
+        out.append(_nonzero(acc, p))
+    return out
+
+
+def _sp_combination(terms, nrows, p):
+    """sum_k c_k X_k over (c_k, X_k) pairs of kernel scalars and kernel-row
+    matrices with nrows rows, normalized like `_nonzero`."""
+    out = [{} for _ in range(nrows)]
+    for c, X in terms:
+        if not c:
+            continue
+        for acc, row in zip(out, X):
+            get = acc.get
+            for j, x in row.items():
+                acc[j] = get(j, 0) + c * x
+    return [_nonzero(acc, p) for acc in out]
 
 
 def _inv(a, p):

@@ -99,7 +99,7 @@ def module_tower(inst, max_q, cochain=False):
                                                       inst.group,
                                                       annihilator_vectors=ann)
             mod_ksdd = None if cochain else induced_action_on_homology(
-                gmod, q, inst.ksdd, inst.group)[1]
+                gmod, q, inst.ksdd, inst.group, hd=hd)[1]
             tower.append((hd, mod_kpar, mod_ksdd))
         return gmod, tower
     return inst.longest(("tower", cochain), max_q, build)
@@ -108,14 +108,16 @@ def module_tower(inst, max_q, cochain=False):
 def b_right_resolution(inst, length):
     def build(l):
         _, B_right = inst.b_over_kpar
-        return free_resolution(inst.kpar.algebra, B_right, "right", l)
+        return free_resolution(inst.kpar.algebra, B_right, "right", l,
+                               cap=inst.chain_cap)
     return inst.longest("res_B_right", length, build)
 
 
 def b_left_resolution(inst, length):
     def build(l):
         B_left, _ = inst.b_over_kpar
-        return free_resolution(inst.kpar.algebra, B_left, "left", l)
+        return free_resolution(inst.kpar.algebra, B_left, "left", l,
+                               cap=inst.chain_cap)
     return inst.longest("res_B_left", length, build)
 
 
@@ -123,7 +125,8 @@ def bsig_right_resolution(inst, length):
     def build(l):
         _, bs_right, _ = inst.bsig_modules_over_ksdd
         Bs = ModuleData(inst.ksdd.algebra, bs_right.dim, right=bs_right.right)
-        return free_resolution(inst.ksdd.algebra, Bs, "right", l)
+        return free_resolution(inst.ksdd.algebra, Bs, "right", l,
+                               cap=inst.chain_cap)
     return inst.longest("res_Bsig_right", length, build)
 
 
@@ -131,18 +134,21 @@ def omega_right_resolution(inst, length):
     def build(l):
         om = inst.omega_right_over_kpar
         Om = ModuleData(inst.kpar.algebra, om.dim, right=om.right)
-        return free_resolution(inst.kpar.algebra, Om, "right", l)
+        return free_resolution(inst.kpar.algebra, Om, "right", l,
+                               cap=inst.chain_cap)
     return inst.longest("res_Omega_right", length, build)
 
 
 def lam_env_resolution(inst, length):
     return inst.longest("res_lam_env", length,
-                        lambda l: env_resolution(inst.lam.algebra, l))
+                        lambda l: env_resolution(inst.lam.algebra, l,
+                                                 cap=inst.chain_cap))
 
 
 def base_env_resolution(inst, length):
     return inst.longest("res_A_env", length,
-                        lambda l: env_resolution(inst.theta.algebra, l))
+                        lambda l: env_resolution(inst.theta.algebra, l,
+                                                 cap=inst.chain_cap))
 
 
 def assemble_E2_homology(inst, max_p, max_q):
@@ -345,8 +351,8 @@ def omega_flatness_spot_check(inst, report, max_n=1):
 def hochschild_oracle_check(inst, report, max_n=2):
     """Bar and resolution route Hochschild dims agree for Lambda and for A."""
     lam_alg = inst.lam.algebra
-    env_res = lam_env_resolution(inst, max_n + 1)
     bar = hochschild_homology_bar(lam_alg, inst.M, max_n, cap=inst.chain_cap)
+    env_res = lam_env_resolution(inst, max_n + 1)
     res = hochschild_homology_resolution(lam_alg, inst.M, max_n,
                                          env_res=env_res)
     ok = bar == res

@@ -194,6 +194,23 @@ def test_spectral_cap_bounds_the_oracle_complexes(capsys):
         "message": "bar complex dims [4, 12, 36, 108, 324] exceed cap 40"}
 
 
+@pytest.mark.parametrize("command", [["spectral"],
+                                     ["hochschild", "--max-n", "3"]],
+                         ids=lambda argv: argv[0])
+def test_cap_bounds_the_free_resolutions(command, capsys):
+    # the bar complexes stay below 3000 (dims up to 324); the left
+    # Lambda^e-resolution of Lambda (dim Lambda^e = 16) has rank 242 in
+    # degree 4
+    code = main([command[0], fixture_path("v4_partial_q.json"),
+                 *command[1:], "--cap", "3000"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["error"] == {
+        "type": "SizeLimit",
+        "message": "free resolution degree 4: 242 generators x dim 16 = "
+                   "3872 exceeds cap 3000"}
+
+
 def test_report_carries_scope_note(capsys):
     code = main(["spectral", fixture_path("z2_trivial_q.json"),
                  "--max-p", "1", "--max-q", "1"])

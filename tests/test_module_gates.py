@@ -1,0 +1,304 @@
+"""The sparse module-axiom and chain-action gates against the dense loops
+they replaced, kept here as references: same `violations` (content and
+order) and same `ok`, on valid and corrupted inputs over Q, F_2, F_3, F_7."""
+
+from functools import lru_cache
+
+import pytest
+
+from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
+                             dual_numbers, regular_bimodule)
+from parhox.fields import QQ, PrimeField
+from parhox.homology import GModuleOnChains, m_as_a_bimodule
+from parhox.problems import build_instance, load_fixture
+from parhox.spectral import module_tower
+
+FIXTURES = ["z2_dual_q.json", "z3_kappa2_q.json", "v4_partial_q.json",
+            "z2_dual_f2.json", "z2_trivial_f2.json", "z3_kappa2_f3.json",
+            "z2_twist4_f7.json"]
+# one fixture per field, small enough for the dense references
+SMALL = ["z2_dual_q.json", "z2_dual_f2.json", "z3_kappa2_f3.json",
+         "z2_twist4_f7.json"]
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
+
+
+# -- the dense references ---------------------------------------------------
+
+def dense_matmul(K, A, B):
+    """Row-by-column product of dense matrices over K (zero terms
+    skipped)."""
+    if not A:
+        return []
+    if not B:
+        return [[] for _ in A]
+    n = len(B[0])
+    out = []
+    for row in A:
+        new = [K.zero] * n
+        for a, brow in zip(row, B):
+            if a:
+                for j, b in enumerate(brow):
+                    if b:
+                        new[j] = K.add(new[j], K.mul(a, b))
+        out.append(new)
+    return out
+
+
+def dense_identity(K, n):
+    return [[K.one if r == s else K.zero for s in range(n)] for r in range(n)]
+
+
+def dense_matrix_of(K, mats, a_vec, n):
+    M = [[K.zero] * n for _ in range(n)]
+    for i, c in enumerate(a_vec):
+        if c:
+            for r in range(n):
+                row = mats[i][r]
+                M[r] = [K.add(M[r][s], K.mul(c, row[s])) for s in range(n)]
+    return M
+
+
+def dense_module_validate(mod):
+    """The dense ModuleData.validate loop: full products, right-hand sides
+    built cell by cell."""
+    rep = ValidationReport(f"module {mod.name} over {mod.algebra.name}")
+    A = mod.algebra
+    K = A.field
+    d, n = A.dim, mod.dim
+    idm = dense_identity(K, n)
+    for side, mats in (("left", mod.left), ("right", mod.right)):
+        if mats is None:
+            continue
+        if dense_matrix_of(K, mats, A.unit, n) != idm:
+            rep.fail(f"{side} unit")
+        for i in range(d):
+            for j in range(d):
+                lhs = dense_matmul(K, mats[i], mats[j]) if side == "left" \
+                    else dense_matmul(K, mats[j], mats[i])
+                rhs = [[K.zero] * n for _ in range(n)]
+                for k, c in A.mul_basis(i, j):
+                    for r in range(n):
+                        rowk = mats[k][r]
+                        rhs[r] = [K.add(rhs[r][s], K.mul(c, rowk[s]))
+                                  for s in range(n)]
+                if lhs != rhs:
+                    rep.fail(f"{side} action", i, j)
+    if mod.left is not None and mod.right is not None:
+        for i in range(d):
+            for j in range(d):
+                if dense_matmul(K, mod.left[i], mod.right[j]) != \
+                   dense_matmul(K, mod.right[j], mod.left[i]):
+                    rep.fail("actions do not commute", i, j)
+    return rep
+
+
+def dense_gate(gmod, group):
+    """The dense GModuleOnChains.gate loop."""
+    K = gmod.complex.field
+    rep = ValidationReport("chain-level diagonal action")
+    top = len(gmod.action[0]) - 1
+
+    def scale(c, X):
+        return [[K.mul(c, a) for a in row] for row in X]
+
+    def is_zero(X):
+        return all(a == K.zero for row in X for a in row)
+
+    for g in range(len(gmod.action)):
+        for q in range(1, top + 1):
+            dq = gmod.complex.d[q]
+            src, tgt = gmod.complex.ends(q)
+            if dense_matmul(K, dq, gmod.action[g][src]) != \
+               dense_matmul(K, gmod.action[g][tgt], dq):
+                rep.fail("equivariance", g, q)
+    for q in range(top + 1):
+        if gmod.action[0][q] != dense_identity(K, gmod.complex.dims[q]):
+            rep.fail("unit action", q)
+        for g in range(group.n):
+            Tg = gmod.action[g][q]
+            Tgi = gmod.action[group.inv(g)][q]
+            for h in range(group.n):
+                Th = gmod.action[h][q]
+                Tgh = gmod.action[group.mul(g, h)][q]
+                Thi = gmod.action[group.inv(h)][q]
+                s = gmod.sigma_pattern(g, h)
+                TgTh = dense_matmul(K, Tg, Th)
+                TgiTgh = dense_matmul(K, Tgi, Tgh)
+                TghThi = dense_matmul(K, Tgh, Thi)
+                if dense_matmul(K, Tgi, TgTh) != scale(s, TgiTgh):
+                    rep.fail("left relation", g, h, q)
+                if dense_matmul(K, TgTh, Thi) != scale(s, TghThi):
+                    rep.fail("right relation", g, h, q)
+                if s == K.zero and not (is_zero(TgiTgh) and is_zero(TghThi)):
+                    rep.fail("zero relation", g, h, q)
+    return rep
+
+
+# -- the modules and actions under test --------------------------------------
+
+@lru_cache(maxsize=None)
+def instance(fixture):
+    return build_instance(load_fixture(fixture))
+
+
+def fixture_modules(fixture):
+    """Valid modules and bimodules that the battery validates."""
+    inst = instance(fixture)
+    bs_left, bs_right, _ = inst.bsig_modules_over_ksdd
+    mods = [bs_left, bs_right, *inst.b_over_kpar, inst.M,
+            m_as_a_bimodule(inst.lam, inst.M)]
+    for cochain in (False, True):
+        for _, mod_kpar, mod_ksdd in module_tower(inst, 1, cochain)[1]:
+            mods += [m for m in (mod_kpar, mod_ksdd) if m is not None]
+    return mods
+
+
+def copy_of(mod, right=None, algebra=None):
+    def copied(mats):
+        return None if mats is None else [[row[:] for row in M] for M in mats]
+    return ModuleData(algebra or mod.algebra, mod.dim, left=copied(mod.left),
+                      right=copied(right or mod.right), name=mod.name)
+
+
+def changed_entry(mod, i):
+    """mod with 1 added to one entry of left[i] (or right[i])."""
+    bad = copy_of(mod)
+    K = mod.algebra.field
+    mats = bad.left if bad.left is not None else bad.right
+    mats[i][0][mod.dim - 1] = K.add(mats[i][0][mod.dim - 1], K.one)
+    return bad
+
+
+def wrong_unit(mod):
+    """mod over the same algebra with the unit vector doubled (the zero
+    vector over F_2): every product axiom holds, the unit axioms fail."""
+    A = mod.algebra
+    K = A.field
+    unit = [K.add(a, a) for a in A.unit]
+    return copy_of(mod, algebra=StructureAlgebra(K, A.dim, A.sc, unit,
+                                                 name=A.name))
+
+
+def conjugated_right(mod):
+    """mod with its right action conjugated by P = 1 + E_{0,n-1}: still a
+    right action, which in general no longer commutes with the left one."""
+    K = mod.algebra.field
+    n = mod.dim
+    P = dense_identity(K, n)
+    P[0][n - 1] = K.one
+    Pinv = dense_identity(K, n)
+    Pinv[0][n - 1] = K.neg(K.one)
+    right = [dense_matmul(K, P, dense_matmul(K, R, Pinv)) for R in mod.right]
+    return copy_of(mod, right=right)
+
+
+def assert_same(got, want):
+    assert got.violations == want.violations
+    assert got.ok == want.ok
+
+
+# -- ModuleData.validate ------------------------------------------------------
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_module_validate_matches_dense_reference(fixture):
+    for mod in fixture_modules(fixture):
+        rep = mod.validate()
+        assert rep.ok
+        assert_same(rep, dense_module_validate(mod))
+
+
+@pytest.mark.parametrize("fixture", SMALL)
+def test_module_validate_corruptions_match_dense_reference(fixture):
+    seen = set()
+    for mod in fixture_modules(fixture):
+        if mod.dim == 0:
+            continue
+        bad = [changed_entry(mod, i) for i in range(mod.algebra.dim)]
+        bad.append(wrong_unit(mod))
+        if mod.sidedness == "bi" and mod.dim > 1:
+            bad.append(conjugated_right(mod))
+        for b in bad:
+            rep = b.validate()
+            assert_same(rep, dense_module_validate(b))
+            seen |= {v[0] for v in rep.violations}
+    # between them the corruptions reach every kind of violation
+    assert {"left action", "right action", "left unit", "right unit",
+            "actions do not commute"} <= seen
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_module_validate_violations_are_exact(field):
+    A = dual_numbers(field)
+    M = regular_bimodule(A)
+    assert M.validate().ok
+    # the unit vector doubled: only the two unit axioms fail
+    rep = wrong_unit(M).validate()
+    assert rep.violations == [("left unit",), ("right unit",)]
+    # x acts on the right through P R_x P^-1: a right action, which no
+    # longer commutes with the left action of x
+    rep = conjugated_right(M).validate()
+    assert rep.violations == [("actions do not commute", 1, 1)]
+    assert_same(rep, dense_module_validate(conjugated_right(M)))
+    # a changed entry of L_x: x . x = 0 and 1 . x = x . 1 = x
+    rep = changed_entry(M, 1).validate()
+    assert ("left action", 1, 1) in rep.violations
+    assert_same(rep, dense_module_validate(changed_entry(M, 1)))
+
+
+def test_module_validate_dim_zero():
+    for field in FIELDS:
+        A = dual_numbers(field)
+        empty = [[] for _ in range(A.dim)]
+        for mod in (ModuleData(A, 0, left=empty),
+                    ModuleData(A, 0, right=empty),
+                    ModuleData(A, 0, left=empty, right=empty)):
+            rep = mod.validate()
+            assert rep.ok
+            assert_same(rep, dense_module_validate(mod))
+
+
+# -- GModuleOnChains.gate ----------------------------------------------------
+
+def chain_actions(fixture):
+    inst = instance(fixture)
+    return inst, [module_tower(inst, 1, cochain)[0]
+                  for cochain in (False, True)]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_gate_matches_dense_reference(fixture):
+    inst, gmods = chain_actions(fixture)
+    for gmod in gmods:
+        rep = gmod.gate(inst.group)
+        assert rep.ok
+        assert_same(rep, dense_gate(gmod, inst.group))
+
+
+@pytest.mark.parametrize("fixture", SMALL)
+def test_gate_corruptions_match_dense_reference(fixture):
+    inst, gmods = chain_actions(fixture)
+    G = inst.group
+    for gmod in gmods:
+        K = gmod.complex.field
+        # one changed entry of T_g on C_1, for every g
+        for g in range(G.n):
+            action = [[[row[:] for row in T] for T in mats]
+                      for mats in gmod.action]
+            T = action[g][1]
+            T[0][0] = K.add(T[0][0], K.one)
+            bad = GModuleOnChains(gmod.complex, action, gmod.sigma_pattern)
+            rep = bad.gate(G)
+            assert not rep.ok
+            assert_same(rep, dense_gate(bad, G))
+        # one nonzero sigma(g, h), g, h != 1, replaced by 0 and by twice
+        # its value
+        pair = next((g, h) for g in range(1, G.n) for h in range(1, G.n)
+                    if gmod.sigma_pattern(g, h) != K.zero)
+        for change in (lambda s: K.zero, lambda s: K.add(s, s)):
+            def pattern(g, h, change=change):
+                s = gmod.sigma_pattern(g, h)
+                return change(s) if (g, h) == pair else s
+            bad = GModuleOnChains(gmod.complex, gmod.action, pattern)
+            rep = bad.gate(G)
+            assert not rep.ok
+            assert_same(rep, dense_gate(bad, G))

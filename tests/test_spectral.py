@@ -4,16 +4,18 @@ import pytest
 
 from conftest import (z2_dual_numbers, z2_global_twist, z2_universal,
                       z2xz2_partial_idempotent, z3_kappa2_action)
+from parhox import homology
 from parhox.fields import QQ, PrimeField
 from parhox.groups import cyclic_group
 from parhox.instance import Instance
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
+from parhox.problems import build_instance, load_fixture
 from parhox.spectral import (assemble_E2_cohomology, assemble_E2_homology,
                              collapse_check_maclane, collapse_check_separable,
                              dimension_bound_check, hochschild_oracle_check,
-                             lemma_B_tensor_omega, run_all_checks,
-                             SpectralCheckReport, structural_identity_suite,
-                             tor_form_consistency)
+                             lemma_B_tensor_omega, module_tower,
+                             run_all_checks, SpectralCheckReport,
+                             structural_identity_suite, tor_form_consistency)
 
 
 def F(x, y=1):
@@ -148,3 +150,21 @@ def test_report_reproducible():
     G2, theta2 = z3_kappa2_action()
     r2 = run_all_checks(Instance("x", QQ, G2, theta=theta2))[0].to_json()
     assert r1 == r2
+
+
+def test_module_tower_computes_homology_data_once_per_degree(monkeypatch):
+    inst = build_instance(load_fixture("z3_kappa2_q.json"))
+    calls = []
+    original = homology.homology_data
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(homology, "homology_data", counted)
+    _, tower = module_tower(inst, 2)
+    # one call per degree serves both the kappa_par G and the
+    # kappa_par^{sigma''} G module
+    assert len(calls) == 3
+    for hd, mod_kpar, mod_ksdd in tower:
+        assert mod_kpar.dim == mod_ksdd.dim == hd.dim
