@@ -21,9 +21,10 @@ import random
 from .errors import (InvalidInput, NotCommuting, NotIdempotent,
                      PreconditionFailed, SchemaError, SizeLimit,
                      ValidationFailure)
-from .linalg import (Subspace, _char, _dense, _scalar, _sp_combination,
-                     _sp_identity, _sp_matmul, _sparse_matrix, matmul,
-                     matvec, nullspace, rank, solve, transpose)
+from .linalg import (Subspace, _char, _dense, _nonzero, _scalar,
+                     _sp_combination, _sp_identity, _sp_matmul, _sparse,
+                     _sparse_matrix, matmul, matvec, nullspace, rank, solve,
+                     transpose)
 
 __all__ = [
     "ValidationReport", "StructureAlgebra", "AlgebraHom", "ModuleData",
@@ -86,7 +87,7 @@ class StructureAlgebra:
     def __init__(self, field, dim, sc, unit, labels=None, name=""):
         self.field = field
         self.dim = dim
-        self.sc = {ij: [(k, c) for (k, c) in row if c != field.zero]
+        self.sc = {ij: [(k, c) for (k, c) in row if c]
                    for ij, row in sc.items()}
         self.sc = {ij: row for ij, row in self.sc.items() if row}
         self.unit = list(unit)
@@ -95,6 +96,13 @@ class StructureAlgebra:
 
     def mul_basis(self, i, j):
         return self.sc.get((i, j), [])
+
+    def kernel_sc(self):
+        """The structure constants with kernel scalars (`linalg._scalar`):
+        ints over F_p, and over Q ints where integral."""
+        K = self.field
+        return {ij: [(k, _scalar(K, c)) for k, c in row]
+                for ij, row in self.sc.items()}
 
     def mul(self, u, v):
         K = self.field
@@ -155,20 +163,23 @@ class StructureAlgebra:
             triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
                        for _ in range(RANDOM_TRIPLES))
             rep.note("associativity checked on", RANDOM_TRIPLES, "random triples")
-        sc = self.sc
-        kmul, kadd, zero = K.mul, K.add, K.zero
+        sc = self.kernel_sc()
+        p = _char(K)
 
         def times(terms, j, left):
-            """(sum c b_k) . b_j, or b_j . (sum c b_k) when left, sparse."""
+            """(sum c b_k) . b_j, or b_j . (sum c b_k) when left, sparse and
+            not yet normalized."""
             out = {}
             for k, c in terms:
                 for t, e in sc.get((j, k) if left else (k, j), ()):
-                    out[t] = kadd(out.get(t, zero), kmul(c, e))
-            return {t: e for t, e in out.items() if e}
+                    out[t] = out.get(t, 0) + c * e
+            return out
 
         for (i, j, k) in triples:
-            if times(sc.get((i, j), ()), k, False) != \
-                    times(sc.get((j, k), ()), i, True):
+            lhs = times(sc.get((i, j), ()), k, False)
+            rhs = times(sc.get((j, k), ()), i, True)
+            # equal unnormalized sums are equal; others are normalized first
+            if lhs != rhs and _nonzero(lhs, p) != _nonzero(rhs, p):
                 rep.fail("associativity", i, j, k)
         return rep
 
@@ -215,14 +226,31 @@ class AlgebraHom:
         return matvec(self.source.field, self.matrix, v)
 
     def verify(self, unital=True):
+        """f(b_i) f(b_j) = f(b_i b_j) for every pair of basis elements, and
+        f(1) = 1.  The images f(b_j) (the columns) are taken once as kernel
+        rows; both sides are expanded by structure constants."""
         rep = ValidationReport(f"hom {self.name}")
         src, tgt = self.source, self.target
-        for i in range(src.dim):
-            fi = self.apply(src.basis_vector(i))
-            for j in range(src.dim):
-                fj = self.apply(src.basis_vector(j))
-                lhs = tgt.mul(fi, fj)
-                rhs = self.apply(src.mul(src.basis_vector(i), src.basis_vector(j)))
+        K = src.field
+        p = _char(K)
+        imgs = [_sparse(K, [row[j] for row in self.matrix])
+                for j in range(src.dim)]
+        ssc, tsc = src.kernel_sc(), tgt.kernel_sc()
+
+        def combine(terms):
+            """sum c . (sum e b_t) over (c, [(t, e), ...]) terms."""
+            out = {}
+            for c, row in terms:
+                for t, e in row:
+                    out[t] = out.get(t, 0) + c * e
+            return _nonzero(out, p)
+
+        for i, fi in enumerate(imgs):
+            for j, fj in enumerate(imgs):
+                lhs = combine((x * y, tsc.get((a, b), ()))
+                              for a, x in fi.items() for b, y in fj.items())
+                rhs = combine((c, imgs[k].items())
+                              for k, c in ssc.get((i, j), ()))
                 if lhs != rhs:
                     rep.fail("multiplicative", i, j)
         if unital and self.apply(src.unit) != tgt.unit:

@@ -164,13 +164,17 @@ class ExelMonoid:
         self.index = {x: i for i, x in enumerate(elements)}
         self.size = len(elements)
         self.identity = self.index[(1, 0)]
-        n = group.n
-        self.mul_table = [[0] * self.size for _ in range(self.size)]
-        for i, (A, g) in enumerate(elements):
-            for j, (B, h) in enumerate(elements):
-                self.mul_table[i][j] = self.index[(A | group.translate_mask(g, B),
-                                                   group.mul(g, h))]
-        self.star = [self.index[(group.translate_mask(group.inv(g), A), group.inv(g))]
+        index = self.index
+        # g.B for every distinct mask B, translated once per g
+        masks = {B for B, _ in elements}
+        moved = [{B: group.translate_mask(g, B) for B in masks}
+                 for g in range(group.n)]
+        self.mul_table = []
+        for A, g in elements:
+            moved_g, mul_g = moved[g], group.table[g]
+            self.mul_table.append([index[(A | moved_g[B], mul_g[h])]
+                                   for B, h in elements])
+        self.star = [index[(moved[group.inv(g)][A], group.inv(g))]
                      for (A, g) in elements]
         self.idempotents = [i for i, (A, g) in enumerate(elements) if g == 0]
 

@@ -23,6 +23,12 @@ identity monomial means sigma admits no algebra at all and is reported.
 The final table is gated by Light's associativity test: every triple whose
 middle factor lies in a generating set of the table, which is complete
 because the associating elements form a subalgebra.
+
+These loops run on Python ints only.  The closure and the table build read
+the zero pattern of sigma once.  Light's test takes every scalar of the
+table once as an integer pair n/d (exact over Q, (residue, 1) over F_p) and
+decides s1 s2 = s3 s4 by cross-multiplying: n1 n2 d3 d4 - n3 n4 d1 d2 = 0,
+taken mod p over F_p.
 """
 
 from .errors import (CompletionDiverged, InvalidInput, NotARepresentation,
@@ -146,17 +152,17 @@ def _mask_of(letters):
 
 def _close_vanishing(monoid, sigma, vanished):
     """Two-sided monomial-ideal closure, gated by the product scalars."""
-    K = sigma.field
-    elements = monoid.elements
+    zero = sigma.zero_pattern()
+    grade = [g for _, g in monoid.elements]
+    mt = monoid.mul_table
     work = list(vanished)
     while work:
         m = work.pop()
+        gm, row = grade[m], mt[m]
         for n in range(monoid.size):
-            for (x, y) in ((n, m), (m, n)):
-                if sigma(elements[x][1], elements[y][1]) == K.zero:
-                    continue
-                t = monoid.mul_table[x][y]
-                if t not in vanished:
+            gn = grade[n]
+            for z, t in ((zero[gn][gm], mt[n][m]), (zero[gm][gn], row[n])):
+                if not z and t not in vanished:
                     vanished.add(t)
                     work.append(t)
     return vanished
@@ -164,26 +170,26 @@ def _close_vanishing(monoid, sigma, vanished):
 
 def _build_table(monoid, sigma, vanished):
     """Sparse (scalar, target) tables over the surviving monomials."""
-    K = sigma.field
+    zero = sigma.zero_pattern()
     surviving = [m for m in range(monoid.size) if m not in vanished]
     pos = {m: p for p, m in enumerate(surviving)}
+    grades = [monoid.elements[m][1] for m in surviving]
     n = len(surviving)
     scal = [[None] * n for _ in range(n)]
     targ = [[-1] * n for _ in range(n)]
     for p1, m1 in enumerate(surviving):
-        g1 = monoid.elements[m1][1]
+        g1 = grades[p1]
         row = monoid.mul_table[m1]
-        srow = sigma.table[g1]
+        srow, zrow = sigma.table[g1], zero[g1]
+        scal_row, targ_row = scal[p1], targ[p1]
         for p2, m2 in enumerate(surviving):
-            g2 = monoid.elements[m2][1]
-            s = srow[g2]
-            if s == K.zero:
+            g2 = grades[p2]
+            if zrow[g2]:
                 continue
-            t = row[m2]
-            if t in vanished:
-                continue
-            scal[p1][p2] = s
-            targ[p1][p2] = pos[t]
+            t = pos.get(row[m2])
+            if t is not None:
+                scal_row[p2] = srow[g2]
+                targ_row[p2] = t
     return surviving, pos, scal, targ
 
 
@@ -203,6 +209,25 @@ def _light_generators(targ, gens):
     return sorted(set(gens) | (set(range(len(targ))) - reached))
 
 
+def _int_pairs(K, scal, targ):
+    """The scalars of the table as integer (numerator, denominator) rows:
+    exact over Q, (residue, 1) over F_p.  Cells without a target get
+    (0, 1)."""
+    p = K.characteristic
+    nums, dens = [], []
+    for srow, trow in zip(scal, targ):
+        if p:
+            nums.append([srow[k] % p if t >= 0 else 0
+                         for k, t in enumerate(trow)])
+            dens.append([1] * len(trow))
+        else:
+            nums.append([srow[k].numerator if t >= 0 else 0
+                         for k, t in enumerate(trow)])
+            dens.append([srow[k].denominator if t >= 0 else 1
+                         for k, t in enumerate(trow)])
+    return nums, dens
+
+
 def _associativity_defect(K, surviving, scal, targ, middles):
     """The first monomial whose bracketings disagree, or None (Light's test).
 
@@ -217,21 +242,29 @@ def _associativity_defect(K, surviving, scal, targ, middles):
     T contains the generating set, hence the whole table.  When only one
     bracketing is nonzero, its monomial is the defect; when both are, the
     left one is (on tables over S(G) both land on the same monomial).
+
+    The scalars are compared on Python ints only: with s = n/d from
+    `_int_pairs`, s1 s2 = s3 s4 exactly when n1 n2 d3 d4 - n3 n4 d1 d2 is 0,
+    over F_p when it is 0 mod p (there every d is 1).
     """
-    kmul = K.mul
+    p = K.characteristic
+    num, den = _int_pairs(K, scal, targ)
     for i in range(len(surviving)):
-        ti, si = targ[i], scal[i]
+        ti, ni, di = targ[i], num[i], den[i]
         for j in middles:
-            p = ti[j]
-            tj, sj = targ[j], scal[j]
-            if p >= 0:
-                s1, tp, sp = si[j], targ[p], scal[p]
+            q = ti[j]
+            tj, nj, dj = targ[j], num[j], den[j]
+            if q >= 0:
+                n1, d1, tq, nq, dq = ni[j], di[j], targ[q], num[q], den[q]
             for k, r in enumerate(tj):
-                left_t = tp[k] if p >= 0 else -1
+                left_t = tq[k] if q >= 0 else -1
                 right_t = ti[r] if r >= 0 else -1
                 if left_t >= 0 and right_t >= 0:
-                    if left_t != right_t or \
-                            kmul(s1, sp[k]) != kmul(sj[k], si[r]):
+                    if left_t != right_t:
+                        return surviving[left_t]
+                    lhs = n1 * nq[k] * dj[k] * di[r]
+                    rhs = nj[k] * ni[r] * d1 * dq[k]
+                    if lhs != rhs and (not p or (lhs - rhs) % p):
                         return surviving[left_t]
                 elif left_t >= 0:
                     return surviving[left_t]

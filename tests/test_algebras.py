@@ -68,9 +68,28 @@ def corrupted(A, pair, row):
     return A
 
 
+def coboundary_twisted_group_algebra(K, G, f):
+    """K^{delta f}[G]: b_g b_h = f(g) f(h) / f(gh) b_gh, associative because
+    delta f is a coboundary; f(0) = 1 keeps b_0 the unit."""
+    sc = {(g, h): [(G.mul(g, h), K.div(K.mul(f[g], f[h]), f[G.mul(g, h)]))]
+          for g in range(G.n) for h in range(G.n)}
+    unit = [K.zero] * G.n
+    unit[0] = K.one
+    return StructureAlgebra(K, G.n, sc, unit, name=f"K^df[{G.name}]")
+
+
 def test_validate_matches_dense_reference():
     F7 = PrimeField(7)
     G41 = cyclic_group(41)
+    # structure constants 1/12, 1/5, ...: a sweep that dropped denominators
+    # would report false violations
+    twisted = coboundary_twisted_group_algebra(
+        QQ, cyclic_group(4), [F(1), Fraction(1, 2), F(3), Fraction(2, 5)])
+    assert any(c.denominator != 1 for row in twisted.sc.values()
+               for _, c in row)
+    # over F_7 the bracketings agree only mod 7: 4 * 1 vs 6 * 3 at (2, 2, 1)
+    twisted7 = coboundary_twisted_group_algebra(F7, cyclic_group(4),
+                                                [1, 3, 5, 6])
     # b_1 . b_j = 2 b_{1+j} in K[Z41]: dim 41 > EXHAUSTIVE_LIMIT, and the
     # random triples with b_1 in the middle fail
     doubled = group_algebra(QQ, G41)
@@ -84,8 +103,9 @@ def test_validate_matches_dense_reference():
         corrupted(matrix_algebra(QQ, 2), (1, 2), [(3, F(1))]),
         corrupted(matrix_algebra(QQ, 2), (0, 0), [(0, F(1)), (1, Fraction(-1, 2))]),
         corrupted(matrix_algebra(F7, 2), (2, 1), [(3, 5)]),
-        matrix_algebra(QQ, 7), doubled,
+        matrix_algebra(QQ, 7), doubled, twisted, twisted7,
     ]
+    assert twisted.validate().ok and twisted7.validate().ok
     assert any(A.dim > EXHAUSTIVE_LIMIT for A in algebras)
     for A in algebras:
         for seed in (0, 1):
@@ -95,6 +115,56 @@ def test_validate_matches_dense_reference():
     assert dense_validate(doubled).violations
     assert dense_validate(doubled).notes == [
         ("associativity checked on", RANDOM_TRIPLES, "random triples")]
+
+
+def dense_verify(hom, unital=True):
+    """Reference: AlgebraHom.verify by dense products of the images of basis
+    vectors, recomputed for every pair."""
+    rep = ValidationReport(f"hom {hom.name}")
+    src, tgt = hom.source, hom.target
+    for i in range(src.dim):
+        fi = hom.apply(src.basis_vector(i))
+        for j in range(src.dim):
+            fj = hom.apply(src.basis_vector(j))
+            lhs = tgt.mul(fi, fj)
+            rhs = hom.apply(src.mul(src.basis_vector(i), src.basis_vector(j)))
+            if lhs != rhs:
+                rep.fail("multiplicative", i, j)
+    if unital and hom.apply(src.unit) != tgt.unit:
+        rep.fail("unit")
+    return rep
+
+
+def test_hom_verify_matches_dense_reference():
+    F7 = PrimeField(7)
+    Z4 = cyclic_group(4)
+    f = [F(1), Fraction(1, 2), F(3), Fraction(2, 5)]
+    M2 = matrix_algebra(QQ, 2)
+    T = [[QQ.zero] * 4 for _ in range(4)]
+    for r in range(2):
+        for c in range(2):
+            T[c * 2 + r][r * 2 + c] = QQ.one
+    # b_g -> f(g) b_g: Q^{delta f}[Z4] -> Q[Z4]
+    scale = [[f[g] if g == h else QQ.zero for h in range(4)] for g in range(4)]
+    # F_7^3 ->> F_7^2, forgetting the last factor
+    proj = [[1, 0, 0], [0, 1, 0]]
+    homs = [AlgebraHom(M2, opposite(M2), T, name="transpose"),
+            AlgebraHom(coboundary_twisted_group_algebra(QQ, Z4, f),
+                       group_algebra(QQ, Z4), scale, name="rescale"),
+            AlgebraHom(product_field_algebra(F7, 3),
+                       product_field_algebra(F7, 2), proj, name="proj")]
+    for hom in homs:
+        assert hom.verify().ok and dense_verify(hom).ok, hom.name
+        K = hom.source.field
+        # one entry changed: by 1 on the diagonal, by 1/3 off it
+        for (r, c), delta in (((0, 0), K.one),
+                              ((1, 2), K.inv(K.from_int(3)))):
+            M = [list(row) for row in hom.matrix]
+            M[r][c] = K.add(M[r][c], delta)
+            bad = AlgebraHom(hom.source, hom.target, M, name=hom.name)
+            got, want = bad.verify(), dense_verify(bad)
+            assert want.violations, (hom.name, r, c)
+            assert got.violations == want.violations, (hom.name, r, c)
 
 
 def test_opposite():

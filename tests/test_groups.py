@@ -57,6 +57,13 @@ def test_exel_monoid_laws():
         assert S.size <= 200
         mt = S.mul_table
         rng = range(S.size)
+        # the tables against the normal-form rule, one product at a time
+        for i, (A, g) in enumerate(S.elements):
+            gi = G.inv(g)
+            assert S.star[i] == S.index[(G.translate_mask(gi, A), gi)]
+            for j, (B, h) in enumerate(S.elements):
+                assert mt[i][j] == S.index[(A | G.translate_mask(g, B),
+                                            G.mul(g, h))]
         for i in rng:
             row_i = mt[i]
             for j in rng:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import z2_universal, z3_kappa2_action, z2xz2_partial_idempotent
 from parhox.errors import ValidationFailure
@@ -15,7 +16,7 @@ from parhox.factor_sets import (PartialFactorSet, involution_star,
                                 derive_sigma_from_monoid,
                                 xi_sigma_double_prime)
 from parhox.groups import (cyclic_group, direct_product, enumerate_exel,
-                           symmetric_group)
+                           group_from_permutations, symmetric_group)
 from parhox.linalg import identity, matmul, matvec, transpose
 from parhox.partial_actions import (PartialProjRepresentation,
                                     build_crossed_product, gamma_sigma)
@@ -63,6 +64,18 @@ def test_kpar_sigma_trivial_matches_kpar():
         ks = build_kpar_sigma(trivial_factor_set(G, QQ), monoid=kp.monoid)
         assert ks.surviving == kp.surviving
         assert ks.algebra.sc == kp.algebra.sc
+
+
+def test_kpar_sigma_trivial_matches_kpar_d4():
+    # the first nonabelian order-8 case: |S(D4)| = 576, 2.65M triples in
+    # Light's test
+    D4 = group_from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]], name="D4")
+    K = PrimeField(3)
+    kp = build_kpar(D4, K)
+    ks = build_kpar_sigma(trivial_factor_set(D4, K), monoid=kp.monoid)
+    assert kp.dim == 576 and ks.vanished == set()
+    assert ks.surviving == kp.surviving
+    assert ks.algebra.sc == kp.algebra.sc
 
 
 def test_kpar_sigma_z2_twist():
@@ -549,3 +562,51 @@ def test_light_generators_keep_unreachable_monomials():
     assert reference_defects(K, surviving, scal, targ)
     assert _associativity_defect(K, surviving, scal, targ, middles) == 12
     assert _associativity_defect(K, surviving, scal, targ, [0, 2]) is None
+
+
+def one_triple_table(a, b, c, d):
+    """Six monomials x0..x5 with x0 x1 = a x2, x2 x3 = b x4, x1 x3 = c x5,
+    x0 x5 = d x4 and every other product 0.  The only triple with a nonzero
+    bracketing is (x0, x1, x3): (x0 x1) x3 = ab x4 and x0 (x1 x3) = cd x4,
+    so the table associates exactly when ab = cd."""
+    targ = [[-1] * 6 for _ in range(6)]
+    scal = [[None] * 6 for _ in range(6)]
+    for (x, y), t, s in (((0, 1), 2, a), ((2, 3), 4, b), ((1, 3), 5, c),
+                         ((0, 5), 4, d)):
+        targ[x][y], scal[x][y] = t, s
+    return list(range(10, 16)), scal, targ
+
+
+def triple_defect(K, a, b, c, d):
+    surviving, scal, targ = one_triple_table(a, b, c, d)
+    return _associativity_defect(K, surviving, scal, targ, range(6))
+
+
+def test_light_test_compares_scalars_exactly():
+    F7 = PrimeField(7)
+    # equal only as products: numerators alone give 1 * 4 != 2 * 1
+    assert F(1, 2) * 4 == 2 * 1
+    assert triple_defect(QQ, F(1, 2), F(4), F(2), F(1)) is None
+    # different, with equal numerators: (1/2)(1/3) != (1/3)(1/3)
+    assert F(1, 2) * F(1, 3) != F(1, 3) * F(1, 3)
+    assert triple_defect(QQ, F(1, 2), F(1, 3), F(1, 3), F(1, 3)) == 14
+    # equal only mod p: 3 * 5 = 15 = 1 in F_7
+    assert 3 * 5 != 1 * 1 and F7.mul(3, 5) == F7.mul(1, 1)
+    assert triple_defect(F7, 3, 5, 1, 1) is None
+    assert triple_defect(F7, 3, 5, 1, 2) == 14
+
+
+def field_quadruples():
+    rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+    fields = [(QQ, rationals)] + [
+        (PrimeField(p), st.integers(0, p - 1)) for p in (2, 3, 7)]
+    return st.sampled_from(fields).flatmap(
+        lambda kv: st.tuples(st.just(kv[0]), *[kv[1]] * 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_quadruples())
+def test_light_test_comparison_matches_field(case):
+    K, a, b, c, d = case
+    associates = K.mul(a, b) == K.mul(c, d)
+    assert (triple_defect(K, a, b, c, d) is None) == associates
