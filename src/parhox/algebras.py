@@ -261,12 +261,6 @@ class AlgebraHom:
         return (self.source.dim == self.target.dim
                 and rank(self.source.field, self.matrix) == self.source.dim)
 
-    def compose(self, other):
-        """self . other (apply `other` first)."""
-        return AlgebraHom(other.source, self.target,
-                          matmul(self.source.field, self.matrix, other.matrix),
-                          name=f"{self.name}*{other.name}")
-
 
 class ModuleData:
     """Module/bimodule over one algebra: action matrices per basis element."""
@@ -671,8 +665,10 @@ def dual_bimodule(M):
 class TensorOverAlgebra:
     """X (x)_R Y for a right module X and a left module Y over R.
 
-    Ambient index of the pure tensor (ix, iy) is ix * dimY + iy; the
-    quotient coordinates come from `QuotientSpace`.
+    The quotient coordinates come from `QuotientSpace` over the span of the
+    balancing relations x.b (x) y - x (x) b.y.  The ambient index of the
+    pure tensor (ix, iy) is ix * dimY + iy; it is private to this class,
+    and maps are passed in as their two factors (`tensor_map`).
     """
 
     def __init__(self, R, X, Y):
@@ -682,22 +678,18 @@ class TensorOverAlgebra:
         self.R, self.X, self.Y, self.K = R, X, Y, K
         mx, my = X.dim, Y.dim
         N = mx * my
+        p = _char(K)
         rel = Subspace(K, N)
         for b in range(R.dim):
-            RX = X.right[b]
-            LY = Y.left[b]
+            colsX = _sparse_matrix(K, transpose(X.right[b]))
+            colsY = _sparse_matrix(K, transpose(Y.left[b]))
             for ix in range(mx):
-                colX = [RX[r][ix] for r in range(mx)]
                 for iy in range(my):
-                    colY = [LY[r][iy] for r in range(my)]
-                    v = [K.zero] * N
-                    for r, a in enumerate(colX):
-                        if a != K.zero:
-                            v[r * my + iy] = K.add(v[r * my + iy], a)
-                    for r, a in enumerate(colY):
-                        if a != K.zero:
-                            v[ix * my + r] = K.sub(v[ix * my + r], a)
-                    rel.add(v)
+                    v = {r * my + iy: a for r, a in colsX[ix].items()}
+                    for r, a in colsY[iy].items():
+                        key = ix * my + r
+                        v[key] = v.get(key, 0) - a
+                    rel.ech.add(_nonzero(v, p))
         from .linalg import QuotientSpace
         self.ambient_dim = N
         self.relations = rel
@@ -720,22 +712,44 @@ class TensorOverAlgebra:
     def project(self, ambient_vec):
         return self.quotient.project(ambient_vec)
 
-    def map_on_quotient(self, ambient_map_fn):
-        """Matrix on quotient coords of a map given on ambient pure-tensor
-        basis vectors; asserts the map descends."""
+    def tensor_map(self, P=None, Q=None):
+        """The matrix, in quotient coordinates, of the map induced by P (x) Q
+        for a linear map P of X and Q of Y (None is the identity); raises
+        InvalidInput unless P (x) Q maps every balancing relation into the
+        relation span, i.e. descends to X (x)_R Y.  Callers pass the two
+        factors only: the ambient index of a pure tensor is private to
+        this class."""
         K = self.K
-        cols = []
-        for coords_idx in range(self.dim):
-            amb = self.quotient.lift([K.one if t == coords_idx else K.zero
-                                      for t in range(self.dim)])
-            img = ambient_map_fn(amb)
-            cols.append(self.quotient.project(img))
-        # well-definedness: relation vectors must map into relations
-        for relvec in self.relations.basis():
-            img = ambient_map_fn(relvec)
-            if any(a != K.zero for a in self.quotient.project(img)):
+        my = self.Y.dim
+
+        def columns(F, n):
+            return _sp_identity(n) if F is None \
+                else _sparse_matrix(K, transpose(F))
+
+        colsP, colsQ = columns(P, self.X.dim), columns(Q, my)
+        p = _char(K)
+        ech = self.relations.ech
+
+        def image(vec):
+            out = {}
+            for idx, c in vec.items():
+                ix, iy = divmod(idx, my)
+                for r, a in colsP[ix].items():
+                    ca = c * a
+                    for s, b in colsQ[iy].items():
+                        key = r * my + s
+                        out[key] = out.get(key, 0) + ca * b
+            return ech.reduce(_nonzero(out, p))
+
+        for c, tail in ech.rref():
+            if image({c: 1, **tail}):
                 raise InvalidInput("map does not descend to the tensor product")
-        return transpose(cols) if cols else []
+        index = {c: t for t, c in enumerate(self.quotient.free)}
+        rows = [{} for _ in range(self.dim)]
+        for j, c in enumerate(self.quotient.free):
+            for t, a in image({c: 1}).items():
+                rows[index[t]][j] = a
+        return [_dense(K, row, self.dim) for row in rows]
 
     def map_from(self, pure_images, target_dim):
         """Matrix (target_dim x self.dim) of the linear map sending the

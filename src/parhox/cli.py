@@ -16,7 +16,6 @@ import time
 from . import __version__
 from .errors import ParhoxError, SchemaError
 from .fields import field_from_json
-from .algebras import ModuleData
 from .factor_sets import PartialFactorSet
 from .groups import FiniteGroup, enumerate_exel
 from .homology import (DEFAULT_CHAIN_CAP, hochschild_cohomology_bar,
@@ -25,7 +24,7 @@ from .homology import (DEFAULT_CHAIN_CAP, hochschild_cohomology_bar,
 from .partial_actions import validate_twisted
 from .partial_algebras import build_kpar, build_kpar_sigma
 from .problems import build_instance, parse_spec_file
-from .spectral import module_tower, run_all_checks
+from .spectral import module_tower, run_all_checks, side_resolution
 
 
 def _canonical_digest(obj):
@@ -68,8 +67,9 @@ def _cap(args, spec_options=None):
         except ValueError:
             raise SchemaError(f"PARHOX_CAP must be an integer: {env!r}") \
                 from None
-    if args.cap is not None:
-        return args.cap
+    flag = getattr(args, "cap", None)
+    if flag is not None:
+        return flag
     if spec_options and "cap" in spec_options:
         return spec_options["cap"]
     return DEFAULT_CHAIN_CAP
@@ -172,13 +172,15 @@ def cmd_partial_homology(args):
     raw = _load_json(args.spec)
     spec = parse_spec_file(args.spec)
     inst = build_instance(spec)
+    inst.chain_cap = _cap(args, spec.options)
     n = args.max_n
     # coefficients: H_0(A, M) = M/[A, M] with its kappa_par G-structure
     _, tower = module_tower(inst, 0)
     hd0, mod0, _ = tower[0]
-    X0 = ModuleData(inst.kpar.algebra, hd0.dim, left=mod0.left)
     _, B_right = inst.b_over_kpar
-    dims = partial_homology_dims(inst.kpar.algebra, B_right, X0, n)
+    dims = partial_homology_dims(
+        inst.kpar.algebra, B_right, mod0, n,
+        resolution=side_resolution(inst, B_right, "right", n + 1))
     result = {
         "coefficients": "H_0(A, M) = M/[A,M]",
         "coefficient_dim": hd0.dim,

@@ -29,10 +29,6 @@ class NotNormalized(InvalidInput):
     pass
 
 
-class NoSquareRoot(ParhoxError):
-    pass
-
-
 class NotIdempotent(InvalidInput):
     pass
 

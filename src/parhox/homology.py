@@ -584,10 +584,8 @@ def hochschild_cohomology_resolution(R, M, max_n, style="greedy",
     """H^n(R, M) = Ext^n_{R^e}(R, M)."""
     env, res = env_res if env_res is not None else \
         env_resolution(R, max_n + 1, style=style)
-    M_left = bimodule_to_left_env_module(env, R, M)
-    return ext_dims(env, res.module,
-                    ModuleData(env, M.dim, left=M_left.left), max_n,
-                    style=style, resolution=res)
+    return ext_dims(env, res.module, bimodule_to_left_env_module(env, R, M),
+                    max_n, style=style, resolution=res)
 
 
 def partial_homology_dims(kpar_algebra, B_right, X_left, max_n,
@@ -778,8 +776,7 @@ def hom_A_carrier(lam, M):
     return hom_over_algebra(
         env,
         ModuleData(env, A.dim, left=_env_left_regular(env, A)),
-        ModuleData(env, M.dim,
-                   left=bimodule_to_left_env_module(env, A, MA).left))
+        bimodule_to_left_env_module(env, A, MA))
 
 
 def hom_A_module_structure(lam, M, xi, ktw_dd, group=None):

@@ -8,7 +8,7 @@ spectral-sequence checks consume instances.
 from functools import cached_property
 
 from .errors import InvalidInput
-from .algebras import (ModuleData, regular_bimodule, restrict_along_hom,
+from .algebras import (regular_bimodule, restrict_along_hom,
                        separability_idempotent)
 from .factor_sets import (EquivalenceWitness, trivial_factor_set,
                           normalize_inverse_pairs, sigma_prime,
@@ -112,10 +112,7 @@ class Instance:
         K = self.field
         xi1 = EquivalenceWitness(self.group, K, [K.one] * self.group.n)
         left, right, _ = b_sigma_module_structures(self.kpar, self.kpar, xi1)
-        return (ModuleData(self.kpar.algebra, left.dim, left=left.left,
-                           name="B left"),
-                ModuleData(self.kpar.algebra, right.dim, right=right.right,
-                           name="B right"))
+        return left, right
 
     @cached_property
     def bsig_modules_over_ksdd(self):

@@ -365,11 +365,6 @@ class Subspace:
     def basis(self):
         return _dense_rref(self.K, self.ech, self.n)[0]
 
-    def coords_in_basis(self, v, gens):
-        """Express v as a combination of `gens` (must span v); or None."""
-        M = transpose(gens) if gens else [[] for _ in range(self.n)]
-        return solve(self.K, M, list(v))
-
 
 class QuotientSpace:
     """K^n / W with canonical coordinates at the non-pivot positions of W."""

@@ -533,18 +533,6 @@ class BSigmaData:
             out[p] = w[i]
         return out
 
-    def from_ambient(self, vec, ktw):
-        K = self.algebra.field
-        out = [K.zero] * self.algebra.dim
-        posset = {p: i for i, p in enumerate(self.positions)}
-        for p, c in enumerate(vec):
-            if c != K.zero:
-                i = posset.get(p)
-                if i is None:
-                    return None
-                out[i] = c
-        return out
-
 
 class OmegaData:
     def __init__(self, algebra, surviving, projection, left_module, right_module):

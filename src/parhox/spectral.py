@@ -8,6 +8,10 @@ bound sum(dim E2_{p,q}, p+q = n) >= dim H_n(Lambda, M), with equality
 required on separable instances.
 """
 
+import time
+from contextlib import contextmanager
+from functools import partial
+
 from .errors import SizeLimit
 from .algebras import (ModuleData, bimodule_to_left_env_module,
                        commutator_quotient, enveloping, group_algebra,
@@ -59,12 +63,24 @@ class SpectralCheckReport:
     def __init__(self, instance_name):
         self.instance = instance_name
         self.checks = []                         # (name, status, detail)
+        self.seconds = {}                        # name -> s, not in to_json
 
     def record(self, name, ok, detail=""):
         self.checks.append((name, "pass" if ok else "fail", detail))
 
     def skip(self, name, reason):
         self.checks.append((name, "skipped", reason))
+
+    @contextmanager
+    def timed(self, names=None):
+        """Credit the wall time of the enclosed calls to `names`, by default
+        to the checks they record, split evenly between them."""
+        start, t0 = len(self.checks), time.monotonic()
+        yield
+        names = names or [name for (name, _, _) in self.checks[start:]]
+        share = (time.monotonic() - t0) / max(len(names), 1)
+        for name in names:
+            self.seconds[name] = self.seconds.get(name, 0.0) + share
 
     @property
     def ok(self):
@@ -105,38 +121,14 @@ def module_tower(inst, max_q, cochain=False):
     return inst.longest(("tower", cochain), max_q, build)
 
 
-def b_right_resolution(inst, length):
-    def build(l):
-        _, B_right = inst.b_over_kpar
-        return free_resolution(inst.kpar.algebra, B_right, "right", l,
-                               cap=inst.chain_cap)
-    return inst.longest("res_B_right", length, build)
-
-
-def b_left_resolution(inst, length):
-    def build(l):
-        B_left, _ = inst.b_over_kpar
-        return free_resolution(inst.kpar.algebra, B_left, "left", l,
-                               cap=inst.chain_cap)
-    return inst.longest("res_B_left", length, build)
-
-
-def bsig_right_resolution(inst, length):
-    def build(l):
-        _, bs_right, _ = inst.bsig_modules_over_ksdd
-        Bs = ModuleData(inst.ksdd.algebra, bs_right.dim, right=bs_right.right)
-        return free_resolution(inst.ksdd.algebra, Bs, "right", l,
-                               cap=inst.chain_cap)
-    return inst.longest("res_Bsig_right", length, build)
-
-
-def omega_right_resolution(inst, length):
-    def build(l):
-        om = inst.omega_right_over_kpar
-        Om = ModuleData(inst.kpar.algebra, om.dim, right=om.right)
-        return free_resolution(inst.kpar.algebra, Om, "right", l,
-                               cap=inst.chain_cap)
-    return inst.longest("res_Omega_right", length, build)
+def side_resolution(inst, module, side, length):
+    """A free resolution of `module` as a `side` module over the algebra it
+    lives on, bounded by the instance's chain cap and memoized on the
+    instance per (module, side); the modules are the instance's own (B and
+    Omega over kappa_par G, B^sigma over kappa_par^{sigma''} G)."""
+    return inst.longest(("resolution", module, side), length,
+                        lambda l: free_resolution(module.algebra, module, side,
+                                                  l, cap=inst.chain_cap))
 
 
 def lam_env_resolution(inst, length):
@@ -155,15 +147,14 @@ def assemble_E2_homology(inst, max_p, max_q):
     """E2_{p,q} = H_p^par(G, H_q(A, M))."""
     _, tower = module_tower(inst, max_q)
     _, B_right = inst.b_over_kpar
-    res = b_right_resolution(inst, max_p + 1)
+    res = side_resolution(inst, B_right, "right", max_p + 1)
     entries = {}
     skipped = set()
     for q in range(max_q + 1):
-        hd, mod_kpar, _ = tower[q]
-        X = ModuleData(inst.kpar.algebra, hd.dim, left=mod_kpar.left)
+        _, mod_kpar, _ = tower[q]
         try:
-            dims = partial_homology_dims(inst.kpar.algebra, B_right, X, max_p,
-                                         resolution=res)
+            dims = partial_homology_dims(inst.kpar.algebra, B_right, mod_kpar,
+                                         max_p, resolution=res)
         except SizeLimit:
             for p in range(max_p + 1):
                 skipped.add((p, q))
@@ -177,15 +168,14 @@ def assemble_E2_cohomology(inst, max_p, max_q):
     """E2^{p,q} = H^p_par(G, H^q(A, M))."""
     _, tower = module_tower(inst, max_q, cochain=True)
     B_left, _ = inst.b_over_kpar
-    res = b_left_resolution(inst, max_p + 1)
+    res = side_resolution(inst, B_left, "left", max_p + 1)
     entries = {}
     skipped = set()
     for q in range(max_q + 1):
-        hd, mod_kpar, _ = tower[q]
-        X = ModuleData(inst.kpar.algebra, hd.dim, left=mod_kpar.left)
+        _, mod_kpar, _ = tower[q]
         try:
-            dims = partial_cohomology_dims(inst.kpar.algebra, B_left, X, max_p,
-                                           resolution=res)
+            dims = partial_cohomology_dims(inst.kpar.algebra, B_left, mod_kpar,
+                                           max_p, resolution=res)
         except SizeLimit:
             for p in range(max_p + 1):
                 skipped.add((p, q))
@@ -199,32 +189,17 @@ def assemble_E2_cohomology(inst, max_p, max_q):
 # the checks
 
 
-def _omega_tensor(inst, Om_right, X_kpar):
+def _omega_tensor(inst, X_kpar):
     """Omega (x)_{kpar} X with its left kpar structure
     r.(w (x) x) = rw (x) x, validated."""
-    K = inst.field
-    T = tensor_over_algebra(inst.kpar.algebra, Om_right, X_kpar)
+    T = tensor_over_algebra(inst.kpar.algebra, inst.omega_right_over_kpar,
+                            X_kpar)
     om_alg = inst.omega.algebra
-    mx = X_kpar.dim
     left_mats = []
     for r in range(inst.kpar.dim):
         img_in_omega = inst.omega.projection.apply(
             inst.kpar.algebra.basis_vector(r))
-        L = om_alg.left_mult_matrix(img_in_omega)
-
-        def amb(vec, L=L):
-            out = [K.zero] * len(vec)
-            for idx, c in enumerate(vec):
-                if c == K.zero:
-                    continue
-                iw, ix = idx // mx, idx % mx
-                for t in range(Om_right.dim):
-                    a = L[t][iw]
-                    if a != K.zero:
-                        out[t * mx + ix] = K.add(out[t * mx + ix],
-                                                 K.mul(c, a))
-            return out
-        left_mats.append(T.map_on_quotient(amb))
+        left_mats.append(T.tensor_map(om_alg.left_mult_matrix(img_in_omega)))
     OX = ModuleData(inst.kpar.algebra, T.dim, left=left_mats)
     OX.validate().raise_if_failed()
     return OX
@@ -234,35 +209,29 @@ def tor_form_consistency(inst, report, max_p=2, max_q=1):
     """Tor_p^{ksdd}(B^sigma, X) = H_p^par(G, Omega (x)_{kpar} X) for
     X = H_q(A, M), dimensionwise; plus the degree-0 identity."""
     _, tower = module_tower(inst, max_q)
-    bs_left, bs_right, _ = inst.bsig_modules_over_ksdd
-    Bs_right = ModuleData(inst.ksdd.algebra, bs_right.dim,
-                          right=bs_right.right)
+    _, bs_right, _ = inst.bsig_modules_over_ksdd
     _, B_right = inst.b_over_kpar
-    om = inst.omega_right_over_kpar
-    Om_right = ModuleData(inst.kpar.algebra, om.dim, right=om.right)
     ok_all = True
     details = []
     degree0 = None
     for q in range(max_q + 1):
-        hd, mod_kpar, mod_ksdd = tower[q]
-        X_ksdd = ModuleData(inst.ksdd.algebra, hd.dim, left=mod_ksdd.left)
-        lhs = tor_dims(inst.ksdd.algebra, Bs_right, X_ksdd, max_p,
-                       resolution=bsig_right_resolution(inst, max_p + 1))
-        OX = _omega_tensor(inst, Om_right,
-                           ModuleData(inst.kpar.algebra, hd.dim,
-                                      left=mod_kpar.left))
+        _, mod_kpar, mod_ksdd = tower[q]
+        lhs = tor_dims(inst.ksdd.algebra, bs_right, mod_ksdd, max_p,
+                       resolution=side_resolution(inst, bs_right, "right",
+                                                  max_p + 1))
+        OX = _omega_tensor(inst, mod_kpar)
         rhs = partial_homology_dims(inst.kpar.algebra, B_right, OX, max_p,
-                                    resolution=b_right_resolution(inst,
-                                                                  max_p + 1))
+                                    resolution=side_resolution(
+                                        inst, B_right, "right", max_p + 1))
         details.append((q, lhs, rhs))
         if lhs != rhs:
             ok_all = False
         if q == 0:
-            degree0 = X_ksdd, OX
+            degree0 = mod_ksdd, OX
     report.record("tor-form bridge", ok_all, details)
     # degree-0 identity: dim B^sigma (x)_{ksdd} X = dim B (x)_{kpar} (Omega (x) X)
     X_ksdd, OX = degree0
-    lhs0 = tensor_over_algebra(inst.ksdd.algebra, Bs_right, X_ksdd).dim
+    lhs0 = tensor_over_algebra(inst.ksdd.algebra, bs_right, X_ksdd).dim
     rhs0 = tensor_over_algebra(inst.kpar.algebra, B_right, OX).dim
     report.record("tor-form degree 0", lhs0 == rhs0, (lhs0, rhs0))
     return ok_all
@@ -273,12 +242,9 @@ def lemma_B_tensor_omega(inst, report):
     K = inst.field
     _, B_right = inst.b_over_kpar
     om = inst.omega_right_over_kpar
-    T = tensor_over_algebra(inst.kpar.algebra, B_right,
-                            ModuleData(inst.kpar.algebra, om.dim, left=om.left))
-    bs_left, bs_right, _ = inst.bsig_modules_over_ksdd
-    epi = inst.kpar_to_ksdd
-    bs_right_kpar = restrict_along_hom(
-        epi, ModuleData(inst.ksdd.algebra, bs_right.dim, right=bs_right.right))
+    T = tensor_over_algebra(inst.kpar.algebra, B_right, om)
+    _, bs_right, _ = inst.bsig_modules_over_ksdd
+    bs_right_kpar = restrict_along_hom(inst.kpar_to_ksdd, bs_right)
     B_alg = inst.bsig.zeta.source
     pure_images = []
     for ib in range(B_alg.dim):
@@ -297,25 +263,11 @@ def lemma_B_tensor_omega(inst, report):
     ok = (T.dim == inst.bsig.algebra.dim
           and rank(K, M) == inst.bsig.algebra.dim)
     # right module map over kpar
-    my = om.dim
     for r in range(inst.kpar.dim):
         if not ok:
             break
         rv = inst.kpar.algebra.basis_vector(r)
-        act = om.right_matrix_of(rv)
-
-        def amb(vec, act=act):
-            out = [K.zero] * len(vec)
-            for idx, c in enumerate(vec):
-                if c == K.zero:
-                    continue
-                ib, io = idx // my, idx % my
-                for t in range(my):
-                    a = act[t][io]
-                    if a != K.zero:
-                        out[ib * my + t] = K.add(out[ib * my + t], K.mul(c, a))
-            return out
-        act_T = T.map_on_quotient(amb)
+        act_T = T.tensor_map(None, om.right_matrix_of(rv))
         if matmul(K, M, act_T) != matmul(K, bs_right_kpar.right_matrix_of(rv), M):
             ok = False
     report.record("B (x) Omega = B^sigma", ok,
@@ -326,20 +278,16 @@ def lemma_B_tensor_omega(inst, report):
 def omega_flatness_spot_check(inst, report, max_n=1):
     """Tor_1^{kpar}(Omega, X) = 0 for the sample modules in the pipeline."""
     om = inst.omega_right_over_kpar
-    Om_right = ModuleData(inst.kpar.algebra, om.dim, right=om.right)
     B_left, _ = inst.b_over_kpar
-    samples = [("B", ModuleData(inst.kpar.algebra, B_left.dim,
-                                left=B_left.left))]
+    samples = [("B", B_left)]
     _, tower = module_tower(inst, 1)
-    for q, (hd, mod_kpar, _) in enumerate(tower):
-        samples.append((f"H_{q}(A,M)",
-                        ModuleData(inst.kpar.algebra, hd.dim,
-                                   left=mod_kpar.left)))
+    for q, (_, mod_kpar, _) in enumerate(tower):
+        samples.append((f"H_{q}(A,M)", mod_kpar))
     ok = True
     details = []
-    om_res = omega_right_resolution(inst, max_n + 1)
+    om_res = side_resolution(inst, om, "right", max_n + 1)
     for name, X in samples:
-        dims = tor_dims(inst.kpar.algebra, Om_right, X, max_n,
+        dims = tor_dims(inst.kpar.algebra, om, X, max_n,
                         resolution=om_res)
         details.append((name, dims))
         if any(d != 0 for d in dims[1:]):
@@ -382,11 +330,11 @@ def collapse_check_separable(inst, report, max_n=2, hoch_dims=None):
     lhs = hoch_dims if hoch_dims is not None else \
         hochschild_homology_bar(lam_alg, inst.M, max_n, cap=inst.chain_cap)
     _, tower = module_tower(inst, 0)
-    hd0, mod0, _ = tower[0]
-    X0 = ModuleData(inst.kpar.algebra, hd0.dim, left=mod0.left)
+    _, mod0, _ = tower[0]
     _, B_right = inst.b_over_kpar
-    rhs = partial_homology_dims(inst.kpar.algebra, B_right, X0, max_n,
-                                resolution=b_right_resolution(inst, max_n + 1))
+    res = side_resolution(inst, B_right, "right", max_n + 1)
+    rhs = partial_homology_dims(inst.kpar.algebra, B_right, mod0, max_n,
+                                resolution=res)
     ok = lhs[:max_n + 1] == rhs[:max_n + 1]
     report.record("separable collapse (homology)", ok, (lhs, rhs))
     return ok
@@ -401,11 +349,11 @@ def collapse_check_separable_cohomology(inst, report, max_n=2, hoch_dims=None):
     lhs = hoch_dims if hoch_dims is not None else \
         hochschild_cohomology_bar(lam_alg, inst.M, max_n, cap=inst.chain_cap)
     _, tower = module_tower(inst, 0, cochain=True)
-    hd0, mod0, _ = tower[0]
-    X0 = ModuleData(inst.kpar.algebra, hd0.dim, left=mod0.left)
+    _, mod0, _ = tower[0]
     B_left, _ = inst.b_over_kpar
-    rhs = partial_cohomology_dims(inst.kpar.algebra, B_left, X0, max_n,
-                                  resolution=b_left_resolution(inst, max_n + 1))
+    res = side_resolution(inst, B_left, "left", max_n + 1)
+    rhs = partial_cohomology_dims(inst.kpar.algebra, B_left, mod0, max_n,
+                                  resolution=res)
     ok = lhs[:max_n + 1] == rhs[:max_n + 1]
     report.record("separable collapse (cohomology)", ok, (lhs, rhs))
     return ok
@@ -488,7 +436,7 @@ def _a_tensor_m(A, MA):
     return tensor_over_algebra(env,
                                ModuleData(env, A.dim,
                                           right=_env_left_regular(env, A)),
-                               ModuleData(env, MA.dim, left=M_left.left))
+                               M_left)
 
 
 def structural_identity_suite(inst, report):
@@ -523,10 +471,8 @@ def structural_identity_suite(inst, report):
 
     # (a-iii) e_g^sigma (x) y = 1 (x) e_g''.y in B^sigma (x)_{ksdd} Y
     bs_left, bs_right, iota = inst.bsig_modules_over_ksdd
-    Bs_right = ModuleData(inst.ksdd.algebra, bs_right.dim, right=bs_right.right)
     Y = regular_bimodule(inst.ksdd.algebra)
-    Yl = ModuleData(inst.ksdd.algebra, Y.dim, left=Y.left)
-    T = tensor_over_algebra(inst.ksdd.algebra, Bs_right, Yl)
+    T = tensor_over_algebra(inst.ksdd.algebra, bs_right, Y)
     ok = True
     unit_b = inst.bsig.algebra.unit
     for g in range(G.n):
@@ -535,7 +481,7 @@ def structural_identity_suite(inst, report):
         for iy in range(Y.dim):
             yv = [K.one if t == iy else K.zero for t in range(Y.dim)]
             lhs = T.pure(e_sig, yv)
-            rhs = T.pure(unit_b, Yl.act_left(e_dd, yv))
+            rhs = T.pure(unit_b, Y.act_left(e_dd, yv))
             if lhs != rhs:
                 ok = False
     report.record("e_g^s (x) y = 1 (x) e_g''.y", ok)
@@ -568,9 +514,7 @@ def structural_identity_suite(inst, report):
     Bs_right_bdd = ModuleData(bdd_alg, inst.bsig.algebra.dim,
                               right=bs_right_bdd)
     Bs_right_bdd.validate().raise_if_failed()
-    TL = tensor_over_algebra(bdd_alg, Bs_right_bdd,
-                             ModuleData(bdd_alg, lam.algebra.dim,
-                                        left=lam_bsdd.left))
+    TL = tensor_over_algebra(bdd_alg, Bs_right_bdd, lam_bsdd)
     phi_cols = [TL.pure(inst.bsig.algebra.unit, lam.algebra.basis_vector(i))
                 for i in range(lam.algebra.dim)]
     phi_mat = transpose(phi_cols)
@@ -578,50 +522,14 @@ def structural_identity_suite(inst, report):
             and rank(K, phi_mat) == lam.algebra.dim)
     # bimodule structure on B^sigma (x)_{B''} Lambda (X = B^sigma) and the
     # intertwining phi(u . l . v) = u . phi(l) . v
-    my = lam.algebra.dim
-    epi = inst.kpar_to_ksdd
-    bs_right_overksdd = ModuleData(inst.ksdd.algebra, bs_right.dim,
-                                   right=bs_right.right)
     left_mats, right_mats = [], []
-    for pos, (g, li) in enumerate(lam.basis_index):
+    for pos, (g, _) in enumerate(lam.basis_index):
         u = lam.algebra.basis_vector(pos)
-        Lu = lam.algebra.left_mult_matrix(u)
-        Ru = lam.algebra.right_mult_matrix(u)
         gen_mono = inst.ksdd.monoid.gen(G.inv(g))
-        x_act = bs_right_overksdd.right_matrix_of(
-            inst.ksdd.monomial_vector(gen_mono))
-
-        def amb_left(vec, Lu=Lu, x_act=x_act):
-            out = [K.zero] * len(vec)
-            for idx, c in enumerate(vec):
-                if c == K.zero:
-                    continue
-                ix, ic = idx // my, idx % my
-                xcol = [x_act[t][ix] for t in range(inst.bsig.algebra.dim)]
-                lcol = [Lu[t][ic] for t in range(my)]
-                for t, a in enumerate(xcol):
-                    if a == K.zero:
-                        continue
-                    for s, b in enumerate(lcol):
-                        if b != K.zero:
-                            out[t * my + s] = K.add(out[t * my + s],
-                                                    K.mul(c, K.mul(a, b)))
-            return out
-
-        def amb_right(vec, Ru=Ru):
-            out = [K.zero] * len(vec)
-            for idx, c in enumerate(vec):
-                if c == K.zero:
-                    continue
-                ix, ic = idx // my, idx % my
-                for s in range(my):
-                    b = Ru[s][ic]
-                    if b != K.zero:
-                        out[ix * my + s] = K.add(out[ix * my + s],
-                                                 K.mul(c, b))
-            return out
-        left_mats.append(TL.map_on_quotient(amb_left))
-        right_mats.append(TL.map_on_quotient(amb_right))
+        x_act = bs_right.right_matrix_of(inst.ksdd.monomial_vector(gen_mono))
+        left_mats.append(TL.tensor_map(x_act, lam.algebra.left_mult_matrix(u)))
+        right_mats.append(TL.tensor_map(None,
+                                        lam.algebra.right_mult_matrix(u)))
     TL_bimod = ModuleData(lam.algebra, TL.dim, left=left_mats,
                           right=right_mats)
     bimod_rep = TL_bimod.validate()
@@ -639,42 +547,19 @@ def structural_identity_suite(inst, report):
                   bimod_rep.violations[:3])
 
     # bimodule maps are automatically module maps for the conjugation
-    # action; verified for the connecting map phi
-    def conj_action(g, left_of, right_of):
-        one_g = lam.one_delta(g)
-        one_gi = lam.one_delta(G.inv(g))
-        mat = matmul(K, left_of(one_g), right_of(one_gi))
-        return [[K.mul(inst.xi(g), c) for c in row] for row in mat]
-
-    def combine(mats, vec):
-        out = None
-        for pos, c in enumerate(vec):
-            if not c:
-                continue
-            scaled = [[K.mul(c, x) for x in row] for row in mats[pos]]
-            out = scaled if out is None else \
-                [[K.add(a, b) for a, b in zip(ra, rb)]
-                 for ra, rb in zip(out, scaled)]
-        if out is None:
-            n = len(mats[0])
-            return [[K.zero] * n for _ in range(n)]
-        return out
-
-    ok_conj = True
-    for g in range(G.n):
-        act_lam = conj_action(g, lam.algebra.left_mult_matrix,
-                              lam.algebra.right_mult_matrix)
-        act_T = conj_action(g, lambda v: combine(left_mats, v),
-                            lambda v: combine(right_mats, v))
-        if matmul(K, phi_mat, act_lam) != matmul(K, act_T, phi_mat):
-            ok_conj = False
+    # action m -> xi(g) 1_g d_g m 1_{g^-1} d_{g^-1}; verified for the
+    # connecting map phi
+    _, conj_lam = _crossed_action_matrices(lam, regular_bimodule(lam.algebra),
+                                           inst.xi)
+    _, conj_T = _crossed_action_matrices(lam, TL_bimod, inst.xi)
+    ok_conj = all(matmul(K, phi_mat, conj_lam[g]) ==
+                  matmul(K, conj_T[g], phi_mat) for g in range(G.n))
     report.record("bimodule maps are ksdd-module maps (phi)", ok_conj)
 
     # (c) M/[Lambda, M] = B^sigma (x)_{ksdd} (A (x)_{A^e} M)
     _, tower = module_tower(inst, 0)
-    hd0, mod0_kpar, mod0_ksdd = tower[0]
-    X0 = ModuleData(inst.ksdd.algebra, hd0.dim, left=mod0_ksdd.left)
-    TF = tensor_over_algebra(inst.ksdd.algebra, Bs_right, X0)
+    hd0, _, mod0_ksdd = tower[0]
+    TF = tensor_over_algebra(inst.ksdd.algebra, bs_right, mod0_ksdd)
     lamq = commutator_quotient(M)
     ok_c = TF.dim == lamq.dim
     if ok_c:
@@ -707,14 +592,9 @@ def structural_identity_suite(inst, report):
         lam_env,
         ModuleData(lam_env, lam.algebra.dim,
                    left=_env_left_regular(lam_env, lam.algebra)),
-        ModuleData(lam_env, M.dim,
-                   left=bimodule_to_left_env_module(lam_env, lam.algebra,
-                                                    M).left))
+        bimodule_to_left_env_module(lam_env, lam.algebra, M))
     carrier, hom_mod = hom_A_module_structure(lam, M, inst.xi, inst.ksdd)
-    Bs_left = ModuleData(inst.ksdd.algebra, bs_left.dim, left=bs_left.left)
-    RHS_basis = hom_over_algebra(inst.ksdd.algebra, Bs_left,
-                                 ModuleData(inst.ksdd.algebra, hom_mod.dim,
-                                            left=hom_mod.left))
+    RHS_basis = hom_over_algebra(inst.ksdd.algebra, bs_left, hom_mod)
     ok_d = len(W_basis) == len(RHS_basis)
     if ok_d and W_basis:
         # gamma sends F to the map l -> (F(1_B)(1_A)) . l; compare spans
@@ -790,7 +670,6 @@ def degree_zero_formula_check(inst, report):
     T = _a_tensor_m(A, MA)
     ok = T.dim == hd0.dim
     if ok:
-        my = M.dim
         pure_images = []
         for ia in range(A.dim):
             avec = A.basis_vector(ia)
@@ -805,24 +684,7 @@ def degree_zero_formula_check(inst, report):
         for g in range(G.n):
             if not ok:
                 break
-
-            def amb_map(vec, g=g):
-                out = [K.zero] * len(vec)
-                for idx, c in enumerate(vec):
-                    if not c:
-                        continue
-                    ia, im = idx // my, idx % my
-                    for r in range(A.dim):
-                        a = AG[g][r][ia]
-                        if not a:
-                            continue
-                        for s in range(M.dim):
-                            b = MG[g][s][im]
-                            if b:
-                                out[r * my + s] = K.add(
-                                    out[r * my + s], K.mul(c, K.mul(a, b)))
-                return out
-            Tg_tensor = T.map_on_quotient(amb_map)
+            Tg_tensor = T.tensor_map(AG[g], MG[g])
             Tg_h0 = mod0.left_matrix_of(
                 inst.kpar.monomial_vector(inst.kpar.monoid.gen(g)))
             if matmul(K, phi0, Tg_tensor) != matmul(K, Tg_h0, phi0):
@@ -837,24 +699,29 @@ def run_all_checks(inst, max_p=2, max_q=2, max_n=2, deep_hochschild=None):
     report = SpectralCheckReport(inst.name)
     if deep_hochschild is None:
         deep_hochschild = 3 if inst.lam.algebra.dim <= 6 else 2
-    okh, hoch, hochc = hochschild_oracle_check(inst, report,
-                                               max_n=deep_hochschild)
+    with report.timed():
+        okh, hoch, hochc = hochschild_oracle_check(inst, report,
+                                                   max_n=deep_hochschild)
     # assemble the pages first so the chain-action towers are built once at
-    # the largest degree and reused by every later check
-    page = assemble_E2_homology(inst, max_p, max_q)
-    pagec = assemble_E2_cohomology(inst, max_p, max_q)
-    tor_form_consistency(inst, report, max_p=max_p, max_q=min(1, max_q))
-    lemma_B_tensor_omega(inst, report)
-    omega_flatness_spot_check(inst, report)
-    collapse_check_separable(inst, report, max_n=max_n,
-                             hoch_dims=hoch[:max_n + 1])
-    collapse_check_separable_cohomology(inst, report, max_n=max_n,
-                                        hoch_dims=hochc[:max_n + 1])
-    collapse_check_maclane(inst, report, max_n=max_n)
-    degree_zero_formula_check(inst, report)
-    structural_identity_suite(inst, report)
-    dimension_bound_check(inst, report, page, hoch, max_n=max_n,
-                          orientation="homological")
-    dimension_bound_check(inst, report, pagec, hochc, max_n=max_n,
-                          orientation="cohomological")
+    # the largest degree and reused by every later check; their time goes
+    # to the dimension bounds they feed
+    with report.timed(["dimension bound (homological)",
+                       "dimension bound (cohomological)"]):
+        page = assemble_E2_homology(inst, max_p, max_q)
+        pagec = assemble_E2_cohomology(inst, max_p, max_q)
+    for check in (
+            partial(tor_form_consistency, max_p=max_p, max_q=min(1, max_q)),
+            lemma_B_tensor_omega, omega_flatness_spot_check,
+            partial(collapse_check_separable, max_n=max_n,
+                    hoch_dims=hoch[:max_n + 1]),
+            partial(collapse_check_separable_cohomology, max_n=max_n,
+                    hoch_dims=hochc[:max_n + 1]),
+            partial(collapse_check_maclane, max_n=max_n),
+            degree_zero_formula_check, structural_identity_suite,
+            partial(dimension_bound_check, page=page, hoch=hoch,
+                    max_n=max_n, orientation="homological"),
+            partial(dimension_bound_check, page=pagec, hoch=hochc,
+                    max_n=max_n, orientation="cohomological")):
+        with report.timed():
+            check(inst, report)
     return report, page, pagec

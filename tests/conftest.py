@@ -6,7 +6,7 @@ from parhox.fields import QQ
 from parhox.algebras import StructureAlgebra, product_field_algebra, dual_numbers
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
-from parhox.linalg import identity
+from parhox.linalg import identity, transpose
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
 
 
@@ -87,3 +87,14 @@ def z2xz2_partial_idempotent(field=QQ):
                 table[g][h] = z
     sigma = PartialFactorSet(G, field, table, name="v4idem")
     return G, TwistedPartialAction(UnitalPartialAction(A, one, theta), sigma)
+
+
+def dense_map_on_quotient(T, ambient_map_fn):
+    """The matrix on T's quotient coordinates of a map given on ambient
+    vectors (index ix * dim Y + iy): project the image of each lifted
+    quotient basis vector."""
+    K = T.K
+    cols = [T.project(ambient_map_fn(T.quotient.lift(
+        [K.one if t == i else K.zero for t in range(T.dim)])))
+        for i in range(T.dim)]
+    return transpose(cols)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense_map_on_quotient
 from parhox.errors import InvalidInput, PreconditionFailed, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
@@ -17,7 +18,8 @@ from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
                              restrict_along_hom, separability_idempotent,
                              subalgebra_generated, tensor_over_algebra)
 from parhox.groups import cyclic_group
-from parhox.linalg import identity, transpose
+from parhox.homology import kron
+from parhox.linalg import Subspace, identity, matvec, transpose
 
 
 def F(x):
@@ -313,6 +315,74 @@ def test_tensor_and_hom_basics():
                     row[s * mx + c] = QQ.sub(row[s * mx + c], LX[r][s])
                 rows.append(row)
     assert len(homs) == my * mx - rank(QQ, rows)
+
+
+def dense_relations(K, X, Y, R):
+    """The balancing relations x.b (x) y - x (x) b.y as dense vectors on the
+    ambient basis ix * dim Y + iy, one per (b, ix, iy)."""
+    mx, my = X.dim, Y.dim
+    out = []
+    for b in range(R.dim):
+        for ix in range(mx):
+            for iy in range(my):
+                v = [K.zero] * (mx * my)
+                for r in range(mx):
+                    v[r * my + iy] = K.add(v[r * my + iy], X.right[b][r][ix])
+                for r in range(my):
+                    v[ix * my + r] = K.sub(v[ix * my + r], Y.left[b][r][iy])
+                out.append(v)
+    return out
+
+
+def kron_reference(T, P, Q):
+    """The matrix of P (x) Q on T: column i projects kron(P, Q) applied to
+    the lift of the i-th quotient basis vector."""
+    K = T.K
+    PQ = kron(K, P if P is not None else identity(K, T.X.dim),
+              Q if Q is not None else identity(K, T.Y.dim))
+    return dense_map_on_quotient(T, lambda v: matvec(K, PQ, v))
+
+
+@pytest.mark.parametrize("K", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_tensor_map_matches_kron_reference(K):
+    rng = random.Random(11)
+
+    def element(A):
+        return [K.from_int(rng.randint(-2, 2)) for _ in range(A.dim)]
+
+    for A in (group_algebra(K, cyclic_group(3)), matrix_algebra(K, 2),
+              dual_numbers(K)):
+        M = regular_bimodule(A)
+        T = tensor_over_algebra(A, M, M)
+        # the sparse balancing relations span what the dense ones span
+        assert T.relations.basis() == \
+            Subspace(K, A.dim * A.dim, dense_relations(K, M, M, A)).basis()
+        for _ in range(3):
+            # a -> u a is a right module map of A_A, a -> a v a left one
+            # of _A A
+            P = A.left_mult_matrix(element(A))
+            Q = A.right_mult_matrix(element(A))
+            for f, g in ((P, Q), (P, None), (None, Q), (None, None)):
+                assert T.tensor_map(f, g) == kron_reference(T, f, g)
+        # a dimension-0 factor on either side
+        zero_left = module_from_generator_actions(A, 0, {}, side="left")
+        zero_right = module_from_generator_actions(A, 0, {}, side="right")
+        for T0, f, g in ((tensor_over_algebra(A, M, zero_left), P, []),
+                         (tensor_over_algebra(A, zero_right, M), [], Q)):
+            assert T0.dim == 0
+            assert T0.tensor_map(f, g) == kron_reference(T0, f, g) == []
+
+
+def test_tensor_map_rejects_a_map_that_does_not_descend():
+    # on Q[Z2] (x)_{Q[Z2]} Q[Z2] = Q[Z2], the projection onto the unit is
+    # not a module map on either side: 1 (x) g - g (x) 1 goes to 1 (x) g
+    A = group_algebra(QQ, cyclic_group(2))
+    M = regular_bimodule(A)
+    T = tensor_over_algebra(A, M, M)
+    P = [[QQ.one, QQ.zero], [QQ.zero, QQ.zero]]
+    for f, g in ((P, None), (None, P)):
+        with pytest.raises(InvalidInput, match="does not descend"):
+            T.tensor_map(f, g)
 
 
 def test_module_validation_and_restriction():

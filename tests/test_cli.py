@@ -171,13 +171,14 @@ def test_cli_malformed_json_is_machine_readable(tmp_path, capsys):
     assert doc["error"]["type"] == "IOError"
 
 
-def test_problem_file_cap_is_honored(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["hochschild", "partial-homology"])
+def test_problem_file_cap_is_honored(command, tmp_path, capsys):
     # a tiny chain cap in the problem options must trip SizeLimit
     src = json.loads(open(fixture_path("z2_dual_q.json")).read())
     src["options"]["cap"] = 4
     p = tmp_path / "capped.json"
     p.write_text(json.dumps(src))
-    code = main(["hochschild", str(p), "--max-n", "2"])
+    code = main([command, str(p), "--max-n", "2"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 2
     assert doc["error"]["type"] == "SizeLimit"

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import z2_universal, z3_kappa2_action, z2_dual_numbers
+from conftest import (dense_map_on_quotient, z2_universal, z3_kappa2_action,
+                      z2_dual_numbers)
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (ModuleData, commutator_quotient, dual_bimodule,
                              dual_numbers, matrix_algebra, product_field_algebra,
@@ -400,7 +401,6 @@ def test_degree_zero_matches_tensor_formula():
         pure_images.append(row)
     phi0 = T.map_from(pure_images, hd0.dim)
     assert rank(K, phi0) == hd0.dim
-    AG, MG = None, None
     from parhox.homology import _crossed_action_matrices
     AG, MG = _crossed_action_matrices(lam, M, xi)
     for g in range(G.n):
@@ -420,7 +420,9 @@ def test_degree_zero_matches_tensor_formula():
                             out[r * my + s] = K.add(out[r * my + s],
                                                     K.mul(c, K.mul(a, b)))
             return out
-        Tg_tensor = T.map_on_quotient(amb_map)
+        Tg_tensor = T.tensor_map(AG[g], MG[g])
+        # the hand-written ambient map is the dense reference
+        assert Tg_tensor == dense_map_on_quotient(T, amb_map)
         Tg_h0 = mod0.left_matrix_of(kp.monomial_vector(kp.monoid.gen(g)))
         assert matmul(K, phi0, Tg_tensor) == matmul(K, Tg_h0, phi0)
 

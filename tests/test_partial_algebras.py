@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import z2_universal, z3_kappa2_action, z2xz2_partial_idempotent
+from conftest import (dense_map_on_quotient, z2_universal, z3_kappa2_action,
+                      z2xz2_partial_idempotent)
 from parhox.errors import ValidationFailure
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (AlgebraHom, ModuleData, product_field_algebra,
@@ -360,7 +361,10 @@ def test_lemma_B_tensor_omega_is_B_sigma():
     # right kpar-module map: M . act_T(r) = act_B(r) . M for every basis r
     for r in range(kp.dim):
         rv = kp.algebra.basis_vector(r)
-        act_T = T.map_on_quotient(lambda amb, rv=rv: _amb_right(T, om_reg, omega, kp, amb, rv))
+        act_T = T.tensor_map(None, om_as_kpar.right_matrix_of(rv))
+        # the hand-written ambient map is the dense reference
+        assert act_T == dense_map_on_quotient(
+            T, lambda amb, rv=rv: _amb_right(T, om_reg, omega, kp, amb, rv))
         lhs = matmul(QQ, M, act_T)
         rhs = matmul(QQ, bs_right_kpar.right_matrix_of(rv), M)
         assert lhs == rhs

@@ -73,6 +73,11 @@ def test_full_suite_z3_kappa2_q():
     inst = Instance("z3_kappa2_q", QQ, G, theta=theta)
     report, page, pagec = run_all_checks(inst)
     assert report.ok, report.to_json()
+    # every check is credited the measured time of the call recording it,
+    # and the times stay out of the report
+    assert set(report.seconds) == {name for (name, _, _) in report.checks}
+    assert all(secs >= 0 for secs in report.seconds.values())
+    assert set(report.to_json()) == {"instance", "scope", "checks", "ok"}
 
 
 def test_full_suite_z3_kappa2_f3():
