@@ -829,7 +829,8 @@ def module_from_generator_actions(A, dim, given, side="left"):
 
     `given` maps basis indices to action matrices.  The closure tracks the
     span of algebra elements with known action; multiplication order follows
-    the side convention.
+    the side convention.  Each ordered pair of known elements is multiplied
+    once: a round pairs known[i] only with the elements new to it.
     """
     K = A.field
     if dim == 0:
@@ -848,17 +849,18 @@ def module_from_generator_actions(A, dim, given, side="left"):
     push(A.unit, _sp_identity(dim))
     for i, mat in given.items():
         push(A.basis_vector(i), _sparse_matrix(K, mat))
-    changed = True
-    while changed and span.dim < A.dim:
-        changed = False
-        for (u, Mu) in list(known):
-            for (v, Mv) in list(known):
+    paired = []     # known[i] was multiplied with known[:paired[i]]
+    while len(paired) < len(known) and span.dim < A.dim:
+        paired += [0] * (len(known) - len(paired))
+        for i in range(len(paired)):
+            u, Mu = known[i]
+            start, paired[i] = paired[i], len(known)
+            for (v, Mv) in known[start:paired[i]]:
                 w = A.mul(u, v)
                 # the product of the actions is formed only for a new w
                 if span.add(w):
                     known.append((w, _sp_matmul(Mu, Mv, p) if side == "left"
                                   else _sp_matmul(Mv, Mu, p)))
-                    changed = True
     if span.dim < A.dim:
         raise InvalidInput("the given generators do not generate the algebra")
     vecs = [u for (u, _) in known]

@@ -21,6 +21,7 @@ from .groups import FiniteGroup, enumerate_exel
 from .homology import (DEFAULT_CHAIN_CAP, hochschild_cohomology_bar,
                        hochschild_homology_bar, hochschild_homology_resolution,
                        partial_homology_dims)
+from .instance import DEFAULT_MONOID_LIMIT
 from .partial_actions import validate_twisted
 from .partial_algebras import build_kpar, build_kpar_sigma
 from .problems import build_instance, parse_spec_file
@@ -258,7 +259,7 @@ def main(argv=None):
     p.add_argument("--field",
                    help='field for bare group files: JSON text like '
                         '{"kind":"Fp","p":7} or a path to one')
-    p.add_argument("--cap", type=int, default=512,
+    p.add_argument("--cap", type=int, default=DEFAULT_MONOID_LIMIT,
                    help="monoid size limit (PARHOX_CAP overrides)")
     p.set_defaults(fn=cmd_build_kpar)
 

@@ -3,11 +3,15 @@
 
 Degree conventions:
 
-  * a ChainComplex stores d[q] for 1 <= q <= top, C_q = kappa^{dims[q]};
-    it knows its direction: d[q]: C_q -> C_{q-1} for chains and
-    d[q]: C^{q-1} -> C^q for cochains (only cobar_complex builds these),
-    and every reader (homology data, the chain-action gate) asks the
-    complex which map leaves and which enters a degree;
+  * a ChainComplex stores d[q] for 1 <= q <= top, C_q = kappa^{dims[q]},
+    as a list of kernel rows (`{col: value}` dicts of `linalg`, one per
+    basis element of the target; `dims` gives the shape).  It knows its
+    direction: d[q]: C_q -> C_{q-1} for chains and d[q]: C^{q-1} -> C^q
+    for cochains (only cobar_complex builds these), and every reader
+    (homology data, the chain-action gate) asks the complex which map
+    leaves and which enters a degree.  The group action on the chains
+    (GModuleOnChains) keeps its matrices T_g as kernel rows too, and
+    nothing at the chain level is ever stored densely;
   * homology dims use  dim H_q = dims[q] - rank d[q] - rank d[q+1]  in
     both directions;
   * a FreeResolution of a module X over R keeps generator images, so the
@@ -37,9 +41,9 @@ from .algebras import (ModuleData, ValidationReport,
                        hom_over_algebra, module_from_generator_actions)
 from .linalg import (QuotientSpace, Subspace, _char, _dense, _Echelon,
                      _kernel_of, _nonzero, _rank_of, _scalar, _sp_combination,
-                     _sp_identity, _sp_matmul, _sparse, _sparse_matrix,
-                     identity, matmul, matvec, nullspace, rank, solve,
-                     transpose, zeros)
+                     _sp_identity, _sp_kron, _sp_matmul, _sp_transpose,
+                     _sparse, _sparse_matrix, identity, matmul, solve,
+                     transpose)
 
 __all__ = [
     "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
@@ -49,15 +53,15 @@ __all__ = [
     "hochschild_cohomology_resolution", "partial_homology_dims",
     "partial_cohomology_dims", "GModuleOnChains", "diagonal_chain_action",
     "diagonal_cochain_action", "induced_action_on_homology",
-    "hom_A_carrier", "hom_A_module_structure", "kron",
+    "hom_A_carrier", "hom_A_module_structure",
 ]
 
 DEFAULT_CHAIN_CAP = 200_000
 
 
 class ChainComplex:
-    """dims[q] for 0 <= q <= top; d[q] for 1 <= q <= top, C_q -> C_{q-1}
-    for chains and C^{q-1} -> C^q when `cochain` is set."""
+    """dims[q] for 0 <= q <= top; d[q] for 1 <= q <= top as kernel rows,
+    C_q -> C_{q-1} for chains and C^{q-1} -> C^q when `cochain` is set."""
 
     def __init__(self, field, dims, diffs, cochain=False):
         self.field = field
@@ -84,10 +88,8 @@ class ChainComplex:
         rep = ValidationReport("chain complex")
         K = self.field
         p = _char(K)
-        d = {q: _sparse_matrix(K, M) for q, M in self.d.items()}
+        d = self.d
         for q in range(2, self.top + 1):
-            if self.dims[q] == 0 or self.dims[q - 2] == 0:
-                continue
             first, second = (d[q - 1], d[q]) if self.cochain \
                 else (d[q], d[q - 1])
             if any(_sp_matmul(second, first, p)):
@@ -95,36 +97,13 @@ class ChainComplex:
         return rep
 
 
-def kron(K, A, B):
-    """Kronecker product acting on the lexicographic tensor basis."""
-    if not A or not B:
-        return [[K.zero] * (len(A[0] if A else []) * len(B[0] if B else []))
-                for _ in range(len(A) * len(B))]
-    ma, na = len(A), len(A[0])
-    mb, nb = len(B), len(B[0])
-    out = zeros(K, ma * mb, na * nb)
-    for i in range(ma):
-        for j in range(na):
-            a = A[i][j]
-            if a == K.zero:
-                continue
-            for k in range(mb):
-                rowB = B[k]
-                orow = out[i * mb + k]
-                for l in range(nb):
-                    b = rowB[l]
-                    if b != K.zero:
-                        orow[j * nb + l] = K.add(orow[j * nb + l], K.mul(a, b))
-    return out
-
-
 class _BarBasis:
     """Index bookkeeping for M (x) W^(x q), W either R or the reduced Rbar,
     and the face tables of the (co)bar differentials, built once per
-    complex as sparse [(index, coeff)] lists:
+    complex as kernel rows:
 
       * prod[i][j]: a_i a_j in the reduced basis;
-      * left[i][m]: a_i . e_m and right[m][i]: e_m . a_i in the M-basis.
+      * left[i][m]: a_i . e_m and right[i][m]: e_m . a_i in the M-basis.
     """
 
     def __init__(self, R, M, normalized):
@@ -140,18 +119,15 @@ class _BarBasis:
             self.quot = None
             self.wdim = R.dim
 
-        def nonzero(vec):
-            return [(j, c) for j, c in enumerate(vec) if c != K.zero]
-
         lifted = [self.lift(i) for i in range(self.wdim)]
-        units = [[K.one if t == m else K.zero for t in range(M.dim)]
-                 for m in range(M.dim)]
-        self.prod = [[nonzero(self.project(R.mul(x, y))) for y in lifted]
+        self.prod = [[_sparse(K, self.project(R.mul(x, y))) for y in lifted]
                      for x in lifted]
-        self.left = [[nonzero(M.act_left(x, e)) for e in units]
-                     for x in lifted]
-        self.right = [[nonzero(M.act_right(e, x)) for x in lifted]
-                      for e in units]
+
+        def columns(mat):
+            return _sp_transpose(_sparse_matrix(K, mat), M.dim)
+
+        self.left = [columns(M.left_matrix_of(x)) for x in lifted]
+        self.right = [columns(M.right_matrix_of(x)) for x in lifted]
 
     def lift(self, i):
         """The algebra element behind reduced-basis index i."""
@@ -189,39 +165,41 @@ def bar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
                       + sum_i (-1)^i (m, a1.. a_i a_{i+1} ..aq)
                       + (-1)^q (aq.m, a1..a_{q-1}).
 
-    Returns (ChainComplex, _BarBasis); d.d = 0 is asserted exactly.
+    Each column (the boundary of one basis chain) is summed in one sparse
+    dict and the columns are transposed into kernel rows once.  Returns
+    (ChainComplex, _BarBasis); d.d = 0 is asserted exactly.
     """
     K = R.field
+    p = _char(K)
     bb = _BarBasis(R, M, normalized)
     dims = [bb.dim_q(q) for q in range(max_q + 1)]
     if any(d > cap for d in dims):
         raise SizeLimit(f"bar complex dims {dims} exceed cap {cap}")
-    add, neg = K.add, K.neg
     diffs = {}
     for q in range(1, max_q + 1):
-        mat = zeros(K, dims[q - 1], dims[q])
         stride = bb.wdim ** (q - 1)
-        col = 0
+        cols = []
         for im in range(M.dim):
             for tup in bb.tuples(q):
                 # face 0: (m.a1, a2..aq)
                 rest = bb.flat(0, tup[1:])
                 faces = [(jm * stride + rest, c)
-                         for jm, c in bb.right[im][tup[0]]]
+                         for jm, c in bb.right[tup[0]][im].items()]
                 # inner faces: (-1)^(i+1) (m, a1.. a_i a_{i+1} ..aq)
                 for i in range(q - 1):
-                    for jw, c in bb.prod[tup[i]][tup[i + 1]]:
+                    for jw, c in bb.prod[tup[i]][tup[i + 1]].items():
                         r = bb.flat(im, tup[:i] + (jw,) + tup[i + 2:])
-                        faces.append((r, c if i % 2 else neg(c)))
+                        faces.append((r, c if i % 2 else -c))
                 # last face: (-1)^q (aq.m, a1..a_{q-1})
                 rest = bb.flat(0, tup[:-1])
-                for jm, c in bb.left[tup[-1]][im]:
+                for jm, c in bb.left[tup[-1]][im].items():
                     faces.append((jm * stride + rest,
-                                  c if q % 2 == 0 else neg(c)))
+                                  c if q % 2 == 0 else -c))
+                col = {}
                 for r, c in faces:
-                    mat[r][col] = add(mat[r][col], c)
-                col += 1
-        diffs[q] = mat
+                    col[r] = col.get(r, 0) + c
+                cols.append(_nonzero(col, p))
+        diffs[q] = _sp_transpose(cols, dims[q - 1])
     cc = ChainComplex(K, dims, diffs)
     cc.validate().raise_if_failed()
     return cc, bb
@@ -241,17 +219,16 @@ def cobar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
     cc, bb = bar_complex(R, dual_bimodule(M), max_q, normalized=normalized,
                          cap=cap)
     return ChainComplex(cc.field, cc.dims,
-                        {q: transpose(d) for q, d in cc.d.items()},
+                        {q: _sp_transpose(d, cc.dims[q])
+                         for q, d in cc.d.items()},
                         cochain=True), bb
 
 
 def homology_dims_of_complex(cc, max_q):
     """Betti-style dims dims[q] - rank d[q] - rank d[q+1], which holds in
     either direction."""
-    K = cc.field
-    rk = {}
-    for q in range(1, min(max_q + 1, cc.top) + 1):
-        rk[q] = rank(K, cc.d[q]) if cc.dims[q] and cc.dims[q - 1] else 0
+    rk = {q: _rank_of(cc.field, [dict(row) for row in cc.d[q]])
+          for q in range(1, min(max_q + 1, cc.top) + 1)}
     return [cc.dims[q] - rk.get(q, 0) - rk.get(q + 1, 0)
             for q in range(max_q + 1)]
 
@@ -268,28 +245,28 @@ class HomologyData:
     def express(self, cycle_vec):
         """Coefficients of a cycle in the homology basis."""
         qv = self.quotient.project(cycle_vec)
-        if not self.hbasis:
-            if any(c != self.K.zero for c in qv):
-                raise InvalidInput("vector not in the homology span")
-            return []
-        coords = solve(self.K, transpose(self.hbasis), qv)
+        # an empty basis is a len(qv) x 0 matrix: a nonzero qv is rejected
+        coords = solve(self.K, transpose(self.hbasis) or [[] for _ in qv], qv)
         if coords is None:
             raise InvalidInput("vector not in the homology span")
         return coords
 
 
-def homology_data(K, dim_q, d_in, d_out):
-    """Representative-level homology at one degree: d_in: C_q -> C_{q-1}
-    (None for q = 0 or zero map), d_out: C_{q+1} -> C_q (None if absent)."""
-    if d_in is not None and any(any(c != K.zero for c in row) for row in d_in):
-        cycles = nullspace(K, d_in, dim_q)
-    else:
-        cycles = [list(r) for r in identity(K, dim_q)]
-    bsub = Subspace(K, dim_q)
-    if d_out is not None:
-        for col in transpose(d_out):
-            bsub.add(col)
-    quot = QuotientSpace(K, dim_q, bsub)
+def homology_data(cc, q):
+    """Representative-level homology of the complex cc at degree q: the
+    cycles are the kernel of the differential leaving C_q (all of C_q if
+    there is none), the boundaries the columns of the one entering it."""
+    K = cc.field
+    n = cc.dims[q]
+    d_leaving, d_entering = cc.at(q)
+    cycles = [_dense(K, v, n) for v in
+              _kernel_of(K, [dict(row) for row in d_leaving or ()], n)]
+    bsub = Subspace(K, n)
+    if d_entering is not None:
+        source = q - 1 if cc.cochain else q + 1
+        for col in _sp_transpose(d_entering, cc.dims[source]):
+            bsub.ech.add(col)
+    quot = QuotientSpace(K, n, bsub)
     reps, hbasis = [], []
     hsub = Subspace(K, quot.dim)
     for c in cycles:
@@ -297,7 +274,7 @@ def homology_data(K, dim_q, d_in, d_out):
         if hsub.add(p):
             reps.append(c)
             hbasis.append(p)
-    return HomologyData(K, dim_q, reps, quot, hbasis)
+    return HomologyData(K, n, reps, quot, hbasis)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +319,9 @@ class FreeResolution:
         augmentation (q = 0)."""
         K = self.R.field
         tgt_dim = self.module.dim if q == 0 else self.ranks[q - 1] * self.R.dim
-        cols = [_dense(K, col, tgt_dim) for col in self._columns(q)]
-        if not cols:
-            return [[] for _ in range(tgt_dim)]
-        return transpose(cols)
+        cols = self._columns(q)
+        return [_dense(K, row, len(cols))
+                for row in _sp_transpose(cols, tgt_dim)]
 
 
 def _action_table(R, side):
@@ -414,11 +390,9 @@ def free_resolution(R, module, side, length, style="greedy", cap=None):
     m = module.dim
     p = _char(K)
     # step 0: generators of the module itself
-    basis = [list(v) for v in identity(K, m)]
+    cand0 = identity(K, m)
     if style == "greedy_reversed":
-        cand0 = list(reversed(basis))
-    else:
-        cand0 = basis
+        cand0.reverse()
     span = Subspace(K, m)
     gens0 = []
     for v in cand0:
@@ -439,11 +413,11 @@ def free_resolution(R, module, side, length, style="greedy", cap=None):
     gen_images = [gens0]
     _check_size(0, ranks[0], d, cap)
     res = FreeResolution(R, module, side, ranks, gen_images)
-    prev = res._columns(0)
+    prev, prev_tgt = res._columns(0), m
     if _rank_of(K, [dict(c) for c in prev]) != m:
         raise InvalidInput("augmentation not surjective")
     for q in range(1, length + 1):
-        ker = _kernel_of(K, _rows_of(prev), ranks[q - 1] * d)
+        ker = _kernel_of(K, _sp_transpose(prev, prev_tgt), ranks[q - 1] * d)
         if style == "greedy_reversed":
             ker = list(reversed(ker))
         gens = _submodule_generators(res.acts, ker, d, p,
@@ -453,32 +427,13 @@ def free_resolution(R, module, side, length, style="greedy", cap=None):
         gen_images.append(gens)
         cols = res._columns(q)
         # d.d = 0 on the generators (hence everywhere: these are module maps)
-        for w in gens:
-            if _combine(prev, w, p):
-                raise InvalidInput(f"d.d != 0 at degree {q}")
+        if any(_sp_matmul(gens, prev, p)):
+            raise InvalidInput(f"d.d != 0 at degree {q}")
         # exactness gate: image of d_q spans exactly ker(d_{q-1})
         if ker and _rank_of(K, [dict(c) for c in cols]) != len(ker):
             raise InvalidInput(f"resolution not exact at degree {q}")
-        prev = cols
+        prev, prev_tgt = cols, ranks[q - 1] * d
     return res
-
-
-def _rows_of(cols):
-    """The rows of a matrix given by sparse columns."""
-    rows = {}
-    for s, col in enumerate(cols):
-        for t, a in col.items():
-            rows.setdefault(t, {})[s] = a
-    return list(rows.values())
-
-
-def _combine(cols, w, p):
-    """sum_s w[s] cols[s] for sparse columns and a sparse w."""
-    out = {}
-    for s, a in w.items():
-        for t, x in cols[s].items():
-            out[t] = out.get(t, 0) + a * x
-    return _nonzero(out, p)
 
 
 def _induced_dims(res, mats, m, max_n):
@@ -610,19 +565,19 @@ class GModuleOnChains:
 
     def __init__(self, complex_, action, sigma_pattern):
         self.complex = complex_
-        self.action = action            # action[g][q] = matrix on C_q
+        self.action = action            # action[g][q]: kernel rows on C_q
         self.sigma_pattern = sigma_pattern
 
     def gate(self, group):
         """Equivariance and the partial-representation relations, checked on
-        kernel rows: every T_g on C_q and every d[q] is converted once."""
+        the kernel rows of every T_g and d[q] as they are stored."""
         K = self.complex.field
         p = _char(K)
         rep = ValidationReport("chain-level diagonal action")
-        top = len(self.action[0]) - 1
-        T = [[_sparse_matrix(K, M) for M in mats] for mats in self.action]
+        T = self.action
+        top = len(T[0]) - 1
+        d = self.complex.d
         # equivariance with the differential: d[q] T_source = T_target d[q]
-        d = {q: _sparse_matrix(K, self.complex.d[q]) for q in range(1, top + 1)}
         for g in range(len(T)):
             for q in range(1, top + 1):
                 src, tgt = self.complex.ends(q)
@@ -689,15 +644,22 @@ def m_as_a_bimodule(lam, M):
     return MA
 
 
-def _gated_kron_action(cc, MG, AG, sigma_dd, group):
-    """T_g = MG[g] (x) AG[g]^(x q) on degree q of the M-major complex cc,
-    hard-gated."""
+def _gated_kron_action(cc, lam, M, xi, sigma_dd, group):
+    """T_g = MG[g] (x) X_g^(x q) on degree q of the M-major complex cc, as
+    kernel rows, where X_g = AG[g] on chains and AG[g^-1]^T on cochains
+    (`_crossed_action_matrices`); hard-gated."""
     K = cc.field
+    p = _char(K)
+    n = lam.theta.algebra.dim
+    AG, MG = _crossed_action_matrices(lam, M, xi)
+    X = [_sparse_matrix(K, AG[g]) for g in range(group.n)]
+    if cc.cochain:
+        X = [_sp_transpose(X[group.inv(g)], n) for g in range(group.n)]
     action = []
     for g in range(group.n):
-        mats = [MG[g]]
+        mats = [_sparse_matrix(K, MG[g])]
         for _ in range(cc.top):
-            mats.append(kron(K, mats[-1], AG[g]))
+            mats.append(_sp_kron(mats[-1], X[g], n, p))
         action.append(mats)
     gmod = GModuleOnChains(cc, action, sigma_dd)
     rep = gmod.gate(group)
@@ -715,8 +677,7 @@ def diagonal_chain_action(lam, M, xi, sigma_dd, max_q, group=None,
     group = group or lam.group
     cc, bb = bar_complex(lam.theta.algebra, m_as_a_bimodule(lam, M), max_q,
                          normalized=False, cap=cap)
-    AG, MG = _crossed_action_matrices(lam, M, xi)
-    return _gated_kron_action(cc, MG, AG, sigma_dd, group), bb
+    return _gated_kron_action(cc, lam, M, xi, sigma_dd, group), bb
 
 
 def diagonal_cochain_action(lam, M, xi, sigma_dd, max_q, group=None,
@@ -727,9 +688,7 @@ def diagonal_cochain_action(lam, M, xi, sigma_dd, max_q, group=None,
     group = group or lam.group
     cc, bb = cobar_complex(lam.theta.algebra, m_as_a_bimodule(lam, M), max_q,
                            normalized=False, cap=cap)
-    AG, MG = _crossed_action_matrices(lam, M, xi)
-    AGt = [transpose(AG[group.inv(g)]) for g in range(group.n)]
-    return _gated_kron_action(cc, MG, AGt, sigma_dd, group), bb
+    return _gated_kron_action(cc, lam, M, xi, sigma_dd, group), bb
 
 
 def induced_action_on_homology(gmod, q, target_algebra, group,
@@ -741,26 +700,27 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
     call on the same complex, reused instead of recomputed."""
     cc = gmod.complex
     K = cc.field
+    p = _char(K)
+    n = cc.dims[q]
     if hd is None:
-        d_leaving, d_entering = cc.at(q)
-        hd = homology_data(K, cc.dims[q], d_leaving, d_entering)
+        hd = homology_data(cc, q)
+    # the representatives as the columns of a matrix on C_q
+    R = _sp_transpose([_sparse(K, v) for v in hd.reps], n)
     gen_mats = {}
     for g in range(group.n):
         mono = target_algebra.monoid.gen(g)
         if not target_algebra.is_alive(mono):
             continue
-        cols = []
-        for rep_vec in hd.reps:
-            img = matvec(K, gmod.action[g][q], rep_vec)
-            cols.append(hd.express(img))
+        TR = _sp_matmul(gmod.action[g][q], R, p)
+        cols = [hd.express(_dense(K, img, n))
+                for img in _sp_transpose(TR, hd.dim)]
         gen_mats[target_algebra.position[mono]] = transpose(cols) if cols else []
     mod = module_from_generator_actions(target_algebra.algebra, hd.dim,
                                         gen_mats, side="left")
     mod.validate().raise_if_failed()
     if annihilator_vectors:
-        z = zeros(K, hd.dim, hd.dim)
         for v in annihilator_vectors:
-            if mod.left_matrix_of(v) != z:
+            if any(any(row) for row in mod.left_matrix_of(v)):
                 kind = "cohomology" if cc.cochain else "homology"
                 raise EquivarianceFailure(
                     f"ker(zeta) does not annihilate the {kind} module")
@@ -787,13 +747,11 @@ def hom_A_module_structure(lam, M, xi, ktw_dd, group=None):
     K = A.field
     carrier = hom_A_carrier(lam, M)
     AG, MG = _crossed_action_matrices(lam, M, xi)
-    span = Subspace(K, M.dim * A.dim)
 
     def flatten(F):
         return [F[r][c] for r in range(M.dim) for c in range(A.dim)]
 
-    for F in carrier:
-        span.add(flatten(F))
+    basis = transpose([flatten(F) for F in carrier])
     gen_mats = {}
     for g in range(group.n):
         mono = ktw_dd.monoid.gen(g)
@@ -802,8 +760,7 @@ def hom_A_module_structure(lam, M, xi, ktw_dd, group=None):
         cols = []
         for F in carrier:
             img = matmul(K, MG[g], matmul(K, F, AG[group.inv(g)]))
-            coords = solve(K, transpose([flatten(F2) for F2 in carrier]),
-                           flatten(img))
+            coords = solve(K, basis, flatten(img))
             if coords is None:
                 raise EquivarianceFailure("action leaves Hom_{A^e}(A, M)")
             cols.append(coords)

@@ -24,12 +24,15 @@ from .partial_algebras import (b_sigma_module_structures, build_B_sigma_omega,
                                lambda_as_bsdd_module, monomial_projection_hom,
                                phi_psi_crossed_iso)
 
-__all__ = ["Instance"]
+__all__ = ["Instance", "DEFAULT_MONOID_LIMIT"]
+
+DEFAULT_MONOID_LIMIT = 512      # the default bound on |S(G)|
 
 
 class Instance:
     def __init__(self, name, field, group, sigma=None, theta=None,
-                 module=None, validate=True, monoid_limit=512):
+                 module=None, validate=True,
+                 monoid_limit=DEFAULT_MONOID_LIMIT):
         """theta: a TwistedPartialAction or None (then the universal action
         on B^sigma is used); module: a Lambda-bimodule ModuleData or None
         (then the regular bimodule); sigma defaults to the trivial twist and

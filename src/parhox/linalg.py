@@ -23,14 +23,17 @@ Matrices get the same treatment, in one sparse-matrix layer:
 `_sparse_matrix` turns a dense matrix into a list of kernel rows once
 (`_sp_identity` is the identity in that form), `_sp_matmul` multiplies two
 such lists row by row (Gustavson's row-wise product, ACM TOMS 4, 1978: each
-row of A adds up a_ik * (row k of B) over its nonzero a_ik in a dict) and
-`_sp_combination` forms sum_k c_k X_k.  Both results are normalized like
-`_nonzero` (reduced mod p over F_p, zeros dropped), so two matrices are
-equal exactly when their row lists compare equal.  The module-axiom and
-chain-action gates in `algebras` and `homology` convert each action matrix
-once and then work on these rows only.  `matmul` is a thin dense wrapper
-over `_sp_matmul`: its result has residues in [0, p) over F_p and Fraction
-entries over Q, where every zero entry is the shared `K.zero`.
+row of A adds up a_ik * (row k of B) over its nonzero a_ik in a dict),
+`_sp_combination` forms sum_k c_k X_k, `_sp_kron` the Kronecker product
+and `_sp_transpose` the transpose (a row list does not carry its column
+count, so both take it).  Results are normalized like `_nonzero` (reduced
+mod p over F_p, zeros dropped), so two matrices are equal exactly when
+their row lists compare equal.  The module-axiom gate in `algebras`
+converts each action matrix once; the Hochschild chain complexes and the
+group action on them in `homology` are kernel rows from the start.
+`matmul` is a thin dense wrapper over `_sp_matmul`: its result has
+residues in [0, p) over F_p and Fraction entries over Q, where every zero
+entry is the shared `K.zero`.
 """
 
 from fractions import Fraction
@@ -132,6 +135,24 @@ def _sparse_matrix(K, M):
 def _sp_identity(n):
     """The n x n identity as kernel rows."""
     return [{r: 1} for r in range(n)]
+
+
+def _sp_transpose(rows, ncols):
+    """The transpose of a matrix of kernel rows with ncols columns."""
+    out = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, a in row.items():
+            out[c][r] = a
+    return out
+
+
+def _sp_kron(A, B, nb, p):
+    """The Kronecker product of kernel-row matrices A and B, B with nb
+    columns, on the lexicographic tensor basis: row i * len(B) + k holds
+    a_ij b_kl at column j * nb + l."""
+    return [_nonzero({j * nb + l: a * b for j, a in arow.items()
+                      for l, b in brow.items()}, p)
+            for arow in A for brow in B]
 
 
 def _sp_matmul(A, B, p):

@@ -12,14 +12,15 @@ from .algebras import (ModuleData, StructureAlgebra,
 from .factor_sets import PartialFactorSet
 from .groups import FiniteGroup
 from .homology import DEFAULT_CHAIN_CAP
-from .instance import Instance
+from .instance import DEFAULT_MONOID_LIMIT, Instance
 from .partial_actions import TwistedPartialAction, UnitalPartialAction
 
 __all__ = ["ProblemSpec", "parse_spec", "parse_spec_file", "build_instance",
            "fixture_dir", "bundled_fixtures", "load_fixture"]
 
 DEFAULT_OPTIONS = {"max_p": 2, "max_q": 2, "max_n": 2,
-                   "cap": DEFAULT_CHAIN_CAP, "monoid_limit": 512}
+                   "cap": DEFAULT_CHAIN_CAP,
+                   "monoid_limit": DEFAULT_MONOID_LIMIT}
 POSITIVE_OPTIONS = {"cap", "monoid_limit"}
 
 
@@ -154,10 +155,9 @@ def build_instance(spec):
     """A fully validated Instance from a parsed ProblemSpec."""
     inst = Instance(spec.name, spec.field, spec.group, sigma=spec.sigma,
                     theta=spec.action, module=None,
-                    monoid_limit=spec.options.get("monoid_limit", 512))
+                    monoid_limit=spec.options["monoid_limit"])
     if spec.module != "regular":
         inst.M = _parse_module(spec, inst.lam)
-        inst.M.validate().raise_if_failed()
     return inst
 
 

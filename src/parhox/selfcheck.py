@@ -177,8 +177,10 @@ CHECK_TO_CRITERION = {
     "Hochschild dual route (homology)": "hochschild oracles",
     "Hochschild dual route (cohomology)": "hochschild oracles",
     "Hochschild dual route (base algebra)": "hochschild oracles",
+    "separable collapse": "collapse isomorphisms",
     "separable collapse (homology)": "collapse isomorphisms",
     "separable collapse (cohomology)": "collapse isomorphisms",
+    "MacLane collapse": "collapse isomorphisms",
     "MacLane: kpar^sigma G = B^sigma * G Hochschild dims":
         "collapse isomorphisms",
     "classical MacLane specialization": "collapse isomorphisms",
@@ -196,9 +198,14 @@ CHECK_TO_CRITERION = {
     "M/[Lambda,M] = B^sigma (x) (A (x) M)": "structural suite",
     "Hom_{L^e}(L,M) = Hom_{ksdd}(B^s, Hom_{A^e}(A,M))": "structural suite",
     "Omega flatness Tor_1 = 0": "structural suite",
-    "dimension bound (homological)": "dimension bound",
-    "dimension bound (cohomological)": "dimension bound",
 }
+
+
+def criterion_of(check_name):
+    """The criterion of a check record (or of a "dimension bound" skip)."""
+    if check_name.startswith("dimension bound"):
+        return "dimension bound"
+    return CHECK_TO_CRITERION.get(check_name, "structural suite")
 
 
 def criterion_fixture_suites(instances):
@@ -214,11 +221,11 @@ def criterion_fixture_suites(instances):
             max_n=spec.options["max_n"])
         reports[fname] = (report, page, pagec)
         for (name, status, detail) in report.checks:
-            crit = CHECK_TO_CRITERION.get(name, "structural suite")
+            crit = criterion_of(name)
             buckets.setdefault(crit, []).append(
                 (fname, name, status, str(detail)[:200]))
         for name, secs in report.seconds.items():
-            crit = CHECK_TO_CRITERION.get(name, "structural suite")
+            crit = criterion_of(name)
             seconds[crit] = seconds.get(crit, 0.0) + secs
     results = []
     # the equivariance gate also passes implicitly whenever the chain/cochain

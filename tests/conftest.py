@@ -6,7 +6,7 @@ from parhox.fields import QQ
 from parhox.algebras import StructureAlgebra, product_field_algebra, dual_numbers
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
-from parhox.linalg import identity, transpose
+from parhox.linalg import _char, _dense, identity, transpose
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
 
 
@@ -98,3 +98,30 @@ def dense_map_on_quotient(T, ambient_map_fn):
         [K.one if t == i else K.zero for t in range(T.dim)])))
         for i in range(T.dim)]
     return transpose(cols)
+
+
+def dense_kron(K, A, B, shape_a=None, shape_b=None):
+    """Kronecker product of dense matrices on the lexicographic tensor
+    basis, every cell computed; the shapes are needed only when a factor
+    has no rows."""
+    ma, na = shape_a or (len(A), len(A[0]) if A else 0)
+    mb, nb = shape_b or (len(B), len(B[0]) if B else 0)
+    return [[K.mul(A[i][j], B[k][l]) for j in range(na) for l in range(nb)]
+            for i in range(ma) for k in range(mb)]
+
+
+def densify(K, rows, ncols):
+    """Kernel rows as a dense matrix with ncols columns."""
+    return [_dense(K, row, ncols) for row in rows]
+
+
+def bump(K, rows, r, c):
+    """Add 1 to entry (r, c) of a matrix of kernel rows, in place, keeping
+    the rows normalized (no stored zeros, residues mod p)."""
+    p = _char(K)
+    x = rows[r].get(c, 0) + 1
+    x = x % p if p else x
+    if x:
+        rows[r][c] = x
+    else:
+        del rows[r][c]

@@ -12,12 +12,12 @@ from parhox.groups import cyclic_group, direct_product, symmetric_group, \
     exel_size_closed_form
 from parhox.partial_algebras import (build_kpar, build_kpar_sigma,
                                      phi_psi_crossed_iso)
-from parhox.selfcheck import (criterion_factor_calculus,
+from parhox.selfcheck import (CHECK_TO_CRITERION, criterion_factor_calculus,
                               criterion_fixture_suites,
                               criterion_idempotent_oracle, criterion_phi_psi,
                               criterion_resolution_independence,
-                              criterion_untwisted_oracle, load_instances,
-                              run_selfcheck)
+                              criterion_of, criterion_untwisted_oracle,
+                              load_instances, run_selfcheck)
 from parhox.spectral import module_tower
 
 
@@ -167,3 +167,21 @@ def test_criterion_10_dimension_bound_and_selfcheck(battery):
     assert elapsed < 600, f"selfcheck took {elapsed:.1f}s (budget 600s)"
     _announce(10, "dimension bounds + full selfcheck", ok and sc_ok,
               f"selfcheck {elapsed:.1f}s")
+
+
+def test_every_check_record_maps_to_its_own_criterion(battery):
+    instances, reports, by_name = battery
+    names = set()
+    for rep, _, _ in reports.values():
+        names |= {name for (name, _, _) in rep.checks} | set(rep.seconds)
+    # no name falls through to the structural-suite default
+    assert {n for n in names if n not in CHECK_TO_CRITERION
+            and not n.startswith("dimension bound")} == set()
+    assert criterion_of("dimension bound n=2 (homological)") == \
+        "dimension bound"
+    # the skips are listed under the collapse isomorphisms
+    skipped = {(f, n) for (f, n, status, _) in
+               by_name["collapse isomorphisms"].details if status == "skipped"}
+    assert ("z2_dual_q.json", "separable collapse") in skipped
+    assert ("v4_partial_q.json", "MacLane collapse") in skipped
+    assert isinstance(by_name["structural suite"].details, str)

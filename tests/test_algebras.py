@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_map_on_quotient
+from conftest import dense_kron, dense_map_on_quotient
 from parhox.errors import InvalidInput, PreconditionFailed, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
@@ -18,7 +18,6 @@ from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
                              restrict_along_hom, separability_idempotent,
                              subalgebra_generated, tensor_over_algebra)
 from parhox.groups import cyclic_group
-from parhox.homology import kron
 from parhox.linalg import Subspace, identity, matvec, transpose
 
 
@@ -338,8 +337,8 @@ def kron_reference(T, P, Q):
     """The matrix of P (x) Q on T: column i projects kron(P, Q) applied to
     the lift of the i-th quotient basis vector."""
     K = T.K
-    PQ = kron(K, P if P is not None else identity(K, T.X.dim),
-              Q if Q is not None else identity(K, T.Y.dim))
+    PQ = dense_kron(K, P if P is not None else identity(K, T.X.dim),
+                    Q if Q is not None else identity(K, T.Y.dim))
     return dense_map_on_quotient(T, lambda v: matvec(K, PQ, v))
 
 
@@ -404,6 +403,33 @@ def test_module_from_generator_actions():
     assert M.left[0] == identity(QQ, 2)
     with pytest.raises(InvalidInput):
         module_from_generator_actions(A, 2, {}, side="left")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_module_closure_multiplies_each_pair_once(side, monkeypatch):
+    # B over kappa_par(Z2 x Z2) (dim 20), rebuilt from its generators: the
+    # closure multiplies each ordered pair of known elements once (334
+    # products; trying every pair again in each round made 362) and gives
+    # the same actions
+    from parhox.problems import build_instance, load_fixture
+    inst = build_instance(load_fixture("v4_partial_q.json"))
+    kp = inst.kpar
+    mod = inst.b_over_kpar[0 if side == "left" else 1]
+    mats = mod.left if side == "left" else mod.right
+    gens = [kp.position[kp.monoid.gen(g)] for g in range(inst.group.n)]
+    A = kp.algebra
+    calls = []
+    mul = A.mul
+
+    def counted(u, v):
+        calls.append((tuple(u), tuple(v)))
+        return mul(u, v)
+
+    monkeypatch.setattr(A, "mul", counted)
+    out = module_from_generator_actions(A, mod.dim,
+                                        {i: mats[i] for i in gens}, side=side)
+    assert (out.left if side == "left" else out.right) == mats
+    assert len(calls) == len(set(calls)) == 334
 
 
 def test_commutator_quotient():

@@ -4,7 +4,8 @@ import os
 import pytest
 
 from parhox.cli import main
-from parhox.errors import SchemaError
+from parhox.errors import SchemaError, SizeLimit
+from parhox.instance import DEFAULT_MONOID_LIMIT
 from parhox.problems import (bundled_fixtures, build_instance, fixture_dir,
                              load_fixture, parse_spec)
 
@@ -304,3 +305,12 @@ def test_parse_spec_accepts_zero_degrees():
     doc["options"] = {"max_p": 0, "max_q": 0, "max_n": 0, "cap": 1,
                       "monoid_limit": 1}
     assert parse_spec(doc).options == doc["options"]
+
+
+def test_build_instance_reads_the_monoid_limit_option():
+    doc = json.loads(open(fixture_path("z3_kappa2_q.json")).read())
+    doc["options"] = {"monoid_limit": 7}        # |S(Z3)| = 8
+    with pytest.raises(SizeLimit, match="exceeds limit 7"):
+        build_instance(parse_spec(doc))
+    doc["options"] = {}
+    assert parse_spec(doc).options["monoid_limit"] == DEFAULT_MONOID_LIMIT

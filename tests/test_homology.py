@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (dense_map_on_quotient, z2_universal, z3_kappa2_action,
-                      z2_dual_numbers)
+from conftest import (bump, dense_map_on_quotient, densify, z2_universal,
+                      z3_kappa2_action, z2_dual_numbers)
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (ModuleData, commutator_quotient, dual_bimodule,
                              dual_numbers, matrix_algebra, product_field_algebra,
@@ -15,7 +15,8 @@ from parhox.errors import (EquivarianceFailure, InvalidInput, SizeLimit,
                            ValidationFailure)
 from parhox.groups import cyclic_group
 from parhox import homology
-from parhox.homology import (GModuleOnChains, bar_complex, cobar_complex,
+from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
+                             cobar_complex,
                              diagonal_chain_action,
                              diagonal_cochain_action, ext_dims,
                              env_resolution, free_resolution,
@@ -25,10 +26,11 @@ from parhox.homology import (GModuleOnChains, bar_complex, cobar_complex,
                              hochschild_homology_resolution, hom_A_carrier,
                              hom_A_module_structure, homology_data,
                              homology_dims_of_complex,
-                             induced_action_on_homology, kron,
+                             induced_action_on_homology,
                              m_as_a_bimodule, partial_homology_dims,
                              tor_dims)
-from parhox.linalg import identity, matmul, rank, transpose, zeros
+from parhox.linalg import (_rank_of, _sp_identity, _sp_kron, _sparse_matrix,
+                           identity, matmul, rank, transpose, zeros)
 from parhox.partial_actions import build_crossed_product
 from parhox.problems import build_instance, bundled_fixtures, load_fixture
 from parhox.partial_algebras import (b_sigma_module_structures,
@@ -45,16 +47,14 @@ def dual_numbers_periodic_oracle(field, max_n):
     """Independent oracle for H_*(k[x]/x^2, k[x]/x^2): homology of the
     2-periodic complex A <-0- A <-2x- A <-0- ..."""
     A = dual_numbers(field)
-    two_x = A.left_mult_matrix([field.zero, field.add(field.one, field.one)])
-    zero_map = [[field.zero] * 2 for _ in range(2)]
+    two_x = _sparse_matrix(field, A.left_mult_matrix(
+        [field.zero, field.add(field.one, field.one)]))
+    zero_map = [{}, {}]
     # d_n = 0 for n odd, multiplication by 2x for n even (n >= 1)
-    dims = []
-    for n in range(max_n + 1):
-        d_in = None if n == 0 else (two_x if n % 2 == 0 else zero_map)
-        d_out = zero_map if n % 2 == 0 else two_x
-        hd = homology_data(field, 2, d_in, d_out)
-        dims.append(hd.dim)
-    return dims
+    cc = ChainComplex(field, [2] * (max_n + 2),
+                      {n: two_x if n % 2 == 0 else zero_map
+                       for n in range(1, max_n + 2)})
+    return [homology_data(cc, n).dim for n in range(max_n + 1)]
 
 
 def test_h0_is_commutator_quotient():
@@ -287,11 +287,12 @@ def test_free_resolution_size_budget(monkeypatch):
 
 
 def test_kron():
-    A = [[F(1), F(2)], [F(0), F(1)]]
-    B = [[F(3)]]
-    assert kron(QQ, A, B) == [[F(3), F(6)], [F(0), F(3)]]
-    I2 = identity(QQ, 2)
-    assert kron(QQ, I2, I2) == identity(QQ, 4)
+    # the Kronecker product behind T_g, on kernel rows
+    A = [{0: 1, 1: 2}, {1: 1}]
+    B = [{0: 3}]
+    assert _sp_kron(A, B, 1, 0) == [{0: 3, 1: 6}, {1: 3}]
+    I2 = _sp_identity(2)
+    assert _sp_kron(I2, I2, 2, 0) == _sp_identity(4)
 
 
 def _z3_tower():
@@ -333,7 +334,8 @@ def test_diagonal_action_global_case_classical():
     # T_t must be invertible in the global case (it is a group action)
     for q in range(3):
         T = gmod.action[1][q]
-        assert rank(QQ, T) == len(T)
+        assert len(T) == gmod.complex.dims[q]
+        assert _rank_of(QQ, [dict(row) for row in T]) == len(T)
 
 
 def test_induced_action_on_homology_z3():
@@ -556,12 +558,14 @@ def ref_cobar_differentials(R, M, max_q, normalized):
     return diffs
 
 
-def _same_entries(K, got, want):
-    assert got.keys() == want.keys()
+def _same_entries(K, cc, want):
+    """cc.d densifies to the reference tables and its kernel rows are
+    normalized (no stored zeros, residues in [0, p) over F_p)."""
+    assert cc.d.keys() == want.keys()
     for q in want:
-        assert got[q] == want[q], q
-        kind = Fraction if K.kind == "Q" else int
-        assert all(type(c) is kind for row in got[q] for c in row)
+        ncols = cc.dims[cc.ends(q)[0]]
+        assert densify(K, cc.d[q], ncols) == want[q], q
+        assert cc.d[q] == _sparse_matrix(K, want[q]), q
 
 
 def _m_major(diffs, dims, mdim):
@@ -592,10 +596,10 @@ def test_face_tables_match_per_column_builders(fixture):
     for R, M, max_q in ((A, MA, 3), (inst.lam.algebra, inst.M, 2)):
         for normalized in (True, False):
             cc, _ = bar_complex(R, M, max_q, normalized=normalized)
-            _same_entries(K, cc.d,
+            _same_entries(K, cc,
                           ref_bar_differentials(R, M, max_q, normalized))
             cc, _ = cobar_complex(R, M, max_q, normalized=normalized)
-            _same_entries(K, cc.d, _m_major(
+            _same_entries(K, cc, _m_major(
                 ref_cobar_differentials(R, M, max_q, normalized), cc.dims,
                 M.dim))
 
@@ -664,9 +668,10 @@ def test_chain_action_gate_rejects_a_changed_entry(cochain):
     # one entry of T_t on C_1, in a column that the differential out of
     # C_1 (chains) or into C_2 (cochains) does not kill
     d = gmod.complex.d[2 if cochain else 1]
-    r = next(c for c in range(len(d[0])) if any(row[c] for row in d))
-    action = [[[row[:] for row in T] for T in mats] for mats in gmod.action]
-    action[1][1][r][r] = QQ.add(action[1][1][r][r], QQ.one)
+    r = min(c for row in d for c in row)
+    action = [[[dict(row) for row in T] for T in mats]
+              for mats in gmod.action]
+    bump(QQ, action[1][1], r, r)
     bad = GModuleOnChains(gmod.complex, action, sdd)
     names = _violations(bad, G)
     assert "equivariance" in names

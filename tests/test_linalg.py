@@ -3,8 +3,10 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_kron, densify
 from parhox.fields import QQ, PrimeField
-from parhox.linalg import (QuotientSpace, Subspace, column_space_basis,
+from parhox.linalg import (QuotientSpace, Subspace, _char, _sp_kron,
+                           _sp_transpose, _sparse_matrix, column_space_basis,
                            identity, invert_matrix, matmul, matvec, nullspace,
                            rank, rref, solve, transpose)
 
@@ -319,3 +321,39 @@ def test_matmul_is_associative_and_matches_reference(case):
     assert AB == ref_matmul(K, A, B)
     assert matmul(K, AB, C) == matmul(K, A, matmul(K, B, C))
     assert_field_entries(K, AB)
+
+
+# -- sparse Kronecker product and transpose against dense references -------
+
+# ((rows, cols) of A, (rows, cols) of B), with 0-row and 0-column factors
+KRON_SHAPES = [((0, 0), (2, 3)), ((0, 3), (2, 2)), ((2, 0), (3, 2)),
+               ((2, 3), (0, 4)), ((3, 2), (2, 0)), ((1, 1), (1, 1)),
+               ((2, 3), (3, 2)), ((3, 3), (4, 4)), ((4, 2), (1, 5))]
+
+
+def test_sp_kron_matches_dense_reference():
+    rng = Random(59)
+    for K in FIELDS:
+        for (ma, na), (mb, nb) in KRON_SHAPES:
+            for density in (0.0, 0.3, 1.0):
+                A = random_matrix(K, rng, ma, na, density)
+                B = random_matrix(K, rng, mb, nb, density)
+                want = dense_kron(K, A, B, (ma, na), (mb, nb))
+                got = _sp_kron(_sparse_matrix(K, A), _sparse_matrix(K, B), nb,
+                               _char(K))
+                assert len(got) == ma * mb
+                # normalized: no stored zeros, residues in [0, p)
+                assert got == _sparse_matrix(K, want)
+                assert densify(K, got, na * nb) == want
+
+
+def test_sp_transpose_matches_dense_transpose():
+    rng = Random(61)
+    for K in FIELDS:
+        for m, n in SHAPES:
+            A = random_matrix(K, rng, m, n, 0.4)
+            got = _sp_transpose(_sparse_matrix(K, A), n)
+            assert len(got) == n
+            if m and n:
+                assert densify(K, got, m) == transpose(A)
+            assert _sp_transpose(got, m) == _sparse_matrix(K, A)

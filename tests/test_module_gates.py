@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from conftest import bump, densify
 from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
                              dual_numbers, regular_bimodule)
 from parhox.fields import QQ, PrimeField
@@ -93,10 +94,16 @@ def dense_module_validate(mod):
 
 
 def dense_gate(gmod, group):
-    """The dense GModuleOnChains.gate loop."""
-    K = gmod.complex.field
+    """The dense GModuleOnChains.gate loop, on dense copies of the kernel
+    rows of every d[q] and T_g."""
+    cc = gmod.complex
+    K = cc.field
+    dims = cc.dims
+    d = {q: densify(K, rows, dims[cc.ends(q)[0]]) for q, rows in cc.d.items()}
+    action = [[densify(K, T, dims[q]) for q, T in enumerate(mats)]
+              for mats in gmod.action]
     rep = ValidationReport("chain-level diagonal action")
-    top = len(gmod.action[0]) - 1
+    top = len(action[0]) - 1
 
     def scale(c, X):
         return [[K.mul(c, a) for a in row] for row in X]
@@ -104,23 +111,22 @@ def dense_gate(gmod, group):
     def is_zero(X):
         return all(a == K.zero for row in X for a in row)
 
-    for g in range(len(gmod.action)):
+    for g in range(len(action)):
         for q in range(1, top + 1):
-            dq = gmod.complex.d[q]
-            src, tgt = gmod.complex.ends(q)
-            if dense_matmul(K, dq, gmod.action[g][src]) != \
-               dense_matmul(K, gmod.action[g][tgt], dq):
+            src, tgt = cc.ends(q)
+            if dense_matmul(K, d[q], action[g][src]) != \
+               dense_matmul(K, action[g][tgt], d[q]):
                 rep.fail("equivariance", g, q)
     for q in range(top + 1):
-        if gmod.action[0][q] != dense_identity(K, gmod.complex.dims[q]):
+        if action[0][q] != dense_identity(K, dims[q]):
             rep.fail("unit action", q)
         for g in range(group.n):
-            Tg = gmod.action[g][q]
-            Tgi = gmod.action[group.inv(g)][q]
+            Tg = action[g][q]
+            Tgi = action[group.inv(g)][q]
             for h in range(group.n):
-                Th = gmod.action[h][q]
-                Tgh = gmod.action[group.mul(g, h)][q]
-                Thi = gmod.action[group.inv(h)][q]
+                Th = action[h][q]
+                Tgh = action[group.mul(g, h)][q]
+                Thi = action[group.inv(h)][q]
                 s = gmod.sigma_pattern(g, h)
                 TgTh = dense_matmul(K, Tg, Th)
                 TgiTgh = dense_matmul(K, Tgi, Tgh)
@@ -282,10 +288,9 @@ def test_gate_corruptions_match_dense_reference(fixture):
         K = gmod.complex.field
         # one changed entry of T_g on C_1, for every g
         for g in range(G.n):
-            action = [[[row[:] for row in T] for T in mats]
+            action = [[[dict(row) for row in T] for T in mats]
                       for mats in gmod.action]
-            T = action[g][1]
-            T[0][0] = K.add(T[0][0], K.one)
+            bump(K, action[g][1], 0, 0)
             bad = GModuleOnChains(gmod.complex, action, gmod.sigma_pattern)
             rep = bad.gate(G)
             assert not rep.ok
