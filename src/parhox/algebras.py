@@ -18,20 +18,18 @@ Convention table (used consistently by every module):
 
 import random
 
-from .errors import (InvalidInput, NotCommuting, NotIdempotent,
-                     PreconditionFailed, SchemaError, SizeLimit,
-                     ValidationFailure)
-from .linalg import (Subspace, _char, _dense, _nonzero, _scalar,
-                     _sp_combination, _sp_identity, _sp_matmul, _sparse,
-                     _sparse_matrix, matmul, matvec, nullspace, rank, solve,
-                     transpose)
+from .errors import (InvalidInput, NotCommuting, NotIdempotent, SchemaError,
+                     SizeLimit, ValidationFailure)
+from .linalg import (QuotientSpace, Subspace, _char, _dense, _nonzero,
+                     _scalar, _sp_combination, _sp_identity, _sp_matmul,
+                     _sparse, _sparse_matrix, coordinates_in, matmul, matvec,
+                     nullspace, rank, solve, transpose)
 
 __all__ = [
     "ValidationReport", "StructureAlgebra", "AlgebraHom", "ModuleData",
     "opposite", "enveloping", "bimodule_to_left_env_module",
     "bimodule_to_right_env_module", "subalgebra_generated",
-    "ideal_and_quotient", "orthogonalize_idempotents",
-    "is_von_neumann_regular_idempotent_generated", "separability_idempotent",
+    "orthogonalize_idempotents", "separability_idempotent",
     "tensor_over_algebra", "hom_over_algebra", "restrict_along_hom",
     "regular_bimodule", "dual_bimodule", "module_from_generator_actions",
     "matrix_algebra", "product_field_algebra", "dual_numbers",
@@ -87,9 +85,16 @@ class StructureAlgebra:
     def __init__(self, field, dim, sc, unit, labels=None, name=""):
         self.field = field
         self.dim = dim
-        self.sc = {ij: [(k, c) for (k, c) in row if c]
-                   for ij, row in sc.items()}
-        self.sc = {ij: row for ij, row in self.sc.items() if row}
+        # one pass; a row is copied only to drop a zero coefficient, since
+        # no code mutates a row after construction
+        self.sc = {}
+        for ij, row in sc.items():
+            for _, c in row:
+                if not c:
+                    row = [kc for kc in row if kc[1]]
+                    break
+            if row:
+                self.sc[ij] = row
         self.unit = list(unit)
         self.labels = labels or [f"b{i}" for i in range(dim)]
         self.name = name or f"algebra(dim={dim})"
@@ -416,16 +421,15 @@ def bimodule_to_right_env_module(env, A, M):
 
 
 class SubalgebraResult:
-    def __init__(self, algebra, basis_vectors, inclusion):
+    def __init__(self, algebra, span, inclusion):
         self.algebra = algebra
-        self.basis_vectors = basis_vectors
+        self.span = span                      # the Subspace of the ambient
+        self.basis_vectors = span.basis()
         self.inclusion = inclusion
 
     def to_sub_coords(self, vec):
         """Coordinates of an ambient vector in the subalgebra basis, or None."""
-        K = self.algebra.field
-        M = transpose(self.basis_vectors)
-        return solve(K, M, list(vec))
+        return self.span.coords(vec)
 
 
 def subalgebra_generated(A, gens, adjoin_unit=True, name=""):
@@ -452,80 +456,20 @@ def subalgebra_generated(A, gens, adjoin_unit=True, name=""):
         frontier = new
     basis = span.basis()  # deterministic echelon basis, lowest pivots first
     sub_dim = len(basis)
-    Mb = transpose(basis)
     sc = {}
     for i in range(sub_dim):
         for j in range(sub_dim):
-            prod = A.mul(basis[i], basis[j])
-            coords = solve(K, Mb, prod)
+            coords = span.coords(A.mul(basis[i], basis[j]))
             assert coords is not None, "subalgebra closure failed"
-            row = [(k, c) for k, c in enumerate(coords) if c != K.zero]
+            row = [(k, c) for k, c in enumerate(coords) if c]
             if row:
                 sc[(i, j)] = row
-    unit_coords = solve(K, Mb, A.unit)
+    unit_coords = span.coords(A.unit)
     if unit_coords is None:
         raise InvalidInput("unit of the ambient algebra not in the subalgebra")
     sub = StructureAlgebra(K, sub_dim, sc, unit_coords, name=name or f"sub({A.name})")
     incl = AlgebraHom(sub, A, transpose(basis), name=f"incl {sub.name}")
-    return SubalgebraResult(sub, basis, incl)
-
-
-class QuotientResult:
-    def __init__(self, ideal_basis, algebra, projection, section_indices):
-        self.ideal_basis = ideal_basis
-        self.algebra = algebra
-        self.projection = projection          # AlgebraHom A -> A/I
-        self.section_indices = section_indices  # ambient basis indices used
-
-
-def ideal_and_quotient(A, gens, name=""):
-    """Two-sided ideal closure of gens and the quotient algebra.
-
-    The quotient basis is the set of ambient basis monomials at the
-    non-pivot columns of the echelonized ideal (deterministic choice).
-    Raises InvalidInput if the quotient would be the zero ring.
-    """
-    K = A.field
-    span = Subspace(K, A.dim)
-    worklist = []
-    for g in gens:
-        if span.add(list(g)):
-            worklist.append(list(g))
-    while worklist:
-        v = worklist.pop()
-        for i in range(A.dim):
-            b = A.basis_vector(i)
-            for w in (A.mul(b, v), A.mul(v, b)):
-                if span.add(w):
-                    worklist.append(w)
-    ideal_basis = span.basis()
-    from .linalg import QuotientSpace
-    Q = QuotientSpace(K, A.dim, span)
-    qdim = Q.dim
-    if qdim == 0:
-        raise InvalidInput("quotient is the zero ring (unit lies in the ideal)")
-    proj_rows = [ [K.zero] * A.dim for _ in range(qdim)]
-    for j in range(A.dim):
-        col = Q.project(A.basis_vector(j))
-        for r in range(qdim):
-            proj_rows[r][j] = col[r]
-    sc = {}
-    for i in range(qdim):
-        for j in range(qdim):
-            u = Q.lift([K.one if t == i else K.zero for t in range(qdim)])
-            v = Q.lift([K.one if t == j else K.zero for t in range(qdim)])
-            coords = Q.project(A.mul(u, v))
-            row = [(k, c) for k, c in enumerate(coords) if c != K.zero]
-            if row:
-                sc[(i, j)] = row
-    unit = Q.project(A.unit)
-    labels = [A.labels[c] for c in Q.free]
-    quot = StructureAlgebra(K, qdim, sc, unit, labels=labels,
-                            name=name or f"{A.name}/ideal")
-    rep = quot.validate()
-    rep.raise_if_failed()
-    proj = AlgebraHom(A, quot, proj_rows, name=f"proj {quot.name}")
-    return QuotientResult(ideal_basis, quot, proj, list(Q.free))
+    return SubalgebraResult(sub, span, incl)
 
 
 def orthogonalize_idempotents(A, gens, max_gens=14):
@@ -565,40 +509,6 @@ def orthogonalize_idempotents(A, gens, max_gens=14):
         for v in atoms[i + 1:]:
             assert A.mul(u, v) == zero_vec
     return atoms
-
-
-def is_von_neumann_regular_idempotent_generated(A, gens):
-    """True plus a witness map x -> y with xyx = x, for commutative A
-    generated by the given idempotents."""
-    if not A.is_commutative():
-        raise PreconditionFailed("algebra is not commutative")
-    span = subalgebra_generated(A, gens)
-    if span.algebra.dim != A.dim:
-        raise PreconditionFailed("the given idempotents do not generate")
-    try:
-        atoms = orthogonalize_idempotents(A, gens)
-    except (NotIdempotent, NotCommuting) as exc:
-        raise PreconditionFailed(str(exc))
-    K = A.field
-    Mb = transpose(atoms)
-
-    def witness(x):
-        coords = solve(K, Mb, list(x))
-        if coords is None:
-            return None
-        y = [K.zero] * A.dim
-        for c, at in zip(coords, atoms):
-            if c != K.zero:
-                ci = K.inv(c)
-                y = [K.add(a, K.mul(ci, b)) for a, b in zip(y, at)]
-        return y
-
-    for i in range(A.dim):
-        x = A.basis_vector(i)
-        y = witness(x)
-        if y is None or A.mul(A.mul(x, y), x) != x:
-            return False, None
-    return True, witness
 
 
 def separability_idempotent(A):
@@ -690,7 +600,6 @@ class TensorOverAlgebra:
                         key = ix * my + r
                         v[key] = v.get(key, 0) - a
                     rel.ech.add(_nonzero(v, p))
-        from .linalg import QuotientSpace
         self.ambient_dim = N
         self.relations = rel
         self.quotient = QuotientSpace(K, N, rel)
@@ -863,73 +772,16 @@ def module_from_generator_actions(A, dim, given, side="left"):
                                   else _sp_matmul(Mv, Mu, p)))
     if span.dim < A.dim:
         raise InvalidInput("the given generators do not generate the algebra")
-    vecs = [u for (u, _) in known]
-    Mb = transpose(vecs)
+    coords_of = coordinates_in(span, [u for (u, _) in known])
     actions = []
     for i in range(A.dim):
-        coords = solve(K, Mb, A.basis_vector(i))
-        assert coords is not None
+        coords = coords_of(A.basis_vector(i))
         acc = _sp_combination([(_scalar(K, c), mat)
                                for c, (_, mat) in zip(coords, known)], dim, p)
         actions.append([_dense(K, row, dim) for row in acc])
     if side == "left":
         return ModuleData(A, dim, left=actions)
     return ModuleData(A, dim, right=actions)
-
-
-def module_map_kernel(R, X, Y, F, side="left"):
-    """Kernel of a module map F: X -> Y (a kappa-matrix), returned as a
-    basis plus the induced ModuleData on the kernel; raises ActionMismatch
-    if F does not intertwine the actions."""
-    from .errors import ActionMismatch
-    K = R.field
-    for i in range(R.dim):
-        if side == "left":
-            lhs = matmul(K, F, X.left[i])
-            rhs = matmul(K, Y.left[i], F)
-        else:
-            lhs = matmul(K, F, X.right[i])
-            rhs = matmul(K, Y.right[i], F)
-        if lhs != rhs:
-            raise ActionMismatch(f"not a module map at basis {i}")
-    basis = nullspace(K, F, X.dim)
-    Mb = transpose(basis) if basis else [[] for _ in range(X.dim)]
-    acts = []
-    for i in range(R.dim):
-        cols = []
-        for v in basis:
-            img = X.act_left(R.basis_vector(i), v) if side == "left" \
-                else X.act_right(v, R.basis_vector(i))
-            coords = solve(K, Mb, img)
-            assert coords is not None, "kernel is not action-stable"
-            cols.append(coords)
-        acts.append(transpose(cols) if cols else [])
-    mod = ModuleData(R, len(basis), left=acts) if side == "left" \
-        else ModuleData(R, len(basis), right=acts)
-    return basis, mod
-
-
-def module_map_cokernel(R, X, Y, F, side="left"):
-    """Cokernel of a module map F: X -> Y: quotient coordinates plus the
-    induced ModuleData on Y / im(F)."""
-    from .linalg import QuotientSpace
-    K = R.field
-    img = Subspace(K, Y.dim)
-    for col in transpose(F):
-        img.add(col)
-    Q = QuotientSpace(K, Y.dim, img)
-    acts = []
-    for i in range(R.dim):
-        cols = []
-        for j in range(Q.dim):
-            v = Q.lift([K.one if t == j else K.zero for t in range(Q.dim)])
-            w = Y.act_left(R.basis_vector(i), v) if side == "left" \
-                else Y.act_right(v, R.basis_vector(i))
-            cols.append(Q.project(w))
-        acts.append(transpose(cols) if cols else [])
-    mod = ModuleData(R, Q.dim, left=acts) if side == "left" \
-        else ModuleData(R, Q.dim, right=acts)
-    return Q, mod
 
 
 def commutator_quotient(M):
@@ -942,7 +794,6 @@ def commutator_quotient(M):
         for c in range(M.dim):
             v = [K.sub(L[r][c], R[r][c]) for r in range(M.dim)]
             span.add(v)
-    from .linalg import QuotientSpace
     return QuotientSpace(K, M.dim, span)
 
 

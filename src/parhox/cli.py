@@ -97,10 +97,10 @@ def cmd_validate(args):
 def cmd_build_kpar(args):
     t0 = time.monotonic()
     raw = _load_json(args.spec)
-    if "group" in raw:                       # a full problem file
+    if isinstance(raw, dict) and "group" in raw:   # a full problem file
         spec = parse_spec_file(args.spec)
         group, field, sigma = spec.group, spec.field, spec.sigma
-    else:                                    # a bare group file
+    else:                                          # a bare group file
         group = FiniteGroup.from_json(raw)
         if args.field:
             try:

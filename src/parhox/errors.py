@@ -37,14 +37,6 @@ class NotCommuting(InvalidInput):
     pass
 
 
-class PreconditionFailed(InvalidInput):
-    pass
-
-
-class ActionMismatch(InvalidInput):
-    pass
-
-
 class ValidationFailure(ParhoxError):
     """A validation gate failed; carries the offending report."""
 

@@ -77,6 +77,8 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(obj):
+        if not isinstance(obj, dict):
+            raise SchemaError("group spec must be an object")
         if "cayley" in obj:
             g = FiniteGroup(obj["cayley"], name=obj.get("name"))
             if "order" in obj and obj["order"] != g.n:

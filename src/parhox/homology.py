@@ -42,8 +42,8 @@ from .algebras import (ModuleData, ValidationReport,
 from .linalg import (QuotientSpace, Subspace, _char, _dense, _Echelon,
                      _kernel_of, _nonzero, _rank_of, _scalar, _sp_combination,
                      _sp_identity, _sp_kron, _sp_matmul, _sp_transpose,
-                     _sparse, _sparse_matrix, identity, matmul, solve,
-                     transpose)
+                     _sparse, _sparse_matrix, coordinates_in, identity,
+                     matmul, transpose)
 
 __all__ = [
     "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
@@ -234,19 +234,19 @@ def homology_dims_of_complex(cc, max_q):
 
 
 class HomologyData:
-    def __init__(self, K, dim_space, cycles_reps, boundary_quotient, hbasis):
+    def __init__(self, K, dim_space, cycles_reps, boundary_quotient, hsub,
+                 hbasis):
         self.K = K
         self.dim_space = dim_space
         self.reps = cycles_reps            # cycle vectors in C_q
         self.quotient = boundary_quotient  # C_q / boundaries
         self.hbasis = hbasis               # projections of reps
         self.dim = len(cycles_reps)
+        self._coords = coordinates_in(hsub, hbasis)   # hsub = span(hbasis)
 
     def express(self, cycle_vec):
         """Coefficients of a cycle in the homology basis."""
-        qv = self.quotient.project(cycle_vec)
-        # an empty basis is a len(qv) x 0 matrix: a nonzero qv is rejected
-        coords = solve(self.K, transpose(self.hbasis) or [[] for _ in qv], qv)
+        coords = self._coords(self.quotient.project(cycle_vec))
         if coords is None:
             raise InvalidInput("vector not in the homology span")
         return coords
@@ -274,7 +274,7 @@ def homology_data(cc, q):
         if hsub.add(p):
             reps.append(c)
             hbasis.append(p)
-    return HomologyData(K, n, reps, quot, hbasis)
+    return HomologyData(K, n, reps, quot, hsub, hbasis)
 
 
 # ---------------------------------------------------------------------------
@@ -670,24 +670,26 @@ def _gated_kron_action(cc, lam, M, xi, sigma_dd, group):
     return gmod
 
 
-def diagonal_chain_action(lam, M, xi, sigma_dd, max_q, group=None,
+def diagonal_chain_action(lam, M, MA, xi, sigma_dd, max_q, group=None,
                           cap=DEFAULT_CHAIN_CAP):
     """T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq) on the full bar complex
-    of A with coefficients in M; hard-gated."""
+    of A with coefficients in M, where MA is M restricted to A
+    (`m_as_a_bimodule`); hard-gated."""
     group = group or lam.group
-    cc, bb = bar_complex(lam.theta.algebra, m_as_a_bimodule(lam, M), max_q,
-                         normalized=False, cap=cap)
+    cc, bb = bar_complex(lam.theta.algebra, MA, max_q, normalized=False,
+                         cap=cap)
     return _gated_kron_action(cc, lam, M, xi, sigma_dd, group), bb
 
 
-def diagonal_cochain_action(lam, M, xi, sigma_dd, max_q, group=None,
+def diagonal_cochain_action(lam, M, MA, xi, sigma_dd, max_q, group=None,
                             cap=DEFAULT_CHAIN_CAP):
     """(T_g f)(a1..aq) = [g].f([g^-1].a1, ..., [g^-1].aq) on the full
-    Hochschild cochain complex of A with coefficients in M; hard-gated.
-    In the M-major cochain basis T_g = MG[g] (x) (AG[g^-1]^T)^(x q)."""
+    Hochschild cochain complex of A with coefficients in M, MA being M
+    restricted to A; hard-gated.  In the M-major cochain basis
+    T_g = MG[g] (x) (AG[g^-1]^T)^(x q)."""
     group = group or lam.group
-    cc, bb = cobar_complex(lam.theta.algebra, m_as_a_bimodule(lam, M), max_q,
-                           normalized=False, cap=cap)
+    cc, bb = cobar_complex(lam.theta.algebra, MA, max_q, normalized=False,
+                           cap=cap)
     return _gated_kron_action(cc, lam, M, xi, sigma_dd, group), bb
 
 
@@ -727,11 +729,9 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
     return hd, mod
 
 
-def hom_A_carrier(lam, M):
-    """Basis of Hom_{A^e}(A, M) as matrices A -> M, for M a Lambda-bimodule
-    restricted to A."""
-    A = lam.theta.algebra
-    MA = m_as_a_bimodule(lam, M)
+def hom_A_carrier(A, MA):
+    """Basis of Hom_{A^e}(A, MA) as matrices A -> MA, for an A-bimodule MA
+    (a Lambda-bimodule restricted to A)."""
     env = enveloping(A)
     return hom_over_algebra(
         env,
@@ -739,19 +739,20 @@ def hom_A_carrier(lam, M):
         bimodule_to_left_env_module(env, A, MA))
 
 
-def hom_A_module_structure(lam, M, xi, ktw_dd, group=None):
-    """The kappa_par^{sigma''} G-module structure on Hom_{A^e}(A, M):
-    ([g].f)(a) = xi(g) [g]'.f([g^-1].a)."""
+def hom_A_module_structure(lam, M, MA, xi, ktw_dd, group=None):
+    """The kappa_par^{sigma''} G-module structure on Hom_{A^e}(A, M), MA
+    being M restricted to A: ([g].f)(a) = xi(g) [g]'.f([g^-1].a)."""
     group = group or lam.group
     A = lam.theta.algebra
     K = A.field
-    carrier = hom_A_carrier(lam, M)
+    carrier = hom_A_carrier(A, MA)
     AG, MG = _crossed_action_matrices(lam, M, xi)
 
     def flatten(F):
-        return [F[r][c] for r in range(M.dim) for c in range(A.dim)]
+        return [x for row in F for x in row]
 
-    basis = transpose([flatten(F) for F in carrier])
+    flats = [flatten(F) for F in carrier]
+    coords_of = coordinates_in(Subspace(K, M.dim * A.dim, flats), flats)
     gen_mats = {}
     for g in range(group.n):
         mono = ktw_dd.monoid.gen(g)
@@ -760,7 +761,7 @@ def hom_A_module_structure(lam, M, xi, ktw_dd, group=None):
         cols = []
         for F in carrier:
             img = matmul(K, MG[g], matmul(K, F, AG[group.inv(g)]))
-            coords = solve(K, basis, flatten(img))
+            coords = coords_of(flatten(img))
             if coords is None:
                 raise EquivarianceFailure("action leaves Hom_{A^e}(A, M)")
             cols.append(coords)

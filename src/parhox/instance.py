@@ -14,7 +14,7 @@ from .factor_sets import (EquivalenceWitness, trivial_factor_set,
                           normalize_inverse_pairs, sigma_prime,
                           involution_star, xi_sigma_double_prime)
 from .groups import enumerate_exel
-from .homology import DEFAULT_CHAIN_CAP
+from .homology import DEFAULT_CHAIN_CAP, m_as_a_bimodule
 from .partial_actions import (TwistedPartialAction, build_crossed_product,
                               check_ideal_splittings, gamma_sigma,
                               transport_by_equivalence, validate_twisted)
@@ -34,9 +34,10 @@ class Instance:
                  module=None, validate=True,
                  monoid_limit=DEFAULT_MONOID_LIMIT):
         """theta: a TwistedPartialAction or None (then the universal action
-        on B^sigma is used); module: a Lambda-bimodule ModuleData or None
-        (then the regular bimodule); sigma defaults to the trivial twist and
-        must agree with theta.sigma when both are given."""
+        on B^sigma is used); module: a function building the coefficient
+        Lambda-bimodule from the crossed product, or None (then the regular
+        bimodule); sigma defaults to the trivial twist and must agree with
+        theta.sigma when both are given."""
         self.name = name
         self.field = field
         self.group = group
@@ -51,16 +52,13 @@ class Instance:
         self.monoid = enumerate_exel(G, size_limit=monoid_limit)
         # inverse-pair normalization (records the witness when nontrivial)
         self.eta = None
-        transport_hom = None
         if not sigma.is_inverse_normalized():
             eta, nu, rep = normalize_inverse_pairs(sigma, want_square_roots=False)
             rep.raise_if_failed()
             self.eta = eta
             if theta is not None:
-                theta, _, _, transport_hom = transport_by_equivalence(theta, eta)
+                theta = transport_by_equivalence(theta, eta)[0]
             sigma = nu
-        if transport_hom is not None and module is not None:
-            module = restrict_along_hom(transport_hom, module)
         self.sigma = sigma
         self.sigma_star = involution_star(sigma)
         self.sigma_prime = sigma_prime(sigma)
@@ -91,8 +89,8 @@ class Instance:
         if validate:
             check_ideal_splittings(self.theta).raise_if_failed()
             gamma_sigma(self.lam)          # canonical rep gates
-        self.M = module if module is not None \
-            else regular_bimodule(self.lam.algebra)
+        self.M = regular_bimodule(self.lam.algebra) if module is None \
+            else module(self.lam)
         if self.M.dim and validate:
             self.M.validate().raise_if_failed()
         self.chain_cap = DEFAULT_CHAIN_CAP
@@ -107,6 +105,11 @@ class Instance:
         return have[1]
 
     # -- module structures ------------------------------------------------
+
+    @cached_property
+    def m_over_a(self):
+        """M|A: the coefficient bimodule restricted to A."""
+        return m_as_a_bimodule(self.lam, self.M)
 
     @cached_property
     def b_over_kpar(self):

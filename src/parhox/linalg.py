@@ -19,6 +19,14 @@ that build sparse data themselves (free resolutions and the Tor/Ext
 boundaries in `homology`) use the kernel and its underscore helpers
 directly.
 
+Coordinates are never found by solving a system per vector.  In a
+`Subspace`'s own basis, which is its reduced row echelon form,
+`Subspace.coords(v)` reads v's entries at the pivots once v's remainder is
+checked to be zero.  In any other fixed independent list V,
+`coordinates_in(span, V)` inverts the k x k block of V at the pivots of
+its span once (`invert_matrix`); a vector then costs the same remainder
+check and one k x k product.  `solve` is kept for real linear systems.
+
 Matrices get the same treatment, in one sparse-matrix layer:
 `_sparse_matrix` turns a dense matrix into a list of kernel rows once
 (`_sp_identity` is the identity in that form), `_sp_matmul` multiplies two
@@ -41,8 +49,8 @@ from heapq import heapify, heappop, heappush
 
 __all__ = [
     "zeros", "identity", "matvec", "matmul", "transpose", "rank", "rref",
-    "nullspace", "solve", "Subspace", "QuotientSpace", "column_space_basis",
-    "invert_matrix",
+    "nullspace", "solve", "invert_matrix", "Subspace", "QuotientSpace",
+    "coordinates_in",
 ]
 
 
@@ -60,11 +68,13 @@ def identity(K, n):
 
 def matvec(K, M, v):
     mul, add, zero = K.mul, K.add, K.zero
+    support = [(j, x) for j, x in enumerate(v) if x]
     out = []
     for row in M:
         acc = zero
-        for a, x in zip(row, v):
-            if a and x:
+        for j, x in support:
+            a = row[j]
+            if a:
                 acc = add(acc, mul(a, x))
         out.append(acc)
     return out
@@ -343,8 +353,9 @@ def solve(K, M, b):
 
 
 def invert_matrix(K, M):
+    """The inverse of a square matrix, or None if it is singular."""
     n = len(M)
-    aug = [M[i][:] + identity(K, n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(M, identity(K, n))]
     rows, pivots = rref(K, aug)
     if pivots != list(range(n)):
         return None
@@ -386,6 +397,17 @@ class Subspace:
     def basis(self):
         return _dense_rref(self.K, self.ech, self.n)[0]
 
+    def coords(self, v):
+        """The coordinates of v in `basis()`, or None when v is outside the
+        span.  The basis is reduced, so they are v's entries at the
+        pivots, read once v's remainder is checked to be zero."""
+        rref = self.ech.rref()
+        x = _sparse(self.K, v)
+        coords = {i: x[c] for i, (c, _) in enumerate(rref) if c in x}
+        if self.ech.reduce(x):
+            return None
+        return _dense(self.K, coords, len(rref))
+
 
 class QuotientSpace:
     """K^n / W with canonical coordinates at the non-pivot positions of W."""
@@ -412,9 +434,19 @@ class QuotientSpace:
         return v
 
 
-def column_space_basis(K, M):
-    """Echelonized basis of the column space (as vectors)."""
-    sub = Subspace(K, len(M) if M else 0)
-    for col in (transpose(M) or []):
-        sub.add(col)
-    return sub.basis()
+def coordinates_in(span, vectors):
+    """v -> the coordinates of v in `vectors`, an independent list whose
+    span is the Subspace `span`, or None when v is outside it.  The k x k
+    block of the vectors at the pivots of the span is inverted here, once:
+    the span's reduced basis is the identity there, so that block is
+    invertible and determines the coordinates."""
+    K = span.K
+    pivots = [c for c, _ in span.ech.rref()]
+    assert len(pivots) == len(vectors), "the vectors are not independent"
+    inv = invert_matrix(K, [[v[c] for v in vectors] for c in pivots])
+
+    def coords(v):
+        if not span.contains(v):
+            return None
+        return matvec(K, inv, [v[c] for c in pivots])
+    return coords

@@ -14,7 +14,7 @@ from .errors import (AssociativityFailure, InvalidInput, NotCovariant,
 from .algebras import (AlgebraHom, StructureAlgebra, ValidationReport,
                        subalgebra_generated)
 from .factor_sets import validate_twist
-from .linalg import Subspace, matvec, solve, transpose
+from .linalg import Subspace, matvec, transpose
 
 __all__ = [
     "UnitalPartialAction", "TwistedPartialAction", "CrossedProductAlgebra",
@@ -32,21 +32,25 @@ class UnitalPartialAction:
         self.theta = [[row[:] for row in m] for m in theta]
         if len(theta) != len(one):
             raise InvalidInput("need one idempotent and one map per group element")
-        self._ideal_bases = None
+        self._ideals = None
+
+    def _ideal(self, g):
+        if self._ideals is None:
+            A = self.algebra
+            spans = [Subspace(A.field, A.dim,
+                              (A.mul(e, A.basis_vector(j))
+                               for j in range(A.dim)))
+                     for e in self.one]
+            self._ideals = [(span, span.basis()) for span in spans]
+        return self._ideals[g]
+
+    def ideal_space(self, g):
+        """D_g = 1_g . A as a Subspace of A, built once."""
+        return self._ideal(g)[0]
 
     def ideal_basis(self, g):
-        """Echelonized basis of D_g = 1_g . A."""
-        if self._ideal_bases is None:
-            A = self.algebra
-            K = A.field
-            bases = []
-            for h in range(len(self.one)):
-                span = Subspace(K, A.dim)
-                for j in range(A.dim):
-                    span.add(A.mul(self.one[h], A.basis_vector(j)))
-                bases.append(span.basis())
-            self._ideal_bases = bases
-        return self._ideal_bases[g]
+        """Echelonized basis of D_g: the reduced basis of `ideal_space`."""
+        return self._ideal(g)[1]
 
     def apply_theta(self, g, vec):
         return matvec(self.algebra.field, self.theta[g], vec)
@@ -185,12 +189,7 @@ class CrossedProductAlgebra:
     def delta(self, g, a_vec):
         """Element a delta_g of Lambda for a in D_g (given in A-coordinates)."""
         K = self.algebra.field
-        basis = self.dg_bases[g]
-        if not basis:
-            if any(c != K.zero for c in a_vec):
-                raise InvalidInput(f"nonzero coefficient outside D_{g}")
-            return [K.zero] * self.dim
-        coords = solve(K, transpose(basis), list(a_vec))
+        coords = self.theta.action.ideal_space(g).coords(a_vec)
         if coords is None:
             raise InvalidInput(f"element not in D_{g}")
         out = [K.zero] * self.dim
@@ -242,14 +241,16 @@ def build_crossed_product(theta, name=None, validate=True):
             w = [K.mul(s, c) for c in w]
             if all(c == K.zero for c in w):
                 continue
-            coords = solve(K, transpose(dg_bases[gh]), w)
+            coords = action.ideal_space(gh).coords(w)
             if coords is None:
                 raise InvalidInput("crossed product does not close")
             row = [(pos[(gh, lk)], c) for lk, c in enumerate(coords) if c != K.zero]
             if row:
                 sc[(p1, p2)] = row
     unit = [K.zero] * dim
-    unit_coords = solve(K, transpose(dg_bases[0]), A.unit)
+    unit_coords = action.ideal_space(0).coords(A.unit)
+    if unit_coords is None:
+        raise InvalidInput("the unit of A is not in D_1")
     for li, c in enumerate(unit_coords):
         unit[pos[(0, li)]] = c
     labels = [f"d{g}[{li}]" for (g, li) in basis_index]

@@ -120,11 +120,13 @@ def parse_spec_file(path):
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})")
+    _require(isinstance(obj, dict), "$", "problem spec must be an object")
     return parse_spec(obj, name=obj.get("name",
                                         os.path.splitext(os.path.basename(path))[0]))
 
 
 def _parse_module(spec, lam):
+    """The problem's bimodule over Lambda; the Instance validates it."""
     K = spec.field
     obj = spec.module
     dim = obj["dim"]
@@ -146,19 +148,16 @@ def _parse_module(spec, lam):
         left = actions_from(obj["left"], "left").left
     if "right" in obj:
         right = actions_from(obj["right"], "right").right
-    mod = ModuleData(lam.algebra, dim, left=left, right=right, name="M")
-    mod.validate().raise_if_failed()
-    return mod
+    return ModuleData(lam.algebra, dim, left=left, right=right, name="M")
 
 
 def build_instance(spec):
     """A fully validated Instance from a parsed ProblemSpec."""
-    inst = Instance(spec.name, spec.field, spec.group, sigma=spec.sigma,
-                    theta=spec.action, module=None,
+    module = None if spec.module == "regular" \
+        else (lambda lam: _parse_module(spec, lam))
+    return Instance(spec.name, spec.field, spec.group, sigma=spec.sigma,
+                    theta=spec.action, module=module,
                     monoid_limit=spec.options["monoid_limit"])
-    if spec.module != "regular":
-        inst.M = _parse_module(spec, inst.lam)
-    return inst
 
 
 def fixture_dir():

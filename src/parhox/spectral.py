@@ -25,9 +25,9 @@ from .homology import (_crossed_action_matrices, _env_left_regular,
                        hochschild_homology_bar,
                        hochschild_homology_resolution,
                        hom_A_module_structure, induced_action_on_homology,
-                       m_as_a_bimodule, partial_cohomology_dims,
-                       partial_homology_dims, tor_dims)
-from .linalg import matmul, matvec, rank, solve, transpose
+                       partial_cohomology_dims, partial_homology_dims,
+                       tor_dims)
+from .linalg import Subspace, coordinates_in, matmul, matvec, rank, transpose
 __all__ = [
     "E2Page", "SpectralCheckReport", "assemble_E2_homology",
     "assemble_E2_cohomology", "tor_form_consistency",
@@ -106,8 +106,8 @@ def module_tower(inst, max_q, cochain=False):
     only and is None on the cohomology side.  Memoized on the instance."""
     def build(length):
         act = diagonal_cochain_action if cochain else diagonal_chain_action
-        gmod, _ = act(inst.lam, inst.M, inst.xi, inst.sigma_dd, length + 1,
-                      cap=inst.chain_cap)
+        gmod, _ = act(inst.lam, inst.M, inst.m_over_a, inst.xi,
+                      inst.sigma_dd, length + 1, cap=inst.chain_cap)
         ann = inst.ker_zeta_in_kpar()
         tower = []
         for q in range(length + 1):
@@ -311,7 +311,7 @@ def hochschild_oracle_check(inst, report, max_n=2):
                                             env_res=env_res)
     okc = barc == resc
     report.record("Hochschild dual route (cohomology)", okc, (barc, resc))
-    MA = m_as_a_bimodule(inst.lam, inst.M)
+    MA = inst.m_over_a
     A = inst.theta.algebra
     a_env_res = base_env_resolution(inst, max_n + 1)
     bara = hochschild_homology_bar(A, MA, max_n, cap=inst.chain_cap)
@@ -448,7 +448,7 @@ def structural_identity_suite(inst, report):
     lam = inst.lam
     M = inst.M
     AG, MG = _crossed_action_matrices(lam, M, inst.xi)
-    MA = m_as_a_bimodule(lam, M)
+    MA = inst.m_over_a
 
     # (a-i) e_g . a = 1_g a on A
     ok = True
@@ -593,7 +593,8 @@ def structural_identity_suite(inst, report):
         ModuleData(lam_env, lam.algebra.dim,
                    left=_env_left_regular(lam_env, lam.algebra)),
         bimodule_to_left_env_module(lam_env, lam.algebra, M))
-    carrier, hom_mod = hom_A_module_structure(lam, M, inst.xi, inst.ksdd)
+    carrier, hom_mod = hom_A_module_structure(lam, M, MA, inst.xi,
+                                              inst.ksdd)
     RHS_basis = hom_over_algebra(inst.ksdd.algebra, bs_left, hom_mod)
     ok_d = len(W_basis) == len(RHS_basis)
     if ok_d and W_basis:
@@ -619,10 +620,12 @@ def structural_identity_suite(inst, report):
         # be bijective
         def flat(mat):
             return [x for row in mat for x in row]
-        Wspan = transpose([flat(w) for w in W_basis])
+        W_flat = [flat(w) for w in W_basis]
+        coords_of = coordinates_in(Subspace(K, len(W_flat[0]), W_flat),
+                                   W_flat)
         coords_mat = []
         for img in gamma_images:
-            sol = solve(K, Wspan, flat(img))
+            sol = coords_of(flat(img))
             if sol is None:
                 ok_d = False
                 break
@@ -666,7 +669,7 @@ def degree_zero_formula_check(inst, report):
     M = inst.M
     _, tower = module_tower(inst, 0)
     hd0, mod0, _ = tower[0]
-    MA = m_as_a_bimodule(inst.lam, M)
+    MA = inst.m_over_a
     T = _a_tensor_m(A, MA)
     ok = T.dim == hd0.dim
     if ok:

@@ -4,15 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import dense_kron, dense_map_on_quotient
-from parhox.errors import InvalidInput, PreconditionFailed, SizeLimit
+from parhox.errors import InvalidInput, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
                              ModuleData, StructureAlgebra, ValidationReport,
                              bimodule_to_left_env_module, commutator_quotient,
                              dual_numbers, enveloping, group_algebra,
-                             hom_over_algebra, ideal_and_quotient,
-                             is_von_neumann_regular_idempotent_generated,
-                             matrix_algebra, module_from_generator_actions,
+                             hom_over_algebra, matrix_algebra, module_from_generator_actions,
                              opposite, orthogonalize_idempotents,
                              product_field_algebra, regular_bimodule,
                              restrict_along_hom, separability_idempotent,
@@ -222,18 +220,6 @@ def test_subalgebra_generated():
     assert full.algebra.dim == 4
 
 
-def test_ideal_and_quotient():
-    A = product_field_algebra(QQ, 3)
-    e = [F(1), F(0), F(0)]
-    res = ideal_and_quotient(A, [e])
-    assert res.algebra.dim == 2                       # (1-e)A
-    assert res.projection.verify().ok
-    res2 = ideal_and_quotient(A, [])
-    assert res2.algebra.dim == 3
-    with pytest.raises(InvalidInput):
-        ideal_and_quotient(A, [A.unit])
-
-
 def test_orthogonalize_idempotents():
     A = product_field_algebra(QQ, 2)
     e = [F(1), F(0)]
@@ -247,23 +233,6 @@ def test_orthogonalize_idempotents():
     atoms = orthogonalize_idempotents(B, [e1, f1])
     assert len(atoms) == 4
     assert sorted(atoms) == sorted(identity(QQ, 4))
-
-
-def test_von_neumann_regular():
-    B = product_field_algebra(QQ, 2)   # models span{1, e_t}
-    ok, witness = is_von_neumann_regular_idempotent_generated(
-        B, [[F(1), F(0)]])
-    assert ok
-    x = [F(3), F(0)]
-    y = witness(x)
-    assert B.mul(B.mul(x, y), x) == x
-    with pytest.raises(PreconditionFailed):
-        is_von_neumann_regular_idempotent_generated(dual_numbers(QQ),
-                                                    [[F(0), F(1)]])
-    C3 = product_field_algebra(QQ, 3)
-    ok3, _ = is_von_neumann_regular_idempotent_generated(
-        C3, [C3.basis_vector(i) for i in range(3)])
-    assert ok3
 
 
 def test_separability_idempotent():
@@ -444,22 +413,3 @@ def test_enveloping_size_limit():
     big = product_field_algebra(QQ, 10)
     with pytest.raises(SizeLimit):
         enveloping(big, size_limit=50)
-
-
-def test_module_map_kernel_cokernel():
-    from parhox.algebras import module_map_kernel, module_map_cokernel
-    from parhox.errors import ActionMismatch
-    A = group_algebra(QQ, cyclic_group(2))
-    reg = regular_bimodule(A)
-    X = ModuleData(A, 2, left=reg.left)
-    # the augmentation A -> QQ (trivial module) is a module map
-    triv = ModuleData(A, 1, left=[identity(QQ, 1), identity(QQ, 1)])
-    Fmap = [[F(1), F(1)]]
-    basis, ker = module_map_kernel(A, X, triv, Fmap, side="left")
-    assert len(basis) == 1 and ker.validate().ok
-    Q, coker = module_map_cokernel(A, X, triv, Fmap, side="left")
-    assert Q.dim == 0
-    # a non-equivariant map is rejected
-    import pytest as _pytest
-    with _pytest.raises(ActionMismatch):
-        module_map_kernel(A, X, triv, [[F(1), F(0)]], side="left")

@@ -272,6 +272,20 @@ def test_malformed_input_is_a_schema_error(mutate, command, env, tmp_path,
     assert out["error"]["type"] == "SchemaError"
 
 
+@pytest.mark.parametrize("command", ["validate", "spectral", "build-kpar"])
+@pytest.mark.parametrize("value", [[1, 2], 3, "x", None],
+                         ids=["list", "int", "string", "null"])
+def test_top_level_non_object_is_a_schema_error(value, command, tmp_path,
+                                                capsys):
+    # a top-level list was an AttributeError and exit 1 in parse_spec_file
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(value))
+    code = main([command, str(bad)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["type"] == "SchemaError"
+
+
 @pytest.mark.parametrize("argv", [
     ["build-kpar", group_path("z3.json"), "--seed", "0"],
     ["spectral", fixture_path("z2_trivial_q.json"), "--seed", "0"],

@@ -309,7 +309,8 @@ def _z3_tower():
 def test_diagonal_chain_action_gates():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, bb = diagonal_chain_action(lam, M, xi, sdd, 2)
+    gmod, bb = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
+                                     xi, sdd, 2)
     assert gmod.complex.validate().ok
 
 
@@ -320,7 +321,8 @@ def test_diagonal_chain_action_universal_instances():
         sigma = theta.sigma
         xi, sdd = xi_sigma_double_prime(sigma)
         M = regular_bimodule(lam.algebra)
-        gmod, _ = diagonal_chain_action(lam, M, xi, sdd, 2)
+        gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
+                                        xi, sdd, 2)
 
 
 def test_diagonal_action_global_case_classical():
@@ -330,7 +332,8 @@ def test_diagonal_action_global_case_classical():
     xi = EquivalenceWitness(G, QQ, [QQ.one, QQ.one])
     sdd = trivial_factor_set(G, QQ)
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_chain_action(lam, M, xi, sdd, 2)
+    gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
+                                    xi, sdd, 2)
     # T_t must be invertible in the global case (it is a group action)
     for q in range(3):
         T = gmod.action[1][q]
@@ -341,7 +344,8 @@ def test_diagonal_action_global_case_classical():
 def test_induced_action_on_homology_z3():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_chain_action(lam, M, xi, sdd, 2)
+    gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
+                                    xi, sdd, 2)
     bsig, omega = build_B_sigma_omega(kp, ks, ksdd=ksdd)
     # annihilators: dead idempotent monomials of kpar, as kpar vectors
     ann = []
@@ -359,7 +363,6 @@ def test_induced_action_on_homology_z3():
         # [1] acts as the identity
         assert mod.left_matrix_of(kp.algebra.unit) == identity(QQ, hd.dim)
     # degree 0: H_0 = M/[A, M]; the action must match the quotient action
-    from parhox.homology import m_as_a_bimodule
     MA = m_as_a_bimodule(lam, M)
     hd0, mod0 = induced_action_on_homology(gmod, 0, kp, G)
     assert hd0.dim == commutator_quotient(MA).dim
@@ -370,8 +373,8 @@ def test_degree_zero_matches_tensor_formula():
     # induced degree-0 action on M/[A,M]
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_chain_action(lam, M, xi, sdd, 1)
-    from parhox.homology import m_as_a_bimodule
+    gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
+                                    xi, sdd, 1)
     from parhox.algebras import (bimodule_to_left_env_module,
                                  bimodule_to_right_env_module, enveloping)
     A = theta.algebra
@@ -432,19 +435,20 @@ def test_degree_zero_matches_tensor_formula():
 def test_diagonal_cochain_action_gates():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_cochain_action(lam, M, xi, sdd, 2)
+    gmod, _ = diagonal_cochain_action(lam, M, m_as_a_bimodule(lam, M),
+                                      xi, sdd, 2)
     # cochain d.d = 0 was asserted at construction; gate ran in constructor
 
 
 def test_hom_A_module_structure():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    carrier, mod = hom_A_module_structure(lam, M, xi, ksdd)
+    carrier, mod = hom_A_module_structure(lam, M, m_as_a_bimodule(lam, M),
+                                          xi, ksdd)
     assert mod.validate().ok
     assert mod.left_matrix_of(ksdd.algebra.unit) == identity(QQ, len(carrier))
     # carrier = centralizer of A in M
     A = theta.algebra
-    from parhox.homology import m_as_a_bimodule
     MA = m_as_a_bimodule(lam, M)
     K = QQ
     cent = 0
@@ -468,7 +472,8 @@ def test_hom_A_classical_case():
     xi = EquivalenceWitness(G, QQ, [QQ.one, QQ.one])
     kp = build_kpar(G, QQ)
     M = regular_bimodule(lam.algebra)
-    carrier, mod = hom_A_module_structure(lam, M, xi, kp)
+    carrier, mod = hom_A_module_structure(lam, M, m_as_a_bimodule(lam, M),
+                                          xi, kp)
     assert mod.validate().ok
 
 
@@ -591,7 +596,7 @@ def _m_major(diffs, dims, mdim):
                                      "z2_trivial_f2.json"])
 def test_face_tables_match_per_column_builders(fixture):
     inst = build_instance(load_fixture(fixture))
-    A, MA = inst.theta.algebra, m_as_a_bimodule(inst.lam, inst.M)
+    A, MA = inst.theta.algebra, inst.m_over_a
     K = A.field
     for R, M, max_q in ((A, MA, 3), (inst.lam.algebra, inst.M, 2)):
         for normalized in (True, False):
@@ -632,7 +637,7 @@ def test_bar_gate_rejects_a_non_bimodule_on_both_sides():
 @pytest.mark.parametrize("fixture", bundled_fixtures())
 def test_dual_bimodule_is_an_involution(fixture):
     inst = build_instance(load_fixture(fixture))
-    for M in (inst.M, m_as_a_bimodule(inst.lam, inst.M)):
+    for M in (inst.M, inst.m_over_a):
         dual = dual_bimodule(M)
         assert dual.validate().ok
         assert dual.left == [transpose(R) for R in M.right]
@@ -645,7 +650,7 @@ def test_base_algebra_cohomology_routes_agree(fixture):
     # the cochain tower lives on A with M|A; the battery compares the two
     # cohomology routes on Lambda only
     inst = build_instance(load_fixture(fixture))
-    A, MA = inst.theta.algebra, m_as_a_bimodule(inst.lam, inst.M)
+    A, MA = inst.theta.algebra, inst.m_over_a
     bar = hochschild_cohomology_bar(A, MA, 2)
     assert bar == hochschild_cohomology_resolution(A, MA, 2)
     if fixture == "z2_dual_q.json":
@@ -663,7 +668,7 @@ def test_chain_action_gate_rejects_a_changed_entry(cochain):
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
     build = diagonal_cochain_action if cochain else diagonal_chain_action
-    gmod, _ = build(lam, M, xi, sdd, 2)
+    gmod, _ = build(lam, M, m_as_a_bimodule(lam, M), xi, sdd, 2)
     assert _violations(gmod, G) == set()
     # one entry of T_t on C_1, in a column that the differential out of
     # C_1 (chains) or into C_2 (cochains) does not kill
@@ -681,7 +686,8 @@ def test_chain_action_gate_rejects_a_changed_entry(cochain):
 def test_chain_action_gate_rejects_a_changed_sigma_pattern():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_chain_action(lam, M, xi, sdd, 2)
+    gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
+                                    xi, sdd, 2)
     t, t2 = 1, G.inv(1)
     assert sdd(t, t2) != QQ.zero
 
@@ -702,4 +708,4 @@ def test_diagonal_action_with_a_wrong_xi_is_rejected(build):
     M = regular_bimodule(lam.algebra)
     wrong = EquivalenceWitness(G, QQ, [QQ.one, xi(1) * 2, xi(2)])
     with pytest.raises(EquivarianceFailure):
-        build(lam, M, wrong, sdd, 2)
+        build(lam, M, m_as_a_bimodule(lam, M), wrong, sdd, 2)

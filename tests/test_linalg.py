@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import dense_kron, densify
 from parhox.fields import QQ, PrimeField
 from parhox.linalg import (QuotientSpace, Subspace, _char, _sp_kron,
-                           _sp_transpose, _sparse_matrix, column_space_basis,
+                           _sp_transpose, _sparse_matrix, coordinates_in,
                            identity, invert_matrix, matmul, matvec, nullspace,
                            rank, rref, solve, transpose)
 
@@ -85,12 +85,6 @@ def test_subspace_order_independent():
         s1 = Subspace(QQ, 4, vecs)
         s2 = Subspace(QQ, 4, list(reversed(vecs)))
         assert s1.basis() == s2.basis()
-
-
-def test_column_space():
-    M = to_q([[1, 2], [2, 4], [0, 0]])
-    basis = column_space_basis(QQ, M)
-    assert len(basis) == 1
 
 
 def test_prime_field_paths():
@@ -232,6 +226,63 @@ def test_subspace_reduce_is_the_canonical_normal_form():
                 want = [K.sub(a, K.mul(f, b)) for a, b in zip(want, row)]
             assert sub.reduce(v) == want
             assert sub.contains(v) == all(a == K.zero for a in want)
+
+
+def test_coordinates_match_solve():
+    """`Subspace.coords` (in the reduced basis) and `coordinates_in` (in a
+    fixed independent list) give what `solve` gives on the same basis, for
+    vectors in and out of the span, the zero vector and 0-dimensional
+    subspaces; an empty basis is an n x 0 matrix for `solve`."""
+    rng = Random(31)
+    for K in FIELDS:
+        for trial in range(30):
+            n = rng.randrange(0, 7)
+            vecs = random_matrix(K, rng, rng.randrange(0, 6), n,
+                                 rng.choice([0.0, 0.3, 0.7]))
+            span, indep = Subspace(K, n), []
+            for v in vecs:
+                if span.add(v):
+                    indep.append(v)
+            sub = Subspace(K, n, vecs)
+            coords_of = coordinates_in(span, indep)
+            c = random_matrix(K, rng, 1, len(indep), 0.7)[0]
+            inside = matvec(K, transpose(indep), c) if indep else [K.zero] * n
+            for v in (inside, [K.zero] * n,
+                      random_matrix(K, rng, 1, n, 0.8)[0]):
+                for basis, got in ((sub.basis(), sub.coords(v)),
+                                   (indep, coords_of(v))):
+                    want = solve(K, transpose(basis) or [[] for _ in v], v)
+                    assert got == want
+                    if got is not None:
+                        same_values(K, [got], [want])
+            if indep:
+                assert coords_of(inside) == c
+    # the zero subspace holds only the zero vector
+    for K in FIELDS:
+        empty = Subspace(K, 3)
+        assert empty.coords([K.zero] * 3) == []
+        assert empty.coords([K.one, K.zero, K.zero]) is None
+        assert coordinates_in(empty, [])([K.zero] * 3) == []
+
+
+def ref_matvec(K, M, v):
+    """The cell-by-cell product, zero-testing every pair."""
+    out = []
+    for row in M:
+        acc = K.zero
+        for a, x in zip(row, v):
+            if a and x:
+                acc = K.add(acc, K.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def test_matvec_matches_the_cell_by_cell_product():
+    rng = Random(8)
+    for K, M, n in random_cases():
+        for density in (0.0, 0.4, 1.0):
+            v = random_matrix(K, rng, 1, n, density)[0] if n else []
+            same_values(K, [matvec(K, M, v)], [ref_matvec(K, M, v)])
 
 
 # -- sparse matmul against a naive dense triple loop -----------------------

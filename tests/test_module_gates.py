@@ -10,7 +10,7 @@ from conftest import bump, densify
 from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
                              dual_numbers, regular_bimodule)
 from parhox.fields import QQ, PrimeField
-from parhox.homology import GModuleOnChains, m_as_a_bimodule
+from parhox.homology import GModuleOnChains
 from parhox.problems import build_instance, load_fixture
 from parhox.spectral import module_tower
 
@@ -151,8 +151,7 @@ def fixture_modules(fixture):
     """Valid modules and bimodules that the battery validates."""
     inst = instance(fixture)
     bs_left, bs_right, _ = inst.bsig_modules_over_ksdd
-    mods = [bs_left, bs_right, *inst.b_over_kpar, inst.M,
-            m_as_a_bimodule(inst.lam, inst.M)]
+    mods = [bs_left, bs_right, *inst.b_over_kpar, inst.M, inst.m_over_a]
     for cochain in (False, True):
         for _, mod_kpar, mod_ksdd in module_tower(inst, 1, cochain)[1]:
             mods += [m for m in (mod_kpar, mod_ksdd) if m is not None]

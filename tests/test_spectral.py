@@ -1,15 +1,19 @@
+import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import (z2_dual_numbers, z2_global_twist, z2_universal,
                       z2xz2_partial_idempotent, z3_kappa2_action)
-from parhox import homology
+from parhox import cli, homology, instance, linalg
 from parhox.fields import QQ, PrimeField
 from parhox.groups import cyclic_group
 from parhox.instance import Instance
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
-from parhox.problems import build_instance, load_fixture
+from parhox.problems import (build_instance, fixture_dir, load_fixture,
+                             parse_spec)
 from parhox.spectral import (assemble_E2_cohomology, assemble_E2_homology,
                              collapse_check_maclane, collapse_check_separable,
                              dimension_bound_check, hochschild_oracle_check,
@@ -173,3 +177,87 @@ def test_module_tower_computes_homology_data_once_per_degree(monkeypatch):
     assert len(calls) == 3
     for hd, mod_kpar, mod_ksdd in tower:
         assert mod_kpar.dim == mod_ksdd.dim == hd.dim
+
+
+def _doubled_module_doc():
+    """z3_kappa2_q with the coefficient bimodule Lambda (+) Lambda written
+    into the problem file (every basis element's action) instead of
+    "regular"."""
+    with open(os.path.join(fixture_dir(), "z3_kappa2_q.json")) as fh:
+        doc = json.load(fh)
+    lam = build_instance(parse_spec(doc)).lam.algebra
+    K = lam.field
+    n = lam.dim
+
+    def doubled(mat):
+        return [[K.dump(mat[r % n][c % n]) if r // n == c // n else "0"
+                 for c in range(2 * n)] for r in range(2 * n)]
+
+    basis = [lam.basis_vector(i) for i in range(n)]
+    doc["module"] = {
+        "dim": 2 * n,
+        "left": {lam.labels[i]: doubled(lam.left_mult_matrix(b))
+                 for i, b in enumerate(basis)},
+        "right": {lam.labels[i]: doubled(lam.right_mult_matrix(b))
+                  for i, b in enumerate(basis)}}
+    return doc
+
+
+def test_m_over_a_is_built_once_from_the_final_module(tmp_path, monkeypatch,
+                                                      capsys):
+    path = tmp_path / "z3_doubled.json"
+    path.write_text(json.dumps(_doubled_module_doc()))
+    restricted, regular, built = [], [], []
+    m_as_a, regular_bimodule = instance.m_as_a_bimodule, \
+        instance.regular_bimodule
+    build = cli.build_instance
+    monkeypatch.setattr(instance, "m_as_a_bimodule", lambda lam, M: (
+        restricted.append(M) or m_as_a(lam, M)))
+    monkeypatch.setattr(instance, "regular_bimodule", lambda A: (
+        regular.append(A) or regular_bimodule(A)))
+    monkeypatch.setattr(cli, "build_instance", lambda spec: (
+        built.append(build(spec)) or built[-1]))
+    assert cli.main(["spectral", str(path)]) == 0
+    inst, = built
+    assert inst.M.dim == 2 * inst.lam.algebra.dim
+    # one M|A per spectral run, restricted from the problem's module; no
+    # regular bimodule of Lambda was built to be thrown away
+    assert len(restricted) == 1 and restricted[0] is inst.M
+    assert all(A is not inst.lam.algebra for A in regular)
+
+
+@pytest.mark.parametrize("fixture", ["z2_trivial_q.json", "z3_kappa2_q.json",
+                                     "z3_kappa2_f3.json"])
+def test_coordinates_never_solve_a_system(fixture, monkeypatch):
+    # the crossed product, B^sigma, the induced module actions, the homology
+    # coordinates and the Hom bridge read coordinates off a basis; only the
+    # separability idempotent is a linear system
+    callers = []
+    solve = linalg.solve
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parhox") and getattr(module, "solve", None) \
+                is solve:
+            monkeypatch.setattr(module, "solve", traced)
+    report, _, _ = run_all_checks(build_instance(load_fixture(fixture)))
+    assert report.ok
+    assert set(callers) == {"separability_idempotent"}
+
+
+@pytest.mark.parametrize("group, field", [
+    ("z4.json", {"kind": "Fp", "p": 3}), ("z2xz2.json", {"kind": "Q"})])
+def test_universal_order_four_instances(group, field):
+    # no action and the regular module: Lambda = kappa_par G = B * G
+    with open(os.path.join(fixture_dir(), "groups", group)) as fh:
+        spec = parse_spec({"field": field, "group": json.load(fh),
+                           "module": "regular"})
+    inst = build_instance(spec)
+    assert inst.universal
+    assert (inst.kpar.dim, inst.lam.algebra.dim,
+            inst.theta.algebra.dim) == (20, 20, 8)
+    assert sum(len(b) for b in inst.lam.dg_bases) == 20
+    assert inst.m_over_a.dim == inst.M.dim == 20
