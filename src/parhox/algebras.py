@@ -5,12 +5,18 @@ Convention table (used consistently by every module):
 
   * structure constants:  b_i . b_j = sum_k  sc[(i,j)][k] . b_k,
     stored sparsely as  sc[(i, j)] = [(k, coeff), ...];
+  * elements of algebras and modules are dense vectors; every matrix of an
+    action or of a map is a list of kernel rows of `linalg` (`{col: value}`
+    dicts normalized like `linalg._nonzero`), the shape carried by `dim`;
   * a left module action is a list L of matrices, one per algebra basis
     element, acting on column vectors:  b_i . x = L[i] @ x,
     with  L of a product satisfying  L[i] @ L[j] = sum_k c_ijk L[k];
   * a right module action R satisfies  R[j] @ R[i] = sum_k c_ijk R[k]
     (x . b_i . b_j applies R[i] first);
   * a bimodule is a left and a right action that commute;
+  * an algebra map f is the list of its images f(b_j), one kernel row per
+    source basis element in target coordinates (the columns of its
+    matrix);
   * an A-bimodule is the same thing as a left A**e = A (x) A^op module via
     (a (x) b) . m = a . m . b,  and as a right A**e-module via
     m . (a (x) b) = b . m . a.
@@ -20,10 +26,10 @@ import random
 
 from .errors import (InvalidInput, NotCommuting, NotIdempotent, SchemaError,
                      SizeLimit, ValidationFailure)
-from .linalg import (QuotientSpace, Subspace, _char, _dense, _nonzero,
-                     _scalar, _sp_combination, _sp_identity, _sp_matmul,
-                     _sparse, _sparse_matrix, coordinates_in, matmul, matvec,
-                     nullspace, rank, solve, transpose)
+from .linalg import (QuotientSpace, Subspace, _char, _dense, _kernel_of,
+                     _nonzero, _rank_of, _scalar, _sp_combination,
+                     _sp_identity, _sp_matmul, _sp_matvec, _sp_transpose,
+                     _sparse, coordinates_in, solve)
 
 __all__ = [
     "ValidationReport", "StructureAlgebra", "AlgebraHom", "ModuleData",
@@ -115,12 +121,13 @@ class StructureAlgebra:
         kmul, kadd = K.mul, K.add
         sc = self.sc
         out = [zero] * self.dim
+        # the supports are taken once; `is not zero` skips the shared zero
+        # of a dense vector without a (Python-level) Fraction.__bool__ call
+        vsupp = [(j, b) for j, b in enumerate(v) if b is not zero and b]
         for i, a in enumerate(u):
-            if not a:
+            if a is zero or not a:
                 continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
+            for j, b in vsupp:
                 row = sc.get((i, j))
                 if not row:
                     continue
@@ -135,15 +142,27 @@ class StructureAlgebra:
         return v
 
     def left_mult_matrix(self, v):
-        """Matrix of x |-> v . x."""
-        K = self.field
-        cols = [self.mul(v, self.basis_vector(j)) for j in range(self.dim)]
-        return transpose(cols) if cols else []
+        """Kernel rows of x |-> v . x: entry (k, j) is sum_i v_i c_ijk."""
+        return self._mult_rows(v, True)
 
     def right_mult_matrix(self, v):
-        """Matrix of x |-> x . v."""
-        cols = [self.mul(self.basis_vector(j), v) for j in range(self.dim)]
-        return transpose(cols) if cols else []
+        """Kernel rows of x |-> x . v: entry (k, j) is sum_i v_i c_jik."""
+        return self._mult_rows(v, False)
+
+    def _mult_rows(self, v, left):
+        """The matrix of multiplication by v, read off the structure
+        constants."""
+        K = self.field
+        d = self.dim
+        sc = self.sc
+        rows = [{} for _ in range(d)]
+        for i, a in _sparse(K, v).items():
+            for j in range(d):
+                for k, c in sc.get((i, j) if left else (j, i), ()):
+                    row = rows[k]
+                    row[j] = row.get(j, 0) + a * _scalar(K, c)
+        p = _char(K)
+        return [_nonzero(row, p) for row in rows]
 
     def is_commutative(self):
         for i in range(self.dim):
@@ -219,27 +238,28 @@ class StructureAlgebra:
 
 
 class AlgebraHom:
-    """Linear map between algebras given by a (tgt_dim x src_dim) matrix."""
+    """Linear map between algebras given by the images f(b_j) of the source
+    basis, as kernel rows in target coordinates."""
 
-    def __init__(self, source, target, matrix, name=""):
+    def __init__(self, source, target, images, name=""):
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.images = images
         self.name = name or "hom"
 
     def apply(self, v):
-        return matvec(self.source.field, self.matrix, v)
+        K = self.source.field
+        img = _sp_matmul([_sparse(K, v)], self.images, _char(K))[0]
+        return _dense(K, img, self.target.dim)
 
     def verify(self, unital=True):
         """f(b_i) f(b_j) = f(b_i b_j) for every pair of basis elements, and
-        f(1) = 1.  The images f(b_j) (the columns) are taken once as kernel
-        rows; both sides are expanded by structure constants."""
+        f(1) = 1, both sides expanded by structure constants."""
         rep = ValidationReport(f"hom {self.name}")
         src, tgt = self.source, self.target
         K = src.field
         p = _char(K)
-        imgs = [_sparse(K, [row[j] for row in self.matrix])
-                for j in range(src.dim)]
+        imgs = self.images
         ssc, tsc = src.kernel_sc(), tgt.kernel_sc()
 
         def combine(terms):
@@ -264,11 +284,14 @@ class AlgebraHom:
 
     def is_bijective(self):
         return (self.source.dim == self.target.dim
-                and rank(self.source.field, self.matrix) == self.source.dim)
+                and _rank_of(self.source.field,
+                             [dict(img) for img in self.images])
+                == self.source.dim)
 
 
 class ModuleData:
-    """Module/bimodule over one algebra: action matrices per basis element."""
+    """Module/bimodule over one algebra: one action matrix per basis
+    element and side, each a list of `dim` kernel rows."""
 
     def __init__(self, algebra, dim, left=None, right=None, name=""):
         self.algebra = algebra
@@ -286,22 +309,15 @@ class ModuleData:
         return "left" if self.left is not None else "right"
 
     def act_left(self, a_vec, x):
-        K = self.algebra.field
-        out = [K.zero] * self.dim
-        for i, c in enumerate(a_vec):
-            if c:
-                Lx = matvec(K, self.left[i], x)
-                out = [K.add(o, K.mul(c, t)) for o, t in zip(out, Lx)]
-        return out
+        return self._act(self.left, a_vec, x)
 
     def act_right(self, x, a_vec):
+        return self._act(self.right, a_vec, x)
+
+    def _act(self, mats, a_vec, x):
         K = self.algebra.field
-        out = [K.zero] * self.dim
-        for i, c in enumerate(a_vec):
-            if c:
-                Rx = matvec(K, self.right[i], x)
-                out = [K.add(o, K.mul(c, t)) for o, t in zip(out, Rx)]
-        return out
+        y = _sp_matvec(self._matrix_of(mats, a_vec), _sparse(K, x), _char(K))
+        return _dense(K, y, self.dim)
 
     def left_matrix_of(self, a_vec):
         return self._matrix_of(self.left, a_vec)
@@ -310,25 +326,22 @@ class ModuleData:
         return self._matrix_of(self.right, a_vec)
 
     def _matrix_of(self, mats, a_vec):
-        """sum_i a_i mats[i] as a dense matrix."""
+        """sum_i a_i mats[i], as kernel rows."""
         K = self.algebra.field
-        terms = [(_scalar(K, c), _sparse_matrix(K, mats[i]))
-                 for i, c in enumerate(a_vec) if c]
-        return [_dense(K, row, self.dim)
-                for row in _sp_combination(terms, self.dim, _char(K))]
+        return _sp_combination([(c, mats[i])
+                                for i, c in _sparse(K, a_vec).items()],
+                               self.dim, _char(K))
 
     def validate(self):
         """The unit and product axioms of each action and, for a bimodule,
-        the commutation of the two; every action matrix is converted to
-        kernel rows once and all comparisons are made on those rows."""
+        the commutation of the two, compared on the kernel rows as
+        stored."""
         rep = ValidationReport(f"module {self.name} over {self.algebra.name}")
         K = self.algebra.field
-        left = right = None
-        if self.left is not None:
-            left = [_sparse_matrix(K, L) for L in self.left]
+        left, right = self.left, self.right
+        if left is not None:
             self._check_action(rep, "left", left)
-        if self.right is not None:
-            right = [_sparse_matrix(K, R) for R in self.right]
+        if right is not None:
             self._check_action(rep, "right", right)
         if left is not None and right is not None:
             p = _char(K)
@@ -401,22 +414,18 @@ def enveloping(A, size_limit=1 << 16):
 def bimodule_to_left_env_module(env, A, M):
     """Left A^e-action (a (x) b).m = a.m.b from a bimodule M over A."""
     d = A.dim
-    K = A.field
-    left = []
-    for i in range(d):
-        for j in range(d):
-            left.append(matmul(K, M.left[i], M.right[j]))
+    p = _char(A.field)
+    left = [_sp_matmul(M.left[i], M.right[j], p)
+            for i in range(d) for j in range(d)]
     return ModuleData(env, M.dim, left=left, name=f"{M.name} as left {env.name}")
 
 
 def bimodule_to_right_env_module(env, A, M):
     """Right A^e-action m.(a (x) b) = b.m.a."""
     d = A.dim
-    K = A.field
-    right = []
-    for i in range(d):
-        for j in range(d):
-            right.append(matmul(K, M.left[j], M.right[i]))
+    p = _char(A.field)
+    right = [_sp_matmul(M.left[j], M.right[i], p)
+             for i in range(d) for j in range(d)]
     return ModuleData(env, M.dim, right=right, name=f"{M.name} as right {env.name}")
 
 
@@ -468,7 +477,8 @@ def subalgebra_generated(A, gens, adjoin_unit=True, name=""):
     if unit_coords is None:
         raise InvalidInput("unit of the ambient algebra not in the subalgebra")
     sub = StructureAlgebra(K, sub_dim, sc, unit_coords, name=name or f"sub({A.name})")
-    incl = AlgebraHom(sub, A, transpose(basis), name=f"incl {sub.name}")
+    incl = AlgebraHom(sub, A, [_sparse(K, b) for b in basis],
+                      name=f"incl {sub.name}")
     return SubalgebraResult(sub, span, incl)
 
 
@@ -566,9 +576,10 @@ def regular_bimodule(A):
 def dual_bimodule(M):
     """M* = Hom_k(M, k) with (a.f.b)(m) = f(b.m.a), in the dual basis: the
     left action of a_i is (m -> m.a_i)^T, the right one (m -> a_i.m)^T."""
-    return ModuleData(M.algebra, M.dim,
-                      left=[transpose(R) for R in M.right],
-                      right=[transpose(L) for L in M.left],
+    n = M.dim
+    return ModuleData(M.algebra, n,
+                      left=[_sp_transpose(R, n) for R in M.right],
+                      right=[_sp_transpose(L, n) for L in M.left],
                       name=f"{M.name}*")
 
 
@@ -591,8 +602,8 @@ class TensorOverAlgebra:
         p = _char(K)
         rel = Subspace(K, N)
         for b in range(R.dim):
-            colsX = _sparse_matrix(K, transpose(X.right[b]))
-            colsY = _sparse_matrix(K, transpose(Y.left[b]))
+            colsX = _sp_transpose(X.right[b], mx)
+            colsY = _sp_transpose(Y.left[b], my)
             for ix in range(mx):
                 for iy in range(my):
                     v = {r * my + iy: a for r, a in colsX[ix].items()}
@@ -622,18 +633,17 @@ class TensorOverAlgebra:
         return self.quotient.project(ambient_vec)
 
     def tensor_map(self, P=None, Q=None):
-        """The matrix, in quotient coordinates, of the map induced by P (x) Q
-        for a linear map P of X and Q of Y (None is the identity); raises
-        InvalidInput unless P (x) Q maps every balancing relation into the
-        relation span, i.e. descends to X (x)_R Y.  Callers pass the two
-        factors only: the ambient index of a pure tensor is private to
-        this class."""
+        """The matrix (kernel rows), in quotient coordinates, of the map
+        induced by P (x) Q for linear maps P of X and Q of Y, both kernel
+        rows (None is the identity); raises InvalidInput unless P (x) Q
+        maps every balancing relation into the relation span, i.e.
+        descends to X (x)_R Y.  Callers pass the two factors only: the
+        ambient index of a pure tensor is private to this class."""
         K = self.K
         my = self.Y.dim
 
         def columns(F, n):
-            return _sp_identity(n) if F is None \
-                else _sparse_matrix(K, transpose(F))
+            return _sp_identity(n) if F is None else _sp_transpose(F, n)
 
         colsP, colsQ = columns(P, self.X.dim), columns(Q, my)
         p = _char(K)
@@ -658,33 +668,22 @@ class TensorOverAlgebra:
         for j, c in enumerate(self.quotient.free):
             for t, a in image({c: 1}).items():
                 rows[index[t]][j] = a
-        return [_dense(K, row, self.dim) for row in rows]
+        return rows
 
     def map_from(self, pure_images, target_dim):
-        """Matrix (target_dim x self.dim) of the linear map sending the
-        pure tensor of basis elements (ix, iy) to pure_images[ix][iy];
-        asserts the map kills the balancing relations."""
+        """Matrix (kernel rows, target_dim x self.dim) of the linear map
+        sending the pure tensor of basis elements (ix, iy) to the vector
+        pure_images[ix][iy]; raises InvalidInput unless the map kills the
+        balancing relations.  Quotient coordinate t lifts to the ambient
+        basis tensor at `quotient.free[t]`, so its column is that image."""
         K = self.K
-        my = self.Y.dim
-
-        def apply_ambient(vec):
-            out = [K.zero] * target_dim
-            for idx, c in enumerate(vec):
-                if c != K.zero:
-                    img = pure_images[idx // my][idx % my]
-                    out = [K.add(o, K.mul(c, w)) for o, w in zip(out, img)]
-            return out
-
-        zero = [K.zero] * target_dim
-        for relvec in self.relations.basis():
-            if apply_ambient(relvec) != zero:
+        p = _char(K)
+        imgs = [_sparse(K, w) for row in pure_images for w in row]
+        for c, tail in self.relations.ech.rref():
+            if _sp_matmul([{c: 1, **tail}], imgs, p)[0]:
                 raise InvalidInput("map is not balanced over the algebra")
-        cols = []
-        for i in range(self.dim):
-            amb = self.quotient.lift([K.one if t == i else K.zero
-                                      for t in range(self.dim)])
-            cols.append(apply_ambient(amb))
-        return transpose(cols) if cols else [[] for _ in range(target_dim)]
+        return _sp_transpose([imgs[c] for c in self.quotient.free],
+                             target_dim)
 
 
 def tensor_over_algebra(R, X, Y):
@@ -692,43 +691,46 @@ def tensor_over_algebra(R, X, Y):
 
 
 def hom_over_algebra(R, X, Y):
-    """Basis of Hom_R(X, Y) for left modules X, Y: matrices F with
-    F L_X(b) = L_Y(b) F for every algebra basis element b."""
+    """Basis of Hom_R(X, Y) for left modules X, Y: matrices F (kernel rows,
+    my x mx) with F L_X(b) = L_Y(b) F for every algebra basis element b.
+    The unknown F[r][s] is variable r * mx + s."""
     if X.left is None or Y.left is None:
         raise InvalidInput("need left modules")
     K = R.field
+    p = _char(K)
     mx, my = X.dim, Y.dim
-    nvars = my * mx
     rows = []
     for b in range(R.dim):
-        LX, LY = X.left[b], Y.left[b]
+        colsX, LY = _sp_transpose(X.left[b], mx), Y.left[b]
         for r in range(my):
             for c in range(mx):
-                row = [K.zero] * nvars
-                # (F LX)[r][c] = sum_s F[r][s] LX[s][c]
-                for s in range(mx):
-                    if LX[s][c] != K.zero:
-                        row[r * mx + s] = K.add(row[r * mx + s], LX[s][c])
-                # (LY F)[r][c] = sum_s LY[r][s] F[s][c]
-                for s in range(my):
-                    if LY[r][s] != K.zero:
-                        row[s * mx + c] = K.sub(row[s * mx + c], LY[r][s])
-                rows.append(row)
-    basis = nullspace(K, rows, nvars)
-    return [[[v[r * mx + c] for c in range(mx)] for r in range(my)] for v in basis]
+                # (F LX)[r][c] - (LY F)[r][c]
+                row = {r * mx + s: a for s, a in colsX[c].items()}
+                for s, a in LY[r].items():
+                    key = s * mx + c
+                    row[key] = row.get(key, 0) - a
+                rows.append(_nonzero(row, p))
+    basis = []
+    for v in _kernel_of(K, rows, my * mx):
+        F = [{} for _ in range(my)]
+        for idx, a in v.items():
+            r, s = divmod(idx, mx)
+            F[r][s] = a
+        basis.append(F)
+    return basis
 
 
 def restrict_along_hom(hom, M):
     """Pull a module over hom.target back to a module over hom.source."""
     src = hom.source
-    K = src.field
-    left = right = None
-    if M.left is not None:
-        left = [M.left_matrix_of(hom.apply(src.basis_vector(i)))
-                for i in range(src.dim)]
-    if M.right is not None:
-        right = [M.right_matrix_of(hom.apply(src.basis_vector(i)))
-                 for i in range(src.dim)]
+    p = _char(src.field)
+
+    def pulled(mats):
+        return None if mats is None else [
+            _sp_combination([(c, mats[k]) for k, c in img.items()], M.dim, p)
+            for img in hom.images]
+
+    left, right = pulled(M.left), pulled(M.right)
     return ModuleData(src, M.dim, left=left, right=right,
                       name=f"{M.name} via {hom.name}")
 
@@ -736,10 +738,11 @@ def restrict_along_hom(hom, M):
 def module_from_generator_actions(A, dim, given, side="left"):
     """Complete a module action specified only on generators of A.
 
-    `given` maps basis indices to action matrices.  The closure tracks the
-    span of algebra elements with known action; multiplication order follows
-    the side convention.  Each ordered pair of known elements is multiplied
-    once: a round pairs known[i] only with the elements new to it.
+    `given` maps basis indices to action matrices (kernel rows).  The
+    closure tracks the span of algebra elements with known action;
+    multiplication order follows the side convention.  Each ordered pair
+    of known elements is multiplied once: a round pairs known[i] only with
+    the elements new to it.
     """
     K = A.field
     if dim == 0:
@@ -757,7 +760,7 @@ def module_from_generator_actions(A, dim, given, side="left"):
 
     push(A.unit, _sp_identity(dim))
     for i, mat in given.items():
-        push(A.basis_vector(i), _sparse_matrix(K, mat))
+        push(A.basis_vector(i), mat)
     paired = []     # known[i] was multiplied with known[:paired[i]]
     while len(paired) < len(known) and span.dim < A.dim:
         paired += [0] * (len(known) - len(paired))
@@ -776,9 +779,9 @@ def module_from_generator_actions(A, dim, given, side="left"):
     actions = []
     for i in range(A.dim):
         coords = coords_of(A.basis_vector(i))
-        acc = _sp_combination([(_scalar(K, c), mat)
-                               for c, (_, mat) in zip(coords, known)], dim, p)
-        actions.append([_dense(K, row, dim) for row in acc])
+        actions.append(_sp_combination(
+            [(_scalar(K, c), mat) for c, (_, mat) in zip(coords, known)],
+            dim, p))
     if side == "left":
         return ModuleData(A, dim, left=actions)
     return ModuleData(A, dim, right=actions)
@@ -788,13 +791,14 @@ def commutator_quotient(M):
     """M / [A, M] for a bimodule M: returns (QuotientSpace, dim)."""
     A = M.algebra
     K = A.field
-    span = Subspace(K, M.dim)
+    n = M.dim
+    span = Subspace(K, n)
     for i in range(A.dim):
-        L, R = M.left[i], M.right[i]
-        for c in range(M.dim):
-            v = [K.sub(L[r][c], R[r][c]) for r in range(M.dim)]
-            span.add(v)
-    return QuotientSpace(K, M.dim, span)
+        diff = _sp_combination([(1, M.left[i]), (-1, M.right[i])], n,
+                               _char(K))
+        for col in _sp_transpose(diff, n):
+            span.ech.add(col)
+    return QuotientSpace(K, n, span)
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,8 @@ from .algebras import (ModuleData, ValidationReport,
                        hom_over_algebra, module_from_generator_actions)
 from .linalg import (QuotientSpace, Subspace, _char, _dense, _Echelon,
                      _kernel_of, _nonzero, _rank_of, _scalar, _sp_combination,
-                     _sp_identity, _sp_kron, _sp_matmul, _sp_transpose,
-                     _sparse, _sparse_matrix, coordinates_in, identity,
-                     matmul, transpose)
+                     _sp_identity, _sp_kron, _sp_matmul, _sp_matvec,
+                     _sp_transpose, _sparse, _sparse_matrix, coordinates_in)
 
 __all__ = [
     "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
@@ -123,11 +122,10 @@ class _BarBasis:
         self.prod = [[_sparse(K, self.project(R.mul(x, y))) for y in lifted]
                      for x in lifted]
 
-        def columns(mat):
-            return _sp_transpose(_sparse_matrix(K, mat), M.dim)
-
-        self.left = [columns(M.left_matrix_of(x)) for x in lifted]
-        self.right = [columns(M.right_matrix_of(x)) for x in lifted]
+        self.left = [_sp_transpose(M.left_matrix_of(x), M.dim)
+                     for x in lifted]
+        self.right = [_sp_transpose(M.right_matrix_of(x), M.dim)
+                      for x in lifted]
 
     def lift(self, i):
         """The algebra element behind reduced-basis index i."""
@@ -298,30 +296,20 @@ class FreeResolution:
         """Sparse columns of d_q: F_q -> F_{q-1} (q >= 1) or of the
         augmentation (q = 0), one per basis element u_j b_i of F_q."""
         R = self.R
-        K = R.field
+        p = _char(R.field)
         if q == 0:
             X = self.module
-            cols = []
-            for img in self.gen_images[0]:
-                x = _dense(K, img, X.dim)
-                for i in range(R.dim):
-                    b = R.basis_vector(i)
-                    cols.append(_sparse(K, X.act_right(x, b)
-                                        if self.side == "right"
-                                        else X.act_left(b, x)))
-            return cols
-        p = _char(K)
+            mats = X.right if self.side == "right" else X.left
+            return [_sp_matvec(mat, img, p)
+                    for img in self.gen_images[0] for mat in mats]
         return [_free_act(act, img, R.dim, p)
                 for img in self.gen_images[q] for act in self.acts]
 
     def boundary_matrix(self, q):
-        """The kappa-matrix of d_q: F_q -> F_{q-1} (q >= 1) or of the
-        augmentation (q = 0)."""
-        K = self.R.field
+        """The kappa-matrix (kernel rows) of d_q: F_q -> F_{q-1} (q >= 1) or
+        of the augmentation (q = 0)."""
         tgt_dim = self.module.dim if q == 0 else self.ranks[q - 1] * self.R.dim
-        cols = self._columns(q)
-        return [_dense(K, row, len(cols))
-                for row in _sp_transpose(cols, tgt_dim)]
+        return _sp_transpose(self._columns(q), tgt_dim)
 
 
 def _action_table(R, side):
@@ -389,25 +377,23 @@ def free_resolution(R, module, side, length, style="greedy", cap=None):
     d = R.dim
     m = module.dim
     p = _char(K)
-    # step 0: generators of the module itself
-    cand0 = identity(K, m)
+    # step 0: generators of the module itself, taken from the unit vectors
+    mats = module.right if side == "right" else module.left
+    cand0 = _sp_identity(m)
     if style == "greedy_reversed":
         cand0.reverse()
-    span = Subspace(K, m)
+    span = _Echelon(p)
     gens0 = []
     for v in cand0:
-        if span.contains(v):
+        if not span.add(dict(v)):
             continue
-        gens0.append(_sparse(K, v))
+        gens0.append(v)
         work = [v]
-        span.add(v)
         while work:
             w = work.pop()
-            for i in range(d):
-                b = R.basis_vector(i)
-                u = module.act_right(w, b) if side == "right" \
-                    else module.act_left(b, w)
-                if span.add(u):
+            for mat in mats:
+                u = _sp_matvec(mat, w, p)
+                if span.add(dict(u)):
                     work.append(u)
     ranks = [len(gens0)]
     gen_images = [gens0]
@@ -436,16 +422,15 @@ def free_resolution(R, module, side, length, style="greedy", cap=None):
     return res
 
 
-def _induced_dims(res, mats, m, max_n):
+def _induced_dims(res, cols_of, m, max_n):
     """dims of the complex Y^{r_q}, q <= max_n, whose boundary is induced by
     the free resolution res over R: u_j (x) e_s goes to the sum over the
     blocks k of gen_images[q][j] of  w_k . e_s  in block k, where R acts on
-    Y = kappa^m through `mats` (one m x m matrix per basis element)."""
+    Y = kappa^m through m x m matrices given by their columns: cols_of[i][s]
+    is b_i . e_s as a kernel row."""
     K = res.R.field
     d = res.R.dim
     p = _char(K)
-    cols_of = [[[(t, _scalar(K, row[s])) for t, row in enumerate(A) if row[s]]
-                for s in range(m)] for A in mats]
     rk = {}
     for q in range(1, max_n + 2):
         cols = []
@@ -455,7 +440,7 @@ def _induced_dims(res, mats, m, max_n):
                 for idx, a in img.items():
                     k, i = divmod(idx, d)
                     base = k * m
-                    for t, c in cols_of[i][s]:
+                    for t, c in cols_of[i][s].items():
                         key = base + t
                         col[key] = col.get(key, 0) + a * c
                 cols.append(_nonzero(col, p))
@@ -471,7 +456,9 @@ def tor_dims(R, X_right, Y_left, max_n, style="greedy", resolution=None):
         free_resolution(R, X_right, "right", max_n + 1, style=style)
     assert len(res.ranks) >= max_n + 2
     # boundary Y^{r_q} -> Y^{r_{q-1}}: u_j (x) y -> sum_k w_k . y at block k
-    return _induced_dims(res, Y_left.left, Y_left.dim, max_n)
+    m = Y_left.dim
+    return _induced_dims(res, [_sp_transpose(L, m) for L in Y_left.left], m,
+                         max_n)
 
 
 def ext_dims(R, X_left, Y_left, max_n, style="greedy", resolution=None):
@@ -480,9 +467,9 @@ def ext_dims(R, X_left, Y_left, max_n, style="greedy", resolution=None):
         free_resolution(R, X_left, "left", max_n + 1, style=style)
     assert len(res.ranks) >= max_n + 2
     # delta: Y^{r_{q-1}} -> Y^{r_q}, f.d(u_j) = sum_k w_k . f(u_k); its
-    # transpose is the Tor-type boundary of the transposed action matrices
-    return _induced_dims(res, [transpose(L) for L in Y_left.left],
-                         Y_left.dim, max_n)
+    # transpose is the Tor-type boundary of the transposed action matrices,
+    # whose columns are the rows of the action matrices
+    return _induced_dims(res, Y_left.left, Y_left.dim, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +499,16 @@ def hochschild_homology_resolution(R, M, max_n, style="greedy", env_res=None,
     M_right = bimodule_to_right_env_module(env, R, M)
     # for LEFT free modules the tensor with a right module gives
     # m (x) u_j -> sum_k m.w_k (x) u_k
-    return _induced_dims(res, M_right.right, M.dim, max_n)
+    return _induced_dims(res, [_sp_transpose(X, M.dim) for X in M_right.right],
+                         M.dim, max_n)
 
 
 def _env_left_regular(env, R):
     """Left action matrices of R^e on R: (a (x) b).x = a x b."""
-    K = R.field
-    d = R.dim
-    out = []
-    for i in range(d):
-        Li = R.left_mult_matrix(R.basis_vector(i))
-        for j in range(d):
-            Rj = R.right_mult_matrix(R.basis_vector(j))
-            out.append(matmul(K, Li, Rj))
-    return out
+    p = _char(R.field)
+    rights = [R.right_mult_matrix(R.basis_vector(j)) for j in range(R.dim)]
+    return [_sp_matmul(R.left_mult_matrix(R.basis_vector(i)), Rj, p)
+            for i in range(R.dim) for Rj in rights]
 
 
 def hochschild_cohomology_bar(R, M, max_n, normalized=True,
@@ -616,19 +599,21 @@ class GModuleOnChains:
 
 
 def _crossed_action_matrices(lam, M, xi):
-    """Per group element: the matrix of a -> theta_g(1_{g^-1} a) on A and of
-    m -> xi(g) (1_g d_g) m (1_{g^-1} d_{g^-1}) on M."""
+    """Per group element, as kernel rows: the matrix of
+    a -> theta_g(1_{g^-1} a) on A (theta_g is converted from its dense
+    input here, once) and of m -> xi(g) (1_g d_g) m (1_{g^-1} d_{g^-1})
+    on M."""
     theta = lam.theta
-    A = theta.algebra
-    K = A.field
+    K = theta.algebra.field
+    p = _char(K)
     G = lam.group
     AG, MG = [], []
     for g in range(G.n):
-        AG.append([row[:] for row in theta.action.theta[g]])
+        AG.append(_sparse_matrix(K, theta.action.theta[g]))
         lm = M.left_matrix_of(lam.one_delta(g))
         rm = M.right_matrix_of(lam.one_delta(G.inv(g)))
-        mat = matmul(K, lm, rm)
-        MG.append([[K.mul(xi(g), c) for c in row] for row in mat])
+        MG.append(_sp_combination([(_scalar(K, xi(g)), _sp_matmul(lm, rm, p))],
+                                  M.dim, p))
     return AG, MG
 
 
@@ -648,16 +633,14 @@ def _gated_kron_action(cc, lam, M, xi, sigma_dd, group):
     """T_g = MG[g] (x) X_g^(x q) on degree q of the M-major complex cc, as
     kernel rows, where X_g = AG[g] on chains and AG[g^-1]^T on cochains
     (`_crossed_action_matrices`); hard-gated."""
-    K = cc.field
-    p = _char(K)
+    p = _char(cc.field)
     n = lam.theta.algebra.dim
-    AG, MG = _crossed_action_matrices(lam, M, xi)
-    X = [_sparse_matrix(K, AG[g]) for g in range(group.n)]
+    X, MG = _crossed_action_matrices(lam, M, xi)
     if cc.cochain:
         X = [_sp_transpose(X[group.inv(g)], n) for g in range(group.n)]
     action = []
     for g in range(group.n):
-        mats = [_sparse_matrix(K, MG[g])]
+        mats = [MG[g]]
         for _ in range(cc.top):
             mats.append(_sp_kron(mats[-1], X[g], n, p))
         action.append(mats)
@@ -714,15 +697,15 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
         if not target_algebra.is_alive(mono):
             continue
         TR = _sp_matmul(gmod.action[g][q], R, p)
-        cols = [hd.express(_dense(K, img, n))
+        cols = [_sparse(K, hd.express(_dense(K, img, n)))
                 for img in _sp_transpose(TR, hd.dim)]
-        gen_mats[target_algebra.position[mono]] = transpose(cols) if cols else []
+        gen_mats[target_algebra.position[mono]] = _sp_transpose(cols, hd.dim)
     mod = module_from_generator_actions(target_algebra.algebra, hd.dim,
                                         gen_mats, side="left")
     mod.validate().raise_if_failed()
     if annihilator_vectors:
         for v in annihilator_vectors:
-            if any(any(row) for row in mod.left_matrix_of(v)):
+            if any(mod.left_matrix_of(v)):
                 kind = "cohomology" if cc.cochain else "homology"
                 raise EquivarianceFailure(
                     f"ker(zeta) does not annihilate the {kind} module")
@@ -730,8 +713,8 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
 
 
 def hom_A_carrier(A, MA):
-    """Basis of Hom_{A^e}(A, MA) as matrices A -> MA, for an A-bimodule MA
-    (a Lambda-bimodule restricted to A)."""
+    """Basis of Hom_{A^e}(A, MA) as matrices A -> MA (kernel rows), for an
+    A-bimodule MA (a Lambda-bimodule restricted to A)."""
     env = enveloping(A)
     return hom_over_algebra(
         env,
@@ -745,11 +728,15 @@ def hom_A_module_structure(lam, M, MA, xi, ktw_dd, group=None):
     group = group or lam.group
     A = lam.theta.algebra
     K = A.field
+    p = _char(K)
     carrier = hom_A_carrier(A, MA)
+    n = len(carrier)
     AG, MG = _crossed_action_matrices(lam, M, xi)
 
     def flatten(F):
-        return [x for row in F for x in row]
+        """F (M.dim x A.dim) as a dense vector, row-major."""
+        return _dense(K, {r * A.dim + c: a for r, row in enumerate(F)
+                          for c, a in row.items()}, M.dim * A.dim)
 
     flats = [flatten(F) for F in carrier]
     coords_of = coordinates_in(Subspace(K, M.dim * A.dim, flats), flats)
@@ -760,12 +747,12 @@ def hom_A_module_structure(lam, M, MA, xi, ktw_dd, group=None):
             continue
         cols = []
         for F in carrier:
-            img = matmul(K, MG[g], matmul(K, F, AG[group.inv(g)]))
+            img = _sp_matmul(MG[g], _sp_matmul(F, AG[group.inv(g)], p), p)
             coords = coords_of(flatten(img))
             if coords is None:
                 raise EquivarianceFailure("action leaves Hom_{A^e}(A, M)")
-            cols.append(coords)
-        gen_mats[ktw_dd.position[mono]] = transpose(cols) if cols else []
+            cols.append(_sparse(K, coords))
+        gen_mats[ktw_dd.position[mono]] = _sp_transpose(cols, n)
     mod = module_from_generator_actions(ktw_dd.algebra, len(carrier),
                                         gen_mats, side="left")
     mod.validate().raise_if_failed()

@@ -3,21 +3,22 @@
 Conventions used across the whole package:
 
   * a vector is a list of field values;
-  * a matrix is a list of rows, all of equal length;
+  * a matrix is a list of kernel rows (`{col: value}` dicts, below) whose
+    column count the caller carries; only the public functions below take
+    dense lists of rows;
   * the linear map of an m x n matrix M is  v |-> M . v  (column vector);
-  * composition of maps is matmul(A, B) ("A after B").
+  * composition of maps is _sp_matmul(A, B) ("A after B").
 
-`rank`, `rref`, `nullspace`, `solve` and `Subspace` take and return dense
-values, but all of them eliminate on sparse rows: `{col: value}` dicts kept
-in row echelon form under their leading column (`_Echelon`).  Over F_p the
-values are int residues; over Q they are ints where the value is integral
-and Fractions otherwise, so that the common +-1 entries never pay for
-Fraction arithmetic.  A vector is reduced against the stored rows in
-increasing pivot order, input rows are taken sparsest first, and the fully
-reduced (canonical) form is produced only when a caller needs it.  Callers
-that build sparse data themselves (free resolutions and the Tor/Ext
-boundaries in `homology`) use the kernel and its underscore helpers
-directly.
+`rank`, `rref`, `nullspace`, `solve`, `invert_matrix` and `Subspace` take
+and return dense values, but all of them eliminate on sparse rows:
+`{col: value}` dicts kept in row echelon form under their leading column
+(`_Echelon`).  Over F_p the values are int residues; over Q they are ints
+where the value is integral and Fractions otherwise, so that the common +-1
+entries never pay for Fraction arithmetic.  A vector is reduced against the
+stored rows in increasing pivot order, input rows are taken sparsest first,
+and the fully reduced (canonical) form is produced only when a caller needs
+it.  Callers that build sparse data themselves use the kernel and its
+underscore helpers directly.
 
 Coordinates are never found by solving a system per vector.  In a
 `Subspace`'s own basis, which is its reduced row echelon form,
@@ -28,27 +29,27 @@ its span once (`invert_matrix`); a vector then costs the same remainder
 check and one k x k product.  `solve` is kept for real linear systems.
 
 Matrices get the same treatment, in one sparse-matrix layer:
-`_sparse_matrix` turns a dense matrix into a list of kernel rows once
-(`_sp_identity` is the identity in that form), `_sp_matmul` multiplies two
-such lists row by row (Gustavson's row-wise product, ACM TOMS 4, 1978: each
-row of A adds up a_ik * (row k of B) over its nonzero a_ik in a dict),
-`_sp_combination` forms sum_k c_k X_k, `_sp_kron` the Kronecker product
-and `_sp_transpose` the transpose (a row list does not carry its column
-count, so both take it).  Results are normalized like `_nonzero` (reduced
-mod p over F_p, zeros dropped), so two matrices are equal exactly when
-their row lists compare equal.  The module-axiom gate in `algebras`
-converts each action matrix once; the Hochschild chain complexes and the
-group action on them in `homology` are kernel rows from the start.
-`matmul` is a thin dense wrapper over `_sp_matmul`: its result has
-residues in [0, p) over F_p and Fraction entries over Q, where every zero
-entry is the shared `K.zero`.
+`_sparse_matrix` turns a dense matrix into a list of kernel rows once,
+where input enters (`_sp_identity` is the identity in that form),
+`_sp_matmul` multiplies two such lists row by row (Gustavson's row-wise
+product, ACM TOMS 4, 1978: each row of A adds up a_ik * (row k of B) over
+its nonzero a_ik in a dict), `_sp_matvec` applies one to a kernel row taken
+as a column, `_sp_combination` forms sum_k c_k X_k, `_sp_kron` the
+Kronecker product and `_sp_transpose` the transpose (a row list does not
+carry its column count, so both take it).  Results are normalized like
+`_nonzero` (reduced mod p over F_p, zeros dropped), so two matrices are
+equal exactly when their row lists compare equal.  Module actions and
+algebra maps in `algebras`, and the Hochschild chain complexes and the
+group action on them in `homology`, are kernel rows from the start.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
+from .errors import InvalidInput
+
 __all__ = [
-    "zeros", "identity", "matvec", "matmul", "transpose", "rank", "rref",
+    "zeros", "identity", "matvec", "transpose", "rank", "rref",
     "nullspace", "solve", "invert_matrix", "Subspace", "QuotientSpace",
     "coordinates_in",
 ]
@@ -80,17 +81,6 @@ def matvec(K, M, v):
     return out
 
 
-def matmul(K, A, B):
-    """A . B as a dense matrix, computed by `_sp_matmul`."""
-    if not A:
-        return []
-    if not B:
-        return [[] for _ in A]
-    n = len(B[0])
-    prod = _sp_matmul(_sparse_matrix(K, A), _sparse_matrix(K, B), _char(K))
-    return [_dense(K, row, n) for row in prod]
-
-
 def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
 
@@ -118,7 +108,7 @@ def _sparse(K, vec):
     p = _char(K)
     if p:
         return {j: a % p for j, a in enumerate(vec) if a % p}
-    # `is not z` skips the shared zero of zeros() and matmul() without a
+    # `is not z` skips the shared zero of zeros() and _dense() without a
     # (Python-level) Fraction.__bool__ call
     z = K.zero
     return {j: a.numerator if a.denominator == 1 else a
@@ -175,6 +165,23 @@ def _sp_matmul(A, B, p):
             for j, b in B[k].items():
                 acc[j] = get(j, 0) + a * b
         out.append(_nonzero(acc, p))
+    return out
+
+
+def _sp_matvec(A, x, p):
+    """A . x for a matrix A of kernel rows and a kernel row x taken as a
+    column; the result is a kernel row indexed by the rows of A."""
+    out = {}
+    for r, row in enumerate(A):
+        acc = 0
+        for j, a in row.items():
+            b = x.get(j)
+            if b is not None:
+                acc += a * b
+        if p:
+            acc %= p
+        if acc:
+            out[r] = acc
     return out
 
 
@@ -340,6 +347,9 @@ def nullspace(K, M, ncols=None):
 
 def solve(K, M, b):
     """One solution of M x = b, or None if inconsistent."""
+    if len(M) != len(b):
+        raise InvalidInput(f"solve: {len(M)} equations but {len(b)} "
+                           f"right-hand sides")
     n = len(M[0]) if M else 0
     rows = [_sparse(K, list(row) + [bi]) for row, bi in zip(M, b)]
     x = {}

@@ -14,7 +14,7 @@ from .errors import (AssociativityFailure, InvalidInput, NotCovariant,
 from .algebras import (AlgebraHom, StructureAlgebra, ValidationReport,
                        subalgebra_generated)
 from .factor_sets import validate_twist
-from .linalg import Subspace, matvec, transpose
+from .linalg import Subspace, _sparse, matvec, transpose
 
 __all__ = [
     "UnitalPartialAction", "TwistedPartialAction", "CrossedProductAlgebra",
@@ -447,7 +447,8 @@ def pi_times_gamma(pi, rep, crossed):
     for (g, li) in crossed.basis_index:
         a = crossed.dg_bases[g][li]
         cols.append(R.mul(pi.apply(a), rep.gamma[g]))
-    hom = AlgebraHom(crossed.algebra, R, transpose(cols), name="pi x Gamma")
+    hom = AlgebraHom(crossed.algebra, R, [_sparse(K, c) for c in cols],
+                     name="pi x Gamma")
     hom.verify().raise_if_failed(NotCovariant)
     return hom
 
@@ -468,8 +469,8 @@ def transport_by_equivalence(theta_rho, eta, validate=True):
         a = lam_nu.dg_bases[g][li]
         img = lam_rho.delta(g, a)
         cols.append([K.mul(eta(g), c) for c in img])
-    hom = AlgebraHom(lam_nu.algebra, lam_rho.algebra, transpose(cols),
-                     name="eta transport")
+    hom = AlgebraHom(lam_nu.algebra, lam_rho.algebra,
+                     [_sparse(K, c) for c in cols], name="eta transport")
     if validate:
         hom.verify().raise_if_failed()
         if not hom.is_bijective():

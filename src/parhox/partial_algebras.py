@@ -38,7 +38,7 @@ from .algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                        subalgebra_generated)
 from .factor_sets import MonoidFactorSet, trivial_factor_set
 from .groups import enumerate_exel
-from .linalg import transpose
+from .linalg import _char, _sp_identity, _sp_matmul, _sp_transpose, _sparse
 from .partial_actions import (PartialProjRepresentation, TwistedPartialAction,
                               build_crossed_product, induced_partial_action)
 
@@ -468,7 +468,8 @@ def universal_hom(ktw, rep, check_uniqueness=True):
                 continue
             acc = R.mul(acc, es[a])
         cols.append(R.mul(acc, rep.gamma[g]))
-    hom = AlgebraHom(ktw.algebra, R, transpose(cols), name="universal hom")
+    hom = AlgebraHom(ktw.algebra, R, [_sparse(K, c) for c in cols],
+                     name="universal hom")
     hom.verify().raise_if_failed(NotARepresentation)
     for g in range(G.n):
         if hom.apply(ktw.gen_vector(g)) != rep.gamma[g]:
@@ -566,22 +567,21 @@ def build_B_sigma_omega(kpar, ktw, ksdd=None):
     ker_basis = []
     for bp in B_positions:
         m = kpar.surviving[bp]
-        col = [K.zero] * Bsig_alg.dim
+        col = {}
         if ktw.is_alive(m):
-            col[pos_index[ktw.position[m]]] = K.one
+            col[pos_index[ktw.position[m]]] = 1
         else:
             kv = [K.zero] * len(B_positions)
             kv[B_positions.index(bp)] = K.one
             ker_basis.append(kv)
         zeta_cols.append(col)
     B_alg, _ = extract_idempotent_subalgebra(kpar, name="B")
-    zeta = AlgebraHom(B_alg, Bsig_alg, transpose(zeta_cols), name="zeta")
+    zeta = AlgebraHom(B_alg, Bsig_alg, zeta_cols, name="zeta")
     zeta.verify().raise_if_failed()
     bsig = BSigmaData(Bsig_alg, positions, e_coords, zeta, ker_basis)
     # J: the two-sided monomial ideal of kappa_par G generated by ker(zeta)
     dead_idem = [kpar.surviving[B_positions[i]]
-                 for i, col in enumerate(zeta_cols)
-                 if all(c == K.zero for c in col)]
+                 for i, col in enumerate(zeta_cols) if not col]
     vanished = set(dead_idem)
     work = list(dead_idem)
     while work:
@@ -605,14 +605,9 @@ def build_B_sigma_omega(kpar, ktw, ksdd=None):
                                  labels=[monoid.label(m) for m in surv],
                                  name=f"Omega_{ktw.sigma.name}")
     omega_alg.validate().raise_if_failed()
-    proj_cols = []
-    for m in range(monoid.size):
-        col = [K.zero] * len(surv)
-        if m not in vanished:
-            col[pos[m]] = K.one
-        proj_cols.append(col)
-    proj = AlgebraHom(kpar.algebra, omega_alg, transpose(proj_cols),
-                      name="kpar->>Omega")
+    proj = AlgebraHom(kpar.algebra, omega_alg,
+                      [{} if m in vanished else {pos[m]: 1}
+                       for m in range(monoid.size)], name="kpar->>Omega")
     proj.verify().raise_if_failed()
     left_mod = right_mod = None
     if ksdd is not None:
@@ -657,11 +652,13 @@ def phi_psi_crossed_iso(ktw):
             if b_sub[i] != K.zero:
                 amb = [K.add(a, K.mul(b_sub[i], c)) for a, c in zip(amb, bv)]
         cols.append(ktw.algebra.mul(amb, ktw.gen_vector(g)))
-    psi = AlgebraHom(lam.algebra, ktw.algebra, transpose(cols), name="Psi")
+    psi = AlgebraHom(lam.algebra, ktw.algebra, [_sparse(K, c) for c in cols],
+                     name="Psi")
     psi.verify().raise_if_failed(IsomorphismFailure)
-    from .linalg import matmul, identity
-    if matmul(K, phi.matrix, psi.matrix) != identity(K, lam.algebra.dim) or \
-       matmul(K, psi.matrix, phi.matrix) != identity(K, ktw.dim):
+    # the images of Phi o Psi are psi.images . phi.images, and conversely
+    p = _char(K)
+    if _sp_matmul(psi.images, phi.images, p) != _sp_identity(lam.algebra.dim) \
+       or _sp_matmul(phi.images, psi.images, p) != _sp_identity(ktw.dim):
         raise IsomorphismFailure("Phi and Psi are not mutually inverse")
     return lam, phi, psi, subres, act
 
@@ -708,8 +705,8 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
             w = from_sub(bsig_alg.basis_vector(i))
             img = ktw.algebra.mul(gv, ktw.algebra.mul(w, giv))
             img = [K.mul(xi(g), c) for c in img]
-            cols.append(to_sub(img))
-        gen_left[ksdd.position[mono]] = transpose(cols)
+            cols.append(_sparse(K, to_sub(img)))
+        gen_left[ksdd.position[mono]] = _sp_transpose(cols, bsig_alg.dim)
     left_mod = module_from_generator_actions(ksdd.algebra, bsig_alg.dim,
                                              gen_left, side="left")
     left_mod.validate().raise_if_failed()
@@ -729,11 +726,9 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
     iota_cols = []
     for p in ksdd_positions:
         m = ksdd.surviving[p]
-        col = [K.zero] * bsig_alg.dim
-        if ktw.is_alive(m):
-            col[pos_index[ktw.position[m]]] = K.one
-        iota_cols.append(col)
-    iota = AlgebraHom(ksdd_bsig_alg, bsig_alg, transpose(iota_cols), name="iota")
+        iota_cols.append({pos_index[ktw.position[m]]: 1}
+                         if ktw.is_alive(m) else {})
+    iota = AlgebraHom(ksdd_bsig_alg, bsig_alg, iota_cols, name="iota")
     iota.verify().raise_if_failed()
     return left_mod, right_mod, iota
 
@@ -767,8 +762,9 @@ def monomial_projection_hom(src, dst):
     if src.monoid is not dst.monoid and src.monoid.elements != dst.monoid.elements:
         raise InvalidInput("projection requires a shared monoid")
     K = src.field
-    cols = [dst.monomial_vector(m) for m in src.surviving]
-    hom = AlgebraHom(src.algebra, dst.algebra, transpose(cols),
+    hom = AlgebraHom(src.algebra, dst.algebra,
+                     [_sparse(K, dst.monomial_vector(m))
+                      for m in src.surviving],
                      name=f"{src.algebra.name}->{dst.algebra.name}")
     hom.verify().raise_if_failed()
     return hom

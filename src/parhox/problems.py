@@ -13,6 +13,7 @@ from .factor_sets import PartialFactorSet
 from .groups import FiniteGroup
 from .homology import DEFAULT_CHAIN_CAP
 from .instance import DEFAULT_MONOID_LIMIT, Instance
+from .linalg import _sparse_matrix
 from .partial_actions import TwistedPartialAction, UnitalPartialAction
 
 __all__ = ["ProblemSpec", "parse_spec", "parse_spec_file", "build_instance",
@@ -92,13 +93,36 @@ def parse_spec(obj, name=None):
         action = TwistedPartialAction(upa, sigma)
     module = obj.get("module", "regular")
     if module != "regular":
-        _require(isinstance(module, dict) and "dim" in module, "$.module",
-                 "must be 'regular' or an object with 'dim'")
+        _check_module(module)
     options = dict(DEFAULT_OPTIONS)
     options.update(_parse_options(obj.get("options", {})))
     spec_name = name or obj.get("name", "problem")
     return ProblemSpec(spec_name, field, group, sigma, action, module,
                        options, obj)
+
+
+def _check_module(module):
+    """The shape of a module block: a natural `dim` and at least one of
+    `left` / `right`, each an object from basis labels to dim x dim
+    matrices.  Labels and entries are checked when the module is built."""
+    _require(isinstance(module, dict) and "dim" in module, "$.module",
+             "must be 'regular' or an object with 'dim'")
+    dim = module["dim"]
+    _require(type(dim) is int and dim >= 0, "$.module.dim",
+             f"must be a natural number, got {dim!r}")
+    _require("left" in module or "right" in module, "$.module",
+             "needs a 'left' or a 'right' action")
+    for side in ("left", "right"):
+        if side not in module:
+            continue
+        given = module[side]
+        _require(isinstance(given, dict), f"$.module.{side}",
+                 "must be an object from basis labels to matrices")
+        for label, mat in given.items():
+            _require(isinstance(mat, list) and len(mat) == dim
+                     and all(isinstance(row, list) and len(row) == dim
+                             for row in mat),
+                     f"$.module.{side}.{label}", f"must be {dim} x {dim}")
 
 
 def _parse_options(opts):
@@ -126,7 +150,8 @@ def parse_spec_file(path):
 
 
 def _parse_module(spec, lam):
-    """The problem's bimodule over Lambda; the Instance validates it."""
+    """The problem's bimodule over Lambda, its matrices converted to kernel
+    rows here, once; the Instance validates it."""
     K = spec.field
     obj = spec.module
     dim = obj["dim"]
@@ -138,8 +163,8 @@ def _parse_module(spec, lam):
             if label not in labels:
                 raise SchemaError(f"$.module.{side}: unknown basis label "
                                   f"{label!r} (have {labels})")
-            given[labels.index(label)] = [[K.parse(c) for c in row]
-                                          for row in mat]
+            given[labels.index(label)] = _sparse_matrix(
+                K, [[K.parse(c) for c in row] for row in mat])
         return module_from_generator_actions(lam.algebra, dim, given,
                                              side=side)
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from functools import partial
 
 from .errors import SizeLimit
-from .algebras import (ModuleData, bimodule_to_left_env_module,
+from .algebras import (AlgebraHom, ModuleData, bimodule_to_left_env_module,
                        commutator_quotient, enveloping, group_algebra,
                        hom_over_algebra, regular_bimodule,
                        restrict_along_hom, tensor_over_algebra)
@@ -27,7 +27,9 @@ from .homology import (_crossed_action_matrices, _env_left_regular,
                        hom_A_module_structure, induced_action_on_homology,
                        partial_cohomology_dims, partial_homology_dims,
                        tor_dims)
-from .linalg import Subspace, coordinates_in, matmul, matvec, rank, transpose
+from .linalg import (_char, _dense, _Echelon, _rank_of, _sp_combination,
+                     _sp_matmul, _sp_matvec, _sp_transpose, _sparse)
+
 __all__ = [
     "E2Page", "SpectralCheckReport", "assemble_E2_homology",
     "assemble_E2_cohomology", "tor_form_consistency",
@@ -260,15 +262,17 @@ def lemma_B_tensor_omega(inst, report):
     except Exception as exc:
         report.record("B (x) Omega = B^sigma", False, str(exc))
         return False
+    p = _char(K)
     ok = (T.dim == inst.bsig.algebra.dim
-          and rank(K, M) == inst.bsig.algebra.dim)
+          and _rank_of(K, [dict(row) for row in M]) == inst.bsig.algebra.dim)
     # right module map over kpar
     for r in range(inst.kpar.dim):
         if not ok:
             break
         rv = inst.kpar.algebra.basis_vector(r)
         act_T = T.tensor_map(None, om.right_matrix_of(rv))
-        if matmul(K, M, act_T) != matmul(K, bs_right_kpar.right_matrix_of(rv), M):
+        if _sp_matmul(M, act_T, p) != \
+           _sp_matmul(bs_right_kpar.right_matrix_of(rv), M, p):
             ok = False
     report.record("B (x) Omega = B^sigma", ok,
                   f"dims {T.dim} = {inst.bsig.algebra.dim}")
@@ -382,15 +386,9 @@ def collapse_check_maclane(inst, report, max_n=2):
                   for g in range(inst.group.n) for h in range(inst.group.n))
     if trivial:
         kg = group_algebra(K, inst.group)
-        from .algebras import AlgebraHom
-        cols = []
-        for m in inst.kpar.surviving:
-            _, g = inst.monoid.elements[m]
-            col = [K.zero] * inst.group.n
-            col[g] = K.one
-            cols.append(col)
-        quo = AlgebraHom(inst.kpar.algebra, kg, transpose(cols),
-                         name="kpar->>kG")
+        quo = AlgebraHom(inst.kpar.algebra, kg,
+                         [{inst.monoid.elements[m][1]: 1}
+                          for m in inst.kpar.surviving], name="kpar->>kG")
         quo.verify().raise_if_failed()
         Mg = restrict_along_hom(quo, regular_bimodule(kg))
         lhs_par = hochschild_homology_bar(inst.kpar.algebra, Mg, max_n,
@@ -443,6 +441,7 @@ def structural_identity_suite(inst, report):
     """Exact checks of the bimodule identities connecting Lambda, B^sigma
     and the twisted partial group algebras."""
     K = inst.field
+    p = _char(K)
     G = inst.group
     A = inst.theta.algebra
     lam = inst.lam
@@ -453,7 +452,7 @@ def structural_identity_suite(inst, report):
     # (a-i) e_g . a = 1_g a on A
     ok = True
     for g in range(G.n):
-        eg = matmul(K, AG[g], AG[G.inv(g)])
+        eg = _sp_matmul(AG[g], AG[G.inv(g)], p)
         mult = A.left_mult_matrix(inst.theta.one[g])
         if eg != mult:
             ok = False
@@ -462,9 +461,10 @@ def structural_identity_suite(inst, report):
     # (a-ii) e_g . x = 1_g x 1_g on M
     ok = True
     for g in range(G.n):
-        eg = matmul(K, MG[g], MG[G.inv(g)])
+        eg = _sp_matmul(MG[g], MG[G.inv(g)], p)
         one_g = lam.embed_a(inst.theta.one[g])
-        mult = matmul(K, M.left_matrix_of(one_g), M.right_matrix_of(one_g))
+        mult = _sp_matmul(M.left_matrix_of(one_g), M.right_matrix_of(one_g),
+                          p)
         if eg != mult:
             ok = False
     report.record("e_g.x = 1_g x 1_g on M", ok)
@@ -490,14 +490,15 @@ def structural_identity_suite(inst, report):
     TA = _a_tensor_m(A, MA)
     ok = True
     for g in range(G.n):
-        Ae = matmul(K, AG[g], AG[G.inv(g)])
-        Me = matmul(K, MG[g], MG[G.inv(g)])
+        # e_g applied to the basis vectors: the columns of its matrices
+        Ae = _sp_transpose(_sp_matmul(AG[g], AG[G.inv(g)], p), A.dim)
+        Me = _sp_transpose(_sp_matmul(MG[g], MG[G.inv(g)], p), M.dim)
         for ia in range(A.dim):
             av = A.basis_vector(ia)
-            eg_a = matvec(K, Ae, av)
+            eg_a = _dense(K, Ae[ia], A.dim)
             for im in range(M.dim):
                 mv = [K.one if t == im else K.zero for t in range(M.dim)]
-                eg_m = matvec(K, Me, mv)
+                eg_m = _dense(K, Me[im], M.dim)
                 diag = TA.pure(eg_a, eg_m)
                 if diag != TA.pure(av, eg_m) or diag != TA.pure(eg_a, mv):
                     ok = False
@@ -515,11 +516,12 @@ def structural_identity_suite(inst, report):
                               right=bs_right_bdd)
     Bs_right_bdd.validate().raise_if_failed()
     TL = tensor_over_algebra(bdd_alg, Bs_right_bdd, lam_bsdd)
-    phi_cols = [TL.pure(inst.bsig.algebra.unit, lam.algebra.basis_vector(i))
+    phi_cols = [_sparse(K, TL.pure(inst.bsig.algebra.unit,
+                                   lam.algebra.basis_vector(i)))
                 for i in range(lam.algebra.dim)]
-    phi_mat = transpose(phi_cols)
+    phi_mat = _sp_transpose(phi_cols, TL.dim)
     ok_b = (TL.dim == lam.algebra.dim
-            and rank(K, phi_mat) == lam.algebra.dim)
+            and _rank_of(K, [dict(c) for c in phi_cols]) == lam.algebra.dim)
     # bimodule structure on B^sigma (x)_{B''} Lambda (X = B^sigma) and the
     # intertwining phi(u . l . v) = u . phi(l) . v
     left_mats, right_mats = [], []
@@ -536,11 +538,11 @@ def structural_identity_suite(inst, report):
     ok_e = bimod_rep.ok
     for pos in range(lam.algebra.dim):
         u = lam.algebra.basis_vector(pos)
-        if matmul(K, phi_mat, lam.algebra.left_mult_matrix(u)) != \
-           matmul(K, left_mats[pos], phi_mat):
+        if _sp_matmul(phi_mat, lam.algebra.left_mult_matrix(u), p) != \
+           _sp_matmul(left_mats[pos], phi_mat, p):
             ok_b = False
-        if matmul(K, phi_mat, lam.algebra.right_mult_matrix(u)) != \
-           matmul(K, right_mats[pos], phi_mat):
+        if _sp_matmul(phi_mat, lam.algebra.right_mult_matrix(u), p) != \
+           _sp_matmul(right_mats[pos], phi_mat, p):
             ok_b = False
     report.record("phi: Lambda = B^sigma (x) Lambda (bimodule iso)", ok_b)
     report.record("X (x)_{B''} Lambda bimodule axioms", ok_e,
@@ -552,8 +554,8 @@ def structural_identity_suite(inst, report):
     _, conj_lam = _crossed_action_matrices(lam, regular_bimodule(lam.algebra),
                                            inst.xi)
     _, conj_T = _crossed_action_matrices(lam, TL_bimod, inst.xi)
-    ok_conj = all(matmul(K, phi_mat, conj_lam[g]) ==
-                  matmul(K, conj_T[g], phi_mat) for g in range(G.n))
+    ok_conj = all(_sp_matmul(phi_mat, conj_lam[g], p) ==
+                  _sp_matmul(conj_T[g], phi_mat, p) for g in range(G.n))
     report.record("bimodule maps are ksdd-module maps (phi)", ok_conj)
 
     # (c) M/[Lambda, M] = B^sigma (x)_{ksdd} (A (x)_{A^e} M)
@@ -580,7 +582,7 @@ def structural_identity_suite(inst, report):
             pure_images.append(row)
         try:
             F_mat = TF.map_from(pure_images, lamq.dim)
-            ok_c = rank(K, F_mat) == lamq.dim
+            ok_c = _rank_of(K, [dict(row) for row in F_mat]) == lamq.dim
         except Exception as exc:
             ok_c = False
     report.record("M/[Lambda,M] = B^sigma (x) (A (x) M)", ok_c,
@@ -598,40 +600,27 @@ def structural_identity_suite(inst, report):
     RHS_basis = hom_over_algebra(inst.ksdd.algebra, bs_left, hom_mod)
     ok_d = len(W_basis) == len(RHS_basis)
     if ok_d and W_basis:
-        # gamma sends F to the map l -> (F(1_B)(1_A)) . l; compare spans
-        unit_b_coords = inst.bsig.algebra.unit
-        gamma_images = []
+        # gamma sends F to the map l -> m.l, m = F(1_B)(1_A); its images
+        # must be independent and lie in the span of W_basis.  Maps
+        # Lambda -> M are flattened like the unknowns of hom_over_algebra:
+        # entry (r, i) at r * n + i
+        n = lam.algebra.dim
+        unit_b = _sparse(K, inst.bsig.algebra.unit)
+        unit_a = _sparse(K, A.unit)
+        W_span = _Echelon(p)
+        for w in W_basis:
+            W_span.add({r * n + i: a for r, row in enumerate(w)
+                        for i, a in row.items()})
+        gammas = []
         for Fm in RHS_basis:
-            c_coords = matvec(K, Fm, unit_b_coords)
-            mvec = [K.zero] * M.dim
-            for k, c in enumerate(c_coords):
-                if c != K.zero:
-                    hom_map = carrier[k]
-                    val = matvec(K, hom_map, A.unit)
-                    mvec = [K.add(a, K.mul(c, b)) for a, b in zip(mvec, val)]
-            # the Lambda^e-hom determined by m: l -> m.l, flattened like
-            # hom_over_algebra flattens (rows of the matrix Lambda -> M)
-            Lm = M.left_matrix_of(lam.algebra.unit)
-            # build the matrix: column l-basis -> m . l
-            cols = [M.act_right(mvec, lam.algebra.basis_vector(i))
-                    for i in range(lam.algebra.dim)]
-            gamma_images.append(transpose(cols))
-        # each gamma image must lie in the span of W_basis and the map must
-        # be bijective
-        def flat(mat):
-            return [x for row in mat for x in row]
-        W_flat = [flat(w) for w in W_basis]
-        coords_of = coordinates_in(Subspace(K, len(W_flat[0]), W_flat),
-                                   W_flat)
-        coords_mat = []
-        for img in gamma_images:
-            sol = coords_of(flat(img))
-            if sol is None:
-                ok_d = False
-                break
-            coords_mat.append(sol)
-        if ok_d:
-            ok_d = rank(K, transpose(coords_mat)) == len(W_basis)
+            F1 = _sp_combination([(c, carrier[k]) for k, c in
+                                  _sp_matvec(Fm, unit_b, p).items()],
+                                 M.dim, p)
+            m = _sp_matvec(F1, unit_a, p)
+            gammas.append({r * n + i: a for i in range(n)
+                           for r, a in _sp_matvec(M.right[i], m, p).items()})
+        ok_d = not any(W_span.reduce(dict(g)) for g in gammas) \
+            and _rank_of(K, gammas) == len(W_basis)
     report.record("Hom_{L^e}(L,M) = Hom_{ksdd}(B^s, Hom_{A^e}(A,M))", ok_d,
                   (len(W_basis), len(RHS_basis)))
     return report
@@ -682,15 +671,16 @@ def degree_zero_formula_check(inst, report):
                 row.append(hd0.express(MA.act_left(avec, mvec)))
             pure_images.append(row)
         phi0 = T.map_from(pure_images, hd0.dim)
-        ok = rank(K, phi0) == hd0.dim
+        ok = _rank_of(K, [dict(row) for row in phi0]) == hd0.dim
         AG, MG = _crossed_action_matrices(inst.lam, M, inst.xi)
+        p = _char(K)
         for g in range(G.n):
             if not ok:
                 break
             Tg_tensor = T.tensor_map(AG[g], MG[g])
             Tg_h0 = mod0.left_matrix_of(
                 inst.kpar.monomial_vector(inst.kpar.monoid.gen(g)))
-            if matmul(K, phi0, Tg_tensor) != matmul(K, Tg_h0, phi0):
+            if _sp_matmul(phi0, Tg_tensor, p) != _sp_matmul(Tg_h0, phi0, p):
                 ok = False
     report.record("degree-0 action matches tensor formula", ok,
                   (T.dim, hd0.dim))

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 from parhox.fields import QQ
-from parhox.algebras import StructureAlgebra, product_field_algebra, dual_numbers
+from parhox.algebras import (AlgebraHom, StructureAlgebra,
+                             product_field_algebra, dual_numbers)
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
-from parhox.linalg import _char, _dense, identity, transpose
+from parhox.linalg import _char, _dense, _sparse, identity, transpose
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
 
 
@@ -113,6 +114,45 @@ def dense_kron(K, A, B, shape_a=None, shape_b=None):
 def densify(K, rows, ncols):
     """Kernel rows as a dense matrix with ncols columns."""
     return [_dense(K, row, ncols) for row in rows]
+
+
+def assert_kernel_rows(K, rows, nrows, ncols):
+    """rows is a matrix of nrows normalized kernel rows with ncols columns:
+    dicts without stored zeros, int residues in [1, p) over F_p, ints or
+    Fractions over Q."""
+    assert isinstance(rows, list) and len(rows) == nrows
+    for row in rows:
+        assert type(row) is dict
+        for c, a in row.items():
+            assert type(c) is int and 0 <= c < ncols
+            if K.kind == "Q":
+                assert type(a) in (int, Fraction) and a
+            else:
+                assert type(a) is int and 0 < a < K.characteristic
+
+
+def dense_mult_matrix(A, v, left=True):
+    """The dense matrix of x |-> v . x (or x . v), column j being the
+    product with the j-th basis vector by `mul`."""
+    cols = [A.mul(v, b) if left else A.mul(b, v)
+            for b in map(A.basis_vector, range(A.dim))]
+    return transpose(cols)
+
+
+def hom_matrix(hom):
+    """The dense (target dim x source dim) matrix of an AlgebraHom, whose
+    columns are its images."""
+    K = hom.source.field
+    return [[_dense(K, img, hom.target.dim)[r] for img in hom.images]
+            for r in range(hom.target.dim)]
+
+
+def hom_from_matrix(source, target, matrix, name=""):
+    """The AlgebraHom of a dense (target dim x source dim) matrix."""
+    K = source.field
+    return AlgebraHom(source, target,
+                      [_sparse(K, [row[j] for row in matrix])
+                       for j in range(source.dim)], name=name)
 
 
 def bump(K, rows, r, c):

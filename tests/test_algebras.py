@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_kron, dense_map_on_quotient
+from conftest import (assert_kernel_rows, dense_kron, dense_map_on_quotient,
+                      dense_mult_matrix, densify, hom_from_matrix, hom_matrix)
 from parhox.errors import InvalidInput, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
@@ -16,7 +17,8 @@ from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
                              restrict_along_hom, separability_idempotent,
                              subalgebra_generated, tensor_over_algebra)
 from parhox.groups import cyclic_group
-from parhox.linalg import Subspace, identity, matvec, transpose
+from parhox.linalg import (Subspace, _sp_identity, _sparse_matrix, identity,
+                           matvec)
 
 
 def F(x):
@@ -147,23 +149,50 @@ def test_hom_verify_matches_dense_reference():
     scale = [[f[g] if g == h else QQ.zero for h in range(4)] for g in range(4)]
     # F_7^3 ->> F_7^2, forgetting the last factor
     proj = [[1, 0, 0], [0, 1, 0]]
-    homs = [AlgebraHom(M2, opposite(M2), T, name="transpose"),
-            AlgebraHom(coboundary_twisted_group_algebra(QQ, Z4, f),
-                       group_algebra(QQ, Z4), scale, name="rescale"),
-            AlgebraHom(product_field_algebra(F7, 3),
-                       product_field_algebra(F7, 2), proj, name="proj")]
+    homs = [hom_from_matrix(M2, opposite(M2), T, name="transpose"),
+            hom_from_matrix(coboundary_twisted_group_algebra(QQ, Z4, f),
+                            group_algebra(QQ, Z4), scale, name="rescale"),
+            hom_from_matrix(product_field_algebra(F7, 3),
+                            product_field_algebra(F7, 2), proj, name="proj")]
     for hom in homs:
         assert hom.verify().ok and dense_verify(hom).ok, hom.name
         K = hom.source.field
         # one entry changed: by 1 on the diagonal, by 1/3 off it
         for (r, c), delta in (((0, 0), K.one),
                               ((1, 2), K.inv(K.from_int(3)))):
-            M = [list(row) for row in hom.matrix]
+            M = hom_matrix(hom)
             M[r][c] = K.add(M[r][c], delta)
-            bad = AlgebraHom(hom.source, hom.target, M, name=hom.name)
+            bad = hom_from_matrix(hom.source, hom.target, M, name=hom.name)
             got, want = bad.verify(), dense_verify(bad)
             assert want.violations, (hom.name, r, c)
             assert got.violations == want.violations, (hom.name, r, c)
+
+
+@pytest.mark.parametrize("K", [QQ, PrimeField(2), PrimeField(3),
+                               PrimeField(7)], ids=str)
+def test_mult_matrices_match_the_mul_reference(K):
+    # the kernel rows read off the structure constants equal the dense
+    # construction by `mul` with each basis vector, for basis, unit, zero
+    # and random elements, on opposite and enveloping algebras too
+    rng = random.Random(7)
+    base = [matrix_algebra(K, 2), dual_numbers(K),
+            group_algebra(K, cyclic_group(3)), product_field_algebra(K, 3)]
+    if K.kind == "Q" or K.characteristic == 7:
+        # a twist with fractional structure constants over Q
+        f = [K.div(K.from_int(a), K.from_int(b))
+             for a, b in ((1, 1), (1, 2), (3, 1), (2, 5))]
+        base.append(coboundary_twisted_group_algebra(K, cyclic_group(4), f))
+    algebras = base + [opposite(A) for A in base] + \
+        [enveloping(A) for A in base[:2]]
+    for A in algebras:
+        randoms = [[K.from_int(rng.randint(-2, 2)) for _ in range(A.dim)]
+                   for _ in range(3)]
+        for v in ([A.basis_vector(i) for i in range(A.dim)]
+                  + [A.unit, [K.zero] * A.dim] + randoms):
+            for left in (True, False):
+                got = A.left_mult_matrix(v) if left else A.right_mult_matrix(v)
+                assert_kernel_rows(K, got, A.dim, A.dim)
+                assert densify(K, got, A.dim) == dense_mult_matrix(A, v, left)
 
 
 def test_opposite():
@@ -177,7 +206,7 @@ def test_opposite():
     for r in range(2):
         for c in range(2):
             T[c * 2 + r][r * 2 + c] = QQ.one
-    hom = AlgebraHom(M2, op, T)
+    hom = hom_from_matrix(M2, op, T)
     assert hom.verify().ok and hom.is_bijective()
     assert opposite(op).sc == M2.sc
 
@@ -196,7 +225,7 @@ def test_enveloping():
     # (a (x) b).m = a.m.b reproduces left-then-right
     for i in range(A.dim):
         for j in range(A.dim):
-            got = left_env.left[i * A.dim + j]
+            got = densify(QQ, left_env.left[i * A.dim + j], M.dim)
             a, b = A.basis_vector(i), A.basis_vector(j)
             want = [[None] * M.dim for _ in range(M.dim)]
             for c in range(M.dim):
@@ -273,7 +302,7 @@ def test_tensor_and_hom_basics():
     mx = my = A.dim
     rows = []
     for b in range(A.dim):
-        LX = X.left[b]
+        LX = densify(QQ, X.left[b], mx)
         for r in range(my):
             for c in range(mx):
                 row = [QQ.zero] * (my * mx)
@@ -291,23 +320,27 @@ def dense_relations(K, X, Y, R):
     mx, my = X.dim, Y.dim
     out = []
     for b in range(R.dim):
+        XR, YL = densify(K, X.right[b], mx), densify(K, Y.left[b], my)
         for ix in range(mx):
             for iy in range(my):
                 v = [K.zero] * (mx * my)
                 for r in range(mx):
-                    v[r * my + iy] = K.add(v[r * my + iy], X.right[b][r][ix])
+                    v[r * my + iy] = K.add(v[r * my + iy], XR[r][ix])
                 for r in range(my):
-                    v[ix * my + r] = K.sub(v[ix * my + r], Y.left[b][r][iy])
+                    v[ix * my + r] = K.sub(v[ix * my + r], YL[r][iy])
                 out.append(v)
     return out
 
 
 def kron_reference(T, P, Q):
-    """The matrix of P (x) Q on T: column i projects kron(P, Q) applied to
-    the lift of the i-th quotient basis vector."""
+    """The dense matrix of P (x) Q on T (P, Q kernel rows or None): column
+    i projects kron(P, Q) applied to the lift of the i-th quotient basis
+    vector."""
     K = T.K
-    PQ = dense_kron(K, P if P is not None else identity(K, T.X.dim),
-                    Q if Q is not None else identity(K, T.Y.dim))
+    mx, my = T.X.dim, T.Y.dim
+    PQ = dense_kron(K, densify(K, P, mx) if P is not None else identity(K, mx),
+                    densify(K, Q, my) if Q is not None else identity(K, my),
+                    (mx, mx), (my, my))
     return dense_map_on_quotient(T, lambda v: matvec(K, PQ, v))
 
 
@@ -331,7 +364,8 @@ def test_tensor_map_matches_kron_reference(K):
             P = A.left_mult_matrix(element(A))
             Q = A.right_mult_matrix(element(A))
             for f, g in ((P, Q), (P, None), (None, Q), (None, None)):
-                assert T.tensor_map(f, g) == kron_reference(T, f, g)
+                assert densify(K, T.tensor_map(f, g), T.dim) == \
+                    kron_reference(T, f, g)
         # a dimension-0 factor on either side
         zero_left = module_from_generator_actions(A, 0, {}, side="left")
         zero_right = module_from_generator_actions(A, 0, {}, side="right")
@@ -347,7 +381,7 @@ def test_tensor_map_rejects_a_map_that_does_not_descend():
     A = group_algebra(QQ, cyclic_group(2))
     M = regular_bimodule(A)
     T = tensor_over_algebra(A, M, M)
-    P = [[QQ.one, QQ.zero], [QQ.zero, QQ.zero]]
+    P = [{0: 1}, {}]
     for f, g in ((P, None), (None, P)):
         with pytest.raises(InvalidInput, match="does not descend"):
             T.tensor_map(f, g)
@@ -366,10 +400,10 @@ def test_module_validation_and_restriction():
 def test_module_from_generator_actions():
     A = group_algebra(QQ, cyclic_group(2))
     # give only the action of the group generator; closure must fill in e
-    gen_mat = [[QQ.zero, QQ.one], [QQ.one, QQ.zero]]
+    gen_mat = _sparse_matrix(QQ, [[QQ.zero, QQ.one], [QQ.one, QQ.zero]])
     M = module_from_generator_actions(A, 2, {1: gen_mat}, side="left")
     assert M.validate().ok
-    assert M.left[0] == identity(QQ, 2)
+    assert M.left[0] == _sp_identity(2)
     with pytest.raises(InvalidInput):
         module_from_generator_actions(A, 2, {}, side="left")
 

@@ -328,3 +328,35 @@ def test_build_instance_reads_the_monoid_limit_option():
         build_instance(parse_spec(doc))
     doc["options"] = {}
     assert parse_spec(doc).options["monoid_limit"] == DEFAULT_MONOID_LIMIT
+
+
+@pytest.mark.parametrize("module, path", [
+    ({"dim": "2", "left": {"d0[0]": [["1", "0"], ["0", "1"]]}},
+     "$.module.dim"),
+    ({"dim": -1, "left": {}}, "$.module.dim"),
+    ({"dim": 2}, "$.module"),
+    ({"dim": 2, "left": []}, "$.module.left"),
+    ({"dim": 2, "right": None}, "$.module.right"),
+    ({"dim": 2, "left": {"d1[0]": [1, 2]}}, "$.module.left.d1[0]"),
+    ({"dim": 2, "left": {"d1[0]": [["1"]]}}, "$.module.left.d1[0]"),
+    ({"dim": 2, "left": {"d1[0]": [["1", "0", "0"], ["0", "1", "0"]]}},
+     "$.module.left.d1[0]"),
+    ({"dim": 2, "right": {"d1[0]": [["1", "0"], ["0", "1"], ["0", "0"]]}},
+     "$.module.right.d1[0]"),
+], ids=["dim string", "dim negative", "no action", "left list",
+        "right null", "flat matrix", "1x1", "2x3", "3x2"])
+def test_cli_rejects_a_malformed_module_block(module, path, tmp_path,
+                                              capsys):
+    # a module block of the wrong shape ends in a SchemaError that names
+    # the offending path (exit 2), not in a traceback or a misleading
+    # "generators do not generate" verdict
+    with open(fixture_path("z2_dual_q.json")) as fh:
+        doc = json.load(fh)
+    doc["module"] = module
+    bad = tmp_path / "module.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["validate", str(bad)])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert err["type"] == "SchemaError"
+    assert err["message"].startswith(path + ":")

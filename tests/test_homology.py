@@ -29,8 +29,8 @@ from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
                              induced_action_on_homology,
                              m_as_a_bimodule, partial_homology_dims,
                              tor_dims)
-from parhox.linalg import (_rank_of, _sp_identity, _sp_kron, _sparse_matrix,
-                           identity, matmul, rank, transpose, zeros)
+from parhox.linalg import (_rank_of, _sp_identity, _sp_kron, _sp_matmul,
+                           _sparse_matrix, identity, rank, transpose, zeros)
 from parhox.partial_actions import build_crossed_product
 from parhox.problems import build_instance, bundled_fixtures, load_fixture
 from parhox.partial_algebras import (b_sigma_module_structures,
@@ -47,8 +47,7 @@ def dual_numbers_periodic_oracle(field, max_n):
     """Independent oracle for H_*(k[x]/x^2, k[x]/x^2): homology of the
     2-periodic complex A <-0- A <-2x- A <-0- ..."""
     A = dual_numbers(field)
-    two_x = _sparse_matrix(field, A.left_mult_matrix(
-        [field.zero, field.add(field.one, field.one)]))
+    two_x = A.left_mult_matrix([field.zero, field.add(field.one, field.one)])
     zero_map = [{}, {}]
     # d_n = 0 for n odd, multiplication by 2x for n even (n >= 1)
     cc = ChainComplex(field, [2] * (max_n + 2),
@@ -153,7 +152,7 @@ def _b_modules(kp):
 
 def _trivial_module(kp):
     K = kp.field
-    ones = {kp.position[kp.monoid.gen(g)]: [[K.one]] for g in range(kp.group.n)}
+    ones = {kp.position[kp.monoid.gen(g)]: [{0: 1}] for g in range(kp.group.n)}
     from parhox.algebras import module_from_generator_actions
     return module_from_generator_actions(kp.algebra, 1, ones, side="left")
 
@@ -243,12 +242,13 @@ def test_free_resolution_exactness_gate():
     B_right = ModuleData(kp.algebra, right.dim, right=right.right)
     res = free_resolution(kp.algebra, B_right, "right", 3)
     K = kp.field
-    aug = res.boundary_matrix(0)
-    assert rank(K, aug) == B_right.dim
+
+    def rank_at(q):
+        return _rank_of(K, res.boundary_matrix(q))
+
+    assert rank_at(0) == B_right.dim
     for q in range(1, 4):
-        dq = res.boundary_matrix(q)
-        prev = res.boundary_matrix(q - 1)
-        assert rank(K, dq) == res.ranks[q - 1] * kp.algebra.dim - rank(K, prev)
+        assert rank_at(q) == res.ranks[q - 1] * kp.algebra.dim - rank_at(q - 1)
 
 
 def test_env_resolution_ranks_are_pinned():
@@ -361,7 +361,7 @@ def test_induced_action_on_homology_z3():
                                              annihilator_vectors=ann)
         assert mod.validate().ok
         # [1] acts as the identity
-        assert mod.left_matrix_of(kp.algebra.unit) == identity(QQ, hd.dim)
+        assert mod.left_matrix_of(kp.algebra.unit) == _sp_identity(hd.dim)
     # degree 0: H_0 = M/[A, M]; the action must match the quotient action
     MA = m_as_a_bimodule(lam, M)
     hd0, mod0 = induced_action_on_homology(gmod, 0, kp, G)
@@ -387,7 +387,7 @@ def test_degree_zero_matches_tensor_formula():
         for j in range(A.dim):
             Li = A.left_mult_matrix(A.basis_vector(i))
             Rj = A.right_mult_matrix(A.basis_vector(j))
-            right.append(matmul(K, Li, Rj))
+            right.append(_sp_matmul(Li, Rj, 0))
     A_right = ModuleData(env, A.dim, right=right)
     M_left = bimodule_to_left_env_module(env, A, MA)
     T = tensor_over_algebra(env, A_right,
@@ -405,9 +405,11 @@ def test_degree_zero_matches_tensor_formula():
             row.append(hd0.express(MA.act_left(avec, mvec)))
         pure_images.append(row)
     phi0 = T.map_from(pure_images, hd0.dim)
-    assert rank(K, phi0) == hd0.dim
+    assert rank(K, densify(K, phi0, T.dim)) == hd0.dim
     from parhox.homology import _crossed_action_matrices
     AG, MG = _crossed_action_matrices(lam, M, xi)
+    AGd = [densify(K, X, A.dim) for X in AG]
+    MGd = [densify(K, X, M.dim) for X in MG]
     for g in range(G.n):
         def amb_map(vec, g=g):
             out = [K.zero] * len(vec)
@@ -415,8 +417,8 @@ def test_degree_zero_matches_tensor_formula():
                 if c == K.zero:
                     continue
                 ia, im = idx // my, idx % my
-                ga = [AG[g][r][ia] for r in range(A.dim)]
-                gm = [MG[g][r][im] for r in range(M.dim)]
+                ga = [AGd[g][r][ia] for r in range(A.dim)]
+                gm = [MGd[g][r][im] for r in range(M.dim)]
                 for r, a in enumerate(ga):
                     if a == K.zero:
                         continue
@@ -427,9 +429,10 @@ def test_degree_zero_matches_tensor_formula():
             return out
         Tg_tensor = T.tensor_map(AG[g], MG[g])
         # the hand-written ambient map is the dense reference
-        assert Tg_tensor == dense_map_on_quotient(T, amb_map)
+        assert densify(K, Tg_tensor, T.dim) == \
+            dense_map_on_quotient(T, amb_map)
         Tg_h0 = mod0.left_matrix_of(kp.monomial_vector(kp.monoid.gen(g)))
-        assert matmul(K, phi0, Tg_tensor) == matmul(K, Tg_h0, phi0)
+        assert _sp_matmul(phi0, Tg_tensor, 0) == _sp_matmul(Tg_h0, phi0, 0)
 
 
 def test_diagonal_cochain_action_gates():
@@ -446,7 +449,7 @@ def test_hom_A_module_structure():
     carrier, mod = hom_A_module_structure(lam, M, m_as_a_bimodule(lam, M),
                                           xi, ksdd)
     assert mod.validate().ok
-    assert mod.left_matrix_of(ksdd.algebra.unit) == identity(QQ, len(carrier))
+    assert mod.left_matrix_of(ksdd.algebra.unit) == _sp_identity(len(carrier))
     # carrier = centralizer of A in M
     A = theta.algebra
     MA = m_as_a_bimodule(lam, M)
@@ -454,8 +457,8 @@ def test_hom_A_module_structure():
     cent = 0
     rows = []
     for i in range(A.dim):
-        L = MA.left[i]
-        R = MA.right[i]
+        L = densify(K, MA.left[i], M.dim)
+        R = densify(K, MA.right[i], M.dim)
         rows.append([[K.sub(L[r][c], R[r][c]) for c in range(M.dim)]
                      for r in range(M.dim)])
     from parhox.linalg import nullspace
@@ -625,8 +628,8 @@ def test_bar_gate_rejects_a_non_bimodule_on_both_sides():
     # so d.d != 0 on the bar complex and on the cochains built from it
     A = dual_numbers(QQ)
     reg = regular_bimodule(A)
-    right = [[row[:] for row in R] for R in reg.right]
-    right[1][0][0] = QQ.one
+    right = [[dict(row) for row in R] for R in reg.right]
+    right[1][0][0] = 1
     bad = ModuleData(A, reg.dim, left=reg.left, right=right)
     for build in (bar_complex, cobar_complex):
         for normalized in (True, False):
@@ -637,10 +640,13 @@ def test_bar_gate_rejects_a_non_bimodule_on_both_sides():
 @pytest.mark.parametrize("fixture", bundled_fixtures())
 def test_dual_bimodule_is_an_involution(fixture):
     inst = build_instance(load_fixture(fixture))
+    K = inst.field
     for M in (inst.M, inst.m_over_a):
+        n = M.dim
         dual = dual_bimodule(M)
         assert dual.validate().ok
-        assert dual.left == [transpose(R) for R in M.right]
+        assert [densify(K, L, n) for L in dual.left] == \
+            [transpose(densify(K, R, n)) for R in M.right]
         twice = dual_bimodule(dual)
         assert (twice.left, twice.right) == (M.left, M.right)
 

@@ -3,12 +3,15 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_kron, densify
+import pytest
+
+from conftest import assert_kernel_rows, dense_kron, densify
+from parhox.errors import InvalidInput
 from parhox.fields import QQ, PrimeField
-from parhox.linalg import (QuotientSpace, Subspace, _char, _sp_kron,
-                           _sp_transpose, _sparse_matrix, coordinates_in,
-                           identity, invert_matrix, matmul, matvec, nullspace,
-                           rank, rref, solve, transpose)
+from parhox.linalg import (QuotientSpace, Subspace, _char, _sp_identity,
+                           _sp_kron, _sp_matmul, _sp_transpose, _sparse_matrix,
+                           coordinates_in, identity, invert_matrix, matvec,
+                           nullspace, rank, rref, solve, transpose)
 
 
 def F(x):
@@ -56,10 +59,21 @@ def test_solve():
     assert solve(QQ, to_q([[1, 1], [1, 1]]), [F(0), F(1)]) is None
 
 
+def test_solve_rejects_mismatched_shapes():
+    # one right-hand side per equation: a matrix without rows does not
+    # "solve" a nonzero b, and no equation or right-hand side is dropped
+    for M, b in (([], [F(1)]), (to_q([[1, 1]]), [F(1), F(2)]),
+                 (to_q([[1], [2]]), [F(1)])):
+        with pytest.raises(InvalidInput):
+            solve(QQ, M, b)
+    assert solve(QQ, [], []) == []
+
+
 def test_invert():
     M = to_q([[1, 2], [3, 4]])
     Minv = invert_matrix(QQ, M)
-    assert matmul(QQ, M, Minv) == identity(QQ, 2)
+    assert _sp_matmul(_sparse_matrix(QQ, M), _sparse_matrix(QQ, Minv), 0) \
+        == _sp_identity(2)
     assert invert_matrix(QQ, to_q([[1, 2], [2, 4]])) is None
 
 
@@ -170,7 +184,7 @@ def random_cases():
                 k = rng.randrange(1, 3)
                 A = random_matrix(K, rng, m, k, 0.7)
                 B = random_matrix(K, rng, k, n, 0.7)
-                yield K, matmul(K, A, B), n
+                yield K, ref_matmul(K, A, B, n), n
 
 
 def same_values(K, got, want):
@@ -287,9 +301,8 @@ def test_matvec_matches_the_cell_by_cell_product():
 
 # -- sparse matmul against a naive dense triple loop -----------------------
 
-def ref_matmul(K, A, B):
-    """Textbook triple loop; a B without rows gives rows of width 0."""
-    n = len(B[0]) if B else 0
+def ref_matmul(K, A, B, n):
+    """Textbook triple loop; B has n columns (it may have no rows)."""
     out = []
     for row in A:
         new = []
@@ -302,49 +315,46 @@ def ref_matmul(K, A, B):
     return out
 
 
-def assert_field_entries(K, M):
-    """Fraction entries over Q, int residues in [0, p) over F_p."""
-    for row in M:
-        for a in row:
-            if K.kind == "Q":
-                assert type(a) is Fraction
-            else:
-                assert type(a) is int and 0 <= a < K.characteristic
-
-
 # (m, k, n): A is m x k, B is k x n; empty, n x 0, k = 0 and wide shapes
 PRODUCT_SHAPES = [(0, 0, 0), (0, 3, 2), (3, 0, 0), (4, 2, 0), (1, 1, 1),
                   (4, 4, 4), (3, 5, 2), (2, 3, 12), (1, 6, 9), (7, 2, 5),
                   (5, 8, 15)]
 
 
-def test_matmul_matches_dense_reference():
+def sp_product(K, A, B):
+    """_sp_matmul of the kernel rows of dense A and B."""
+    return _sp_matmul(_sparse_matrix(K, A), _sparse_matrix(K, B), _char(K))
+
+
+def test_sp_matmul_matches_dense_reference():
     rng = Random(41)
     for K in FIELDS:
         for m, k, n in PRODUCT_SHAPES:
             for density in (0.0, 0.15, 0.5, 1.0):
                 A = random_matrix(K, rng, m, k, density)
                 B = random_matrix(K, rng, k, n, rng.choice((0.15, density)))
-                got = matmul(K, A, B)
-                assert got == ref_matmul(K, A, B)
-                assert len(got) == m
-                assert all(len(row) == (n if k else 0) for row in got)
-                assert_field_entries(K, got)
+                got = sp_product(K, A, B)
+                want = ref_matmul(K, A, B, n)
+                assert_kernel_rows(K, got, m, n)
+                assert got == _sparse_matrix(K, want)
+                assert densify(K, got, n) == want
 
 
-def test_matmul_all_zero_and_identity():
+def test_sp_matmul_all_zero_and_identity():
     for K in FIELDS:
         Z = [[K.zero] * 3 for _ in range(2)]
         B = [[K.one, K.zero, K.one]] * 3
-        assert matmul(K, Z, B) == Z
-        assert_field_entries(K, matmul(K, Z, B))
-        I3 = identity(K, 3)
-        assert matmul(K, I3, B) == B and matmul(K, B, I3) == B
-    # over Q the integral entries come back as Fractions, not ints
+        assert sp_product(K, Z, B) == [{}, {}]
+        Bs = _sparse_matrix(K, B)
+        p = _char(K)
+        assert _sp_matmul(_sp_identity(3), Bs, p) == Bs
+        assert _sp_matmul(Bs, _sp_identity(3), p) == Bs
+    # over Q a cancelled sum is dropped, and an integral one is kept
     half = Fraction(1, 2)
-    got = matmul(QQ, [[half, F(2)]], [[F(2)], [-half]])
-    assert got == [[F(0)]] and type(got[0][0]) is Fraction
-    assert_field_entries(QQ, matmul(QQ, [[F(3)]], [[Fraction(1, 3)]]))
+    assert sp_product(QQ, [[half, F(2)]], [[F(2)], [-half]]) == [{}]
+    got = sp_product(QQ, [[F(3)]], [[Fraction(1, 3)]])
+    assert got == [{0: 1}]
+    assert_kernel_rows(QQ, got, 1, 1)
 
 
 def matrices(K, m, n):
@@ -359,19 +369,27 @@ def matrices(K, m, n):
 @st.composite
 def product_triples(draw):
     K = draw(st.sampled_from(FIELDS))
-    m, k, l, n = (draw(st.integers(1, 4)) for _ in range(4))
-    return (K, draw(matrices(K, m, k)), draw(matrices(K, k, l)),
+    # the inner dimensions k and l may be 0: kernel rows keep no width, so
+    # a product with a rowless factor still has the caller's shape
+    m, n = (draw(st.integers(1, 4)) for _ in range(2))
+    k, l = (draw(st.integers(0, 4)) for _ in range(2))
+    return (K, (m, l, n), draw(matrices(K, m, k)), draw(matrices(K, k, l)),
             draw(matrices(K, l, n)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(product_triples())
-def test_matmul_is_associative_and_matches_reference(case):
-    K, A, B, C = case
-    AB = matmul(K, A, B)
-    assert AB == ref_matmul(K, A, B)
-    assert matmul(K, AB, C) == matmul(K, A, matmul(K, B, C))
-    assert_field_entries(K, AB)
+def test_sp_matmul_is_associative_and_matches_reference(case):
+    K, (m, l, n), A, B, C = case
+    p = _char(K)
+    A, B, C = (_sparse_matrix(K, X) for X in (A, B, C))
+    AB = _sp_matmul(A, B, p)
+    assert AB == _sparse_matrix(K, ref_matmul(K, densify(K, A, len(B)),
+                                              densify(K, B, l), l))
+    assert_kernel_rows(K, AB, m, l)
+    ABC = _sp_matmul(AB, C, p)
+    assert ABC == _sp_matmul(A, _sp_matmul(B, C, p), p)
+    assert_kernel_rows(K, ABC, m, n)
 
 
 # -- sparse Kronecker product and transpose against dense references -------

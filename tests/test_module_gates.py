@@ -1,17 +1,22 @@
 """The sparse module-axiom and chain-action gates against the dense loops
-they replaced, kept here as references: same `violations` (content and
-order) and same `ok`, on valid and corrupted inputs over Q, F_2, F_3, F_7."""
+they replaced, kept here as references (run on densified copies of the
+kernel rows): same `violations` (content and order) and same `ok`, on valid
+and corrupted inputs over Q, F_2, F_3, F_7."""
 
+import json
+import os
 from functools import lru_cache
 
 import pytest
 
-from conftest import bump, densify
+from conftest import assert_kernel_rows, bump, densify
 from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
                              dual_numbers, regular_bimodule)
 from parhox.fields import QQ, PrimeField
 from parhox.homology import GModuleOnChains
-from parhox.problems import build_instance, load_fixture
+from parhox.linalg import _sparse_matrix
+from parhox.problems import (build_instance, bundled_fixtures, fixture_dir,
+                             load_fixture, parse_spec)
 from parhox.spectral import module_tower
 
 FIXTURES = ["z2_dual_q.json", "z3_kappa2_q.json", "v4_partial_q.json",
@@ -67,7 +72,12 @@ def dense_module_validate(mod):
     K = A.field
     d, n = A.dim, mod.dim
     idm = dense_identity(K, n)
-    for side, mats in (("left", mod.left), ("right", mod.right)):
+
+    def dense(mats):
+        return None if mats is None else [densify(K, X, n) for X in mats]
+
+    left, right = dense(mod.left), dense(mod.right)
+    for side, mats in (("left", left), ("right", right)):
         if mats is None:
             continue
         if dense_matrix_of(K, mats, A.unit, n) != idm:
@@ -84,11 +94,11 @@ def dense_module_validate(mod):
                                   for s in range(n)]
                 if lhs != rhs:
                     rep.fail(f"{side} action", i, j)
-    if mod.left is not None and mod.right is not None:
+    if left is not None and right is not None:
         for i in range(d):
             for j in range(d):
-                if dense_matmul(K, mod.left[i], mod.right[j]) != \
-                   dense_matmul(K, mod.right[j], mod.left[i]):
+                if dense_matmul(K, left[i], right[j]) != \
+                   dense_matmul(K, right[j], left[i]):
                     rep.fail("actions do not commute", i, j)
     return rep
 
@@ -160,7 +170,8 @@ def fixture_modules(fixture):
 
 def copy_of(mod, right=None, algebra=None):
     def copied(mats):
-        return None if mats is None else [[row[:] for row in M] for M in mats]
+        return None if mats is None else [[dict(row) for row in M]
+                                          for M in mats]
     return ModuleData(algebra or mod.algebra, mod.dim, left=copied(mod.left),
                       right=copied(right or mod.right), name=mod.name)
 
@@ -170,7 +181,7 @@ def changed_entry(mod, i):
     bad = copy_of(mod)
     K = mod.algebra.field
     mats = bad.left if bad.left is not None else bad.right
-    mats[i][0][mod.dim - 1] = K.add(mats[i][0][mod.dim - 1], K.one)
+    bump(K, mats[i], 0, mod.dim - 1)
     return bad
 
 
@@ -193,13 +204,45 @@ def conjugated_right(mod):
     P[0][n - 1] = K.one
     Pinv = dense_identity(K, n)
     Pinv[0][n - 1] = K.neg(K.one)
-    right = [dense_matmul(K, P, dense_matmul(K, R, Pinv)) for R in mod.right]
+    right = [_sparse_matrix(K, dense_matmul(K, P, dense_matmul(
+        K, densify(K, R, n), Pinv))) for R in mod.right]
     return copy_of(mod, right=right)
 
 
 def assert_same(got, want):
     assert got.violations == want.violations
     assert got.ok == want.ok
+
+
+def universal_z4():
+    """Z4 with no action over F_3: Lambda = kappa_par Z4, of dim 20."""
+    with open(os.path.join(fixture_dir(), "groups", "z4.json")) as fh:
+        return build_instance(parse_spec({"field": {"kind": "Fp", "p": 3},
+                                          "group": json.load(fh)}))
+
+
+# -- the storage format ------------------------------------------------------
+
+@pytest.mark.parametrize("fixture", bundled_fixtures() + ["universal Z4"])
+def test_instance_modules_and_homs_hold_kernel_rows(fixture):
+    inst = universal_z4() if fixture == "universal Z4" else instance(fixture)
+    K = inst.field
+    bs_left, bs_right, iota = inst.bsig_modules_over_ksdd
+    modules = [inst.M, inst.m_over_a, *inst.b_over_kpar, bs_left, bs_right,
+               inst.omega_right_over_kpar, inst.omega.left_module,
+               inst.omega.right_module, inst.lambda_as_bsdd[1]]
+    homs = [iota, inst.kpar_to_ksdd, inst.bsig.zeta, inst.omega.projection]
+    homs += [h for h in (inst.phi, inst.psi) if h is not None]
+    assert (inst.phi is not None) == inst.universal
+    for mod in modules:
+        assert mod.left is not None or mod.right is not None
+        for mats in (mod.left, mod.right):
+            if mats is not None:
+                assert len(mats) == mod.algebra.dim
+                for X in mats:
+                    assert_kernel_rows(K, X, mod.dim, mod.dim)
+    for hom in homs:
+        assert_kernel_rows(K, hom.images, hom.source.dim, hom.target.dim)
 
 
 # -- ModuleData.validate ------------------------------------------------------

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (z2_dual_numbers, z2_global_twist, z2_universal,
-                      z2xz2_partial_idempotent, z3_kappa2_action)
+from conftest import (hom_from_matrix, hom_matrix, z2_dual_numbers,
+                      z2_global_twist, z2_universal, z2xz2_partial_idempotent,
+                      z3_kappa2_action)
 from parhox.errors import AssociativityFailure, NotCovariant
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import AlgebraHom, product_field_algebra
 from parhox.factor_sets import EquivalenceWitness, trivial_factor_set
 from parhox.groups import cyclic_group
-from parhox.linalg import identity, matmul
+from parhox.linalg import _sp_identity, _sp_matmul, _sparse, identity
 from parhox.partial_actions import (PartialProjRepresentation,
                                     TwistedPartialAction, UnitalPartialAction,
                                     build_crossed_product,
@@ -160,17 +161,16 @@ def test_covariance_and_pi_times_gamma():
     rep = gamma_sigma(lam)
     B = theta.algebra
     pi = AlgebraHom(B, lam.algebra,
-                    [[c for c in col] for col in
-                     zip(*[lam.embed_a(B.basis_vector(i)) for i in range(B.dim)])],
-                    name="embed")
+                    [_sparse(QQ, lam.embed_a(B.basis_vector(i)))
+                     for i in range(B.dim)], name="embed")
     assert pi.verify().ok
     assert validate_covariant(pi, rep, theta, G).ok
     hom = pi_times_gamma(pi, rep, lam)
     assert hom.verify().ok
     # perturbing pi breaks covariance with a witness
-    bad_matrix = [row[:] for row in pi.matrix]
+    bad_matrix = hom_matrix(pi)
     bad_matrix[0][1] = F(7)
-    bad = AlgebraHom(B, lam.algebra, bad_matrix)
+    bad = hom_from_matrix(B, lam.algebra, bad_matrix)
     assert not validate_covariant(bad, rep, theta, G).ok
     with pytest.raises(NotCovariant):
         pi_times_gamma(bad, rep, lam)
@@ -181,8 +181,8 @@ def test_global_case_reduces_to_classical():
     lam = build_crossed_product(theta)
     rep = gamma_sigma(lam)
     A = theta.algebra
-    pi = AlgebraHom(A, lam.algebra,
-                    [[c] for c in lam.embed_a(A.unit)], name="unit embed")
+    pi = AlgebraHom(A, lam.algebra, [_sparse(QQ, lam.embed_a(A.unit))],
+                    name="unit embed")
     assert validate_covariant(pi, rep, theta, G).ok
 
 
@@ -196,17 +196,17 @@ def test_transport_by_equivalence():
     # inverse transport composes to the identity
     _, _, _, hom_back = transport_by_equivalence(theta_nu, eta.inverse())
     assert hom_back.verify().ok
-    comp = matmul(F7, hom.matrix, hom_back.matrix)
-    # both transports land in algebras with identical bases, so comp must
-    # be a diagonal matrix of eta(g)eta(g)^-1 = 1
-    assert comp == identity(F7, lam_nu.dim)
+    # the images of hom o hom_back; both transports land in algebras with
+    # identical bases, so it must be a diagonal of eta(g)eta(g)^-1 = 1
+    comp = _sp_matmul(hom_back.images, hom.images, F7.characteristic)
+    assert comp == _sp_identity(lam_nu.dim)
 
 
 def test_transport_trivial_eta_is_identity():
     G, theta = z2_universal(F(3))
     eta = EquivalenceWitness(G, QQ, [QQ.one, QQ.one])
     _, lam_nu, lam_rho, hom = transport_by_equivalence(theta, eta)
-    assert hom.matrix == identity(QQ, lam_nu.dim)
+    assert hom.images == _sp_identity(lam_nu.dim)
 
 
 def test_ideal_splittings():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (z2_dual_numbers, z2_global_twist, z2_universal,
-                      z2xz2_partial_idempotent, z3_kappa2_action)
+from conftest import (densify, z2_dual_numbers, z2_global_twist,
+                      z2_universal, z2xz2_partial_idempotent, z3_kappa2_action)
 from parhox import cli, homology, instance, linalg
 from parhox.fields import QQ, PrimeField
 from parhox.groups import cyclic_group
@@ -189,7 +189,8 @@ def _doubled_module_doc():
     K = lam.field
     n = lam.dim
 
-    def doubled(mat):
+    def doubled(rows):
+        mat = densify(K, rows, n)
         return [[K.dump(mat[r % n][c % n]) if r // n == c // n else "0"
                  for c in range(2 * n)] for r in range(2 * n)]
 
