@@ -5,9 +5,10 @@ Convention table (used consistently by every module):
 
   * structure constants:  b_i . b_j = sum_k  sc[(i,j)][k] . b_k,
     stored sparsely as  sc[(i, j)] = [(k, coeff), ...];
-  * elements of algebras and modules are dense vectors; every matrix of an
-    action or of a map is a list of kernel rows of `linalg` (`{col: value}`
-    dicts normalized like `linalg._nonzero`), the shape carried by `dim`;
+  * elements of algebras and modules are kernel rows of `linalg`
+    (`{index: value}` dicts normalized like `linalg._nonzero`), and every
+    matrix of an action or of a map is a list of kernel rows, the shape
+    carried by `dim`;
   * a left module action is a list L of matrices, one per algebra basis
     element, acting on column vectors:  b_i . x = L[i] @ x,
     with  L of a product satisfying  L[i] @ L[j] = sum_k c_ijk L[k];
@@ -23,13 +24,15 @@ Convention table (used consistently by every module):
 """
 
 import random
+from fractions import Fraction
+from functools import cached_property
 
 from .errors import (InvalidInput, NotCommuting, NotIdempotent, SchemaError,
                      SizeLimit, ValidationFailure)
 from .linalg import (QuotientSpace, Subspace, _char, _dense, _kernel_of,
                      _nonzero, _rank_of, _scalar, _sp_combination,
-                     _sp_identity, _sp_matmul, _sp_matvec, _sp_transpose,
-                     _sparse, coordinates_in, solve)
+                     _sp_identity, _sp_matmul, _sp_matvec, _sp_sum,
+                     _sp_transpose, _sparse, coordinates_in, solve)
 
 __all__ = [
     "ValidationReport", "StructureAlgebra", "AlgebraHom", "ModuleData",
@@ -86,10 +89,12 @@ class ValidationReport:
 
 
 class StructureAlgebra:
-    """Associative unital algebra given by sparse structure constants."""
+    """Associative unital algebra given by sparse structure constants (field
+    values); the unit and every element are kernel rows."""
 
     def __init__(self, field, dim, sc, unit, labels=None, name=""):
         self.field = field
+        self.p = _char(field)
         self.dim = dim
         # one pass; a row is copied only to drop a zero coefficient, since
         # no code mutates a row after construction
@@ -101,45 +106,37 @@ class StructureAlgebra:
                     break
             if row:
                 self.sc[ij] = row
-        self.unit = list(unit)
+        self.unit = unit
         self.labels = labels or [f"b{i}" for i in range(dim)]
         self.name = name or f"algebra(dim={dim})"
 
     def mul_basis(self, i, j):
         return self.sc.get((i, j), [])
 
+    @cached_property
     def kernel_sc(self):
         """The structure constants with kernel scalars (`linalg._scalar`):
-        ints over F_p, and over Q ints where integral."""
+        ints over F_p, and over Q ints where integral; built once."""
         K = self.field
         return {ij: [(k, _scalar(K, c)) for k, c in row]
                 for ij, row in self.sc.items()}
 
     def mul(self, u, v):
-        K = self.field
-        zero = K.zero
-        kmul, kadd = K.mul, K.add
-        sc = self.sc
-        out = [zero] * self.dim
-        # the supports are taken once; `is not zero` skips the shared zero
-        # of a dense vector without a (Python-level) Fraction.__bool__ call
-        vsupp = [(j, b) for j, b in enumerate(v) if b is not zero and b]
-        for i, a in enumerate(u):
-            if a is zero or not a:
-                continue
-            for j, b in vsupp:
+        """The product of two elements."""
+        sc = self.kernel_sc
+        out = {}
+        get = out.get
+        for i, a in u.items():
+            for j, b in v.items():
                 row = sc.get((i, j))
-                if not row:
-                    continue
-                ab = kmul(a, b)
-                for k, c in row:
-                    out[k] = kadd(out[k], kmul(ab, c))
-        return out
+                if row:
+                    ab = a * b
+                    for k, c in row:
+                        out[k] = get(k, 0) + ab * c
+        return _nonzero(out, self.p)
 
     def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
+        return {i: 1}
 
     def left_mult_matrix(self, v):
         """Kernel rows of x |-> v . x: entry (k, j) is sum_i v_i c_ijk."""
@@ -152,29 +149,19 @@ class StructureAlgebra:
     def _mult_rows(self, v, left):
         """The matrix of multiplication by v, read off the structure
         constants."""
-        K = self.field
         d = self.dim
-        sc = self.sc
+        sc = self.kernel_sc
         rows = [{} for _ in range(d)]
-        for i, a in _sparse(K, v).items():
+        for i, a in v.items():
             for j in range(d):
                 for k, c in sc.get((i, j) if left else (j, i), ()):
                     row = rows[k]
-                    row[j] = row.get(j, 0) + a * _scalar(K, c)
-        p = _char(K)
-        return [_nonzero(row, p) for row in rows]
-
-    def is_commutative(self):
-        for i in range(self.dim):
-            for j in range(i):
-                if sorted(self.mul_basis(i, j)) != sorted(self.mul_basis(j, i)):
-                    return False
-        return True
+                    row[j] = row.get(j, 0) + a * c
+        return [_nonzero(row, self.p) for row in rows]
 
     def validate(self, seed=0):
         """Associativity and the unit law; exhaustive for dim <= 40."""
         rep = ValidationReport(f"algebra {self.name}")
-        K = self.field
         d = self.dim
         for i in range(d):
             bi = self.basis_vector(i)
@@ -187,8 +174,8 @@ class StructureAlgebra:
             triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
                        for _ in range(RANDOM_TRIPLES))
             rep.note("associativity checked on", RANDOM_TRIPLES, "random triples")
-        sc = self.kernel_sc()
-        p = _char(K)
+        sc = self.kernel_sc
+        p = self.p
 
         def times(terms, j, left):
             """(sum c b_k) . b_j, or b_j . (sum c b_k) when left, sparse and
@@ -211,8 +198,9 @@ class StructureAlgebra:
         K = self.field
         sc = [[i, j, k, K.dump(c)] for (i, j), row in sorted(self.sc.items())
               for (k, c) in row]
-        return {"dim": self.dim, "unit": [K.dump(a) for a in self.unit], "sc": sc,
-                "labels": self.labels}
+        return {"dim": self.dim,
+                "unit": [K.dump(a) for a in _dense(K, self.unit, self.dim)],
+                "sc": sc, "labels": self.labels}
 
     @staticmethod
     def from_json(field, obj, name=""):
@@ -229,7 +217,7 @@ class StructureAlgebra:
             sc.setdefault((i, j), []).append((k, field.parse(c)))
         if len(obj["unit"]) != dim:
             raise SchemaError(f"unit must have {dim} coordinates")
-        unit = [field.parse(a) for a in obj["unit"]]
+        unit = _sparse(field, [field.parse(a) for a in obj["unit"]])
         return StructureAlgebra(field, dim, sc, unit,
                                 labels=obj.get("labels"), name=name)
 
@@ -248,19 +236,17 @@ class AlgebraHom:
         self.name = name or "hom"
 
     def apply(self, v):
-        K = self.source.field
-        img = _sp_matmul([_sparse(K, v)], self.images, _char(K))[0]
-        return _dense(K, img, self.target.dim)
+        return _sp_sum(((c, self.images[j]) for j, c in v.items()),
+                       self.source.p)
 
     def verify(self, unital=True):
         """f(b_i) f(b_j) = f(b_i b_j) for every pair of basis elements, and
         f(1) = 1, both sides expanded by structure constants."""
         rep = ValidationReport(f"hom {self.name}")
         src, tgt = self.source, self.target
-        K = src.field
-        p = _char(K)
+        p = src.p
         imgs = self.images
-        ssc, tsc = src.kernel_sc(), tgt.kernel_sc()
+        ssc, tsc = src.kernel_sc, tgt.kernel_sc
 
         def combine(terms):
             """sum c . (sum e b_t) over (c, [(t, e), ...]) terms."""
@@ -315,9 +301,7 @@ class ModuleData:
         return self._act(self.right, a_vec, x)
 
     def _act(self, mats, a_vec, x):
-        K = self.algebra.field
-        y = _sp_matvec(self._matrix_of(mats, a_vec), _sparse(K, x), _char(K))
-        return _dense(K, y, self.dim)
+        return _sp_matvec(self._matrix_of(mats, a_vec), x, self.algebra.p)
 
     def left_matrix_of(self, a_vec):
         return self._matrix_of(self.left, a_vec)
@@ -327,24 +311,21 @@ class ModuleData:
 
     def _matrix_of(self, mats, a_vec):
         """sum_i a_i mats[i], as kernel rows."""
-        K = self.algebra.field
-        return _sp_combination([(c, mats[i])
-                                for i, c in _sparse(K, a_vec).items()],
-                               self.dim, _char(K))
+        return _sp_combination([(c, mats[i]) for i, c in a_vec.items()],
+                               self.dim, self.algebra.p)
 
     def validate(self):
         """The unit and product axioms of each action and, for a bimodule,
         the commutation of the two, compared on the kernel rows as
         stored."""
         rep = ValidationReport(f"module {self.name} over {self.algebra.name}")
-        K = self.algebra.field
         left, right = self.left, self.right
         if left is not None:
             self._check_action(rep, "left", left)
         if right is not None:
             self._check_action(rep, "right", right)
         if left is not None and right is not None:
-            p = _char(K)
+            p = self.algebra.p
             d = self.algebra.dim
             for i in range(d):
                 for j in range(d):
@@ -357,21 +338,19 @@ class ModuleData:
         """The unit acts as 1, and b_i b_j = sum_k c_ijk b_k acts as
         sum_k c_ijk mats[k]: as L_i L_j on the left, R_j R_i on the right."""
         A = self.algebra
-        K = A.field
-        p = _char(K)
+        p = A.p
         n = self.dim
 
         def combination(terms):
-            return _sp_combination([(_scalar(K, c), mats[k]) for k, c in terms],
-                                   n, p)
+            return _sp_combination([(c, mats[k]) for k, c in terms], n, p)
 
-        if combination(enumerate(A.unit)) != _sp_identity(n):
+        if combination(A.unit.items()) != _sp_identity(n):
             rep.fail(f"{side} unit")
         for i in range(A.dim):
             for j in range(A.dim):
                 lhs = _sp_matmul(mats[i], mats[j], p) if side == "left" \
                     else _sp_matmul(mats[j], mats[i], p)
-                if lhs != combination(A.mul_basis(i, j)):
+                if lhs != combination(A.kernel_sc.get((i, j), ())):
                     rep.fail(f"{side} action", i, j)
 
 
@@ -403,10 +382,8 @@ def enveloping(A, size_limit=1 << 16):
                     entries.append((m * d + n_, K.mul(c1, c2)))
             if entries:
                 sc.setdefault((i * d + j, k * d + l), []).extend(entries)
-    unit = [K.zero] * (d * d)
-    for i, a in enumerate(A.unit):
-        for j, b in enumerate(A.unit):
-            unit[i * d + j] = K.add(unit[i * d + j], K.mul(a, b))
+    unit = _nonzero({i * d + j: a * b for i, a in A.unit.items()
+                     for j, b in A.unit.items()}, A.p)
     labels = [f"{A.labels[i]}(x){A.labels[j]}" for i in range(d) for j in range(d)]
     return StructureAlgebra(K, d * d, sc, unit, labels=labels, name=f"{A.name}^e")
 
@@ -427,6 +404,14 @@ def bimodule_to_right_env_module(env, A, M):
     right = [_sp_matmul(M.left[j], M.right[i], p)
              for i in range(d) for j in range(d)]
     return ModuleData(env, M.dim, right=right, name=f"{M.name} as right {env.name}")
+
+
+def _sc_row(K, row):
+    """A kernel row as a row of structure constants: (index, field value)
+    pairs by increasing index."""
+    if K.kind == "Q":
+        return [(k, Fraction(c)) for k, c in sorted(row.items())]
+    return sorted(row.items())
 
 
 class SubalgebraResult:
@@ -452,7 +437,7 @@ def subalgebra_generated(A, gens, adjoin_unit=True, name=""):
     if adjoin_unit:
         push(A.unit)
     for g in gens:
-        push(list(g))
+        push(g)
     frontier = list(vecs)
     while frontier:
         new = []
@@ -470,15 +455,13 @@ def subalgebra_generated(A, gens, adjoin_unit=True, name=""):
         for j in range(sub_dim):
             coords = span.coords(A.mul(basis[i], basis[j]))
             assert coords is not None, "subalgebra closure failed"
-            row = [(k, c) for k, c in enumerate(coords) if c]
-            if row:
-                sc[(i, j)] = row
+            if coords:
+                sc[(i, j)] = _sc_row(K, coords)
     unit_coords = span.coords(A.unit)
     if unit_coords is None:
         raise InvalidInput("unit of the ambient algebra not in the subalgebra")
     sub = StructureAlgebra(K, sub_dim, sc, unit_coords, name=name or f"sub({A.name})")
-    incl = AlgebraHom(sub, A, [_sparse(K, b) for b in basis],
-                      name=f"incl {sub.name}")
+    incl = AlgebraHom(sub, A, basis, name=f"incl {sub.name}")
     return SubalgebraResult(sub, span, incl)
 
 
@@ -489,8 +472,6 @@ def orthogonalize_idempotents(A, gens, max_gens=14):
     Returns a list of pairwise-orthogonal idempotents v_i with sum(v_i) = 1
     whose span equals span(products of gens, 1).
     """
-    K = A.field
-    gens = [list(g) for g in gens]
     if len(gens) > max_gens:
         raise SizeLimit(f"{len(gens)} idempotent generators (limit {max_gens})")
     for g in gens:
@@ -502,65 +483,48 @@ def orthogonalize_idempotents(A, gens, max_gens=14):
                 raise NotCommuting(f"{g} vs {h}")
     atoms = [A.unit]
     for g in gens:
-        comp = [K.sub(a, b) for a, b in zip(A.unit, g)]
-        new = []
-        for at in atoms:
-            for part in (A.mul(at, g), A.mul(at, comp)):
-                if any(c != K.zero for c in part):
-                    new.append(part)
-        atoms = new
-    zero_vec = [K.zero] * A.dim
-    total = zero_vec
-    for at in atoms:
-        total = [K.add(a, b) for a, b in zip(total, at)]
-    assert total == A.unit
+        comp = _sp_sum([(1, A.unit), (-1, g)], A.p)
+        atoms = [part for at in atoms
+                 for part in (A.mul(at, g), A.mul(at, comp)) if part]
+    assert _sp_sum(((1, at) for at in atoms), A.p) == A.unit
     for i, u in enumerate(atoms):
         assert A.mul(u, u) == u
         for v in atoms[i + 1:]:
-            assert A.mul(u, v) == zero_vec
+            assert not A.mul(u, v)
     return atoms
 
 
 def separability_idempotent(A):
     """Solve for e in A (x) A with mult(e) = 1 and (a (x) 1)e = (1 (x) a)e.
 
-    Returns the coefficient matrix e[i][j] (meaning sum e_ij b_i (x) b_j)
-    or None when the defining system is inconsistent.
+    The unknown e_ij of e = sum e_ij b_i (x) b_j is variable i * d + j.
+    Equation k < d is mult(e)_k = 1_k; equation d + (t * d + k) * d + l is
+    the (k, l) coefficient of b_t e - e b_t = 0.  The rows are read off the
+    structure constants, each constant once.  Returns e as d kernel rows
+    (row i holds the e_ij) or None when the system is inconsistent.
     """
-    K = A.field
     d = A.dim
-    nvars = d * d
-    rows = []
-    rhs = []
-    # multiplication condition: sum_ij e_ij b_i b_j = 1
-    for k in range(d):
-        row = [K.zero] * nvars
-        for i in range(d):
-            for j in range(d):
-                for (kk, c) in A.mul_basis(i, j):
-                    if kk == k:
-                        row[i * d + j] = K.add(row[i * d + j], c)
-        rows.append(row)
-        rhs.append(A.unit[k])
-    # centrality: for each basis a: sum e_ij (a b_i (x) b_j - b_i (x) b_j a) = 0
-    for t in range(d):
-        for k in range(d):
+    rows = [{} for _ in range(d + d ** 3)]
+
+    def add(eq, var, c):
+        rows[eq][var] = rows[eq].get(var, 0) + c
+
+    for (i, j), terms in A.kernel_sc.items():
+        for k, c in terms:
+            add(k, i * d + j, c)
             for l in range(d):
-                row = [K.zero] * nvars
-                for i in range(d):
-                    for j in range(d):
-                        for (kk, c) in A.mul_basis(t, i):
-                            if kk == k and l == j:
-                                row[i * d + j] = K.add(row[i * d + j], c)
-                        for (ll, c) in A.mul_basis(j, t):
-                            if ll == l and k == i:
-                                row[i * d + j] = K.sub(row[i * d + j], c)
-                rows.append(row)
-                rhs.append(K.zero)
-    x = solve(K, rows, rhs)
+                # b_i e: c e_jl at the (k, l) coefficient of equation t = i
+                add(d + (i * d + k) * d + l, j * d + l, c)
+                # e b_j: c e_li at the (l, k) coefficient of equation t = j
+                add(d + (j * d + l) * d + k, l * d + i, -c)
+    x = solve(A.field, [_nonzero(row, A.p) for row in rows], d * d, A.unit)
     if x is None:
         return None
-    return [[x[i * d + j] for j in range(d)] for i in range(d)]
+    e = [{} for _ in range(d)]
+    for var, a in x.items():
+        i, j = divmod(var, d)
+        e[i][j] = a
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +582,10 @@ class TensorOverAlgebra:
 
     def pure(self, xvec, yvec):
         """Quotient coordinates of x (x) y."""
-        K = self.K
         my = self.Y.dim
-        v = [K.zero] * self.ambient_dim
-        for ix, a in enumerate(xvec):
-            if a == K.zero:
-                continue
-            for iy, b in enumerate(yvec):
-                if b != K.zero:
-                    v[ix * my + iy] = K.add(v[ix * my + iy], K.mul(a, b))
-        return self.quotient.project(v)
-
-    def project(self, ambient_vec):
-        return self.quotient.project(ambient_vec)
+        return self.quotient.project(_nonzero(
+            {ix * my + iy: a * b for ix, a in xvec.items()
+             for iy, b in yvec.items()}, self.R.p))
 
     def tensor_map(self, P=None, Q=None):
         """The matrix (kernel rows), in quotient coordinates, of the map
@@ -663,7 +618,7 @@ class TensorOverAlgebra:
         for c, tail in ech.rref():
             if image({c: 1, **tail}):
                 raise InvalidInput("map does not descend to the tensor product")
-        index = {c: t for t, c in enumerate(self.quotient.free)}
+        index = self.quotient.index
         rows = [{} for _ in range(self.dim)]
         for j, c in enumerate(self.quotient.free):
             for t, a in image({c: 1}).items():
@@ -676,9 +631,8 @@ class TensorOverAlgebra:
         pure_images[ix][iy]; raises InvalidInput unless the map kills the
         balancing relations.  Quotient coordinate t lifts to the ambient
         basis tensor at `quotient.free[t]`, so its column is that image."""
-        K = self.K
-        p = _char(K)
-        imgs = [_sparse(K, w) for row in pure_images for w in row]
+        p = self.R.p
+        imgs = [w for row in pure_images for w in row]
         for c, tail in self.relations.ech.rref():
             if _sp_matmul([{c: 1, **tail}], imgs, p)[0]:
                 raise InvalidInput("map is not balanced over the algebra")
@@ -775,13 +729,12 @@ def module_from_generator_actions(A, dim, given, side="left"):
                                   else _sp_matmul(Mv, Mu, p)))
     if span.dim < A.dim:
         raise InvalidInput("the given generators do not generate the algebra")
-    coords_of = coordinates_in(span, [u for (u, _) in known])
+    coords_of = coordinates_in(K, A.dim, [u for (u, _) in known])
     actions = []
     for i in range(A.dim):
         coords = coords_of(A.basis_vector(i))
         actions.append(_sp_combination(
-            [(_scalar(K, c), mat) for c, (_, mat) in zip(coords, known)],
-            dim, p))
+            [(c, known[k][1]) for k, c in coords.items()], dim, p))
     if side == "left":
         return ModuleData(A, dim, left=actions)
     return ModuleData(A, dim, right=actions)
@@ -814,26 +767,23 @@ def matrix_algebra(K, n, name=None):
                 for c2 in range(n):
                     if c == r2:
                         sc[(r * n + c, r2 * n + c2)] = [(r * n + c2, K.one)]
-    unit = [K.zero] * (n * n)
-    for r in range(n):
-        unit[r * n + r] = K.one
+    unit = {r * n + r: 1 for r in range(n)}
     return StructureAlgebra(K, n * n, sc, unit, name=name or f"M{n}")
 
 
 def product_field_algebra(K, n, name=None):
     """K x K x ... x K (n factors)."""
     sc = {(i, i): [(i, K.one)] for i in range(n)}
-    return StructureAlgebra(K, n, sc, [K.one] * n, name=name or f"K^{n}")
+    return StructureAlgebra(K, n, sc, {i: 1 for i in range(n)},
+                            name=name or f"K^{n}")
 
 
 def dual_numbers(K, name=None):
     """K[x]/(x^2), basis {1, x}."""
     sc = {(0, 0): [(0, K.one)], (0, 1): [(1, K.one)], (1, 0): [(1, K.one)]}
-    return StructureAlgebra(K, 2, sc, [K.one, K.zero], name=name or "K[x]/(x^2)")
+    return StructureAlgebra(K, 2, sc, {0: 1}, name=name or "K[x]/(x^2)")
 
 
 def group_algebra(K, G, name=None):
     sc = {(i, j): [(G.mul(i, j), K.one)] for i in range(G.n) for j in range(G.n)}
-    unit = [K.zero] * G.n
-    unit[0] = K.one
-    return StructureAlgebra(K, G.n, sc, unit, name=name or f"K[{G.name}]")
+    return StructureAlgebra(K, G.n, sc, {0: 1}, name=name or f"K[{G.name}]")

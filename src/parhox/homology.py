@@ -39,10 +39,10 @@ from .algebras import (ModuleData, ValidationReport,
                        bimodule_to_left_env_module, dual_bimodule,
                        bimodule_to_right_env_module, enveloping,
                        hom_over_algebra, module_from_generator_actions)
-from .linalg import (QuotientSpace, Subspace, _char, _dense, _Echelon,
-                     _kernel_of, _nonzero, _rank_of, _scalar, _sp_combination,
+from .linalg import (QuotientSpace, Subspace, _char, _Echelon, _kernel_of,
+                     _nonzero, _rank_of, _scalar, _sp_combination,
                      _sp_identity, _sp_kron, _sp_matmul, _sp_matvec,
-                     _sp_transpose, _sparse, _sparse_matrix, coordinates_in)
+                     _sp_transpose, coordinates_in)
 
 __all__ = [
     "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
@@ -109,7 +109,6 @@ class _BarBasis:
         self.R = R
         self.M = M
         K = R.field
-        self.K = K
         if normalized:
             span = Subspace(K, R.dim, [R.unit])
             self.quot = QuotientSpace(K, R.dim, span)
@@ -119,7 +118,7 @@ class _BarBasis:
             self.wdim = R.dim
 
         lifted = [self.lift(i) for i in range(self.wdim)]
-        self.prod = [[_sparse(K, self.project(R.mul(x, y))) for y in lifted]
+        self.prod = [[self.project(R.mul(x, y)) for y in lifted]
                      for x in lifted]
 
         self.left = [_sp_transpose(M.left_matrix_of(x), M.dim)
@@ -129,16 +128,14 @@ class _BarBasis:
 
     def lift(self, i):
         """The algebra element behind reduced-basis index i."""
-        K = self.K
         if self.quot is None:
             return self.R.basis_vector(i)
-        return self.quot.lift([K.one if t == i else K.zero
-                               for t in range(self.wdim)])
+        return self.quot.lift({i: 1})
 
     def project(self, vec):
         """Coordinates of an algebra element in the reduced basis."""
         if self.quot is None:
-            return list(vec)
+            return vec
         return self.quot.project(vec)
 
     def dim_q(self, q):
@@ -232,15 +229,14 @@ def homology_dims_of_complex(cc, max_q):
 
 
 class HomologyData:
-    def __init__(self, K, dim_space, cycles_reps, boundary_quotient, hsub,
-                 hbasis):
+    def __init__(self, K, dim_space, cycles_reps, boundary_quotient, hbasis):
         self.K = K
         self.dim_space = dim_space
-        self.reps = cycles_reps            # cycle vectors in C_q
+        self.reps = cycles_reps            # cycles in C_q, as kernel rows
         self.quotient = boundary_quotient  # C_q / boundaries
         self.hbasis = hbasis               # projections of reps
         self.dim = len(cycles_reps)
-        self._coords = coordinates_in(hsub, hbasis)   # hsub = span(hbasis)
+        self._coords = coordinates_in(K, boundary_quotient.dim, hbasis)
 
     def express(self, cycle_vec):
         """Coefficients of a cycle in the homology basis."""
@@ -257,8 +253,7 @@ def homology_data(cc, q):
     K = cc.field
     n = cc.dims[q]
     d_leaving, d_entering = cc.at(q)
-    cycles = [_dense(K, v, n) for v in
-              _kernel_of(K, [dict(row) for row in d_leaving or ()], n)]
+    cycles = _kernel_of(K, [dict(row) for row in d_leaving or ()], n)
     bsub = Subspace(K, n)
     if d_entering is not None:
         source = q - 1 if cc.cochain else q + 1
@@ -272,7 +267,7 @@ def homology_data(cc, q):
         if hsub.add(p):
             reps.append(c)
             hbasis.append(p)
-    return HomologyData(K, n, reps, quot, hsub, hbasis)
+    return HomologyData(K, n, reps, quot, hbasis)
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +595,15 @@ class GModuleOnChains:
 
 def _crossed_action_matrices(lam, M, xi):
     """Per group element, as kernel rows: the matrix of
-    a -> theta_g(1_{g^-1} a) on A (theta_g is converted from its dense
-    input here, once) and of m -> xi(g) (1_g d_g) m (1_{g^-1} d_{g^-1})
-    on M."""
+    a -> theta_g(1_{g^-1} a) on A (theta_g itself) and of
+    m -> xi(g) (1_g d_g) m (1_{g^-1} d_{g^-1}) on M."""
     theta = lam.theta
     K = theta.algebra.field
     p = _char(K)
     G = lam.group
     AG, MG = [], []
     for g in range(G.n):
-        AG.append(_sparse_matrix(K, theta.action.theta[g]))
+        AG.append(theta.action.theta[g])
         lm = M.left_matrix_of(lam.one_delta(g))
         rm = M.right_matrix_of(lam.one_delta(G.inv(g)))
         MG.append(_sp_combination([(_scalar(K, xi(g)), _sp_matmul(lm, rm, p))],
@@ -690,15 +684,14 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
     if hd is None:
         hd = homology_data(cc, q)
     # the representatives as the columns of a matrix on C_q
-    R = _sp_transpose([_sparse(K, v) for v in hd.reps], n)
+    R = _sp_transpose(hd.reps, n)
     gen_mats = {}
     for g in range(group.n):
         mono = target_algebra.monoid.gen(g)
         if not target_algebra.is_alive(mono):
             continue
         TR = _sp_matmul(gmod.action[g][q], R, p)
-        cols = [_sparse(K, hd.express(_dense(K, img, n)))
-                for img in _sp_transpose(TR, hd.dim)]
+        cols = [hd.express(img) for img in _sp_transpose(TR, hd.dim)]
         gen_mats[target_algebra.position[mono]] = _sp_transpose(cols, hd.dim)
     mod = module_from_generator_actions(target_algebra.algebra, hd.dim,
                                         gen_mats, side="left")
@@ -734,12 +727,11 @@ def hom_A_module_structure(lam, M, MA, xi, ktw_dd, group=None):
     AG, MG = _crossed_action_matrices(lam, M, xi)
 
     def flatten(F):
-        """F (M.dim x A.dim) as a dense vector, row-major."""
-        return _dense(K, {r * A.dim + c: a for r, row in enumerate(F)
-                          for c, a in row.items()}, M.dim * A.dim)
+        """F (M.dim x A.dim) as one kernel row, row-major."""
+        return {r * A.dim + c: a for r, row in enumerate(F)
+                for c, a in row.items()}
 
-    flats = [flatten(F) for F in carrier]
-    coords_of = coordinates_in(Subspace(K, M.dim * A.dim, flats), flats)
+    coords_of = coordinates_in(K, M.dim * A.dim, [flatten(F) for F in carrier])
     gen_mats = {}
     for g in range(group.n):
         mono = ktw_dd.monoid.gen(g)
@@ -751,7 +743,7 @@ def hom_A_module_structure(lam, M, MA, xi, ktw_dd, group=None):
             coords = coords_of(flatten(img))
             if coords is None:
                 raise EquivarianceFailure("action leaves Hom_{A^e}(A, M)")
-            cols.append(_sparse(K, coords))
+            cols.append(coords)
         gen_mats[ktw_dd.position[mono]] = _sp_transpose(cols, n)
     mod = module_from_generator_actions(ktw_dd.algebra, len(carrier),
                                         gen_mats, side="left")

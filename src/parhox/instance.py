@@ -136,16 +136,10 @@ class Instance:
         return restrict_along_hom(self.omega.projection, om_reg)
 
     def ker_zeta_in_kpar(self):
-        """ker(zeta) generators as vectors of kappa_par G."""
-        K = self.field
+        """ker(zeta) generators as elements of kappa_par G."""
         B_positions = self.kpar.idempotent_positions()
-        out = []
-        for kv in self.bsig.ker_zeta_basis:
-            vec = [K.zero] * self.kpar.dim
-            for i, c in enumerate(kv):
-                vec[B_positions[i]] = c
-            out.append(vec)
-        return out
+        return [{B_positions[i]: c for i, c in kv.items()}
+                for kv in self.bsig.ker_zeta_basis]
 
     @cached_property
     def lambda_as_bsdd(self):

@@ -2,45 +2,46 @@
 
 Conventions used across the whole package:
 
-  * a vector is a list of field values;
-  * a matrix is a list of kernel rows (`{col: value}` dicts, below) whose
-    column count the caller carries; only the public functions below take
-    dense lists of rows;
+  * a vector is a kernel row: a `{index: value}` dict holding only the
+    nonzero entries, its length carried by the caller;
+  * a matrix is a list of kernel rows whose column count the caller
+    carries;
   * the linear map of an m x n matrix M is  v |-> M . v  (column vector);
   * composition of maps is _sp_matmul(A, B) ("A after B").
 
-`rank`, `rref`, `nullspace`, `solve`, `invert_matrix` and `Subspace` take
-and return dense values, but all of them eliminate on sparse rows:
-`{col: value}` dicts kept in row echelon form under their leading column
-(`_Echelon`).  Over F_p the values are int residues; over Q they are ints
-where the value is integral and Fractions otherwise, so that the common +-1
-entries never pay for Fraction arithmetic.  A vector is reduced against the
-stored rows in increasing pivot order, input rows are taken sparsest first,
-and the fully reduced (canonical) form is produced only when a caller needs
-it.  Callers that build sparse data themselves use the kernel and its
-underscore helpers directly.
+The values of a kernel row are kernel scalars (`_scalar`): over F_p int
+residues, over Q ints where the value is integral and Fractions otherwise,
+so that the common +-1 entries never pay for Fraction arithmetic.  Results
+are normalized like `_nonzero` (reduced mod p over F_p, zeros dropped), so
+two vectors or matrices are equal exactly when their rows compare equal.
+Dense lists of field values exist only where JSON enters (`_sparse`,
+`_sparse_matrix`) and leaves (`_dense`).
+
+Elimination works on kernel rows kept in row echelon form under their
+leading column (`_Echelon`).  A vector is reduced against the stored rows
+in increasing pivot order, input rows are taken sparsest first, and the
+fully reduced (canonical) form is produced only when a caller needs it.
+`Subspace`, `QuotientSpace`, `coordinates_in` and `solve` are the public
+face of the kernel; `_rank_of` and `_kernel_of` give ranks and kernels.
 
 Coordinates are never found by solving a system per vector.  In a
 `Subspace`'s own basis, which is its reduced row echelon form,
 `Subspace.coords(v)` reads v's entries at the pivots once v's remainder is
 checked to be zero.  In any other fixed independent list V,
-`coordinates_in(span, V)` inverts the k x k block of V at the pivots of
-its span once (`invert_matrix`); a vector then costs the same remainder
-check and one k x k product.  `solve` is kept for real linear systems.
+`coordinates_in` keeps each v_i tagged with a unit vector, in one echelon
+form built once, and a vector then costs one reduction.  `solve` is kept
+for real linear systems.
 
-Matrices get the same treatment, in one sparse-matrix layer:
-`_sparse_matrix` turns a dense matrix into a list of kernel rows once,
-where input enters (`_sp_identity` is the identity in that form),
-`_sp_matmul` multiplies two such lists row by row (Gustavson's row-wise
+The sparse-matrix layer: `_sp_identity` is the identity,
+`_sp_matmul` multiplies two row lists row by row (Gustavson's row-wise
 product, ACM TOMS 4, 1978: each row of A adds up a_ik * (row k of B) over
 its nonzero a_ik in a dict), `_sp_matvec` applies one to a kernel row taken
-as a column, `_sp_combination` forms sum_k c_k X_k, `_sp_kron` the
-Kronecker product and `_sp_transpose` the transpose (a row list does not
-carry its column count, so both take it).  Results are normalized like
-`_nonzero` (reduced mod p over F_p, zeros dropped), so two matrices are
-equal exactly when their row lists compare equal.  Module actions and
-algebra maps in `algebras`, and the Hochschild chain complexes and the
-group action on them in `homology`, are kernel rows from the start.
+as a column, `_sp_combination` forms sum_k c_k X_k of matrices and
+`_sp_sum` sum_k c_k v_k of vectors, `_sp_kron` the Kronecker product and
+`_sp_transpose` the transpose (a row list does not carry its column count,
+so both take it).  Algebra elements, module actions, algebra maps,
+partial actions, and the Hochschild chain complexes and the group action
+on them are kernel rows from the start.
 """
 
 from fractions import Fraction
@@ -48,41 +49,7 @@ from heapq import heapify, heappop, heappush
 
 from .errors import InvalidInput
 
-__all__ = [
-    "zeros", "identity", "matvec", "transpose", "rank", "rref",
-    "nullspace", "solve", "invert_matrix", "Subspace", "QuotientSpace",
-    "coordinates_in",
-]
-
-
-def zeros(K, m, n):
-    z = K.zero
-    return [[z] * n for _ in range(m)]
-
-
-def identity(K, n):
-    M = zeros(K, n, n)
-    for i in range(n):
-        M[i][i] = K.one
-    return M
-
-
-def matvec(K, M, v):
-    mul, add, zero = K.mul, K.add, K.zero
-    support = [(j, x) for j, x in enumerate(v) if x]
-    out = []
-    for row in M:
-        acc = zero
-        for j, x in support:
-            a = row[j]
-            if a:
-                acc = add(acc, mul(a, x))
-        out.append(acc)
-    return out
-
-
-def transpose(M):
-    return [list(col) for col in zip(*M)] if M else []
+__all__ = ["solve", "Subspace", "QuotientSpace", "coordinates_in"]
 
 
 def _char(K):
@@ -104,19 +71,12 @@ def _nonzero(v, p):
 
 
 def _sparse(K, vec):
-    """The nonzero entries of a dense vector as a kernel row."""
-    p = _char(K)
-    if p:
-        return {j: a % p for j, a in enumerate(vec) if a % p}
-    # `is not z` skips the shared zero of zeros() and _dense() without a
-    # (Python-level) Fraction.__bool__ call
-    z = K.zero
-    return {j: a.numerator if a.denominator == 1 else a
-            for j, a in enumerate(vec) if a is not z and a}
+    """A dense vector of field values, as read from JSON, as a kernel row."""
+    return _nonzero({j: _scalar(K, a) for j, a in enumerate(vec)}, _char(K))
 
 
 def _dense(K, row, n):
-    """A kernel row as a dense vector of length n over K."""
+    """A kernel row as a dense vector of length n over K, for JSON output."""
     out = [K.zero] * n
     if K.kind == "Q":
         for j, a in row.items():
@@ -128,7 +88,7 @@ def _dense(K, row, n):
 
 
 def _sparse_matrix(K, M):
-    """A dense matrix as a list of kernel rows."""
+    """A dense matrix, as read from JSON, as a list of kernel rows."""
     return [_sparse(K, row) for row in M]
 
 
@@ -197,6 +157,17 @@ def _sp_combination(terms, nrows, p):
             for j, x in row.items():
                 acc[j] = get(j, 0) + c * x
     return [_nonzero(acc, p) for acc in out]
+
+
+def _sp_sum(terms, p):
+    """sum_k c_k v_k over (c_k, v_k) pairs of kernel scalars and kernel rows,
+    normalized like `_nonzero`."""
+    out = {}
+    get = out.get
+    for c, v in terms:
+        for j, x in v.items():
+            out[j] = get(j, 0) + c * x
+    return _nonzero(out, p)
 
 
 def _inv(a, p):
@@ -312,69 +283,31 @@ def _kernel_of(K, rows, ncols):
     return list(ker.values())
 
 
-def _dense_rref(K, ech, n):
-    """The reduced rows of an echelon form as dense vectors, and their
-    pivots."""
-    rows, pivots = [], []
-    for c, tail in ech.rref():
-        row = _dense(K, tail, n)
-        row[c] = K.one
-        rows.append(row)
-        pivots.append(c)
-    return rows, pivots
-
-
-def rank(K, M):
-    return _rank_of(K, [_sparse(K, row) for row in M])
-
-
-def rref(K, M):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    n = len(M[0]) if M else 0
-    rows, pivots = _dense_rref(
-        K, _echelon_of(K, [_sparse(K, row) for row in M]), n)
-    rows.extend([K.zero] * n for _ in range(len(M) - len(rows)))
-    return rows, pivots
-
-
-def nullspace(K, M, ncols=None):
-    """Basis of the right kernel {v : M v = 0}."""
-    if ncols is None:
-        ncols = len(M[0]) if M else 0
-    return [_dense(K, v, ncols)
-            for v in _kernel_of(K, [_sparse(K, row) for row in M], ncols)]
-
-
-def solve(K, M, b):
-    """One solution of M x = b, or None if inconsistent."""
-    if len(M) != len(b):
-        raise InvalidInput(f"solve: {len(M)} equations but {len(b)} "
-                           f"right-hand sides")
-    n = len(M[0]) if M else 0
-    rows = [_sparse(K, list(row) + [bi]) for row, bi in zip(M, b)]
+def solve(K, rows, n, b):
+    """One solution x of M x = b, or None if there is none.  M is given by
+    its kernel rows (one per equation) over n unknowns and b by a kernel
+    row indexed by the equations; x is a kernel row indexed by the
+    unknowns, with every free unknown 0."""
+    if any(r >= len(rows) for r in b) or \
+            any(c >= n for row in rows for c in row):
+        raise InvalidInput(f"solve: {len(rows)} equations in {n} unknowns, "
+                           f"right-hand side at rows {sorted(b)}")
+    aug = [{**row, n: b[r]} if r in b else dict(row)
+           for r, row in enumerate(rows)]
     x = {}
-    for c, tail in _echelon_of(K, rows).rref():
+    for c, tail in _echelon_of(K, aug).rref():
         # inconsistent iff a pivot lands in the last column
         if c == n:
             return None
         if n in tail:
             x[c] = tail[n]
-    return _dense(K, x, n)
-
-
-def invert_matrix(K, M):
-    """The inverse of a square matrix, or None if it is singular."""
-    n = len(M)
-    aug = [row + unit for row, unit in zip(M, identity(K, n))]
-    rows, pivots = rref(K, aug)
-    if pivots != list(range(n)):
-        return None
-    return [rows[i][n:] for i in range(n)]
+    return x
 
 
 class Subspace:
     """A subspace of K^n in echelon form; `basis()` is its reduced row
-    echelon form (monic pivots)."""
+    echelon form (monic pivots).  Vectors are kernel rows, and a vector
+    passed in is never changed."""
 
     __slots__ = ("K", "n", "ech")
 
@@ -394,35 +327,34 @@ class Subspace:
         return sorted(self.ech.rows)
 
     def reduce(self, v):
-        """Fully reduce v by the stored echelon basis (returns a copy)."""
-        return _dense(self.K, self.ech.reduce(_sparse(self.K, v)), self.n)
+        """v fully reduced by the stored echelon basis, as a new row."""
+        return self.ech.reduce(dict(v))
 
     def contains(self, v):
-        return not self.ech.reduce(_sparse(self.K, v))
+        return not self.ech.reduce(dict(v))
 
     def add(self, v):
         """Add v to the span; True if the dimension grew."""
-        return self.ech.add(_sparse(self.K, v))
+        return self.ech.add(dict(v))
 
     def basis(self):
-        return _dense_rref(self.K, self.ech, self.n)[0]
+        return [{c: 1, **tail} for c, tail in self.ech.rref()]
 
     def coords(self, v):
         """The coordinates of v in `basis()`, or None when v is outside the
         span.  The basis is reduced, so they are v's entries at the
         pivots, read once v's remainder is checked to be zero."""
         rref = self.ech.rref()
-        x = _sparse(self.K, v)
-        coords = {i: x[c] for i, (c, _) in enumerate(rref) if c in x}
-        if self.ech.reduce(x):
+        coords = {i: v[c] for i, (c, _) in enumerate(rref) if c in v}
+        if self.ech.reduce(dict(v)):
             return None
-        return _dense(self.K, coords, len(rref))
+        return coords
 
 
 class QuotientSpace:
     """K^n / W with canonical coordinates at the non-pivot positions of W."""
 
-    __slots__ = ("K", "n", "sub", "free", "dim")
+    __slots__ = ("K", "n", "sub", "free", "index", "dim")
 
     def __init__(self, K, n, sub):
         assert isinstance(sub, Subspace) and sub.n == n
@@ -431,32 +363,37 @@ class QuotientSpace:
         self.sub = sub
         pivset = set(sub.pivots)
         self.free = [c for c in range(n) if c not in pivset]
+        self.index = {c: t for t, c in enumerate(self.free)}
         self.dim = len(self.free)
 
     def project(self, v):
-        r = self.sub.reduce(v)
-        return [r[c] for c in self.free]
+        """The quotient coordinates of v: its normal form modulo W holds
+        non-pivot positions only."""
+        index = self.index
+        return {index[c]: a for c, a in self.sub.reduce(v).items()}
 
     def lift(self, coords):
-        v = [self.K.zero] * self.n
-        for c, a in zip(self.free, coords):
-            v[c] = a
-        return v
+        free = self.free
+        return {free[t]: a for t, a in coords.items()}
 
 
-def coordinates_in(span, vectors):
-    """v -> the coordinates of v in `vectors`, an independent list whose
-    span is the Subspace `span`, or None when v is outside it.  The k x k
-    block of the vectors at the pivots of the span is inverted here, once:
-    the span's reduced basis is the identity there, so that block is
-    invertible and determines the coordinates."""
-    K = span.K
-    pivots = [c for c, _ in span.ech.rref()]
-    assert len(pivots) == len(vectors), "the vectors are not independent"
-    inv = invert_matrix(K, [[v[c] for v in vectors] for c in pivots])
+def coordinates_in(K, n, vectors):
+    """v -> the coordinates of v in `vectors`, an independent list of kernel
+    rows of K^n, or None when v is outside their span.  Each v_i is tagged
+    with the unit vector e_i, and the rows (v_i, e_i) of K^(n+k) are put in
+    reduced echelon form here, once.  The tags make these rows independent
+    and, the v_i being independent, every pivot lies in the first n
+    columns; so (v, 0) reduces to (0, -c) exactly when v = sum c_i v_i."""
+    p = _char(K)
+    ech = _Echelon(p)
+    for i, v in enumerate(vectors):
+        ech.add({**v, n + i: 1})
+    assert all(c < n for c in ech.rows), "the vectors are not independent"
+    ech.rref()
 
     def coords(v):
-        if not span.contains(v):
+        r = ech.reduce(dict(v))
+        if r and min(r) < n:
             return None
-        return matvec(K, inv, [v[c] for c in pivots])
+        return {c - n: (-a) % p if p else -a for c, a in r.items()}
     return coords

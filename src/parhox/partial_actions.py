@@ -2,8 +2,10 @@
 between partial projective representations and partial actions.
 
 A unital partial action stores, per group element g, the central idempotent
-1_g generating the ideal D_g and the map theta_g as a full d x d matrix
-that vanishes off D_{g^-1} and lands in D_g.  The crossed product has basis
+1_g generating the ideal D_g, as a kernel row of `linalg`, and the map
+theta_g as a full d x d matrix of kernel rows that vanishes off D_{g^-1}
+and lands in D_g.  Every element of A, of the crossed product and of a
+representation's target is a kernel row.  The crossed product has basis
 pairs (g, ideal basis vector of D_g) and the product rule
 
     (a delta_g)(b delta_h) = sigma(g,h) . a theta_g(1_{g^-1} b) 1_{gh} delta_{gh}.
@@ -12,9 +14,10 @@ pairs (g, ideal basis vector of D_g) and the product rule
 from .errors import (AssociativityFailure, InvalidInput, NotCovariant,
                      NotARepresentation, PropertyFailure, ValidationFailure)
 from .algebras import (AlgebraHom, StructureAlgebra, ValidationReport,
-                       subalgebra_generated)
+                       _sc_row, subalgebra_generated)
 from .factor_sets import validate_twist
-from .linalg import Subspace, _sparse, matvec, transpose
+from .linalg import (Subspace, _scalar, _sp_identity, _sp_matvec, _sp_sum,
+                     _sp_transpose)
 
 __all__ = [
     "UnitalPartialAction", "TwistedPartialAction", "CrossedProductAlgebra",
@@ -28,8 +31,8 @@ __all__ = [
 class UnitalPartialAction:
     def __init__(self, algebra, one, theta):
         self.algebra = algebra
-        self.one = [list(v) for v in one]        # 1_g as vectors in A
-        self.theta = [[row[:] for row in m] for m in theta]
+        self.one = list(one)            # 1_g as kernel rows of A
+        self.theta = list(theta)        # theta_g as kernel-row matrices
         if len(theta) != len(one):
             raise InvalidInput("need one idempotent and one map per group element")
         self._ideals = None
@@ -53,7 +56,7 @@ class UnitalPartialAction:
         return self._ideal(g)[1]
 
     def apply_theta(self, g, vec):
-        return matvec(self.algebra.field, self.theta[g], vec)
+        return _sp_matvec(self.theta[g], vec, self.algebra.p)
 
 
 class TwistedPartialAction:
@@ -91,15 +94,13 @@ def validate_partial_action(action, group):
                 rep.fail("1_g not central", g, j)
     if action.one[0] != A.unit:
         rep.fail("D_1 != A")
-    from .linalg import identity as _identity
-    if action.theta[0] != _identity(K, A.dim):
+    if action.theta[0] != _sp_identity(A.dim):
         rep.fail("theta_1 != id")
     inv = group.inv
     mul = group.mul
     for g in range(n):
         ginv = inv(g)
         e_g, e_ginv = action.one[g], action.one[ginv]
-        th = action.theta[g]
         # vanishes off D_{g^-1}: theta_g(x) = theta_g(1_{g^-1} x)
         for j in range(A.dim):
             b = A.basis_vector(j)
@@ -156,14 +157,12 @@ def validate_twisted(theta, group=None):
     group = group or theta.group
     action, sigma = theta.action, theta.sigma
     A = action.algebra
-    K = A.field
     rep = validate_partial_action(action, group)
     n = group.n
-    zero_vec = [K.zero] * A.dim
-    support = [[A.mul(action.one[g], action.one[group.mul(g, h)]) != zero_vec
+    support = [[bool(A.mul(action.one[g], action.one[group.mul(g, h)]))
                 for h in range(n)] for g in range(n)]
-    triple = [[[A.mul(A.mul(action.one[g], action.one[group.mul(g, h)]),
-                      action.one[group.mul(g, group.mul(h, t))]) != zero_vec
+    triple = [[[bool(A.mul(A.mul(action.one[g], action.one[group.mul(g, h)]),
+                           action.one[group.mul(g, group.mul(h, t))]))
                 for t in range(n)] for h in range(n)] for g in range(n)]
     rep.merge(validate_twist(sigma, support, triple))
     return rep
@@ -176,7 +175,7 @@ class CrossedProductAlgebra:
         self.theta = theta
         self.algebra = algebra               # the StructureAlgebra of Lambda
         self.basis_index = basis_index       # list of (g, local_index)
-        self.dg_bases = dg_bases             # per g: list of vectors in A
+        self.dg_bases = dg_bases             # per g: list of elements of A
         self.group = theta.group
         self._offsets = {}
         for pos, (g, li) in enumerate(basis_index):
@@ -187,28 +186,14 @@ class CrossedProductAlgebra:
         return self.algebra.dim
 
     def delta(self, g, a_vec):
-        """Element a delta_g of Lambda for a in D_g (given in A-coordinates)."""
-        K = self.algebra.field
+        """Element a delta_g of Lambda for a in D_g."""
         coords = self.theta.action.ideal_space(g).coords(a_vec)
         if coords is None:
             raise InvalidInput(f"element not in D_{g}")
-        out = [K.zero] * self.dim
-        for li, c in enumerate(coords):
-            out[self._offsets[g][li]] = c
-        return out
+        return {self._offsets[g][li]: c for li, c in coords.items()}
 
     def embed_a(self, a_vec):
         return self.delta(0, a_vec)
-
-    def component(self, vec, g):
-        """The D_g-component of a Lambda element, in A-coordinates."""
-        K = self.algebra.field
-        out = [K.zero] * self.theta.algebra.dim
-        for li, u in enumerate(self.dg_bases[g]):
-            c = vec[self._offsets[g][li]]
-            if c != K.zero:
-                out = [K.add(o, K.mul(c, x)) for o, x in zip(out, u)]
-        return out
 
     def one_delta(self, g):
         return self.delta(g, self.theta.one[g])
@@ -232,27 +217,23 @@ def build_crossed_product(theta, name=None, validate=True):
         a = dg_bases[g][li]
         for p2, (h, lj) in enumerate(basis_index):
             b = dg_bases[h][lj]
-            s = sigma(g, h)
-            if s == K.zero:
+            s = _scalar(K, sigma(g, h))
+            if not s:
                 continue
             gh = group.mul(g, h)
             w = A.mul(a, action.apply_theta(g, A.mul(action.one[group.inv(g)], b)))
-            w = A.mul(w, action.one[gh])
-            w = [K.mul(s, c) for c in w]
-            if all(c == K.zero for c in w):
+            w = _sp_sum([(s, A.mul(w, action.one[gh]))], A.p)
+            if not w:
                 continue
             coords = action.ideal_space(gh).coords(w)
             if coords is None:
                 raise InvalidInput("crossed product does not close")
-            row = [(pos[(gh, lk)], c) for lk, c in enumerate(coords) if c != K.zero]
-            if row:
-                sc[(p1, p2)] = row
-    unit = [K.zero] * dim
+            sc[(p1, p2)] = _sc_row(K, {pos[(gh, lk)]: c
+                                       for lk, c in coords.items()})
     unit_coords = action.ideal_space(0).coords(A.unit)
     if unit_coords is None:
         raise InvalidInput("the unit of A is not in D_1")
-    for li, c in enumerate(unit_coords):
-        unit[pos[(0, li)]] = c
+    unit = {pos[(0, li)]: c for li, c in unit_coords.items()}
     labels = [f"d{g}[{li}]" for (g, li) in basis_index]
     alg = StructureAlgebra(K, dim, sc, unit, labels=labels,
                            name=name or f"{A.name}*{group.name}")
@@ -270,7 +251,7 @@ class PartialProjRepresentation:
 
     def __init__(self, target, gamma, sigma):
         self.target = target
-        self.gamma = [list(v) for v in gamma]
+        self.gamma = list(gamma)        # Gamma(g) as kernel rows of target
         self.sigma = sigma
         self.group = sigma.group
 
@@ -283,31 +264,31 @@ class PartialProjRepresentation:
         G = self.group
         sigma = self.sigma
         rep = ValidationReport("partial projective representation")
-        zero = [K.zero] * R.dim
         if self.gamma[0] != R.unit:
             rep.fail("Gamma(1) != 1")
         for g in range(G.n):
             ginv = G.inv(g)
             for h in range(G.n):
                 gh = G.mul(g, h)
+                s = _scalar(K, sigma(g, h))
                 left = R.mul(self.gamma[ginv], R.mul(self.gamma[g], self.gamma[h]))
-                right = [K.mul(sigma(g, h), c)
-                         for c in R.mul(self.gamma[ginv], self.gamma[gh])]
+                right = _sp_sum([(s, R.mul(self.gamma[ginv], self.gamma[gh]))],
+                                R.p)
                 if left != right:
                     rep.fail("left absorption", g, h)
                 left2 = R.mul(R.mul(self.gamma[g], self.gamma[h]),
                               self.gamma[G.inv(h)])
-                right2 = [K.mul(sigma(g, h), c)
-                          for c in R.mul(self.gamma[gh], self.gamma[G.inv(h)])]
+                right2 = _sp_sum([(s, R.mul(self.gamma[gh],
+                                            self.gamma[G.inv(h)]))], R.p)
                 if left2 != right2:
                     rep.fail("right absorption", g, h)
                 if sigma.is_zero(g, h):
-                    if R.mul(self.gamma[ginv], self.gamma[gh]) != zero:
+                    if R.mul(self.gamma[ginv], self.gamma[gh]):
                         rep.fail("zero relation left", g, h)
-                    if R.mul(self.gamma[gh], self.gamma[G.inv(h)]) != zero:
+                    if R.mul(self.gamma[gh], self.gamma[G.inv(h)]):
                         rep.fail("zero relation right", g, h)
                 if factor_set_property:
-                    if (R.mul(self.gamma[g], self.gamma[h]) == zero) != \
+                    if (not R.mul(self.gamma[g], self.gamma[h])) != \
                        sigma.is_zero(g, h):
                         rep.fail("factor set property", g, h)
         return rep
@@ -316,16 +297,14 @@ class PartialProjRepresentation:
         """Gamma(g^-1)Gamma(gh) = 0 <=> Gamma(g)Gamma(h) = 0 <=>
         Gamma(gh)Gamma(h^-1) = 0 for every pair."""
         R = self.target
-        K = R.field
         G = self.group
-        zero = [K.zero] * R.dim
         rep = ValidationReport("zero pattern equivalences")
         for g in range(G.n):
             for h in range(G.n):
                 gh = G.mul(g, h)
-                z1 = R.mul(self.gamma[G.inv(g)], self.gamma[gh]) == zero
-                z2 = R.mul(self.gamma[g], self.gamma[h]) == zero
-                z3 = R.mul(self.gamma[gh], self.gamma[G.inv(h)]) == zero
+                z1 = not R.mul(self.gamma[G.inv(g)], self.gamma[gh])
+                z2 = not R.mul(self.gamma[g], self.gamma[h])
+                z3 = not R.mul(self.gamma[gh], self.gamma[G.inv(h)])
                 if not (z1 == z2 == z3):
                     rep.fail("zero pattern", g, h)
         return rep
@@ -353,11 +332,10 @@ def induced_idempotents(rep):
     for g in range(G.n):
         s = sigma(G.inv(g), g)
         if s == K.zero:
-            es.append([K.zero] * R.dim)
+            es.append({})
         else:
             prod = R.mul(rep.gamma[g], rep.gamma[G.inv(g)])
-            si = K.inv(s)
-            es.append([K.mul(si, c) for c in prod])
+            es.append(_sp_sum([(_scalar(K, K.inv(s)), prod)], R.p))
     report = ValidationReport("induced idempotents")
     for g in range(G.n):
         if R.mul(es[g], es[g]) != es[g]:
@@ -376,8 +354,8 @@ def induced_idempotents(rep):
 
 def induced_partial_action(rep, validate=True):
     """The unital partial action on the subalgebra generated by the induced
-    idempotents; returns (SubalgebraResult, UnitalPartialAction as matrices
-    on the subalgebra basis)."""
+    idempotents; returns (SubalgebraResult, UnitalPartialAction in the
+    subalgebra basis)."""
     R = rep.target
     K = R.field
     G = rep.group
@@ -398,16 +376,16 @@ def induced_partial_action(rep, validate=True):
         cols = []
         for bvec in basis:
             if s == K.zero:
-                cols.append([K.zero] * B.dim)
+                cols.append({})
                 continue
             dom = R.mul(es[ginv], bvec)
             img = R.mul(rep.gamma[g], R.mul(dom, rep.gamma[ginv]))
-            img = [K.mul(K.inv(s), c) for c in img]
+            img = _sp_sum([(_scalar(K, K.inv(s)), img)], R.p)
             coords = subres.to_sub_coords(img)
             if coords is None:
                 raise PropertyFailure("theta^Gamma leaves the subalgebra")
             cols.append(coords)
-        thetas.append(transpose(cols))
+        thetas.append(_sp_transpose(cols, B.dim))
     act = UnitalPartialAction(B, one, thetas)
     if validate:
         report = validate_partial_action(act, G)
@@ -427,10 +405,10 @@ def validate_covariant(pi, rep, theta, group):
     report = ValidationReport("covariant representation")
     for g in range(group.n):
         ginv = group.inv(g)
+        s = _scalar(K, sigma(g, ginv))
         for a in theta.action.ideal_basis(ginv):
             lhs = R.mul(rep.gamma[g], R.mul(pi.apply(a), rep.gamma[ginv]))
-            rhs = [K.mul(sigma(g, ginv), c)
-                   for c in pi.apply(theta.apply_theta(g, a))]
+            rhs = _sp_sum([(s, pi.apply(theta.apply_theta(g, a)))], R.p)
             if lhs != rhs:
                 report.fail("covariance", g)
                 break
@@ -440,15 +418,11 @@ def validate_covariant(pi, rep, theta, group):
 def pi_times_gamma(pi, rep, crossed):
     """The hom Lambda -> R determined by a delta_g -> pi(a) Gamma(g)."""
     R = rep.target
-    K = R.field
     report = validate_covariant(pi, rep, crossed.theta, crossed.group)
     report.raise_if_failed(NotCovariant)
-    cols = []
-    for (g, li) in crossed.basis_index:
-        a = crossed.dg_bases[g][li]
-        cols.append(R.mul(pi.apply(a), rep.gamma[g]))
-    hom = AlgebraHom(crossed.algebra, R, [_sparse(K, c) for c in cols],
-                     name="pi x Gamma")
+    cols = [R.mul(pi.apply(crossed.dg_bases[g][li]), rep.gamma[g])
+            for (g, li) in crossed.basis_index]
+    hom = AlgebraHom(crossed.algebra, R, cols, name="pi x Gamma")
     hom.verify().raise_if_failed(NotCovariant)
     return hom
 
@@ -463,14 +437,12 @@ def transport_by_equivalence(theta_rho, eta, validate=True):
         validate_twisted(theta_nu).raise_if_failed()
     lam_rho = build_crossed_product(theta_rho, validate=validate)
     lam_nu = build_crossed_product(theta_nu, validate=validate)
-    K = theta_rho.algebra.field
-    cols = []
-    for (g, li) in lam_nu.basis_index:
-        a = lam_nu.dg_bases[g][li]
-        img = lam_rho.delta(g, a)
-        cols.append([K.mul(eta(g), c) for c in img])
-    hom = AlgebraHom(lam_nu.algebra, lam_rho.algebra,
-                     [_sparse(K, c) for c in cols], name="eta transport")
+    A = theta_rho.algebra
+    cols = [_sp_sum([(_scalar(A.field, eta(g)),
+                      lam_rho.delta(g, lam_nu.dg_bases[g][li]))], A.p)
+            for (g, li) in lam_nu.basis_index]
+    hom = AlgebraHom(lam_nu.algebra, lam_rho.algebra, cols,
+                     name="eta transport")
     if validate:
         hom.verify().raise_if_failed()
         if not hom.is_bijective():
@@ -485,17 +457,11 @@ def check_ideal_splittings(theta):
     K = A.field
     rep = ValidationReport("ideal splittings")
     for g in range(theta.group.n):
-        e = theta.one[g]
-        comp = [K.sub(a, b) for a, b in zip(A.unit, e)]
-        span = Subspace(K, A.dim)
-        d1 = 0
-        for u in theta.action.ideal_basis(g):
-            span.add(u)
+        comp = _sp_sum([(1, A.unit), (-1, theta.one[g])], A.p)
+        span = Subspace(K, A.dim, theta.action.ideal_basis(g))
         d1 = span.dim
-        d2 = 0
-        comp_span = Subspace(K, A.dim)
-        for j in range(A.dim):
-            comp_span.add(A.mul(comp, A.basis_vector(j)))
+        comp_span = Subspace(K, A.dim, (A.mul(comp, A.basis_vector(j))
+                                        for j in range(A.dim)))
         d2 = comp_span.dim
         for u in comp_span.basis():
             span.add(u)

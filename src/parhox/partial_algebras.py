@@ -38,7 +38,8 @@ from .algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                        subalgebra_generated)
 from .factor_sets import MonoidFactorSet, trivial_factor_set
 from .groups import enumerate_exel
-from .linalg import _char, _sp_identity, _sp_matmul, _sp_transpose, _sparse
+from .linalg import (_char, _scalar, _sp_identity, _sp_matmul, _sp_sum,
+                     _sp_transpose)
 from .partial_actions import (PartialProjRepresentation, TwistedPartialAction,
                               build_crossed_product, induced_partial_action)
 
@@ -65,12 +66,10 @@ class TwistedPartialGroupAlgebra:
         self.algebra = algebra
         self.completion_log = completion_log or []
         self.position = {m: p for p, m in enumerate(self.surviving)}
-        K = field
-        self.gens = []
-        self.e_vectors = []
-        for g in range(group.n):
-            self.gens.append(self.monomial_vector(monoid.gen(g)))
-            self.e_vectors.append(self.monomial_vector(monoid.e(g)))
+        self.gens = [self.monomial_vector(monoid.gen(g))
+                     for g in range(group.n)]
+        self.e_vectors = [self.monomial_vector(monoid.e(g))
+                          for g in range(group.n)]
 
     @property
     def dim(self):
@@ -80,17 +79,15 @@ class TwistedPartialGroupAlgebra:
         return monoid_index in self.position
 
     def monomial_vector(self, monoid_index):
-        v = [self.field.zero] * len(self.surviving)
+        """The monomial as an element: zero when it vanished."""
         p = self.position.get(monoid_index)
-        if p is not None:
-            v[p] = self.field.one
-        return v
+        return {} if p is None else {p: 1}
 
     def gen_vector(self, g):
-        return list(self.gens[g])
+        return self.gens[g]
 
     def e_vector(self, g):
-        return list(self.e_vectors[g])
+        return self.e_vectors[g]
 
     def idempotent_positions(self):
         """Basis positions of the monomials (A, 1)."""
@@ -108,22 +105,47 @@ class PartialGroupAlgebra(TwistedPartialGroupAlgebra):
     """kappa_par G = kappa S(G); the sigma = 1 instance."""
 
 
+def _monoid_quotient(K, monoid, seeds, name):
+    """kappa S(G) modulo the two-sided semigroup ideal generated by the
+    monomials `seeds` (untwisted, closed under multiplication by every
+    monomial on either side): (vanished monomials, surviving monomials,
+    the StructureAlgebra on the surviving ones).  With no seeds it is
+    kappa_par G itself."""
+    mt = monoid.mul_table
+    vanished = set(seeds)
+    work = list(vanished)
+    while work:
+        m = work.pop()
+        for x in range(monoid.size):
+            for t in (mt[x][m], mt[m][x]):
+                if t not in vanished:
+                    vanished.add(t)
+                    work.append(t)
+    if monoid.identity in vanished:
+        raise ValidationFailure("the identity monomial vanished: the ideal "
+                                "is the whole algebra")
+    surviving = [m for m in range(monoid.size) if m not in vanished]
+    pos = {m: p for p, m in enumerate(surviving)}
+    one = K.one
+    sc = {}
+    for p1, m1 in enumerate(surviving):
+        row = mt[m1]
+        for p2, m2 in enumerate(surviving):
+            t = pos.get(row[m2])
+            if t is not None:
+                sc[(p1, p2)] = [(t, one)]
+    alg = StructureAlgebra(K, len(surviving), sc, {pos[monoid.identity]: 1},
+                           labels=[monoid.label(m) for m in surviving],
+                           name=name)
+    return vanished, surviving, alg
+
+
 def build_kpar(G, field, monoid=None):
     monoid = monoid or enumerate_exel(G)
-    K = field
-    sigma = trivial_factor_set(G, K)
-    surviving = list(range(monoid.size))
-    sc = {}
-    for i in range(monoid.size):
-        row = monoid.mul_table[i]
-        for j in range(monoid.size):
-            sc[(i, j)] = [(row[j], K.one)]
-    unit = [K.zero] * monoid.size
-    unit[monoid.identity] = K.one
-    labels = [monoid.label(i) for i in range(monoid.size)]
-    alg = StructureAlgebra(K, monoid.size, sc, unit, labels=labels,
-                           name=f"kpar({G.name})")
-    return PartialGroupAlgebra(G, K, sigma, monoid, surviving, set(), alg)
+    _, surviving, alg = _monoid_quotient(field, monoid, (),
+                                        name=f"kpar({G.name})")
+    return PartialGroupAlgebra(G, field, trivial_factor_set(G, field), monoid,
+                               surviving, set(), alg)
 
 
 def _precheck_sigma(sigma):
@@ -344,10 +366,8 @@ def build_kpar_sigma(sigma, monoid=None):
             t = targ[p1][p2]
             if t >= 0:
                 sc[(p1, p2)] = [(t, scal[p1][p2])]
-    unit = [K.zero] * n
-    unit[pos[monoid.identity]] = K.one
     labels = [monoid.label(m) for m in surviving]
-    alg = StructureAlgebra(K, n, sc, unit, labels=labels,
+    alg = StructureAlgebra(K, n, sc, {pos[monoid.identity]: 1}, labels=labels,
                            name=f"kpar^{sigma.name}({G.name})")
     return TwistedPartialGroupAlgebra(G, K, sigma, monoid, surviving, vanished,
                                       alg, completion_log=log)
@@ -377,31 +397,8 @@ def build_kpar_idempotent(sigma_dd, monoid=None):
             seeds.add(mt[x_gh][x_hinv])
             seeds.add(mt[mt[x_ginv][x_g]][x_h])
             seeds.add(mt[mt[x_g][x_h]][x_hinv])
-    # untwisted two-sided semigroup ideal closure
-    vanished = set(seeds)
-    work = list(seeds)
-    while work:
-        m = work.pop()
-        for x in range(monoid.size):
-            for t in (monoid.mul_table[x][m], monoid.mul_table[m][x]):
-                if t not in vanished:
-                    vanished.add(t)
-                    work.append(t)
-    if monoid.identity in vanished:
-        raise ValidationFailure("identity vanished: invalid idempotent factor set")
-    surviving = [m for m in range(monoid.size) if m not in vanished]
-    pos = {m: p for p, m in enumerate(surviving)}
-    sc = {}
-    for p1, m1 in enumerate(surviving):
-        for p2, m2 in enumerate(surviving):
-            t = monoid.mul_table[m1][m2]
-            if t not in vanished:
-                sc[(p1, p2)] = [(pos[t], K.one)]
-    unit = [K.zero] * len(surviving)
-    unit[pos[monoid.identity]] = K.one
-    labels = [monoid.label(m) for m in surviving]
-    alg = StructureAlgebra(K, len(surviving), sc, unit, labels=labels,
-                           name=f"kpar^{sigma_dd.name}({G.name})//ideal")
+    vanished, surviving, alg = _monoid_quotient(
+        K, monoid, seeds, name=f"kpar^{sigma_dd.name}({G.name})//ideal")
     alg.validate().raise_if_failed()
     return TwistedPartialGroupAlgebra(G, K, sigma_dd, monoid, surviving,
                                       vanished, alg,
@@ -417,30 +414,29 @@ def check_defining_relations(ktw):
     R = ktw.algebra
     sigma = ktw.sigma
     rep = ValidationReport(f"defining relations of {R.name}")
-    zero = [K.zero] * R.dim
     gm = ktw.gens
     if gm[0] != R.unit:
         rep.fail("[1] != 1")
     for g in range(G.n):
         gi = G.inv(g)
-        if sigma.is_zero(g, gi) != (gm[g] == zero):
+        if sigma.is_zero(g, gi) != (not gm[g]):
             rep.fail("generator zero pattern", g)
         for h in range(G.n):
             gh = G.mul(g, h)
             hi = G.inv(h)
-            s = sigma(g, h)
+            s = _scalar(K, sigma(g, h))
             lhs = R.mul(gm[gi], R.mul(gm[g], gm[h]))
-            rhs = [K.mul(s, c) for c in R.mul(gm[gi], gm[gh])]
+            rhs = _sp_sum([(s, R.mul(gm[gi], gm[gh]))], R.p)
             if lhs != rhs:
                 rep.fail("relation [g^-1][g][h]", g, h)
             lhs2 = R.mul(R.mul(gm[g], gm[h]), gm[hi])
-            rhs2 = [K.mul(s, c) for c in R.mul(gm[gh], gm[hi])]
+            rhs2 = _sp_sum([(s, R.mul(gm[gh], gm[hi]))], R.p)
             if lhs2 != rhs2:
                 rep.fail("relation [g][h][h^-1]", g, h)
             z = sigma.is_zero(g, h)
-            z1 = R.mul(gm[g], gm[h]) == zero
-            z2 = R.mul(gm[gi], gm[gh]) == zero
-            z3 = R.mul(gm[gh], gm[hi]) == zero
+            z1 = not R.mul(gm[g], gm[h])
+            z2 = not R.mul(gm[gi], gm[gh])
+            z3 = not R.mul(gm[gh], gm[hi])
             if not (z == z1 == z2 == z3):
                 rep.fail("zero biconditional", g, h)
         if R.mul(gm[g], gm[0]) != gm[g] or R.mul(gm[0], gm[g]) != gm[g]:
@@ -454,9 +450,7 @@ def universal_hom(ktw, rep, check_uniqueness=True):
     report = rep.validate(factor_set_property=False)
     report.raise_if_failed(NotARepresentation)
     R = rep.target
-    K = R.field
     G = ktw.group
-    sigma = ktw.sigma
     from .partial_actions import induced_idempotents
     es = induced_idempotents(rep)
     cols = []
@@ -468,8 +462,7 @@ def universal_hom(ktw, rep, check_uniqueness=True):
                 continue
             acc = R.mul(acc, es[a])
         cols.append(R.mul(acc, rep.gamma[g]))
-    hom = AlgebraHom(ktw.algebra, R, [_sparse(K, c) for c in cols],
-                     name="universal hom")
+    hom = AlgebraHom(ktw.algebra, R, cols, name="universal hom")
     hom.verify().raise_if_failed(NotARepresentation)
     for g in range(G.n):
         if hom.apply(ktw.gen_vector(g)) != rep.gamma[g]:
@@ -511,9 +504,7 @@ def extract_idempotent_subalgebra(ktw, name=None):
                 (t, c), = row
                 assert t in pos_index, "idempotent span not closed"
                 sc[(i, j)] = [(pos_index[t], c)]
-    unitpos = ktw.position[ktw.monoid.identity]
-    unit = [K.zero] * n
-    unit[pos_index[unitpos]] = K.one
+    unit = {pos_index[ktw.position[ktw.monoid.identity]]: 1}
     labels = [ktw.algebra.labels[p] for p in positions]
     return StructureAlgebra(K, n, sc, unit, labels=labels,
                             name=name or f"B^{ktw.sigma.name}"), positions
@@ -527,12 +518,10 @@ class BSigmaData:
         self.zeta = zeta                # AlgebraHom B -> B^sigma
         self.ker_zeta_basis = ker_zeta_basis
 
-    def to_ambient(self, w, ktw):
-        K = self.algebra.field
-        out = [K.zero] * ktw.dim
-        for i, p in enumerate(self.positions):
-            out[p] = w[i]
-        return out
+    def to_ambient(self, w):
+        """w in kappa_par^sigma G coordinates."""
+        positions = self.positions
+        return {positions[i]: c for i, c in w.items()}
 
 
 class OmegaData:
@@ -554,27 +543,19 @@ def build_B_sigma_omega(kpar, ktw, ksdd=None):
     Bsig_alg, positions = extract_idempotent_subalgebra(ktw)
     pos_index = {p: i for i, p in enumerate(positions)}
     # e_g^sigma in B^sigma coordinates
-    e_coords = []
-    for g in range(G.n):
-        v = [K.zero] * Bsig_alg.dim
-        m = monoid.e(g)
-        if ktw.is_alive(m):
-            v[pos_index[ktw.position[m]]] = K.one
-        e_coords.append(v)
+    e_coords = [{pos_index[ktw.position[m]]: 1} if ktw.is_alive(m) else {}
+                for m in map(monoid.e, range(G.n))]
     # zeta on the monomial basis of B
     B_positions = kpar.idempotent_positions()
     zeta_cols = []
     ker_basis = []
-    for bp in B_positions:
+    for i, bp in enumerate(B_positions):
         m = kpar.surviving[bp]
-        col = {}
         if ktw.is_alive(m):
-            col[pos_index[ktw.position[m]]] = 1
+            zeta_cols.append({pos_index[ktw.position[m]]: 1})
         else:
-            kv = [K.zero] * len(B_positions)
-            kv[B_positions.index(bp)] = K.one
-            ker_basis.append(kv)
-        zeta_cols.append(col)
+            zeta_cols.append({})
+            ker_basis.append({i: 1})
     B_alg, _ = extract_idempotent_subalgebra(kpar, name="B")
     zeta = AlgebraHom(B_alg, Bsig_alg, zeta_cols, name="zeta")
     zeta.verify().raise_if_failed()
@@ -582,28 +563,9 @@ def build_B_sigma_omega(kpar, ktw, ksdd=None):
     # J: the two-sided monomial ideal of kappa_par G generated by ker(zeta)
     dead_idem = [kpar.surviving[B_positions[i]]
                  for i, col in enumerate(zeta_cols) if not col]
-    vanished = set(dead_idem)
-    work = list(dead_idem)
-    while work:
-        m = work.pop()
-        for x in range(monoid.size):
-            for t in (monoid.mul_table[x][m], monoid.mul_table[m][x]):
-                if t not in vanished:
-                    vanished.add(t)
-                    work.append(t)
-    surv = [m for m in range(monoid.size) if m not in vanished]
+    vanished, surv, omega_alg = _monoid_quotient(
+        K, monoid, dead_idem, name=f"Omega_{ktw.sigma.name}")
     pos = {m: p for p, m in enumerate(surv)}
-    sc = {}
-    for p1, m1 in enumerate(surv):
-        for p2, m2 in enumerate(surv):
-            t = monoid.mul_table[m1][m2]
-            if t not in vanished:
-                sc[(p1, p2)] = [(pos[t], K.one)]
-    unit = [K.zero] * len(surv)
-    unit[pos[monoid.identity]] = K.one
-    omega_alg = StructureAlgebra(K, len(surv), sc, unit,
-                                 labels=[monoid.label(m) for m in surv],
-                                 name=f"Omega_{ktw.sigma.name}")
     omega_alg.validate().raise_if_failed()
     proj = AlgebraHom(kpar.algebra, omega_alg,
                       [{} if m in vanished else {pos[m]: 1}
@@ -616,9 +578,7 @@ def build_B_sigma_omega(kpar, ktw, ksdd=None):
         left = []
         right = []
         for m in ksdd.surviving:
-            img = [K.zero] * len(surv)
-            if m not in vanished:
-                img[pos[m]] = K.one
+            img = {} if m in vanished else {pos[m]: 1}
             left.append(omega_alg.left_mult_matrix(img))
             right.append(omega_alg.right_mult_matrix(img))
         left_mod = ModuleData(ksdd.algebra, len(surv), left=left,
@@ -644,16 +604,10 @@ def phi_psi_crossed_iso(ktw):
     rep = PartialProjRepresentation(lam.algebra, gamma, ktw.sigma)
     phi = universal_hom(ktw, rep)
     # Psi: b delta_g -> b [g]
-    cols = []
-    for (g, li) in lam.basis_index:
-        b_sub = lam.dg_bases[g][li]
-        amb = [K.zero] * ktw.dim
-        for i, bv in enumerate(subres.basis_vectors):
-            if b_sub[i] != K.zero:
-                amb = [K.add(a, K.mul(b_sub[i], c)) for a, c in zip(amb, bv)]
-        cols.append(ktw.algebra.mul(amb, ktw.gen_vector(g)))
-    psi = AlgebraHom(lam.algebra, ktw.algebra, [_sparse(K, c) for c in cols],
-                     name="Psi")
+    cols = [ktw.algebra.mul(subres.inclusion.apply(lam.dg_bases[g][li]),
+                            ktw.gen_vector(g))
+            for (g, li) in lam.basis_index]
+    psi = AlgebraHom(lam.algebra, ktw.algebra, cols, name="Psi")
     psi.verify().raise_if_failed(IsomorphismFailure)
     # the images of Phi o Psi are psi.images . phi.images, and conversely
     p = _char(K)
@@ -680,19 +634,9 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
     pos_index = {p: i for i, p in enumerate(positions)}
 
     def to_sub(vec):
-        out = [K.zero] * bsig_alg.dim
-        for p, c in enumerate(vec):
-            if c != K.zero:
-                if p not in pos_index:
-                    raise InvalidInput("action leaves B^sigma")
-                out[pos_index[p]] = c
-        return out
-
-    def from_sub(w):
-        out = [K.zero] * ktw.dim
-        for i, c in enumerate(w):
-            out[positions[i]] = c
-        return out
+        if any(p not in pos_index for p in vec):
+            raise InvalidInput("action leaves B^sigma")
+        return {pos_index[p]: c for p, c in vec.items()}
 
     gen_left = {}
     for g in range(G.n):
@@ -701,11 +645,10 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
             continue
         cols = []
         gv, giv = ktw.gen_vector(g), ktw.gen_vector(G.inv(g))
-        for i in range(bsig_alg.dim):
-            w = from_sub(bsig_alg.basis_vector(i))
-            img = ktw.algebra.mul(gv, ktw.algebra.mul(w, giv))
-            img = [K.mul(xi(g), c) for c in img]
-            cols.append(_sparse(K, to_sub(img)))
+        s = _scalar(K, xi(g))
+        for p in positions:
+            img = ktw.algebra.mul(gv, ktw.algebra.mul({p: 1}, giv))
+            cols.append(to_sub(_sp_sum([(s, img)], ktw.algebra.p)))
         gen_left[ksdd.position[mono]] = _sp_transpose(cols, bsig_alg.dim)
     left_mod = module_from_generator_actions(ksdd.algebra, bsig_alg.dim,
                                              gen_left, side="left")
@@ -736,7 +679,6 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
 def lambda_as_bsdd_module(lam, ksdd):
     """Lambda as a left module over B^{sigma''}: e_A acts as multiplication
     by (prod of 1_a) delta_1."""
-    K = lam.algebra.field
     A = lam.theta.algebra
     ksdd_bsig_alg, positions = extract_idempotent_subalgebra(ksdd)
     left = []
@@ -761,10 +703,8 @@ def monomial_projection_hom(src, dst):
     verified multiplicative."""
     if src.monoid is not dst.monoid and src.monoid.elements != dst.monoid.elements:
         raise InvalidInput("projection requires a shared monoid")
-    K = src.field
     hom = AlgebraHom(src.algebra, dst.algebra,
-                     [_sparse(K, dst.monomial_vector(m))
-                      for m in src.surviving],
+                     [dst.monomial_vector(m) for m in src.surviving],
                      name=f"{src.algebra.name}->{dst.algebra.name}")
     hom.verify().raise_if_failed()
     return hom

@@ -13,7 +13,7 @@ from .factor_sets import PartialFactorSet
 from .groups import FiniteGroup
 from .homology import DEFAULT_CHAIN_CAP
 from .instance import DEFAULT_MONOID_LIMIT, Instance
-from .linalg import _sparse_matrix
+from .linalg import _sparse, _sparse_matrix
 from .partial_actions import TwistedPartialAction, UnitalPartialAction
 
 __all__ = ["ProblemSpec", "parse_spec", "parse_spec_file", "build_instance",
@@ -66,6 +66,7 @@ def parse_spec(obj, name=None):
     action = None
     if "action" in obj and obj["action"] is not None:
         act = obj["action"]
+        _require(isinstance(act, dict), "$.action", "must be an object")
         for key in ("algebra", "one_g", "theta"):
             _require(key in act, f"$.action.{key}", "missing")
         try:
@@ -74,20 +75,23 @@ def parse_spec(obj, name=None):
             raise SchemaError(f"$.action.algebra: {exc}")
         rep = A.validate()
         _require(rep.ok, "$.action.algebra", f"not associative: {rep.violations[:2]}")
-        one = [[field.parse(c) for c in v] for v in act["one_g"]]
-        _require(len(one) == group.n, "$.action.one_g",
-                 f"need {group.n} idempotents")
+        one, theta = act["one_g"], act["theta"]
+        _require(isinstance(one, list) and len(one) == group.n,
+                 "$.action.one_g", f"need {group.n} idempotents")
         for g, v in enumerate(one):
-            _require(len(v) == A.dim, f"$.action.one_g[{g}]",
-                     f"must have {A.dim} coordinates")
-        theta = [[[field.parse(c) for c in row] for row in m]
-                 for m in act["theta"]]
-        _require(len(theta) == group.n, "$.action.theta",
-                 f"need {group.n} maps")
+            _require(isinstance(v, list) and len(v) == A.dim,
+                     f"$.action.one_g[{g}]", f"must have {A.dim} coordinates")
+        _require(isinstance(theta, list) and len(theta) == group.n,
+                 "$.action.theta", f"need {group.n} maps")
         for g, m in enumerate(theta):
-            _require(len(m) == A.dim and all(len(r) == A.dim for r in m),
+            _require(isinstance(m, list) and len(m) == A.dim
+                     and all(isinstance(r, list) and len(r) == A.dim
+                             for r in m),
                      f"$.action.theta[{g}]", f"must be {A.dim} x {A.dim}")
-        upa = UnitalPartialAction(A, one, theta)
+        upa = UnitalPartialAction(
+            A, [_sparse(field, [field.parse(c) for c in v]) for v in one],
+            [_sparse_matrix(field, [[field.parse(c) for c in row]
+                                    for row in m]) for m in theta])
         _require(sigma is not None, "$.sigma",
                  "an explicit sigma is required with an action")
         action = TwistedPartialAction(upa, sigma)

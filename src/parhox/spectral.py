@@ -27,8 +27,8 @@ from .homology import (_crossed_action_matrices, _env_left_regular,
                        hom_A_module_structure, induced_action_on_homology,
                        partial_cohomology_dims, partial_homology_dims,
                        tor_dims)
-from .linalg import (_char, _dense, _Echelon, _rank_of, _sp_combination,
-                     _sp_matmul, _sp_matvec, _sp_transpose, _sparse)
+from .linalg import (_char, _Echelon, _rank_of, _sp_combination, _sp_matmul,
+                     _sp_matvec, _sp_sum, _sp_transpose)
 
 __all__ = [
     "E2Page", "SpectralCheckReport", "assemble_E2_homology",
@@ -479,7 +479,7 @@ def structural_identity_suite(inst, report):
         e_sig = inst.bsig.e_coords[g]
         e_dd = inst.ksdd.e_vector(g)
         for iy in range(Y.dim):
-            yv = [K.one if t == iy else K.zero for t in range(Y.dim)]
+            yv = {iy: 1}
             lhs = T.pure(e_sig, yv)
             rhs = T.pure(unit_b, Y.act_left(e_dd, yv))
             if lhs != rhs:
@@ -495,10 +495,10 @@ def structural_identity_suite(inst, report):
         Me = _sp_transpose(_sp_matmul(MG[g], MG[G.inv(g)], p), M.dim)
         for ia in range(A.dim):
             av = A.basis_vector(ia)
-            eg_a = _dense(K, Ae[ia], A.dim)
+            eg_a = Ae[ia]
             for im in range(M.dim):
-                mv = [K.one if t == im else K.zero for t in range(M.dim)]
-                eg_m = _dense(K, Me[im], M.dim)
+                mv = {im: 1}
+                eg_m = Me[im]
                 diag = TA.pure(eg_a, eg_m)
                 if diag != TA.pure(av, eg_m) or diag != TA.pure(eg_a, mv):
                     ok = False
@@ -516,8 +516,7 @@ def structural_identity_suite(inst, report):
                               right=bs_right_bdd)
     Bs_right_bdd.validate().raise_if_failed()
     TL = tensor_over_algebra(bdd_alg, Bs_right_bdd, lam_bsdd)
-    phi_cols = [_sparse(K, TL.pure(inst.bsig.algebra.unit,
-                                   lam.algebra.basis_vector(i)))
+    phi_cols = [TL.pure(inst.bsig.algebra.unit, lam.algebra.basis_vector(i))
                 for i in range(lam.algebra.dim)]
     phi_mat = _sp_transpose(phi_cols, TL.dim)
     ok_b = (TL.dim == lam.algebra.dim
@@ -568,8 +567,7 @@ def structural_identity_suite(inst, report):
         # explicit composite map: w (x) cls(a (x) m) -> cls((w . a d_1) . m)
         pure_images = []
         for ib in range(inst.bsig.algebra.dim):
-            w_amb = inst.bsig.to_ambient(
-                inst.bsig.algebra.basis_vector(ib), inst.ks)
+            w_amb = inst.bsig.to_ambient(inst.bsig.algebra.basis_vector(ib))
             row = []
             for ih in range(hd0.dim):
                 rep_vec = hd0.reps[ih]     # cycle in C_0 = M
@@ -605,8 +603,8 @@ def structural_identity_suite(inst, report):
         # Lambda -> M are flattened like the unknowns of hom_over_algebra:
         # entry (r, i) at r * n + i
         n = lam.algebra.dim
-        unit_b = _sparse(K, inst.bsig.algebra.unit)
-        unit_a = _sparse(K, A.unit)
+        unit_b = inst.bsig.algebra.unit
+        unit_a = A.unit
         W_span = _Echelon(p)
         for w in W_basis:
             W_span.add({r * n + i: a for r, row in enumerate(w)
@@ -630,13 +628,10 @@ def _bsig_act_on_m(inst, w_amb, mvec):
     """Action of w in B^sigma on M via phi^-1: w . m means (w acting on
     Lambda at delta_1) applied to m -- concretely multiplication by the
     image of w under the idempotent embedding into Lambda."""
-    K = inst.field
     A = inst.theta.algebra
     lam = inst.lam
-    out = [K.zero] * len(mvec)
-    for p, c in enumerate(w_amb):
-        if c == K.zero:
-            continue
+    terms = []
+    for p, c in w_amb.items():
         mask, g = inst.monoid.elements[inst.ks.surviving[p]]
         assert g == 0
         prod = A.unit
@@ -644,9 +639,8 @@ def _bsig_act_on_m(inst, w_amb, mvec):
             if a == 0:
                 continue
             prod = A.mul(prod, inst.theta.one[a])
-        acted = inst.M.act_left(lam.embed_a(prod), mvec)
-        out = [K.add(o, K.mul(c, t)) for o, t in zip(out, acted)]
-    return out
+        terms.append((c, inst.M.act_left(lam.embed_a(prod), mvec)))
+    return _sp_sum(terms, A.p)
 
 
 def degree_zero_formula_check(inst, report):
@@ -667,8 +661,7 @@ def degree_zero_formula_check(inst, report):
             avec = A.basis_vector(ia)
             row = []
             for im in range(M.dim):
-                mvec = [K.one if t == im else K.zero for t in range(M.dim)]
-                row.append(hd0.express(MA.act_left(avec, mvec)))
+                row.append(hd0.express(MA.act_left(avec, {im: 1})))
             pure_images.append(row)
         phi0 = T.map_from(pure_images, hd0.dim)
         ok = _rank_of(K, [dict(row) for row in phi0]) == hd0.dim

@@ -7,12 +7,69 @@ from parhox.algebras import (AlgebraHom, StructureAlgebra,
                              product_field_algebra, dual_numbers)
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
-from parhox.linalg import _char, _dense, _sparse, identity, transpose
+from parhox.linalg import _char, _dense, _sp_identity, _sparse
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
 
 
 def frac(x, y=1):
     return Fraction(x, y)
+
+
+# -- dense references: textbook linear algebra on lists of field values ----
+
+def zeros(K, m, n):
+    return [[K.zero] * n for _ in range(m)]
+
+
+def identity(K, n):
+    return [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
+
+
+def transpose(M):
+    return [list(col) for col in zip(*M)] if M else []
+
+
+def matvec(K, M, v):
+    """M . v, every cell computed."""
+    out = []
+    for row in M:
+        acc = K.zero
+        for a, x in zip(row, v):
+            acc = K.add(acc, K.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def ref_rref(K, M, n):
+    """Textbook Gauss-Jordan on dense rows: (nonzero RREF rows, pivots)."""
+    rows = [list(r) for r in M]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != K.zero),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = K.inv(rows[r][col])
+        rows[r] = [K.mul(inv, a) for a in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != r and f != K.zero:
+                rows[i] = [K.sub(a, K.mul(f, b))
+                           for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
+
+
+def rank(K, M):
+    return len(ref_rref(K, M, len(M[0]) if M else 0)[1])
+
+
+def sparse_rows(K, M):
+    """A dense matrix as kernel rows."""
+    return [_sparse(K, row) for row in M]
 
 
 def z3_kappa2_action(field=QQ):
@@ -21,8 +78,8 @@ def z3_kappa2_action(field=QQ):
     G = cyclic_group(3)
     A = product_field_algebra(field, 2)
     o, z = field.one, field.zero
-    one = [[o, o], [o, z], [z, o]]
-    theta = [identity(field, 2), [[z, o], [z, z]], [[z, z], [o, z]]]
+    one = [{0: 1, 1: 1}, {0: 1}, {1: 1}]
+    theta = [_sp_identity(2), [{1: 1}, {}], [{}, {0: 1}]]
     sigma = PartialFactorSet(G, field, [[o, o, o], [o, z, o], [o, o, z]],
                              name="z3partial")
     return G, TwistedPartialAction(UnitalPartialAction(A, one, theta), sigma)
@@ -32,8 +89,8 @@ def z2_global_twist(lam, field=QQ):
     """Global (trivial) action of Z2 on the base field with twist lam."""
     G = cyclic_group(2)
     A = product_field_algebra(field, 1)
-    one = [[field.one], [field.one]]
-    theta = [identity(field, 1), identity(field, 1)]
+    one = [{0: 1}, {0: 1}]
+    theta = [_sp_identity(1), _sp_identity(1)]
     sigma = PartialFactorSet(G, field,
                              [[field.one, field.one], [field.one, lam]],
                              name="lam")
@@ -47,9 +104,9 @@ def z2_universal(lam=None, field=QQ):
     o, z = field.one, field.zero
     # basis {1, e}; e idempotent
     sc = {(0, 0): [(0, o)], (0, 1): [(1, o)], (1, 0): [(1, o)], (1, 1): [(1, o)]}
-    B = StructureAlgebra(field, 2, sc, [o, z], labels=["1", "e"], name="B")
-    one = [[o, z], [z, o]]
-    theta = [identity(field, 2), [[z, z], [o, o]]]
+    B = StructureAlgebra(field, 2, sc, {0: 1}, labels=["1", "e"], name="B")
+    one = [{0: 1}, {1: 1}]
+    theta = [_sp_identity(2), [{}, {0: 1, 1: 1}]]
     table = [[o, o], [o, lam if lam is not None else o]]
     sigma = PartialFactorSet(G, field, table, name="sigma")
     return G, TwistedPartialAction(UnitalPartialAction(B, one, theta), sigma)
@@ -59,9 +116,9 @@ def z2_dual_numbers(field=QQ):
     """Global Z2 on the dual numbers, x -> -x, trivial twist."""
     G = cyclic_group(2)
     A = dual_numbers(field)
-    o, z = field.one, field.zero
-    one = [[o, z], [o, z]]
-    theta = [identity(field, 2), [[o, z], [z, field.neg(o)]]]
+    one = [{0: 1}, {0: 1}]
+    theta = [_sp_identity(2),
+             [{0: 1}, _sparse(field, [field.zero, field.neg(field.one)])]]
     sigma = trivial_factor_set(G, field)
     return G, TwistedPartialAction(UnitalPartialAction(A, one, theta), sigma)
 
@@ -74,17 +131,13 @@ def z2xz2_partial_idempotent(field=QQ):
     o, z = field.one, field.zero
     # element order: 1=(0,0)->0, (0,1)->1, (1,0)->2, (1,1)->3
     # pick a = index 1, b = index 2, c = index 3
-    one = [[o, o], [o, z], [z, o], [z, z]]
-    ze = [[z, z], [z, z]]
-    theta = [identity(field, 2), [[o, z], [z, z]], [[z, z], [z, o]], ze]
+    one = [{0: 1, 1: 1}, {0: 1}, {1: 1}, {}]
+    theta = [_sp_identity(2), [{0: 1}, {}], [{}, {1: 1}], [{}, {}]]
     table = [[o] * 4 for _ in range(4)]
     for g in range(4):
         for h in range(4):
-            gh = G.mul(g, h)
             # sigma(g,h) = 0 iff 1_g 1_{gh} = 0
-            og, ogh = one[g], one[gh]
-            prod = [field.mul(x, y) for x, y in zip(og, ogh)]
-            if all(c == z for c in prod):
+            if not A.mul(one[g], one[G.mul(g, h)]):
                 table[g][h] = z
     sigma = PartialFactorSet(G, field, table, name="v4idem")
     return G, TwistedPartialAction(UnitalPartialAction(A, one, theta), sigma)
@@ -95,8 +148,8 @@ def dense_map_on_quotient(T, ambient_map_fn):
     vectors (index ix * dim Y + iy): project the image of each lifted
     quotient basis vector."""
     K = T.K
-    cols = [T.project(ambient_map_fn(T.quotient.lift(
-        [K.one if t == i else K.zero for t in range(T.dim)])))
+    cols = [_dense(K, T.quotient.project(_sparse(K, ambient_map_fn(
+        _dense(K, T.quotient.lift({i: 1}), T.ambient_dim)))), T.dim)
         for i in range(T.dim)]
     return transpose(cols)
 
@@ -134,7 +187,7 @@ def assert_kernel_rows(K, rows, nrows, ncols):
 def dense_mult_matrix(A, v, left=True):
     """The dense matrix of x |-> v . x (or x . v), column j being the
     product with the j-th basis vector by `mul`."""
-    cols = [A.mul(v, b) if left else A.mul(b, v)
+    cols = [_dense(A.field, A.mul(v, b) if left else A.mul(b, v), A.dim)
             for b in map(A.basis_vector, range(A.dim))]
     return transpose(cols)
 

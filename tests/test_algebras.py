@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (assert_kernel_rows, dense_kron, dense_map_on_quotient,
-                      dense_mult_matrix, densify, hom_from_matrix, hom_matrix)
+                      dense_mult_matrix, densify, hom_from_matrix, hom_matrix,
+                      identity, matvec, rank, ref_rref, sparse_rows)
 from parhox.errors import InvalidInput, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
@@ -17,8 +18,8 @@ from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
                              restrict_along_hom, separability_idempotent,
                              subalgebra_generated, tensor_over_algebra)
 from parhox.groups import cyclic_group
-from parhox.linalg import (Subspace, _sp_identity, _sparse_matrix, identity,
-                           matvec)
+from parhox.linalg import (Subspace, _dense, _sp_identity, _sparse,
+                           _sparse_matrix)
 
 
 def F(x):
@@ -41,7 +42,7 @@ def test_validate_catches_corruption():
 
 
 def dense_validate(A, seed=0):
-    """Reference: associativity and unit law by dense products of basis
+    """Reference: associativity and unit law by products (`mul`) of basis
     vectors, triple by triple, in the order StructureAlgebra.validate uses."""
     rep = ValidationReport(f"algebra {A.name}")
     d = A.dim
@@ -74,9 +75,7 @@ def coboundary_twisted_group_algebra(K, G, f):
     delta f is a coboundary; f(0) = 1 keeps b_0 the unit."""
     sc = {(g, h): [(G.mul(g, h), K.div(K.mul(f[g], f[h]), f[G.mul(g, h)]))]
           for g in range(G.n) for h in range(G.n)}
-    unit = [K.zero] * G.n
-    unit[0] = K.one
-    return StructureAlgebra(K, G.n, sc, unit, name=f"K^df[{G.name}]")
+    return StructureAlgebra(K, G.n, sc, {0: 1}, name=f"K^df[{G.name}]")
 
 
 def test_validate_matches_dense_reference():
@@ -119,8 +118,8 @@ def test_validate_matches_dense_reference():
 
 
 def dense_verify(hom, unital=True):
-    """Reference: AlgebraHom.verify by dense products of the images of basis
-    vectors, recomputed for every pair."""
+    """Reference: AlgebraHom.verify by products (`mul`) of the images of
+    basis vectors, recomputed for every pair."""
     rep = ValidationReport(f"hom {hom.name}")
     src, tgt = hom.source, hom.target
     for i in range(src.dim):
@@ -185,10 +184,10 @@ def test_mult_matrices_match_the_mul_reference(K):
     algebras = base + [opposite(A) for A in base] + \
         [enveloping(A) for A in base[:2]]
     for A in algebras:
-        randoms = [[K.from_int(rng.randint(-2, 2)) for _ in range(A.dim)]
-                   for _ in range(3)]
+        randoms = [_sparse(K, [K.from_int(rng.randint(-2, 2))
+                               for _ in range(A.dim)]) for _ in range(3)]
         for v in ([A.basis_vector(i) for i in range(A.dim)]
-                  + [A.unit, [K.zero] * A.dim] + randoms):
+                  + [A.unit, {}] + randoms):
             for left in (True, False):
                 got = A.left_mult_matrix(v) if left else A.right_mult_matrix(v)
                 assert_kernel_rows(K, got, A.dim, A.dim)
@@ -229,8 +228,7 @@ def test_enveloping():
             a, b = A.basis_vector(i), A.basis_vector(j)
             want = [[None] * M.dim for _ in range(M.dim)]
             for c in range(M.dim):
-                x = [QQ.one if t == c else QQ.zero for t in range(M.dim)]
-                col = M.act_right(M.act_left(a, x), b)
+                col = _dense(QQ, M.act_right(M.act_left(a, {c: 1}), b), M.dim)
                 for r in range(M.dim):
                     want[r][c] = col[r]
             assert got == want
@@ -240,7 +238,7 @@ def test_subalgebra_generated():
     A = product_field_algebra(QQ, 2)
     sub = subalgebra_generated(A, [])
     assert sub.algebra.dim == 1                       # only the unit
-    e = [F(1), F(0)]
+    e = {0: 1}
     sub2 = subalgebra_generated(A, [e])
     assert sub2.algebra.dim == 2
     assert sub2.inclusion.verify().ok
@@ -249,40 +247,99 @@ def test_subalgebra_generated():
     assert full.algebra.dim == 4
 
 
+def as_set(vectors):
+    """Kernel rows in a canonical order."""
+    return sorted(sorted(v.items()) for v in vectors)
+
+
 def test_orthogonalize_idempotents():
     A = product_field_algebra(QQ, 2)
-    e = [F(1), F(0)]
+    e = {0: 1}
     atoms = orthogonalize_idempotents(A, [e])
-    assert sorted(atoms) == sorted([[F(1), F(0)], [F(0), F(1)]])
+    assert as_set(atoms) == as_set([{0: 1}, {1: 1}])
     assert orthogonalize_idempotents(A, []) == [A.unit]
     # generic pair in a dim-4 commutative algebra: inclusion-exclusion split
     B = product_field_algebra(QQ, 4)
-    e1 = [F(1), F(1), F(0), F(0)]
-    f1 = [F(1), F(0), F(1), F(0)]
+    e1 = {0: 1, 1: 1}
+    f1 = {0: 1, 2: 1}
     atoms = orthogonalize_idempotents(B, [e1, f1])
     assert len(atoms) == 4
-    assert sorted(atoms) == sorted(identity(QQ, 4))
+    assert as_set(atoms) == as_set(_sp_identity(4))
+
+
+def dense_separability_idempotent(A):
+    """Reference: the d + d^3 separability equations as dense rows of
+    length d^2, each entry found by a loop over every pair of basis
+    elements, solved by textbook Gauss-Jordan; e as a dense d x d matrix
+    or None."""
+    K = A.field
+    d = A.dim
+    nvars = d * d
+    rows = []
+    # multiplication condition: sum_ij e_ij b_i b_j = 1
+    unit = _dense(K, A.unit, d)
+    for k in range(d):
+        row = [K.zero] * nvars
+        for i in range(d):
+            for j in range(d):
+                for (kk, c) in A.mul_basis(i, j):
+                    if kk == k:
+                        row[i * d + j] = K.add(row[i * d + j], c)
+        rows.append(row + [unit[k]])
+    # centrality: for each basis a: sum e_ij (a b_i (x) b_j - b_i (x) b_j a)
+    for t in range(d):
+        for k in range(d):
+            for l in range(d):
+                row = [K.zero] * nvars
+                for i in range(d):
+                    for j in range(d):
+                        for (kk, c) in A.mul_basis(t, i):
+                            if kk == k and l == j:
+                                row[i * d + j] = K.add(row[i * d + j], c)
+                        for (ll, c) in A.mul_basis(j, t):
+                            if ll == l and k == i:
+                                row[i * d + j] = K.sub(row[i * d + j], c)
+                rows.append(row + [K.zero])
+    red, pivots = ref_rref(K, rows, nvars + 1)
+    if nvars in pivots:
+        return None
+    x = [K.zero] * nvars
+    for row, pc in zip(red, pivots):
+        x[pc] = row[nvars]
+    return [x[i * d:(i + 1) * d] for i in range(d)]
 
 
 def test_separability_idempotent():
     A = product_field_algebra(QQ, 2)
     e = separability_idempotent(A)
     assert e is not None
-    assert e == [[F(1), F(0)], [F(0), F(1)]]          # e1(x)e1 + e2(x)e2
+    assert e == [{0: 1}, {1: 1}]          # e1(x)e1 + e2(x)e2
     M2 = matrix_algebra(QQ, 2)
     e2 = separability_idempotent(M2)
     assert e2 is not None
     # verify the axioms directly on the returned tensor
-    d = M2.dim
-    mult = [QQ.zero] * d
-    for i in range(d):
-        for j in range(d):
-            if e2[i][j] != QQ.zero:
-                prod = M2.mul(M2.basis_vector(i), M2.basis_vector(j))
-                mult = [QQ.add(m, QQ.mul(e2[i][j], p)) for m, p in zip(mult, prod)]
-    assert mult == M2.unit
+    mult = {}
+    for i, row in enumerate(e2):
+        for j, c in row.items():
+            for k, a in M2.mul(M2.basis_vector(i), M2.basis_vector(j)).items():
+                mult[k] = mult.get(k, 0) + c * a
+    assert {k: a for k, a in mult.items() if a} == M2.unit
     assert separability_idempotent(dual_numbers(QQ)) is None
     assert separability_idempotent(dual_numbers(PrimeField(2))) is None
+    # the sparse equations give the dense reference's e, including the
+    # choice of the particular solution (free unknowns 0)
+    F3, F7 = PrimeField(3), PrimeField(7)
+    f = [F(1), Fraction(1, 2), F(3), Fraction(2, 5)]
+    for B in (A, M2, dual_numbers(QQ), dual_numbers(F3), matrix_algebra(F7, 2),
+              product_field_algebra(F3, 3), group_algebra(QQ, cyclic_group(3)),
+              group_algebra(F3, cyclic_group(3)), enveloping(dual_numbers(QQ)),
+              coboundary_twisted_group_algebra(QQ, cyclic_group(4), f)):
+        got, want = separability_idempotent(B), dense_separability_idempotent(B)
+        if want is None:
+            assert got is None, B.name
+        else:
+            assert_kernel_rows(B.field, got, B.dim, B.dim)
+            assert densify(B.field, got, B.dim) == want, B.name
 
 
 def test_tensor_and_hom_basics():
@@ -298,7 +355,6 @@ def test_tensor_and_hom_basics():
     assert len(homs) == A.dim
     # dim Hom computed twice: solution-space route vs rank-nullity on an
     # independently assembled constraint matrix
-    from parhox.linalg import rank
     mx = my = A.dim
     rows = []
     for b in range(A.dim):
@@ -349,15 +405,16 @@ def test_tensor_map_matches_kron_reference(K):
     rng = random.Random(11)
 
     def element(A):
-        return [K.from_int(rng.randint(-2, 2)) for _ in range(A.dim)]
+        return _sparse(K, [K.from_int(rng.randint(-2, 2))
+                           for _ in range(A.dim)])
 
     for A in (group_algebra(K, cyclic_group(3)), matrix_algebra(K, 2),
               dual_numbers(K)):
         M = regular_bimodule(A)
         T = tensor_over_algebra(A, M, M)
         # the sparse balancing relations span what the dense ones span
-        assert T.relations.basis() == \
-            Subspace(K, A.dim * A.dim, dense_relations(K, M, M, A)).basis()
+        assert T.relations.basis() == Subspace(
+            K, A.dim * A.dim, sparse_rows(K, dense_relations(K, M, M, A))).basis()
         for _ in range(3):
             # a -> u a is a right module map of A_A, a -> a v a left one
             # of _A A
@@ -425,7 +482,7 @@ def test_module_closure_multiplies_each_pair_once(side, monkeypatch):
     mul = A.mul
 
     def counted(u, v):
-        calls.append((tuple(u), tuple(v)))
+        calls.append((tuple(sorted(u.items())), tuple(sorted(v.items()))))
         return mul(u, v)
 
     monkeypatch.setattr(A, "mul", counted)

@@ -239,6 +239,15 @@ def _keep(doc):
     pass
 
 
+def _set_action(key, value):
+    def mutate(doc):
+        if key is None:
+            doc["action"] = value
+        else:
+            doc["action"][key] = value
+    return mutate
+
+
 def _set_options(value):
     def mutate(doc):
         doc["options"] = value
@@ -255,9 +264,17 @@ def _set_options(value):
     (_set_options(5), "spectral", {}),               # was a TypeError
     (_set_options({"cap": "x"}), "spectral", {}),    # was a TypeError
     (_set_options({"max_q": -1}), "spectral", {}),   # was an IndexError
+    # each of these was a TypeError, exit 1
+    (_set_action("one_g", 5), "validate", {}),
+    (_set_action("one_g", [5, 5, 5]), "validate", {}),
+    (_set_action("theta", 5), "validate", {}),
+    (_set_action("theta", [5, 5, 5]), "validate", {}),
+    (_set_action("theta", [[5, 5], [5, 5], [5, 5]]), "validate", {}),
+    (_set_action(None, 5), "validate", {}),
 ], ids=["p-string", "sigma-abc", "sigma-1/0", "sc-index", "env-cap-abc",
         "options-max-p-string", "options-not-object", "options-cap-string",
-        "options-max-q-negative"])
+        "options-max-q-negative", "one-g-int", "one-g-int-entries",
+        "theta-int", "theta-int-entries", "theta-int-rows", "action-int"])
 def test_malformed_input_is_a_schema_error(mutate, command, env, tmp_path,
                                            capsys, monkeypatch):
     for name, value in env.items():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (bump, dense_map_on_quotient, densify, z2_universal,
-                      z3_kappa2_action, z2_dual_numbers)
+from conftest import (bump, dense_map_on_quotient, densify, rank, transpose,
+                      z2_universal, z3_kappa2_action, z2_dual_numbers, zeros)
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (ModuleData, commutator_quotient, dual_bimodule,
                              dual_numbers, matrix_algebra, product_field_algebra,
@@ -30,7 +30,7 @@ from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
                              m_as_a_bimodule, partial_homology_dims,
                              tor_dims)
 from parhox.linalg import (_rank_of, _sp_identity, _sp_kron, _sp_matmul,
-                           _sparse_matrix, identity, rank, transpose, zeros)
+                           _sparse, _sparse_matrix)
 from parhox.partial_actions import build_crossed_product
 from parhox.problems import build_instance, bundled_fixtures, load_fixture
 from parhox.partial_algebras import (b_sigma_module_structures,
@@ -47,7 +47,8 @@ def dual_numbers_periodic_oracle(field, max_n):
     """Independent oracle for H_*(k[x]/x^2, k[x]/x^2): homology of the
     2-periodic complex A <-0- A <-2x- A <-0- ..."""
     A = dual_numbers(field)
-    two_x = A.left_mult_matrix([field.zero, field.add(field.one, field.one)])
+    two_x = A.left_mult_matrix(_sparse(field, [field.zero,
+                                               field.add(field.one, field.one)]))
     zero_map = [{}, {}]
     # d_n = 0 for n odd, multiplication by 2x for n even (n >= 1)
     cc = ChainComplex(field, [2] * (max_n + 2),
@@ -351,10 +352,7 @@ def test_induced_action_on_homology_z3():
     ann = []
     B_positions = kp.idempotent_positions()
     for kv in bsig.ker_zeta_basis:
-        vec = [QQ.zero] * kp.dim
-        for i, c in enumerate(kv):
-            vec[B_positions[i]] = c
-        ann.append(vec)
+        ann.append({B_positions[i]: c for i, c in kv.items()})
     assert ann                                  # the Z3 instance has ker zeta
     for q in (0, 1):
         hd, mod = induced_action_on_homology(gmod, q, kp, G,
@@ -401,8 +399,7 @@ def test_degree_zero_matches_tensor_formula():
         row = []
         avec = A.basis_vector(ia)
         for im in range(M.dim):
-            mvec = [K.one if t == im else K.zero for t in range(M.dim)]
-            row.append(hd0.express(MA.act_left(avec, mvec)))
+            row.append(hd0.express(MA.act_left(avec, {im: 1})))
         pure_images.append(row)
     phi0 = T.map_from(pure_images, hd0.dim)
     assert rank(K, densify(K, phi0, T.dim)) == hd0.dim
@@ -461,7 +458,6 @@ def test_hom_A_module_structure():
         R = densify(K, MA.right[i], M.dim)
         rows.append([[K.sub(L[r][c], R[r][c]) for c in range(M.dim)]
                      for r in range(M.dim)])
-    from parhox.linalg import nullspace
     flat = []
     for mat in rows:
         flat.extend(mat)
@@ -493,26 +489,23 @@ def ref_bar_differentials(R, M, max_q, normalized):
         mat = zeros(K, dims[q - 1], dims[q])
         col = 0
         for im in range(M.dim):
-            mvec = [K.one if t == im else K.zero for t in range(M.dim)]
+            mvec = {im: 1}
             for tup in bb.tuples(q):
                 lifted = [bb.lift(i) for i in tup]
-                for jm, c in enumerate(M.act_right(mvec, lifted[0])):
-                    if c != K.zero:
-                        r = bb.flat(jm, tup[1:])
-                        mat[r][col] = K.add(mat[r][col], c)
+                for jm, c in M.act_right(mvec, lifted[0]).items():
+                    r = bb.flat(jm, tup[1:])
+                    mat[r][col] = K.add(mat[r][col], c)
                 sign = K.one
                 for i in range(q - 1):
                     sign = K.neg(sign)
                     prod = bb.project(R.mul(lifted[i], lifted[i + 1]))
-                    for jw, c in enumerate(prod):
-                        if c != K.zero:
-                            r = bb.flat(im, tup[:i] + (jw,) + tup[i + 2:])
-                            mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
-                sign = K.one if q % 2 == 0 else K.neg(K.one)
-                for jm, c in enumerate(M.act_left(lifted[-1], mvec)):
-                    if c != K.zero:
-                        r = bb.flat(jm, tup[:-1])
+                    for jw, c in prod.items():
+                        r = bb.flat(im, tup[:i] + (jw,) + tup[i + 2:])
                         mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
+                sign = K.one if q % 2 == 0 else K.neg(K.one)
+                for jm, c in M.act_left(lifted[-1], mvec).items():
+                    r = bb.flat(jm, tup[:-1])
+                    mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
                 col += 1
         diffs[q] = mat
     return diffs
@@ -535,29 +528,27 @@ def ref_cobar_differentials(R, M, max_q, normalized):
         for tau in bb.tuples(q - 1):
             for jm in range(M.dim):
                 colv = [K.zero] * dims[q]
-                mvec = [K.one if t == jm else K.zero for t in range(M.dim)]
+                mvec = {jm: 1}
                 for j1 in range(W):
                     out = M.act_left(bb.lift(j1), mvec)
-                    for km, c in enumerate(out):
-                        if c != K.zero:
-                            r = flat_c((j1,) + tau, km)
-                            colv[r] = K.add(colv[r], c)
+                    for km, c in out.items():
+                        r = flat_c((j1,) + tau, km)
+                        colv[r] = K.add(colv[r], c)
                 for i in range(1, q):
                     sign = K.one if i % 2 == 0 else K.neg(K.one)
                     for x in range(W):
                         for y in range(W):
                             prod = bb.project(R.mul(bb.lift(x), bb.lift(y)))
-                            c = prod[tau[i - 1]]
+                            c = prod.get(tau[i - 1], K.zero)
                             if c != K.zero:
                                 r = flat_c(tau[:i - 1] + (x, y) + tau[i:], jm)
                                 colv[r] = K.add(colv[r], K.mul(sign, c))
                 sign = K.one if q % 2 == 0 else K.neg(K.one)
                 for jq in range(W):
                     out = M.act_right(mvec, bb.lift(jq))
-                    for km, c in enumerate(out):
-                        if c != K.zero:
-                            r = flat_c(tau + (jq,), km)
-                            colv[r] = K.add(colv[r], K.mul(sign, c))
+                    for km, c in out.items():
+                        r = flat_c(tau + (jq,), km)
+                        colv[r] = K.add(colv[r], K.mul(sign, c))
                 col = flat_c(tau, jm)
                 for r, c in enumerate(colv):
                     if c != K.zero:

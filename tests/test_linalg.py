@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from conftest import assert_kernel_rows, dense_kron, densify
+from conftest import (assert_kernel_rows, dense_kron, densify, matvec,
+                      ref_rref, sparse_rows, transpose)
 from parhox.errors import InvalidInput
 from parhox.fields import QQ, PrimeField
-from parhox.linalg import (QuotientSpace, Subspace, _char, _sp_identity,
-                           _sp_kron, _sp_matmul, _sp_transpose, _sparse_matrix,
-                           coordinates_in, identity, invert_matrix, matvec,
-                           nullspace, rank, rref, solve, transpose)
+from parhox.linalg import (QuotientSpace, Subspace, _char, _dense,
+                           _echelon_of, _kernel_of, _rank_of, _sp_identity,
+                           _sp_kron, _sp_matmul, _sp_matvec, _sp_transpose,
+                           _sparse, _sparse_matrix, coordinates_in, solve)
 
 
 def F(x):
@@ -22,13 +23,27 @@ def to_q(rows):
     return [[F(x) for x in row] for row in rows]
 
 
+def rank_of(K, M):
+    """The kernel's rank of a dense matrix."""
+    return _rank_of(K, sparse_rows(K, M))
+
+
+def rref_of(K, M, n):
+    """The kernel's reduced row echelon form of a dense matrix, densified:
+    (rows, pivots)."""
+    rref = _echelon_of(K, sparse_rows(K, M)).rref()
+    return ([_dense(K, {c: 1, **tail}, n) for c, tail in rref],
+            [c for c, _ in rref])
+
+
 def test_rank_and_rref():
     M = to_q([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert rank(QQ, M) == 2
-    R, piv = rref(QQ, M)
+    assert rank_of(QQ, M) == 2
+    R, piv = rref_of(QQ, M, 3)
     assert piv == [0, 1]
-    assert rank(QQ, to_q([[0, 0], [0, 0]])) == 0
-    assert rank(QQ, identity(QQ, 5)) == 5
+    assert R == to_q([[1, 0, 1], [0, 1, 1]])
+    assert rank_of(QQ, to_q([[0, 0], [0, 0]])) == 0
+    assert _rank_of(QQ, _sp_identity(5)) == 5
 
 
 def test_rank_matches_rref_randomized():
@@ -37,65 +52,78 @@ def test_rank_matches_rref_randomized():
         m, n = rng.randrange(1, 6), rng.randrange(1, 6)
         M = [[F(rng.randrange(-4, 5)) / rng.randrange(1, 4) for _ in range(n)]
              for _ in range(m)]
-        assert rank(QQ, M) == len(rref(QQ, M)[1])
+        assert rank_of(QQ, M) == len(rref_of(QQ, M, n)[1])
 
 
 def test_nullspace():
-    M = to_q([[1, 2], [2, 4]])
-    ns = nullspace(QQ, M)
-    assert len(ns) == 1
+    M = sparse_rows(QQ, to_q([[1, 2], [2, 4]]))
+    ns = _kernel_of(QQ, [dict(r) for r in M], 2)
+    assert ns == [{0: -2, 1: 1}]
     for v in ns:
-        assert matvec(QQ, M, v) == [QQ.zero] * 2
-    assert nullspace(QQ, [], 3) == [list(r) for r in identity(QQ, 3)]
+        assert _sp_matvec(M, v, 0) == {}
+    assert _kernel_of(QQ, [], 3) == _sp_identity(3)
     F5 = PrimeField(5)
     M5 = [[1, 2], [3, 2]]   # det = -4 = 1 mod 5, invertible
-    assert nullspace(F5, M5) == []
+    assert _kernel_of(F5, sparse_rows(F5, M5), 2) == []
 
 
 def test_solve():
-    M = to_q([[1, 1], [0, 1]])
-    x = solve(QQ, M, [F(3), F(2)])
-    assert x == [F(1), F(2)]
-    assert solve(QQ, to_q([[1, 1], [1, 1]]), [F(0), F(1)]) is None
+    M = sparse_rows(QQ, to_q([[1, 1], [0, 1]]))
+    assert solve(QQ, M, 2, {0: 3, 1: 2}) == {0: 1, 1: 2}
+    assert solve(QQ, sparse_rows(QQ, to_q([[1, 1], [1, 1]])), 2,
+                 {1: 1}) is None
+    # free unknowns are 0, and a zero right-hand side gives the zero vector
+    assert solve(QQ, [{0: 1, 1: 1}], 2, {0: 5}) == {0: 5}
+    assert solve(QQ, M, 2, {}) == {}
 
 
 def test_solve_rejects_mismatched_shapes():
-    # one right-hand side per equation: a matrix without rows does not
-    # "solve" a nonzero b, and no equation or right-hand side is dropped
-    for M, b in (([], [F(1)]), (to_q([[1, 1]]), [F(1), F(2)]),
-                 (to_q([[1], [2]]), [F(1)])):
+    # one right-hand side per equation: a system without equations does not
+    # "solve" a nonzero b, and no equation may reach past the unknowns
+    for rows, n, b in (([], 0, {0: 1}), ([{0: 1, 1: 1}], 2, {1: 2}),
+                       ([{0: 1}, {2: 1}], 2, {0: 1})):
         with pytest.raises(InvalidInput):
-            solve(QQ, M, b)
-    assert solve(QQ, [], []) == []
+            solve(QQ, rows, n, b)
+    assert solve(QQ, [], 0, {}) == {}
+    assert solve(QQ, [{}], 3, {}) == {}
 
 
 def test_invert():
+    # the coordinates of the unit vectors in the columns of M are the
+    # columns of M^-1
     M = to_q([[1, 2], [3, 4]])
-    Minv = invert_matrix(QQ, M)
-    assert _sp_matmul(_sparse_matrix(QQ, M), _sparse_matrix(QQ, Minv), 0) \
+    coords_of = coordinates_in(QQ, 2, sparse_rows(QQ, transpose(M)))
+    inv_cols = [coords_of({j: 1}) for j in range(2)]
+    assert _sp_matmul(sparse_rows(QQ, M), _sp_transpose(inv_cols, 2), 0) \
         == _sp_identity(2)
-    assert invert_matrix(QQ, to_q([[1, 2], [2, 4]])) is None
+    with pytest.raises(AssertionError):
+        coordinates_in(QQ, 2, sparse_rows(QQ, to_q([[1, 2], [2, 4]])))
 
 
 def test_subspace_and_quotient():
     sub = Subspace(QQ, 3)
-    assert sub.add([F(1), F(1), F(0)])
-    assert sub.add([F(0), F(1), F(1)])
-    assert not sub.add([F(1), F(2), F(1)])
+    assert sub.add({0: 1, 1: 1})
+    assert sub.add({1: 1, 2: 1})
+    assert not sub.add({0: 1, 1: 2, 2: 1})
     assert sub.dim == 2
-    assert sub.contains([F(2), F(3), F(1)])
-    assert not sub.contains([F(0), F(0), F(1)])
+    assert sub.contains({0: 2, 1: 3, 2: 1})
+    assert not sub.contains({2: 1})
     Q = QuotientSpace(QQ, 3, sub)
     assert Q.dim == 1
-    assert Q.project([F(1), F(1), F(0)]) == [F(0)]
-    v = Q.lift([F(1)])
-    assert Q.project(v) == [F(1)]
+    assert Q.project({0: 1, 1: 1}) == {}
+    v = Q.lift({0: 1})
+    assert Q.project(v) == {0: 1}
+    # the vectors passed in are left as they were
+    w = {0: 1, 1: 2, 2: 1}
+    sub.add(w), sub.reduce(w), sub.contains(w), Q.project(w)
+    assert w == {0: 1, 1: 2, 2: 1}
 
 
 def test_subspace_order_independent():
     rng = Random(11)
     for _ in range(20):
-        vecs = [[F(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(5)]
+        vecs = [_sparse(QQ, [F(rng.randrange(-3, 4)) for _ in range(4)])
+                for _ in range(5)]
         s1 = Subspace(QQ, 4, vecs)
         s2 = Subspace(QQ, 4, list(reversed(vecs)))
         assert s1.basis() == s2.basis()
@@ -103,38 +131,16 @@ def test_subspace_order_independent():
 
 def test_prime_field_paths():
     F7 = PrimeField(7)
-    M = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
-    assert rank(F7, M) == 2
-    ns = nullspace(F7, M)
+    M = sparse_rows(F7, [[1, 2, 3], [2, 4, 6], [0, 1, 5]])
+    assert _rank_of(F7, [dict(r) for r in M]) == 2
+    ns = _kernel_of(F7, [dict(r) for r in M], 3)
     assert len(ns) == 1
-    assert matvec(F7, M, ns[0]) == [0, 0, 0]
-    assert transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+    assert _sp_matvec(M, ns[0], 7) == {}
+    assert _sp_transpose([{0: 1, 1: 2}, {0: 3, 1: 4}], 2) == \
+        [{0: 1, 1: 3}, {0: 2, 1: 4}]
 
 
 # -- differential tests against a naive dense Gauss-Jordan reference -------
-
-def ref_rref(K, M, n):
-    """Textbook Gauss-Jordan on dense rows: (nonzero RREF rows, pivots)."""
-    rows = [list(r) for r in M]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != K.zero),
-                   None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = K.inv(rows[r][col])
-        rows[r] = [K.mul(inv, a) for a in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][col]
-            if i != r and f != K.zero:
-                rows[i] = [K.sub(a, K.mul(f, b))
-                           for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows[:r], pivots
-
 
 def ref_nullspace(K, M, n):
     rows, pivots = ref_rref(K, M, n)
@@ -187,42 +193,42 @@ def random_cases():
                 yield K, ref_matmul(K, A, B, n), n
 
 
-def same_values(K, got, want):
-    """Equal, and over Q every entry is a Fraction."""
-    assert got == want
-    if K.kind == "Q":
-        for row in got:
-            assert all(type(a) is Fraction for a in row)
+def same_rows(K, got, want, n):
+    """got, a list of normalized kernel rows of length n, is the dense
+    matrix want."""
+    assert_kernel_rows(K, got, len(want), n)
+    assert densify(K, got, n) == want
 
 
 def test_kernel_matches_dense_reference():
     for K, M, n in random_cases():
         rows, pivots = ref_rref(K, M, n)
-        assert rank(K, M) == len(pivots)
-        got_rows, got_pivots = rref(K, M)
-        assert got_pivots == pivots
-        same_values(K, got_rows[:len(pivots)], rows)
-        assert all(a == K.zero for r in got_rows[len(pivots):] for a in r)
-        assert len(got_rows) == len(M)
-        same_values(K, nullspace(K, M, n), ref_nullspace(K, M, n))
-        sub = Subspace(K, n, M)
+        assert rank_of(K, M) == len(pivots)
+        rref = _echelon_of(K, sparse_rows(K, M)).rref()
+        assert [c for c, _ in rref] == pivots
+        same_rows(K, [{c: 1, **tail} for c, tail in rref], rows, n)
+        same_rows(K, _kernel_of(K, sparse_rows(K, M), n),
+                  ref_nullspace(K, M, n), n)
+        sub = Subspace(K, n, sparse_rows(K, M))
         assert sub.pivots == pivots and sub.dim == len(pivots)
-        same_values(K, sub.basis(), rows)
+        same_rows(K, sub.basis(), rows, n)
 
 
 def test_solve_matches_dense_reference():
     rng = Random(77)
     for K, M, n in random_cases():
         m = len(M)
-        n = n if m else 0        # no rows: solve cannot see the width
+        rows = sparse_rows(K, M)
         # a consistent right-hand side and a random (usually not) one
-        x0 = random_matrix(K, rng, 1, n, 0.6)[0] if n else []
+        x0 = random_matrix(K, rng, 1, n, 0.6)[0]
         for b in (matvec(K, M, x0), random_matrix(K, rng, 1, m, 0.8)[0]):
-            got, want = solve(K, M, b), ref_solve(K, M, b, n)
-            assert got == want
-            if got is not None:
-                assert matvec(K, M, got) == list(b)
-                same_values(K, [got], [want])
+            got, want = solve(K, rows, n, _sparse(K, b)), \
+                ref_solve(K, M, b, n)
+            if want is None:
+                assert got is None
+            else:
+                same_rows(K, [got], [want], n)
+                assert matvec(K, M, want) == list(b)
 
 
 def test_subspace_reduce_is_the_canonical_normal_form():
@@ -231,52 +237,54 @@ def test_subspace_reduce_is_the_canonical_normal_form():
         for _ in range(20):
             n = rng.randrange(1, 8)
             vecs = random_matrix(K, rng, rng.randrange(0, 5), n, 0.5)
-            sub = Subspace(K, n, vecs)
+            sub = Subspace(K, n, sparse_rows(K, vecs))
             v = random_matrix(K, rng, 1, n, 0.8)[0]
             rows, pivots = ref_rref(K, vecs, n)
             want = list(v)
             for row, pc in zip(rows, pivots):
                 f = want[pc]
                 want = [K.sub(a, K.mul(f, b)) for a, b in zip(want, row)]
-            assert sub.reduce(v) == want
-            assert sub.contains(v) == all(a == K.zero for a in want)
+            same_rows(K, [sub.reduce(_sparse(K, v))], [want], n)
+            assert sub.contains(_sparse(K, v)) == \
+                all(a == K.zero for a in want)
 
 
 def test_coordinates_match_solve():
     """`Subspace.coords` (in the reduced basis) and `coordinates_in` (in a
     fixed independent list) give what `solve` gives on the same basis, for
     vectors in and out of the span, the zero vector and 0-dimensional
-    subspaces; an empty basis is an n x 0 matrix for `solve`."""
+    subspaces."""
     rng = Random(31)
     for K in FIELDS:
         for trial in range(30):
             n = rng.randrange(0, 7)
-            vecs = random_matrix(K, rng, rng.randrange(0, 6), n,
-                                 rng.choice([0.0, 0.3, 0.7]))
+            vecs = sparse_rows(K, random_matrix(
+                K, rng, rng.randrange(0, 6), n, rng.choice([0.0, 0.3, 0.7])))
             span, indep = Subspace(K, n), []
             for v in vecs:
                 if span.add(v):
                     indep.append(v)
             sub = Subspace(K, n, vecs)
-            coords_of = coordinates_in(span, indep)
-            c = random_matrix(K, rng, 1, len(indep), 0.7)[0]
-            inside = matvec(K, transpose(indep), c) if indep else [K.zero] * n
-            for v in (inside, [K.zero] * n,
-                      random_matrix(K, rng, 1, n, 0.8)[0]):
+            coords_of = coordinates_in(K, n, indep)
+            c = _sparse(K, random_matrix(K, rng, 1, len(indep), 0.7)[0])
+            inside = _sp_matvec(_sp_transpose(indep, n), c, _char(K))
+            for v in (inside, {},
+                      _sparse(K, random_matrix(K, rng, 1, n, 0.8)[0])):
                 for basis, got in ((sub.basis(), sub.coords(v)),
                                    (indep, coords_of(v))):
-                    want = solve(K, transpose(basis) or [[] for _ in v], v)
+                    # the equations of sum x_i basis_i = v, one per entry
+                    want = solve(K, _sp_transpose(basis, n), len(basis), v)
                     assert got == want
                     if got is not None:
-                        same_values(K, [got], [want])
-            if indep:
-                assert coords_of(inside) == c
+                        assert_kernel_rows(K, [got], 1, len(basis))
+            assert coords_of(inside) == c
     # the zero subspace holds only the zero vector
     for K in FIELDS:
         empty = Subspace(K, 3)
-        assert empty.coords([K.zero] * 3) == []
-        assert empty.coords([K.one, K.zero, K.zero]) is None
-        assert coordinates_in(empty, [])([K.zero] * 3) == []
+        assert empty.coords({}) == {}
+        assert empty.coords({0: 1}) is None
+        assert coordinates_in(K, 3, [])({}) == {}
+        assert coordinates_in(K, 3, [])({2: 1}) is None
 
 
 def ref_matvec(K, M, v):
@@ -295,8 +303,9 @@ def test_matvec_matches_the_cell_by_cell_product():
     rng = Random(8)
     for K, M, n in random_cases():
         for density in (0.0, 0.4, 1.0):
-            v = random_matrix(K, rng, 1, n, density)[0] if n else []
-            same_values(K, [matvec(K, M, v)], [ref_matvec(K, M, v)])
+            v = random_matrix(K, rng, 1, n, density)[0]
+            got = _sp_matvec(sparse_rows(K, M), _sparse(K, v), _char(K))
+            same_rows(K, [got], [ref_matvec(K, M, v)], len(M))
 
 
 # -- sparse matmul against a naive dense triple loop -----------------------

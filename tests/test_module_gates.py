@@ -14,7 +14,7 @@ from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
                              dual_numbers, regular_bimodule)
 from parhox.fields import QQ, PrimeField
 from parhox.homology import GModuleOnChains
-from parhox.linalg import _sparse_matrix
+from parhox.linalg import _char, _dense, _sp_sum, _sparse_matrix
 from parhox.problems import (build_instance, bundled_fixtures, fixture_dir,
                              load_fixture, parse_spec)
 from parhox.spectral import module_tower
@@ -80,7 +80,7 @@ def dense_module_validate(mod):
     for side, mats in (("left", left), ("right", right)):
         if mats is None:
             continue
-        if dense_matrix_of(K, mats, A.unit, n) != idm:
+        if dense_matrix_of(K, mats, _dense(K, A.unit, d), n) != idm:
             rep.fail(f"{side} unit")
         for i in range(d):
             for j in range(d):
@@ -190,7 +190,7 @@ def wrong_unit(mod):
     vector over F_2): every product axiom holds, the unit axioms fail."""
     A = mod.algebra
     K = A.field
-    unit = [K.add(a, a) for a in A.unit]
+    unit = _sp_sum([(2, A.unit)], _char(K))
     return copy_of(mod, algebra=StructureAlgebra(K, A.dim, A.sc, unit,
                                                  name=A.name))
 
@@ -243,6 +243,29 @@ def test_instance_modules_and_homs_hold_kernel_rows(fixture):
                     assert_kernel_rows(K, X, mod.dim, mod.dim)
     for hom in homs:
         assert_kernel_rows(K, hom.images, hom.source.dim, hom.target.dim)
+    # algebra elements: units, generators, the partial action, the crossed
+    # product's deltas and representations, B^sigma data, homology
+    # representatives
+    G = inst.group
+    A, lam = inst.theta.algebra, inst.lam
+    elements = [(R.unit, R.dim) for R in (
+        A, lam.algebra, inst.kpar.algebra, inst.ks.algebra, inst.ksdd.algebra,
+        inst.bsig.algebra, inst.omega.algebra, inst.bsig.zeta.source)]
+    for ktw in (inst.kpar, inst.ks, inst.ksdd):
+        elements += [(v, ktw.dim) for v in ktw.gens + ktw.e_vectors]
+    elements += [(v, A.dim) for v in inst.theta.one]
+    elements += [(v, A.dim) for g in range(G.n)
+                 for v in lam.dg_bases[g]]
+    elements += [(lam.one_delta(g), lam.dim) for g in range(G.n)]
+    elements += [(v, inst.bsig.algebra.dim) for v in inst.bsig.e_coords]
+    elements += [(v, inst.kpar.dim) for v in inst.ker_zeta_in_kpar()]
+    for cochain in (False, True):
+        for hd, _, _ in module_tower(inst, 1, cochain)[1]:
+            elements += [(v, hd.dim_space) for v in hd.reps]
+    for v, n in elements:
+        assert_kernel_rows(K, [v], 1, n)
+    for g in range(G.n):
+        assert_kernel_rows(K, inst.theta.action.theta[g], A.dim, A.dim)
 
 
 # -- ModuleData.validate ------------------------------------------------------

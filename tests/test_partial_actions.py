@@ -10,7 +10,7 @@ from parhox.fields import QQ, PrimeField
 from parhox.algebras import AlgebraHom, product_field_algebra
 from parhox.factor_sets import EquivalenceWitness, trivial_factor_set
 from parhox.groups import cyclic_group
-from parhox.linalg import _sp_identity, _sp_matmul, _sparse, identity
+from parhox.linalg import _char, _scalar, _sp_identity, _sp_matmul, _sp_sum
 from parhox.partial_actions import (PartialProjRepresentation,
                                     TwistedPartialAction, UnitalPartialAction,
                                     build_crossed_product,
@@ -41,7 +41,7 @@ def test_validate_global_twist():
 def test_validate_catches_broken_theta():
     G, theta = z3_kappa2_action()
     bad = [m for m in theta.action.theta]
-    bad[1] = [[QQ.one, QQ.one], [QQ.zero, QQ.zero]]   # not supported on D_{t^2}
+    bad[1] = [{0: 1, 1: 1}, {}]   # not supported on D_{t^2}
     act = UnitalPartialAction(theta.algebra, theta.action.one, bad)
     rep = validate_partial_action(act, G)
     assert not rep.ok
@@ -53,17 +53,16 @@ def test_crossed_product_z3_kappa2():
     assert lam.dim == 4
     t1 = lam.one_delta(1)
     t2 = lam.one_delta(2)
-    zero = [QQ.zero] * 4
-    assert lam.algebra.mul(t1, t1) == zero                 # sigma(t,t) = 0
+    assert lam.algebra.mul(t1, t1) == {}                   # sigma(t,t) = 0
     prod = lam.algebra.mul(t1, t2)
-    assert prod == lam.embed_a([QQ.one, QQ.zero])          # 1_t delta_1
+    assert prod == lam.embed_a({0: 1})                     # 1_t delta_1
 
 
 def test_crossed_product_trivial_group():
     G = cyclic_group(1)
     A = product_field_algebra(QQ, 2)
     theta = TwistedPartialAction(
-        UnitalPartialAction(A, [A.unit], [identity(QQ, 2)]),
+        UnitalPartialAction(A, [A.unit], [_sp_identity(2)]),
         trivial_factor_set(G, QQ))
     lam = build_crossed_product(theta)
     assert lam.dim == A.dim
@@ -75,7 +74,7 @@ def test_crossed_product_global_twist():
     lam = build_crossed_product(theta)
     assert lam.dim == 2
     t = lam.one_delta(1)
-    assert lam.algebra.mul(t, t) == lam.embed_a([F(5)])    # (1 d_t)^2 = lam d_1
+    assert lam.algebra.mul(t, t) == lam.embed_a({0: 5})    # (1 d_t)^2 = lam d_1
 
 
 def test_crossed_product_invalid_input_fails():
@@ -103,9 +102,9 @@ def test_gamma_sigma_properties():
             for h in range(G.n):
                 lhs = lam.algebra.mul(rep.gamma[g], rep.gamma[h])
                 gh = G.mul(g, h)
-                s = theta.sigma(g, h)
+                s = _scalar(K, theta.sigma(g, h))
                 w = A.mul(theta.one[g], theta.one[gh])
-                rhs = lam.delta(gh, [K.mul(s, c) for c in w])
+                rhs = lam.delta(gh, _sp_sum([(s, w)], _char(K)))
                 assert lhs == rhs
 
 
@@ -124,7 +123,7 @@ def test_induced_idempotent_zero_case():
     lam = build_crossed_product(theta)
     rep = gamma_sigma(lam)
     es = induced_idempotents(rep)
-    assert es[3] == [QQ.zero] * lam.dim                    # sigma(c, c) = 0
+    assert es[3] == {}                                     # sigma(c, c) = 0
 
 
 def test_induced_partial_action_trivial_rep():
@@ -161,8 +160,8 @@ def test_covariance_and_pi_times_gamma():
     rep = gamma_sigma(lam)
     B = theta.algebra
     pi = AlgebraHom(B, lam.algebra,
-                    [_sparse(QQ, lam.embed_a(B.basis_vector(i)))
-                     for i in range(B.dim)], name="embed")
+                    [lam.embed_a(B.basis_vector(i)) for i in range(B.dim)],
+                    name="embed")
     assert pi.verify().ok
     assert validate_covariant(pi, rep, theta, G).ok
     hom = pi_times_gamma(pi, rep, lam)
@@ -181,8 +180,7 @@ def test_global_case_reduces_to_classical():
     lam = build_crossed_product(theta)
     rep = gamma_sigma(lam)
     A = theta.algebra
-    pi = AlgebraHom(A, lam.algebra, [_sparse(QQ, lam.embed_a(A.unit))],
-                    name="unit embed")
+    pi = AlgebraHom(A, lam.algebra, [lam.embed_a(A.unit)], name="unit embed")
     assert validate_covariant(pi, rep, theta, G).ok
 
 
