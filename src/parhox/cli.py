@@ -308,6 +308,17 @@ def main(argv=None):
                           "error": {"type": "IOError", "message": str(exc)}},
                          indent=1, sort_keys=True))
         return 2
+    except Exception as exc:
+        # a fault of parhox itself, kept apart from exit 1 (a verdict
+        # failed); the traceback goes to stderr, the report to stdout.
+        # traceback is imported here to keep it out of start-up.
+        import traceback
+        traceback.print_exc()
+        print(json.dumps({"tool": "parhox", "ok": False,
+                          "error": {"type": "InternalError",
+                                    "message": f"{type(exc).__name__}: {exc}"}},
+                         indent=1, sort_keys=True))
+        return 3
 
 
 if __name__ == "__main__":

@@ -335,7 +335,10 @@ def _free_act(act, vec, d, p):
 
 def _submodule_generators(acts, vectors, d, p, fat=False):
     """Greedy module generators of the span-closure of the sparse `vectors`
-    inside R^r, taken in order."""
+    inside R^r, taken in order.  `acts` holds the action-table rows of R's
+    generators only: the x in R with x . V in V form a unital subalgebra,
+    so the closure V of v under the generators is kept by all of R, and it
+    is R . v."""
     if fat:
         return list(vectors)
     span = _Echelon(p)
@@ -397,11 +400,12 @@ def free_resolution(R, module, side, length, style="greedy", cap=None):
     prev, prev_tgt = res._columns(0), m
     if _rank_of(K, [dict(c) for c in prev]) != m:
         raise InvalidInput("augmentation not surjective")
+    gen_acts = [res.acts[i] for i in R.generators]
     for q in range(1, length + 1):
         ker = _kernel_of(K, _sp_transpose(prev, prev_tgt), ranks[q - 1] * d)
         if style == "greedy_reversed":
             ker = list(reversed(ker))
-        gens = _submodule_generators(res.acts, ker, d, p,
+        gens = _submodule_generators(gen_acts, ker, d, p,
                                      fat=(style == "fat"))
         _check_size(q, len(gens), d, cap)
         ranks.append(len(gens))

@@ -7,7 +7,7 @@ from parhox.algebras import (AlgebraHom, StructureAlgebra,
                              product_field_algebra, dual_numbers)
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
-from parhox.linalg import _char, _dense, _sp_identity, _sparse
+from parhox.linalg import Subspace, _char, _dense, _sp_identity, _sparse
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
 
 
@@ -218,3 +218,25 @@ def bump(K, rows, r, c):
         rows[r][c] = x
     else:
         del rows[r][c]
+
+
+# -- references for StructureAlgebra.generators ------------------------------
+
+def unit_closure_dim(A, gens):
+    """dim of the span of the words in the basis elements `gens`: the unit
+    multiplied on the left by one generator at a time, breadth-first, each
+    product formed by `mul`, until a round adds nothing."""
+    span = Subspace(A.field, A.dim, [A.unit])
+    layer = [A.unit]
+    while layer:
+        layer = [u for u in (A.mul(A.basis_vector(s), w)
+                             for w in layer for s in gens) if span.add(u)]
+    return span.dim
+
+
+def whole_basis_generators(monkeypatch):
+    """Make every basis element a generator, so that submodule closures
+    and module checks run over the full action table, as before
+    generators were used."""
+    monkeypatch.setattr(StructureAlgebra, "generators",
+                        property(lambda A: list(range(A.dim))))

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from parhox import cli
 from parhox.cli import main
 from parhox.errors import SchemaError, SizeLimit
 from parhox.instance import DEFAULT_MONOID_LIMIT
@@ -81,6 +82,20 @@ def test_cli_validate(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["ok"]
     assert doc["result"]["crossed_product"]["dim"] == 4
+
+
+def test_cli_validate_universal_s3(tmp_path, capsys):
+    # Lambda = k_par S3 of dim 112: the module axioms are decided over the
+    # algebra generators
+    with open(group_path("s3.json")) as fh:
+        group = json.load(fh)
+    spec = tmp_path / "universal_s3.json"
+    spec.write_text(json.dumps({"field": {"kind": "Q"}, "group": group,
+                                "sigma": [["1"] * 6 for _ in range(6)],
+                                "module": "regular"}))
+    code = main(["validate", str(spec)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["ok"] is True
 
 
 def test_cli_build_crossed(capsys):
@@ -170,6 +185,18 @@ def test_cli_malformed_json_is_machine_readable(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 2
     assert doc["error"]["type"] == "IOError"
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
+    # a fault that is neither bad input nor a failed verdict
+    def broken(args):
+        raise RuntimeError("broken invariant")
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code = main(["validate", fixture_path("z2_trivial_q.json")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3 and doc["ok"] is False
+    assert doc["error"] == {"type": "InternalError",
+                            "message": "RuntimeError: broken invariant"}
 
 
 @pytest.mark.parametrize("command", ["hochschild", "partial-homology"])

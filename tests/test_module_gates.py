@@ -297,6 +297,24 @@ def test_module_validate_corruptions_match_dense_reference(fixture):
             "actions do not commute"} <= seen
 
 
+@pytest.mark.parametrize("fixture", SMALL + ["v4_partial_q.json"])
+def test_module_validate_catches_a_non_generator_corruption(fixture):
+    # only the generators' products are checked when all is well; a
+    # changed matrix of any other basis element still fails one of them
+    seen = 0
+    for mod in fixture_modules(fixture):
+        others = [i for i in range(mod.algebra.dim)
+                  if i not in mod.algebra.generators]
+        if mod.dim == 0 or not others:
+            continue
+        bad = changed_entry(mod, others[-1])
+        rep = bad.validate()
+        assert not rep.ok
+        assert_same(rep, dense_module_validate(bad))
+        seen += 1
+    assert seen
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_module_validate_violations_are_exact(field):
     A = dual_numbers(field)
