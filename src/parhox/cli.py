@@ -18,14 +18,13 @@ from .errors import ParhoxError, SchemaError
 from .fields import field_from_json
 from .factor_sets import PartialFactorSet
 from .groups import FiniteGroup, enumerate_exel
-from .homology import (DEFAULT_CHAIN_CAP, hochschild_cohomology_bar,
-                       hochschild_homology_bar, hochschild_homology_resolution,
-                       partial_homology_dims)
+from .homology import DEFAULT_CHAIN_CAP, hochschild_homology_resolution
 from .instance import DEFAULT_MONOID_LIMIT
 from .partial_actions import validate_twisted
 from .partial_algebras import build_kpar, build_kpar_sigma
 from .problems import build_instance, parse_spec_file
-from .spectral import module_tower, run_all_checks, side_resolution
+from .spectral import (lam_hochschild_bar, module_tower, partial_dims,
+                       run_all_checks)
 
 
 def _canonical_digest(obj):
@@ -151,11 +150,11 @@ def cmd_hochschild(args):
     raw = _load_json(args.spec)
     spec = parse_spec_file(args.spec)
     inst = build_instance(spec)
-    cap = _cap(args, spec.options)
+    inst.chain_cap = _cap(args, spec.options)
     n = args.max_n
-    bar = hochschild_homology_bar(inst.lam.algebra, inst.M, n, cap=cap)
+    bar = lam_hochschild_bar(inst, n)
     res = hochschild_homology_resolution(inst.lam.algebra, inst.M, n,
-                                         cap=cap)
+                                         cap=inst.chain_cap)
     agree = bar == res
     result = {
         "dims": {f"H{q}": bar[q] for q in range(n + 1)},
@@ -163,7 +162,7 @@ def cmd_hochschild(args):
         "truncation": n,
     }
     if args.cohomology:
-        barc = hochschild_cohomology_bar(inst.lam.algebra, inst.M, n, cap=cap)
+        barc = lam_hochschild_bar(inst, n, cochain=True)
         result["cohomology_dims"] = {f"H^{q}": barc[q] for q in range(n + 1)}
     return _emit(_report("hochschild", raw, result, agree, t0), args)
 
@@ -178,10 +177,7 @@ def cmd_partial_homology(args):
     # coefficients: H_0(A, M) = M/[A, M] with its kappa_par G-structure
     _, tower = module_tower(inst, 0)
     hd0, mod0, _ = tower[0]
-    _, B_right = inst.b_over_kpar
-    dims = partial_homology_dims(
-        inst.kpar.algebra, B_right, mod0, n,
-        resolution=side_resolution(inst, B_right, "right", n + 1))
+    dims = partial_dims(inst, mod0, n)
     result = {
         "coefficients": "H_0(A, M) = M/[A,M]",
         "coefficient_dim": hd0.dim,

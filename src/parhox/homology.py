@@ -28,8 +28,12 @@ Degree conventions:
     t to e_m and every other tuple to 0 has flat index m * W^q + flat(t).
 
 The diagonal action of the group on Hochschild chains of the coefficient
-algebra A uses the full (unnormalized) bar complex: the action does not
+algebra A (`diagonal_action`, on chains, or on cochains with `cochain`
+set) uses the full (unnormalized) bar complex: the action does not
 preserve degenerate chains, so the normalized model would not carry it.
+Partial group homology H_n^par(G, X) = Tor_n^{kpar}(B, X) and cohomology
+H^n_par(G, X) = Ext^n_{kpar}(B, X) are `tor_dims` and `ext_dims` on
+kappa_par G.
 """
 
 from itertools import product
@@ -49,9 +53,8 @@ __all__ = [
     "HomologyData", "homology_data", "FreeResolution", "free_resolution",
     "tor_dims", "ext_dims", "hochschild_homology_bar",
     "hochschild_homology_resolution", "hochschild_cohomology_bar",
-    "hochschild_cohomology_resolution", "partial_homology_dims",
-    "partial_cohomology_dims", "GModuleOnChains", "diagonal_chain_action",
-    "diagonal_cochain_action", "induced_action_on_homology",
+    "hochschild_cohomology_resolution", "GModuleOnChains", "diagonal_action",
+    "induced_action_on_homology",
     "hom_A_carrier", "hom_A_module_structure",
 ]
 
@@ -525,18 +528,6 @@ def hochschild_cohomology_resolution(R, M, max_n, style="greedy",
                     max_n, style=style, resolution=res)
 
 
-def partial_homology_dims(kpar_algebra, B_right, X_left, max_n,
-                          style="greedy", resolution=None):
-    return tor_dims(kpar_algebra, B_right, X_left, max_n, style=style,
-                    resolution=resolution)
-
-
-def partial_cohomology_dims(kpar_algebra, B_left, X_left, max_n,
-                            style="greedy", resolution=None):
-    return ext_dims(kpar_algebra, B_left, X_left, max_n, style=style,
-                    resolution=resolution)
-
-
 # ---------------------------------------------------------------------------
 # the diagonal action on Hochschild chains of A
 
@@ -627,51 +618,39 @@ def m_as_a_bimodule(lam, M):
     return MA
 
 
-def _gated_kron_action(cc, lam, M, xi, sigma_dd, group):
-    """T_g = MG[g] (x) X_g^(x q) on degree q of the M-major complex cc, as
-    kernel rows, where X_g = AG[g] on chains and AG[g^-1]^T on cochains
-    (`_crossed_action_matrices`); hard-gated."""
+def diagonal_action(lam, M, MA, xi, sigma_dd, max_q, cochain=False,
+                    cap=DEFAULT_CHAIN_CAP):
+    """The diagonal group action on the full Hochschild chains of A with
+    coefficients in M, MA being M restricted to A (`m_as_a_bimodule`):
+
+        T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq)      on chains,
+        (T_g f)(a1..aq) = [g].f([g^-1].a1, ..., [g^-1].aq)  on cochains,
+
+    the latter when `cochain` is set.  In the M-major basis of either
+    complex T_g = MG[g] (x) X_g^(x q), with X_g = AG[g] on chains and
+    AG[g^-1]^T on cochains (`_crossed_action_matrices`), as kernel rows.
+    Hard-gated; returns (GModuleOnChains, _BarBasis)."""
+    group = lam.group
+    A = lam.theta.algebra
+    build = cobar_complex if cochain else bar_complex
+    cc, bb = build(A, MA, max_q, normalized=False, cap=cap)
     p = _char(cc.field)
-    n = lam.theta.algebra.dim
     X, MG = _crossed_action_matrices(lam, M, xi)
-    if cc.cochain:
-        X = [_sp_transpose(X[group.inv(g)], n) for g in range(group.n)]
+    if cochain:
+        X = [_sp_transpose(X[group.inv(g)], A.dim) for g in range(group.n)]
     action = []
     for g in range(group.n):
         mats = [MG[g]]
-        for _ in range(cc.top):
-            mats.append(_sp_kron(mats[-1], X[g], n, p))
+        for _ in range(max_q):
+            mats.append(_sp_kron(mats[-1], X[g], A.dim, p))
         action.append(mats)
     gmod = GModuleOnChains(cc, action, sigma_dd)
     rep = gmod.gate(group)
     if not rep.ok:
-        kind = "cochain" if cc.cochain else "chain"
+        kind = "cochain" if cochain else "chain"
         raise EquivarianceFailure(
             f"{kind} action gate failed: {rep.violations[:5]}")
-    return gmod
-
-
-def diagonal_chain_action(lam, M, MA, xi, sigma_dd, max_q, group=None,
-                          cap=DEFAULT_CHAIN_CAP):
-    """T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq) on the full bar complex
-    of A with coefficients in M, where MA is M restricted to A
-    (`m_as_a_bimodule`); hard-gated."""
-    group = group or lam.group
-    cc, bb = bar_complex(lam.theta.algebra, MA, max_q, normalized=False,
-                         cap=cap)
-    return _gated_kron_action(cc, lam, M, xi, sigma_dd, group), bb
-
-
-def diagonal_cochain_action(lam, M, MA, xi, sigma_dd, max_q, group=None,
-                            cap=DEFAULT_CHAIN_CAP):
-    """(T_g f)(a1..aq) = [g].f([g^-1].a1, ..., [g^-1].aq) on the full
-    Hochschild cochain complex of A with coefficients in M, MA being M
-    restricted to A; hard-gated.  In the M-major cochain basis
-    T_g = MG[g] (x) (AG[g^-1]^T)^(x q)."""
-    group = group or lam.group
-    cc, bb = cobar_complex(lam.theta.algebra, MA, max_q, normalized=False,
-                           cap=cap)
-    return _gated_kron_action(cc, lam, M, xi, sigma_dd, group), bb
+    return gmod, bb
 
 
 def induced_action_on_homology(gmod, q, target_algebra, group,
@@ -719,10 +698,10 @@ def hom_A_carrier(A, MA):
         bimodule_to_left_env_module(env, A, MA))
 
 
-def hom_A_module_structure(lam, M, MA, xi, ktw_dd, group=None):
+def hom_A_module_structure(lam, M, MA, xi, ktw_dd):
     """The kappa_par^{sigma''} G-module structure on Hom_{A^e}(A, M), MA
     being M restricted to A: ([g].f)(a) = xi(g) [g]'.f([g^-1].a)."""
-    group = group or lam.group
+    group = lam.group
     A = lam.theta.algebra
     K = A.field
     p = _char(K)

@@ -73,6 +73,16 @@ class TwistedPartialAction:
     def apply_theta(self, g, vec):
         return self.action.apply_theta(g, vec)
 
+    def mask_idempotent(self, monoid, mask):
+        """prod 1_a in A over the nonzero letters a of a mask of the Exel
+        monoid: the image of the idempotent monomial (mask, 1)."""
+        A = self.algebra
+        e = A.unit
+        for a in monoid.mask_elements(mask):
+            if a:
+                e = A.mul(e, self.one[a])
+        return e
+
 
 def validate_partial_action(action, group):
     """All the unital partial action axioms, on ideal bases."""

@@ -679,18 +679,12 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
 def lambda_as_bsdd_module(lam, ksdd):
     """Lambda as a left module over B^{sigma''}: e_A acts as multiplication
     by (prod of 1_a) delta_1."""
-    A = lam.theta.algebra
     ksdd_bsig_alg, positions = extract_idempotent_subalgebra(ksdd)
     left = []
     for p in positions:
-        m = ksdd.surviving[p]
-        mask, _ = ksdd.monoid.elements[m]
-        prod = A.unit
-        for a in ksdd.monoid.mask_elements(mask):
-            if a == 0:
-                continue
-            prod = A.mul(prod, lam.theta.one[a])
-        left.append(lam.algebra.left_mult_matrix(lam.embed_a(prod)))
+        mask, _ = ksdd.monoid.elements[ksdd.surviving[p]]
+        e = lam.theta.mask_idempotent(ksdd.monoid, mask)
+        left.append(lam.algebra.left_mult_matrix(lam.embed_a(e)))
     mod = ModuleData(ksdd_bsig_alg, lam.algebra.dim, left=left,
                      name="Lambda as left B^{sigma''} module")
     mod.validate().raise_if_failed()

@@ -12,7 +12,7 @@ from .factor_sets import (check_good_factor_set_identities, involution_star,
                           product)
 from .groups import cyclic_group, direct_product, exel_size_closed_form, \
     symmetric_group
-from .homology import partial_homology_dims
+from .homology import tor_dims
 from .partial_algebras import (build_kpar, build_kpar_sigma,
                                phi_psi_crossed_iso)
 from .problems import build_instance, bundled_fixtures, load_fixture
@@ -162,8 +162,8 @@ def criterion_resolution_independence(instances):
             styles = ["greedy", "greedy_reversed"]
             if inst.kpar.dim <= 8:
                 styles.append("fat")
-            dims = [partial_homology_dims(inst.kpar.algebra, B_right, mod0, 2,
-                                          style=st) for st in styles]
+            dims = [tor_dims(inst.kpar.algebra, B_right, mod0, 2, style=st)
+                    for st in styles]
             same = all(d == dims[0] for d in dims)
             details.append((fname, dims[0], same))
             ok = ok and same

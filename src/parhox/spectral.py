@@ -6,33 +6,38 @@ is every computable consequence: the two collapse isomorphisms, the
 Tor-form bridge, the structural identities, and the subquotient dimension
 bound sum(dim E2_{p,q}, p+q = n) >= dim H_n(Lambda, M), with equality
 required on separable instances.
+
+The first-quadrant homological sequence, E2_{p,q} = H_p^par(G, H_q(A, M)),
+and the third-quadrant cohomological one, E2^{p,q} = H^p_par(G, H^q(A, M)),
+are one construction read in two directions: each step that has both
+(the chain-action tower, the page, the partial group (co)homology, the
+separable collapse, the Hochschild dims of Lambda) is one function with
+the `cochain` flag of `ChainComplex`.  The bar-route dims of
+H_*(Lambda, M) and H^*(Lambda, M) have one source, `lam_hochschild_bar`,
+memoized on the instance, which every check reads.
 """
 
 import time
 from contextlib import contextmanager
 from functools import partial
 
-from .errors import SizeLimit
 from .algebras import (AlgebraHom, ModuleData, bimodule_to_left_env_module,
                        commutator_quotient, enveloping, group_algebra,
                        hom_over_algebra, regular_bimodule,
                        restrict_along_hom, tensor_over_algebra)
 from .homology import (_crossed_action_matrices, _env_left_regular,
-                       diagonal_chain_action, diagonal_cochain_action,
-                       env_resolution, free_resolution,
-                       hochschild_cohomology_bar,
+                       diagonal_action, env_resolution, ext_dims,
+                       free_resolution, hochschild_cohomology_bar,
                        hochschild_cohomology_resolution,
                        hochschild_homology_bar,
                        hochschild_homology_resolution,
                        hom_A_module_structure, induced_action_on_homology,
-                       partial_cohomology_dims, partial_homology_dims,
                        tor_dims)
 from .linalg import (_char, _Echelon, _rank_of, _sp_combination, _sp_matmul,
                      _sp_matvec, _sp_sum, _sp_transpose)
 
 __all__ = [
-    "E2Page", "SpectralCheckReport", "assemble_E2_homology",
-    "assemble_E2_cohomology", "tor_form_consistency",
+    "E2Page", "SpectralCheckReport", "assemble_E2", "tor_form_consistency",
     "collapse_check_separable", "collapse_check_maclane",
     "structural_identity_suite", "dimension_bound_check",
     "hochschild_oracle_check", "run_all_checks",
@@ -107,9 +112,9 @@ def module_tower(inst, max_q, cochain=False):
     kappa_par^{sigma''} G module); the last is built on the homology side
     only and is None on the cohomology side.  Memoized on the instance."""
     def build(length):
-        act = diagonal_cochain_action if cochain else diagonal_chain_action
-        gmod, _ = act(inst.lam, inst.M, inst.m_over_a, inst.xi,
-                      inst.sigma_dd, length + 1, cap=inst.chain_cap)
+        gmod, _ = diagonal_action(inst.lam, inst.M, inst.m_over_a, inst.xi,
+                                  inst.sigma_dd, length + 1, cochain=cochain,
+                                  cap=inst.chain_cap)
         ann = inst.ker_zeta_in_kpar()
         tower = []
         for q in range(length + 1):
@@ -133,58 +138,48 @@ def side_resolution(inst, module, side, length):
                                                   l, cap=inst.chain_cap))
 
 
-def lam_env_resolution(inst, length):
-    return inst.longest("res_lam_env", length,
-                        lambda l: env_resolution(inst.lam.algebra, l,
-                                                 cap=inst.chain_cap))
+def enveloping_resolution(inst, R, length):
+    """(R^e, the free resolution of R as a left R^e-module), bounded by the
+    instance's chain cap and memoized on the instance per algebra (Lambda
+    or A)."""
+    return inst.longest(("env_resolution", R), length,
+                        lambda l: env_resolution(R, l, cap=inst.chain_cap))
 
 
-def base_env_resolution(inst, length):
-    return inst.longest("res_A_env", length,
-                        lambda l: env_resolution(inst.theta.algebra, l,
-                                                 cap=inst.chain_cap))
+def lam_hochschild_bar(inst, n, cochain=False):
+    """dim H_q(Lambda, M), or dim H^q(Lambda, M) when `cochain` is set, for
+    q <= n on the bar route: the one source of these dims for the oracle,
+    the collapse and dimension-bound checks and `parhox hochschild`.
+    Memoized on the instance, which keeps the dims only, not the
+    complexes."""
+    bar = hochschild_cohomology_bar if cochain else hochschild_homology_bar
+    return inst.longest(("hoch_bar", cochain), n,
+                        lambda l: bar(inst.lam.algebra, inst.M, l,
+                                      cap=inst.chain_cap))[:n + 1]
 
 
-def assemble_E2_homology(inst, max_p, max_q):
-    """E2_{p,q} = H_p^par(G, H_q(A, M))."""
-    _, tower = module_tower(inst, max_q)
-    _, B_right = inst.b_over_kpar
-    res = side_resolution(inst, B_right, "right", max_p + 1)
+def partial_dims(inst, X, max_n, cochain=False):
+    """dim H_n^par(G, X) = dim Tor_n^{kpar}(B, X), or dim H^n_par(G, X) =
+    dim Ext^n_{kpar}(B, X) when `cochain` is set, for n <= max_n, on the
+    instance's resolution of B (as a right module for Tor, a left one for
+    Ext)."""
+    B_left, B_right = inst.b_over_kpar
+    B, side, dims = (B_left, "left", ext_dims) if cochain else \
+        (B_right, "right", tor_dims)
+    return dims(inst.kpar.algebra, B, X, max_n,
+                resolution=side_resolution(inst, B, side, max_n + 1))
+
+
+def assemble_E2(inst, max_p, max_q, cochain=False):
+    """E2_{p,q} = H_p^par(G, H_q(A, M)), or E2^{p,q} = H^p_par(G, H^q(A, M))
+    when `cochain` is set: one page per orientation of one construction."""
+    _, tower = module_tower(inst, max_q, cochain=cochain)
     entries = {}
-    skipped = set()
     for q in range(max_q + 1):
         _, mod_kpar, _ = tower[q]
-        try:
-            dims = partial_homology_dims(inst.kpar.algebra, B_right, mod_kpar,
-                                         max_p, resolution=res)
-        except SizeLimit:
-            for p in range(max_p + 1):
-                skipped.add((p, q))
-            continue
-        for p in range(max_p + 1):
-            entries[(p, q)] = dims[p]
-    return E2Page("homological", entries, skipped)
-
-
-def assemble_E2_cohomology(inst, max_p, max_q):
-    """E2^{p,q} = H^p_par(G, H^q(A, M))."""
-    _, tower = module_tower(inst, max_q, cochain=True)
-    B_left, _ = inst.b_over_kpar
-    res = side_resolution(inst, B_left, "left", max_p + 1)
-    entries = {}
-    skipped = set()
-    for q in range(max_q + 1):
-        _, mod_kpar, _ = tower[q]
-        try:
-            dims = partial_cohomology_dims(inst.kpar.algebra, B_left, mod_kpar,
-                                           max_p, resolution=res)
-        except SizeLimit:
-            for p in range(max_p + 1):
-                skipped.add((p, q))
-            continue
-        for p in range(max_p + 1):
-            entries[(p, q)] = dims[p]
-    return E2Page("cohomological", entries, skipped)
+        dims = partial_dims(inst, mod_kpar, max_p, cochain=cochain)
+        entries.update(((p, q), d) for p, d in enumerate(dims))
+    return E2Page("cohomological" if cochain else "homological", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +217,7 @@ def tor_form_consistency(inst, report, max_p=2, max_q=1):
                        resolution=side_resolution(inst, bs_right, "right",
                                                   max_p + 1))
         OX = _omega_tensor(inst, mod_kpar)
-        rhs = partial_homology_dims(inst.kpar.algebra, B_right, OX, max_p,
-                                    resolution=side_resolution(
-                                        inst, B_right, "right", max_p + 1))
+        rhs = partial_dims(inst, OX, max_p)
         details.append((q, lhs, rhs))
         if lhs != rhs:
             ok_all = False
@@ -303,63 +296,43 @@ def omega_flatness_spot_check(inst, report, max_n=1):
 def hochschild_oracle_check(inst, report, max_n=2):
     """Bar and resolution route Hochschild dims agree for Lambda and for A."""
     lam_alg = inst.lam.algebra
-    bar = hochschild_homology_bar(lam_alg, inst.M, max_n, cap=inst.chain_cap)
-    env_res = lam_env_resolution(inst, max_n + 1)
+    bar = lam_hochschild_bar(inst, max_n)
+    env_res = enveloping_resolution(inst, lam_alg, max_n + 1)
     res = hochschild_homology_resolution(lam_alg, inst.M, max_n,
                                          env_res=env_res)
     ok = bar == res
     report.record("Hochschild dual route (homology)", ok, (bar, res))
-    barc = hochschild_cohomology_bar(lam_alg, inst.M, max_n,
-                                     cap=inst.chain_cap)
+    barc = lam_hochschild_bar(inst, max_n, cochain=True)
     resc = hochschild_cohomology_resolution(lam_alg, inst.M, max_n,
                                             env_res=env_res)
     okc = barc == resc
     report.record("Hochschild dual route (cohomology)", okc, (barc, resc))
     MA = inst.m_over_a
     A = inst.theta.algebra
-    a_env_res = base_env_resolution(inst, max_n + 1)
+    a_env_res = enveloping_resolution(inst, A, max_n + 1)
     bara = hochschild_homology_bar(A, MA, max_n, cap=inst.chain_cap)
     resa = hochschild_homology_resolution(A, MA, max_n, env_res=a_env_res)
     oka = bara == resa
     report.record("Hochschild dual route (base algebra)", oka, (bara, resa))
-    return ok and okc and oka, bar, barc
+    return ok and okc and oka
 
 
-def collapse_check_separable(inst, report, max_n=2, hoch_dims=None):
-    """A separable: dim H_n(Lambda, M) = dim H_n^par(G, M/[A, M])."""
+def collapse_check_separable(inst, report, max_n=2, cochain=False):
+    """A separable: dim H_n(Lambda, M) = dim H_n^par(G, M/[A, M]), and
+    dim H^n(Lambda, M) = dim H^n_par(G, Hom_{A^e}(A, M)) when `cochain` is
+    set."""
     if inst.separability is None:
-        report.skip("separable collapse", "A admits no separability idempotent")
-        return None
-    lam_alg = inst.lam.algebra
-    lhs = hoch_dims if hoch_dims is not None else \
-        hochschild_homology_bar(lam_alg, inst.M, max_n, cap=inst.chain_cap)
-    _, tower = module_tower(inst, 0)
-    _, mod0, _ = tower[0]
-    _, B_right = inst.b_over_kpar
-    res = side_resolution(inst, B_right, "right", max_n + 1)
-    rhs = partial_homology_dims(inst.kpar.algebra, B_right, mod0, max_n,
-                                resolution=res)
-    ok = lhs[:max_n + 1] == rhs[:max_n + 1]
-    report.record("separable collapse (homology)", ok, (lhs, rhs))
-    return ok
-
-
-def collapse_check_separable_cohomology(inst, report, max_n=2, hoch_dims=None):
-    if inst.separability is None:
-        report.skip("separable collapse (cohomology)",
+        report.skip("separable collapse (cohomology)" if cochain
+                    else "separable collapse",
                     "A admits no separability idempotent")
         return None
-    lam_alg = inst.lam.algebra
-    lhs = hoch_dims if hoch_dims is not None else \
-        hochschild_cohomology_bar(lam_alg, inst.M, max_n, cap=inst.chain_cap)
-    _, tower = module_tower(inst, 0, cochain=True)
+    lhs = lam_hochschild_bar(inst, max_n, cochain=cochain)
+    _, tower = module_tower(inst, 0, cochain=cochain)
     _, mod0, _ = tower[0]
-    B_left, _ = inst.b_over_kpar
-    res = side_resolution(inst, B_left, "left", max_n + 1)
-    rhs = partial_cohomology_dims(inst.kpar.algebra, B_left, mod0, max_n,
-                                  resolution=res)
-    ok = lhs[:max_n + 1] == rhs[:max_n + 1]
-    report.record("separable collapse (cohomology)", ok, (lhs, rhs))
+    rhs = partial_dims(inst, mod0, max_n, cochain=cochain)
+    ok = lhs == rhs
+    report.record("separable collapse (cohomology)" if cochain
+                  else "separable collapse (homology)", ok, (lhs, rhs))
     return ok
 
 
@@ -375,12 +348,10 @@ def collapse_check_maclane(inst, report, max_n=2):
     ks_reg = regular_bimodule(inst.ks.algebra)
     lhs = hochschild_homology_bar(inst.ks.algebra, ks_reg, max_n,
                                   cap=inst.chain_cap)
-    lam_side = hochschild_homology_bar(inst.lam.algebra, inst.M, max_n,
-                                       cap=inst.chain_cap)
+    lam_side = lam_hochschild_bar(inst, max_n)
     report.record("MacLane: kpar^sigma G = B^sigma * G Hochschild dims",
                   lhs == lam_side, (lhs, lam_side))
-    ok = collapse_check_separable(inst, report, max_n=max_n,
-                                  hoch_dims=lam_side)
+    ok = collapse_check_separable(inst, report, max_n=max_n)
     K = inst.field
     trivial = all(inst.sigma(g, h) == K.one
                   for g in range(inst.group.n) for h in range(inst.group.n))
@@ -401,10 +372,13 @@ def collapse_check_maclane(inst, report, max_n=2):
     return ok
 
 
-def dimension_bound_check(inst, report, page, hoch, max_n=2,
-                          orientation="homological"):
-    """sum_{p+q=n} dim E2_{p,q} >= dim H_n(Lambda, M); equality required on
-    separable instances, recorded as collapse-consistent otherwise."""
+def dimension_bound_check(inst, report, page, max_n=2):
+    """sum_{p+q=n} dim E2_{p,q} >= dim H_n(Lambda, M) (with upper indices on
+    a cohomological page); equality required on separable instances,
+    recorded as collapse-consistent otherwise."""
+    orientation = page.orientation
+    hoch = lam_hochschild_bar(inst, max_n,
+                              cochain=orientation == "cohomological")
     separable = inst.separability is not None
     ok = True
     rows = []
@@ -628,19 +602,14 @@ def _bsig_act_on_m(inst, w_amb, mvec):
     """Action of w in B^sigma on M via phi^-1: w . m means (w acting on
     Lambda at delta_1) applied to m -- concretely multiplication by the
     image of w under the idempotent embedding into Lambda."""
-    A = inst.theta.algebra
     lam = inst.lam
     terms = []
     for p, c in w_amb.items():
         mask, g = inst.monoid.elements[inst.ks.surviving[p]]
         assert g == 0
-        prod = A.unit
-        for a in inst.monoid.mask_elements(mask):
-            if a == 0:
-                continue
-            prod = A.mul(prod, inst.theta.one[a])
-        terms.append((c, inst.M.act_left(lam.embed_a(prod), mvec)))
-    return _sp_sum(terms, A.p)
+        e = lam.theta.mask_idempotent(inst.monoid, mask)
+        terms.append((c, inst.M.act_left(lam.embed_a(e), mvec)))
+    return _sp_sum(terms, lam.algebra.p)
 
 
 def degree_zero_formula_check(inst, report):
@@ -680,34 +649,28 @@ def degree_zero_formula_check(inst, report):
     return ok
 
 
-def run_all_checks(inst, max_p=2, max_q=2, max_n=2, deep_hochschild=None):
+def run_all_checks(inst, max_p=2, max_q=2, max_n=2):
     """The complete verdict battery on one instance."""
     report = SpectralCheckReport(inst.name)
-    if deep_hochschild is None:
-        deep_hochschild = 3 if inst.lam.algebra.dim <= 6 else 2
     with report.timed():
-        okh, hoch, hochc = hochschild_oracle_check(inst, report,
-                                                   max_n=deep_hochschild)
+        hochschild_oracle_check(
+            inst, report, max_n=3 if inst.lam.algebra.dim <= 6 else 2)
     # assemble the pages first so the chain-action towers are built once at
     # the largest degree and reused by every later check; their time goes
     # to the dimension bounds they feed
     with report.timed(["dimension bound (homological)",
                        "dimension bound (cohomological)"]):
-        page = assemble_E2_homology(inst, max_p, max_q)
-        pagec = assemble_E2_cohomology(inst, max_p, max_q)
+        page = assemble_E2(inst, max_p, max_q)
+        pagec = assemble_E2(inst, max_p, max_q, cochain=True)
     for check in (
             partial(tor_form_consistency, max_p=max_p, max_q=min(1, max_q)),
             lemma_B_tensor_omega, omega_flatness_spot_check,
-            partial(collapse_check_separable, max_n=max_n,
-                    hoch_dims=hoch[:max_n + 1]),
-            partial(collapse_check_separable_cohomology, max_n=max_n,
-                    hoch_dims=hochc[:max_n + 1]),
+            partial(collapse_check_separable, max_n=max_n),
+            partial(collapse_check_separable, max_n=max_n, cochain=True),
             partial(collapse_check_maclane, max_n=max_n),
             degree_zero_formula_check, structural_identity_suite,
-            partial(dimension_bound_check, page=page, hoch=hoch,
-                    max_n=max_n, orientation="homological"),
-            partial(dimension_bound_check, page=pagec, hoch=hochc,
-                    max_n=max_n, orientation="cohomological")):
+            partial(dimension_bound_check, page=page, max_n=max_n),
+            partial(dimension_bound_check, page=pagec, max_n=max_n)):
         with report.timed():
             check(inst, report)
     return report, page, pagec

@@ -8,18 +8,19 @@ from conftest import (assert_kernel_rows, dense_kron, dense_map_on_quotient,
                       identity, matvec, rank, ref_rref, sparse_rows)
 from parhox.errors import InvalidInput, SizeLimit
 from parhox.fields import QQ, PrimeField
-from parhox.algebras import (EXHAUSTIVE_LIMIT, RANDOM_TRIPLES, AlgebraHom,
-                             ModuleData, StructureAlgebra, ValidationReport,
-                             bimodule_to_left_env_module, commutator_quotient,
-                             dual_numbers, enveloping, group_algebra,
-                             hom_over_algebra, matrix_algebra, module_from_generator_actions,
-                             opposite, orthogonalize_idempotents,
-                             product_field_algebra, regular_bimodule,
-                             restrict_along_hom, separability_idempotent,
-                             subalgebra_generated, tensor_over_algebra)
-from parhox.groups import cyclic_group
+from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
+                             ValidationReport, bimodule_to_left_env_module,
+                             commutator_quotient, dual_numbers, enveloping,
+                             group_algebra, hom_over_algebra, matrix_algebra,
+                             module_from_generator_actions, opposite,
+                             orthogonalize_idempotents, product_field_algebra,
+                             regular_bimodule, restrict_along_hom,
+                             separability_idempotent, subalgebra_generated,
+                             tensor_over_algebra)
+from parhox.groups import cyclic_group, symmetric_group
 from parhox.linalg import (Subspace, _dense, _sp_identity, _sparse,
                            _sparse_matrix)
+from parhox.partial_algebras import build_kpar
 
 
 def F(x):
@@ -41,27 +42,23 @@ def test_validate_catches_corruption():
     assert any(v[0] == "associativity" for v in rep.violations)
 
 
-def dense_validate(A, seed=0):
+def dense_validate(A):
     """Reference: associativity and unit law by products (`mul`) of basis
-    vectors, triple by triple, in the order StructureAlgebra.validate uses."""
+    vectors, over every triple, in the order StructureAlgebra.validate
+    uses."""
     rep = ValidationReport(f"algebra {A.name}")
     d = A.dim
     for i in range(d):
         bi = A.basis_vector(i)
         if A.mul(A.unit, bi) != bi or A.mul(bi, A.unit) != bi:
             rep.fail("unit", i)
-    if d <= EXHAUSTIVE_LIMIT:
-        triples = ((i, j, k) for i in range(d) for j in range(d)
-                   for k in range(d))
-    else:
-        rng = random.Random(seed)
-        triples = ((rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                   for _ in range(RANDOM_TRIPLES))
-        rep.note("associativity checked on", RANDOM_TRIPLES, "random triples")
-    for (i, j, k) in triples:
-        b = A.basis_vector
-        if A.mul(A.mul(b(i), b(j)), b(k)) != A.mul(b(i), A.mul(b(j), b(k))):
-            rep.fail("associativity", i, j, k)
+    b = A.basis_vector
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if A.mul(A.mul(b(i), b(j)), b(k)) != \
+                   A.mul(b(i), A.mul(b(j), b(k))):
+                    rep.fail("associativity", i, j, k)
     return rep
 
 
@@ -90,11 +87,15 @@ def test_validate_matches_dense_reference():
     # over F_7 the bracketings agree only mod 7: 4 * 1 vs 6 * 3 at (2, 2, 1)
     twisted7 = coboundary_twisted_group_algebra(F7, cyclic_group(4),
                                                 [1, 3, 5, 6])
-    # b_1 . b_j = 2 b_{1+j} in K[Z41]: dim 41 > EXHAUSTIVE_LIMIT, and the
-    # random triples with b_1 in the middle fail
+    # b_1 . b_j = 2 b_{1+j} in K[Z41]
     doubled = group_algebra(QQ, G41)
     for j in range(41):
         doubled.sc[(1, j)] = [(G41.mul(1, j), F(2))]
+    # b_1 . b_16 = 2 b_17 alone: 158 of the 41^3 triples fail, none of them
+    # among 1000 triples drawn by random.Random(0), so a sampled check
+    # would pass it
+    one_constant = corrupted(group_algebra(QQ, G41), (1, 16),
+                             [(17, F(2))])
     algebras = [
         matrix_algebra(QQ, 2), matrix_algebra(F7, 3), dual_numbers(F7),
         product_field_algebra(QQ, 3), group_algebra(QQ, cyclic_group(4)),
@@ -103,18 +104,20 @@ def test_validate_matches_dense_reference():
         corrupted(matrix_algebra(QQ, 2), (1, 2), [(3, F(1))]),
         corrupted(matrix_algebra(QQ, 2), (0, 0), [(0, F(1)), (1, Fraction(-1, 2))]),
         corrupted(matrix_algebra(F7, 2), (2, 1), [(3, 5)]),
-        matrix_algebra(QQ, 7), doubled, twisted, twisted7,
+        matrix_algebra(QQ, 7), doubled, one_constant, twisted, twisted7,
     ]
     assert twisted.validate().ok and twisted7.validate().ok
-    assert any(A.dim > EXHAUSTIVE_LIMIT for A in algebras)
     for A in algebras:
-        for seed in (0, 1):
-            got, want = A.validate(seed=seed), dense_validate(A, seed=seed)
-            assert got.violations == want.violations, A.name
-            assert got.notes == want.notes
-    assert dense_validate(doubled).violations
-    assert dense_validate(doubled).notes == [
-        ("associativity checked on", RANDOM_TRIPLES, "random triples")]
+        got, want = A.validate(), dense_validate(A)
+        assert got.violations == want.violations, A.name
+        assert got.notes == want.notes == []
+    assert not doubled.validate().ok
+    assert len(one_constant.validate().violations) == 158
+    # kappa_par S3 (dim 112) is decided over its 10 generators, exactly
+    kp = build_kpar(symmetric_group(3), QQ).algebra
+    got = kp.validate()
+    assert len(kp.generators) == 10
+    assert got.ok and got.notes == []
 
 
 def dense_verify(hom, unital=True):

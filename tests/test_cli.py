@@ -133,6 +133,19 @@ def test_cli_spectral(capsys):
     assert doc["result"]["checks"]["ok"]
 
 
+@pytest.mark.parametrize("orientation", [[], ["--cohomology"]],
+                         ids=["homology", "cohomology"])
+def test_cli_spectral_past_the_oracle_degree(orientation, capsys):
+    # the battery runs to n = min(max_p, max_q) = 4, past the oracle's
+    # degree 3
+    code = main(["spectral", fixture_path("z2_trivial_q.json"),
+                 "--max-p", "4", "--max-q", "4", *orientation])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(out[:out.rindex("}") + 1])
+    assert doc["ok"] and doc["result"]["checks"]["ok"]
+
+
 def test_cli_error_is_machine_readable(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"field": {"kind": "Fp", "p": 9},

@@ -16,9 +16,7 @@ from parhox.errors import (EquivarianceFailure, InvalidInput, SizeLimit,
 from parhox.groups import cyclic_group
 from parhox import homology
 from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
-                             cobar_complex,
-                             diagonal_chain_action,
-                             diagonal_cochain_action, ext_dims,
+                             cobar_complex, diagonal_action, ext_dims,
                              env_resolution, free_resolution,
                              hochschild_cohomology_bar,
                              hochschild_cohomology_resolution,
@@ -27,8 +25,7 @@ from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
                              hom_A_module_structure, homology_data,
                              homology_dims_of_complex,
                              induced_action_on_homology,
-                             m_as_a_bimodule, partial_homology_dims,
-                             tor_dims)
+                             m_as_a_bimodule, tor_dims)
 from parhox.linalg import (_rank_of, _sp_identity, _sp_kron, _sp_matmul,
                            _sparse, _sparse_matrix)
 from parhox.partial_actions import build_crossed_product
@@ -163,9 +160,9 @@ def test_partial_homology_trivial_group():
     kp = build_kpar(G, QQ)
     left, right = _b_modules(kp)
     X = _trivial_module(kp)
-    dims = partial_homology_dims(kp.algebra,
-                                 ModuleData(kp.algebra, right.dim, right=right.right),
-                                 X, 2)
+    dims = tor_dims(kp.algebra,
+                    ModuleData(kp.algebra, right.dim, right=right.right),
+                    X, 2)
     assert dims == [1, 0, 0]
 
 
@@ -177,8 +174,8 @@ def test_partial_homology_z2_pinned():
         B_right = ModuleData(kp.algebra, right.dim, right=right.right)
         X = _trivial_module(kp)
         for style in ("greedy", "fat", "greedy_reversed"):
-            assert partial_homology_dims(kp.algebra, B_right, X, 2,
-                                         style=style) == expected
+            assert tor_dims(kp.algebra, B_right, X, 2,
+                            style=style) == expected
 
 
 def test_partial_homology_degree_zero_is_tensor():
@@ -187,17 +184,16 @@ def test_partial_homology_degree_zero_is_tensor():
     B_right = ModuleData(kp.algebra, right.dim, right=right.right)
     X = _trivial_module(kp)
     T = tensor_over_algebra(kp.algebra, B_right, X)
-    assert partial_homology_dims(kp.algebra, B_right, X, 0)[0] == T.dim
+    assert tor_dims(kp.algebra, B_right, X, 0)[0] == T.dim
 
 
 def test_partial_cohomology_z2_pinned():
-    from parhox.homology import partial_cohomology_dims
     for field, expected in ((QQ, [1, 0, 0]), (PrimeField(2), [1, 1, 1])):
         kp = build_kpar(cyclic_group(2), field)
         left, right = _b_modules(kp)
         B_left = ModuleData(kp.algebra, left.dim, left=left.left)
         X = _trivial_module(kp)
-        assert partial_cohomology_dims(kp.algebra, B_left, X, 2) == expected
+        assert ext_dims(kp.algebra, B_left, X, 2) == expected
 
 
 def test_tor_resolution_independence():
@@ -209,10 +205,9 @@ def test_tor_resolution_independence():
     left, right = _b_modules(kp)
     B_right = ModuleData(kp.algebra, right.dim, right=right.right)
     X = _trivial_module(kp)
-    d1 = partial_homology_dims(kp.algebra, B_right, X, 2, style="greedy")
-    d2 = partial_homology_dims(kp.algebra, B_right, X, 2, style="fat")
-    d3 = partial_homology_dims(kp.algebra, B_right, X, 2,
-                               style="greedy_reversed")
+    d1 = tor_dims(kp.algebra, B_right, X, 2, style="greedy")
+    d2 = tor_dims(kp.algebra, B_right, X, 2, style="fat")
+    d3 = tor_dims(kp.algebra, B_right, X, 2, style="greedy_reversed")
     assert d1 == d2 == d3
 
 
@@ -310,8 +305,8 @@ def _z3_tower():
 def test_diagonal_chain_action_gates():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, bb = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
-                                     xi, sdd, 2)
+    gmod, bb = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                               xi, sdd, 2)
     assert gmod.complex.validate().ok
 
 
@@ -322,8 +317,8 @@ def test_diagonal_chain_action_universal_instances():
         sigma = theta.sigma
         xi, sdd = xi_sigma_double_prime(sigma)
         M = regular_bimodule(lam.algebra)
-        gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
-                                        xi, sdd, 2)
+        gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                                  xi, sdd, 2)
 
 
 def test_diagonal_action_global_case_classical():
@@ -333,8 +328,8 @@ def test_diagonal_action_global_case_classical():
     xi = EquivalenceWitness(G, QQ, [QQ.one, QQ.one])
     sdd = trivial_factor_set(G, QQ)
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
-                                    xi, sdd, 2)
+    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                              xi, sdd, 2)
     # T_t must be invertible in the global case (it is a group action)
     for q in range(3):
         T = gmod.action[1][q]
@@ -345,8 +340,8 @@ def test_diagonal_action_global_case_classical():
 def test_induced_action_on_homology_z3():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
-                                    xi, sdd, 2)
+    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                              xi, sdd, 2)
     bsig, omega = build_B_sigma_omega(kp, ks, ksdd=ksdd)
     # annihilators: dead idempotent monomials of kpar, as kpar vectors
     ann = []
@@ -371,8 +366,8 @@ def test_degree_zero_matches_tensor_formula():
     # induced degree-0 action on M/[A,M]
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
-                                    xi, sdd, 1)
+    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                              xi, sdd, 1)
     from parhox.algebras import (bimodule_to_left_env_module,
                                  bimodule_to_right_env_module, enveloping)
     A = theta.algebra
@@ -435,8 +430,8 @@ def test_degree_zero_matches_tensor_formula():
 def test_diagonal_cochain_action_gates():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_cochain_action(lam, M, m_as_a_bimodule(lam, M),
-                                      xi, sdd, 2)
+    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                              xi, sdd, 2, cochain=True)
     # cochain d.d = 0 was asserted at construction; gate ran in constructor
 
 
@@ -664,8 +659,8 @@ def _violations(gmod, group):
 def test_chain_action_gate_rejects_a_changed_entry(cochain):
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    build = diagonal_cochain_action if cochain else diagonal_chain_action
-    gmod, _ = build(lam, M, m_as_a_bimodule(lam, M), xi, sdd, 2)
+    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd, 2,
+                              cochain=cochain)
     assert _violations(gmod, G) == set()
     # one entry of T_t on C_1, in a column that the differential out of
     # C_1 (chains) or into C_2 (cochains) does not kill
@@ -683,8 +678,8 @@ def test_chain_action_gate_rejects_a_changed_entry(cochain):
 def test_chain_action_gate_rejects_a_changed_sigma_pattern():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_chain_action(lam, M, m_as_a_bimodule(lam, M),
-                                    xi, sdd, 2)
+    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                              xi, sdd, 2)
     t, t2 = 1, G.inv(1)
     assert sdd(t, t2) != QQ.zero
 
@@ -698,11 +693,13 @@ def test_chain_action_gate_rejects_a_changed_sigma_pattern():
     assert "equivariance" not in names
 
 
-@pytest.mark.parametrize("build", [diagonal_chain_action,
-                                   diagonal_cochain_action])
-def test_diagonal_action_with_a_wrong_xi_is_rejected(build):
+@pytest.mark.parametrize("cochain", [False, True],
+                         ids=["diagonal_chain_action",
+                              "diagonal_cochain_action"])
+def test_diagonal_action_with_a_wrong_xi_is_rejected(cochain):
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
     wrong = EquivalenceWitness(G, QQ, [QQ.one, xi(1) * 2, xi(2)])
     with pytest.raises(EquivarianceFailure):
-        build(lam, M, m_as_a_bimodule(lam, M), wrong, sdd, 2)
+        diagonal_action(lam, M, m_as_a_bimodule(lam, M), wrong, sdd, 2,
+                        cochain=cochain)

@@ -7,18 +7,17 @@ import pytest
 
 from conftest import (densify, z2_dual_numbers, z2_global_twist,
                       z2_universal, z2xz2_partial_idempotent, z3_kappa2_action)
-from parhox import cli, homology, instance, linalg
+from parhox import cli, homology, instance, linalg, spectral
 from parhox.fields import QQ, PrimeField
 from parhox.groups import cyclic_group
 from parhox.instance import Instance
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.problems import (build_instance, fixture_dir, load_fixture,
                              parse_spec)
-from parhox.spectral import (assemble_E2_cohomology, assemble_E2_homology,
-                             collapse_check_maclane, collapse_check_separable,
-                             dimension_bound_check, hochschild_oracle_check,
-                             lemma_B_tensor_omega, module_tower,
-                             run_all_checks, SpectralCheckReport,
+from parhox.spectral import (assemble_E2, collapse_check_maclane,
+                             collapse_check_separable, dimension_bound_check,
+                             hochschild_oracle_check, lemma_B_tensor_omega,
+                             module_tower, run_all_checks, SpectralCheckReport,
                              structural_identity_suite, tor_form_consistency)
 
 
@@ -55,7 +54,7 @@ def test_instance_normalizes_sigma():
 def test_e2_trivial_group():
     G = cyclic_group(1)
     inst = Instance("trivial", QQ, G)
-    page = assemble_E2_homology(inst, 2, 2)
+    page = assemble_E2(inst, 2, 2)
     # E2_{0,q} = H_q(A, M) and zero for p >= 1
     for p in range(1, 3):
         for q in range(3):
@@ -66,7 +65,7 @@ def test_e2_trivial_group():
 def test_e2_separable_row():
     G, theta = z3_kappa2_action()
     inst = Instance("z3_kappa2", QQ, G, theta=theta)
-    page = assemble_E2_homology(inst, 2, 2)
+    page = assemble_E2(inst, 2, 2)
     for q in (1, 2):
         for p in range(3):
             assert page.entry(p, q) == 0      # A separable: only q = 0 row
@@ -151,6 +150,40 @@ def test_dual_numbers_f2_has_strict_margin_possible():
     assert report.ok, report.to_json()
     assert any(page.entry(p, 0) for p in (1, 2))
     assert any(page.entry(0, q) for q in (1, 2))
+
+
+def test_deeper_degrees_than_the_oracle():
+    # max_n = 4 goes past the oracle's degree 3 on this dim-3 Lambda: the
+    # collapse checks and the dimension bounds read dims up to n = 4
+    inst = Instance("z2", QQ, cyclic_group(2))
+    report, page, pagec = run_all_checks(inst, max_p=4, max_q=4, max_n=4)
+    assert report.ok, report.to_json()
+    for orientation in ("homological", "cohomological"):
+        (rows,) = [detail for (name, _, detail) in report.checks
+                   if name == f"dimension bound ({orientation})"]
+        assert [n for (n, _, _, _) in rows] == [0, 1, 2, 3, 4]
+
+
+def test_lambda_bar_route_is_computed_once(monkeypatch):
+    inst = build_instance(load_fixture("z2_trivial_q.json"))
+    calls = {"homology": 0, "cohomology": 0}
+
+    def counted(kind, original):
+        def wrapper(R, M, *args, **kwargs):
+            if R is inst.lam.algebra and M is inst.M:
+                calls[kind] += 1
+            return original(R, M, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "hochschild_homology_bar", counted(
+        "homology", spectral.hochschild_homology_bar))
+    monkeypatch.setattr(spectral, "hochschild_cohomology_bar", counted(
+        "cohomology", spectral.hochschild_cohomology_bar))
+    report, _, _ = run_all_checks(inst)
+    assert report.ok
+    # the oracle, the separable and MacLane collapse checks and the
+    # dimension bounds all read the one memo on the instance
+    assert calls == {"homology": 1, "cohomology": 1}
 
 
 def test_report_reproducible():
