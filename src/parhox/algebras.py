@@ -24,8 +24,8 @@ Convention table (used consistently by every module):
   * `A.generators` are basis indices whose words span A.  A property that
     holds for 1 and for the generators, and whose holders are closed under
     products, holds on all of A (they form a unital subalgebra);
-    associativity, module axioms and submodule closures are checked over
-    the generators only.
+    associativity and the module axioms are checked over the generators
+    only.
 """
 
 from fractions import Fraction
@@ -133,9 +133,7 @@ class StructureAlgebra:
         under products, they form a unital subalgebra, which is the whole
         algebra as soon as it holds the generators.  So (xy)z = x(yz) for
         all y, z (`validate`) and L(xy) = L(x) L(y) for all y
-        (`ModuleData.validate`) need checking for generators x only, and
-        R . v is the closure of v under the generators (the submodule
-        closures of `homology.free_resolution`)."""
+        (`ModuleData.validate`) need checking for generators x only."""
         span = Subspace(self.field, self.dim)
         elems = []          # the closure, as the products that reached it
         picks = []

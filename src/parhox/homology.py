@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_CHAIN_CAP = 200_000
+RESOLUTION_STYLES = ("greedy", "greedy_reversed", "fat")
 
 
 class ChainComplex:
@@ -336,28 +337,27 @@ def _free_act(act, vec, d, p):
     return _nonzero(out, p)
 
 
-def _submodule_generators(acts, vectors, d, p, fat=False):
-    """Greedy module generators of the span-closure of the sparse `vectors`
-    inside R^r, taken in order.  `acts` holds the action-table rows of R's
-    generators only: the x in R with x . V in V form a unital subalgebra,
-    so the closure V of v under the generators is kept by all of R, and it
-    is R . v."""
-    if fat:
-        return list(vectors)
+def _select_generators(candidates, images_of, p, cap, fat=False):
+    """Module generators among the sparse `candidates`, taken in order, and
+    their columns.  images_of(v) lists b_i . v for the basis b_i of R;
+    R is unital, so they span R . v.  A candidate becomes a generator
+    unless it lies in the span of the earlier generators' images (every
+    one does when `fat`), and its images, formed once, are its columns.
+    Columns are kept only while there are at most `cap` of them: past
+    that the resolution is over its cap and is refused by the caller."""
     span = _Echelon(p)
-    gens = []
-    for v in vectors:
-        if not span.add(dict(v)):
+    gens, cols = [], []
+    for v in candidates:
+        if not (fat or span.add(dict(v))):
             continue
         gens.append(v)
-        work = [v]
-        while work:
-            w = work.pop()
-            for act in acts:
-                u = _free_act(act, w, d, p)
-                if span.add(dict(u)):
-                    work.append(u)
-    return gens
+        images = images_of(v)
+        if not fat:
+            for u in images:
+                span.add(dict(u))
+        if len(gens) * len(images) <= cap:
+            cols += images
+    return gens, cols
 
 
 def _check_size(q, rank_, d, cap):
@@ -369,51 +369,55 @@ def _check_size(q, rank_, d, cap):
 def free_resolution(R, module, side, length, style="greedy", cap=None):
     """A free resolution of `module` (left or right R-module) of the given
     length (boundaries available for q <= length).  style: greedy | fat |
-    greedy_reversed (a second, genuinely different resolution).  Every
-    F_q is checked against `cap` (default DEFAULT_CHAIN_CAP) before it is
-    built."""
+    greedy_reversed (a second, genuinely different resolution).
+
+    F_0 is generated by unit vectors of the module and F_q (q >= 1) by
+    vectors of ker d_{q-1}, both taken in order (reversed for
+    greedy_reversed) by `_select_generators`; `fat` keeps every kernel
+    vector.  A generator's images under the basis of R are its columns of
+    d_q (of the augmentation for q = 0).  The augmentation, d.d = 0 and
+    exactness are each checked on an elimination of their own.  Every
+    F_q is checked against `cap` (default DEFAULT_CHAIN_CAP) before its
+    columns outgrow it."""
+    if style not in RESOLUTION_STYLES:
+        raise InvalidInput(f"unknown resolution style {style!r}: expected "
+                           f"one of {', '.join(RESOLUTION_STYLES)}")
     if cap is None:
         cap = DEFAULT_CHAIN_CAP
     K = R.field
     d = R.dim
     m = module.dim
     p = _char(K)
-    # step 0: generators of the module itself, taken from the unit vectors
-    mats = module.right if side == "right" else module.left
-    cand0 = _sp_identity(m)
-    if style == "greedy_reversed":
-        cand0.reverse()
-    span = _Echelon(p)
-    gens0 = []
-    for v in cand0:
-        if not span.add(dict(v)):
-            continue
-        gens0.append(v)
-        work = [v]
-        while work:
-            w = work.pop()
-            for mat in mats:
-                u = _sp_matvec(mat, w, p)
-                if span.add(dict(u)):
-                    work.append(u)
-    ranks = [len(gens0)]
-    gen_images = [gens0]
-    _check_size(0, ranks[0], d, cap)
+    ranks, gen_images = [], []
     res = FreeResolution(R, module, side, ranks, gen_images)
-    prev, prev_tgt = res._columns(0), m
+    mats = module.right if side == "right" else module.left
+
+    def module_images(v):
+        return [_sp_matvec(mat, v, p) for mat in mats]
+
+    def free_images(v):
+        return [_free_act(act, v, d, p) for act in res.acts]
+
+    # step 0: generators of the module itself, taken from the unit vectors
+    cand = _sp_identity(m)
+    if style == "greedy_reversed":
+        cand.reverse()
+    gens, prev = _select_generators(cand, module_images, p, cap)
+    _check_size(0, len(gens), d, cap)
+    ranks.append(len(gens))
+    gen_images.append(gens)
     if _rank_of(K, [dict(c) for c in prev]) != m:
         raise InvalidInput("augmentation not surjective")
-    gen_acts = [res.acts[i] for i in R.generators]
+    prev_tgt = m
     for q in range(1, length + 1):
         ker = _kernel_of(K, _sp_transpose(prev, prev_tgt), ranks[q - 1] * d)
         if style == "greedy_reversed":
-            ker = list(reversed(ker))
-        gens = _submodule_generators(gen_acts, ker, d, p,
-                                     fat=(style == "fat"))
+            ker.reverse()
+        gens, cols = _select_generators(ker, free_images, p, cap,
+                                        fat=(style == "fat"))
         _check_size(q, len(gens), d, cap)
         ranks.append(len(gens))
         gen_images.append(gens)
-        cols = res._columns(q)
         # d.d = 0 on the generators (hence everywhere: these are module maps)
         if any(_sp_matmul(gens, prev, p)):
             raise InvalidInput(f"d.d != 0 at degree {q}")

@@ -7,7 +7,9 @@ from parhox.algebras import (AlgebraHom, StructureAlgebra,
                              product_field_algebra, dual_numbers)
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
-from parhox.linalg import Subspace, _char, _dense, _sp_identity, _sparse
+from parhox.homology import FreeResolution, _free_act
+from parhox.linalg import (Subspace, _char, _dense, _Echelon, _kernel_of,
+                           _sp_identity, _sp_matvec, _sp_transpose, _sparse)
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
 
 
@@ -220,7 +222,7 @@ def bump(K, rows, r, c):
         del rows[r][c]
 
 
-# -- references for StructureAlgebra.generators ------------------------------
+# -- reference for StructureAlgebra.generators -------------------------------
 
 def unit_closure_dim(A, gens):
     """dim of the span of the words in the basis elements `gens`: the unit
@@ -234,9 +236,53 @@ def unit_closure_dim(A, gens):
     return span.dim
 
 
-def whole_basis_generators(monkeypatch):
-    """Make every basis element a generator, so that submodule closures
-    and module checks run over the full action table, as before
-    generators were used."""
-    monkeypatch.setattr(StructureAlgebra, "generators",
-                        property(lambda A: list(range(A.dim))))
+# -- reference for homology.free_resolution ----------------------------------
+
+def _closure_generators(vectors, images_of, p):
+    """Greedy module generators of the submodule spanned by `vectors`,
+    taken in order: a vector not yet in the span is a generator, and its
+    submodule is then closed breadth-first, images_of(w) listing the
+    images of w under the basis of R."""
+    span = _Echelon(p)
+    gens = []
+    for v in vectors:
+        if not span.add(dict(v)):
+            continue
+        gens.append(v)
+        work = [v]
+        while work:
+            w = work.pop()
+            for u in images_of(w):
+                if span.add(dict(u)):
+                    work.append(u)
+    return gens
+
+
+def bfs_resolution(R, module, side, length, style="greedy"):
+    """(ranks, gen_images) of free_resolution(R, module, side, length,
+    style), with each generator's submodule found as a breadth-first
+    closure under the module's matrices (step 0) or the full action
+    table of R (q >= 1), and the columns of d_q formed afterwards by
+    FreeResolution._columns."""
+    K = R.field
+    p = _char(K)
+    d = R.dim
+    mats = module.right if side == "right" else module.left
+    cand = _sp_identity(module.dim)
+    if style == "greedy_reversed":
+        cand.reverse()
+    gens = _closure_generators(
+        cand, lambda w: [_sp_matvec(mat, w, p) for mat in mats], p)
+    res = FreeResolution(R, module, side, [len(gens)], [gens])
+    prev, prev_tgt = res._columns(0), module.dim
+    for q in range(1, length + 1):
+        ker = _kernel_of(K, _sp_transpose(prev, prev_tgt),
+                         res.ranks[q - 1] * d)
+        if style == "greedy_reversed":
+            ker.reverse()
+        gens = ker if style == "fat" else _closure_generators(
+            ker, lambda w: [_free_act(act, w, d, p) for act in res.acts], p)
+        res.ranks.append(len(gens))
+        res.gen_images.append(gens)
+        prev, prev_tgt = res._columns(q), res.ranks[q - 1] * d
+    return res.ranks, res.gen_images

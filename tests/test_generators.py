@@ -1,11 +1,12 @@
-"""StructureAlgebra.generators and its two uses: the submodule closures of
-free resolutions and ModuleData.validate, against the full action table."""
+"""StructureAlgebra.generators, and the free resolutions, whose generators'
+images span their submodules, against breadth-first closures under the
+full action table."""
 
 from functools import lru_cache
 
 import pytest
 
-from conftest import unit_closure_dim, whole_basis_generators
+from conftest import bfs_resolution, unit_closure_dim
 from parhox.algebras import enveloping
 from parhox.homology import env_resolution, free_resolution
 from parhox.problems import build_instance, bundled_fixtures, load_fixture
@@ -46,25 +47,42 @@ def test_generator_counts_v4():
     assert len(inst.ksdd.algebra.generators) == 4
 
 
-def resolutions(inst, style):
-    """The resolutions of the battery, each to length 2: Lambda and A over
-    their enveloping algebras, B and Omega over k_par G, B^sigma over
-    k_par^{sigma''} G."""
+def resolutions(inst, style, length=2):
+    """The resolutions of the battery: Lambda and A over their enveloping
+    algebras, B and Omega over k_par G, B^sigma over k_par^{sigma''} G."""
     B_left, B_right = inst.b_over_kpar
     bs_right = inst.bsig_modules_over_ksdd[1]
     om = inst.omega_right_over_kpar
-    out = [env_resolution(inst.lam.algebra, 2, style=style)[1],
-           env_resolution(inst.theta.algebra, 2, style=style)[1]]
+    out = [env_resolution(inst.lam.algebra, length, style=style)[1],
+           env_resolution(inst.theta.algebra, length, style=style)[1]]
     for mod, side in ((B_right, "right"), (B_left, "left"),
                       (bs_right, "right"), (om, "right")):
-        out.append(free_resolution(mod.algebra, mod, side, 2, style=style))
-    return [(res.ranks, res.gen_images) for res in out]
+        out.append(free_resolution(mod.algebra, mod, side, length,
+                                   style=style))
+    return out
+
+
+def assert_matches_closure(res, style):
+    assert (res.ranks, res.gen_images) == bfs_resolution(
+        res.R, res.module, res.side, len(res.ranks) - 1, style)
 
 
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("fixture", bundled_fixtures())
-def test_resolutions_match_full_table_closure(fixture, style, monkeypatch):
-    inst = instance(fixture)
-    got = resolutions(inst, style)
-    whole_basis_generators(monkeypatch)
-    assert resolutions(inst, style) == got
+def test_resolutions_match_full_table_closure(fixture, style):
+    for res in resolutions(instance(fixture), style):
+        assert_matches_closure(res, style)
+
+
+# the battery resolves Lambda and A of v4_partial_q over their enveloping
+# algebras to length 4 (greedy); `fat` keeps every kernel vector and is
+# over the default cap there (94 500 generators at degree 4), so it stops
+# at length 3
+@pytest.mark.parametrize("style, length", [("greedy", 4),
+                                           ("greedy_reversed", 4),
+                                           ("fat", 3)])
+def test_v4_enveloping_resolutions_match_at_battery_length(style, length):
+    inst = instance("v4_partial_q.json")
+    for R in (inst.lam.algebra, inst.theta.algebra):
+        assert_matches_closure(env_resolution(R, length, style=style)[1],
+                               style)

@@ -258,18 +258,52 @@ def test_env_resolution_ranks_are_pinned():
     assert env_resolution(lam2, 3)[1].ranks == [1, 2, 4, 7]
 
 
+def _add_a_non_cycle(images_of, gens, cols):
+    return gens + [{0: 1}], cols + images_of({0: 1})
+
+
+def _drop_the_last_generator(images_of, gens, cols):
+    return gens[:-1], cols[:-len(images_of(gens[-1]))]
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda gens: gens + [{0: 1}], "d.d != 0 at degree 1"),
-    (lambda gens: gens[:-1], "resolution not exact at degree 1"),
+    (_add_a_non_cycle, "d.d != 0 at degree 1"),
+    (_drop_the_last_generator, "resolution not exact at degree 1"),
 ], ids=["not-a-cycle", "missing-generator"])
 def test_free_resolution_gates_reject_corrupted_generators(
         monkeypatch, corrupt, message):
+    # the generators of F_1 and their columns of d_1 are corrupted as they
+    # leave the selection (its second call; the first picks F_0)
     lam = build_instance(load_fixture("z2_dual_q.json")).lam.algebra
-    original = homology._submodule_generators
-    monkeypatch.setattr(homology, "_submodule_generators",
-                        lambda *args, **kw: corrupt(original(*args, **kw)))
+    original = homology._select_generators
+    calls = []
+
+    def select(candidates, images_of, *args, **kw):
+        gens, cols = original(candidates, images_of, *args, **kw)
+        calls.append(candidates)
+        if len(calls) == 2:
+            return corrupt(images_of, gens, cols)
+        return gens, cols
+
+    monkeypatch.setattr(homology, "_select_generators", select)
     with pytest.raises(InvalidInput, match=message):
         env_resolution(lam, 2)
+    assert len(calls) == 2
+
+
+def test_free_resolution_rejects_a_module_whose_unit_acts_as_zero():
+    lam = build_instance(load_fixture("z2_dual_q.json")).lam.algebra
+    zero = ModuleData(lam, 2, left=[[{}, {}] for _ in range(lam.dim)])
+    with pytest.raises(InvalidInput, match="augmentation not surjective"):
+        free_resolution(lam, zero, "left", 1)
+
+
+def test_free_resolution_rejects_an_unknown_style():
+    lam = build_instance(load_fixture("z2_dual_q.json")).lam.algebra
+    with pytest.raises(InvalidInput, match=r"unknown resolution style "
+                       r"'fatt': expected one of greedy, greedy_reversed, "
+                       r"fat"):
+        env_resolution(lam, 1, style="fatt")
 
 
 def test_free_resolution_size_budget(monkeypatch):
