@@ -4,7 +4,8 @@ modules and bimodules, and idempotent machinery.
 Convention table (used consistently by every module):
 
   * structure constants:  b_i . b_j = sum_k  sc[(i,j)][k] . b_k,
-    stored sparsely as  sc[(i, j)] = [(k, coeff), ...];
+    stored sparsely as  sc[(i, j)] = [(k, coeff), ...], each coeff a
+    nonzero field value (a kernel scalar of `linalg`);
   * elements of algebras and modules are kernel rows of `linalg`
     (`{index: value}` dicts normalized like `linalg._nonzero`), and every
     matrix of an action or of a map is a list of kernel rows, the shape
@@ -28,15 +29,14 @@ Convention table (used consistently by every module):
     only.
 """
 
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (InvalidInput, NotCommuting, NotIdempotent, SchemaError,
                      SizeLimit, ValidationFailure)
-from .linalg import (QuotientSpace, Subspace, _char, _dense, _kernel_of,
-                     _nonzero, _rank_of, _scalar, _sp_combination,
-                     _sp_identity, _sp_matmul, _sp_matvec, _sp_sum,
-                     _sp_transpose, _sparse, coordinates_in, solve)
+from .linalg import (QuotientSpace, Subspace, _char, _kernel_of, _nonzero,
+                     _rank_of, _sp_combination, _sp_identity, _sp_matmul,
+                     _sp_matvec, _sp_sum, _sp_transpose, _sparse,
+                     coordinates_in, solve)
 
 __all__ = [
     "ValidationReport", "StructureAlgebra", "AlgebraHom", "ModuleData",
@@ -90,20 +90,23 @@ class ValidationReport:
 
 
 class StructureAlgebra:
-    """Associative unital algebra given by sparse structure constants (field
-    values); the unit and every element are kernel rows."""
+    """Associative unital algebra given by sparse structure constants; the
+    unit and every element are kernel rows."""
 
     def __init__(self, field, dim, sc, unit, labels=None, name=""):
         self.field = field
         self.p = _char(field)
         self.dim = dim
-        # one pass; a row is copied only to drop a zero coefficient, since
+        # one pass; a row is copied only to drop a zero coefficient or to
+        # store an integral Fraction, which Python arithmetic on field
+        # values can leave behind, as the int that `fields` makes of it;
         # no code mutates a row after construction
         self.sc = {}
         for ij, row in sc.items():
             for _, c in row:
-                if not c:
-                    row = [kc for kc in row if kc[1]]
+                if not c or type(c) is not int and c.denominator == 1:
+                    row = [(k, c.numerator if c.denominator == 1 else c)
+                           for k, c in row if c]
                     break
             if row:
                 self.sc[ij] = row
@@ -115,17 +118,9 @@ class StructureAlgebra:
         return self.sc.get((i, j), [])
 
     @cached_property
-    def kernel_sc(self):
-        """The structure constants with kernel scalars (`linalg._scalar`):
-        ints over F_p, and over Q ints where integral; built once."""
-        K = self.field
-        return {ij: [(k, _scalar(K, c)) for k, c in row]
-                for ij, row in self.sc.items()}
-
-    @cached_property
     def generators(self):
         """Basis indices, increasing, whose words span the algebra; built
-        once, on first use, from `kernel_sc`.  b_i is kept unless it lies
+        once, on first use, from `sc`.  b_i is kept unless it lies
         in the closure of the unit under left multiplication by the earlier
         picks already.
 
@@ -160,7 +155,7 @@ class StructureAlgebra:
 
     def mul(self, u, v):
         """The product of two elements."""
-        sc = self.kernel_sc
+        sc = self.sc
         out = {}
         get = out.get
         for i, a in u.items():
@@ -187,7 +182,7 @@ class StructureAlgebra:
         """The matrix of multiplication by v, read off the structure
         constants."""
         d = self.dim
-        sc = self.kernel_sc
+        sc = self.sc
         rows = [{} for _ in range(d)]
         for i, a in v.items():
             for j in range(d):
@@ -220,7 +215,7 @@ class StructureAlgebra:
             bi = self.basis_vector(i)
             if self.mul(self.unit, bi) != bi or self.mul(bi, self.unit) != bi:
                 rep.fail("unit", i)
-        sc = self.kernel_sc
+        sc = self.sc
         p = self.p
         for i in firsts:
             left = [sc.get((i, t), ()) for t in range(d)]     # b_i b_t
@@ -246,7 +241,7 @@ class StructureAlgebra:
         sc = [[i, j, k, K.dump(c)] for (i, j), row in sorted(self.sc.items())
               for (k, c) in row]
         return {"dim": self.dim,
-                "unit": [K.dump(a) for a in _dense(K, self.unit, self.dim)],
+                "unit": [K.dump(self.unit.get(i, 0)) for i in range(self.dim)],
                 "sc": sc, "labels": self.labels}
 
     @staticmethod
@@ -286,14 +281,14 @@ class AlgebraHom:
         return _sp_sum(((c, self.images[j]) for j, c in v.items()),
                        self.source.p)
 
-    def verify(self, unital=True):
+    def verify(self):
         """f(b_i) f(b_j) = f(b_i b_j) for every pair of basis elements, and
         f(1) = 1, both sides expanded by structure constants."""
         rep = ValidationReport(f"hom {self.name}")
         src, tgt = self.source, self.target
         p = src.p
         imgs = self.images
-        ssc, tsc = src.kernel_sc, tgt.kernel_sc
+        ssc, tsc = src.sc, tgt.sc
 
         def combine(terms):
             """sum c . (sum e b_t) over (c, [(t, e), ...]) terms."""
@@ -311,7 +306,7 @@ class AlgebraHom:
                               for k, c in ssc.get((i, j), ()))
                 if lhs != rhs:
                     rep.fail("multiplicative", i, j)
-        if unital and self.apply(src.unit) != tgt.unit:
+        if self.apply(src.unit) != tgt.unit:
             rep.fail("unit")
         return rep
 
@@ -413,7 +408,7 @@ class ModuleData:
             for j in range(A.dim):
                 lhs = _sp_matmul(mats[i], mats[j], p) if side == "left" \
                     else _sp_matmul(mats[j], mats[i], p)
-                if lhs != combination(A.kernel_sc.get((i, j), ())):
+                if lhs != combination(A.sc.get((i, j), ())):
                     rep.fail(f"{side} action", i, j)
 
 
@@ -469,14 +464,6 @@ def bimodule_to_right_env_module(env, A, M):
     return ModuleData(env, M.dim, right=right, name=f"{M.name} as right {env.name}")
 
 
-def _sc_row(K, row):
-    """A kernel row as a row of structure constants: (index, field value)
-    pairs by increasing index."""
-    if K.kind == "Q":
-        return [(k, Fraction(c)) for k, c in sorted(row.items())]
-    return sorted(row.items())
-
-
 class SubalgebraResult:
     def __init__(self, algebra, span, inclusion):
         self.algebra = algebra
@@ -489,16 +476,15 @@ class SubalgebraResult:
         return self.span.coords(vec)
 
 
-def subalgebra_generated(A, gens, adjoin_unit=True, name=""):
-    """Span-closure of gens (plus the unit) under the product of A."""
+def subalgebra_generated(A, gens, name=""):
+    """Span-closure of gens and the unit under the product of A."""
     K = A.field
     span = Subspace(K, A.dim)
     vecs = []
     def push(v):
         if span.add(v):
             vecs.append(v)
-    if adjoin_unit:
-        push(A.unit)
+    push(A.unit)
     for g in gens:
         push(g)
     frontier = list(vecs)
@@ -519,7 +505,7 @@ def subalgebra_generated(A, gens, adjoin_unit=True, name=""):
             coords = span.coords(A.mul(basis[i], basis[j]))
             assert coords is not None, "subalgebra closure failed"
             if coords:
-                sc[(i, j)] = _sc_row(K, coords)
+                sc[(i, j)] = sorted(coords.items())
     unit_coords = span.coords(A.unit)
     if unit_coords is None:
         raise InvalidInput("unit of the ambient algebra not in the subalgebra")
@@ -572,7 +558,7 @@ def separability_idempotent(A):
     def add(eq, var, c):
         rows[eq][var] = rows[eq].get(var, 0) + c
 
-    for (i, j), terms in A.kernel_sc.items():
+    for (i, j), terms in A.sc.items():
         for k, c in terms:
             add(k, i * d + j, c)
             for l in range(d):

@@ -1,8 +1,11 @@
 """The calculus of partial factor sets of a finite group.
 
-A partial factor set is a scalar table sigma(g, h) with zeros allowed; it
-is validated against the support pattern of a concrete partial action (or
-of a constructed twisted partial group algebra), never in the abstract.
+A partial factor set is a table sigma(g, h) of field values with zeros
+allowed, in the one format that `fields` makes (over Q an int where
+integral); its values enter structure constants and kernel rows as they
+are.  It is validated against the support pattern of a concrete partial
+action (or of a constructed twisted partial group algebra), never in the
+abstract.
 The derived tables sigma*, sigma' = sigma.sigma*, the rescaling xi and the
 idempotent representative sigma'' are all materialized eagerly.
 """

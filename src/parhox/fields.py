@@ -1,8 +1,12 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Field elements are plain Python values (``fractions.Fraction`` for the
-rationals, ``int`` residues in ``[0, p)`` for a prime field); a ``Field``
-object supplies the operations.  Nothing here ever rounds.
+A field value is a plain Python value, the kernel scalar of `linalg`: over
+the rationals an ``int`` where the value is integral and a
+``fractions.Fraction`` otherwise, so that the common integral entries never
+pay for Fraction arithmetic; over a prime field an ``int`` residue in
+``[0, p)``.  This module alone decides that format: every operation of a
+``Field`` returns it, and other modules pass field values on as they are.
+Nothing here ever rounds.
 """
 
 from fractions import Fraction
@@ -89,20 +93,27 @@ class Field:
         return hash((self.kind, self.characteristic))
 
 
+def _rational(a):
+    """A rational number as a field value: an int when it is integral."""
+    if type(a) is int or a.denominator != 1:
+        return a
+    return a.numerator
+
+
 class RationalField(Field):
     kind = "Q"
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -110,15 +121,15 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0 in Q")
-        return 1 / a
+        return _rational(1 / Fraction(a))
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by 0 in Q")
-        return a / b
+        return _rational(Fraction(a) / b)
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def sqrt(self, a):
         if a < 0:
@@ -126,13 +137,13 @@ class RationalField(Field):
         num, den = a.numerator, a.denominator
         rn, rd = isqrt(num), isqrt(den)
         if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd)
+            return _rational(Fraction(rn, rd))
         return None
 
     def parse(self, obj):
         if isinstance(obj, (str, int)):
             try:
-                return Fraction(obj)
+                return _rational(Fraction(obj))
             except (ValueError, ZeroDivisionError):
                 pass
         raise SchemaError(f"cannot parse rational scalar from {obj!r}")

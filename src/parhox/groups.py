@@ -16,12 +16,11 @@ __all__ = [
 
 
 class FiniteGroup:
-    def __init__(self, cayley, name=None, validate=True):
+    def __init__(self, cayley, name=None):
         self.n = len(cayley)
         self.table = [list(row) for row in cayley]
         self.name = name or f"group{self.n}"
-        if validate:
-            self._validate()
+        self._validate()
         self.inverse = [0] * self.n
         for g in range(self.n):
             for h in range(self.n):

@@ -26,6 +26,8 @@ Degree conventions:
     coboundary d[q] is the transpose of the bar boundary b_q of M*, and
     C^q has the bar basis of M*, M-major: the cochain sending the tuple
     t to e_m and every other tuple to 0 has flat index m * W^q + flat(t).
+    So dim H^q(R, M) = dim H_q(R, M*), and Hochschild cohomology dims are
+    the homology dims of `dual_bimodule(M)` on either route.
 
 The diagonal action of the group on Hochschild chains of the coefficient
 algebra A (`diagonal_action`, on chains, or on cochains with `cochain`
@@ -44,7 +46,7 @@ from .algebras import (ModuleData, ValidationReport,
                        bimodule_to_right_env_module, enveloping,
                        hom_over_algebra, module_from_generator_actions)
 from .linalg import (QuotientSpace, Subspace, _char, _Echelon, _kernel_of,
-                     _nonzero, _rank_of, _scalar, _sp_combination,
+                     _nonzero, _rank_of, _sp_combination,
                      _sp_identity, _sp_kron, _sp_matmul, _sp_matvec,
                      _sp_transpose, coordinates_in)
 
@@ -52,8 +54,7 @@ __all__ = [
     "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
     "HomologyData", "homology_data", "FreeResolution", "free_resolution",
     "tor_dims", "ext_dims", "hochschild_homology_bar",
-    "hochschild_homology_resolution", "hochschild_cohomology_bar",
-    "hochschild_cohomology_resolution", "GModuleOnChains", "diagonal_action",
+    "hochschild_homology_resolution", "GModuleOnChains", "diagonal_action",
     "induced_action_on_homology",
     "hom_A_carrier", "hom_A_module_structure",
 ]
@@ -291,34 +292,14 @@ class FreeResolution:
         self.gen_images = gen_images
         self.acts = _action_table(R, side)
 
-    def _columns(self, q):
-        """Sparse columns of d_q: F_q -> F_{q-1} (q >= 1) or of the
-        augmentation (q = 0), one per basis element u_j b_i of F_q."""
-        R = self.R
-        p = _char(R.field)
-        if q == 0:
-            X = self.module
-            mats = X.right if self.side == "right" else X.left
-            return [_sp_matvec(mat, img, p)
-                    for img in self.gen_images[0] for mat in mats]
-        return [_free_act(act, img, R.dim, p)
-                for img in self.gen_images[q] for act in self.acts]
-
-    def boundary_matrix(self, q):
-        """The kappa-matrix (kernel rows) of d_q: F_q -> F_{q-1} (q >= 1) or
-        of the augmentation (q = 0)."""
-        tgt_dim = self.module.dim if q == 0 else self.ranks[q - 1] * self.R.dim
-        return _sp_transpose(self._columns(q), tgt_dim)
-
 
 def _action_table(R, side):
     """acts[i][j] = [(k, c), ...]: b_j . b_i (side right) or b_i . b_j
-    (side left) read off the structure constants, as kernel scalars."""
-    K = R.field
+    (side left), the rows of the structure constants."""
     acts = [{} for _ in range(R.dim)]
     for (i, j), row in R.sc.items():
         b, u = (j, i) if side == "right" else (i, j)
-        acts[b][u] = [(k, _scalar(K, c)) for k, c in row]
+        acts[b][u] = row
     return acts
 
 
@@ -517,21 +498,6 @@ def _env_left_regular(env, R):
             for i in range(R.dim) for Rj in rights]
 
 
-def hochschild_cohomology_bar(R, M, max_n, normalized=True,
-                              cap=DEFAULT_CHAIN_CAP):
-    cc, _ = cobar_complex(R, M, max_n + 1, normalized=normalized, cap=cap)
-    return homology_dims_of_complex(cc, max_n)
-
-
-def hochschild_cohomology_resolution(R, M, max_n, style="greedy",
-                                     env_res=None):
-    """H^n(R, M) = Ext^n_{R^e}(R, M)."""
-    env, res = env_res if env_res is not None else \
-        env_resolution(R, max_n + 1, style=style)
-    return ext_dims(env, res.module, bimodule_to_left_env_module(env, R, M),
-                    max_n, style=style, resolution=res)
-
-
 # ---------------------------------------------------------------------------
 # the diagonal action on Hochschild chains of A
 
@@ -579,7 +545,7 @@ class GModuleOnChains:
                     Th = T[h][q]
                     Tgh = T[mul(g, h)][q]
                     Thi = T[inv(h)][q]
-                    s = _scalar(K, sigma(g, h))
+                    s = sigma(g, h)
                     TgTh = _sp_matmul(Tg, Th, p)
                     TgiTgh = _sp_matmul(Tgi, Tgh, p)
                     TghThi = _sp_matmul(Tgh, Thi, p)
@@ -605,8 +571,8 @@ def _crossed_action_matrices(lam, M, xi):
         AG.append(theta.action.theta[g])
         lm = M.left_matrix_of(lam.one_delta(g))
         rm = M.right_matrix_of(lam.one_delta(G.inv(g)))
-        MG.append(_sp_combination([(_scalar(K, xi(g)), _sp_matmul(lm, rm, p))],
-                                  M.dim, p))
+        MG.append(_sp_combination([(xi(g), _sp_matmul(lm, rm, p))], M.dim,
+                                  p))
     return AG, MG
 
 

@@ -31,8 +31,7 @@ DEFAULT_MONOID_LIMIT = 512      # the default bound on |S(G)|
 
 class Instance:
     def __init__(self, name, field, group, sigma=None, theta=None,
-                 module=None, validate=True,
-                 monoid_limit=DEFAULT_MONOID_LIMIT):
+                 module=None, monoid_limit=DEFAULT_MONOID_LIMIT):
         """theta: a TwistedPartialAction or None (then the universal action
         on B^sigma is used); module: a function building the coefficient
         Lambda-bimodule from the crossed product, or None (then the regular
@@ -67,10 +66,9 @@ class Instance:
         self.kpar = build_kpar(G, K, monoid=self.monoid)
         self.ks = build_kpar_sigma(sigma, monoid=self.monoid)
         self.ksdd = build_kpar_idempotent(self.sigma_dd, monoid=self.monoid)
-        if validate:
-            check_defining_relations(self.ks).raise_if_failed()
-            rep = self.ks.canonical_representation()
-            rep.validate(factor_set_property=True).raise_if_failed()
+        check_defining_relations(self.ks).raise_if_failed()
+        rep = self.ks.canonical_representation()
+        rep.validate(factor_set_property=True).raise_if_failed()
         self.bsig, self.omega = build_B_sigma_omega(self.kpar, self.ks,
                                                     ksdd=self.ksdd)
         # the crossed product: universal on B^sigma unless an action is given
@@ -81,17 +79,15 @@ class Instance:
             self.phi, self.psi = phi, psi
             self.theta = lam.theta
         else:
-            if validate:
-                validate_twisted(theta, G).raise_if_failed()
+            validate_twisted(theta, G).raise_if_failed()
             self.theta = theta
-            self.lam = build_crossed_product(theta, validate=validate)
+            self.lam = build_crossed_product(theta)
             self.phi = self.psi = None
-        if validate:
-            check_ideal_splittings(self.theta).raise_if_failed()
-            gamma_sigma(self.lam)          # canonical rep gates
+        check_ideal_splittings(self.theta).raise_if_failed()
+        gamma_sigma(self.lam)          # canonical rep gates
         self.M = regular_bimodule(self.lam.algebra) if module is None \
             else module(self.lam)
-        if self.M.dim and validate:
+        if self.M.dim:
             self.M.validate().raise_if_failed()
         self.chain_cap = DEFAULT_CHAIN_CAP
         self._longest = {}

@@ -9,13 +9,14 @@ Conventions used across the whole package:
   * the linear map of an m x n matrix M is  v |-> M . v  (column vector);
   * composition of maps is _sp_matmul(A, B) ("A after B").
 
-The values of a kernel row are kernel scalars (`_scalar`): over F_p int
-residues, over Q ints where the value is integral and Fractions otherwise,
-so that the common +-1 entries never pay for Fraction arithmetic.  Results
-are normalized like `_nonzero` (reduced mod p over F_p, zeros dropped), so
-two vectors or matrices are equal exactly when their rows compare equal.
-Dense lists of field values exist only where JSON enters (`_sparse`,
-`_sparse_matrix`) and leaves (`_dense`).
+The values of a kernel row are kernel scalars, the one format of a field
+value, which `fields` decides: over F_p int residues, over Q ints where
+the value is integral and Fractions otherwise.  Python arithmetic on them
+may leave an integral value as a Fraction; it equals the int, and the
+kernel compares values, never types.  Results are normalized like
+`_nonzero` (reduced mod p over F_p, zeros dropped), so two vectors or
+matrices are equal exactly when their rows compare equal.  Dense lists of
+field values exist only where JSON enters (`_sparse`, `_sparse_matrix`).
 
 Elimination works on kernel rows kept in row echelon form under their
 leading column (`_Echelon`).  A vector is reduced against the stored rows
@@ -56,13 +57,6 @@ def _char(K):
     return 0 if K.kind == "Q" else K.characteristic
 
 
-def _scalar(K, a):
-    """A field value as a kernel scalar."""
-    if K.kind == "Q":
-        return a.numerator if a.denominator == 1 else a
-    return a % K.characteristic
-
-
 def _nonzero(v, p):
     """v without its zero entries (reduced mod p over F_p)."""
     if p:
@@ -72,19 +66,7 @@ def _nonzero(v, p):
 
 def _sparse(K, vec):
     """A dense vector of field values, as read from JSON, as a kernel row."""
-    return _nonzero({j: _scalar(K, a) for j, a in enumerate(vec)}, _char(K))
-
-
-def _dense(K, row, n):
-    """A kernel row as a dense vector of length n over K, for JSON output."""
-    out = [K.zero] * n
-    if K.kind == "Q":
-        for j, a in row.items():
-            out[j] = a if type(a) is Fraction else Fraction(a)
-    else:
-        for j, a in row.items():
-            out[j] = a
-    return out
+    return _nonzero(dict(enumerate(vec)), _char(K))
 
 
 def _sparse_matrix(K, M):

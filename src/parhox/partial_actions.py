@@ -14,9 +14,9 @@ pairs (g, ideal basis vector of D_g) and the product rule
 from .errors import (AssociativityFailure, InvalidInput, NotCovariant,
                      NotARepresentation, PropertyFailure, ValidationFailure)
 from .algebras import (AlgebraHom, StructureAlgebra, ValidationReport,
-                       _sc_row, subalgebra_generated)
+                       subalgebra_generated)
 from .factor_sets import validate_twist
-from .linalg import (Subspace, _scalar, _sp_identity, _sp_matvec, _sp_sum,
+from .linalg import (Subspace, _sp_identity, _sp_matvec, _sp_sum,
                      _sp_transpose)
 
 __all__ = [
@@ -209,7 +209,7 @@ class CrossedProductAlgebra:
         return self.delta(g, self.theta.one[g])
 
 
-def build_crossed_product(theta, name=None, validate=True):
+def build_crossed_product(theta, name=None):
     """Construct Lambda = A *_Theta G; exhaustive associativity is a gate
     that reports invalid input (AssociativityFailure)."""
     action = theta.action
@@ -227,7 +227,7 @@ def build_crossed_product(theta, name=None, validate=True):
         a = dg_bases[g][li]
         for p2, (h, lj) in enumerate(basis_index):
             b = dg_bases[h][lj]
-            s = _scalar(K, sigma(g, h))
+            s = sigma(g, h)
             if not s:
                 continue
             gh = group.mul(g, h)
@@ -238,8 +238,8 @@ def build_crossed_product(theta, name=None, validate=True):
             coords = action.ideal_space(gh).coords(w)
             if coords is None:
                 raise InvalidInput("crossed product does not close")
-            sc[(p1, p2)] = _sc_row(K, {pos[(gh, lk)]: c
-                                       for lk, c in coords.items()})
+            sc[(p1, p2)] = [(pos[(gh, lk)], c)
+                            for lk, c in sorted(coords.items())]
     unit_coords = action.ideal_space(0).coords(A.unit)
     if unit_coords is None:
         raise InvalidInput("the unit of A is not in D_1")
@@ -247,12 +247,11 @@ def build_crossed_product(theta, name=None, validate=True):
     labels = [f"d{g}[{li}]" for (g, li) in basis_index]
     alg = StructureAlgebra(K, dim, sc, unit, labels=labels,
                            name=name or f"{A.name}*{group.name}")
-    if validate:
-        rep = alg.validate()
-        if not rep.ok:
-            raise AssociativityFailure(
-                "crossed product is not associative; the input twisted "
-                f"partial action is invalid: {rep.violations[:3]}", rep)
+    rep = alg.validate()
+    if not rep.ok:
+        raise AssociativityFailure(
+            "crossed product is not associative; the input twisted "
+            f"partial action is invalid: {rep.violations[:3]}", rep)
     return CrossedProductAlgebra(theta, alg, basis_index, dg_bases)
 
 
@@ -270,7 +269,6 @@ class PartialProjRepresentation:
 
     def validate(self, factor_set_property=True):
         R = self.target
-        K = R.field
         G = self.group
         sigma = self.sigma
         rep = ValidationReport("partial projective representation")
@@ -280,7 +278,7 @@ class PartialProjRepresentation:
             ginv = G.inv(g)
             for h in range(G.n):
                 gh = G.mul(g, h)
-                s = _scalar(K, sigma(g, h))
+                s = sigma(g, h)
                 left = R.mul(self.gamma[ginv], R.mul(self.gamma[g], self.gamma[h]))
                 right = _sp_sum([(s, R.mul(self.gamma[ginv], self.gamma[gh]))],
                                 R.p)
@@ -345,7 +343,7 @@ def induced_idempotents(rep):
             es.append({})
         else:
             prod = R.mul(rep.gamma[g], rep.gamma[G.inv(g)])
-            es.append(_sp_sum([(_scalar(K, K.inv(s)), prod)], R.p))
+            es.append(_sp_sum([(K.inv(s), prod)], R.p))
     report = ValidationReport("induced idempotents")
     for g in range(G.n):
         if R.mul(es[g], es[g]) != es[g]:
@@ -362,7 +360,7 @@ def induced_idempotents(rep):
     return es
 
 
-def induced_partial_action(rep, validate=True):
+def induced_partial_action(rep):
     """The unital partial action on the subalgebra generated by the induced
     idempotents; returns (SubalgebraResult, UnitalPartialAction in the
     subalgebra basis)."""
@@ -390,18 +388,15 @@ def induced_partial_action(rep, validate=True):
                 continue
             dom = R.mul(es[ginv], bvec)
             img = R.mul(rep.gamma[g], R.mul(dom, rep.gamma[ginv]))
-            img = _sp_sum([(_scalar(K, K.inv(s)), img)], R.p)
+            img = _sp_sum([(K.inv(s), img)], R.p)
             coords = subres.to_sub_coords(img)
             if coords is None:
                 raise PropertyFailure("theta^Gamma leaves the subalgebra")
             cols.append(coords)
         thetas.append(_sp_transpose(cols, B.dim))
     act = UnitalPartialAction(B, one, thetas)
-    if validate:
-        report = validate_partial_action(act, G)
-        report.raise_if_failed()
-        tw = TwistedPartialAction(act, sigma)
-        validate_twisted(tw, G).raise_if_failed()
+    validate_partial_action(act, G).raise_if_failed()
+    validate_twisted(TwistedPartialAction(act, sigma), G).raise_if_failed()
     return subres, act
 
 
@@ -410,12 +405,11 @@ def validate_covariant(pi, rep, theta, group):
     checks Gamma(g) pi(a) Gamma(g^-1) = sigma(g, g^-1) pi(theta_g(a)) for a
     in an ideal basis of D_{g^-1}."""
     R = rep.target
-    K = R.field
     sigma = rep.sigma
     report = ValidationReport("covariant representation")
     for g in range(group.n):
         ginv = group.inv(g)
-        s = _scalar(K, sigma(g, ginv))
+        s = sigma(g, ginv)
         for a in theta.action.ideal_basis(ginv):
             lhs = R.mul(rep.gamma[g], R.mul(pi.apply(a), rep.gamma[ginv]))
             rhs = _sp_sum([(s, pi.apply(theta.apply_theta(g, a)))], R.p)
@@ -437,26 +431,24 @@ def pi_times_gamma(pi, rep, crossed):
     return hom
 
 
-def transport_by_equivalence(theta_rho, eta, validate=True):
+def transport_by_equivalence(theta_rho, eta):
     """Replace the twist rho by its eta-transport nu and return the
     isomorphism  A *_{theta,nu} G -> A *_{theta,rho} G,
     a delta_g^nu -> eta(g) a delta_g^rho."""
     nu = eta.transport(theta_rho.sigma)
     theta_nu = TwistedPartialAction(theta_rho.action, nu)
-    if validate:
-        validate_twisted(theta_nu).raise_if_failed()
-    lam_rho = build_crossed_product(theta_rho, validate=validate)
-    lam_nu = build_crossed_product(theta_nu, validate=validate)
+    validate_twisted(theta_nu).raise_if_failed()
+    lam_rho = build_crossed_product(theta_rho)
+    lam_nu = build_crossed_product(theta_nu)
     A = theta_rho.algebra
-    cols = [_sp_sum([(_scalar(A.field, eta(g)),
-                      lam_rho.delta(g, lam_nu.dg_bases[g][li]))], A.p)
+    cols = [_sp_sum([(eta(g), lam_rho.delta(g, lam_nu.dg_bases[g][li]))],
+                    A.p)
             for (g, li) in lam_nu.basis_index]
     hom = AlgebraHom(lam_nu.algebra, lam_rho.algebra, cols,
                      name="eta transport")
-    if validate:
-        hom.verify().raise_if_failed()
-        if not hom.is_bijective():
-            raise ValidationFailure("eta transport is not bijective")
+    hom.verify().raise_if_failed()
+    if not hom.is_bijective():
+        raise ValidationFailure("eta transport is not bijective")
     return theta_nu, lam_nu, lam_rho, hom
 
 

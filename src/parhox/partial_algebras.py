@@ -38,7 +38,7 @@ from .algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                        subalgebra_generated)
 from .factor_sets import MonoidFactorSet, trivial_factor_set
 from .groups import enumerate_exel
-from .linalg import (_char, _scalar, _sp_identity, _sp_matmul, _sp_sum,
+from .linalg import (_char, _sp_identity, _sp_matmul, _sp_sum,
                      _sp_transpose)
 from .partial_actions import (PartialProjRepresentation, TwistedPartialAction,
                               build_crossed_product, induced_partial_action)
@@ -231,22 +231,16 @@ def _light_generators(targ, gens):
     return sorted(set(gens) | (set(range(len(targ))) - reached))
 
 
-def _int_pairs(K, scal, targ):
-    """The scalars of the table as integer (numerator, denominator) rows:
-    exact over Q, (residue, 1) over F_p.  Cells without a target get
-    (0, 1)."""
-    p = K.characteristic
+def _int_pairs(scal, targ):
+    """The scalars of the table as integer (numerator, denominator) rows;
+    a field value that is an int (every one over F_p) gives (value, 1).
+    Cells without a target get (0, 1)."""
     nums, dens = [], []
     for srow, trow in zip(scal, targ):
-        if p:
-            nums.append([srow[k] % p if t >= 0 else 0
-                         for k, t in enumerate(trow)])
-            dens.append([1] * len(trow))
-        else:
-            nums.append([srow[k].numerator if t >= 0 else 0
-                         for k, t in enumerate(trow)])
-            dens.append([srow[k].denominator if t >= 0 else 1
-                         for k, t in enumerate(trow)])
+        nums.append([srow[k].numerator if t >= 0 else 0
+                     for k, t in enumerate(trow)])
+        dens.append([srow[k].denominator if t >= 0 else 1
+                     for k, t in enumerate(trow)])
     return nums, dens
 
 
@@ -270,7 +264,7 @@ def _associativity_defect(K, surviving, scal, targ, middles):
     over F_p when it is 0 mod p (there every d is 1).
     """
     p = K.characteristic
-    num, den = _int_pairs(K, scal, targ)
+    num, den = _int_pairs(scal, targ)
     for i in range(len(surviving)):
         ti, ni, di = targ[i], num[i], den[i]
         for j in middles:
@@ -410,7 +404,6 @@ def check_defining_relations(ktw):
     """The defining relations of the twisted partial group algebra and the
     zero-pattern biconditionals, checked exhaustively in the built algebra."""
     G = ktw.group
-    K = ktw.field
     R = ktw.algebra
     sigma = ktw.sigma
     rep = ValidationReport(f"defining relations of {R.name}")
@@ -424,7 +417,7 @@ def check_defining_relations(ktw):
         for h in range(G.n):
             gh = G.mul(g, h)
             hi = G.inv(h)
-            s = _scalar(K, sigma(g, h))
+            s = sigma(g, h)
             lhs = R.mul(gm[gi], R.mul(gm[g], gm[h]))
             rhs = _sp_sum([(s, R.mul(gm[gi], gm[gh]))], R.p)
             if lhs != rhs:
@@ -444,7 +437,7 @@ def check_defining_relations(ktw):
     return rep
 
 
-def universal_hom(ktw, rep, check_uniqueness=True):
+def universal_hom(ktw, rep):
     """The algebra map kappa_par^sigma G -> R sending [g] to Gamma(g),
     for a validated partial sigma-representation Gamma."""
     report = rep.validate(factor_set_property=False)
@@ -467,12 +460,11 @@ def universal_hom(ktw, rep, check_uniqueness=True):
     for g in range(G.n):
         if hom.apply(ktw.gen_vector(g)) != rep.gamma[g]:
             raise NotARepresentation(f"universal hom misses Gamma({g})")
-    if check_uniqueness:
-        gen_span = subalgebra_generated(ktw.algebra,
-                                        [ktw.gen_vector(g) for g in range(G.n)])
-        if gen_span.algebra.dim != ktw.dim:
-            raise ValidationFailure("the generators do not span; universal "
-                                    "hom would not be unique")
+    gen_span = subalgebra_generated(ktw.algebra,
+                                    [ktw.gen_vector(g) for g in range(G.n)])
+    if gen_span.algebra.dim != ktw.dim:
+        raise ValidationFailure("the generators do not span; universal "
+                                "hom would not be unique")
     return hom
 
 
@@ -625,7 +617,6 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
       * the algebra map iota: B^{sigma''} -> B^sigma, e_g -> e_g^sigma.
 
     Returns (left ModuleData, right ModuleData, iota AlgebraHom)."""
-    K = ktw.field
     G = ktw.group
     if bsig is None:
         bsig_alg, positions = extract_idempotent_subalgebra(ktw)
@@ -645,7 +636,7 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
             continue
         cols = []
         gv, giv = ktw.gen_vector(g), ktw.gen_vector(G.inv(g))
-        s = _scalar(K, xi(g))
+        s = xi(g)
         for p in positions:
             img = ktw.algebra.mul(gv, ktw.algebra.mul({p: 1}, giv))
             cols.append(to_sub(_sp_sum([(s, img)], ktw.algebra.p)))

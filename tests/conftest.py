@@ -8,7 +8,7 @@ from parhox.algebras import (AlgebraHom, StructureAlgebra,
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
 from parhox.homology import FreeResolution, _free_act
-from parhox.linalg import (Subspace, _char, _dense, _Echelon, _kernel_of,
+from parhox.linalg import (Subspace, _char, _Echelon, _kernel_of,
                            _sp_identity, _sp_matvec, _sp_transpose, _sparse)
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
 
@@ -67,6 +67,14 @@ def ref_rref(K, M, n):
 
 def rank(K, M):
     return len(ref_rref(K, M, len(M[0]) if M else 0)[1])
+
+
+def dense_row(K, row, n):
+    """A kernel row as a dense vector of length n over K."""
+    out = [K.zero] * n
+    for j, a in row.items():
+        out[j] = a
+    return out
 
 
 def sparse_rows(K, M):
@@ -150,8 +158,8 @@ def dense_map_on_quotient(T, ambient_map_fn):
     vectors (index ix * dim Y + iy): project the image of each lifted
     quotient basis vector."""
     K = T.K
-    cols = [_dense(K, T.quotient.project(_sparse(K, ambient_map_fn(
-        _dense(K, T.quotient.lift({i: 1}), T.ambient_dim)))), T.dim)
+    cols = [dense_row(K, T.quotient.project(_sparse(K, ambient_map_fn(
+        dense_row(K, T.quotient.lift({i: 1}), T.ambient_dim)))), T.dim)
         for i in range(T.dim)]
     return transpose(cols)
 
@@ -168,7 +176,7 @@ def dense_kron(K, A, B, shape_a=None, shape_b=None):
 
 def densify(K, rows, ncols):
     """Kernel rows as a dense matrix with ncols columns."""
-    return [_dense(K, row, ncols) for row in rows]
+    return [dense_row(K, row, ncols) for row in rows]
 
 
 def assert_kernel_rows(K, rows, nrows, ncols):
@@ -189,7 +197,7 @@ def assert_kernel_rows(K, rows, nrows, ncols):
 def dense_mult_matrix(A, v, left=True):
     """The dense matrix of x |-> v . x (or x . v), column j being the
     product with the j-th basis vector by `mul`."""
-    cols = [_dense(A.field, A.mul(v, b) if left else A.mul(b, v), A.dim)
+    cols = [dense_row(A.field, A.mul(v, b) if left else A.mul(b, v), A.dim)
             for b in map(A.basis_vector, range(A.dim))]
     return transpose(cols)
 
@@ -198,7 +206,7 @@ def hom_matrix(hom):
     """The dense (target dim x source dim) matrix of an AlgebraHom, whose
     columns are its images."""
     K = hom.source.field
-    return [[_dense(K, img, hom.target.dim)[r] for img in hom.images]
+    return [[dense_row(K, img, hom.target.dim)[r] for img in hom.images]
             for r in range(hom.target.dim)]
 
 
@@ -258,12 +266,34 @@ def _closure_generators(vectors, images_of, p):
     return gens
 
 
+def resolution_columns(res, q):
+    """Sparse columns of d_q: F_q -> F_{q-1} (q >= 1) or of the
+    augmentation (q = 0) of a FreeResolution, one per basis element
+    u_j b_i of F_q."""
+    R = res.R
+    p = _char(R.field)
+    if q == 0:
+        X = res.module
+        mats = X.right if res.side == "right" else X.left
+        return [_sp_matvec(mat, img, p)
+                for img in res.gen_images[0] for mat in mats]
+    return [_free_act(act, img, R.dim, p)
+            for img in res.gen_images[q] for act in res.acts]
+
+
+def boundary_matrix(res, q):
+    """The kappa-matrix (kernel rows) of d_q: F_q -> F_{q-1} (q >= 1) or
+    of the augmentation (q = 0) of a FreeResolution."""
+    tgt_dim = res.module.dim if q == 0 else res.ranks[q - 1] * res.R.dim
+    return _sp_transpose(resolution_columns(res, q), tgt_dim)
+
+
 def bfs_resolution(R, module, side, length, style="greedy"):
     """(ranks, gen_images) of free_resolution(R, module, side, length,
     style), with each generator's submodule found as a breadth-first
     closure under the module's matrices (step 0) or the full action
     table of R (q >= 1), and the columns of d_q formed afterwards by
-    FreeResolution._columns."""
+    `resolution_columns`."""
     K = R.field
     p = _char(K)
     d = R.dim
@@ -274,7 +304,7 @@ def bfs_resolution(R, module, side, length, style="greedy"):
     gens = _closure_generators(
         cand, lambda w: [_sp_matvec(mat, w, p) for mat in mats], p)
     res = FreeResolution(R, module, side, [len(gens)], [gens])
-    prev, prev_tgt = res._columns(0), module.dim
+    prev, prev_tgt = resolution_columns(res, 0), module.dim
     for q in range(1, length + 1):
         ker = _kernel_of(K, _sp_transpose(prev, prev_tgt),
                          res.ranks[q - 1] * d)
@@ -284,5 +314,5 @@ def bfs_resolution(R, module, side, length, style="greedy"):
             ker, lambda w: [_free_act(act, w, d, p) for act in res.acts], p)
         res.ranks.append(len(gens))
         res.gen_images.append(gens)
-        prev, prev_tgt = res._columns(q), res.ranks[q - 1] * d
+        prev, prev_tgt = resolution_columns(res, q), res.ranks[q - 1] * d
     return res.ranks, res.gen_images

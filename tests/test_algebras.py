@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (assert_kernel_rows, dense_kron, dense_map_on_quotient,
-                      dense_mult_matrix, densify, hom_from_matrix, hom_matrix,
-                      identity, matvec, rank, ref_rref, sparse_rows)
+                      dense_mult_matrix, dense_row, densify, hom_from_matrix,
+                      hom_matrix, identity, matvec, rank, ref_rref,
+                      sparse_rows)
 from parhox.errors import InvalidInput, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
@@ -18,8 +19,7 @@ from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                              separability_idempotent, subalgebra_generated,
                              tensor_over_algebra)
 from parhox.groups import cyclic_group, symmetric_group
-from parhox.linalg import (Subspace, _dense, _sp_identity, _sparse,
-                           _sparse_matrix)
+from parhox.linalg import Subspace, _sp_identity, _sparse, _sparse_matrix
 from parhox.partial_algebras import build_kpar
 
 
@@ -231,7 +231,8 @@ def test_enveloping():
             a, b = A.basis_vector(i), A.basis_vector(j)
             want = [[None] * M.dim for _ in range(M.dim)]
             for c in range(M.dim):
-                col = _dense(QQ, M.act_right(M.act_left(a, {c: 1}), b), M.dim)
+                col = dense_row(QQ, M.act_right(M.act_left(a, {c: 1}), b),
+                                M.dim)
                 for r in range(M.dim):
                     want[r][c] = col[r]
             assert got == want
@@ -280,7 +281,7 @@ def dense_separability_idempotent(A):
     nvars = d * d
     rows = []
     # multiplication condition: sum_ij e_ij b_i b_j = 1
-    unit = _dense(K, A.unit, d)
+    unit = dense_row(K, A.unit, d)
     for k in range(d):
         row = [K.zero] * nvars
         for i in range(d):

@@ -3,8 +3,13 @@ from random import Random
 
 import pytest
 
+from parhox.algebras import enveloping
 from parhox.errors import DivisionByZero, FieldMismatch, SchemaError
+from parhox.factor_sets import PartialFactorSet
 from parhox.fields import QQ, PrimeField, ensure_same_field, field_from_json
+from parhox.groups import cyclic_group
+from parhox.partial_actions import build_crossed_product
+from parhox.partial_algebras import build_kpar_sigma, phi_psi_crossed_iso
 
 
 def test_rational_basics():
@@ -114,3 +119,27 @@ def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         ensure_same_field(QQ, PrimeField(5))
     assert ensure_same_field(PrimeField(5), PrimeField(5)).p == 5
+
+
+def test_rational_values_are_ints_where_integral():
+    # one scalar format over Q: an int where the value is integral, a
+    # Fraction otherwise, from parsing, from field arithmetic and in every
+    # structure constant, also where Fraction arithmetic computed it
+    assert type(QQ.parse("2")) is int and type(QQ.parse("4/2")) is int
+    inv = QQ.inv(3)
+    assert type(inv) is Fraction and inv == Fraction(1, 3)
+    assert type(QQ.div(1, 3)) is Fraction and type(QQ.mul(inv, 3)) is int
+    # a coboundary twist of Z3 with f = (1, 1/2, 3): sigma(2, 2) = 18
+    G = cyclic_group(3)
+    f = [QQ.one, QQ.parse("1/2"), QQ.parse("3")]
+    sigma = PartialFactorSet(G, QQ, [
+        [QQ.div(QQ.mul(f[g], f[h]), f[G.mul(g, h)]) for h in range(3)]
+        for g in range(3)], name="df")
+    assert type(sigma(2, 2)) is int and type(sigma(1, 1)) is Fraction
+    ks = build_kpar_sigma(sigma)
+    lam = build_crossed_product(phi_psi_crossed_iso(ks)[0].theta)
+    for A in (ks.algebra, enveloping(ks.algebra), lam.algebra):
+        values = [c for row in A.sc.values() for _, c in row]
+        assert any(type(c) is Fraction for c in values), A.name
+        assert all(type(c) is int or c.denominator != 1 for c in values), \
+            A.name

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (bump, dense_map_on_quotient, densify, rank, transpose,
-                      z2_universal, z3_kappa2_action, z2_dual_numbers, zeros)
+from conftest import (boundary_matrix, bump, dense_map_on_quotient, densify,
+                      rank, transpose, z2_universal, z3_kappa2_action,
+                      z2_dual_numbers, zeros)
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (ModuleData, commutator_quotient, dual_bimodule,
                              dual_numbers, matrix_algebra, product_field_algebra,
@@ -18,8 +19,6 @@ from parhox import homology
 from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
                              cobar_complex, diagonal_action, ext_dims,
                              env_resolution, free_resolution,
-                             hochschild_cohomology_bar,
-                             hochschild_cohomology_resolution,
                              hochschild_homology_bar,
                              hochschild_homology_resolution, hom_A_carrier,
                              hom_A_module_structure, homology_data,
@@ -66,7 +65,8 @@ def test_hochschild_of_base_field():
     A = product_field_algebra(QQ, 1)
     M = regular_bimodule(A)
     assert hochschild_homology_bar(A, M, 3) == [1, 0, 0, 0]
-    assert hochschild_cohomology_bar(A, M, 3) == [1, 0, 0, 0]
+    # dim H^q(A, M) = dim H_q(A, M*)
+    assert hochschild_homology_bar(A, dual_bimodule(M), 3) == [1, 0, 0, 0]
 
 
 def test_hochschild_matrix_algebra():
@@ -74,8 +74,9 @@ def test_hochschild_matrix_algebra():
     M = regular_bimodule(A)
     assert hochschild_homology_bar(A, M, 2) == [1, 0, 0]
     assert hochschild_homology_resolution(A, M, 2) == [1, 0, 0]
-    assert hochschild_cohomology_bar(A, M, 2) == [1, 0, 0]
-    assert hochschild_cohomology_resolution(A, M, 2) == [1, 0, 0]
+    assert hochschild_homology_bar(A, dual_bimodule(M), 2) == [1, 0, 0]
+    assert hochschild_homology_resolution(A, dual_bimodule(M), 2) == \
+        [1, 0, 0]
 
 
 def test_hochschild_separable_product():
@@ -102,17 +103,19 @@ def test_normalized_vs_full_bar():
         M = regular_bimodule(A)
         assert hochschild_homology_bar(A, M, 2, normalized=True) == \
             hochschild_homology_bar(A, M, 2, normalized=False)
-        assert hochschild_cohomology_bar(A, M, 2, normalized=True) == \
-            hochschild_cohomology_bar(A, M, 2, normalized=False)
+        dual = dual_bimodule(M)
+        assert hochschild_homology_bar(A, dual, 2, normalized=True) == \
+            hochschild_homology_bar(A, dual, 2, normalized=False)
 
 
 def test_cohomology_h0_is_centralizer():
     A = dual_numbers(QQ)
     M = regular_bimodule(A)
-    dims = hochschild_cohomology_bar(A, M, 0)
+    dims = hochschild_homology_bar(A, dual_bimodule(M), 0)
     assert dims[0] == 2                        # commutative: center = A
     M2 = matrix_algebra(QQ, 2)
-    assert hochschild_cohomology_bar(M2, regular_bimodule(M2), 0)[0] == 1
+    assert hochschild_homology_bar(
+        M2, dual_bimodule(regular_bimodule(M2)), 0)[0] == 1
 
 
 def test_tor_basics():
@@ -240,7 +243,7 @@ def test_free_resolution_exactness_gate():
     K = kp.field
 
     def rank_at(q):
-        return _rank_of(K, res.boundary_matrix(q))
+        return _rank_of(K, boundary_matrix(res, q))
 
     assert rank_at(0) == B_right.dim
     for q in range(1, 4):
@@ -674,11 +677,14 @@ def test_dual_bimodule_is_an_involution(fixture):
 @pytest.mark.parametrize("fixture", bundled_fixtures())
 def test_base_algebra_cohomology_routes_agree(fixture):
     # the cochain tower lives on A with M|A; the battery compares the two
-    # cohomology routes on Lambda only
+    # cohomology routes on Lambda only.  dim H^q(A, M) is read as
+    # dim H_q(A, M*) on both routes and agrees with the cochain complex
     inst = build_instance(load_fixture(fixture))
     A, MA = inst.theta.algebra, inst.m_over_a
-    bar = hochschild_cohomology_bar(A, MA, 2)
-    assert bar == hochschild_cohomology_resolution(A, MA, 2)
+    dual = dual_bimodule(MA)
+    bar = hochschild_homology_bar(A, dual, 2)
+    assert bar == hochschild_homology_resolution(A, dual, 2)
+    assert bar == homology_dims_of_complex(cobar_complex(A, MA, 3)[0], 2)
     if fixture == "z2_dual_q.json":
         assert bar == [3, 2, 2]
 

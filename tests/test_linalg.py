@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from conftest import (assert_kernel_rows, dense_kron, densify, matvec,
-                      ref_rref, sparse_rows, transpose)
+from conftest import (assert_kernel_rows, dense_kron, dense_row, densify,
+                      matvec, ref_rref, sparse_rows, transpose)
 from parhox.errors import InvalidInput
 from parhox.fields import QQ, PrimeField
-from parhox.linalg import (QuotientSpace, Subspace, _char, _dense,
-                           _echelon_of, _kernel_of, _rank_of, _sp_identity,
-                           _sp_kron, _sp_matmul, _sp_matvec, _sp_transpose,
-                           _sparse, _sparse_matrix, coordinates_in, solve)
+from parhox.linalg import (QuotientSpace, Subspace, _char, _echelon_of,
+                           _kernel_of, _rank_of, _sp_identity, _sp_kron,
+                           _sp_matmul, _sp_matvec, _sp_transpose, _sparse,
+                           _sparse_matrix, coordinates_in, solve)
 
 
 def F(x):
@@ -32,7 +32,7 @@ def rref_of(K, M, n):
     """The kernel's reduced row echelon form of a dense matrix, densified:
     (rows, pivots)."""
     rref = _echelon_of(K, sparse_rows(K, M)).rref()
-    return ([_dense(K, {c: 1, **tail}, n) for c, tail in rref],
+    return ([dense_row(K, {c: 1, **tail}, n) for c, tail in rref],
             [c for c, _ in rref])
 
 

@@ -9,12 +9,12 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import assert_kernel_rows, bump, densify
+from conftest import assert_kernel_rows, bump, dense_row, densify
 from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
                              dual_numbers, regular_bimodule)
 from parhox.fields import QQ, PrimeField
 from parhox.homology import GModuleOnChains
-from parhox.linalg import _char, _dense, _sp_sum, _sparse_matrix
+from parhox.linalg import _char, _sp_sum, _sparse_matrix
 from parhox.problems import (build_instance, bundled_fixtures, fixture_dir,
                              load_fixture, parse_spec)
 from parhox.spectral import module_tower
@@ -80,7 +80,7 @@ def dense_module_validate(mod):
     for side, mats in (("left", left), ("right", right)):
         if mats is None:
             continue
-        if dense_matrix_of(K, mats, _dense(K, A.unit, d), n) != idm:
+        if dense_matrix_of(K, mats, dense_row(K, A.unit, d), n) != idm:
             rep.fail(f"{side} unit")
         for i in range(d):
             for j in range(d):

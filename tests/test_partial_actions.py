@@ -10,7 +10,7 @@ from parhox.fields import QQ, PrimeField
 from parhox.algebras import AlgebraHom, product_field_algebra
 from parhox.factor_sets import EquivalenceWitness, trivial_factor_set
 from parhox.groups import cyclic_group
-from parhox.linalg import _char, _scalar, _sp_identity, _sp_matmul, _sp_sum
+from parhox.linalg import _char, _sp_identity, _sp_matmul, _sp_sum
 from parhox.partial_actions import (PartialProjRepresentation,
                                     TwistedPartialAction, UnitalPartialAction,
                                     build_crossed_product,
@@ -102,7 +102,7 @@ def test_gamma_sigma_properties():
             for h in range(G.n):
                 lhs = lam.algebra.mul(rep.gamma[g], rep.gamma[h])
                 gh = G.mul(g, h)
-                s = _scalar(K, theta.sigma(g, h))
+                s = theta.sigma(g, h)
                 w = A.mul(theta.one[g], theta.one[gh])
                 rhs = lam.delta(gh, _sp_sum([(s, w)], _char(K)))
                 assert lhs == rhs

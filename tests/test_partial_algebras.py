@@ -18,7 +18,7 @@ from parhox.factor_sets import (PartialFactorSet, involution_star,
                                 xi_sigma_double_prime)
 from parhox.groups import (cyclic_group, direct_product, enumerate_exel,
                            group_from_permutations, symmetric_group)
-from parhox.linalg import _char, _scalar, _sp_identity, _sp_matmul, _sp_sum
+from parhox.linalg import _char, _sp_identity, _sp_matmul, _sp_sum
 from parhox.partial_actions import (PartialProjRepresentation,
                                     build_crossed_product, gamma_sigma)
 from parhox.partial_algebras import (_associativity_defect, _build_table,
@@ -249,8 +249,7 @@ def test_phi_psi_z2_twists():
         K = field
         et_dt = lam.one_delta(1)
         sq = lam.algebra.mul(et_dt, et_dt)
-        want = lam.delta(0, _sp_sum([(_scalar(K, lam_val), lam.theta.one[1])],
-                                    _char(K)))
+        want = lam.delta(0, _sp_sum([(lam_val, lam.theta.one[1])], _char(K)))
         assert sq == want                            # (e_t d_t)^2 = lam e_t d_1
 
 

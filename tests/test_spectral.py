@@ -168,17 +168,18 @@ def test_lambda_bar_route_is_computed_once(monkeypatch):
     inst = build_instance(load_fixture("z2_trivial_q.json"))
     calls = {"homology": 0, "cohomology": 0}
 
-    def counted(kind, original):
-        def wrapper(R, M, *args, **kwargs):
-            if R is inst.lam.algebra and M is inst.M:
-                calls[kind] += 1
-            return original(R, M, *args, **kwargs)
-        return wrapper
+    original = spectral.hochschild_homology_bar
 
-    monkeypatch.setattr(spectral, "hochschild_homology_bar", counted(
-        "homology", spectral.hochschild_homology_bar))
-    monkeypatch.setattr(spectral, "hochschild_cohomology_bar", counted(
-        "cohomology", spectral.hochschild_cohomology_bar))
+    def counted(R, M, *args, **kwargs):
+        # cohomology is read as the homology of the dual bimodule M*
+        if R is inst.lam.algebra:
+            if M is inst.M:
+                calls["homology"] += 1
+            elif M.name == f"{inst.M.name}*":
+                calls["cohomology"] += 1
+        return original(R, M, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "hochschild_homology_bar", counted)
     report, _, _ = run_all_checks(inst)
     assert report.ok
     # the oracle, the separable and MacLane collapse checks and the
