@@ -21,12 +21,15 @@ Convention table (used consistently by every module):
     matrix);
   * an A-bimodule is the same thing as a left A**e = A (x) A^op module via
     (a (x) b) . m = a . m . b,  and as a right A**e-module via
-    m . (a (x) b) = b . m . a;
+    m . (a (x) b) = b . m . a;  A**e is generated by the a (x) 1 and the
+    1 (x) b, so an A**e-linear condition is one on the two actions
+    (`bimodule_hom`, `bimodule_tensor`), and A**e itself is built only
+    for the free A**e-modules of a resolution;
   * `A.generators` are basis indices whose words span A.  A property that
     holds for 1 and for the generators, and whose holders are closed under
     products, holds on all of A (they form a unital subalgebra);
-    associativity and the module axioms are checked over the generators
-    only.
+    associativity, the module axioms, Hom, balanced tensors, commutators
+    and separability are decided over the generators only.
 """
 
 from functools import cached_property
@@ -40,10 +43,11 @@ from .linalg import (QuotientSpace, Subspace, _char, _kernel_of, _nonzero,
 
 __all__ = [
     "ValidationReport", "StructureAlgebra", "AlgebraHom", "ModuleData",
-    "opposite", "enveloping", "bimodule_to_left_env_module",
-    "bimodule_to_right_env_module", "subalgebra_generated",
+    "opposite", "enveloping", "bimodule_to_right_env_module",
+    "subalgebra_span", "subalgebra_generated",
     "orthogonalize_idempotents", "separability_idempotent",
-    "tensor_over_algebra", "hom_over_algebra", "restrict_along_hom",
+    "tensor_over_algebra", "bimodule_tensor", "hom_over_algebra",
+    "bimodule_hom", "restrict_along_hom",
     "regular_bimodule", "dual_bimodule", "module_from_generator_actions",
     "matrix_algebra", "product_field_algebra", "dual_numbers",
     "group_algebra", "commutator_quotient",
@@ -130,27 +134,22 @@ class StructureAlgebra:
         all y, z (`validate`) and L(xy) = L(x) L(y) for all y
         (`ModuleData.validate`) need checking for generators x only."""
         span = Subspace(self.field, self.dim)
-        elems = []          # the closure, as the products that reached it
+        elems = [self.unit] if span.add(self.unit) else []  # the closure
         picks = []
-        applied = []        # picks[t] has multiplied elems[:applied[t]]
-
-        def push(v):
-            if span.add(v):
-                elems.append(v)
-
-        push(self.unit)
         for i in range(self.dim):
             if span.dim == self.dim:
                 break
             if span.contains({i: 1}):
                 continue
+            # the closure so far times b_i, each element new to it times
+            # every pick; elems grows while it is read
             picks.append(i)
-            applied.append(0)
-            while min(applied) < len(elems):
-                for t, s in enumerate(picks):
-                    while applied[t] < len(elems):
-                        push(self.mul({s: 1}, elems[applied[t]]))
-                        applied[t] += 1
+            old = len(elems)
+            for t, v in enumerate(elems):
+                for s in (i,) if t < old else picks:
+                    w = self.mul({s: 1}, v)
+                    if span.add(w):
+                        elems.append(w)
         return picks
 
     def mul(self, u, v):
@@ -446,15 +445,6 @@ def enveloping(A, size_limit=1 << 16):
     return StructureAlgebra(K, d * d, sc, unit, labels=labels, name=f"{A.name}^e")
 
 
-def bimodule_to_left_env_module(env, A, M):
-    """Left A^e-action (a (x) b).m = a.m.b from a bimodule M over A."""
-    d = A.dim
-    p = _char(A.field)
-    left = [_sp_matmul(M.left[i], M.right[j], p)
-            for i in range(d) for j in range(d)]
-    return ModuleData(env, M.dim, left=left, name=f"{M.name} as left {env.name}")
-
-
 def bimodule_to_right_env_module(env, A, M):
     """Right A^e-action m.(a (x) b) = b.m.a."""
     d = A.dim
@@ -471,32 +461,24 @@ class SubalgebraResult:
         self.basis_vectors = span.basis()
         self.inclusion = inclusion
 
-    def to_sub_coords(self, vec):
-        """Coordinates of an ambient vector in the subalgebra basis, or None."""
-        return self.span.coords(vec)
+
+def subalgebra_span(A, gens):
+    """The subalgebra generated by gens, as a Subspace of A: the unit closed
+    under left multiplication by the gens, each element multiplied once."""
+    span = Subspace(A.field, A.dim)
+    vecs = [A.unit] if span.add(A.unit) else []
+    for v in vecs:                      # vecs grows while it is read
+        for g in gens:
+            w = A.mul(g, v)
+            if span.add(w):
+                vecs.append(w)
+    return span
 
 
 def subalgebra_generated(A, gens, name=""):
-    """Span-closure of gens and the unit under the product of A."""
+    """The subalgebra generated by gens, on the echelon basis of its span."""
     K = A.field
-    span = Subspace(K, A.dim)
-    vecs = []
-    def push(v):
-        if span.add(v):
-            vecs.append(v)
-    push(A.unit)
-    for g in gens:
-        push(g)
-    frontier = list(vecs)
-    while frontier:
-        new = []
-        for u in list(vecs):
-            for v in frontier:
-                for w in (A.mul(u, v), A.mul(v, u)):
-                    if span.add(w):
-                        vecs.append(w)
-                        new.append(w)
-        frontier = new
+    span = subalgebra_span(A, gens)
     basis = span.basis()  # deterministic echelon basis, lowest pivots first
     sub_dim = len(basis)
     sc = {}
@@ -548,24 +530,29 @@ def separability_idempotent(A):
 
     The unknown e_ij of e = sum e_ij b_i (x) b_j is variable i * d + j.
     Equation k < d is mult(e)_k = 1_k; equation d + (t * d + k) * d + l is
-    the (k, l) coefficient of b_t e - e b_t = 0.  The rows are read off the
-    structure constants, each constant once.  Returns e as d kernel rows
-    (row i holds the e_ij) or None when the system is inconsistent.
+    the (k, l) coefficient of b_s e - e b_s = 0 for the t-th generator s
+    (the a with a e = e a form a unital subalgebra).  The rows are read off
+    the structure constants, each constant once.  Returns e as d kernel
+    rows (row i holds the e_ij) or None when the system is inconsistent.
     """
     d = A.dim
-    rows = [{} for _ in range(d + d ** 3)]
+    slot = {s: t for t, s in enumerate(A.generators)}
+    rows = [{} for _ in range(d + len(slot) * d * d)]
 
     def add(eq, var, c):
         rows[eq][var] = rows[eq].get(var, 0) + c
 
     for (i, j), terms in A.sc.items():
+        ti, tj = slot.get(i), slot.get(j)
         for k, c in terms:
             add(k, i * d + j, c)
             for l in range(d):
-                # b_i e: c e_jl at the (k, l) coefficient of equation t = i
-                add(d + (i * d + k) * d + l, j * d + l, c)
-                # e b_j: c e_li at the (l, k) coefficient of equation t = j
-                add(d + (j * d + l) * d + k, l * d + i, -c)
+                # b_i e: c e_jl at the (k, l) coefficient of generator i
+                if ti is not None:
+                    add(d + (ti * d + k) * d + l, j * d + l, c)
+                # e b_j: c e_li at the (l, k) coefficient of generator j
+                if tj is not None:
+                    add(d + (tj * d + l) * d + k, l * d + i, -c)
     x = solve(A.field, [_nonzero(row, A.p) for row in rows], d * d, A.unit)
     if x is None:
         return None
@@ -596,34 +583,40 @@ def dual_bimodule(M):
                       name=f"{M.name}*")
 
 
+def _balancing_rows(col_pairs, mx, my, p):
+    """The relations P x (x) y - x (x) Q y for the basis vectors x of K^mx
+    and y of K^my, as kernel rows over the pure tensors (ix, iy) at
+    ix * my + iy, for each pair of operators (P, Q) given by its columns."""
+    for colsP, colsQ in col_pairs:
+        for ix in range(mx):
+            for iy in range(my):
+                v = {r * my + iy: a for r, a in colsP[ix].items()}
+                for r, a in colsQ[iy].items():
+                    key = ix * my + r
+                    v[key] = v.get(key, 0) - a
+                yield _nonzero(v, p)
+
+
 class TensorOverAlgebra:
-    """X (x)_R Y for a right module X and a left module Y over R.
+    """X (x) Y modulo the balancing relations P x (x) y - x (x) Q y of the
+    pairs (P, Q) of operators on X and Y that `tensor_over_algebra` and
+    `bimodule_tensor` pass.
 
     The quotient coordinates come from `QuotientSpace` over the span of the
-    balancing relations x.b (x) y - x (x) b.y.  The ambient index of the
-    pure tensor (ix, iy) is ix * dimY + iy; it is private to this class,
-    and maps are passed in as their two factors (`tensor_map`).
+    relations.  The ambient index of the pure tensor (ix, iy) is
+    ix * dimY + iy; it is private to this class, and maps are passed in as
+    their two factors (`tensor_map`).
     """
 
-    def __init__(self, R, X, Y):
-        if X.right is None or Y.left is None:
-            raise InvalidInput("need a right module and a left module")
-        K = R.field
-        self.R, self.X, self.Y, self.K = R, X, Y, K
+    def __init__(self, K, X, Y, pairs):
+        self.X, self.Y, self.K = X, Y, K
         mx, my = X.dim, Y.dim
         N = mx * my
-        p = _char(K)
+        self.p = _char(K)
         rel = Subspace(K, N)
-        for b in range(R.dim):
-            colsX = _sp_transpose(X.right[b], mx)
-            colsY = _sp_transpose(Y.left[b], my)
-            for ix in range(mx):
-                for iy in range(my):
-                    v = {r * my + iy: a for r, a in colsX[ix].items()}
-                    for r, a in colsY[iy].items():
-                        key = ix * my + r
-                        v[key] = v.get(key, 0) - a
-                    rel.ech.add(_nonzero(v, p))
+        for v in _balancing_rows([(_sp_transpose(P, mx), _sp_transpose(Q, my))
+                                  for P, Q in pairs], mx, my, self.p):
+            rel.ech.add(v)
         self.ambient_dim = N
         self.relations = rel
         self.quotient = QuotientSpace(K, N, rel)
@@ -634,7 +627,7 @@ class TensorOverAlgebra:
         my = self.Y.dim
         return self.quotient.project(_nonzero(
             {ix * my + iy: a * b for ix, a in xvec.items()
-             for iy, b in yvec.items()}, self.R.p))
+             for iy, b in yvec.items()}, self.p))
 
     def tensor_map(self, P=None, Q=None):
         """The matrix (kernel rows), in quotient coordinates, of the map
@@ -643,14 +636,13 @@ class TensorOverAlgebra:
         maps every balancing relation into the relation span, i.e.
         descends to X (x)_R Y.  Callers pass the two factors only: the
         ambient index of a pure tensor is private to this class."""
-        K = self.K
         my = self.Y.dim
 
         def columns(F, n):
             return _sp_identity(n) if F is None else _sp_transpose(F, n)
 
         colsP, colsQ = columns(P, self.X.dim), columns(Q, my)
-        p = _char(K)
+        p = self.p
         ech = self.relations.ech
 
         def image(vec):
@@ -680,7 +672,7 @@ class TensorOverAlgebra:
         pure_images[ix][iy]; raises InvalidInput unless the map kills the
         balancing relations.  Quotient coordinate t lifts to the ambient
         basis tensor at `quotient.free[t]`, so its column is that image."""
-        p = self.R.p
+        p = self.p
         imgs = [w for row in pure_images for w in row]
         for c, tail in self.relations.ech.rref():
             if _sp_matmul([{c: 1, **tail}], imgs, p)[0]:
@@ -690,29 +682,31 @@ class TensorOverAlgebra:
 
 
 def tensor_over_algebra(R, X, Y):
-    return TensorOverAlgebra(R, X, Y)
+    """X (x)_R Y for a right module X and a left module Y over R, balanced
+    over the generators b of R: x.b (x) y - x (x) b.y."""
+    if X.right is None or Y.left is None:
+        raise InvalidInput("need a right module and a left module")
+    return TensorOverAlgebra(R.field, X, Y, [(X.right[b], Y.left[b])
+                                             for b in R.generators])
 
 
-def hom_over_algebra(R, X, Y):
-    """Basis of Hom_R(X, Y) for left modules X, Y: matrices F (kernel rows,
-    my x mx) with F L_X(b) = L_Y(b) F for every algebra basis element b.
-    The unknown F[r][s] is variable r * mx + s."""
-    if X.left is None or Y.left is None:
-        raise InvalidInput("need left modules")
-    K = R.field
-    p = _char(K)
-    mx, my = X.dim, Y.dim
-    rows = []
-    for b in range(R.dim):
-        colsX, LY = _sp_transpose(X.left[b], mx), Y.left[b]
-        for r in range(my):
-            for c in range(mx):
-                # (F LX)[r][c] - (LY F)[r][c]
-                row = {r * mx + s: a for s, a in colsX[c].items()}
-                for s, a in LY[r].items():
-                    key = s * mx + c
-                    row[key] = row.get(key, 0) - a
-                rows.append(_nonzero(row, p))
+def bimodule_tensor(X, Y):
+    """X (x)_{A^e} Y for A-bimodules X, Y (x.(a (x) b) = b x a on X), from
+    the A^e-generators a (x) 1 and 1 (x) b: the relations x.b (x) y -
+    x (x) b.y and b.x (x) y - x (x) y.b for the generators b of A."""
+    gens = X.algebra.generators
+    return TensorOverAlgebra(
+        X.algebra.field, X, Y, [(X.right[b], Y.left[b]) for b in gens]
+        + [(X.left[b], Y.right[b]) for b in gens])
+
+
+def _intertwiners(K, pairs, mx, my):
+    """Basis of the maps F (kernel rows, my x mx) with F P = Q F for every
+    pair (P, Q) of operators on K^mx and K^my.  As a tensor of K^my (x)
+    K^mx (F[r][s] at r * mx + s), (Q F - F P)[r][c] is the balancing
+    relation of (r, c) for (Q^T, P), whose columns are Q's rows."""
+    rows = list(_balancing_rows([(Q, _sp_transpose(P, mx)) for P, Q in pairs],
+                                my, mx, _char(K)))
     basis = []
     for v in _kernel_of(K, rows, my * mx):
         F = [{} for _ in range(my)]
@@ -721,6 +715,25 @@ def hom_over_algebra(R, X, Y):
             F[r][s] = a
         basis.append(F)
     return basis
+
+
+def hom_over_algebra(R, X, Y):
+    """Basis of Hom_R(X, Y) for left modules X, Y: matrices F (kernel rows,
+    my x mx) with F L_X(b) = L_Y(b) F for the generators b of R."""
+    if X.left is None or Y.left is None:
+        raise InvalidInput("need left modules")
+    return _intertwiners(R.field, [(X.left[b], Y.left[b])
+                                   for b in R.generators], X.dim, Y.dim)
+
+
+def bimodule_hom(X, Y):
+    """Basis of Hom_{A^e}(X, Y) for A-bimodules X, Y: the maps F (kernel
+    rows, my x mx) commuting with both actions of the generators of A."""
+    gens = X.algebra.generators
+    return _intertwiners(X.algebra.field,
+                         [(X.left[b], Y.left[b]) for b in gens]
+                         + [(X.right[b], Y.right[b]) for b in gens],
+                         X.dim, Y.dim)
 
 
 def restrict_along_hom(hom, M):
@@ -742,10 +755,10 @@ def module_from_generator_actions(A, dim, given, side="left"):
     """Complete a module action specified only on generators of A.
 
     `given` maps basis indices to action matrices (kernel rows).  The
-    closure tracks the span of algebra elements with known action;
-    multiplication order follows the side convention.  Each ordered pair
-    of known elements is multiplied once: a round pairs known[i] only with
-    the elements new to it.
+    closure tracks the span of algebra elements with known action: the
+    words in the generators, reached by left multiplication by them, each
+    known element multiplied by each generator once; the order of the
+    action product follows the side convention.
     """
     K = A.field
     if dim == 0:
@@ -764,18 +777,15 @@ def module_from_generator_actions(A, dim, given, side="left"):
     push(A.unit, _sp_identity(dim))
     for i, mat in given.items():
         push(A.basis_vector(i), mat)
-    paired = []     # known[i] was multiplied with known[:paired[i]]
-    while len(paired) < len(known) and span.dim < A.dim:
-        paired += [0] * (len(known) - len(paired))
-        for i in range(len(paired)):
-            u, Mu = known[i]
-            start, paired[i] = paired[i], len(known)
-            for (v, Mv) in known[start:paired[i]]:
-                w = A.mul(u, v)
-                # the product of the actions is formed only for a new w
-                if span.add(w):
-                    known.append((w, _sp_matmul(Mu, Mv, p) if side == "left"
-                                  else _sp_matmul(Mv, Mu, p)))
+    for v, Mv in known:                 # known grows while it is read
+        if span.dim == A.dim:
+            break
+        for i, Mi in given.items():
+            w = A.mul({i: 1}, v)
+            # the product of the actions is formed only for a new w
+            if span.add(w):
+                known.append((w, _sp_matmul(Mi, Mv, p) if side == "left"
+                              else _sp_matmul(Mv, Mi, p)))
     if span.dim < A.dim:
         raise InvalidInput("the given generators do not generate the algebra")
     coords_of = coordinates_in(K, A.dim, [u for (u, _) in known])
@@ -790,12 +800,13 @@ def module_from_generator_actions(A, dim, given, side="left"):
 
 
 def commutator_quotient(M):
-    """M / [A, M] for a bimodule M: returns (QuotientSpace, dim)."""
+    """M / [A, M] for a bimodule M, as a QuotientSpace: [A, M] is spanned
+    by the [b, m] for generators b, as [bc, m] = [b, c.m] + [c, m.b]."""
     A = M.algebra
     K = A.field
     n = M.dim
     span = Subspace(K, n)
-    for i in range(A.dim):
+    for i in A.generators:
         diff = _sp_combination([(1, M.left[i]), (-1, M.right[i])], n,
                                _char(K))
         for col in _sp_transpose(diff, n):

@@ -18,13 +18,12 @@ from .errors import ParhoxError, SchemaError
 from .fields import field_from_json
 from .factor_sets import PartialFactorSet
 from .groups import FiniteGroup, enumerate_exel
-from .homology import DEFAULT_CHAIN_CAP, hochschild_homology_resolution
 from .instance import DEFAULT_MONOID_LIMIT
 from .partial_actions import validate_twisted
 from .partial_algebras import build_kpar, build_kpar_sigma
 from .problems import build_instance, parse_spec_file
-from .spectral import (lam_hochschild_bar, module_tower, partial_dims,
-                       run_all_checks)
+from .spectral import (lam_hochschild_bar, lam_hochschild_resolution,
+                       module_tower, partial_dims, run_all_checks)
 
 
 def _canonical_digest(obj):
@@ -58,8 +57,9 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _cap(args, spec_options=None):
-    """Cap priority: PARHOX_CAP env > explicit flag > problem options."""
+def _cap(args, default):
+    """Cap priority: PARHOX_CAP env > explicit flag > default (for a
+    problem file, its `cap` option, which build_instance applies)."""
     env = os.environ.get("PARHOX_CAP")
     if env is not None:
         try:
@@ -68,11 +68,7 @@ def _cap(args, spec_options=None):
             raise SchemaError(f"PARHOX_CAP must be an integer: {env!r}") \
                 from None
     flag = getattr(args, "cap", None)
-    if flag is not None:
-        return flag
-    if spec_options and "cap" in spec_options:
-        return spec_options["cap"]
-    return DEFAULT_CHAIN_CAP
+    return default if flag is None else flag
 
 
 def cmd_validate(args):
@@ -113,7 +109,8 @@ def cmd_build_kpar(args):
     if args.sigma:
         sigma = PartialFactorSet.from_json(group, field,
                                            _load_json(args.sigma))
-    monoid = enumerate_exel(group, size_limit=_cap(args))
+    monoid = enumerate_exel(group,
+                            size_limit=_cap(args, DEFAULT_MONOID_LIMIT))
     if sigma is None:
         ktw = build_kpar(group, field, monoid=monoid)
     else:
@@ -150,20 +147,18 @@ def cmd_hochschild(args):
     raw = _load_json(args.spec)
     spec = parse_spec_file(args.spec)
     inst = build_instance(spec)
-    inst.chain_cap = _cap(args, spec.options)
+    inst.chain_cap = _cap(args, inst.chain_cap)
     n = args.max_n
     bar = lam_hochschild_bar(inst, n)
-    res = hochschild_homology_resolution(inst.lam.algebra, inst.M, n,
-                                         cap=inst.chain_cap)
-    agree = bar == res
-    result = {
-        "dims": {f"H{q}": bar[q] for q in range(n + 1)},
-        "oracle_agreement": agree,
-        "truncation": n,
-    }
+    agree = bar == lam_hochschild_resolution(inst, n)
+    result = {"dims": {f"H{q}": bar[q] for q in range(n + 1)},
+              "truncation": n}
     if args.cohomology:
         barc = lam_hochschild_bar(inst, n, cochain=True)
+        agree = agree and barc == lam_hochschild_resolution(inst, n,
+                                                            cochain=True)
         result["cohomology_dims"] = {f"H^{q}": barc[q] for q in range(n + 1)}
+    result["oracle_agreement"] = agree
     return _emit(_report("hochschild", raw, result, agree, t0), args)
 
 
@@ -172,7 +167,7 @@ def cmd_partial_homology(args):
     raw = _load_json(args.spec)
     spec = parse_spec_file(args.spec)
     inst = build_instance(spec)
-    inst.chain_cap = _cap(args, spec.options)
+    inst.chain_cap = _cap(args, inst.chain_cap)
     n = args.max_n
     # coefficients: H_0(A, M) = M/[A, M] with its kappa_par G-structure
     _, tower = module_tower(inst, 0)
@@ -203,7 +198,7 @@ def cmd_spectral(args):
     raw = _load_json(args.spec)
     spec = parse_spec_file(args.spec)
     inst = build_instance(spec)
-    inst.chain_cap = _cap(args, spec.options)
+    inst.chain_cap = _cap(args, inst.chain_cap)
     max_p = args.max_p if args.max_p is not None else spec.options["max_p"]
     max_q = args.max_q if args.max_q is not None else spec.options["max_q"]
     max_n = min(max_p, max_q)

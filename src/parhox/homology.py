@@ -41,10 +41,10 @@ kappa_par G.
 from itertools import product
 
 from .errors import EquivarianceFailure, InvalidInput, SizeLimit
-from .algebras import (ModuleData, ValidationReport,
-                       bimodule_to_left_env_module, dual_bimodule,
-                       bimodule_to_right_env_module, enveloping,
-                       hom_over_algebra, module_from_generator_actions)
+from .algebras import (ModuleData, ValidationReport, bimodule_hom,
+                       bimodule_to_right_env_module, dual_bimodule,
+                       enveloping, module_from_generator_actions,
+                       regular_bimodule)
 from .linalg import (QuotientSpace, Subspace, _char, _Echelon, _kernel_of,
                      _nonzero, _rank_of, _sp_combination,
                      _sp_identity, _sp_kron, _sp_matmul, _sp_matvec,
@@ -661,11 +661,7 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
 def hom_A_carrier(A, MA):
     """Basis of Hom_{A^e}(A, MA) as matrices A -> MA (kernel rows), for an
     A-bimodule MA (a Lambda-bimodule restricted to A)."""
-    env = enveloping(A)
-    return hom_over_algebra(
-        env,
-        ModuleData(env, A.dim, left=_env_left_regular(env, A)),
-        bimodule_to_left_env_module(env, A, MA))
+    return bimodule_hom(regular_bimodule(A), MA)
 
 
 def hom_A_module_structure(lam, M, MA, xi, ktw_dd):

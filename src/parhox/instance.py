@@ -31,12 +31,14 @@ DEFAULT_MONOID_LIMIT = 512      # the default bound on |S(G)|
 
 class Instance:
     def __init__(self, name, field, group, sigma=None, theta=None,
-                 module=None, monoid_limit=DEFAULT_MONOID_LIMIT):
+                 module=None, monoid_limit=DEFAULT_MONOID_LIMIT,
+                 chain_cap=DEFAULT_CHAIN_CAP):
         """theta: a TwistedPartialAction or None (then the universal action
         on B^sigma is used); module: a function building the coefficient
         Lambda-bimodule from the crossed product, or None (then the regular
         bimodule); sigma defaults to the trivial twist and must agree with
-        theta.sigma when both are given."""
+        theta.sigma when both are given; chain_cap bounds every complex and
+        resolution the checks build."""
         self.name = name
         self.field = field
         self.group = group
@@ -89,7 +91,7 @@ class Instance:
             else module(self.lam)
         if self.M.dim:
             self.M.validate().raise_if_failed()
-        self.chain_cap = DEFAULT_CHAIN_CAP
+        self.chain_cap = chain_cap
         self._longest = {}
 
     def longest(self, key, length, build):

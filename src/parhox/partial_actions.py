@@ -374,7 +374,7 @@ def induced_partial_action(rep):
     basis = subres.basis_vectors
     one = []
     for g in range(G.n):
-        coords = subres.to_sub_coords(es[g])
+        coords = subres.span.coords(es[g])
         assert coords is not None
         one.append(coords)
     thetas = []
@@ -389,13 +389,13 @@ def induced_partial_action(rep):
             dom = R.mul(es[ginv], bvec)
             img = R.mul(rep.gamma[g], R.mul(dom, rep.gamma[ginv]))
             img = _sp_sum([(K.inv(s), img)], R.p)
-            coords = subres.to_sub_coords(img)
+            coords = subres.span.coords(img)
             if coords is None:
                 raise PropertyFailure("theta^Gamma leaves the subalgebra")
             cols.append(coords)
         thetas.append(_sp_transpose(cols, B.dim))
     act = UnitalPartialAction(B, one, thetas)
-    validate_partial_action(act, G).raise_if_failed()
+    # the partial action axioms are validate_twisted's first step
     validate_twisted(TwistedPartialAction(act, sigma), G).raise_if_failed()
     return subres, act
 

@@ -35,7 +35,7 @@ from .errors import (CompletionDiverged, InvalidInput, NotARepresentation,
                      IsomorphismFailure, ValidationFailure)
 from .algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                        ValidationReport, module_from_generator_actions,
-                       subalgebra_generated)
+                       subalgebra_span)
 from .factor_sets import MonoidFactorSet, trivial_factor_set
 from .groups import enumerate_exel
 from .linalg import (_char, _sp_identity, _sp_matmul, _sp_sum,
@@ -460,9 +460,8 @@ def universal_hom(ktw, rep):
     for g in range(G.n):
         if hom.apply(ktw.gen_vector(g)) != rep.gamma[g]:
             raise NotARepresentation(f"universal hom misses Gamma({g})")
-    gen_span = subalgebra_generated(ktw.algebra,
-                                    [ktw.gen_vector(g) for g in range(G.n)])
-    if gen_span.algebra.dim != ktw.dim:
+    if subalgebra_span(ktw.algebra, [ktw.gen_vector(g)
+                                     for g in range(G.n)]).dim != ktw.dim:
         raise ValidationFailure("the generators do not span; universal "
                                 "hom would not be unique")
     return hom

@@ -186,7 +186,8 @@ def build_instance(spec):
         else (lambda lam: _parse_module(spec, lam))
     return Instance(spec.name, spec.field, spec.group, sigma=spec.sigma,
                     theta=spec.action, module=module,
-                    monoid_limit=spec.options["monoid_limit"])
+                    monoid_limit=spec.options["monoid_limit"],
+                    chain_cap=spec.options["cap"])
 
 
 def fixture_dir():

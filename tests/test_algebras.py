@@ -10,7 +10,7 @@ from conftest import (assert_kernel_rows, dense_kron, dense_map_on_quotient,
 from parhox.errors import InvalidInput, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
-                             ValidationReport, bimodule_to_left_env_module,
+                             ValidationReport, bimodule_to_right_env_module,
                              commutator_quotient, dual_numbers, enveloping,
                              group_algebra, hom_over_algebra, matrix_algebra,
                              module_from_generator_actions, opposite,
@@ -220,18 +220,18 @@ def test_enveloping():
     assert E.validate().ok
     K1 = product_field_algebra(QQ, 1)
     assert enveloping(K1).dim == 1
-    # bimodule <-> left A^e module round trip on the regular bimodule
+    # bimodule <-> right A^e module round trip on the regular bimodule
     M = regular_bimodule(A)
-    left_env = bimodule_to_left_env_module(E, A, M)
-    assert left_env.validate().ok
-    # (a (x) b).m = a.m.b reproduces left-then-right
+    right_env = bimodule_to_right_env_module(E, A, M)
+    assert right_env.validate().ok
+    # m.(a (x) b) = b.m.a reproduces left-then-right
     for i in range(A.dim):
         for j in range(A.dim):
-            got = densify(QQ, left_env.left[i * A.dim + j], M.dim)
+            got = densify(QQ, right_env.right[i * A.dim + j], M.dim)
             a, b = A.basis_vector(i), A.basis_vector(j)
             want = [[None] * M.dim for _ in range(M.dim)]
             for c in range(M.dim):
-                col = dense_row(QQ, M.act_right(M.act_left(a, {c: 1}), b),
+                col = dense_row(QQ, M.act_right(M.act_left(b, {c: 1}), a),
                                 M.dim)
                 for r in range(M.dim):
                     want[r][c] = col[r]
@@ -472,9 +472,9 @@ def test_module_from_generator_actions():
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_module_closure_multiplies_each_pair_once(side, monkeypatch):
     # B over kappa_par(Z2 x Z2) (dim 20), rebuilt from its generators: the
-    # closure multiplies each ordered pair of known elements once (334
-    # products; trying every pair again in each round made 362) and gives
-    # the same actions
+    # closure multiplies each known element by each generator once, on the
+    # left (56 products; pairing every two known elements made 334) and
+    # gives the same actions
     from parhox.problems import build_instance, load_fixture
     inst = build_instance(load_fixture("v4_partial_q.json"))
     kp = inst.kpar
@@ -493,7 +493,7 @@ def test_module_closure_multiplies_each_pair_once(side, monkeypatch):
     out = module_from_generator_actions(A, mod.dim,
                                         {i: mats[i] for i in gens}, side=side)
     assert (out.left if side == "left" else out.right) == mats
-    assert len(calls) == len(set(calls)) == 334
+    assert len(calls) == len(set(calls)) == 56
 
 
 def test_commutator_quotient():

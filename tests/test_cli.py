@@ -9,6 +9,7 @@ from parhox.errors import SchemaError, SizeLimit
 from parhox.instance import DEFAULT_MONOID_LIMIT
 from parhox.problems import (bundled_fixtures, build_instance, fixture_dir,
                              load_fixture, parse_spec)
+from parhox.spectral import run_all_checks
 
 
 def fixture_path(name):
@@ -114,6 +115,25 @@ def test_cli_hochschild(capsys):
     assert doc["result"]["oracle_agreement"]
     assert doc["result"]["dims"]["H0"] == 3
     assert doc["result"]["dims"]["H1"] == 2      # F2[u]/(u^3 - u) pattern
+
+
+def test_cli_hochschild_checks_cohomology_on_both_routes(monkeypatch,
+                                                         capsys):
+    # a bar route that is off on cohomology only must fail the oracle
+    bar = cli.lam_hochschild_bar
+
+    def off_on_cohomology(inst, n, cochain=False):
+        dims = bar(inst, n, cochain=cochain)
+        return [d + 1 for d in dims] if cochain else dims
+
+    monkeypatch.setattr(cli, "lam_hochschild_bar", off_on_cohomology)
+    argv = ["hochschild", fixture_path("z2_trivial_q.json"), "--max-n", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code = main(argv + ["--cohomology"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["result"]["oracle_agreement"] is False
 
 
 def test_cli_partial_homology(capsys):
@@ -385,6 +405,16 @@ def test_build_instance_reads_the_monoid_limit_option():
         build_instance(parse_spec(doc))
     doc["options"] = {}
     assert parse_spec(doc).options["monoid_limit"] == DEFAULT_MONOID_LIMIT
+
+
+def test_build_instance_reads_the_cap_option():
+    # the problem's cap bounds the battery through the Python API too
+    doc = json.loads(open(fixture_path("z2_dual_q.json")).read())
+    doc["options"]["cap"] = 4
+    inst = build_instance(parse_spec(doc))
+    assert inst.chain_cap == 4
+    with pytest.raises(SizeLimit, match="exceed cap 4"):
+        run_all_checks(inst)
 
 
 @pytest.mark.parametrize("module, path", [

@@ -405,23 +405,22 @@ def test_degree_zero_matches_tensor_formula():
     M = regular_bimodule(lam.algebra)
     gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
                               xi, sdd, 1)
-    from parhox.algebras import (bimodule_to_left_env_module,
-                                 bimodule_to_right_env_module, enveloping)
+    from parhox.algebras import enveloping
     A = theta.algebra
     MA = m_as_a_bimodule(lam, M)
     env = enveloping(A)
-    # A as right A^e-module: a.(b (x) c) = b a c
+    # the reference is built over A^e itself: A as right A^e-module,
+    # a.(b (x) c) = c a b, and M as left one, (b (x) c).m = b m c
     K = QQ
-    right = []
+    right, left = [], []
     for i in range(A.dim):
         for j in range(A.dim):
-            Li = A.left_mult_matrix(A.basis_vector(i))
-            Rj = A.right_mult_matrix(A.basis_vector(j))
-            right.append(_sp_matmul(Li, Rj, 0))
-    A_right = ModuleData(env, A.dim, right=right)
-    M_left = bimodule_to_left_env_module(env, A, MA)
-    T = tensor_over_algebra(env, A_right,
-                            ModuleData(env, M.dim, left=M_left.left))
+            Lj = A.left_mult_matrix(A.basis_vector(j))
+            Ri = A.right_mult_matrix(A.basis_vector(i))
+            right.append(_sp_matmul(Lj, Ri, 0))
+            left.append(_sp_matmul(MA.left[i], MA.right[j], 0))
+    T = tensor_over_algebra(env, ModuleData(env, A.dim, right=right),
+                            ModuleData(env, M.dim, left=left))
     hd0, mod0 = induced_action_on_homology(gmod, 0, kp, G)
     assert T.dim == hd0.dim
     # comparison iso phi0: a (x) m -> class(a.m)

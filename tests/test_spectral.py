@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (densify, z2_dual_numbers, z2_global_twist,
                       z2_universal, z2xz2_partial_idempotent, z3_kappa2_action)
-from parhox import cli, homology, instance, linalg, spectral
+from parhox import algebras, cli, homology, instance, linalg, spectral
 from parhox.fields import QQ, PrimeField
 from parhox.groups import cyclic_group
 from parhox.instance import Instance
@@ -296,3 +296,63 @@ def test_universal_order_four_instances(group, field):
             inst.theta.algebra.dim) == (20, 20, 8)
     assert sum(len(b) for b in inst.lam.dg_bases) == 20
     assert inst.m_over_a.dim == inst.M.dim == 20
+
+
+def m2_z2_spec():
+    """Z2 acting on A = M_2(Q) by conjugation with the permutation matrix
+    (E_rc -> E_{1-r,1-c}), 1_g = 1, trivial sigma, regular module: a global
+    action on a noncommutative A.  tests/data/m2_z2_q.json holds the same
+    problem for the command line."""
+    one = [["1", "0", "0", "1"]] * 2
+    ident = [["1" if r == c else "0" for c in range(4)] for r in range(4)]
+    swap = [["1" if r + c == 3 else "0" for c in range(4)] for r in range(4)]
+    sc = [[r * 2 + c, c * 2 + c2, r * 2 + c2, "1"]
+          for r in range(2) for c in range(2) for c2 in range(2)]
+    return {"name": "m2_z2_q", "field": {"kind": "Q"},
+            "group": {"name": "Z2", "order": 2, "cayley": [[0, 1], [1, 0]]},
+            "sigma": [["1", "1"], ["1", "1"]],
+            "action": {"algebra": {"dim": 4,
+                                   "labels": ["E00", "E01", "E10", "E11"],
+                                   "unit": one[0], "sc": sorted(sc)},
+                       "one_g": one, "theta": [ident, swap]},
+            "module": "regular",
+            "options": {"max_n": 2, "max_p": 2, "max_q": 2}}
+
+
+def test_noncommutative_base_algebra_passes_the_battery():
+    # A (x)_{A^e} M takes A's right A^e-action a.(b (x) c) = c a b; with a
+    # commutative A the left action would do, with M_2(Q) it would not
+    spec = m2_z2_spec()
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "m2_z2_q.json")) as fh:
+        assert json.load(fh) == spec
+    inst = build_instance(parse_spec(spec))
+    report, _, _ = run_all_checks(inst)
+    assert report.ok
+    checks = {name: (status, detail) for name, status, detail in report.checks}
+    assert checks["degree-0 action matches tensor formula"] == ("pass",
+                                                                (2, 2))
+    A, MA = inst.theta.algebra, inst.m_over_a
+    assert spectral._a_tensor_m(A, MA).dim == \
+        algebras.commutator_quotient(MA).dim
+
+
+def test_enveloping_algebras_are_built_for_the_resolutions_only(monkeypatch):
+    # Hom and tensors over A^e and Lambda^e read the bimodule actions; only
+    # the two free resolutions (of Lambda and of A) build an enveloping
+    # algebra
+    calls = []
+    enveloping = algebras.enveloping
+
+    def counted(R, *args, **kwargs):
+        calls.append(R.dim)
+        return enveloping(R, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parhox") and \
+                getattr(module, "enveloping", None) is enveloping:
+            monkeypatch.setattr(module, "enveloping", counted)
+    inst = build_instance(load_fixture("v4_partial_q.json"))
+    report, _, _ = run_all_checks(inst)
+    assert report.ok
+    assert calls == [inst.lam.algebra.dim, inst.theta.algebra.dim]
