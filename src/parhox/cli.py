@@ -12,6 +12,8 @@ import json
 import os
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import ParhoxError, SchemaError
@@ -43,8 +45,63 @@ def _report(command, input_obj, result, ok, t0):
     }
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _format(report):
+    """`json.dumps(report, indent=1, sort_keys=True)`, byte for byte.
+
+    Dicts with str keys and lists are laid out here, and strs and ints are
+    written directly; a flat list of scalars is one call of the C encoder
+    with the item separator of its depth, and so is a list of nonempty flat
+    lists, whose inner joints are then re-indented by one replace.  That is
+    safe because the encoder escapes every newline inside a string, so each
+    newline it writes is a separator.  Any other value (a tuple, a dict with
+    non-str keys, an empty container) goes through `json.dumps` and is
+    re-indented."""
+    encoders = {}                 # depth -> C encoder, one item per line
+
+    def encode(x, depth):
+        enc = encoders.get(depth)
+        if enc is None:
+            enc = encoders[depth] = json.JSONEncoder(
+                separators=(",\n" + " " * depth, ": "))
+        return enc.encode(x)
+
+    def write(x, depth):
+        t = type(x)
+        if t is str:
+            return encode_basestring_ascii(x)
+        if t is int:
+            return repr(x)
+        outer = "\n" + " " * depth
+        pad = outer + " "
+        if t is dict and x and set(map(type, x)) == {str}:
+            return "{" + pad + ("," + pad).join(
+                encode_basestring_ascii(k) + ": " + write(x[k], depth + 1)
+                for k in sorted(x)) + outer + "}"
+        if t is list and x:
+            kinds = set(map(type, x))
+            if kinds <= _SCALARS:
+                return "[" + pad + encode(x, depth + 1)[1:-1] + outer + "]"
+            if kinds == {list} and all(x) and set(
+                    map(type, chain.from_iterable(x))) <= _SCALARS:
+                inner = pad + " "
+                text = encode(x, depth + 2)[2:-2].replace(
+                    "],\n" + inner[1:] + "[", pad + "]," + pad + "[" + inner)
+                return ("[" + pad + "[" + inner + text + pad + "]" + outer
+                        + "]")
+            return "[" + pad + ("," + pad).join(
+                write(v, depth + 1) for v in x) + outer + "]"
+        if t in _SCALARS:
+            return encode(x, 0)
+        return json.dumps(x, indent=1, sort_keys=True).replace("\n", outer)
+
+    return write(report, 0)
+
+
 def _emit(report, args):
-    text = json.dumps(report, indent=1, sort_keys=True)
+    text = _format(report)
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
@@ -292,12 +349,11 @@ def main(argv=None):
             "command": args.command, "ok": False,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        print(json.dumps(report, indent=1, sort_keys=True))
+        print(_format(report))
         return 2
     except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(json.dumps({"tool": "parhox", "ok": False,
-                          "error": {"type": "IOError", "message": str(exc)}},
-                         indent=1, sort_keys=True))
+        print(_format({"tool": "parhox", "ok": False,
+                       "error": {"type": "IOError", "message": str(exc)}}))
         return 2
     except Exception as exc:
         # a fault of parhox itself, kept apart from exit 1 (a verdict
@@ -305,10 +361,9 @@ def main(argv=None):
         # traceback is imported here to keep it out of start-up.
         import traceback
         traceback.print_exc()
-        print(json.dumps({"tool": "parhox", "ok": False,
-                          "error": {"type": "InternalError",
-                                    "message": f"{type(exc).__name__}: {exc}"}},
-                         indent=1, sort_keys=True))
+        print(_format({"tool": "parhox", "ok": False,
+                       "error": {"type": "InternalError",
+                                 "message": f"{type(exc).__name__}: {exc}"}}))
         return 3
 
 

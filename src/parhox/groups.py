@@ -165,17 +165,20 @@ class ExelMonoid:
         self.index = {x: i for i, x in enumerate(elements)}
         self.size = len(elements)
         self.identity = self.index[(1, 0)]
-        index = self.index
         # g.B for every distinct mask B, translated once per g
         masks = {B for B, _ in elements}
         moved = [{B: group.translate_mask(g, B) for B in masks}
                  for g in range(group.n)]
+        # the products are looked up by the int A * n + g, cheaper to hash
+        # than the pair (A, g)
+        n = group.n
+        key = {A * n + g: i for i, (A, g) in enumerate(elements)}
         self.mul_table = []
         for A, g in elements:
             moved_g, mul_g = moved[g], group.table[g]
-            self.mul_table.append([index[(A | moved_g[B], mul_g[h])]
+            self.mul_table.append([key[(A | moved_g[B]) * n + mul_g[h]]
                                    for B, h in elements])
-        self.star = [index[(moved[group.inv(g)][A], group.inv(g))]
+        self.star = [self.index[(moved[group.inv(g)][A], group.inv(g))]
                      for (A, g) in elements]
         self.idempotents = [i for i, (A, g) in enumerate(elements) if g == 0]
 

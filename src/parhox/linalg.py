@@ -130,6 +130,18 @@ def _sp_matvec(A, x, p):
 def _sp_combination(terms, nrows, p):
     """sum_k c_k X_k over (c_k, X_k) pairs of kernel scalars and kernel-row
     matrices with nrows rows, normalized like `_nonzero`."""
+    if len(terms) == 1:
+        # one term (as every product of two monomials is): X's rows scaled
+        c, X = terms[0]
+        if p:
+            c %= p
+        if c == 1:
+            return [dict(row) for row in X]
+        if not c:
+            return [{} for _ in range(nrows)]
+        if p:
+            return [{j: c * x % p for j, x in row.items()} for row in X]
+        return [{j: c * x for j, x in row.items()} for row in X]
     out = [{} for _ in range(nrows)]
     for c, X in terms:
         if not c:

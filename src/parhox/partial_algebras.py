@@ -25,11 +25,13 @@ middle factor lies in a generating set of the table, which is complete
 because the associating elements form a subalgebra.
 
 These loops run on Python ints only.  The closure and the table build read
-the zero pattern of sigma once.  Light's test takes every scalar of the
-table once as an integer pair n/d (exact over Q, (residue, 1) over F_p) and
-decides s1 s2 = s3 s4 by cross-multiplying: n1 n2 d3 d4 - n3 n4 d1 d2 = 0,
-taken mod p over F_p.
+the zero pattern of sigma once.  Light's test takes every scalar s of the
+table once as the integer w = sD, D the least common multiple of the
+table's denominators (D = 1 over F_p), and decides s1 s2 = s3 s4 by
+w1 w2 - w3 w4 = 0, taken mod p over F_p.
 """
+
+from math import lcm
 
 from .errors import (CompletionDiverged, InvalidInput, NotARepresentation,
                      IsomorphismFailure, ValidationFailure)
@@ -116,11 +118,11 @@ def _monoid_quotient(K, monoid, seeds, name):
     work = list(vanished)
     while work:
         m = work.pop()
-        for x in range(monoid.size):
-            for t in (mt[x][m], mt[m][x]):
-                if t not in vanished:
-                    vanished.add(t)
-                    work.append(t)
+        new = {row[m] for row in mt}
+        new.update(mt[m])
+        new -= vanished
+        vanished |= new
+        work.extend(new)
     if monoid.identity in vanished:
         raise ValidationFailure("the identity monomial vanished: the ideal "
                                 "is the whole algebra")
@@ -177,16 +179,21 @@ def _close_vanishing(monoid, sigma, vanished):
     zero = sigma.zero_pattern()
     grade = [g for _, g in monoid.elements]
     mt = monoid.mul_table
+    # the rows n with sigma(grade n, g) != 0, and the columns n with
+    # sigma(g, grade n) != 0, for each grade g
+    left = [[row for row, gn in zip(mt, grade) if not zero[gn][g]]
+            for g in range(len(zero))]
+    right = [[n for n, gn in enumerate(grade) if not zero[g][gn]]
+             for g in range(len(zero))]
     work = list(vanished)
     while work:
         m = work.pop()
         gm, row = grade[m], mt[m]
-        for n in range(monoid.size):
-            gn = grade[n]
-            for z, t in ((zero[gn][gm], mt[n][m]), (zero[gm][gn], row[n])):
-                if not z and t not in vanished:
-                    vanished.add(t)
-                    work.append(t)
+        new = {r[m] for r in left[gm]}
+        new.update([row[n] for n in right[gm]])
+        new -= vanished
+        vanished |= new
+        work.extend(new)
     return vanished
 
 
@@ -231,17 +238,24 @@ def _light_generators(targ, gens):
     return sorted(set(gens) | (set(range(len(targ))) - reached))
 
 
-def _int_pairs(scal, targ):
-    """The scalars of the table as integer (numerator, denominator) rows;
-    a field value that is an int (every one over F_p) gives (value, 1).
-    Cells without a target get (0, 1)."""
-    nums, dens = [], []
-    for srow, trow in zip(scal, targ):
-        nums.append([srow[k].numerator if t >= 0 else 0
-                     for k, t in enumerate(trow)])
-        dens.append([srow[k].denominator if t >= 0 else 1
-                     for k, t in enumerate(trow)])
-    return nums, dens
+def _int_rows(K, scal, targ):
+    """The table as rows of targets and of integer scalars, each row with
+    one more cell at the end.  A scalar s becomes w = sD, D the least common
+    multiple of the denominators of the table (over F_p every scalar is an
+    int and D = 1), so s1 s2 = s3 s4 exactly when w1 w2 = w3 w4 (mod p
+    over F_p).  Cells without a target, the extra one included, get target
+    -1 and scalar 0, so reading a row at the target -1 of an absent product
+    gives an absent product again."""
+    if K.characteristic:
+        D = 1
+    else:
+        D = lcm(*{s.denominator for srow, trow in zip(scal, targ)
+                  for s, t in zip(srow, trow) if t >= 0})
+    targets = [trow + [-1] for trow in targ]
+    ints = [[s.numerator * (D // s.denominator) if t >= 0 else 0
+             for s, t in zip(srow, trow)] + [0]
+            for srow, trow in zip(scal, targ)]
+    return targets, ints
 
 
 def _associativity_defect(K, surviving, scal, targ, middles):
@@ -259,34 +273,60 @@ def _associativity_defect(K, surviving, scal, targ, middles):
     bracketing is nonzero, its monomial is the defect; when both are, the
     left one is (on tables over S(G) both land on the same monomial).
 
-    The scalars are compared on Python ints only: with s = n/d from
-    `_int_pairs`, s1 s2 = s3 s4 exactly when n1 n2 d3 d4 - n3 n4 d1 d2 is 0,
-    over F_p when it is 0 mod p (there every d is 1).
+    For each (x_i, x_j) the targets of x_i (x_j x_k) over all k form one
+    list, compared with the row of x_i x_j at once; the scalars are compared
+    only before the first target that differs, on the integers of
+    `_int_rows`.  An absent product has scalar 0 on both sides.
     """
     p = K.characteristic
-    num, den = _int_pairs(scal, targ)
-    for i in range(len(surviving)):
-        ti, ni, di = targ[i], num[i], den[i]
+    targets, ints = _int_rows(K, scal, targ)
+    n = len(surviving)
+    absent = ([-1] * (n + 1), [0] * (n + 1))
+    for ti, wi in zip(targets, ints):
         for j in middles:
             q = ti[j]
-            tj, nj, dj = targ[j], num[j], den[j]
-            if q >= 0:
-                n1, d1, tq, nq, dq = ni[j], di[j], targ[q], num[q], den[q]
-            for k, r in enumerate(tj):
-                left_t = tq[k] if q >= 0 else -1
-                right_t = ti[r] if r >= 0 else -1
-                if left_t >= 0 and right_t >= 0:
-                    if left_t != right_t:
-                        return surviving[left_t]
-                    lhs = n1 * nq[k] * dj[k] * di[r]
-                    rhs = nj[k] * ni[r] * d1 * dq[k]
-                    if lhs != rhs and (not p or (lhs - rhs) % p):
-                        return surviving[left_t]
-                elif left_t >= 0:
-                    return surviving[left_t]
-                elif right_t >= 0:
-                    return surviving[right_t]
+            w1 = wi[j]
+            tj, wj = targets[j], ints[j]
+            tq, wq = (targets[q], ints[q]) if q >= 0 else absent
+            right = [ti[r] for r in tj]           # targets of x_i (x_j x_k)
+            if tq == right:
+                stop = n
+            else:
+                stop = next(k for k, (a, b) in enumerate(zip(tq, right))
+                            if a != b)
+            for k in range(stop):
+                if tq[k] >= 0:
+                    d = w1 * wq[k] - wj[k] * wi[tj[k]]
+                    if d and (not p or d % p):
+                        return surviving[tq[k]]
+            if stop < n:
+                t = tq[stop]
+                return surviving[t if t >= 0 else right[stop]]
     return None
+
+
+def _acts_as_unit(scal, targ, u):
+    """Whether row and column u of the table are the identity with scalar 1,
+    so that every triple with u in the middle associates."""
+    ident = list(range(len(targ)))
+    col = [row[u] for row in scal]
+    return (targ[u] == ident and [row[u] for row in targ] == ident
+            and scal[u].count(1) == len(ident) and col.count(1) == len(ident))
+
+
+def _table_defect(K, monoid, table):
+    """Light's test on a table of `_build_table`, with the surviving
+    generators of S(G) as the middles (`_light_generators`).  The unit
+    monomial is left out of them once its row and column are checked to be
+    the identity; otherwise it stays a middle."""
+    surviving, pos, scal, targ = table
+    gens = [pos[m] for m in (monoid.gen(g) for g in range(monoid.group.n))
+            if m in pos]
+    middles = _light_generators(targ, gens)
+    unit = pos[monoid.identity]
+    if _acts_as_unit(scal, targ, unit):
+        middles.remove(unit)
+    return _associativity_defect(K, surviving, scal, targ, middles)
 
 
 def _complete(monoid, sigma, vanished):
@@ -294,7 +334,6 @@ def _complete(monoid, sigma, vanished):
     joins V until the table associates.  Returns the final V, its table
     (surviving, pos, scal, targ) and the completion-round log entries."""
     K = sigma.field
-    gens = [monoid.gen(g) for g in range(sigma.group.n)]
     log = []
     max_rounds = monoid.size + 2
     for round_no in range(max_rounds):
@@ -303,9 +342,7 @@ def _complete(monoid, sigma, vanished):
                 "the identity monomial vanished: sigma admits no twisted "
                 "partial group algebra (not a partial factor set)")
         table = _build_table(monoid, sigma, vanished)
-        surviving, pos, scal, targ = table
-        middles = _light_generators(targ, [pos[m] for m in gens if m in pos])
-        defect = _associativity_defect(K, surviving, scal, targ, middles)
+        defect = _table_defect(K, monoid, table)
         if defect is None:
             return vanished, table, log
         vanished.add(defect)

@@ -1,11 +1,14 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parhox import cli
 from parhox.cli import main
 from parhox.errors import SchemaError, SizeLimit
+from parhox.groups import FiniteGroup
 from parhox.instance import DEFAULT_MONOID_LIMIT
 from parhox.problems import (bundled_fixtures, build_instance, fixture_dir,
                              load_fixture, parse_spec)
@@ -447,3 +450,76 @@ def test_cli_rejects_a_malformed_module_block(module, path, tmp_path,
     assert code == 2
     assert err["type"] == "SchemaError"
     assert err["message"].startswith(path + ":")
+
+
+# -- the report layout -------------------------------------------------------
+
+def stdlib_layout(x):
+    return json.dumps(x, indent=1, sort_keys=True)
+
+
+json_text = st.text(alphabet=st.sampled_from(
+    ["a", " ", "[", "]", ",", "\n", '"', "\\", "\u00e9", "\u2202", "\t"])) | \
+    st.sampled_from(["],\n [", "],\n  [", "],\n   [", "]", "[", ""])
+json_scalars = (st.none() | st.booleans() | st.integers() |
+                st.floats() | json_text)
+json_trees = st.recursive(
+    json_scalars,
+    lambda kids: (st.lists(kids, max_size=4) |
+                  st.lists(st.lists(json_scalars, min_size=1, max_size=3),
+                           max_size=4) |
+                  st.lists(st.lists(kids, min_size=1, max_size=3),
+                           max_size=4) |
+                  st.tuples(kids, kids) |
+                  st.dictionaries(json_text, kids, max_size=4) |
+                  st.dictionaries(st.integers(), kids, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees)
+def test_report_writer_matches_the_stdlib_layout(tree):
+    # lists of flat lists take the encoder-plus-replace path; strings with
+    # "],\n [" inside must survive it
+    assert cli._format(tree) == stdlib_layout(tree)
+
+
+def coboundary_sigma(path, cayley, f, dump):
+    """sigma(g, h) = f(g) f(h) / f(gh) as a sigma file."""
+    n = len(cayley)
+    path.write_text(json.dumps([[dump(f[g] * f[h] / f[cayley[g][h]])
+                                 for h in range(n)] for g in range(n)]))
+    return str(path)
+
+
+def report_cases(tmp_path):
+    with open(group_path("s3.json")) as fh:
+        s3 = FiniteGroup.from_json(json.load(fh)).table
+    q_sigma = coboundary_sigma(
+        tmp_path / "global_q.json", s3,
+        [Fraction(v) for v in ("1", "2", "-3", "1/2", "5/3", "7")], str)
+    f7_sigma = coboundary_sigma(
+        tmp_path / "global_f7.json", s3,
+        [Fraction(v) for v in (1, 3, 5, 2, 6, 4)],
+        lambda x: x.numerator * pow(x.denominator, -1, 7) % 7)
+    return {
+        "universal S3": ["build-kpar", group_path("s3.json")],
+        "global Q": ["build-kpar", group_path("s3.json"), "--sigma", q_sigma],
+        "global F7": ["build-kpar", group_path("s3.json"), "--sigma",
+                      f7_sigma, "--field", '{"kind":"Fp","p":7}'],
+        "spectral": ["spectral", fixture_path("z2_trivial_q.json")],
+        "exit 2": ["build-kpar", group_path("s3.json"),
+                   "--field", '{"kind":"Fp","p":9}'],
+    }
+
+
+@pytest.mark.parametrize("case", ["universal S3", "global Q", "global F7",
+                                  "spectral", "exit 2"])
+def test_reports_have_the_stdlib_layout(case, tmp_path, capsys):
+    code = main(report_cases(tmp_path)[case])
+    out = capsys.readouterr().out
+    doc, end = json.JSONDecoder().raw_decode(out)
+    assert out[:end] == stdlib_layout(doc)
+    assert code == (2 if case == "exit 2" else 0)
+    if case.startswith("global"):
+        assert doc["result"]["dim"] == 112

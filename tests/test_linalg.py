@@ -10,7 +10,8 @@ from conftest import (assert_kernel_rows, dense_kron, dense_row, densify,
 from parhox.errors import InvalidInput
 from parhox.fields import QQ, PrimeField
 from parhox.linalg import (QuotientSpace, Subspace, _char, _echelon_of,
-                           _kernel_of, _rank_of, _sp_identity, _sp_kron,
+                           _kernel_of, _rank_of, _sp_combination,
+                           _sp_identity, _sp_kron,
                            _sp_matmul, _sp_matvec, _sp_transpose, _sparse,
                            _sparse_matrix, coordinates_in, solve)
 
@@ -423,6 +424,24 @@ def test_sp_kron_matches_dense_reference():
                 # normalized: no stored zeros, residues in [0, p)
                 assert got == _sparse_matrix(K, want)
                 assert densify(K, got, na * nb) == want
+
+
+def test_sp_combination_of_one_term_is_the_scaled_matrix():
+    # one term scales X's rows without the accumulating pass; it must equal
+    # the general sum, here with a zero second term, as kernel rows
+    rng = Random(67)
+    for K in FIELDS:
+        p = _char(K)
+        scalars = [K.zero, K.one, K.neg(K.one), K.from_int(2)] + (
+            [F(-2) / 3] if K.kind == "Q" else [K.characteristic])
+        for m, n in SHAPES:
+            X = _sparse_matrix(K, random_matrix(K, rng, m, n, 0.5))
+            for c in scalars:
+                got = _sp_combination([(c, X)], m, p)
+                assert got == _sp_combination([(c, X), (K.zero, X)], m, p)
+                assert_kernel_rows(K, got, m, n)
+                assert got is not X and all(
+                    a is not b for a, b in zip(got, X))
 
 
 def test_sp_transpose_matches_dense_transpose():

@@ -7,7 +7,8 @@ from conftest import (hom_from_matrix, hom_matrix, z2_dual_numbers,
                       z3_kappa2_action)
 from parhox.errors import AssociativityFailure, NotCovariant
 from parhox.fields import QQ, PrimeField
-from parhox.algebras import AlgebraHom, product_field_algebra
+from parhox.algebras import (AlgebraHom, matrix_algebra,
+                             product_field_algebra)
 from parhox.factor_sets import EquivalenceWitness, trivial_factor_set
 from parhox.groups import cyclic_group
 from parhox.linalg import _char, _sp_identity, _sp_matmul, _sp_sum
@@ -45,6 +46,45 @@ def test_validate_catches_broken_theta():
     act = UnitalPartialAction(theta.algebra, theta.action.one, bad)
     rep = validate_partial_action(act, G)
     assert not rep.ok
+
+
+def broken_actions():
+    """Partial actions with failing axioms, each with the violations that
+    validate_partial_action reports for it, in order."""
+    G, theta = z3_kappa2_action()
+    A, one, good = theta.algebra, theta.action.one, theta.action.theta
+    yield G, UnitalPartialAction(A, one, [good[0], [{0: 1, 1: 1}, {}],
+                                          good[2]]), [
+        ("theta_g not supported on D_{g^-1}", 1, 0)]
+    yield G, UnitalPartialAction(A, one, [good[0], good[1], [{}, {0: 2}]]), [
+        ("composition", 1, 2), ("theta_g not multiplicative", 2),
+        ("unity transport", 2, 0), ("unity transport", 2, 1),
+        ("composition", 2, 1)]
+    G4, theta4 = z2xz2_partial_idempotent()
+    bad = list(theta4.action.theta)
+    bad[1] = [{1: 1}, {}]
+    yield G4, UnitalPartialAction(theta4.algebra, theta4.action.one, bad), [
+        ("theta_g not supported on D_{g^-1}", 1, 1),
+        ("theta_g not an isomorphism onto D_g", 1),
+        ("unity transport", 1, 0), ("ideal image", 1, 0),
+        ("unity transport", 1, 1), ("ideal image", 1, 1),
+        ("composition", 1, 1)]
+    # Z2 on M_2(Q) with 1_t = E_11, which commutes with E_11 and E_22 but
+    # not with E_12 and E_21
+    M2 = matrix_algebra(QQ, 2)
+    yield cyclic_group(2), UnitalPartialAction(
+        M2, [M2.unit, {0: 1}], [_sp_identity(4), [{0: 1}, {}, {}, {}]]), [
+        ("1_g not central", 1, 1), ("1_g not central", 1, 2),
+        ("theta_g not an isomorphism onto D_g", 1),
+        ("ideal image", 1, 0), ("ideal image", 1, 1), ("composition", 1, 1)]
+
+
+def test_validate_reports_every_violation_in_order():
+    # centrality is decided over the generators and theta_g of each basis
+    # element is formed once; the violations are still those of the full
+    # sweeps, in order
+    for G, action, want in broken_actions():
+        assert validate_partial_action(action, G).violations == want
 
 
 def test_crossed_product_z3_kappa2():

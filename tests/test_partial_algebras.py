@@ -23,7 +23,7 @@ from parhox.partial_actions import (PartialProjRepresentation,
                                     build_crossed_product, gamma_sigma)
 from parhox.partial_algebras import (_associativity_defect, _build_table,
                                      _close_vanishing, _complete,
-                                     _light_generators,
+                                     _light_generators, _table_defect,
                                      b_sigma_module_structures, build_B_sigma_omega,
                                      build_kpar, build_kpar_idempotent,
                                      build_kpar_sigma, check_defining_relations,
@@ -609,3 +609,93 @@ def test_light_test_comparison_matches_field(case):
     K, a, b, c, d = case
     associates = K.mul(a, b) == K.mul(c, d)
     assert (triple_defect(K, a, b, c, d) is None) == associates
+
+
+def first_reference_defect(K, surviving, scal, targ, middles):
+    """The first defect of the plain sweep over the triples (x_i, a, x_k),
+    a in middles, in that order, with both bracketings formed by K.mul."""
+    n = len(surviving)
+    for i in range(n):
+        for j in middles:
+            for k in range(n):
+                left = right = None
+                q, r = targ[i][j], targ[j][k]
+                if q >= 0 and targ[q][k] >= 0:
+                    left = targ[q][k], K.mul(scal[i][j], scal[q][k])
+                if r >= 0 and targ[i][r] >= 0:
+                    right = targ[i][r], K.mul(scal[j][k], scal[i][r])
+                if left != right:
+                    return surviving[(left or right)[0]]
+    return None
+
+
+def unit_corruptions(rng, K, monoid, table):
+    """The table with a scalar of the unit monomial's row, then of its
+    column, changed to 2, and with a target of its row, then of its column,
+    changed to a monomial of another grade."""
+    surviving, pos, scal, targ = table
+    u = pos[monoid.identity]
+    grade = [monoid.elements[m][1] for m in surviving]
+    n = len(targ)
+    others = [x for x in range(n) if x != u]
+    for a, b in ((u, rng.choice(others)), (rng.choice(others), u)):
+        scal2 = [list(row) for row in scal]
+        scal2[a][b] = K.add(K.one, K.one)
+        yield surviving, pos, scal2, targ
+        targ2 = [list(row) for row in targ]
+        t = targ[a][b]
+        targ2[a][b] = rng.choice([x for x in range(n)
+                                  if grade[x] != grade[t]])
+        yield surviving, pos, scal, targ2
+
+
+def table_middles(monoid, table):
+    """`_light_generators` of the table, the unit monomial included."""
+    surviving, pos, scal, targ = table
+    gens = [pos[m] for m in (monoid.gen(g) for g in range(monoid.group.n))
+            if m in pos]
+    return _light_generators(targ, gens)
+
+
+def test_light_test_returns_the_first_defect_of_the_sweep():
+    # the row comparison and the unit monomial left out of the middles
+    # must not change which defect comes first, so the completion log
+    # stays the same
+    rng = random.Random(7)
+    found = 0
+    for monoid, sigma in random_sigmas(seed=5, per_case=4):
+        K = sigma.field
+        tables = [_build_table(monoid, sigma, r4_vanishing(monoid, sigma))]
+        ks = build_kpar_sigma(sigma, monoid=monoid)
+        final = _build_table(monoid, sigma, ks.vanished)
+        if len(final[0]) > 2:
+            tables += [final] + list(corruptions(rng, K, final))
+        for table in tables:
+            surviving, _, scal, targ = table
+            want = first_reference_defect(K, surviving, scal, targ,
+                                          table_middles(monoid, table))
+            assert _table_defect(K, monoid, table) == want
+            found += want is not None
+    assert found >= 40
+
+
+def test_light_test_reports_a_corrupted_unit_row_or_column():
+    # the unit monomial leaves the middles only when its row and column
+    # are the identity with scalar 1; a changed scalar or target there
+    # keeps it, and the defect is found
+    rng = random.Random(9)
+    checked = 0
+    for monoid, sigma in random_sigmas(seed=13, per_case=3):
+        K = sigma.field
+        final = _build_table(monoid, sigma,
+                             build_kpar_sigma(sigma, monoid=monoid).vanished)
+        if len({monoid.elements[m][1] for m in final[0]}) < 2:
+            continue
+        for table in unit_corruptions(rng, K, monoid, final):
+            surviving, _, scal, targ = table
+            want = first_reference_defect(K, surviving, scal, targ,
+                                          table_middles(monoid, table))
+            assert want is not None
+            assert _table_defect(K, monoid, table) == want
+            checked += 1
+    assert checked >= 40
