@@ -69,9 +69,6 @@ class ValidationReport:
     def fail(self, *info):
         self.violations.append(tuple(info))
 
-    def note(self, *info):
-        self.notes.append(tuple(info))
-
     def merge(self, other):
         self.violations.extend(other.violations)
         self.notes.extend(other.notes)

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -211,9 +212,9 @@ def cmd_hochschild(args):
     result = {"dims": {f"H{q}": bar[q] for q in range(n + 1)},
               "truncation": n}
     if args.cohomology:
-        barc = lam_hochschild_bar(inst, n, cochain=True)
+        barc = lam_hochschild_bar(inst, n, dual=True)
         agree = agree and barc == lam_hochschild_resolution(inst, n,
-                                                            cochain=True)
+                                                            dual=True)
         result["cohomology_dims"] = {f"H^{q}": barc[q] for q in range(n + 1)}
     result["oracle_agreement"] = agree
     return _emit(_report("hochschild", raw, result, agree, t0), args)
@@ -284,7 +285,10 @@ def cmd_selfcheck(args):
     return _emit(_report("selfcheck", inputs, doc, ok, t0), args)
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built on first use and kept for the process:
+    `main` may be called many times in one process."""
     parser = argparse.ArgumentParser(
         prog="parhox",
         description="exact verification toolkit for twisted partial group "
@@ -339,8 +343,11 @@ def main(argv=None):
     p = sub.add_parser("selfcheck",
                        help="run the full battery on all bundled fixtures")
     p.set_defaults(fn=cmd_selfcheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParhoxError as exc:

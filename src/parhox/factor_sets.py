@@ -91,10 +91,6 @@ class EquivalenceWitness:
     def __call__(self, g):
         return self.eta[g]
 
-    @staticmethod
-    def trivial(group, field):
-        return EquivalenceWitness(group, field, [field.one] * group.n)
-
     def transport(self, sigma, name=None):
         """nu(g,h) = eta(g) eta(h) eta(gh)^-1 sigma(g,h)."""
         K = self.field
@@ -193,15 +189,11 @@ def xi_sigma_double_prime(sigma):
     return xi, sdp
 
 
-def normalize_inverse_pairs(sigma, want_square_roots=True):
-    """Equivalence-transport sigma so that sigma(g, g^-1) becomes 0 or 1.
-
-    Off the order-two part this always succeeds (scale one of g, g^-1 per
-    inverse pair).  On order-two elements it needs square roots of
-    sigma(g, g); when one is missing the transport skips those elements and
-    the returned report is flagged.
-    Returns (eta, nu, report).
-    """
+def normalize_inverse_pairs(sigma):
+    """Equivalence-transport sigma so that sigma(g, g^-1) becomes 0 or 1,
+    by scaling one of g, g^-1 per inverse pair off the order-two part G_2.
+    sigma(g, g) on G_2 is left as it is, and the report fails where it is
+    neither 0 nor 1.  Returns (eta, nu, report)."""
     G = sigma.group
     K = sigma.field
     rep = ValidationReport(f"normalize {sigma.name}")
@@ -211,23 +203,10 @@ def normalize_inverse_pairs(sigma, want_square_roots=True):
         a = sigma(g, G.inv(g))
         if a != K.zero:
             eta[g] = K.inv(a)
-    if want_square_roots:
-        for g in G.order_two_elements():
-            a = sigma(g, g)
-            if a == K.zero or a == K.one:
-                continue
-            r = K.sqrt(a)
-            if r is None:
-                rep.note("no square root", g, a)
-            else:
-                eta[g] = K.inv(r)
     witness = EquivalenceWitness(G, K, eta)
     nu = witness.transport(sigma, name=f"{sigma.name}_nu")
-    # postcondition on the covered scope
-    skipped = {g for (_, g, _a) in rep.notes}
+    # postcondition: on G_2 it holds only where sigma(g, g) is 0 or 1
     for g in range(G.n):
-        if g in skipped:
-            continue
         a = nu(g, G.inv(g))
         if a != K.zero and a != K.one:
             rep.fail("inverse pair not normalized", g, a)

@@ -10,7 +10,6 @@ Nothing here ever rounds.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import DivisionByZero, FieldMismatch, SchemaError
 
@@ -63,17 +62,7 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == self.zero
-
     def from_int(self, n):
-        raise NotImplementedError
-
-    def sqrt(self, a):
-        """A deterministic square root of ``a`` in the field, or None."""
         raise NotImplementedError
 
     def parse(self, obj):
@@ -131,15 +120,6 @@ class RationalField(Field):
     def from_int(self, n):
         return n
 
-    def sqrt(self, a):
-        if a < 0:
-            return None
-        num, den = a.numerator, a.denominator
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return _rational(Fraction(rn, rd))
-        return None
-
     def parse(self, obj):
         if isinstance(obj, (str, int)):
             try:
@@ -191,39 +171,6 @@ class PrimeField(Field):
 
     def from_int(self, n):
         return n % self.p
-
-    def sqrt(self, a):
-        # Tonelli-Shanks with the smallest quadratic non-residue as the
-        # auxiliary element; ties broken by returning min(x, p - x).
-        p = self.p
-        a %= p
-        if a == 0:
-            return 0
-        if p == 2:
-            return a
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        if p % 4 == 3:
-            x = pow(a, (p + 1) // 4, p)
-            return min(x, p - x)
-        # write p - 1 = q * 2^s with q odd
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = (t2 * t2) % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, (b * b) % p
-            t, x = (t * c) % p, (x * b) % p
-        return min(x, p - x)
 
     def parse(self, obj):
         if isinstance(obj, int):

@@ -1,59 +1,52 @@
-"""Chain complexes, bar complexes, free resolutions, Tor/Ext, Hochschild
-(co)homology and the diagonal group action on Hochschild chains.
+"""Chain complexes, bar complexes, free resolutions, Tor, Hochschild
+homology and the diagonal group action on Hochschild chains.
 
 Degree conventions:
 
-  * a ChainComplex stores d[q] for 1 <= q <= top, C_q = kappa^{dims[q]},
-    as a list of kernel rows (`{col: value}` dicts of `linalg`, one per
-    basis element of the target; `dims` gives the shape).  It knows its
-    direction: d[q]: C_q -> C_{q-1} for chains and d[q]: C^{q-1} -> C^q
-    for cochains (only cobar_complex builds these), and every reader
-    (homology data, the chain-action gate) asks the complex which map
-    leaves and which enters a degree.  The group action on the chains
-    (GModuleOnChains) keeps its matrices T_g as kernel rows too, and
-    nothing at the chain level is ever stored densely;
-  * homology dims use  dim H_q = dims[q] - rank d[q] - rank d[q+1]  in
-    both directions;
+  * a ChainComplex stores d[q]: C_q -> C_{q-1} for 1 <= q <= top,
+    C_q = kappa^{dims[q]}, as a list of kernel rows (`{col: value}` dicts
+    of `linalg`, one per basis element of the target; `dims` gives the
+    shape).  The group action on the chains (GModuleOnChains) keeps its
+    matrices T_g as kernel rows too, and nothing at the chain level is
+    ever stored densely;
+  * homology dims use  dim H_q = dims[q] - rank d[q] - rank d[q+1];
   * a FreeResolution of a module X over R keeps generator images, so the
     boundary in F_q = R^{r_q} is  u_j -> gen_images[q][j], and the induced
-    complexes for Tor/Ext are assembled from action matrices of the blocks;
+    complexes for Tor are assembled from action matrices of the blocks;
   * Hochschild homology of R with coefficients in a bimodule M is computed
     both on the (normalized or full) bar complex  C_q = M (x) Rbar^(x q)
     and as Tor over R^e via a free resolution of R; the two routes must
-    agree and that agreement is an acceptance gate, not an assumption;
-  * the Hochschild cochain complex is the dual of the bar complex of the
-    dual bimodule, C^q(R, M) = C_q(R, M*)* (Cartan-Eilenberg, ch. IX): the
-    coboundary d[q] is the transpose of the bar boundary b_q of M*, and
-    C^q has the bar basis of M*, M-major: the cochain sending the tuple
-    t to e_m and every other tuple to 0 has flat index m * W^q + flat(t).
-    So dim H^q(R, M) = dim H_q(R, M*), and Hochschild cohomology dims are
-    the homology dims of `dual_bimodule(M)` on either route.
+    agree and that agreement is an acceptance gate, not an assumption.
+
+Everything here is homological.  Cohomology with coefficients in M is read
+as homology with coefficients in the dual bimodule M* (`dual_bimodule`):
+the complex of maps R^(x q) -> M is the dual of C_q(R, M*)
+(Cartan-Eilenberg, ch. IX), so dim H^q(R, M) = dim H_q(R, M*);
+`spectral.module_tower` carries the argument through the group action and
+the partial group cohomology.
 
 The diagonal action of the group on Hochschild chains of the coefficient
-algebra A (`diagonal_action`, on chains, or on cochains with `cochain`
-set) uses the full (unnormalized) bar complex: the action does not
-preserve degenerate chains, so the normalized model would not carry it.
-Partial group homology H_n^par(G, X) = Tor_n^{kpar}(B, X) and cohomology
-H^n_par(G, X) = Ext^n_{kpar}(B, X) are `tor_dims` and `ext_dims` on
-kappa_par G.
+algebra A (`diagonal_action`) uses the full (unnormalized) bar complex:
+the action does not preserve degenerate chains, so the normalized model
+would not carry it.  Partial group homology H_n^par(G, X) =
+Tor_n^{kpar}(B, X) is `tor_dims` on kappa_par G.
 """
 
 from itertools import product
 
 from .errors import EquivarianceFailure, InvalidInput, SizeLimit
 from .algebras import (ModuleData, ValidationReport, bimodule_hom,
-                       bimodule_to_right_env_module, dual_bimodule,
-                       enveloping, module_from_generator_actions,
-                       regular_bimodule)
+                       bimodule_to_right_env_module, enveloping,
+                       module_from_generator_actions, regular_bimodule)
 from .linalg import (QuotientSpace, Subspace, _char, _Echelon, _kernel_of,
                      _nonzero, _rank_of, _sp_combination,
                      _sp_identity, _sp_kron, _sp_matmul, _sp_matvec,
                      _sp_transpose, coordinates_in)
 
 __all__ = [
-    "ChainComplex", "bar_complex", "cobar_complex", "homology_dims_of_complex",
+    "ChainComplex", "bar_complex", "homology_dims_of_complex",
     "HomologyData", "homology_data", "FreeResolution", "free_resolution",
-    "tor_dims", "ext_dims", "hochschild_homology_bar",
+    "tor_dims", "hochschild_homology_bar",
     "hochschild_homology_resolution", "GModuleOnChains", "diagonal_action",
     "induced_action_on_homology",
     "hom_A_carrier", "hom_A_module_structure",
@@ -64,29 +57,17 @@ RESOLUTION_STYLES = ("greedy", "greedy_reversed", "fat")
 
 
 class ChainComplex:
-    """dims[q] for 0 <= q <= top; d[q] for 1 <= q <= top as kernel rows,
-    C_q -> C_{q-1} for chains and C^{q-1} -> C^q when `cochain` is set."""
+    """dims[q] for 0 <= q <= top; d[q]: C_q -> C_{q-1} for 1 <= q <= top
+    as kernel rows."""
 
-    def __init__(self, field, dims, diffs, cochain=False):
+    def __init__(self, field, dims, diffs):
         self.field = field
         self.dims = list(dims)
         self.d = dict(diffs)
-        self.cochain = cochain
 
     @property
     def top(self):
         return len(self.dims) - 1
-
-    def ends(self, q):
-        """(source, target) degrees of d[q]."""
-        return (q - 1, q) if self.cochain else (q, q - 1)
-
-    def at(self, q):
-        """(the differential leaving degree q, the one entering it), None
-        where the complex has none."""
-        if self.cochain:
-            return self.d.get(q + 1), self.d.get(q)
-        return self.d.get(q), self.d.get(q + 1)
 
     def validate(self):
         rep = ValidationReport("chain complex")
@@ -94,17 +75,15 @@ class ChainComplex:
         p = _char(K)
         d = self.d
         for q in range(2, self.top + 1):
-            first, second = (d[q - 1], d[q]) if self.cochain \
-                else (d[q], d[q - 1])
-            if any(_sp_matmul(second, first, p)):
+            if any(_sp_matmul(d[q - 1], d[q], p)):
                 rep.fail("d.d != 0", q)
         return rep
 
 
 class _BarBasis:
     """Index bookkeeping for M (x) W^(x q), W either R or the reduced Rbar,
-    and the face tables of the (co)bar differentials, built once per
-    complex as kernel rows:
+    and the face tables of the bar differentials, built once per complex
+    as kernel rows:
 
       * prod[i][j]: a_i a_j in the reduced basis;
       * left[i][m]: a_i . e_m and right[i][m]: e_m . a_i in the M-basis.
@@ -205,28 +184,8 @@ def bar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
     return cc, bb
 
 
-def cobar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
-    """The Hochschild cochain complex C^q = maps W^(x q) -> M, with
-
-        (df)(a1..a_{q+1}) = a1.f(a2..) + sum_i (-1)^i f(..a_i a_{i+1}..)
-                            + (-1)^{q+1} f(a1..aq).a_{q+1},
-
-    built as the transpose of the bar complex of M*: d[q]: C^{q-1} -> C^q
-    is b_q^T for the bar boundary b_q of M*, and C^q has the M-major bar
-    basis of M*.  The bar complex's d.d = 0 gate covers the cochains,
-    since (b_q b_{q+1})^T = d[q+1] d[q].  Returns (ChainComplex, the
-    _BarBasis of M*)."""
-    cc, bb = bar_complex(R, dual_bimodule(M), max_q, normalized=normalized,
-                         cap=cap)
-    return ChainComplex(cc.field, cc.dims,
-                        {q: _sp_transpose(d, cc.dims[q])
-                         for q, d in cc.d.items()},
-                        cochain=True), bb
-
-
 def homology_dims_of_complex(cc, max_q):
-    """Betti-style dims dims[q] - rank d[q] - rank d[q+1], which holds in
-    either direction."""
+    """Betti-style dims dims[q] - rank d[q] - rank d[q+1]."""
     rk = {q: _rank_of(cc.field, [dict(row) for row in cc.d[q]])
           for q in range(1, min(max_q + 1, cc.top) + 1)}
     return [cc.dims[q] - rk.get(q, 0) - rk.get(q + 1, 0)
@@ -253,16 +212,14 @@ class HomologyData:
 
 def homology_data(cc, q):
     """Representative-level homology of the complex cc at degree q: the
-    cycles are the kernel of the differential leaving C_q (all of C_q if
-    there is none), the boundaries the columns of the one entering it."""
+    cycles are the kernel of d[q] (all of C_q if there is none), the
+    boundaries the columns of d[q+1]."""
     K = cc.field
     n = cc.dims[q]
-    d_leaving, d_entering = cc.at(q)
-    cycles = _kernel_of(K, [dict(row) for row in d_leaving or ()], n)
+    cycles = _kernel_of(K, [dict(row) for row in cc.d.get(q, ())], n)
     bsub = Subspace(K, n)
-    if d_entering is not None:
-        source = q - 1 if cc.cochain else q + 1
-        for col in _sp_transpose(d_entering, cc.dims[source]):
+    if q + 1 in cc.d:
+        for col in _sp_transpose(cc.d[q + 1], cc.dims[q + 1]):
             bsub.ech.add(col)
     quot = QuotientSpace(K, n, bsub)
     reps, hbasis = [], []
@@ -276,7 +233,7 @@ def homology_data(cc, q):
 
 
 # ---------------------------------------------------------------------------
-# free resolutions and Tor / Ext
+# free resolutions and Tor
 
 
 class FreeResolution:
@@ -448,19 +405,8 @@ def tor_dims(R, X_right, Y_left, max_n, style="greedy", resolution=None):
                          max_n)
 
 
-def ext_dims(R, X_left, Y_left, max_n, style="greedy", resolution=None):
-    """dim Ext^n_R(X, Y) for n <= max_n (projective resolution of X)."""
-    res = resolution if resolution is not None else \
-        free_resolution(R, X_left, "left", max_n + 1, style=style)
-    assert len(res.ranks) >= max_n + 2
-    # delta: Y^{r_{q-1}} -> Y^{r_q}, f.d(u_j) = sum_k w_k . f(u_k); its
-    # transpose is the Tor-type boundary of the transposed action matrices,
-    # whose columns are the rows of the action matrices
-    return _induced_dims(res, Y_left.left, Y_left.dim, max_n)
-
-
 # ---------------------------------------------------------------------------
-# Hochschild (co)homology
+# Hochschild homology
 
 
 def hochschild_homology_bar(R, M, max_n, normalized=True, cap=DEFAULT_CHAIN_CAP):
@@ -503,8 +449,8 @@ def _env_left_regular(env, R):
 
 
 class GModuleOnChains:
-    """A chain (or cochain) complex with one matrix per group element and
-    degree, gated by equivariance and the partial-representation relations."""
+    """A chain complex with one matrix per group element and degree, gated
+    by equivariance and the partial-representation relations."""
 
     def __init__(self, complex_, action, sigma_pattern):
         self.complex = complex_
@@ -520,12 +466,11 @@ class GModuleOnChains:
         T = self.action
         top = len(T[0]) - 1
         d = self.complex.d
-        # equivariance with the differential: d[q] T_source = T_target d[q]
+        # equivariance with the differential: d[q] T[q] = T[q-1] d[q]
         for g in range(len(T)):
             for q in range(1, top + 1):
-                src, tgt = self.complex.ends(q)
-                if _sp_matmul(d[q], T[g][src], p) != \
-                   _sp_matmul(T[g][tgt], d[q], p):
+                if _sp_matmul(d[q], T[g][q], p) != \
+                   _sp_matmul(T[g][q - 1], d[q], p):
                     rep.fail("equivariance", g, q)
         # partial representation relations with the given idempotent pattern
         sigma = self.sigma_pattern
@@ -588,48 +533,41 @@ def m_as_a_bimodule(lam, M):
     return MA
 
 
-def diagonal_action(lam, M, MA, xi, sigma_dd, max_q, cochain=False,
-                    cap=DEFAULT_CHAIN_CAP):
+def diagonal_action(lam, M, MA, xi, sigma_dd, max_q, cap=DEFAULT_CHAIN_CAP):
     """The diagonal group action on the full Hochschild chains of A with
     coefficients in M, MA being M restricted to A (`m_as_a_bimodule`):
 
-        T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq)      on chains,
-        (T_g f)(a1..aq) = [g].f([g^-1].a1, ..., [g^-1].aq)  on cochains,
+        T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq).
 
-    the latter when `cochain` is set.  In the M-major basis of either
-    complex T_g = MG[g] (x) X_g^(x q), with X_g = AG[g] on chains and
-    AG[g^-1]^T on cochains (`_crossed_action_matrices`), as kernel rows.
-    Hard-gated; returns (GModuleOnChains, _BarBasis)."""
+    In the M-major basis T_g = MG[g] (x) AG[g]^(x q)
+    (`_crossed_action_matrices`), as kernel rows.  Hard-gated; returns
+    (GModuleOnChains, _BarBasis)."""
     group = lam.group
     A = lam.theta.algebra
-    build = cobar_complex if cochain else bar_complex
-    cc, bb = build(A, MA, max_q, normalized=False, cap=cap)
+    cc, bb = bar_complex(A, MA, max_q, normalized=False, cap=cap)
     p = _char(cc.field)
-    X, MG = _crossed_action_matrices(lam, M, xi)
-    if cochain:
-        X = [_sp_transpose(X[group.inv(g)], A.dim) for g in range(group.n)]
+    AG, MG = _crossed_action_matrices(lam, M, xi)
     action = []
     for g in range(group.n):
         mats = [MG[g]]
         for _ in range(max_q):
-            mats.append(_sp_kron(mats[-1], X[g], A.dim, p))
+            mats.append(_sp_kron(mats[-1], AG[g], A.dim, p))
         action.append(mats)
     gmod = GModuleOnChains(cc, action, sigma_dd)
     rep = gmod.gate(group)
     if not rep.ok:
-        kind = "cochain" if cochain else "chain"
         raise EquivarianceFailure(
-            f"{kind} action gate failed: {rep.violations[:5]}")
+            f"chain action gate failed: {rep.violations[:5]}")
     return gmod, bb
 
 
 def induced_action_on_homology(gmod, q, target_algebra, group,
                                annihilator_vectors=None, hd=None):
-    """The module structure on H_q (or H^q, for a cochain complex) induced
-    by an equivariant action, returned as a validated left ModuleData over
-    a monomial group algebra (kappa_par G or kappa_par^{sigma''} G, passed
-    as the ktw object).  hd: the homology data of degree q from an earlier
-    call on the same complex, reused instead of recomputed."""
+    """The module structure on H_q induced by an equivariant action,
+    returned as a validated left ModuleData over a monomial group algebra
+    (kappa_par G or kappa_par^{sigma''} G, passed as the ktw object).
+    hd: the homology data of degree q from an earlier call on the same
+    complex, reused instead of recomputed."""
     cc = gmod.complex
     K = cc.field
     p = _char(K)
@@ -652,9 +590,8 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
     if annihilator_vectors:
         for v in annihilator_vectors:
             if any(mod.left_matrix_of(v)):
-                kind = "cohomology" if cc.cochain else "homology"
                 raise EquivarianceFailure(
-                    f"ker(zeta) does not annihilate the {kind} module")
+                    "ker(zeta) does not annihilate the homology module")
     return hd, mod
 
 

@@ -8,11 +8,11 @@ spectral-sequence checks consume instances.
 from functools import cached_property
 
 from .errors import InvalidInput
-from .algebras import (regular_bimodule, restrict_along_hom,
+from .algebras import (dual_bimodule, regular_bimodule, restrict_along_hom,
                        separability_idempotent)
 from .factor_sets import (EquivalenceWitness, trivial_factor_set,
                           normalize_inverse_pairs, sigma_prime,
-                          involution_star, xi_sigma_double_prime)
+                          xi_sigma_double_prime)
 from .groups import enumerate_exel
 from .homology import DEFAULT_CHAIN_CAP, m_as_a_bimodule
 from .partial_actions import (TwistedPartialAction, build_crossed_product,
@@ -54,14 +54,13 @@ class Instance:
         # inverse-pair normalization (records the witness when nontrivial)
         self.eta = None
         if not sigma.is_inverse_normalized():
-            eta, nu, rep = normalize_inverse_pairs(sigma, want_square_roots=False)
+            eta, nu, rep = normalize_inverse_pairs(sigma)
             rep.raise_if_failed()
             self.eta = eta
             if theta is not None:
                 theta = transport_by_equivalence(theta, eta)[0]
             sigma = nu
         self.sigma = sigma
-        self.sigma_star = involution_star(sigma)
         self.sigma_prime = sigma_prime(sigma)
         self.xi, self.sigma_dd = xi_sigma_double_prime(sigma)
         # partial group algebras
@@ -69,8 +68,6 @@ class Instance:
         self.ks = build_kpar_sigma(sigma, monoid=self.monoid)
         self.ksdd = build_kpar_idempotent(self.sigma_dd, monoid=self.monoid)
         check_defining_relations(self.ks).raise_if_failed()
-        rep = self.ks.canonical_representation()
-        rep.validate(factor_set_property=True).raise_if_failed()
         self.bsig, self.omega = build_B_sigma_omega(self.kpar, self.ks,
                                                     ksdd=self.ksdd)
         # the crossed product: universal on B^sigma unless an action is given
@@ -108,6 +105,15 @@ class Instance:
     def m_over_a(self):
         """M|A: the coefficient bimodule restricted to A."""
         return m_as_a_bimodule(self.lam, self.M)
+
+    @cached_property
+    def _m_dual(self):
+        return dual_bimodule(self.M), dual_bimodule(self.m_over_a)
+
+    def coefficient(self, dual=False):
+        """(M, M|A), or (M*, M*|A) for the dual bimodule M* when `dual` is
+        set: the cohomology side reads H^q(-, M) as H_q(-, M*)."""
+        return self._m_dual if dual else (self.M, self.m_over_a)
 
     @cached_property
     def b_over_kpar(self):

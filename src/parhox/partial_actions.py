@@ -232,23 +232,30 @@ def build_crossed_product(theta, name=None):
     pos = {bi: p for p, bi in enumerate(basis_index)}
     dim = len(basis_index)
     sc = {}
-    for p1, (g, li) in enumerate(basis_index):
-        a = dg_bases[g][li]
-        for p2, (h, lj) in enumerate(basis_index):
-            b = dg_bases[h][lj]
-            s = sigma(g, h)
-            if not s:
-                continue
-            gh = group.mul(g, h)
-            w = A.mul(a, action.apply_theta(g, A.mul(action.one[group.inv(g)], b)))
-            w = _sp_sum([(s, A.mul(w, action.one[gh]))], A.p)
-            if not w:
-                continue
-            coords = action.ideal_space(gh).coords(w)
-            if coords is None:
-                raise InvalidInput("crossed product does not close")
-            sc[(p1, p2)] = [(pos[(gh, lk)], c)
-                            for lk, c in sorted(coords.items())]
+    p1 = 0
+    for g in range(group.n):
+        if not dg_bases[g]:
+            continue
+        # theta_g(1_{g^-1} b) depends on (g, b) only: formed once per pair
+        one_gi = action.one[group.inv(g)]
+        moved = [action.apply_theta(g, A.mul(one_gi, dg_bases[h][lj]))
+                 if sigma(g, h) else None for (h, lj) in basis_index]
+        for a in dg_bases[g]:
+            for p2, (h, lj) in enumerate(basis_index):
+                s = sigma(g, h)
+                if not s:
+                    continue
+                gh = group.mul(g, h)
+                w = A.mul(a, moved[p2])
+                w = _sp_sum([(s, A.mul(w, action.one[gh]))], A.p)
+                if not w:
+                    continue
+                coords = action.ideal_space(gh).coords(w)
+                if coords is None:
+                    raise InvalidInput("crossed product does not close")
+                sc[(p1, p2)] = [(pos[(gh, lk)], c)
+                                for lk, c in sorted(coords.items())]
+            p1 += 1
     unit_coords = action.ideal_space(0).coords(A.unit)
     if unit_coords is None:
         raise InvalidInput("the unit of A is not in D_1")

@@ -228,10 +228,10 @@ def criterion_fixture_suites(instances):
             crit = criterion_of(name)
             seconds[crit] = seconds.get(crit, 0.0) + secs
     results = []
-    # the equivariance gate also passes implicitly whenever the chain/cochain
-    # towers were constructed (construction raises on gate failure)
+    # the equivariance gate also passes implicitly whenever the towers of
+    # M and M* were constructed (construction raises on gate failure)
     buckets.setdefault("equivariance gate", []).append(
-        ("(all fixtures)", "chain and cochain gates", "pass",
+        ("(all fixtures)", "chain-action gates on M and M*", "pass",
          "construction-level hard gate"))
     for crit in ("hochschild oracles", "equivariance gate",
                  "collapse isomorphisms", "tor-form bridge",

@@ -9,12 +9,13 @@ required on separable instances.
 
 The first-quadrant homological sequence, E2_{p,q} = H_p^par(G, H_q(A, M)),
 and the third-quadrant cohomological one, E2^{p,q} = H^p_par(G, H^q(A, M)),
-are one construction read in two directions: each step that has both
-(the chain-action tower, the page, the partial group (co)homology, the
-separable collapse, the Hochschild dims of Lambda) is one function with
-the `cochain` flag of `ChainComplex`.  The bar-route dims of
-H_*(Lambda, M) and H^*(Lambda, M) have one source, `lam_hochschild_bar`,
-memoized on the instance, which every check reads.
+are one construction on two coefficients: the cohomological page has the
+dims of the homological page of the dual bimodule M* (`module_tower` has
+the proof).  Each step that has both (the chain-action tower, the page,
+the separable collapse, the Hochschild dims of Lambda) is one function
+whose `dual` flag picks the coefficient, M or M*, and the record names.
+The bar-route dims of H_*(Lambda, M) and H^*(Lambda, M) have one source,
+`lam_hochschild_bar`, memoized on the instance, which every check reads.
 """
 
 import time
@@ -22,11 +23,11 @@ from contextlib import contextmanager
 from functools import partial
 
 from .algebras import (AlgebraHom, ModuleData, bimodule_hom,
-                       bimodule_tensor, commutator_quotient, dual_bimodule,
-                       group_algebra, hom_over_algebra, regular_bimodule,
+                       bimodule_tensor, commutator_quotient, group_algebra,
+                       hom_over_algebra, regular_bimodule,
                        restrict_along_hom, tensor_over_algebra)
 from .homology import (_crossed_action_matrices, diagonal_action,
-                       env_resolution, ext_dims, free_resolution,
+                       env_resolution, free_resolution,
                        hochschild_homology_bar, hochschild_homology_resolution,
                        hom_A_module_structure, induced_action_on_homology,
                        tor_dims)
@@ -106,35 +107,59 @@ class SpectralCheckReport:
 # E2 pages
 
 
-def module_tower(inst, max_q, cochain=False):
-    """H_q(A, M) (or H^q(A, M)) for q <= max_q, as (hd, kappa_par G module,
-    kappa_par^{sigma''} G module); the last is built on the homology side
-    only and is None on the cohomology side.  Memoized on the instance."""
+def module_tower(inst, max_q, dual=False):
+    """H_q(A, M), or H_q(A, M*) when `dual` is set, for q <= max_q, as
+    (hd, kappa_par G module, kappa_par^{sigma''} G module); the last is
+    built for M only, as nothing reads it for M*, and is None for M*.
+    Both towers pass the chain-action gate (d.d = 0, equivariance, the
+    sigma'' relations) and the ker(zeta) annihilator gate.  Memoized on
+    the instance.
+
+    The M* tower carries the cohomological page, dim E2^{p,q}(M) =
+    dim Tor_p^{kpar}(B, H_q(A, M*)).  Why:
+
+      * C^q(A, M) = Hom(A^(x q), M) is C_q(A, M*)^*, in the M-major bar
+        basis of M*, and its coboundary is the transpose of the bar
+        boundary of M* (Cartan-Eilenberg, ch. IX).  The cochain action
+        (T_g f)(a1..aq) = [g].f([g^-1].a1, ..., [g^-1].aq) is
+        T_g = (T^{M*}_{g^-1})^T: its A-part is AG[g^-1]^T, and
+        MG^{M*}[g^-1]^T = (xi(g^-1) / xi(g)) MG^M[g] = MG^M[g] because
+        xi(g) = xi(g^-1), which xi_sigma_double_prime guarantees;
+      * so H^q(A, M) = H_q(A, M*)^* =: Y^*, with the contragredient
+        action [g].f = f o [g^-1], and
+        Ext^p_{kpar}(B, Y^*) = Tor_p^{kpar}(Y, B)^* by Hom-tensor
+        adjunction, Y being a right module through [g^-1];
+      * the anti-involution [g] -> [g^-1] of kappa_par G turns
+        Tor^{kpar}(Y, B) into Tor^{kpar}(B', Y) with Y = H_q(A, M*) as
+        the left module it is, and B' the right module
+        b.[g] = [g^-1].b, which is B_right.
+    """
     def build(length):
-        gmod, _ = diagonal_action(inst.lam, inst.M, inst.m_over_a, inst.xi,
-                                  inst.sigma_dd, length + 1, cochain=cochain,
-                                  cap=inst.chain_cap)
+        M, MA = inst.coefficient(dual)
+        gmod, _ = diagonal_action(inst.lam, M, MA, inst.xi, inst.sigma_dd,
+                                  length + 1, cap=inst.chain_cap)
         ann = inst.ker_zeta_in_kpar()
         tower = []
         for q in range(length + 1):
             hd, mod_kpar = induced_action_on_homology(gmod, q, inst.kpar,
                                                       inst.group,
                                                       annihilator_vectors=ann)
-            mod_ksdd = None if cochain else induced_action_on_homology(
+            mod_ksdd = None if dual else induced_action_on_homology(
                 gmod, q, inst.ksdd, inst.group, hd=hd)[1]
             tower.append((hd, mod_kpar, mod_ksdd))
         return gmod, tower
-    return inst.longest(("tower", cochain), max_q, build)
+    return inst.longest(("tower", dual), max_q, build)
 
 
-def side_resolution(inst, module, side, length):
-    """A free resolution of `module` as a `side` module over the algebra it
+def right_resolution(inst, module, length):
+    """A free resolution of `module` as a right module over the algebra it
     lives on, bounded by the instance's chain cap and memoized on the
-    instance per (module, side); the modules are the instance's own (B and
-    Omega over kappa_par G, B^sigma over kappa_par^{sigma''} G)."""
-    return inst.longest(("resolution", module, side), length,
-                        lambda l: free_resolution(module.algebra, module, side,
-                                                  l, cap=inst.chain_cap))
+    instance per module; the modules are the instance's own (B and Omega
+    over kappa_par G, B^sigma over kappa_par^{sigma''} G)."""
+    return inst.longest(("resolution", module), length,
+                        lambda l: free_resolution(module.algebra, module,
+                                                  "right", l,
+                                                  cap=inst.chain_cap))
 
 
 def enveloping_resolution(inst, R, length):
@@ -145,53 +170,46 @@ def enveloping_resolution(inst, R, length):
                         lambda l: env_resolution(R, l, cap=inst.chain_cap))
 
 
-def lam_hochschild_bar(inst, n, cochain=False):
-    """dim H_q(Lambda, M), or dim H^q(Lambda, M) when `cochain` is set, for
-    q <= n on the bar route: the one source of these dims for the oracle,
-    the collapse and dimension-bound checks and `parhox hochschild`.
-    Memoized on the instance, which keeps the dims only, not the
-    complexes.  H^q(Lambda, M) is read as H_q(Lambda, M*): the cochain
-    complex is the transpose of the bar complex of M* (`cobar_complex`),
-    so the ranks are the same."""
-    return inst.longest(("hoch_bar", cochain), n,
+def lam_hochschild_bar(inst, n, dual=False):
+    """dim H_q(Lambda, M), or dim H_q(Lambda, M*) = dim H^q(Lambda, M) when
+    `dual` is set, for q <= n on the bar route: the one source of these
+    dims for the oracle, the collapse and dimension-bound checks and
+    `parhox hochschild`.  Memoized on the instance, which keeps the dims
+    only, not the complexes."""
+    return inst.longest(("hoch_bar", dual), n,
                         lambda l: hochschild_homology_bar(
-                            inst.lam.algebra,
-                            dual_bimodule(inst.M) if cochain else inst.M, l,
+                            inst.lam.algebra, inst.coefficient(dual)[0], l,
                             cap=inst.chain_cap))[:n + 1]
 
 
-def lam_hochschild_resolution(inst, n, cochain=False):
+def lam_hochschild_resolution(inst, n, dual=False):
     """The dims of `lam_hochschild_bar` on the resolution route, over the
-    instance's resolution of Lambda: dim H^q(Lambda, M) is read as
-    dim H_q(Lambda, M*), on the same resolution."""
+    instance's resolution of Lambda."""
     lam = inst.lam.algebra
     return hochschild_homology_resolution(
-        lam, dual_bimodule(inst.M) if cochain else inst.M, n,
+        lam, inst.coefficient(dual)[0], n,
         env_res=enveloping_resolution(inst, lam, n + 1))
 
 
-def partial_dims(inst, X, max_n, cochain=False):
-    """dim H_n^par(G, X) = dim Tor_n^{kpar}(B, X), or dim H^n_par(G, X) =
-    dim Ext^n_{kpar}(B, X) when `cochain` is set, for n <= max_n, on the
-    instance's resolution of B (as a right module for Tor, a left one for
-    Ext)."""
-    B_left, B_right = inst.b_over_kpar
-    B, side, dims = (B_left, "left", ext_dims) if cochain else \
-        (B_right, "right", tor_dims)
-    return dims(inst.kpar.algebra, B, X, max_n,
-                resolution=side_resolution(inst, B, side, max_n + 1))
+def partial_dims(inst, X, max_n):
+    """dim H_n^par(G, X) = dim Tor_n^{kpar}(B, X) for n <= max_n, on the
+    instance's resolution of B as a right module."""
+    _, B_right = inst.b_over_kpar
+    return tor_dims(inst.kpar.algebra, B_right, X, max_n,
+                    resolution=right_resolution(inst, B_right, max_n + 1))
 
 
-def assemble_E2(inst, max_p, max_q, cochain=False):
-    """E2_{p,q} = H_p^par(G, H_q(A, M)), or E2^{p,q} = H^p_par(G, H^q(A, M))
-    when `cochain` is set: one page per orientation of one construction."""
-    _, tower = module_tower(inst, max_q, cochain=cochain)
+def assemble_E2(inst, max_p, max_q, dual=False):
+    """E2_{p,q} = H_p^par(G, H_q(A, M)), or, when `dual` is set, the
+    cohomological page E2^{p,q} = H^p_par(G, H^q(A, M)), whose dims are
+    those of H_p^par(G, H_q(A, M*)) (`module_tower`)."""
+    _, tower = module_tower(inst, max_q, dual=dual)
     entries = {}
     for q in range(max_q + 1):
         _, mod_kpar, _ = tower[q]
-        dims = partial_dims(inst, mod_kpar, max_p, cochain=cochain)
+        dims = partial_dims(inst, mod_kpar, max_p)
         entries.update(((p, q), d) for p, d in enumerate(dims))
-    return E2Page("cohomological" if cochain else "homological", entries)
+    return E2Page("cohomological" if dual else "homological", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +244,8 @@ def tor_form_consistency(inst, report, max_p=2, max_q=1):
     for q in range(max_q + 1):
         _, mod_kpar, mod_ksdd = tower[q]
         lhs = tor_dims(inst.ksdd.algebra, bs_right, mod_ksdd, max_p,
-                       resolution=side_resolution(inst, bs_right, "right",
-                                                  max_p + 1))
+                       resolution=right_resolution(inst, bs_right,
+                                                   max_p + 1))
         OX = _omega_tensor(inst, mod_kpar)
         rhs = partial_dims(inst, OX, max_p)
         details.append((q, lhs, rhs))
@@ -294,7 +312,7 @@ def omega_flatness_spot_check(inst, report, max_n=1):
         samples.append((f"H_{q}(A,M)", mod_kpar))
     ok = True
     details = []
-    om_res = side_resolution(inst, om, "right", max_n + 1)
+    om_res = right_resolution(inst, om, max_n + 1)
     for name, X in samples:
         dims = tor_dims(inst.kpar.algebra, om, X, max_n,
                         resolution=om_res)
@@ -311,10 +329,9 @@ def hochschild_oracle_check(inst, report, max_n=2):
     res = lam_hochschild_resolution(inst, max_n)
     ok = bar == res
     report.record("Hochschild dual route (homology)", ok, (bar, res))
-    # dim H^n(Lambda, M) = dim H_n(Lambda, M*) on both routes; on the
-    # resolution the complex of M* is the transpose of that of Ext(Lambda, M)
-    barc = lam_hochschild_bar(inst, max_n, cochain=True)
-    resc = lam_hochschild_resolution(inst, max_n, cochain=True)
+    # dim H^n(Lambda, M) = dim H_n(Lambda, M*) on both routes
+    barc = lam_hochschild_bar(inst, max_n, dual=True)
+    resc = lam_hochschild_resolution(inst, max_n, dual=True)
     okc = barc == resc
     report.record("Hochschild dual route (cohomology)", okc, (barc, resc))
     MA = inst.m_over_a
@@ -327,21 +344,21 @@ def hochschild_oracle_check(inst, report, max_n=2):
     return ok and okc and oka
 
 
-def collapse_check_separable(inst, report, max_n=2, cochain=False):
+def collapse_check_separable(inst, report, max_n=2, dual=False):
     """A separable: dim H_n(Lambda, M) = dim H_n^par(G, M/[A, M]), and
-    dim H^n(Lambda, M) = dim H^n_par(G, Hom_{A^e}(A, M)) when `cochain` is
-    set."""
+    dim H^n(Lambda, M) = dim H^n_par(G, Hom_{A^e}(A, M)) when `dual` is
+    set, read as the same identity for M* (`module_tower`)."""
     if inst.separability is None:
-        report.skip("separable collapse (cohomology)" if cochain
+        report.skip("separable collapse (cohomology)" if dual
                     else "separable collapse",
                     "A admits no separability idempotent")
         return None
-    lhs = lam_hochschild_bar(inst, max_n, cochain=cochain)
-    _, tower = module_tower(inst, 0, cochain=cochain)
+    lhs = lam_hochschild_bar(inst, max_n, dual=dual)
+    _, tower = module_tower(inst, 0, dual=dual)
     _, mod0, _ = tower[0]
-    rhs = partial_dims(inst, mod0, max_n, cochain=cochain)
+    rhs = partial_dims(inst, mod0, max_n)
     ok = lhs == rhs
-    report.record("separable collapse (cohomology)" if cochain
+    report.record("separable collapse (cohomology)" if dual
                   else "separable collapse (homology)", ok, (lhs, rhs))
     return ok
 
@@ -388,7 +405,7 @@ def dimension_bound_check(inst, report, page, max_n=2):
     recorded as collapse-consistent otherwise."""
     orientation = page.orientation
     hoch = lam_hochschild_bar(inst, max_n,
-                              cochain=orientation == "cohomological")
+                              dual=orientation == "cohomological")
     separable = inst.separability is not None
     ok = True
     rows = []
@@ -656,12 +673,12 @@ def run_all_checks(inst, max_p=2, max_q=2, max_n=2):
     with report.timed(["dimension bound (homological)",
                        "dimension bound (cohomological)"]):
         page = assemble_E2(inst, max_p, max_q)
-        pagec = assemble_E2(inst, max_p, max_q, cochain=True)
+        pagec = assemble_E2(inst, max_p, max_q, dual=True)
     for check in (
             partial(tor_form_consistency, max_p=max_p, max_q=min(1, max_q)),
             lemma_B_tensor_omega, omega_flatness_spot_check,
             partial(collapse_check_separable, max_n=max_n),
-            partial(collapse_check_separable, max_n=max_n, cochain=True),
+            partial(collapse_check_separable, max_n=max_n, dual=True),
             partial(collapse_check_maclane, max_n=max_n),
             degree_zero_formula_check, structural_identity_suite,
             partial(dimension_bound_check, page=page, max_n=max_n),

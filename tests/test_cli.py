@@ -125,9 +125,9 @@ def test_cli_hochschild_checks_cohomology_on_both_routes(monkeypatch,
     # a bar route that is off on cohomology only must fail the oracle
     bar = cli.lam_hochschild_bar
 
-    def off_on_cohomology(inst, n, cochain=False):
-        dims = bar(inst, n, cochain=cochain)
-        return [d + 1 for d in dims] if cochain else dims
+    def off_on_cohomology(inst, n, dual=False):
+        dims = bar(inst, n, dual=dual)
+        return [d + 1 for d in dims] if dual else dims
 
     monkeypatch.setattr(cli, "lam_hochschild_bar", off_on_cohomology)
     argv = ["hochschild", fixture_path("z2_trivial_q.json"), "--max-n", "2"]
@@ -206,6 +206,22 @@ def test_json_out_flag(tmp_path, capsys):
     assert doc["result"]["dim"] == 8
 
 
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # one parser serves every call of main in a process; an option given
+    # to one call is not seen by the next
+    dest = tmp_path / "report.json"
+    assert main(["--json-out", str(dest), "build-kpar",
+                 group_path("z2.json")]) == 0
+    dest.unlink()
+    assert main(["build-kpar", group_path("z3.json")]) == 0
+    assert not dest.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["build-kpar"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli._parser() is cli._parser()
+
+
 def test_env_cap_override(monkeypatch, capsys):
     monkeypatch.setenv("PARHOX_CAP", "2")
     code = main(["build-kpar", group_path("z3.json")])
@@ -224,10 +240,12 @@ def test_cli_malformed_json_is_machine_readable(tmp_path, capsys):
 
 
 def test_cli_internal_error_exits_3(monkeypatch, capsys):
-    # a fault that is neither bad input nor a failed verdict
-    def broken(args):
+    # a fault that is neither bad input nor a failed verdict; the parser,
+    # built once per process, holds the command functions themselves, so
+    # the fault goes into a function that the command calls
+    def broken(spec):
         raise RuntimeError("broken invariant")
-    monkeypatch.setattr(cli, "cmd_validate", broken)
+    monkeypatch.setattr(cli, "build_instance", broken)
     code = main(["validate", fixture_path("z2_trivial_q.json")])
     doc = json.loads(capsys.readouterr().out)
     assert code == 3 and doc["ok"] is False

@@ -139,22 +139,14 @@ def test_normalize_inverse_pairs_z3():
     assert nu.zero_pattern() == sigma.zero_pattern()
 
 
-def test_normalize_inverse_pairs_f7_square_root():
-    F7 = PrimeField(7)
-    sigma = z2_twist(4, field=F7)
+def test_normalize_inverse_pairs_leaves_order_two_elements():
+    # sigma(t, t) on G_2 is not rescaled (xi absorbs it), so a value other
+    # than 0 or 1 there stays and fails the postcondition
+    sigma = z2_twist(2, field=PrimeField(5))
     eta, nu, rep = normalize_inverse_pairs(sigma)
-    assert rep.ok and not rep.notes
-    assert eta(1) == 4                       # sqrt(4) = 2, 2^-1 = 4 in F7
-    assert nu(1, 1) == 1                     # 4 * 4 * 4 = 64 = 1 mod 7
-
-
-def test_normalize_inverse_pairs_no_root_fallback():
-    F5 = PrimeField(5)
-    sigma = z2_twist(2, field=F5)            # 2 is not a square mod 5
-    eta, nu, rep = normalize_inverse_pairs(sigma)
-    assert rep.ok                            # no hard failure
-    assert rep.notes and rep.notes[0][0] == "no square root"
-    assert nu(1, 1) == 2                     # untouched
+    assert eta.eta == [1, 1]
+    assert nu(1, 1) == 2
+    assert rep.violations == [("inverse pair not normalized", 1, 2)]
 
 
 def test_normalized_already():

@@ -14,7 +14,6 @@ from parhox.partial_algebras import build_kpar_sigma, phi_psi_crossed_iso
 
 def test_rational_basics():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert QQ.eq(Fraction(2, 4), Fraction(1, 2))
     assert QQ.mul(Fraction(2, 3), Fraction(3, 2)) == QQ.one
     assert QQ.inv(Fraction(-5, 7)) == Fraction(-7, 5)
     with pytest.raises(DivisionByZero):
@@ -62,44 +61,6 @@ def test_field_axioms_random_rationals():
         assert QQ.mul(a, QQ.add(b, c)) == QQ.add(QQ.mul(a, b), QQ.mul(a, c))
         if a != 0:
             assert QQ.mul(a, QQ.inv(a)) == QQ.one
-
-
-def test_sqrt_rationals():
-    assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert QQ.sqrt(Fraction(2)) is None
-    assert QQ.sqrt(Fraction(-4)) is None
-    assert QQ.sqrt(QQ.zero) == QQ.zero
-    assert QQ.sqrt(Fraction(49, 81)) == Fraction(7, 9)
-
-
-def test_sqrt_prime_fields():
-    F7 = PrimeField(7)
-    assert F7.sqrt(4) == 2                     # tie-break: min(2, 5)
-    # oracle: the squares mod 5 are {0, 1, 4}
-    squares_mod_5 = {(x * x) % 5 for x in range(5)}
-    assert squares_mod_5 == {0, 1, 4}
-    F5 = PrimeField(5)
-    assert F5.sqrt(3) is None
-    assert F5.sqrt(4) in (2, 3) and F5.sqrt(4) == min(2, 5 - 2)
-
-
-def test_sqrt_euler_criterion():
-    for p in (7, 11, 13, 17):
-        F = PrimeField(p)
-        for a in range(1, p):
-            r = F.sqrt(a)
-            euler = pow(a, (p - 1) // 2, p)
-            if euler == p - 1:
-                assert r is None
-            else:
-                assert r is not None and F.mul(r, r) == a
-                assert r == min(r, p - r)
-
-
-def test_sqrt_char_two():
-    F2 = PrimeField(2)
-    assert F2.sqrt(0) == 0
-    assert F2.sqrt(1) == 1
 
 
 def test_json_round_trip():

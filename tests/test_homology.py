@@ -17,16 +17,14 @@ from parhox.errors import (EquivarianceFailure, InvalidInput, SizeLimit,
 from parhox.groups import cyclic_group
 from parhox import homology
 from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
-                             cobar_complex, diagonal_action, ext_dims,
-                             env_resolution, free_resolution,
+                             diagonal_action, env_resolution, free_resolution,
                              hochschild_homology_bar,
                              hochschild_homology_resolution, hom_A_carrier,
                              hom_A_module_structure, homology_data,
-                             homology_dims_of_complex,
                              induced_action_on_homology,
                              m_as_a_bimodule, tor_dims)
 from parhox.linalg import (_rank_of, _sp_identity, _sp_kron, _sp_matmul,
-                           _sparse, _sparse_matrix)
+                           _sp_transpose, _sparse, _sparse_matrix)
 from parhox.partial_actions import build_crossed_product
 from parhox.problems import build_instance, bundled_fixtures, load_fixture
 from parhox.partial_algebras import (b_sigma_module_structures,
@@ -132,14 +130,24 @@ def test_tor_basics():
     assert tor_dims(R, X, Y, 0)[0] == T.dim
 
 
+def _dual_right(Y):
+    """Y* = Hom_k(Y, k) for a left module Y, as the right module
+    (f.r)(y) = f(r.y): in the dual basis r acts by the transpose of its
+    left matrix on Y.  Ext^n_R(X, Y) = Tor_n^R(Y*, X)^* for finite
+    dimensional modules, so Ext dims are Tor dims of the dual."""
+    return ModuleData(Y.algebra, Y.dim,
+                      right=[_sp_transpose(L, Y.dim) for L in Y.left])
+
+
 def test_ext_basics():
     G = cyclic_group(2)
     kp = build_kpar(G, QQ)
     R = kp.algebra
     reg = regular_bimodule(R)
     X = ModuleData(R, R.dim, left=reg.left)
-    assert ext_dims(R, X, X, 2) == [R.dim, 0, 0]
-    assert ext_dims(R, X, X, 0)[0] == len(hom_over_algebra(R, X, X))
+    assert tor_dims(R, _dual_right(X), X, 2) == [R.dim, 0, 0]
+    assert tor_dims(R, _dual_right(X), X, 0)[0] == \
+        len(hom_over_algebra(R, X, X))
 
 
 def _b_modules(kp):
@@ -196,7 +204,7 @@ def test_partial_cohomology_z2_pinned():
         left, right = _b_modules(kp)
         B_left = ModuleData(kp.algebra, left.dim, left=left.left)
         X = _trivial_module(kp)
-        assert ext_dims(kp.algebra, B_left, X, 2) == expected
+        assert tor_dims(kp.algebra, _dual_right(X), B_left, 2) == expected
 
 
 def test_tor_resolution_independence():
@@ -464,11 +472,13 @@ def test_degree_zero_matches_tensor_formula():
 
 
 def test_diagonal_cochain_action_gates():
+    # the cochain action with coefficients in M is the transposed chain
+    # action with coefficients in M*; d.d = 0 and the gate run at
+    # construction
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
-    M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
-                              xi, sdd, 2, cochain=True)
-    # cochain d.d = 0 was asserted at construction; gate ran in constructor
+    M = dual_bimodule(regular_bimodule(lam.algebra))
+    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd, 2)
+    assert gmod.gate(G).ok
 
 
 def test_hom_A_module_structure():
@@ -542,78 +552,14 @@ def ref_bar_differentials(R, M, max_q, normalized):
     return diffs
 
 
-def ref_cobar_differentials(R, M, max_q, normalized):
-    """The cobar differentials built column by column over the elementary
-    cochains, every face recomputed from R.mul and the module actions."""
-    K = R.field
-    bb = homology._BarBasis(R, M, normalized)
-    W = bb.wdim
-    dims = [W ** q * M.dim for q in range(max_q + 1)]
-
-    def flat_c(tup, im):
-        return bb.flat(0, tup) * M.dim + im
-
-    diffs = {}
-    for q in range(1, max_q + 1):
-        mat = zeros(K, dims[q], dims[q - 1])
-        for tau in bb.tuples(q - 1):
-            for jm in range(M.dim):
-                colv = [K.zero] * dims[q]
-                mvec = {jm: 1}
-                for j1 in range(W):
-                    out = M.act_left(bb.lift(j1), mvec)
-                    for km, c in out.items():
-                        r = flat_c((j1,) + tau, km)
-                        colv[r] = K.add(colv[r], c)
-                for i in range(1, q):
-                    sign = K.one if i % 2 == 0 else K.neg(K.one)
-                    for x in range(W):
-                        for y in range(W):
-                            prod = bb.project(R.mul(bb.lift(x), bb.lift(y)))
-                            c = prod.get(tau[i - 1], K.zero)
-                            if c != K.zero:
-                                r = flat_c(tau[:i - 1] + (x, y) + tau[i:], jm)
-                                colv[r] = K.add(colv[r], K.mul(sign, c))
-                sign = K.one if q % 2 == 0 else K.neg(K.one)
-                for jq in range(W):
-                    out = M.act_right(mvec, bb.lift(jq))
-                    for km, c in out.items():
-                        r = flat_c(tau + (jq,), km)
-                        colv[r] = K.add(colv[r], K.mul(sign, c))
-                col = flat_c(tau, jm)
-                for r, c in enumerate(colv):
-                    if c != K.zero:
-                        mat[r][col] = c
-        diffs[q] = mat
-    return diffs
-
-
 def _same_entries(K, cc, want):
     """cc.d densifies to the reference tables and its kernel rows are
     normalized (no stored zeros, residues in [0, p) over F_p)."""
     assert cc.d.keys() == want.keys()
     for q in want:
-        ncols = cc.dims[cc.ends(q)[0]]
+        ncols = cc.dims[q]
         assert densify(K, cc.d[q], ncols) == want[q], q
         assert cc.d[q] == _sparse_matrix(K, want[q]), q
-
-
-def _m_major(diffs, dims, mdim):
-    """The reference cochain differentials, whose basis is tuple-major
-    (flat(tuple) * dim M + m), re-indexed to the M-major basis
-    m * W^q + flat(tuple) of cobar_complex."""
-    def perm(q):
-        span = dims[q] // mdim if mdim else 0
-        return [(i % mdim) * span + i // mdim for i in range(dims[q])]
-    out = {}
-    for q, mat in diffs.items():
-        rows, cols = perm(q), perm(q - 1)
-        new = [[None] * dims[q - 1] for _ in range(dims[q])]
-        for r, row in enumerate(mat):
-            for c, x in enumerate(row):
-                new[rows[r]][cols[c]] = x
-        out[q] = new
-    return out
 
 
 @pytest.mark.parametrize("fixture", ["z2_dual_q.json", "z3_kappa2_f3.json",
@@ -628,10 +574,6 @@ def test_face_tables_match_per_column_builders(fixture):
             cc, _ = bar_complex(R, M, max_q, normalized=normalized)
             _same_entries(K, cc,
                           ref_bar_differentials(R, M, max_q, normalized))
-            cc, _ = cobar_complex(R, M, max_q, normalized=normalized)
-            _same_entries(K, cc, _m_major(
-                ref_cobar_differentials(R, M, max_q, normalized), cc.dims,
-                M.dim))
 
 
 def test_bar_basis_has_no_tuples_when_the_reduced_basis_is_empty():
@@ -647,16 +589,17 @@ def test_bar_basis_has_no_tuples_when_the_reduced_basis_is_empty():
 
 def test_bar_gate_rejects_a_non_bimodule_on_both_sides():
     # one changed entry of m -> m.x over Q[x]/(x^2): no longer a bimodule,
-    # so d.d != 0 on the bar complex and on the cochains built from it
+    # so d.d != 0 on the bar complex of it and of its dual, the complex
+    # that the cohomology side reads
     A = dual_numbers(QQ)
     reg = regular_bimodule(A)
     right = [[dict(row) for row in R] for R in reg.right]
     right[1][0][0] = 1
     bad = ModuleData(A, reg.dim, left=reg.left, right=right)
-    for build in (bar_complex, cobar_complex):
+    for M in (bad, dual_bimodule(bad)):
         for normalized in (True, False):
             with pytest.raises(ValidationFailure, match="d.d != 0"):
-                build(A, bad, 2, normalized=normalized)
+                bar_complex(A, M, 2, normalized=normalized)
 
 
 @pytest.mark.parametrize("fixture", bundled_fixtures())
@@ -675,15 +618,16 @@ def test_dual_bimodule_is_an_involution(fixture):
 
 @pytest.mark.parametrize("fixture", bundled_fixtures())
 def test_base_algebra_cohomology_routes_agree(fixture):
-    # the cochain tower lives on A with M|A; the battery compares the two
+    # the tower of M* lives on A with M*|A; the battery compares the two
     # cohomology routes on Lambda only.  dim H^q(A, M) is read as
-    # dim H_q(A, M*) on both routes and agrees with the cochain complex
+    # dim H_q(A, M*) on both routes, and in degree 0 it is
+    # dim Hom_{A^e}(A, M)
     inst = build_instance(load_fixture(fixture))
     A, MA = inst.theta.algebra, inst.m_over_a
     dual = dual_bimodule(MA)
     bar = hochschild_homology_bar(A, dual, 2)
     assert bar == hochschild_homology_resolution(A, dual, 2)
-    assert bar == homology_dims_of_complex(cobar_complex(A, MA, 3)[0], 2)
+    assert bar[0] == len(hom_A_carrier(A, MA))
     if fixture == "z2_dual_q.json":
         assert bar == [3, 2, 2]
 
@@ -694,16 +638,22 @@ def _violations(gmod, group):
     return {v[0] for v in gmod.gate(group).violations}
 
 
-@pytest.mark.parametrize("cochain", [False, True])
-def test_chain_action_gate_rejects_a_changed_entry(cochain):
-    G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
+def _coefficient(lam, dual):
+    """The regular bimodule of lam, or its dual M*."""
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd, 2,
-                              cochain=cochain)
+    return dual_bimodule(M) if dual else M
+
+
+# dual: the coefficient is M* (the cohomology side) rather than M
+@pytest.mark.parametrize("dual", [False, True])
+def test_chain_action_gate_rejects_a_changed_entry(dual):
+    G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
+    M = _coefficient(lam, dual)
+    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd, 2)
     assert _violations(gmod, G) == set()
     # one entry of T_t on C_1, in a column that the differential out of
-    # C_1 (chains) or into C_2 (cochains) does not kill
-    d = gmod.complex.d[2 if cochain else 1]
+    # C_1 does not kill
+    d = gmod.complex.d[1]
     r = min(c for row in d for c in row)
     action = [[[dict(row) for row in T] for T in mats]
               for mats in gmod.action]
@@ -732,13 +682,14 @@ def test_chain_action_gate_rejects_a_changed_sigma_pattern():
     assert "equivariance" not in names
 
 
-@pytest.mark.parametrize("cochain", [False, True],
+# the cochain action with coefficients in M is the transposed chain action
+# with coefficients in M*, so the second case runs on M*
+@pytest.mark.parametrize("dual", [False, True],
                          ids=["diagonal_chain_action",
                               "diagonal_cochain_action"])
-def test_diagonal_action_with_a_wrong_xi_is_rejected(cochain):
+def test_diagonal_action_with_a_wrong_xi_is_rejected(dual):
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
-    M = regular_bimodule(lam.algebra)
+    M = _coefficient(lam, dual)
     wrong = EquivalenceWitness(G, QQ, [QQ.one, xi(1) * 2, xi(2)])
     with pytest.raises(EquivarianceFailure):
-        diagonal_action(lam, M, m_as_a_bimodule(lam, M), wrong, sdd, 2,
-                        cochain=cochain)
+        diagonal_action(lam, M, m_as_a_bimodule(lam, M), wrong, sdd, 2)

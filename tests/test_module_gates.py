@@ -109,7 +109,7 @@ def dense_gate(gmod, group):
     cc = gmod.complex
     K = cc.field
     dims = cc.dims
-    d = {q: densify(K, rows, dims[cc.ends(q)[0]]) for q, rows in cc.d.items()}
+    d = {q: densify(K, rows, dims[q]) for q, rows in cc.d.items()}
     action = [[densify(K, T, dims[q]) for q, T in enumerate(mats)]
               for mats in gmod.action]
     rep = ValidationReport("chain-level diagonal action")
@@ -123,9 +123,8 @@ def dense_gate(gmod, group):
 
     for g in range(len(action)):
         for q in range(1, top + 1):
-            src, tgt = cc.ends(q)
-            if dense_matmul(K, d[q], action[g][src]) != \
-               dense_matmul(K, action[g][tgt], d[q]):
+            if dense_matmul(K, d[q], action[g][q]) != \
+               dense_matmul(K, action[g][q - 1], d[q]):
                 rep.fail("equivariance", g, q)
     for q in range(top + 1):
         if action[0][q] != dense_identity(K, dims[q]):
@@ -162,8 +161,8 @@ def fixture_modules(fixture):
     inst = instance(fixture)
     bs_left, bs_right, _ = inst.bsig_modules_over_ksdd
     mods = [bs_left, bs_right, *inst.b_over_kpar, inst.M, inst.m_over_a]
-    for cochain in (False, True):
-        for _, mod_kpar, mod_ksdd in module_tower(inst, 1, cochain)[1]:
+    for dual in (False, True):
+        for _, mod_kpar, mod_ksdd in module_tower(inst, 1, dual)[1]:
             mods += [m for m in (mod_kpar, mod_ksdd) if m is not None]
     return mods
 
@@ -259,8 +258,8 @@ def test_instance_modules_and_homs_hold_kernel_rows(fixture):
     elements += [(lam.one_delta(g), lam.dim) for g in range(G.n)]
     elements += [(v, inst.bsig.algebra.dim) for v in inst.bsig.e_coords]
     elements += [(v, inst.kpar.dim) for v in inst.ker_zeta_in_kpar()]
-    for cochain in (False, True):
-        for hd, _, _ in module_tower(inst, 1, cochain)[1]:
+    for dual in (False, True):
+        for hd, _, _ in module_tower(inst, 1, dual)[1]:
             elements += [(v, hd.dim_space) for v in hd.reps]
     for v, n in elements:
         assert_kernel_rows(K, [v], 1, n)
@@ -350,8 +349,7 @@ def test_module_validate_dim_zero():
 
 def chain_actions(fixture):
     inst = instance(fixture)
-    return inst, [module_tower(inst, 1, cochain)[0]
-                  for cochain in (False, True)]
+    return inst, [module_tower(inst, 1, dual)[0] for dual in (False, True)]
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

@@ -1,10 +1,10 @@
 """Byte-identity of the reports on the bundled fixtures.
 
 Every report of `spectral`, `spectral --cohomology`,
-`hochschild --max-n 3 --cohomology` and `partial-homology` on each bundled
-fixture must hash, without its `timing_seconds` field, to the sha256 pinned
-in tests/data/report_digests.json.  A change that means to alter a report
-re-records the file and says so:
+`hochschild --max-n 3 --cohomology`, `partial-homology` and `build-crossed`
+on each bundled fixture must hash, without its `timing_seconds` field, to
+the sha256 pinned in tests/data/report_digests.json.  A change that means
+to alter a report re-records the file and says so:
 
     PYTHONPATH=src python tests/test_report_digests.py
 """
@@ -28,6 +28,7 @@ COMMANDS = {
     "spectral-cohomology": ["spectral", "--cohomology"],
     "hochschild": ["hochschild", "--max-n", "3", "--cohomology"],
     "partial-homology": ["partial-homology"],
+    "build-crossed": ["build-crossed"],
 }
 
 

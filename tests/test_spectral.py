@@ -13,7 +13,7 @@ from parhox.groups import cyclic_group
 from parhox.instance import Instance
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.problems import (build_instance, fixture_dir, load_fixture,
-                             parse_spec)
+                             parse_spec, parse_spec_file)
 from parhox.spectral import (assemble_E2, collapse_check_maclane,
                              collapse_check_separable, dimension_bound_check,
                              hochschild_oracle_check, lemma_B_tensor_omega,
@@ -356,3 +356,45 @@ def test_enveloping_algebras_are_built_for_the_resolutions_only(monkeypatch):
     report, _, _ = run_all_checks(inst)
     assert report.ok
     assert calls == [inst.lam.algebra.dim, inst.theta.algebra.dim]
+
+
+# E2^{p,q} for p, q <= 3 (one row per q, p = 0..3), as the route through
+# the Hochschild cochain complex of M and Ext over kappa_par G gave them
+# before the homological page of M* replaced it
+COHOMOLOGICAL_PAGES = {
+    "m2_z2_q.json":
+        [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "v4_partial_q.json":
+        [[4, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "z2_dual_f2.json":
+        [[4, 4, 4, 4], [4, 4, 4, 4], [4, 4, 4, 4], [4, 4, 4, 4]],
+    "z2_dual_q.json":
+        [[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]],
+    "z2_trivial_f2.json":
+        [[3, 2, 2, 2], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "z2_trivial_q.json":
+        [[3, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "z2_twist2_q.json":
+        [[3, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "z2_twist4_f7.json":
+        [[3, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "z2_twist_third_q.json":
+        [[3, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "z3_kappa2_f3.json":
+        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "z3_kappa2_q.json":
+        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "z3_unnormalized_q.json":
+        [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(COHOMOLOGICAL_PAGES))
+def test_cohomological_page_is_pinned(fixture):
+    path = os.path.join(os.path.dirname(__file__), "data", fixture)
+    inst = build_instance(parse_spec_file(path) if os.path.exists(path)
+                          else load_fixture(fixture))
+    page = assemble_E2(inst, 3, 3, dual=True)
+    assert page.orientation == "cohomological"
+    assert [[page.entry(p, q) for p in range(4)] for q in range(4)] == \
+        COHOMOLOGICAL_PAGES[fixture]
