@@ -46,6 +46,7 @@ __all__ = [
     "opposite", "enveloping", "bimodule_to_right_env_module",
     "subalgebra_span", "subalgebra_generated",
     "orthogonalize_idempotents", "separability_idempotent",
+    "check_separability_idempotent",
     "tensor_over_algebra", "bimodule_tensor", "hom_over_algebra",
     "bimodule_hom", "restrict_along_hom",
     "regular_bimodule", "dual_bimodule", "module_from_generator_actions",
@@ -522,8 +523,9 @@ def orthogonalize_idempotents(A, gens, max_gens=14):
     return atoms
 
 
-def separability_idempotent(A):
-    """Solve for e in A (x) A with mult(e) = 1 and (a (x) 1)e = (1 (x) a)e.
+def separability_idempotent(A, cap=None):
+    """Solve for e in A (x) A with mult(e) = 1 and a e = e a, A acting on
+    the outer factors (a.(x (x) y) = ax (x) y, (x (x) y).a = x (x) ya).
 
     The unknown e_ij of e = sum e_ij b_i (x) b_j is variable i * d + j.
     Equation k < d is mult(e)_k = 1_k; equation d + (t * d + k) * d + l is
@@ -531,8 +533,12 @@ def separability_idempotent(A):
     (the a with a e = e a form a unital subalgebra).  The rows are read off
     the structure constants, each constant once.  Returns e as d kernel
     rows (row i holds the e_ij) or None when the system is inconsistent.
+    The d^2 unknowns are checked against `cap` before any row is built.
     """
     d = A.dim
+    if cap is not None and d * d > cap:
+        raise SizeLimit(f"separability idempotent of {A.name}: {d} x {d} = "
+                        f"{d * d} unknowns exceed cap {cap}")
     slot = {s: t for t, s in enumerate(A.generators)}
     rows = [{} for _ in range(d + len(slot) * d * d)]
 
@@ -558,6 +564,28 @@ def separability_idempotent(A):
         i, j = divmod(var, d)
         e[i][j] = a
     return e
+
+
+def check_separability_idempotent(A, e):
+    """mult(e) = 1 and b_s e = e b_s for every generator s, for e given as
+    d kernel rows (row i holds the e_ij), recomputed from A's own products
+    and not from the equations `separability_idempotent` solved.  With E
+    the matrix of the e_ij, b_s e has the matrix L_s E and e b_s the matrix
+    E R_s^T, L_s and R_s being the multiplication matrices of b_s.  The
+    generators decide it exactly: the a with a e = e a form a unital
+    subalgebra."""
+    rep = ValidationReport(f"separability idempotent of {A.name}")
+    d = A.dim
+    p = A.p
+    if _sp_sum(((1, A.mul({i: 1}, row)) for i, row in enumerate(e)),
+               p) != A.unit:
+        rep.fail("mult(e) != 1")
+    for s in A.generators:
+        b = A.basis_vector(s)
+        if _sp_matmul(A.left_mult_matrix(b), e, p) != \
+           _sp_matmul(e, _sp_transpose(A.right_mult_matrix(b), d), p):
+            rep.fail("b e != e b", s)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,32 @@ __all__ = [
 ]
 
 
+P_LIMIT = 1 << 64             # every prime field has p below this
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin for 0 <= p < 2^64: the prime bases 2 to
+    37 decide primality exactly below 3.3 * 10^24 (Sorenson and Webster,
+    Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in bases:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -142,6 +156,8 @@ class PrimeField(Field):
     kind = "Fp"
 
     def __init__(self, p):
+        if p >= P_LIMIT:
+            raise SchemaError(f"field p must be below 2^64, got {p}")
         if not _is_prime(p):
             raise SchemaError(f"{p} is not prime")
         self.p = p

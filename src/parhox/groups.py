@@ -32,6 +32,9 @@ class FiniteGroup:
 
     def _validate(self):
         n = self.n
+        if not n:
+            raise SchemaError("Cayley table is empty: a group has an "
+                              "identity element")
         rng = range(n)
         for row in self.table:
             if len(row) != n or any(not (0 <= x < n) for x in row):

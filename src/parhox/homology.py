@@ -15,8 +15,11 @@ Degree conventions:
     complexes for Tor are assembled from action matrices of the blocks;
   * Hochschild homology of R with coefficients in a bimodule M is computed
     both on the (normalized or full) bar complex  C_q = M (x) Rbar^(x q)
-    and as Tor over R^e via a free resolution of R; the two routes must
-    agree and that agreement is an acceptance gate, not an assumption.
+    and as Tor over R^e via a projective resolution of R: the length-0
+    resolution R = R^e e when R has a separability idempotent e
+    (`hochschild_homology_separable`), a free resolution otherwise
+    (`hochschild_homology_resolution`); the two routes must agree and that
+    agreement is an acceptance gate, not an assumption.
 
 Everything here is homological.  Cohomology with coefficients in M is read
 as homology with coefficients in the dual bimodule M* (`dual_bimodule`):
@@ -34,9 +37,11 @@ Tor_n^{kpar}(B, X) is `tor_dims` on kappa_par G.
 
 from itertools import product
 
-from .errors import EquivarianceFailure, InvalidInput, SizeLimit
+from .errors import (EquivarianceFailure, InvalidInput, SizeLimit,
+                     ValidationFailure)
 from .algebras import (ModuleData, ValidationReport, bimodule_hom,
-                       bimodule_to_right_env_module, enveloping,
+                       bimodule_to_right_env_module,
+                       check_separability_idempotent, enveloping,
                        module_from_generator_actions, regular_bimodule)
 from .linalg import (QuotientSpace, Subspace, _char, _Echelon, _kernel_of,
                      _nonzero, _rank_of, _sp_combination,
@@ -47,7 +52,8 @@ __all__ = [
     "ChainComplex", "bar_complex", "homology_dims_of_complex",
     "HomologyData", "homology_data", "FreeResolution", "free_resolution",
     "tor_dims", "hochschild_homology_bar",
-    "hochschild_homology_resolution", "GModuleOnChains", "diagonal_action",
+    "hochschild_homology_resolution", "hochschild_homology_separable",
+    "GModuleOnChains", "diagonal_action",
     "induced_action_on_homology",
     "hom_A_carrier", "hom_A_module_structure",
 ]
@@ -434,6 +440,42 @@ def hochschild_homology_resolution(R, M, max_n, style="greedy", env_res=None,
     # m (x) u_j -> sum_k m.w_k (x) u_k
     return _induced_dims(res, [_sp_transpose(X, M.dim) for X in M_right.right],
                          M.dim, max_n)
+
+
+def hochschild_homology_separable(R, e, M, max_n):
+    """H_n(R, M) = Tor_n^{R^e}(M, R) for n <= max_n through a separability
+    idempotent e = sum e_ij b_i (x) b_j of R (d kernel rows, row i holding
+    the e_ij), with mult(e) = 1 and b e = e b for every b in R, R acting on
+    the outer factors of R (x) R (Hochschild, Ann. Math. 46, 1945):
+
+      * lambda -> lambda e is a map of R-bimodules R -> R (x) R = R^e, as
+        (lambda b) e = lambda (b e) = (lambda e) b, and mult(lambda e) =
+        lambda.  It splits mult, so R is the summand R^e e of the free
+        module R^e, and 0 -> R^e e -> R -> 0 is a projective resolution of
+        length 0: Tor_n^{R^e}(M, R) = 0 for n >= 1;
+      * e is idempotent in R^e, where (x (x) y).e = x e y: e.e =
+        sum e_ij b_i e b_j = sum e_ij b_i b_j e = e.  So Tor_0 =
+        M (x)_{R^e} R^e e = M.e, M being the right R^e-module
+        m.(a (x) b) = b m a, and M.e = im pi_M with
+        pi_M(m) = sum e_ij b_j m b_i, read off M's own left and right
+        matrices as pi_M = sum_i L(e_i) R(b_i), e_i = sum_j e_ij b_j;
+      * pi_M kills [R, M]: applying x (x) y -> y m x to b e = e b gives
+        pi_M(m b) = pi_M(b m).  And pi_M(m) = sum e_ij b_i b_j m = m
+        modulo [R, M], as mult(e) = 1.  So pi_M is idempotent with image
+        M / [R, M] = H_0(R, M).
+
+    Gates, exact: e is re-verified on R's own products
+    (`check_separability_idempotent`) before it is used, and pi_M o pi_M =
+    pi_M.  dim H_0 is the rank of pi_M, an elimination of its own: the bar
+    route's d_1 is never consulted.  No enveloping algebra is built."""
+    check_separability_idempotent(R, e).raise_if_failed()
+    p = _char(R.field)
+    pi = _sp_combination(
+        [(1, _sp_matmul(M.left_matrix_of(row), M.right[i], p))
+         for i, row in enumerate(e) if row], M.dim, p)
+    if _sp_matmul(pi, pi, p) != pi:
+        raise ValidationFailure(f"pi_M of {M.name} is not idempotent")
+    return [_rank_of(R.field, pi)] + [0] * max_n
 
 
 def _env_left_regular(env, R):

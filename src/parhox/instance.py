@@ -151,4 +151,12 @@ class Instance:
 
     @cached_property
     def separability(self):
-        return separability_idempotent(self.theta.algebra)
+        """A separability idempotent of A, or None when A has none."""
+        return separability_idempotent(self.theta.algebra,
+                                       cap=self.chain_cap)
+
+    @cached_property
+    def lam_separability(self):
+        """A separability idempotent of Lambda, or None when Lambda has
+        none."""
+        return separability_idempotent(self.lam.algebra, cap=self.chain_cap)

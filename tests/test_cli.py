@@ -281,17 +281,18 @@ def test_spectral_cap_bounds_the_oracle_complexes(capsys):
                                      ["hochschild", "--max-n", "3"]],
                          ids=lambda argv: argv[0])
 def test_cap_bounds_the_free_resolutions(command, capsys):
-    # the bar complexes stay below 3000 (dims up to 324); the left
-    # Lambda^e-resolution of Lambda (dim Lambda^e = 16) has rank 242 in
-    # degree 4
-    code = main([command[0], fixture_path("v4_partial_q.json"),
-                 *command[1:], "--cap", "3000"])
+    # Lambda = F_2 x F_2[x]/(x^2) has no separability idempotent, so the
+    # resolution route takes a free resolution of Lambda over Lambda^e
+    # (dim 9), with ranks [1, 2, 4, 7, 11]; the bar complexes stay below 70
+    # (dims up to 48), so only its degree 4 can trip here
+    code = main([command[0], fixture_path("z2_trivial_f2.json"),
+                 *command[1:], "--cap", "70"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 2
     assert doc["error"] == {
         "type": "SizeLimit",
-        "message": "free resolution degree 4: 242 generators x dim 16 = "
-                   "3872 exceeds cap 3000"}
+        "message": "free resolution degree 4: 11 generators x dim 9 = "
+                   "99 exceeds cap 70"}
 
 
 def test_report_carries_scope_note(capsys):
@@ -368,6 +369,27 @@ def test_malformed_input_is_a_schema_error(mutate, command, env, tmp_path,
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("command", ["validate", "spectral"])
+@pytest.mark.parametrize("key, value, message", [
+    ("group", {"cayley": [], "order": 0}, "Cayley table is empty"),
+    ("field", {"kind": "Fp", "p": 10 ** 30 + 57}, "below 2^64"),
+], ids=["empty-group", "huge-p"])
+def test_degenerate_group_and_field_are_schema_errors(command, key, value,
+                                                      message, tmp_path,
+                                                      capsys):
+    # the empty table was an AssertionError in enumerate_exel (exit 3), and
+    # p = 10^30 + 57 ran trial division for minutes
+    doc = {"field": {"kind": "Q"}, "module": "regular",
+           "group": {"cayley": [[0, 1], [1, 0]], "order": 2}, key: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main([command, str(bad)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["type"] == "SchemaError"
+    assert message in out["error"]["message"]
 
 
 @pytest.mark.parametrize("command", ["validate", "spectral", "build-kpar"])

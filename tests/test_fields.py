@@ -6,7 +6,8 @@ import pytest
 from parhox.algebras import enveloping
 from parhox.errors import DivisionByZero, FieldMismatch, SchemaError
 from parhox.factor_sets import PartialFactorSet
-from parhox.fields import QQ, PrimeField, ensure_same_field, field_from_json
+from parhox.fields import (QQ, PrimeField, _is_prime, ensure_same_field,
+                           field_from_json)
 from parhox.groups import cyclic_group
 from parhox.partial_actions import build_crossed_product
 from parhox.partial_algebras import build_kpar_sigma, phi_psi_crossed_iso
@@ -34,6 +35,26 @@ def test_prime_field_basics():
         PrimeField(4)
     with pytest.raises(SchemaError):
         PrimeField(1)
+
+
+def test_primality_is_miller_rabin_below_2_64():
+    # against trial division below 5000, then a Mersenne prime, the
+    # Carmichael number 561 and the strong pseudoprime to the bases 2, 3,
+    # 5 and 7, 3 215 031 751 = 151 * 751 * 28351
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(5000) if _is_prime(n)] == \
+        [n for n in range(5000) if trial(n)]
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime(561)
+    assert not _is_prime(3215031751)
+    assert PrimeField(2 ** 61 - 1).inv(2) == 2 ** 60
+    with pytest.raises(SchemaError, match="561 is not prime"):
+        PrimeField(561)
+    for p in (10 ** 30 + 57, 2 ** 64, 2 ** 89 - 1):
+        with pytest.raises(SchemaError, match="below 2\\^64"):
+            field_from_json({"kind": "Fp", "p": p})
 
 
 def test_field_axioms_exhaustive_small():

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,24 +10,27 @@ from parhox.fields import QQ, PrimeField
 from parhox.algebras import (ModuleData, commutator_quotient, dual_bimodule,
                              dual_numbers, matrix_algebra, product_field_algebra,
                              regular_bimodule, restrict_along_hom,
-                             hom_over_algebra, tensor_over_algebra)
+                             hom_over_algebra, separability_idempotent,
+                             tensor_over_algebra)
 from parhox.factor_sets import (EquivalenceWitness, trivial_factor_set,
                                 xi_sigma_double_prime, PartialFactorSet)
 from parhox.errors import (EquivarianceFailure, InvalidInput, SizeLimit,
                            ValidationFailure)
 from parhox.groups import cyclic_group
-from parhox import homology
+from parhox import homology, spectral
 from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
                              diagonal_action, env_resolution, free_resolution,
                              hochschild_homology_bar,
-                             hochschild_homology_resolution, hom_A_carrier,
+                             hochschild_homology_resolution,
+                             hochschild_homology_separable, hom_A_carrier,
                              hom_A_module_structure, homology_data,
                              induced_action_on_homology,
                              m_as_a_bimodule, tor_dims)
 from parhox.linalg import (_rank_of, _sp_identity, _sp_kron, _sp_matmul,
                            _sp_transpose, _sparse, _sparse_matrix)
 from parhox.partial_actions import build_crossed_product
-from parhox.problems import build_instance, bundled_fixtures, load_fixture
+from parhox.problems import (build_instance, bundled_fixtures, load_fixture,
+                             parse_spec_file)
 from parhox.partial_algebras import (b_sigma_module_structures,
                                      build_B_sigma_omega, build_kpar,
                                      build_kpar_idempotent, build_kpar_sigma,
@@ -267,6 +271,98 @@ def test_env_resolution_ranks_are_pinned():
         [2, 4, 7, 10]
     lam2 = build_instance(load_fixture("z2_trivial_f2.json")).lam.algebra
     assert env_resolution(lam2, 3)[1].ranks == [1, 2, 4, 7]
+
+
+# the fixtures whose Lambda, resp. A, has no separability idempotent
+NOT_SEPARABLE = {"lam": {"z2_dual_f2.json", "z2_dual_q.json",
+                         "z2_trivial_f2.json"},
+                 "A": {"z2_dual_f2.json", "z2_dual_q.json"}}
+
+
+@pytest.mark.parametrize("fixture", bundled_fixtures() + ["m2_z2_q.json"])
+def test_separable_route_matches_the_free_route(fixture):
+    # the length-0 resolution through the separability idempotent against
+    # the free Lambda^e- (A^e-) resolution, called explicitly, on M and M*
+    path = os.path.join(os.path.dirname(__file__), "data", fixture)
+    inst = build_instance(parse_spec_file(path) if os.path.exists(path)
+                          else load_fixture(fixture))
+    for side, R, e in [("lam", inst.lam.algebra, inst.lam_separability),
+                       ("A", inst.theta.algebra, inst.separability)]:
+        assert (e is None) == (fixture in NOT_SEPARABLE[side])
+        if e is None:
+            continue
+        env_res = env_resolution(R, 4)
+        M = inst.M if side == "lam" else inst.m_over_a
+        for X in (M, dual_bimodule(M)):
+            dims = hochschild_homology_separable(R, e, X, 3)
+            assert dims == hochschild_homology_resolution(R, X, 3,
+                                                          env_res=env_res)
+            assert dims[1:] == [0, 0, 0]
+
+
+class _Unread:
+    """A bimodule stand-in that fails when the route reads it."""
+    name, dim = "unread", 4
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"M.{attr} was read")
+
+
+@pytest.mark.parametrize("algebra", ["lam", "A"])
+def test_a_changed_separability_idempotent_is_rejected_unused(algebra):
+    # every single-entry change of e, zero entries included, is caught by
+    # the re-verification before pi_M is formed
+    inst = build_instance(load_fixture("v4_partial_q.json"))
+    R = inst.lam.algebra if algebra == "lam" else inst.theta.algebra
+    e = separability_idempotent(R)
+    reg = regular_bimodule(R)
+    assert hochschild_homology_separable(R, e, reg, 1) == \
+        hochschild_homology_bar(R, reg, 1)
+    for r in range(R.dim):
+        for c in range(R.dim):
+            bad = [dict(row) for row in e]
+            bump(R.field, bad, r, c)
+            with pytest.raises(ValidationFailure,
+                               match="separability idempotent"):
+                hochschild_homology_separable(R, bad, _Unread(), 3)
+
+
+def test_pi_m_of_a_non_bimodule_is_rejected():
+    # Lambda of z3_kappa2_q is noncommutative, so its left multiplications
+    # taken as a right action do not commute with the left one, and
+    # pi_M o pi_M = pi_M fails
+    R = build_instance(load_fixture("z3_kappa2_q.json")).lam.algebra
+    reg = regular_bimodule(R)
+    bad = ModuleData(R, R.dim, left=reg.left, right=reg.left, name="bad")
+    with pytest.raises(ValidationFailure,
+                       match="pi_M of bad is not idempotent"):
+        hochschild_homology_separable(R, separability_idempotent(R), bad, 1)
+
+
+def test_the_oracle_rejects_a_changed_separability_idempotent():
+    inst = build_instance(load_fixture("z2_trivial_q.json"))
+    e = [dict(row) for row in inst.lam_separability]
+    bump(inst.field, e, 0, 0)
+    inst.lam_separability = e
+    report = spectral.SpectralCheckReport(inst.name)
+    with pytest.raises(ValidationFailure, match="mult\\(e\\) != 1"):
+        spectral.hochschild_oracle_check(inst, report)
+
+
+class _Unbuilt:
+    """An algebra stand-in with a dimension and a name only."""
+    name, dim = "R", 4
+
+
+def test_separability_system_is_checked_against_the_cap():
+    with pytest.raises(SizeLimit, match="separability idempotent of R: "
+                       "4 x 4 = 16 unknowns exceed cap 15"):
+        separability_idempotent(_Unbuilt(), cap=15)
+    inst = build_instance(load_fixture("v4_partial_q.json"))
+    assert separability_idempotent(inst.lam.algebra, cap=16) is not None
+    inst.chain_cap = 15
+    with pytest.raises(SizeLimit, match="16 unknowns exceed cap 15"):
+        inst.lam_separability
 
 
 def _add_a_non_cycle(images_of, gens, cols):

@@ -339,23 +339,28 @@ def test_noncommutative_base_algebra_passes_the_battery():
 
 def test_enveloping_algebras_are_built_for_the_resolutions_only(monkeypatch):
     # Hom and tensors over A^e and Lambda^e read the bimodule actions; only
-    # the two free resolutions (of Lambda and of A) build an enveloping
-    # algebra
+    # a free resolution of Lambda or of A builds an enveloping algebra, and
+    # an algebra with a separability idempotent gets none: Lambda and A
+    # are both separable on v4_partial_q, neither is on z2_dual_q
     calls = []
     enveloping = algebras.enveloping
 
     def counted(R, *args, **kwargs):
-        calls.append(R.dim)
+        calls.append(R)
         return enveloping(R, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("parhox") and \
                 getattr(module, "enveloping", None) is enveloping:
             monkeypatch.setattr(module, "enveloping", counted)
-    inst = build_instance(load_fixture("v4_partial_q.json"))
-    report, _, _ = run_all_checks(inst)
-    assert report.ok
-    assert calls == [inst.lam.algebra.dim, inst.theta.algebra.dim]
+    for fixture, separable in [("v4_partial_q.json", True),
+                               ("z2_dual_q.json", False)]:
+        calls.clear()
+        inst = build_instance(load_fixture(fixture))
+        report, _, _ = run_all_checks(inst)
+        assert report.ok
+        assert calls == ([] if separable
+                         else [inst.lam.algebra, inst.theta.algebra])
 
 
 # E2^{p,q} for p, q <= 3 (one row per q, p = 0..3), as the route through
