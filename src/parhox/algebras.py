@@ -45,8 +45,8 @@ __all__ = [
     "ValidationReport", "StructureAlgebra", "AlgebraHom", "ModuleData",
     "opposite", "enveloping", "bimodule_to_right_env_module",
     "subalgebra_span", "subalgebra_generated",
-    "orthogonalize_idempotents", "separability_idempotent",
-    "check_separability_idempotent",
+    "orthogonalize_idempotents", "check_orthogonal_idempotents",
+    "separability_idempotent", "check_separability_idempotent",
     "tensor_over_algebra", "bimodule_tensor", "hom_over_algebra",
     "bimodule_hom", "restrict_along_hom",
     "regular_bimodule", "dual_bimodule", "module_from_generator_actions",
@@ -494,15 +494,15 @@ def subalgebra_generated(A, gens, name=""):
     return SubalgebraResult(sub, span, incl)
 
 
-def orthogonalize_idempotents(A, gens, max_gens=14):
+def orthogonalize_idempotents(A, gens):
     """Orthogonal idempotent basis of the unital subalgebra generated by
     commuting idempotents, via inclusion-exclusion atoms.
 
     Returns a list of pairwise-orthogonal idempotents v_i with sum(v_i) = 1
-    whose span equals span(products of gens, 1).
-    """
-    if len(gens) > max_gens:
-        raise SizeLimit(f"{len(gens)} idempotent generators (limit {max_gens})")
+    whose span equals span(products of gens, 1).  Nonzero orthogonal
+    idempotents are linearly independent, so there are at most dim A atoms
+    at every step, whatever the number of gens.  The result is gated
+    exactly (`check_orthogonal_idempotents`, ValidationFailure)."""
     for g in gens:
         if A.mul(g, g) != g:
             raise NotIdempotent(str(g))
@@ -515,12 +515,24 @@ def orthogonalize_idempotents(A, gens, max_gens=14):
         comp = _sp_sum([(1, A.unit), (-1, g)], A.p)
         atoms = [part for at in atoms
                  for part in (A.mul(at, g), A.mul(at, comp)) if part]
-    assert _sp_sum(((1, at) for at in atoms), A.p) == A.unit
-    for i, u in enumerate(atoms):
-        assert A.mul(u, u) == u
-        for v in atoms[i + 1:]:
-            assert not A.mul(u, v)
+    check_orthogonal_idempotents(A, atoms).raise_if_failed()
     return atoms
+
+
+def check_orthogonal_idempotents(A, idems):
+    """Nonzero idempotents of A, pairwise orthogonal, summing to 1, checked
+    exactly on A's own products: e_i e_i = e_i != 0, e_i e_j = 0 for
+    i != j and sum e_i = 1."""
+    rep = ValidationReport(f"idempotents of {A.name}")
+    if _sp_sum(((1, e) for e in idems), A.p) != A.unit:
+        rep.fail("sum is not 1")
+    for i, e in enumerate(idems):
+        if not e or A.mul(e, e) != e:
+            rep.fail("not a nonzero idempotent", i)
+        for j, f in enumerate(idems[i + 1:], i + 1):
+            if A.mul(e, f) or A.mul(f, e):
+                rep.fail("not orthogonal", i, j)
+    return rep
 
 
 def separability_idempotent(A, cap=None):

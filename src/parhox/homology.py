@@ -14,25 +14,38 @@ Degree conventions:
     boundary in F_q = R^{r_q} is  u_j -> gen_images[q][j], and the induced
     complexes for Tor are assembled from action matrices of the blocks;
   * Hochschild homology of R with coefficients in a bimodule M is computed
-    both on the (normalized or full) bar complex  C_q = M (x) Rbar^(x q)
-    and as Tor over R^e via a projective resolution of R: the length-0
-    resolution R = R^e e when R has a separability idempotent e
-    (`hochschild_homology_separable`), a free resolution otherwise
-    (`hochschild_homology_resolution`); the two routes must agree and that
-    agreement is an acceptance gate, not an assumption.
+    both on a bar complex and as Tor over R^e via a projective resolution
+    of R: the length-0 resolution R = R^e e when R has a separability
+    idempotent e (`hochschild_homology_separable`), a free resolution
+    otherwise (`hochschild_homology_resolution`); the two routes must
+    agree and that agreement is an acceptance gate, not an assumption.
+
+There is one bar complex, the S-relative one (`relative_bar_complex`):
+C_q = M (x)_{S^e} (R/S)^{(x)_S q} for S spanned by orthogonal idempotents
+e_i of R that sum to 1 (Hochschild, Trans. AMS 82, 1956; Cibils, JPAA 56,
+1989).  S = k^m is separable over every field, so its homology is
+H_*(R, M), and its chains are closed paths through the Peirce blocks
+e_i R e_j.  S = k.1 gives the normalized bar complex.  The bar route uses
+only S's idempotents, re-verified exactly: never a separability idempotent
+of R or an R^e-resolution.  The battery takes S spanned by the atoms of
+the 1_g (for Lambda and A) or of the e_g (for kappa_par G and
+kappa_par^sigma G).
 
 Everything here is homological.  Cohomology with coefficients in M is read
 as homology with coefficients in the dual bimodule M* (`dual_bimodule`):
-the complex of maps R^(x q) -> M is the dual of C_q(R, M*)
-(Cartan-Eilenberg, ch. IX), so dim H^q(R, M) = dim H_q(R, M*);
+the complex of S-bimodule maps (R/S)^{(x)_S q} -> M is the dual of
+C_q(R, M*) (Cartan-Eilenberg, ch. IX), so dim H^q(R, M) = dim H_q(R, M*);
 `spectral.module_tower` carries the argument through the group action and
 the partial group cohomology.
 
-The diagonal action of the group on Hochschild chains of the coefficient
-algebra A (`diagonal_action`) uses the full (unnormalized) bar complex:
-the action does not preserve degenerate chains, so the normalized model
-would not carry it.  Partial group homology H_n^par(G, X) =
-Tor_n^{kpar}(B, X) is `tor_dims` on kappa_par G.
+The diagonal action of the group on the Hochschild chains of the
+coefficient algebra A (`diagonal_action`) lives on A's relative complex
+over the atoms of the 1_h: [g] sends each atom to an atom or to 0, so it
+maps S into S and descends to the relative complex (the proof is in its
+docstring).  Degree 0 is C_0 = sum_i e_i M e_i, included into M and
+projected from it by `_BarBasis.include_c0` / `project_c0`.  Partial
+group homology H_n^par(G, X) = Tor_n^{kpar}(B, X) is `tor_dims` on
+kappa_par G.
 """
 
 from itertools import product
@@ -41,15 +54,17 @@ from .errors import (EquivarianceFailure, InvalidInput, SizeLimit,
                      ValidationFailure)
 from .algebras import (ModuleData, ValidationReport, bimodule_hom,
                        bimodule_to_right_env_module,
+                       check_orthogonal_idempotents,
                        check_separability_idempotent, enveloping,
                        module_from_generator_actions, regular_bimodule)
 from .linalg import (QuotientSpace, Subspace, _char, _Echelon, _kernel_of,
                      _nonzero, _rank_of, _sp_combination,
-                     _sp_identity, _sp_kron, _sp_matmul, _sp_matvec,
+                     _sp_identity, _sp_matmul, _sp_matvec, _sp_sum,
                      _sp_transpose, coordinates_in)
 
 __all__ = [
-    "ChainComplex", "bar_complex", "homology_dims_of_complex",
+    "ChainComplex", "relative_bar_complex",
+    "homology_dims_of_complex",
     "HomologyData", "homology_data", "FreeResolution", "free_resolution",
     "tor_dims", "hochschild_homology_bar",
     "hochschild_homology_resolution", "hochschild_homology_separable",
@@ -86,104 +101,249 @@ class ChainComplex:
         return rep
 
 
-class _BarBasis:
-    """Index bookkeeping for M (x) W^(x q), W either R or the reduced Rbar,
-    and the face tables of the bar differentials, built once per complex
-    as kernel rows:
+class _Peirce:
+    """The Peirce decomposition X = sum_ij e_i X e_j of X = kappa^n under
+    orthogonal idempotents e_i that sum to 1, given by the matrices of
+    x -> e_i x (`lefts`) and x -> x e_j (`rights`) as kernel rows.
 
-      * prod[i][j]: a_i a_j in the reduced basis;
-      * left[i][m]: a_i . e_m and right[i][m]: e_m . a_i in the M-basis.
+    Each nonzero block e_i X e_j takes the reduced echelon basis of its
+    span; with `drop` (X = R and drop = the e_i), block (i, i) takes e_i
+    and that basis without the vector at the first pivot where e_i is
+    nonzero, and e_i is then left out: the rest is a basis of
+    e_i R e_i / k e_i.  The blocks, in order of (i, j), list one basis of
+    X (of X / S with drop): element k lies in block (src[k], tgt[k]) and
+    is lift[k]."""
+
+    def __init__(self, K, n, lefts, rights, drop=None):
+        p = _char(K)
+        self.src, self.tgt, self.lift = [], [], []
+        self._coords = {}
+        for i, L in enumerate(lefts):
+            left_part = Subspace(K, n, _sp_transpose(L, n)).basis()
+            for j, Rj in enumerate(rights):
+                basis = Subspace(K, n, [_sp_matvec(Rj, u, p)
+                                        for u in left_part]).basis()
+                if not basis:
+                    continue
+                head = []
+                if drop is not None and i == j:
+                    e = drop[i]
+                    t = next(s for s, b in enumerate(basis) if min(b) in e)
+                    head = [e]
+                    del basis[t]
+                self._coords[(i, j)] = (coordinates_in(K, n, head + basis),
+                                        len(head), len(self.lift) - len(head))
+                self.src += [i] * len(basis)
+                self.tgt += [j] * len(basis)
+                self.lift += basis
+        self.dim = len(self.lift)
+
+    def coords(self, i, j, v):
+        """The coordinates of v, an element of block (i, j), in the basis
+        (modulo e_i with drop)."""
+        if not v:
+            return {}
+        solve, head, offset = self._coords.get((i, j), (None, 0, 0))
+        c = solve(v) if solve else None
+        if c is None:
+            raise ValidationFailure(f"a product leaves the Peirce block "
+                                    f"({i}, {j})")
+        return {offset + t: a for t, a in c.items() if t >= head}
+
+
+class _BarBasis:
+    """The basis of the S-relative bar complex M (x)_{S^e} (R/S)^{(x)_S q}
+    of R with coefficients in the R-bimodule M, S spanned by `atoms`, and
+    the face tables of its differentials, built once as kernel rows.  The
+    atoms are checked first (`check_orthogonal_idempotents`).
+
+    S = k^m is separable over every field, so Hochschild's relative
+    homological algebra (Trans. AMS 82, 1956) gives H_*(R, M) as the
+    homology of this complex (Cibils, JPAA 56, 1989, over the vertex
+    idempotents of a quiver).  Over S the tensor powers split along the
+    Peirce blocks (`_Peirce`), so a chain of degree q is a closed path
+
+        m (x) a_1 (x) ... (x) a_q,  m in e_{i_q} M e_{i_0},
+        a_k in e_{i_{k-1}} Rbar e_{i_k},  Rbar = R / S,
+
+    stored as the tuple (m, a_1, .., a_q) of basis indices (of `mb` and
+    `w`).  Chains are listed m-major, then lexicographically; with
+    atoms = [1] this is the normalized bar complex M (x) (R / k1)^(x q).
+    The face tables:
+
+      * prod[x][y]: a_x a_y modulo S, for tgt(x) = src(y);
+      * right[x][k]: m_k . a_x, for tgt(m_k) = src(x);
+      * left[x][k]: a_x . m_k, for src(m_k) = tgt(x).
     """
 
-    def __init__(self, R, M, normalized):
-        self.R = R
-        self.M = M
+    def __init__(self, R, M, atoms):
+        check_orthogonal_idempotents(R, atoms).raise_if_failed()
         K = R.field
-        if normalized:
-            span = Subspace(K, R.dim, [R.unit])
-            self.quot = QuotientSpace(K, R.dim, span)
-            self.wdim = self.quot.dim
-        else:
-            self.quot = None
-            self.wdim = R.dim
+        self.p = p = R.p
+        self.atoms = atoms
+        self.w = w = _Peirce(K, R.dim, [R.left_mult_matrix(e) for e in atoms],
+                             [R.right_mult_matrix(e) for e in atoms],
+                             drop=atoms)
+        self.ml = [M.left_matrix_of(e) for e in atoms]
+        self.mr = [M.right_matrix_of(e) for e in atoms]
+        self.mb = mb = _Peirce(K, M.dim, self.ml, self.mr)
+        self.out = [[x for x in range(w.dim) if w.src[x] == i]
+                    for i in range(len(atoms))]
+        self.prod = [{y: w.coords(w.src[x], w.tgt[y], R.mul(a, w.lift[y]))
+                      for y in self.out[w.tgt[x]]}
+                     for x, a in enumerate(w.lift)]
+        self.right, self.left = [], []
+        for x, a in enumerate(w.lift):
+            Ra, La = M.right_matrix_of(a), M.left_matrix_of(a)
+            self.right.append({
+                k: mb.coords(mb.src[k], w.tgt[x], _sp_matvec(Ra, u, p))
+                for k, u in enumerate(mb.lift) if mb.tgt[k] == w.src[x]})
+            self.left.append({
+                k: mb.coords(w.src[x], mb.tgt[k], _sp_matvec(La, u, p))
+                for k, u in enumerate(mb.lift) if mb.src[k] == w.tgt[x]})
+        self.chains, self.index = [], []
 
-        lifted = [self.lift(i) for i in range(self.wdim)]
-        self.prod = [[self.project(R.mul(x, y)) for y in lifted]
-                     for x in lifted]
+    def dims(self, max_q):
+        """dim C_q for q <= max_q, counted from the paths, nothing built."""
+        w, mb = self.w, self.mb
+        count = {}
 
-        self.left = [_sp_transpose(M.left_matrix_of(x), M.dim)
-                     for x in lifted]
-        self.right = [_sp_transpose(M.right_matrix_of(x), M.dim)
-                      for x in lifted]
+        def paths(a, b, q):
+            key = (a, b, q)
+            if key not in count:
+                count[key] = (a == b) if q == 0 else \
+                    sum(paths(w.tgt[x], b, q - 1) for x in self.out[a])
+            return count[key]
+        return [sum(paths(mb.tgt[k], mb.src[k], q) for k in range(mb.dim))
+                for q in range(max_q + 1)]
 
-    def lift(self, i):
-        """The algebra element behind reduced-basis index i."""
-        if self.quot is None:
-            return self.R.basis_vector(i)
-        return self.quot.lift({i: 1})
+    def build(self, max_q):
+        """The chains of degree q <= max_q and their positions."""
+        w, mb = self.w, self.mb
+        memo = {}
 
-    def project(self, vec):
-        """Coordinates of an algebra element in the reduced basis."""
-        if self.quot is None:
-            return vec
-        return self.quot.project(vec)
+        def paths(a, b, q):
+            key = (a, b, q)
+            if key not in memo:
+                memo[key] = ([()] if a == b else []) if q == 0 else \
+                    [(x,) + rest for x in self.out[a]
+                     for rest in paths(w.tgt[x], b, q - 1)]
+            return memo[key]
+        self.chains = [[(k,) + path for k in range(mb.dim)
+                        for path in paths(mb.tgt[k], mb.src[k], q)]
+                       for q in range(max_q + 1)]
+        self.index = [{ch: r for r, ch in enumerate(chains)}
+                      for chains in self.chains]
 
-    def dim_q(self, q):
-        return self.M.dim * self.wdim ** q
+    def include_c0(self, v):
+        """A vector of C_0 = sum_i e_i M e_i as an element of M."""
+        mb = self.mb
+        return _sp_sum(((c, mb.lift[self.chains[0][r][0]])
+                        for r, c in v.items()), self.p)
 
-    def tuples(self, q):
-        """All q-tuples over range(wdim), lexicographic (none if wdim = 0
-        and q >= 1)."""
-        return product(range(self.wdim), repeat=q)
-
-    def flat(self, im, tup):
-        out = im
-        for i in tup:
-            out = out * self.wdim + i
+    def project_c0(self, m):
+        """m -> sum_i e_i m e_i, an element of M as a vector of C_0: the
+        two agree modulo [S, M], as e_i m e_j = [e_i, e_i m e_j] for
+        i != j."""
+        p = self.p
+        index = self.index[0]
+        out = {}
+        for i, (L, Rm) in enumerate(zip(self.ml, self.mr)):
+            part = _sp_matvec(L, _sp_matvec(Rm, m, p), p)
+            for k, c in self.mb.coords(i, i, part).items():
+                out[index[(k,)]] = c
         return out
 
+    def chain_map(self, a_map, m_map, max_q):
+        """The matrices, as kernel rows on C_q for q <= max_q, of
+        (m, a_1, .., a_q) -> (f(m), g(a_1), .., g(a_q)) for a map g of R
+        (`a_map`) that permutes the atoms, sending each to an atom or to 0,
+        is multiplicative, and so maps block (i, j) into block
+        (g(e_i), g(e_j)) and S into S; and a map f of M (`m_map`) with
+        f(a m b) = g(a) f(m) g(b).  An image outside its block raises
+        EquivarianceFailure."""
+        p = self.p
+        w, mb = self.w, self.mb
+        perm = []
+        for e in self.atoms:
+            img = _sp_matvec(a_map, e, p)
+            if img and img not in self.atoms:
+                raise EquivarianceFailure("an atom maps to a non-atom")
+            perm.append(self.atoms.index(img) if img else None)
 
-def bar_complex(R, M, max_q, normalized=True, cap=DEFAULT_CHAIN_CAP):
-    """The Hochschild chain complex C_q = M (x) W^(x q) with boundary
+        def images(space, mat):
+            out = []
+            for k, u in enumerate(space.lift):
+                img = _sp_matvec(mat, u, p)
+                i, j = perm[space.src[k]], perm[space.tgt[k]]
+                if i is None or j is None:
+                    if img:
+                        raise EquivarianceFailure(
+                            "the map is not multiplicative on the blocks")
+                    out.append([])
+                else:
+                    out.append(list(space.coords(i, j, img).items()))
+            return out
+        wimg, mimg = images(w, a_map), images(mb, m_map)
+        mats = []
+        for q in range(max_q + 1):
+            index = self.index[q]
+            cols = []
+            for ch in self.chains[q]:
+                col = {}
+                for terms in product(mimg[ch[0]], *(wimg[x] for x in ch[1:])):
+                    c = 1
+                    for _, a in terms:
+                        c *= a
+                    col[index[tuple(t for t, _ in terms)]] = c
+                cols.append(_nonzero(col, p))
+            mats.append(_sp_transpose(cols, len(self.chains[q])))
+        return mats
+
+
+def relative_bar_complex(R, M, atoms, max_q, cap=DEFAULT_CHAIN_CAP):
+    """The S-relative bar complex C_q = M (x)_{S^e} (R/S)^{(x)_S q}, q <=
+    max_q, S spanned by `atoms` (`_BarBasis`), with the boundary
 
         b(m,a1..aq) = (m.a1, a2..aq)
                       + sum_i (-1)^i (m, a1.. a_i a_{i+1} ..aq)
                       + (-1)^q (aq.m, a1..a_{q-1}).
 
-    Each column (the boundary of one basis chain) is summed in one sparse
-    dict and the columns are transposed into kernel rows once.  Returns
-    (ChainComplex, _BarBasis); d.d = 0 is asserted exactly.
-    """
+    The dims are checked against `cap` before any chain is listed.  Each
+    column (the boundary of one basis chain) is summed in one sparse dict
+    and the columns are transposed into kernel rows once.  Returns
+    (ChainComplex, _BarBasis); d.d = 0 is asserted exactly."""
     K = R.field
     p = _char(K)
-    bb = _BarBasis(R, M, normalized)
-    dims = [bb.dim_q(q) for q in range(max_q + 1)]
+    bb = _BarBasis(R, M, atoms)
+    dims = bb.dims(max_q)
     if any(d > cap for d in dims):
-        raise SizeLimit(f"bar complex dims {dims} exceed cap {cap}")
+        raise SizeLimit(f"relative bar complex of {R.name} with {M.name} "
+                        f"over {len(atoms)} idempotents: dims {dims} exceed "
+                        f"cap {cap}")
+    bb.build(max_q)
     diffs = {}
     for q in range(1, max_q + 1):
-        stride = bb.wdim ** (q - 1)
+        index = bb.index[q - 1]
+        last = 1 if q % 2 == 0 else -1
         cols = []
-        for im in range(M.dim):
-            for tup in bb.tuples(q):
-                # face 0: (m.a1, a2..aq)
-                rest = bb.flat(0, tup[1:])
-                faces = [(jm * stride + rest, c)
-                         for jm, c in bb.right[tup[0]][im].items()]
-                # inner faces: (-1)^(i+1) (m, a1.. a_i a_{i+1} ..aq)
-                for i in range(q - 1):
-                    for jw, c in bb.prod[tup[i]][tup[i + 1]].items():
-                        r = bb.flat(im, tup[:i] + (jw,) + tup[i + 2:])
-                        faces.append((r, c if i % 2 else -c))
-                # last face: (-1)^q (aq.m, a1..a_{q-1})
-                rest = bb.flat(0, tup[:-1])
-                for jm, c in bb.left[tup[-1]][im].items():
-                    faces.append((jm * stride + rest,
-                                  c if q % 2 == 0 else -c))
-                col = {}
-                for r, c in faces:
-                    col[r] = col.get(r, 0) + c
-                cols.append(_nonzero(col, p))
+        for ch in bb.chains[q]:
+            k, xs = ch[0], ch[1:]
+            col = {}
+            # face 0: (m.a1, a2..aq)
+            for j, c in bb.right[xs[0]][k].items():
+                r = index[(j,) + xs[1:]]
+                col[r] = col.get(r, 0) + c
+            # inner faces: (-1)^(i+1) (m, a1.. a_i a_{i+1} ..aq)
+            for i in range(q - 1):
+                for y, c in bb.prod[xs[i]][xs[i + 1]].items():
+                    r = index[(k,) + xs[:i] + (y,) + xs[i + 2:]]
+                    col[r] = col.get(r, 0) + (c if i % 2 else -c)
+            # last face: (-1)^q (aq.m, a1..a_{q-1})
+            for j, c in bb.left[xs[-1]][k].items():
+                r = index[(j,) + xs[:-1]]
+                col[r] = col.get(r, 0) + last * c
+            cols.append(_nonzero(col, p))
         diffs[q] = _sp_transpose(cols, dims[q - 1])
     cc = ChainComplex(K, dims, diffs)
     cc.validate().raise_if_failed()
@@ -415,8 +575,11 @@ def tor_dims(R, X_right, Y_left, max_n, style="greedy", resolution=None):
 # Hochschild homology
 
 
-def hochschild_homology_bar(R, M, max_n, normalized=True, cap=DEFAULT_CHAIN_CAP):
-    cc, _ = bar_complex(R, M, max_n + 1, normalized=normalized, cap=cap)
+def hochschild_homology_bar(R, M, max_n, atoms=None, cap=DEFAULT_CHAIN_CAP):
+    """dim H_q(R, M) for q <= max_n on the S-relative bar complex, S
+    spanned by `atoms` (by default k.1: the normalized bar complex)."""
+    cc, _ = relative_bar_complex(R, M, [R.unit] if atoms is None else atoms,
+                                 max_n + 1, cap=cap)
     return homology_dims_of_complex(cc, max_n)
 
 
@@ -492,16 +655,20 @@ def _env_left_regular(env, R):
 
 class GModuleOnChains:
     """A chain complex with one matrix per group element and degree, gated
-    by equivariance and the partial-representation relations."""
+    by equivariance and the partial-representation relations; `basis` is
+    the complex's `_BarBasis` when it is a bar complex."""
 
-    def __init__(self, complex_, action, sigma_pattern):
+    def __init__(self, complex_, action, sigma_pattern, basis=None):
         self.complex = complex_
         self.action = action            # action[g][q]: kernel rows on C_q
         self.sigma_pattern = sigma_pattern
+        self.basis = basis
 
     def gate(self, group):
         """Equivariance and the partial-representation relations, checked on
-        the kernel rows of every T_g and d[q] as they are stored."""
+        the kernel rows of every T_g and d[q] as they are stored.  Each
+        product T_a T_b is formed once per degree and read by every
+        relation that has it."""
         K = self.complex.field
         p = _char(K)
         rep = ValidationReport("chain-level diagonal action")
@@ -523,22 +690,20 @@ class GModuleOnChains:
 
         for q in range(top + 1):
             n = self.complex.dims[q]
-            if T[0][q] != _sp_identity(n):
+            Tq = [T[g][q] for g in range(group.n)]
+            if Tq[0] != _sp_identity(n):
                 rep.fail("unit action", q)
+            prod = [[_sp_matmul(Ta, Tb, p) for Tb in Tq] for Ta in Tq]
             for g in range(group.n):
-                Tg = T[g][q]
-                Tgi = T[inv(g)][q]
+                gi = inv(g)
                 for h in range(group.n):
-                    Th = T[h][q]
-                    Tgh = T[mul(g, h)][q]
-                    Thi = T[inv(h)][q]
+                    gh, hi = mul(g, h), inv(h)
                     s = sigma(g, h)
-                    TgTh = _sp_matmul(Tg, Th, p)
-                    TgiTgh = _sp_matmul(Tgi, Tgh, p)
-                    TghThi = _sp_matmul(Tgh, Thi, p)
-                    if _sp_matmul(Tgi, TgTh, p) != scaled(s, TgiTgh):
+                    TgTh, TgiTgh, TghThi = prod[g][h], prod[gi][gh], \
+                        prod[gh][hi]
+                    if _sp_matmul(Tq[gi], TgTh, p) != scaled(s, TgiTgh):
                         rep.fail("left relation", g, h, q)
-                    if _sp_matmul(TgTh, Thi, p) != scaled(s, TghThi):
+                    if _sp_matmul(TgTh, Tq[hi], p) != scaled(s, TghThi):
                         rep.fail("right relation", g, h, q)
                     if not s and (any(TgiTgh) or any(TghThi)):
                         rep.fail("zero relation", g, h, q)
@@ -575,32 +740,56 @@ def m_as_a_bimodule(lam, M):
     return MA
 
 
-def diagonal_action(lam, M, MA, xi, sigma_dd, max_q, cap=DEFAULT_CHAIN_CAP):
-    """The diagonal group action on the full Hochschild chains of A with
-    coefficients in M, MA being M restricted to A (`m_as_a_bimodule`):
+def diagonal_action(lam, M, MA, xi, sigma_dd, atoms, max_q,
+                    cap=DEFAULT_CHAIN_CAP):
+    """The diagonal group action on the S-relative Hochschild chains of A
+    with coefficients in M, MA being M restricted to A (`m_as_a_bimodule`)
+    and S spanned by `atoms`, the atoms of the Boolean algebra generated
+    by the 1_h in A (`orthogonalize_idempotents`):
 
-        T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq).
+        T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq),
 
-    In the M-major basis T_g = MG[g] (x) AG[g]^(x q)
-    (`_crossed_action_matrices`), as kernel rows.  Hard-gated; returns
-    (GModuleOnChains, _BarBasis)."""
+    [g].a = theta_g(1_{g^-1} a) and [g].m = xi(g) u_g m u_{g^-1}, u_g =
+    1_g delta_g (`_crossed_action_matrices`).  Why T_g descends from
+    M (x) A^(x q) to M (x)_{S^e} (A/S)^{(x)_S q}:
+
+      * [g] is multiplicative on A, as theta_g is on D_{g^-1} = 1_{g^-1} A
+        and 1_{g^-1} is a central idempotent;
+      * [g] sends each atom to an atom or to 0.  An atom is
+        e = prod_h f_h with f_h = 1_h or 1 - 1_h.  If f_{g^-1} = 1 - 1_{g^-1},
+        then 1_{g^-1} e = 0 and [g].e = 0.  Otherwise e = 1_{g^-1} e and,
+        by theta_g(1_{g^-1} 1_h) = 1_g 1_{gh}, [g].e = prod_h [g].f_h with
+        [g].1_h = 1_g 1_{gh} and [g].(1 - 1_h) = 1_g - 1_g 1_{gh}: that is
+        1_g prod_k f'_k with f'_k = 1_k or 1 - 1_k as k = gh runs over G,
+        an atom, nonzero as theta_g is injective on D_{g^-1}.  So [g]
+        maps S into S;
+      * [g].(a m b) = [g].a [g].m [g].b for a, b in A: in Lambda,
+        u_{g^-1} ([g].a delta_1) = 1_{g^-1} a delta_{g^-1} = (a delta_1)
+        u_{g^-1}, as theta_{g^-1} theta_g = id on D_{g^-1}, and likewise
+        ([g].a delta_1) u_g = [g].a delta_g = u_g (a delta_1);
+      * so T_g preserves the span of the chains with a factor in S and of
+        the S-balancing relations (m s, a1, ..) - (m, s a1, ..),
+        (.., a_i s, a_{i+1}, ..) - (.., a_i, s a_{i+1}, ..) and
+        (.., a_q s) (x) m - (.., a_q) (x) s m: the kernel of the quotient
+        chain map onto the relative complex.  T_g is a chain map upstairs,
+        so it induces one on the quotient, and the partial-representation
+        relations pass to it.
+
+    T_g is built directly on the relative basis (`_BarBasis.chain_map`):
+    block (i, j) of A goes to block ([g].e_i, [g].e_j), or to 0.  The
+    gate (`GModuleOnChains.gate`) checks every T_g exactly as stored.
+    Returns the GModuleOnChains, whose `basis` is the _BarBasis."""
     group = lam.group
     A = lam.theta.algebra
-    cc, bb = bar_complex(A, MA, max_q, normalized=False, cap=cap)
-    p = _char(cc.field)
+    cc, bb = relative_bar_complex(A, MA, atoms, max_q, cap=cap)
     AG, MG = _crossed_action_matrices(lam, M, xi)
-    action = []
-    for g in range(group.n):
-        mats = [MG[g]]
-        for _ in range(max_q):
-            mats.append(_sp_kron(mats[-1], AG[g], A.dim, p))
-        action.append(mats)
-    gmod = GModuleOnChains(cc, action, sigma_dd)
+    action = [bb.chain_map(AG[g], MG[g], max_q) for g in range(group.n)]
+    gmod = GModuleOnChains(cc, action, sigma_dd, basis=bb)
     rep = gmod.gate(group)
     if not rep.ok:
         raise EquivarianceFailure(
             f"chain action gate failed: {rep.violations[:5]}")
-    return gmod, bb
+    return gmod
 
 
 def induced_action_on_homology(gmod, q, target_algebra, group,

@@ -8,7 +8,8 @@ spectral-sequence checks consume instances.
 from functools import cached_property
 
 from .errors import InvalidInput
-from .algebras import (dual_bimodule, regular_bimodule, restrict_along_hom,
+from .algebras import (dual_bimodule, orthogonalize_idempotents,
+                       regular_bimodule, restrict_along_hom,
                        separability_idempotent)
 from .factor_sets import (EquivalenceWitness, trivial_factor_set,
                           normalize_inverse_pairs, sigma_prime,
@@ -148,6 +149,18 @@ class Instance:
     @cached_property
     def lambda_as_bsdd(self):
         return lambda_as_bsdd_module(self.lam, self.ksdd)
+
+    @cached_property
+    def a_atoms(self):
+        """The atoms of the Boolean algebra generated by the 1_g in A:
+        orthogonal idempotents summing to 1 that span the separable
+        subalgebra S of every S-relative bar complex of A."""
+        return orthogonalize_idempotents(self.theta.algebra, self.theta.one)
+
+    @cached_property
+    def lam_atoms(self):
+        """The atoms of A embedded in Lambda at delta_1."""
+        return [self.lam.embed_a(e) for e in self.a_atoms]
 
     @cached_property
     def separability(self):

@@ -37,12 +37,12 @@ The sparse-matrix layer: `_sp_identity` is the identity,
 `_sp_matmul` multiplies two row lists row by row (Gustavson's row-wise
 product, ACM TOMS 4, 1978: each row of A adds up a_ik * (row k of B) over
 its nonzero a_ik in a dict), `_sp_matvec` applies one to a kernel row taken
-as a column, `_sp_combination` forms sum_k c_k X_k of matrices and
-`_sp_sum` sum_k c_k v_k of vectors, `_sp_kron` the Kronecker product and
-`_sp_transpose` the transpose (a row list does not carry its column count,
-so both take it).  Algebra elements, module actions, algebra maps,
-partial actions, and the Hochschild chain complexes and the group action
-on them are kernel rows from the start.
+as a column, `_sp_combination` forms sum_k c_k X_k of matrices,
+`_sp_sum` sum_k c_k v_k of vectors and `_sp_transpose` the transpose (a
+row list does not carry its column count, so it takes it).  Algebra
+elements, module actions, algebra maps, partial actions, and the
+Hochschild chain complexes and the group action on them are kernel rows
+from the start.
 """
 
 from fractions import Fraction
@@ -86,15 +86,6 @@ def _sp_transpose(rows, ncols):
         for c, a in row.items():
             out[c][r] = a
     return out
-
-
-def _sp_kron(A, B, nb, p):
-    """The Kronecker product of kernel-row matrices A and B, B with nb
-    columns, on the lexicographic tensor basis: row i * len(B) + k holds
-    a_ij b_kl at column j * nb + l."""
-    return [_nonzero({j * nb + l: a * b for j, a in arow.items()
-                      for l, b in brow.items()}, p)
-            for arow in A for brow in B]
 
 
 def _sp_matmul(A, B, p):

@@ -24,8 +24,9 @@ from functools import partial
 
 from .algebras import (AlgebraHom, ModuleData, bimodule_hom,
                        bimodule_tensor, commutator_quotient, group_algebra,
-                       hom_over_algebra, regular_bimodule,
-                       restrict_along_hom, tensor_over_algebra)
+                       hom_over_algebra, orthogonalize_idempotents,
+                       regular_bimodule, restrict_along_hom,
+                       tensor_over_algebra)
 from .homology import (_crossed_action_matrices, diagonal_action,
                        env_resolution, free_resolution,
                        hochschild_homology_bar, hochschild_homology_resolution,
@@ -112,16 +113,20 @@ def module_tower(inst, max_q, dual=False):
     """H_q(A, M), or H_q(A, M*) when `dual` is set, for q <= max_q, as
     (hd, kappa_par G module, kappa_par^{sigma''} G module); the last is
     built for M only, as nothing reads it for M*, and is None for M*.
-    Both towers pass the chain-action gate (d.d = 0, equivariance, the
-    sigma'' relations) and the ker(zeta) annihilator gate.  Memoized on
-    the instance.
+    Both towers live on A's relative bar complex over the atoms of the
+    1_g (`homology.diagonal_action`) and pass the chain-action gate
+    (d.d = 0, equivariance, the sigma'' relations) and the ker(zeta)
+    annihilator gate.  Memoized on the instance.
 
     The M* tower carries the cohomological page, dim E2^{p,q}(M) =
     dim Tor_p^{kpar}(B, H_q(A, M*)).  Why:
 
-      * C^q(A, M) = Hom(A^(x q), M) is C_q(A, M*)^*, in the M-major bar
-        basis of M*, and its coboundary is the transpose of the bar
-        boundary of M* (Cartan-Eilenberg, ch. IX).  The cochain action
+      * C^q(A, M) = Hom(A^(x q), M) is C_q(A, M*)^*, in the M-major
+        basis of the full bar complex of M*, and its coboundary is the
+        transpose of the bar boundary of M* (Cartan-Eilenberg, ch. IX).
+        The quotient map of that full complex onto the relative one is
+        G-equivariant and a quasi-isomorphism, so the relative tower has
+        the same H_q(A, M*) with the same action.  The cochain action
         (T_g f)(a1..aq) = [g].f([g^-1].a1, ..., [g^-1].aq) is
         T_g = (T^{M*}_{g^-1})^T: its A-part is AG[g^-1]^T, and
         MG^{M*}[g^-1]^T = (xi(g^-1) / xi(g)) MG^M[g] = MG^M[g] because
@@ -137,8 +142,9 @@ def module_tower(inst, max_q, dual=False):
     """
     def build(length):
         M, MA = inst.coefficient(dual)
-        gmod, _ = diagonal_action(inst.lam, M, MA, inst.xi, inst.sigma_dd,
-                                  length + 1, cap=inst.chain_cap)
+        gmod = diagonal_action(inst.lam, M, MA, inst.xi, inst.sigma_dd,
+                               inst.a_atoms, length + 1,
+                               cap=inst.chain_cap)
         ann = inst.ker_zeta_in_kpar()
         tower = []
         for q in range(length + 1):
@@ -175,11 +181,13 @@ def lam_hochschild_bar(inst, n, dual=False):
     """dim H_q(Lambda, M), or dim H_q(Lambda, M*) = dim H^q(Lambda, M) when
     `dual` is set, for q <= n on the bar route: the one source of these
     dims for the oracle, the collapse and dimension-bound checks and
-    `parhox hochschild`.  Memoized on the instance, which keeps the dims
-    only, not the complexes."""
+    `parhox hochschild`.  The complex is relative to the atoms of A's 1_g
+    embedded at delta_1 (`Instance.lam_atoms`).  Memoized on the instance,
+    which keeps the dims only, not the complexes."""
     return inst.longest(("hoch_bar", dual), n,
                         lambda l: hochschild_homology_bar(
                             inst.lam.algebra, inst.coefficient(dual)[0], l,
+                            atoms=inst.lam_atoms,
                             cap=inst.chain_cap))[:n + 1]
 
 
@@ -346,7 +354,8 @@ def hochschild_oracle_check(inst, report, max_n=2):
     report.record("Hochschild dual route (cohomology)", okc, (barc, resc))
     MA = inst.m_over_a
     A = inst.theta.algebra
-    bara = hochschild_homology_bar(A, MA, max_n, cap=inst.chain_cap)
+    bara = hochschild_homology_bar(A, MA, max_n, atoms=inst.a_atoms,
+                                   cap=inst.chain_cap)
     resa = resolution_route(inst, A, inst.separability, MA, max_n)
     oka = bara == resa
     report.record("Hochschild dual route (base algebra)", oka, (bara, resa))
@@ -380,9 +389,11 @@ def collapse_check_maclane(inst, report, max_n=2):
         report.skip("MacLane collapse", "instance has an external action")
         return None
     # Lambda = B^sigma * G = kpar^sigma G via the verified Phi/Psi pair, so
-    # the Hochschild side may be computed on kpar^sigma G itself.
+    # the Hochschild side may be computed on kpar^sigma G itself, relative
+    # to the atoms of its e_g
     ks_reg = regular_bimodule(inst.ks.algebra)
     lhs = hochschild_homology_bar(inst.ks.algebra, ks_reg, max_n,
+                                  atoms=_e_atoms(inst.ks),
                                   cap=inst.chain_cap)
     lam_side = lam_hochschild_bar(inst, max_n)
     report.record("MacLane: kpar^sigma G = B^sigma * G Hochschild dims",
@@ -399,6 +410,7 @@ def collapse_check_maclane(inst, report, max_n=2):
         quo.verify().raise_if_failed()
         Mg = restrict_along_hom(quo, regular_bimodule(kg))
         lhs_par = hochschild_homology_bar(inst.kpar.algebra, Mg, max_n,
+                                          atoms=_e_atoms(inst.kpar),
                                           cap=inst.chain_cap)
         rhs_g = hochschild_homology_bar(kg, regular_bimodule(kg), max_n,
                                         cap=inst.chain_cap)
@@ -406,6 +418,12 @@ def collapse_check_maclane(inst, report, max_n=2):
                       (lhs_par, rhs_g))
         ok = ok and (lhs_par == rhs_g)
     return ok
+
+
+def _e_atoms(ktw):
+    """The atoms of the Boolean algebra generated by the e_g of a twisted
+    partial group algebra."""
+    return orthogonalize_idempotents(ktw.algebra, ktw.e_vectors)
 
 
 def dimension_bound_check(inst, report, page, max_n=2):
@@ -558,7 +576,7 @@ def structural_identity_suite(inst, report):
     report.record("bimodule maps are ksdd-module maps (phi)", ok_conj)
 
     # (c) M/[Lambda, M] = B^sigma (x)_{ksdd} (A (x)_{A^e} M)
-    _, tower = module_tower(inst, 0)
+    gmod, tower = module_tower(inst, 0)
     hd0, _, mod0_ksdd = tower[0]
     TF = tensor_over_algebra(inst.ksdd.algebra, bs_right, mod0_ksdd)
     lamq = commutator_quotient(M)
@@ -570,11 +588,12 @@ def structural_identity_suite(inst, report):
             w_amb = inst.bsig.to_ambient(inst.bsig.algebra.basis_vector(ib))
             row = []
             for ih in range(hd0.dim):
-                rep_vec = hd0.reps[ih]     # cycle in C_0 = M
+                # a cycle in C_0 = sum_i e_i M e_i, included into M
+                rep_vec = gmod.basis.include_c0(hd0.reps[ih])
                 # w acts through its B^sigma action on Lambda at delta_1;
-                # on the A (x) M side the class of a (x) m maps to a.m, and
-                # C_0 reps are already elements of M, so apply w via the
-                # idempotent-multiplication action and project.
+                # on the A (x) M side the class of a (x) m maps to a.m, so
+                # apply w via the idempotent-multiplication action and
+                # project.
                 acted = _bsig_act_on_m(inst, w_amb, rep_vec)
                 row.append(lamq.project(acted))
             pure_images.append(row)
@@ -640,7 +659,7 @@ def degree_zero_formula_check(inst, report):
     G = inst.group
     A = inst.theta.algebra
     M = inst.M
-    _, tower = module_tower(inst, 0)
+    gmod, tower = module_tower(inst, 0)
     hd0, mod0, _ = tower[0]
     MA = inst.m_over_a
     T = _a_tensor_m(A, MA)
@@ -651,7 +670,8 @@ def degree_zero_formula_check(inst, report):
             avec = A.basis_vector(ia)
             row = []
             for im in range(M.dim):
-                row.append(hd0.express(MA.act_left(avec, {im: 1})))
+                row.append(hd0.express(gmod.basis.project_c0(
+                    MA.act_left(avec, {im: 1}))))
             pure_images.append(row)
         phi0 = T.map_from(pure_images, hd0.dim)
         ok = _rank_of(K, [dict(row) for row in phi0]) == hd0.dim

@@ -1,15 +1,19 @@
 """Shared construction helpers for the test suite."""
 
 from fractions import Fraction
+from itertools import product
 
 from parhox.fields import QQ
 from parhox.algebras import (AlgebraHom, StructureAlgebra,
                              product_field_algebra, dual_numbers)
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
-from parhox.homology import FreeResolution, _free_act
-from parhox.linalg import (Subspace, _char, _Echelon, _kernel_of,
-                           _sp_identity, _sp_matvec, _sp_transpose, _sparse)
+from parhox.homology import (ChainComplex, FreeResolution, GModuleOnChains,
+                             _crossed_action_matrices, _free_act,
+                             homology_dims_of_complex)
+from parhox.linalg import (QuotientSpace, Subspace, _char, _Echelon,
+                           _kernel_of, _nonzero, _sp_identity, _sp_matvec,
+                           _sp_transpose, _sparse)
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
 
 
@@ -316,3 +320,142 @@ def bfs_resolution(R, module, side, length, style="greedy"):
         res.gen_images.append(gens)
         prev, prev_tgt = resolution_columns(res, q), res.ranks[q - 1] * d
     return res.ranks, res.gen_images
+
+
+# -- reference for homology.relative_bar_complex -----------------------------
+# The absolute bar complexes, normalized (C_q = M (x) (R / k1)^(x q)) or
+# full (M (x) R^(x q)), and the diagonal action on the full complex of A as
+# a Kronecker power: what the relative complex replaced in the package.
+
+class AbsoluteBarBasis:
+    """Index bookkeeping for M (x) W^(x q), W either R or the reduced Rbar,
+    and the face tables of the bar differentials, built once per complex
+    as kernel rows:
+
+      * prod[i][j]: a_i a_j in the reduced basis;
+      * left[i][m]: a_i . e_m and right[i][m]: e_m . a_i in the M-basis.
+    """
+
+    def __init__(self, R, M, normalized):
+        self.R = R
+        self.M = M
+        K = R.field
+        if normalized:
+            span = Subspace(K, R.dim, [R.unit])
+            self.quot = QuotientSpace(K, R.dim, span)
+            self.wdim = self.quot.dim
+        else:
+            self.quot = None
+            self.wdim = R.dim
+
+        lifted = [self.lift(i) for i in range(self.wdim)]
+        self.prod = [[self.project(R.mul(x, y)) for y in lifted]
+                     for x in lifted]
+
+        self.left = [_sp_transpose(M.left_matrix_of(x), M.dim)
+                     for x in lifted]
+        self.right = [_sp_transpose(M.right_matrix_of(x), M.dim)
+                      for x in lifted]
+
+    def lift(self, i):
+        """The algebra element behind reduced-basis index i."""
+        if self.quot is None:
+            return self.R.basis_vector(i)
+        return self.quot.lift({i: 1})
+
+    def project(self, vec):
+        """Coordinates of an algebra element in the reduced basis."""
+        if self.quot is None:
+            return vec
+        return self.quot.project(vec)
+
+    def dim_q(self, q):
+        return self.M.dim * self.wdim ** q
+
+    def tuples(self, q):
+        """All q-tuples over range(wdim), lexicographic (none if wdim = 0
+        and q >= 1)."""
+        return product(range(self.wdim), repeat=q)
+
+    def flat(self, im, tup):
+        out = im
+        for i in tup:
+            out = out * self.wdim + i
+        return out
+
+
+def absolute_bar_complex(R, M, max_q, normalized=True):
+    """The Hochschild chain complex C_q = M (x) W^(x q) with boundary
+
+        b(m,a1..aq) = (m.a1, a2..aq)
+                      + sum_i (-1)^i (m, a1.. a_i a_{i+1} ..aq)
+                      + (-1)^q (aq.m, a1..a_{q-1}).
+
+    Each column (the boundary of one basis chain) is summed in one sparse
+    dict and the columns are transposed into kernel rows once.  Returns
+    (ChainComplex, AbsoluteBarBasis); d.d = 0 is asserted exactly.
+    """
+    K = R.field
+    p = _char(K)
+    bb = AbsoluteBarBasis(R, M, normalized)
+    dims = [bb.dim_q(q) for q in range(max_q + 1)]
+    diffs = {}
+    for q in range(1, max_q + 1):
+        stride = bb.wdim ** (q - 1)
+        cols = []
+        for im in range(M.dim):
+            for tup in bb.tuples(q):
+                # face 0: (m.a1, a2..aq)
+                rest = bb.flat(0, tup[1:])
+                faces = [(jm * stride + rest, c)
+                         for jm, c in bb.right[tup[0]][im].items()]
+                # inner faces: (-1)^(i+1) (m, a1.. a_i a_{i+1} ..aq)
+                for i in range(q - 1):
+                    for jw, c in bb.prod[tup[i]][tup[i + 1]].items():
+                        r = bb.flat(im, tup[:i] + (jw,) + tup[i + 2:])
+                        faces.append((r, c if i % 2 else -c))
+                # last face: (-1)^q (aq.m, a1..a_{q-1})
+                rest = bb.flat(0, tup[:-1])
+                for jm, c in bb.left[tup[-1]][im].items():
+                    faces.append((jm * stride + rest,
+                                  c if q % 2 == 0 else -c))
+                col = {}
+                for r, c in faces:
+                    col[r] = col.get(r, 0) + c
+                cols.append(_nonzero(col, p))
+        diffs[q] = _sp_transpose(cols, dims[q - 1])
+    cc = ChainComplex(K, dims, diffs)
+    cc.validate().raise_if_failed()
+    return cc, bb
+
+
+def sp_kron(A, B, nb, p):
+    """The Kronecker product of kernel-row matrices A and B, B with nb
+    columns, on the lexicographic tensor basis: row i * len(B) + k holds
+    a_ij b_kl at column j * nb + l."""
+    return [_nonzero({j * nb + l: a * b for j, a in arow.items()
+                      for l, b in brow.items()}, p)
+            for arow in A for brow in B]
+
+
+def absolute_diagonal_action(lam, M, MA, xi, sigma_dd, max_q):
+    """The diagonal action T_g = MG[g] (x) AG[g]^(x q) on the full bar
+    complex of A with coefficients in M|A = MA, as kernel rows; returns
+    the GModuleOnChains, not yet gated."""
+    A = lam.theta.algebra
+    cc, _ = absolute_bar_complex(A, MA, max_q, normalized=False)
+    p = _char(cc.field)
+    AG, MG = _crossed_action_matrices(lam, M, xi)
+    action = []
+    for g in range(lam.group.n):
+        mats = [MG[g]]
+        for _ in range(max_q):
+            mats.append(sp_kron(mats[-1], AG[g], A.dim, p))
+        action.append(mats)
+    return GModuleOnChains(cc, action, sigma_dd)
+
+
+def absolute_hochschild_dims(R, M, max_n, normalized=True):
+    """dim H_q(R, M), q <= max_n, on the absolute bar complex."""
+    cc, _ = absolute_bar_complex(R, M, max_n + 1, normalized=normalized)
+    return homology_dims_of_complex(cc, max_n)

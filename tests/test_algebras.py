@@ -271,6 +271,15 @@ def test_orthogonalize_idempotents():
     assert as_set(atoms) == as_set(_sp_identity(4))
 
 
+def test_orthogonalize_idempotents_takes_any_number_of_generators():
+    # at most dim A atoms at every step, so no limit on the generators: 20
+    # of them here, repeats and 1 included
+    A = product_field_algebra(QQ, 3)
+    units = _sp_identity(3)
+    atoms = orthogonalize_idempotents(A, (units + [A.unit]) * 5)
+    assert as_set(atoms) == as_set(units)
+
+
 def dense_separability_idempotent(A):
     """Reference: the d + d^3 separability equations as dense rows of
     length d^2, each entry found by a loop over every pair of basis

@@ -274,7 +274,8 @@ def test_spectral_cap_bounds_the_oracle_complexes(capsys):
     assert code == 2
     assert doc["error"] == {
         "type": "SizeLimit",
-        "message": "bar complex dims [4, 12, 36, 108, 324] exceed cap 40"}
+        "message": "relative bar complex of A*Z2 with A*Z2 regular over 1 "
+                   "idempotents: dims [4, 12, 36, 108, 324] exceed cap 40"}
 
 
 @pytest.mark.parametrize("command", [["spectral"],
@@ -563,3 +564,21 @@ def test_reports_have_the_stdlib_layout(case, tmp_path, capsys):
     assert code == (2 if case == "exit 2" else 0)
     if case.startswith("global"):
         assert doc["result"]["dim"] == 112
+
+
+def test_universal_z4_runs_on_relative_complexes(capsys):
+    # Lambda = kappa_par Z4 over F_3 (dim 20): its absolute d_3 would be
+    # 7 220 x 137 180; relative to the atoms of the 1_g its chain spaces
+    # have dims [12, 22, 52, 136], so a cap of 400 (Lambda's separability
+    # equations have 20 x 20 unknowns) bounds the whole battery
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "universal_z4_f3.json")
+    assert main(["hochschild", path, "--max-n", "3", "--cohomology"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["dims"] == {"H0": 9, "H1": 0, "H2": 0, "H3": 0}
+    assert res["cohomology_dims"] == {"H^0": 9, "H^1": 0, "H^2": 0, "H^3": 0}
+    assert res["oracle_agreement"] is True
+    assert main(["spectral", path, "--cap", "400"]) == 0
+    doc, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert doc["ok"] is True
+    assert doc["result"]["E2"]["entries"]["0,0"] == 9

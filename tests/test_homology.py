@@ -1,14 +1,18 @@
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import (boundary_matrix, bump, dense_map_on_quotient, densify,
-                      rank, transpose, z2_universal, z3_kappa2_action,
-                      z2_dual_numbers, zeros)
+from conftest import (absolute_diagonal_action, absolute_hochschild_dims,
+                      boundary_matrix, bump, dense_map_on_quotient, densify,
+                      rank, sp_kron, transpose, z2_universal,
+                      z3_kappa2_action, z2_dual_numbers, zeros)
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (ModuleData, commutator_quotient, dual_bimodule,
-                             dual_numbers, matrix_algebra, product_field_algebra,
+                             dual_numbers, matrix_algebra,
+                             orthogonalize_idempotents, product_field_algebra,
                              regular_bimodule, restrict_along_hom,
                              hom_over_algebra, separability_idempotent,
                              tensor_over_algebra)
@@ -18,15 +22,15 @@ from parhox.errors import (EquivarianceFailure, InvalidInput, SizeLimit,
                            ValidationFailure)
 from parhox.groups import cyclic_group
 from parhox import homology, spectral
-from parhox.homology import (ChainComplex, GModuleOnChains, bar_complex,
-                             diagonal_action, env_resolution, free_resolution,
+from parhox.homology import (ChainComplex, GModuleOnChains, diagonal_action,
+                             env_resolution, free_resolution,
                              hochschild_homology_bar,
                              hochschild_homology_resolution,
                              hochschild_homology_separable, hom_A_carrier,
                              hom_A_module_structure, homology_data,
                              induced_action_on_homology,
-                             m_as_a_bimodule, tor_dims)
-from parhox.linalg import (_rank_of, _sp_identity, _sp_kron, _sp_matmul,
+                             m_as_a_bimodule, relative_bar_complex, tor_dims)
+from parhox.linalg import (_rank_of, _sp_identity, _sp_matmul, _sp_sum,
                            _sp_transpose, _sparse, _sparse_matrix)
 from parhox.partial_actions import build_crossed_product
 from parhox.problems import (build_instance, bundled_fixtures, load_fixture,
@@ -100,14 +104,15 @@ def test_hochschild_dual_numbers_oracle():
 
 
 def test_normalized_vs_full_bar():
+    # the relative complex over S = k.1 against the absolute normalized and
+    # full complexes of tests/conftest.py
     for A in (product_field_algebra(QQ, 2), dual_numbers(QQ),
               dual_numbers(PrimeField(2))):
         M = regular_bimodule(A)
-        assert hochschild_homology_bar(A, M, 2, normalized=True) == \
-            hochschild_homology_bar(A, M, 2, normalized=False)
-        dual = dual_bimodule(M)
-        assert hochschild_homology_bar(A, dual, 2, normalized=True) == \
-            hochschild_homology_bar(A, dual, 2, normalized=False)
+        for X in (M, dual_bimodule(M)):
+            assert hochschild_homology_bar(A, X, 2) == \
+                absolute_hochschild_dims(A, X, 2, normalized=True) == \
+                absolute_hochschild_dims(A, X, 2, normalized=False)
 
 
 def test_cohomology_h0_is_centralizer():
@@ -424,12 +429,17 @@ def test_free_resolution_size_budget(monkeypatch):
 
 
 def test_kron():
-    # the Kronecker product behind T_g, on kernel rows
+    # the Kronecker product behind the absolute reference T_g, on kernel rows
     A = [{0: 1, 1: 2}, {1: 1}]
     B = [{0: 3}]
-    assert _sp_kron(A, B, 1, 0) == [{0: 3, 1: 6}, {1: 3}]
+    assert sp_kron(A, B, 1, 0) == [{0: 3, 1: 6}, {1: 3}]
     I2 = _sp_identity(2)
-    assert _sp_kron(I2, I2, 2, 0) == _sp_identity(4)
+    assert sp_kron(I2, I2, 2, 0) == _sp_identity(4)
+
+
+def _atoms(lam):
+    """The atoms of the 1_g in the base algebra A of lam."""
+    return orthogonalize_idempotents(lam.theta.algebra, lam.theta.one)
 
 
 def _z3_tower():
@@ -446,8 +456,8 @@ def _z3_tower():
 def test_diagonal_chain_action_gates():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, bb = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
-                               xi, sdd, 2)
+    gmod = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                           xi, sdd, _atoms(lam), 2)
     assert gmod.complex.validate().ok
 
 
@@ -458,8 +468,8 @@ def test_diagonal_chain_action_universal_instances():
         sigma = theta.sigma
         xi, sdd = xi_sigma_double_prime(sigma)
         M = regular_bimodule(lam.algebra)
-        gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
-                                  xi, sdd, 2)
+        gmod = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                               xi, sdd, _atoms(lam), 2)
 
 
 def test_diagonal_action_global_case_classical():
@@ -469,8 +479,8 @@ def test_diagonal_action_global_case_classical():
     xi = EquivalenceWitness(G, QQ, [QQ.one, QQ.one])
     sdd = trivial_factor_set(G, QQ)
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
-                              xi, sdd, 2)
+    gmod = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                           xi, sdd, _atoms(lam), 2)
     # T_t must be invertible in the global case (it is a group action)
     for q in range(3):
         T = gmod.action[1][q]
@@ -481,8 +491,8 @@ def test_diagonal_action_global_case_classical():
 def test_induced_action_on_homology_z3():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
-                              xi, sdd, 2)
+    gmod = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                           xi, sdd, _atoms(lam), 2)
     bsig, omega = build_B_sigma_omega(kp, ks, ksdd=ksdd)
     # annihilators: dead idempotent monomials of kpar, as kpar vectors
     ann = []
@@ -507,8 +517,8 @@ def test_degree_zero_matches_tensor_formula():
     # induced degree-0 action on M/[A,M]
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
-                              xi, sdd, 1)
+    gmod = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                           xi, sdd, _atoms(lam), 1)
     from parhox.algebras import enveloping
     A = theta.algebra
     MA = m_as_a_bimodule(lam, M)
@@ -534,7 +544,8 @@ def test_degree_zero_matches_tensor_formula():
         row = []
         avec = A.basis_vector(ia)
         for im in range(M.dim):
-            row.append(hd0.express(MA.act_left(avec, {im: 1})))
+            row.append(hd0.express(gmod.basis.project_c0(
+                MA.act_left(avec, {im: 1}))))
         pure_images.append(row)
     phi0 = T.map_from(pure_images, hd0.dim)
     assert rank(K, densify(K, phi0, T.dim)) == hd0.dim
@@ -573,7 +584,8 @@ def test_diagonal_cochain_action_gates():
     # construction
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = dual_bimodule(regular_bimodule(lam.algebra))
-    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd, 2)
+    gmod = diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd,
+                           _atoms(lam), 2)
     assert gmod.gate(G).ok
 
 
@@ -613,37 +625,41 @@ def test_hom_A_classical_case():
     assert mod.validate().ok
 
 
-# -- the face-table (co)bar builders against per-column references --------
+# -- the face-table bar builder against a per-column reference --------------
 
-def ref_bar_differentials(R, M, max_q, normalized):
-    """The bar differentials built column by column, every face recomputed
-    from R.mul and the module actions."""
+def ref_bar_differentials(R, M, atoms, max_q):
+    """The relative bar differentials built column by column, every face
+    recomputed from R.mul and the module actions on the lifted chain and
+    read in the block coordinates of the basis."""
     K = R.field
-    bb = homology._BarBasis(R, M, normalized)
-    dims = [bb.dim_q(q) for q in range(max_q + 1)]
+    bb = homology._BarBasis(R, M, atoms)
+    bb.build(max_q)
+    w, mb = bb.w, bb.mb
+    dims = [len(chains) for chains in bb.chains]
     diffs = {}
     for q in range(1, max_q + 1):
+        index = bb.index[q - 1]
         mat = zeros(K, dims[q - 1], dims[q])
-        col = 0
-        for im in range(M.dim):
-            mvec = {im: 1}
-            for tup in bb.tuples(q):
-                lifted = [bb.lift(i) for i in tup]
-                for jm, c in M.act_right(mvec, lifted[0]).items():
-                    r = bb.flat(jm, tup[1:])
-                    mat[r][col] = K.add(mat[r][col], c)
-                sign = K.one
-                for i in range(q - 1):
-                    sign = K.neg(sign)
-                    prod = bb.project(R.mul(lifted[i], lifted[i + 1]))
-                    for jw, c in prod.items():
-                        r = bb.flat(im, tup[:i] + (jw,) + tup[i + 2:])
-                        mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
-                sign = K.one if q % 2 == 0 else K.neg(K.one)
-                for jm, c in M.act_left(lifted[-1], mvec).items():
-                    r = bb.flat(jm, tup[:-1])
+        for col, (k, *xs) in enumerate(bb.chains[q]):
+            mvec = mb.lift[k]
+            lifted = [w.lift[x] for x in xs]
+            face = M.act_right(mvec, lifted[0])
+            for j, c in mb.coords(mb.src[k], w.tgt[xs[0]], face).items():
+                r = index[(j, *xs[1:])]
+                mat[r][col] = K.add(mat[r][col], c)
+            sign = K.one
+            for i in range(q - 1):
+                sign = K.neg(sign)
+                prod = w.coords(w.src[xs[i]], w.tgt[xs[i + 1]],
+                                R.mul(lifted[i], lifted[i + 1]))
+                for y, c in prod.items():
+                    r = index[(k, *xs[:i], y, *xs[i + 2:])]
                     mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
-                col += 1
+            sign = K.one if q % 2 == 0 else K.neg(K.one)
+            face = M.act_left(lifted[-1], mvec)
+            for j, c in mb.coords(w.src[xs[-1]], mb.tgt[k], face).items():
+                r = index[(j, *xs[:-1])]
+                mat[r][col] = K.add(mat[r][col], K.mul(sign, c))
         diffs[q] = mat
     return diffs
 
@@ -664,22 +680,24 @@ def _same_entries(K, cc, want):
 def test_face_tables_match_per_column_builders(fixture):
     inst = build_instance(load_fixture(fixture))
     A, MA = inst.theta.algebra, inst.m_over_a
+    Lam = inst.lam.algebra
     K = A.field
-    for R, M, max_q in ((A, MA, 3), (inst.lam.algebra, inst.M, 2)):
-        for normalized in (True, False):
-            cc, _ = bar_complex(R, M, max_q, normalized=normalized)
-            _same_entries(K, cc,
-                          ref_bar_differentials(R, M, max_q, normalized))
+    for R, M, atoms, max_q in ((A, MA, inst.a_atoms, 3),
+                               (A, MA, [A.unit], 3),
+                               (Lam, inst.M, inst.lam_atoms, 3),
+                               (Lam, inst.M, [Lam.unit], 2)):
+        cc, _ = relative_bar_complex(R, M, atoms, max_q)
+        _same_entries(K, cc, ref_bar_differentials(R, M, atoms, max_q))
 
 
 def test_bar_basis_has_no_tuples_when_the_reduced_basis_is_empty():
-    # the base field, normalized: Rbar = R / k.1 = 0, so C_q = 0 for q >= 1
+    # the base field over S = k.1: Rbar = R / k.1 = 0, so C_q = 0 for q >= 1
     A = product_field_algebra(QQ, 1)
-    bb = homology._BarBasis(A, regular_bimodule(A), normalized=True)
-    assert bb.wdim == 0 and bb.dim_q(2) == 0
-    assert list(bb.tuples(0)) == [()]
-    assert list(bb.tuples(1)) == [] and list(bb.tuples(2)) == []
-    cc, _ = bar_complex(A, regular_bimodule(A), 2)
+    bb = homology._BarBasis(A, regular_bimodule(A), [A.unit])
+    assert bb.w.dim == 0 and bb.dims(2) == [1, 0, 0]
+    bb.build(2)
+    assert bb.chains == [[(0,)], [], []]
+    cc, _ = relative_bar_complex(A, regular_bimodule(A), [A.unit], 2)
     assert cc.dims == [1, 0, 0]
 
 
@@ -693,9 +711,8 @@ def test_bar_gate_rejects_a_non_bimodule_on_both_sides():
     right[1][0][0] = 1
     bad = ModuleData(A, reg.dim, left=reg.left, right=right)
     for M in (bad, dual_bimodule(bad)):
-        for normalized in (True, False):
-            with pytest.raises(ValidationFailure, match="d.d != 0"):
-                bar_complex(A, M, 2, normalized=normalized)
+        with pytest.raises(ValidationFailure, match="d.d != 0"):
+            relative_bar_complex(A, M, [A.unit], 2)
 
 
 @pytest.mark.parametrize("fixture", bundled_fixtures())
@@ -743,9 +760,12 @@ def _coefficient(lam, dual):
 # dual: the coefficient is M* (the cohomology side) rather than M
 @pytest.mark.parametrize("dual", [False, True])
 def test_chain_action_gate_rejects_a_changed_entry(dual):
+    # on the absolute tower of tests/conftest.py: the relative C_1 of this
+    # instance is 0
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = _coefficient(lam, dual)
-    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd, 2)
+    gmod = absolute_diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd,
+                                    2)
     assert _violations(gmod, G) == set()
     # one entry of T_t on C_1, in a column that the differential out of
     # C_1 does not kill
@@ -763,8 +783,8 @@ def test_chain_action_gate_rejects_a_changed_entry(dual):
 def test_chain_action_gate_rejects_a_changed_sigma_pattern():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
-    gmod, _ = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
-                              xi, sdd, 2)
+    gmod = diagonal_action(lam, M, m_as_a_bimodule(lam, M),
+                           xi, sdd, _atoms(lam), 2)
     t, t2 = 1, G.inv(1)
     assert sdd(t, t2) != QQ.zero
 
@@ -788,4 +808,146 @@ def test_diagonal_action_with_a_wrong_xi_is_rejected(dual):
     M = _coefficient(lam, dual)
     wrong = EquivalenceWitness(G, QQ, [QQ.one, xi(1) * 2, xi(2)])
     with pytest.raises(EquivarianceFailure):
-        diagonal_action(lam, M, m_as_a_bimodule(lam, M), wrong, sdd, 2)
+        diagonal_action(lam, M, m_as_a_bimodule(lam, M), wrong, sdd,
+                        _atoms(lam), 2)
+
+
+# -- the S-relative bar complexes against the absolute references ----------
+
+PROBLEMS = bundled_fixtures() + ["m2_z2_q.json"]
+# the largest absolute chain space the reference may build
+ABSOLUTE_BUDGET = 10000
+
+
+@lru_cache(maxsize=None)
+def problem(name):
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return build_instance(parse_spec_file(path) if os.path.exists(path)
+                          else load_fixture(name))
+
+
+def bar_routes(inst):
+    """(label, R, M, atoms): every algebra a bar route of the battery runs
+    on, with the atoms it takes, and with M and M*."""
+    routes = []
+    for dual in (False, True):
+        M, MA = inst.coefficient(dual)
+        routes += [("Lambda", inst.lam.algebra, M, inst.lam_atoms),
+                   ("A", inst.theta.algebra, MA, inst.a_atoms)]
+    for label, ktw in (("kpar", inst.kpar), ("kpar^sigma", inst.ks)):
+        reg = regular_bimodule(ktw.algebra)
+        atoms = spectral._e_atoms(ktw)
+        routes += [(label, ktw.algebra, X, atoms)
+                   for X in (reg, dual_bimodule(reg))]
+    return routes
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_relative_homology_equals_absolute_homology(name):
+    # H_q for q <= 3, or as far as the absolute normalized complex stays
+    # within ABSOLUTE_BUDGET; Q, F_2, F_3 and F_7 all occur
+    inst = problem(name)
+    for label, R, M, atoms in bar_routes(inst):
+        n = max(n for n in range(4)
+                if M.dim * (R.dim - 1) ** (n + 1) <= ABSOLUTE_BUDGET)
+        rel = hochschild_homology_bar(R, M, n, atoms=atoms)
+        assert rel == absolute_hochschild_dims(R, M, n), (label, M.name)
+        cc, _ = relative_bar_complex(R, M, atoms, n + 1)
+        # the relative complex is never larger than the absolute one
+        assert all(d <= M.dim * (R.dim - 1) ** q
+                   for q, d in enumerate(cc.dims))
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_relative_tower_matches_the_absolute_tower(name):
+    # the same H_q, q <= 1, and the same Tor dims of the induced modules
+    # against every resolution style
+    inst = problem(name)
+    G, kpar = inst.group, inst.kpar
+    _, B_right = inst.b_over_kpar
+    styles = ["greedy", "greedy_reversed"] + (["fat"] if kpar.dim <= 8
+                                              else [])
+    resolutions = [free_resolution(kpar.algebra, B_right, "right", 3,
+                                   style=s) for s in styles]
+    ann = inst.ker_zeta_in_kpar()
+    for dual in (False, True):
+        M, MA = inst.coefficient(dual)
+        absolute = absolute_diagonal_action(inst.lam, M, MA, inst.xi,
+                                            inst.sigma_dd, 2)
+        assert absolute.gate(G).ok
+        _, tower = spectral.module_tower(inst, 1, dual)
+        for q in range(2):
+            hd, mod, _ = tower[q]
+            hd_abs, mod_abs = induced_action_on_homology(
+                absolute, q, kpar, G, annihilator_vectors=ann)
+            assert hd.dim == hd_abs.dim
+            for res in resolutions:
+                assert tor_dims(kpar.algebra, B_right, mod, 2,
+                                resolution=res) == \
+                    tor_dims(kpar.algebra, B_right, mod_abs, 2,
+                             resolution=res)
+
+
+def _coarsened(R, atoms, labels):
+    """The sums of the atoms that share a label, one per label."""
+    return [_sp_sum([(1, e) for e, l in zip(atoms, labels) if l == label],
+                    R.p) for label in sorted(set(labels))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_coarsening_of_the_atoms_gives_the_same_homology(data):
+    name = data.draw(st.sampled_from(["z3_kappa2_f3.json", "v4_partial_q.json",
+                                      "z2_twist4_f7.json",
+                                      "z2_trivial_f2.json", "m2_z2_q.json"]))
+    inst = problem(name)
+    dual = data.draw(st.booleans())
+    M, MA = inst.coefficient(dual)
+    label, R, X, atoms = data.draw(st.sampled_from(
+        [("Lambda", inst.lam.algebra, M, inst.lam_atoms),
+         ("A", inst.theta.algebra, MA, inst.a_atoms)]))
+    labels = data.draw(st.lists(st.integers(0, len(atoms) - 1),
+                                min_size=len(atoms), max_size=len(atoms)))
+    want = hochschild_homology_bar(R, X, 2, atoms=atoms)
+    # one label for all is S = k.1
+    assert hochschild_homology_bar(
+        R, X, 2, atoms=_coarsened(R, atoms, labels)) == want
+
+
+def test_relative_bar_complex_rechecks_its_idempotents():
+    A = product_field_algebra(QQ, 2)
+    M = regular_bimodule(A)
+    e0, e1 = {0: 1}, {1: 1}
+    assert hochschild_homology_bar(A, M, 2, atoms=[e0, e1]) == [2, 0, 0]
+    for bad in ([], [e0], [A.unit, e0], [{0: 2}, {0: -1, 1: 1}],
+                [e0, e1, {}]):
+        with pytest.raises(ValidationFailure, match="idempotents of"):
+            relative_bar_complex(A, M, bad, 2)
+
+
+def test_relative_size_limit_names_its_stage():
+    inst = problem("z3_kappa2_q.json")
+    with pytest.raises(SizeLimit) as err:
+        relative_bar_complex(inst.lam.algebra, inst.M, inst.lam_atoms, 4,
+                             cap=1)
+    assert str(err.value) == (
+        "relative bar complex of A*Z3 with A*Z3 regular over 2 idempotents: "
+        "dims [2, 2, 2, 2, 2] exceed cap 1")
+
+
+def test_degree_zero_inclusion_and_projection():
+    # C_0 = sum_i e_i M e_i: the projection m -> sum_i e_i m e_i is the
+    # identity on the included C_0, and m minus it lies in [A, M]
+    inst = problem("v4_partial_q.json")
+    gmod, tower = spectral.module_tower(inst, 0)
+    c0 = gmod.basis
+    MA = inst.m_over_a
+    n = gmod.complex.dims[0]
+    for r in range(n):
+        assert c0.project_c0(c0.include_c0({r: 1})) == {r: 1}
+    comm = commutator_quotient(MA)
+    for m in range(MA.dim):
+        diff = _sp_sum([(1, {m: 1}),
+                        (-1, c0.include_c0(c0.project_c0({m: 1})))],
+                       MA.algebra.p)
+        assert not comm.project(diff)

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from conftest import (assert_kernel_rows, dense_kron, dense_row, densify,
-                      matvec, ref_rref, sparse_rows, transpose)
+                      matvec, ref_rref, sp_kron, sparse_rows, transpose)
 from parhox.errors import InvalidInput
 from parhox.fields import QQ, PrimeField
 from parhox.linalg import (QuotientSpace, Subspace, _char, _echelon_of,
                            _kernel_of, _rank_of, _sp_combination,
-                           _sp_identity, _sp_kron,
+                           _sp_identity,
                            _sp_matmul, _sp_matvec, _sp_transpose, _sparse,
                            _sparse_matrix, coordinates_in, solve)
 
@@ -402,7 +402,8 @@ def test_sp_matmul_is_associative_and_matches_reference(case):
     assert_kernel_rows(K, ABC, m, n)
 
 
-# -- sparse Kronecker product and transpose against dense references -------
+# -- sparse Kronecker product (the reference chain action's, in conftest) and
+# transpose against dense references
 
 # ((rows, cols) of A, (rows, cols) of B), with 0-row and 0-column factors
 KRON_SHAPES = [((0, 0), (2, 3)), ((0, 3), (2, 2)), ((2, 0), (3, 2)),
@@ -418,8 +419,8 @@ def test_sp_kron_matches_dense_reference():
                 A = random_matrix(K, rng, ma, na, density)
                 B = random_matrix(K, rng, mb, nb, density)
                 want = dense_kron(K, A, B, (ma, na), (mb, nb))
-                got = _sp_kron(_sparse_matrix(K, A), _sparse_matrix(K, B), nb,
-                               _char(K))
+                got = sp_kron(_sparse_matrix(K, A), _sparse_matrix(K, B), nb,
+                              _char(K))
                 assert len(got) == ma * mb
                 # normalized: no stored zeros, residues in [0, p)
                 assert got == _sparse_matrix(K, want)

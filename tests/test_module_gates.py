@@ -9,7 +9,8 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import assert_kernel_rows, bump, dense_row, densify
+from conftest import (absolute_diagonal_action, assert_kernel_rows, bump,
+                      dense_row, densify)
 from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
                              dual_numbers, regular_bimodule)
 from parhox.fields import QQ, PrimeField
@@ -348,8 +349,27 @@ def test_module_validate_dim_zero():
 # -- GModuleOnChains.gate ----------------------------------------------------
 
 def chain_actions(fixture):
+    """The battery's relative chain actions on H_*(A, M) and H_*(A, M*),
+    to degree 2, then the absolute ones of tests/conftest.py."""
     inst = instance(fixture)
-    return inst, [module_tower(inst, 1, dual)[0] for dual in (False, True)]
+    gmods = [module_tower(inst, 1, dual)[0] for dual in (False, True)]
+    for dual in (False, True):
+        M, MA = inst.coefficient(dual)
+        gmods.append(absolute_diagonal_action(inst.lam, M, MA, inst.xi,
+                                              inst.sigma_dd, 2))
+    return inst, gmods
+
+
+def detectable_entry(gmod):
+    """An r such that adding 1 to T_g at (r, r) on C_1 breaks equivariance:
+    column r of d_1 or row r of d_2 is nonzero.  None when there is none;
+    a change of T_g on C_1 may then leave a valid action (on the relative
+    complex of z2_dual_f2 every d_q is 0, and T_t = 1 + E_rc is again an
+    involution)."""
+    d = gmod.complex.d
+    hit = {c for row in d[1] for c in row}
+    hit |= {r for r, row in enumerate(d[2]) if row}
+    return min(hit, default=None)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -365,17 +385,21 @@ def test_gate_matches_dense_reference(fixture):
 def test_gate_corruptions_match_dense_reference(fixture):
     inst, gmods = chain_actions(fixture)
     G = inst.group
-    for gmod in gmods:
+    changed = []
+    for t, gmod in enumerate(gmods):
         K = gmod.complex.field
-        # one changed entry of T_g on C_1, for every g
-        for g in range(G.n):
+        # one changed entry of T_g on C_1, for every g, where the gate can
+        # see it
+        r = detectable_entry(gmod)
+        for g in range(G.n if r is not None else 0):
             action = [[[dict(row) for row in T] for T in mats]
                       for mats in gmod.action]
-            bump(K, action[g][1], 0, 0)
+            bump(K, action[g][1], r, r)
             bad = GModuleOnChains(gmod.complex, action, gmod.sigma_pattern)
             rep = bad.gate(G)
             assert not rep.ok
             assert_same(rep, dense_gate(bad, G))
+            changed.append(t)
         # one nonzero sigma(g, h), g, h != 1, replaced by 0 and by twice
         # its value
         pair = next((g, h) for g in range(1, G.n) for h in range(1, G.n)
@@ -388,3 +412,8 @@ def test_gate_corruptions_match_dense_reference(fixture):
             rep = bad.gate(G)
             assert not rep.ok
             assert_same(rep, dense_gate(bad, G))
+    # every absolute tower takes the changed entries; the relative ones
+    # where their C_1 is seen by a differential (z2_dual_q)
+    assert {2, 3} <= set(changed)
+    if fixture == "z2_dual_q.json":
+        assert {0, 1} <= set(changed)
