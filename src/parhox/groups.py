@@ -55,9 +55,6 @@ class FiniteGroup:
     def inv(self, g):
         return self.inverse[g]
 
-    def order(self):
-        return self.n
-
     def order_two_elements(self):
         """Indices g != 1 with g*g = 1."""
         return [g for g in range(1, self.n) if self.table[g][g] == 0]

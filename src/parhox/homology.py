@@ -48,6 +48,7 @@ group homology H_n^par(G, X) = Tor_n^{kpar}(B, X) is `tor_dims` on
 kappa_par G.
 """
 
+from functools import cached_property
 from itertools import product
 
 from .errors import (EquivarianceFailure, InvalidInput, SizeLimit,
@@ -55,8 +56,7 @@ from .errors import (EquivarianceFailure, InvalidInput, SizeLimit,
 from .algebras import (ModuleData, ValidationReport, bimodule_hom,
                        bimodule_to_right_env_module,
                        check_orthogonal_idempotents,
-                       check_separability_idempotent, enveloping,
-                       module_from_generator_actions, regular_bimodule)
+                       check_separability_idempotent, enveloping)
 from .linalg import (QuotientSpace, Subspace, _char, _Echelon, _kernel_of,
                      _nonzero, _rank_of, _sp_combination,
                      _sp_identity, _sp_matmul, _sp_matvec, _sp_sum,
@@ -69,8 +69,7 @@ __all__ = [
     "tor_dims", "hochschild_homology_bar",
     "hochschild_homology_resolution", "hochschild_homology_separable",
     "GModuleOnChains", "diagonal_action",
-    "induced_action_on_homology",
-    "hom_A_carrier", "hom_A_module_structure",
+    "induced_action_on_homology", "hom_A_module_structure",
 ]
 
 DEFAULT_CHAIN_CAP = 200_000
@@ -245,14 +244,23 @@ class _BarBasis:
         """m -> sum_i e_i m e_i, an element of M as a vector of C_0: the
         two agree modulo [S, M], as e_i m e_j = [e_i, e_i m e_j] for
         i != j."""
+        return _sp_matvec(self._c0_projection, m, self.p)
+
+    @cached_property
+    def _c0_projection(self):
+        """The matrix of `project_c0` as kernel rows, formed once from the
+        blocks e_i u e_i of the unit vectors u of M."""
         p = self.p
         index = self.index[0]
-        out = {}
-        for i, (L, Rm) in enumerate(zip(self.ml, self.mr)):
-            part = _sp_matvec(L, _sp_matvec(Rm, m, p), p)
-            for k, c in self.mb.coords(i, i, part).items():
-                out[index[(k,)]] = c
-        return out
+        cols = []
+        for u in _sp_identity(len(self.ml[0])):
+            col = {}
+            for i, (L, Rm) in enumerate(zip(self.ml, self.mr)):
+                part = _sp_matvec(L, _sp_matvec(Rm, u, p), p)
+                for k, c in self.mb.coords(i, i, part).items():
+                    col[index[(k,)]] = c
+            cols.append(col)
+        return _sp_transpose(cols, len(self.chains[0]))
 
     def chain_map(self, a_map, m_map, max_q):
         """The matrices, as kernel rows on C_q for q <= max_q, of
@@ -740,12 +748,14 @@ def m_as_a_bimodule(lam, M):
     return MA
 
 
-def diagonal_action(lam, M, MA, xi, sigma_dd, atoms, max_q,
-                    cap=DEFAULT_CHAIN_CAP):
-    """The diagonal group action on the S-relative Hochschild chains of A
-    with coefficients in M, MA being M restricted to A (`m_as_a_bimodule`)
-    and S spanned by `atoms`, the atoms of the Boolean algebra generated
-    by the 1_h in A (`orthogonalize_idempotents`):
+def diagonal_action(bar, action, sigma_dd, max_q):
+    """The diagonal group action, in degrees q <= max_q, on the S-relative
+    Hochschild chains of A with coefficients in M: `bar` is the pair
+    (ChainComplex, _BarBasis) of `relative_bar_complex` on A with M
+    restricted to A (`m_as_a_bimodule`), to degree at least max_q, with S
+    spanned by the atoms of the Boolean algebra generated by the 1_h in A
+    (`orthogonalize_idempotents`); `action` is the pair (AG, MG) of
+    `_crossed_action_matrices` on M:
 
         T_g(m, a1..aq) = ([g].m, [g].a1, ..., [g].aq),
 
@@ -779,12 +789,11 @@ def diagonal_action(lam, M, MA, xi, sigma_dd, atoms, max_q,
     block (i, j) of A goes to block ([g].e_i, [g].e_j), or to 0.  The
     gate (`GModuleOnChains.gate`) checks every T_g exactly as stored.
     Returns the GModuleOnChains, whose `basis` is the _BarBasis."""
-    group = lam.group
-    A = lam.theta.algebra
-    cc, bb = relative_bar_complex(A, MA, atoms, max_q, cap=cap)
-    AG, MG = _crossed_action_matrices(lam, M, xi)
-    action = [bb.chain_map(AG[g], MG[g], max_q) for g in range(group.n)]
-    gmod = GModuleOnChains(cc, action, sigma_dd, basis=bb)
+    group = sigma_dd.group
+    cc, bb = bar
+    AG, MG = action
+    mats = [bb.chain_map(AG[g], MG[g], max_q) for g in range(group.n)]
+    gmod = GModuleOnChains(cc, mats, sigma_dd, basis=bb)
     rep = gmod.gate(group)
     if not rep.ok:
         raise EquivarianceFailure(
@@ -792,7 +801,7 @@ def diagonal_action(lam, M, MA, xi, sigma_dd, atoms, max_q,
     return gmod
 
 
-def induced_action_on_homology(gmod, q, target_algebra, group,
+def induced_action_on_homology(gmod, q, target_algebra,
                                annihilator_vectors=None, hd=None):
     """The module structure on H_q induced by an equivariant action,
     returned as a validated left ModuleData over a monomial group algebra
@@ -800,69 +809,53 @@ def induced_action_on_homology(gmod, q, target_algebra, group,
     hd: the homology data of degree q from an earlier call on the same
     complex, reused instead of recomputed."""
     cc = gmod.complex
-    K = cc.field
-    p = _char(K)
+    p = _char(cc.field)
     n = cc.dims[q]
     if hd is None:
         hd = homology_data(cc, q)
     # the representatives as the columns of a matrix on C_q
     R = _sp_transpose(hd.reps, n)
-    gen_mats = {}
-    for g in range(group.n):
-        mono = target_algebra.monoid.gen(g)
-        if not target_algebra.is_alive(mono):
-            continue
+
+    def on_homology(g):
         TR = _sp_matmul(gmod.action[g][q], R, p)
         cols = [hd.express(img) for img in _sp_transpose(TR, hd.dim)]
-        gen_mats[target_algebra.position[mono]] = _sp_transpose(cols, hd.dim)
-    mod = module_from_generator_actions(target_algebra.algebra, hd.dim,
-                                        gen_mats, side="left")
-    mod.validate().raise_if_failed()
-    if annihilator_vectors:
-        for v in annihilator_vectors:
-            if any(mod.left_matrix_of(v)):
-                raise EquivarianceFailure(
-                    "ker(zeta) does not annihilate the homology module")
+        return _sp_transpose(cols, hd.dim)
+    mod = target_algebra.group_module(hd.dim, on_homology, "left")
+    if any(any(mod.left_matrix_of(v)) for v in annihilator_vectors or ()):
+        raise EquivarianceFailure(
+            "ker(zeta) does not annihilate the homology module")
     return hd, mod
 
 
-def hom_A_carrier(A, MA):
-    """Basis of Hom_{A^e}(A, MA) as matrices A -> MA (kernel rows), for an
-    A-bimodule MA (a Lambda-bimodule restricted to A)."""
-    return bimodule_hom(regular_bimodule(A), MA)
-
-
-def hom_A_module_structure(lam, M, MA, xi, ktw_dd):
-    """The kappa_par^{sigma''} G-module structure on Hom_{A^e}(A, M), MA
-    being M restricted to A: ([g].f)(a) = xi(g) [g]'.f([g^-1].a)."""
-    group = lam.group
-    A = lam.theta.algebra
+def hom_A_module_structure(A_reg, MA, action, ktw_dd):
+    """The kappa_par^{sigma''} G-module structure on Hom_{A^e}(A, M), for
+    A_reg the regular A-bimodule, MA the Lambda-bimodule M restricted to A
+    and `action` = (AG, MG) of `_crossed_action_matrices` on M:
+    ([g].f)(a) = xi(g) [g]'.f([g^-1].a).  Returns (a basis of
+    Hom_{A^e}(A, M) as matrices A -> M in kernel rows, the module)."""
+    A = A_reg.algebra
     K = A.field
     p = _char(K)
-    carrier = hom_A_carrier(A, MA)
+    carrier = bimodule_hom(A_reg, MA)
     n = len(carrier)
-    AG, MG = _crossed_action_matrices(lam, M, xi)
+    AG, MG = action
+    inv = ktw_dd.group.inv
 
     def flatten(F):
         """F (M.dim x A.dim) as one kernel row, row-major."""
         return {r * A.dim + c: a for r, row in enumerate(F)
                 for c, a in row.items()}
 
-    coords_of = coordinates_in(K, M.dim * A.dim, [flatten(F) for F in carrier])
-    gen_mats = {}
-    for g in range(group.n):
-        mono = ktw_dd.monoid.gen(g)
-        if not ktw_dd.is_alive(mono):
-            continue
+    coords_of = coordinates_in(K, MA.dim * A.dim,
+                               [flatten(F) for F in carrier])
+
+    def on_hom(g):
         cols = []
         for F in carrier:
-            img = _sp_matmul(MG[g], _sp_matmul(F, AG[group.inv(g)], p), p)
+            img = _sp_matmul(MG[g], _sp_matmul(F, AG[inv(g)], p), p)
             coords = coords_of(flatten(img))
             if coords is None:
                 raise EquivarianceFailure("action leaves Hom_{A^e}(A, M)")
             cols.append(coords)
-        gen_mats[ktw_dd.position[mono]] = _sp_transpose(cols, n)
-    mod = module_from_generator_actions(ktw_dd.algebra, len(carrier),
-                                        gen_mats, side="left")
-    mod.validate().raise_if_failed()
-    return carrier, mod
+        return _sp_transpose(cols, n)
+    return carrier, ktw_dd.group_module(n, on_hom, "left")

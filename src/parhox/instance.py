@@ -2,28 +2,30 @@
 sigma -> sigma* -> sigma' -> (xi, sigma''), the partial group algebras,
 B^sigma / Omega, the twisted partial action with its crossed product, and
 the coefficient bimodule.  Everything is validated at construction; the
-spectral-sequence checks consume instances.
+spectral-sequence checks consume instances.  A structure that two checks
+read is built once, on first use, and kept on the instance.
 """
 
 from functools import cached_property
 
 from .errors import InvalidInput
-from .algebras import (dual_bimodule, orthogonalize_idempotents,
-                       regular_bimodule, restrict_along_hom,
-                       separability_idempotent)
+from .algebras import (bimodule_tensor, dual_bimodule,
+                       orthogonalize_idempotents, regular_bimodule,
+                       restrict_along_hom, separability_idempotent)
 from .factor_sets import (EquivalenceWitness, trivial_factor_set,
                           normalize_inverse_pairs, sigma_prime,
                           xi_sigma_double_prime)
 from .groups import enumerate_exel
-from .homology import DEFAULT_CHAIN_CAP, m_as_a_bimodule
-from .partial_actions import (TwistedPartialAction, build_crossed_product,
-                              check_ideal_splittings, gamma_sigma,
-                              transport_by_equivalence, validate_twisted)
-from .partial_algebras import (b_sigma_module_structures, build_B_sigma_omega,
-                               build_kpar, build_kpar_idempotent,
-                               build_kpar_sigma, check_defining_relations,
-                               lambda_as_bsdd_module, monomial_projection_hom,
-                               phi_psi_crossed_iso)
+from .homology import (DEFAULT_CHAIN_CAP, _crossed_action_matrices,
+                       m_as_a_bimodule)
+from .partial_actions import (build_crossed_product, check_ideal_splittings,
+                              gamma_sigma, transport_by_equivalence,
+                              validate_twisted)
+from .partial_algebras import (b_sigma_iota, b_sigma_module_structures,
+                               build_B_sigma_omega, build_kpar,
+                               build_kpar_idempotent, build_kpar_sigma,
+                               check_defining_relations, lambda_as_bsdd_module,
+                               monomial_projection_hom, phi_psi_crossed_iso)
 
 __all__ = ["Instance", "DEFAULT_MONOID_LIMIT"]
 
@@ -54,12 +56,14 @@ class Instance:
         self.monoid = enumerate_exel(G, size_limit=monoid_limit)
         # inverse-pair normalization (records the witness when nontrivial)
         self.eta = None
+        lam = None
         if not sigma.is_inverse_normalized():
             eta, nu, rep = normalize_inverse_pairs(sigma)
             rep.raise_if_failed()
             self.eta = eta
             if theta is not None:
-                theta = transport_by_equivalence(theta, eta)[0]
+                # the nu-twisted action, validated, and its crossed product
+                theta, lam = transport_by_equivalence(theta, eta)[:2]
             sigma = nu
         self.sigma = sigma
         self.sigma_prime = sigma_prime(sigma)
@@ -73,20 +77,17 @@ class Instance:
                                                     ksdd=self.ksdd)
         # the crossed product: universal on B^sigma unless an action is given
         self.universal = theta is None
+        self.phi = self.psi = None
         if theta is None:
-            lam, phi, psi, subres, act = phi_psi_crossed_iso(self.ks)
-            self.lam = lam
-            self.phi, self.psi = phi, psi
-            self.theta = lam.theta
-        else:
+            lam, self.phi, self.psi, _, _ = phi_psi_crossed_iso(self.ks)
+            theta = lam.theta
+        elif lam is None:
             validate_twisted(theta, G).raise_if_failed()
-            self.theta = theta
-            self.lam = build_crossed_product(theta)
-            self.phi = self.psi = None
+            lam = build_crossed_product(theta)
+        self.theta, self.lam = theta, lam
         check_ideal_splittings(self.theta).raise_if_failed()
         gamma_sigma(self.lam)          # canonical rep gates
-        self.M = regular_bimodule(self.lam.algebra) if module is None \
-            else module(self.lam)
+        self.M = self.lam_regular if module is None else module(self.lam)
         if self.M.dim:
             self.M.validate().raise_if_failed()
         self.chain_cap = chain_cap
@@ -101,6 +102,28 @@ class Instance:
         return have[1]
 
     # -- module structures ------------------------------------------------
+
+    @cached_property
+    def lam_regular(self):
+        """Lambda as a bimodule over itself (the coefficient M by default)."""
+        return regular_bimodule(self.lam.algebra)
+
+    @cached_property
+    def a_regular(self):
+        """A as a bimodule over itself."""
+        return regular_bimodule(self.theta.algebra)
+
+    @cached_property
+    def a_tensor_m(self):
+        """A (x)_{A^e} M, with M restricted to A."""
+        return bimodule_tensor(self.a_regular, self.m_over_a)
+
+    def crossed_action(self, X):
+        """(AG, MG) of `_crossed_action_matrices` for a Lambda-bimodule X
+        (M, M*, Lambda itself), built once per X."""
+        return self.longest(("crossed_action", X), 0,
+                            lambda _: _crossed_action_matrices(self.lam, X,
+                                                               self.xi))
 
     @cached_property
     def m_over_a(self):
@@ -122,14 +145,13 @@ class Instance:
         structures."""
         K = self.field
         xi1 = EquivalenceWitness(self.group, K, [K.one] * self.group.n)
-        left, right, _ = b_sigma_module_structures(self.kpar, self.kpar, xi1)
-        return left, right
+        return b_sigma_module_structures(self.kpar, self.kpar, xi1)
 
     @cached_property
     def bsig_modules_over_ksdd(self):
         """(left, right, iota) for B^sigma over kappa_par^{sigma''} G."""
-        return b_sigma_module_structures(self.ks, self.ksdd, self.xi,
-                                         bsig=self.bsig)
+        return (*b_sigma_module_structures(self.ks, self.ksdd, self.xi),
+                b_sigma_iota(self.ks, self.ksdd))
 
     @cached_property
     def kpar_to_ksdd(self):

@@ -11,6 +11,8 @@ pairs (g, ideal basis vector of D_g) and the product rule
     (a delta_g)(b delta_h) = sigma(g,h) . a theta_g(1_{g^-1} b) 1_{gh} delta_{gh}.
 """
 
+from functools import cached_property
+
 from .errors import (AssociativityFailure, InvalidInput, NotCovariant,
                      NotARepresentation, PropertyFailure, ValidationFailure)
 from .algebras import (AlgebraHom, StructureAlgebra, ValidationReport,
@@ -35,25 +37,22 @@ class UnitalPartialAction:
         self.theta = list(theta)        # theta_g as kernel-row matrices
         if len(theta) != len(one):
             raise InvalidInput("need one idempotent and one map per group element")
-        self._ideals = None
 
-    def _ideal(self, g):
-        if self._ideals is None:
-            A = self.algebra
-            spans = [Subspace(A.field, A.dim,
-                              (A.mul(e, A.basis_vector(j))
-                               for j in range(A.dim)))
-                     for e in self.one]
-            self._ideals = [(span, span.basis()) for span in spans]
-        return self._ideals[g]
+    @cached_property
+    def _ideals(self):
+        A = self.algebra
+        spans = [Subspace(A.field, A.dim,
+                          (A.mul(e, A.basis_vector(j)) for j in range(A.dim)))
+                 for e in self.one]
+        return [(span, span.basis()) for span in spans]
 
     def ideal_space(self, g):
         """D_g = 1_g . A as a Subspace of A, built once."""
-        return self._ideal(g)[0]
+        return self._ideals[g][0]
 
     def ideal_basis(self, g):
         """Echelonized basis of D_g: the reduced basis of `ideal_space`."""
-        return self._ideal(g)[1]
+        return self._ideals[g][1]
 
     def apply_theta(self, g, vec):
         return _sp_matvec(self.theta[g], vec, self.algebra.p)

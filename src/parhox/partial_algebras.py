@@ -31,6 +31,7 @@ table's denominators (D = 1 over F_p), and decides s1 s2 = s3 s4 by
 w1 w2 - w3 w4 = 0, taken mod p over F_p.
 """
 
+from functools import cached_property
 from math import lcm
 
 from .errors import (CompletionDiverged, InvalidInput, NotARepresentation,
@@ -50,7 +51,7 @@ __all__ = [
     "build_kpar_sigma", "build_kpar_idempotent", "check_defining_relations",
     "universal_hom", "opposite_iso", "BSigmaData", "OmegaData",
     "build_B_sigma_omega", "phi_psi_crossed_iso", "b_sigma_module_structures",
-    "monoid_factor_set_from_twisted", "extract_idempotent_subalgebra",
+    "b_sigma_iota", "monoid_factor_set_from_twisted",
 ]
 
 
@@ -98,6 +99,38 @@ class TwistedPartialGroupAlgebra:
 
     def canonical_representation(self):
         return PartialProjRepresentation(self.algebra, self.gens, self.sigma)
+
+    @cached_property
+    def idempotent_subalgebra(self):
+        """B^sigma: the span of the surviving idempotent monomials (A, 1),
+        as a StructureAlgebra plus its positions inside this algebra,
+        built once."""
+        positions = self.idempotent_positions()
+        pos_index = {p: i for i, p in enumerate(positions)}
+        sc = {}
+        for i, p in enumerate(positions):
+            for j, q in enumerate(positions):
+                row = self.algebra.mul_basis(p, q)
+                if row:
+                    (t, c), = row
+                    assert t in pos_index, "idempotent span not closed"
+                    sc[(i, j)] = [(pos_index[t], c)]
+        unit = {pos_index[self.position[self.monoid.identity]]: 1}
+        labels = [self.algebra.labels[p] for p in positions]
+        return StructureAlgebra(self.field, len(positions), sc, unit,
+                                labels=labels,
+                                name=f"B^{self.sigma.name}"), positions
+
+    def group_module(self, dim, matrix_of, side="left"):
+        """The validated module on kappa^dim in which each surviving
+        generator [g] acts by matrix_of(g), kernel rows on the given
+        `side` (`module_from_generator_actions`)."""
+        given = {self.position[m]: matrix_of(g) for g in range(self.group.n)
+                 if (m := self.monoid.gen(g)) in self.position}
+        mod = module_from_generator_actions(self.algebra, dim, given,
+                                            side=side)
+        mod.validate().raise_if_failed()
+        return mod
 
     def monomial_label(self, p):
         return self.monoid.label(self.surviving[p])
@@ -439,36 +472,19 @@ def build_kpar_idempotent(sigma_dd, monoid=None):
 
 def check_defining_relations(ktw):
     """The defining relations of the twisted partial group algebra and the
-    zero-pattern biconditionals, checked exhaustively in the built algebra."""
-    G = ktw.group
-    R = ktw.algebra
-    sigma = ktw.sigma
+    zero-pattern biconditionals, checked exhaustively in the built algebra
+    on its canonical representation g -> [g] (`PartialProjRepresentation`:
+    [1] = 1, both absorption relations, the zero relations and the factor
+    set property, with `zero_pattern_equivalences`), plus the two
+    relations only the algebra has: [g] = 0 exactly when
+    sigma(g, g^-1) = 0, and [g][1] = [g] = [1][g]."""
+    R, G, gm = ktw.algebra, ktw.group, ktw.gens
+    can = ktw.canonical_representation()
     rep = ValidationReport(f"defining relations of {R.name}")
-    gm = ktw.gens
-    if gm[0] != R.unit:
-        rep.fail("[1] != 1")
+    rep.merge(can.validate()).merge(can.zero_pattern_equivalences())
     for g in range(G.n):
-        gi = G.inv(g)
-        if sigma.is_zero(g, gi) != (not gm[g]):
+        if ktw.sigma.is_zero(g, G.inv(g)) != (not gm[g]):
             rep.fail("generator zero pattern", g)
-        for h in range(G.n):
-            gh = G.mul(g, h)
-            hi = G.inv(h)
-            s = sigma(g, h)
-            lhs = R.mul(gm[gi], R.mul(gm[g], gm[h]))
-            rhs = _sp_sum([(s, R.mul(gm[gi], gm[gh]))], R.p)
-            if lhs != rhs:
-                rep.fail("relation [g^-1][g][h]", g, h)
-            lhs2 = R.mul(R.mul(gm[g], gm[h]), gm[hi])
-            rhs2 = _sp_sum([(s, R.mul(gm[gh], gm[hi]))], R.p)
-            if lhs2 != rhs2:
-                rep.fail("relation [g][h][h^-1]", g, h)
-            z = sigma.is_zero(g, h)
-            z1 = not R.mul(gm[g], gm[h])
-            z2 = not R.mul(gm[gi], gm[gh])
-            z3 = not R.mul(gm[gh], gm[hi])
-            if not (z == z1 == z2 == z3):
-                rep.fail("zero biconditional", g, h)
         if R.mul(gm[g], gm[0]) != gm[g] or R.mul(gm[0], gm[g]) != gm[g]:
             rep.fail("unit relation", g)
     return rep
@@ -517,27 +533,6 @@ def opposite_iso(ktw_star, ktw):
     return hom
 
 
-def extract_idempotent_subalgebra(ktw, name=None):
-    """B^sigma: the span of the surviving idempotent monomials (A, 1),
-    returned as a StructureAlgebra plus its positions inside ktw."""
-    K = ktw.field
-    positions = ktw.idempotent_positions()
-    pos_index = {p: i for i, p in enumerate(positions)}
-    n = len(positions)
-    sc = {}
-    for i, p in enumerate(positions):
-        for j, q in enumerate(positions):
-            row = ktw.algebra.mul_basis(p, q)
-            if row:
-                (t, c), = row
-                assert t in pos_index, "idempotent span not closed"
-                sc[(i, j)] = [(pos_index[t], c)]
-    unit = {pos_index[ktw.position[ktw.monoid.identity]]: 1}
-    labels = [ktw.algebra.labels[p] for p in positions]
-    return StructureAlgebra(K, n, sc, unit, labels=labels,
-                            name=name or f"B^{ktw.sigma.name}"), positions
-
-
 class BSigmaData:
     def __init__(self, algebra, positions, e_coords, zeta, ker_zeta_basis):
         self.algebra = algebra          # B^sigma as a StructureAlgebra
@@ -568,7 +563,7 @@ def build_B_sigma_omega(kpar, ktw, ksdd=None):
     K = ktw.field
     G = ktw.group
     monoid = kpar.monoid
-    Bsig_alg, positions = extract_idempotent_subalgebra(ktw)
+    Bsig_alg, positions = ktw.idempotent_subalgebra
     pos_index = {p: i for i, p in enumerate(positions)}
     # e_g^sigma in B^sigma coordinates
     e_coords = [{pos_index[ktw.position[m]]: 1} if ktw.is_alive(m) else {}
@@ -584,7 +579,7 @@ def build_B_sigma_omega(kpar, ktw, ksdd=None):
         else:
             zeta_cols.append({})
             ker_basis.append({i: 1})
-    B_alg, _ = extract_idempotent_subalgebra(kpar, name="B")
+    B_alg, _ = kpar.idempotent_subalgebra
     zeta = AlgebraHom(B_alg, Bsig_alg, zeta_cols, name="zeta")
     zeta.verify().raise_if_failed()
     bsig = BSigmaData(Bsig_alg, positions, e_coords, zeta, ker_basis)
@@ -645,19 +640,15 @@ def phi_psi_crossed_iso(ktw):
     return lam, phi, psi, subres, act
 
 
-def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
-    """Module structures induced on B^sigma:
+def b_sigma_module_structures(ktw, ksdd, xi):
+    """Module structures induced on B^sigma over kappa_par^{sigma''} G:
 
-      * left kappa_par^{sigma''} G-action  [g].w = xi(g) [g]^s w [g^-1]^s;
-      * right action w.[g] = [g^-1].w;
-      * the algebra map iota: B^{sigma''} -> B^sigma, e_g -> e_g^sigma.
+      * the left action  [g].w = xi(g) [g]^s w [g^-1]^s;
+      * the right action w.[g] = [g^-1].w.
 
-    Returns (left ModuleData, right ModuleData, iota AlgebraHom)."""
+    Returns (left ModuleData, right ModuleData)."""
     G = ktw.group
-    if bsig is None:
-        bsig_alg, positions = extract_idempotent_subalgebra(ktw)
-    else:
-        bsig_alg, positions = bsig.algebra, bsig.positions
+    bsig_alg, positions = ktw.idempotent_subalgebra
     pos_index = {p: i for i, p in enumerate(positions)}
 
     def to_sub(vec):
@@ -665,34 +656,26 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
             raise InvalidInput("action leaves B^sigma")
         return {pos_index[p]: c for p, c in vec.items()}
 
-    gen_left = {}
-    for g in range(G.n):
-        mono = ksdd.monoid.gen(g)
-        if not ksdd.is_alive(mono):
-            continue
-        cols = []
+    def conjugation(g):
+        mul = ktw.algebra.mul
         gv, giv = ktw.gen_vector(g), ktw.gen_vector(G.inv(g))
-        s = xi(g)
-        for p in positions:
-            img = ktw.algebra.mul(gv, ktw.algebra.mul({p: 1}, giv))
-            cols.append(to_sub(_sp_sum([(s, img)], ktw.algebra.p)))
-        gen_left[ksdd.position[mono]] = _sp_transpose(cols, bsig_alg.dim)
-    left_mod = module_from_generator_actions(ksdd.algebra, bsig_alg.dim,
-                                             gen_left, side="left")
-    left_mod.validate().raise_if_failed()
-    gen_right = {}
-    for g in range(G.n):
-        mono = ksdd.monoid.gen(g)
-        if not ksdd.is_alive(mono):
-            continue
-        ginv_mono = ksdd.monoid.gen(G.inv(g))
-        gen_right[ksdd.position[mono]] = left_mod.left_matrix_of(
-            ksdd.monomial_vector(ginv_mono))
-    right_mod = module_from_generator_actions(ksdd.algebra, bsig_alg.dim,
-                                              gen_right, side="right")
-    right_mod.validate().raise_if_failed()
-    # iota: B^{sigma''} -> B^sigma on idempotent monomials
-    ksdd_bsig_alg, ksdd_positions = extract_idempotent_subalgebra(ksdd)
+        cols = [to_sub(_sp_sum([(xi(g), mul(gv, mul({p: 1}, giv)))],
+                               ktw.algebra.p))
+                for p in positions]
+        return _sp_transpose(cols, bsig_alg.dim)
+    left_mod = ksdd.group_module(bsig_alg.dim, conjugation, "left")
+    right_mod = ksdd.group_module(
+        bsig_alg.dim, lambda g: left_mod.left_matrix_of(
+            ksdd.monomial_vector(ksdd.monoid.gen(G.inv(g)))), "right")
+    return left_mod, right_mod
+
+
+def b_sigma_iota(ktw, ksdd):
+    """The algebra map iota: B^{sigma''} -> B^sigma, e_A -> e_A^sigma on
+    the idempotent monomials (to 0 where e_A^sigma vanished), verified."""
+    bsig_alg, positions = ktw.idempotent_subalgebra
+    pos_index = {p: i for i, p in enumerate(positions)}
+    ksdd_bsig_alg, ksdd_positions = ksdd.idempotent_subalgebra
     iota_cols = []
     for p in ksdd_positions:
         m = ksdd.surviving[p]
@@ -700,13 +683,13 @@ def b_sigma_module_structures(ktw, ksdd, xi, bsig=None):
                          if ktw.is_alive(m) else {})
     iota = AlgebraHom(ksdd_bsig_alg, bsig_alg, iota_cols, name="iota")
     iota.verify().raise_if_failed()
-    return left_mod, right_mod, iota
+    return iota
 
 
 def lambda_as_bsdd_module(lam, ksdd):
     """Lambda as a left module over B^{sigma''}: e_A acts as multiplication
     by (prod of 1_a) delta_1."""
-    ksdd_bsig_alg, positions = extract_idempotent_subalgebra(ksdd)
+    ksdd_bsig_alg, positions = ksdd.idempotent_subalgebra
     left = []
     for p in positions:
         mask, _ = ksdd.monoid.elements[ksdd.surviving[p]]

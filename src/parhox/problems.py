@@ -26,8 +26,7 @@ POSITIVE_OPTIONS = {"cap", "monoid_limit"}
 
 
 class ProblemSpec:
-    def __init__(self, name, field, group, sigma, action, module, options,
-                 raw):
+    def __init__(self, name, field, group, sigma, action, module, options):
         self.name = name
         self.field = field
         self.group = group
@@ -35,7 +34,6 @@ class ProblemSpec:
         self.action = action          # TwistedPartialAction or None
         self.module = module          # "regular" or dict
         self.options = options
-        self.raw = raw
 
 
 def _require(cond, path, message):
@@ -102,7 +100,7 @@ def parse_spec(obj, name=None):
     options.update(_parse_options(obj.get("options", {})))
     spec_name = name or obj.get("name", "problem")
     return ProblemSpec(spec_name, field, group, sigma, action, module,
-                       options, obj)
+                       options)
 
 
 def _check_module(module):

@@ -23,15 +23,15 @@ from contextlib import contextmanager
 from functools import partial
 
 from .algebras import (AlgebraHom, ModuleData, bimodule_hom,
-                       bimodule_tensor, commutator_quotient, group_algebra,
-                       hom_over_algebra, orthogonalize_idempotents,
-                       regular_bimodule, restrict_along_hom,
-                       tensor_over_algebra)
+                       commutator_quotient, group_algebra, hom_over_algebra,
+                       orthogonalize_idempotents, regular_bimodule,
+                       restrict_along_hom, tensor_over_algebra)
 from .homology import (_crossed_action_matrices, diagonal_action,
                        env_resolution, free_resolution,
                        hochschild_homology_bar, hochschild_homology_resolution,
                        hochschild_homology_separable,
-                       hom_A_module_structure, induced_action_on_homology,
+                       hom_A_module_structure, homology_dims_of_complex,
+                       induced_action_on_homology, relative_bar_complex,
                        tor_dims)
 from .linalg import (_char, _Echelon, _rank_of, _sp_combination, _sp_matmul,
                      _sp_matvec, _sp_sum, _sp_transpose)
@@ -51,12 +51,6 @@ class E2Page:
 
     def entry(self, p, q):
         return self.entries.get((p, q))
-
-    def max_p(self):
-        return max(p for (p, _) in self.entries) if self.entries else -1
-
-    def max_q(self):
-        return max(q for (_, q) in self.entries) if self.entries else -1
 
     def to_json(self):
         return {"orientation": self.orientation,
@@ -114,7 +108,8 @@ def module_tower(inst, max_q, dual=False):
     (hd, kappa_par G module, kappa_par^{sigma''} G module); the last is
     built for M only, as nothing reads it for M*, and is None for M*.
     Both towers live on A's relative bar complex over the atoms of the
-    1_g (`homology.diagonal_action`) and pass the chain-action gate
+    1_g, the one the base-algebra oracle reads (`a_bar_complex`,
+    `homology.diagonal_action`), and pass the chain-action gate
     (d.d = 0, equivariance, the sigma'' relations) and the ker(zeta)
     annihilator gate.  Memoized on the instance.
 
@@ -141,21 +136,32 @@ def module_tower(inst, max_q, dual=False):
         b.[g] = [g^-1].b, which is B_right.
     """
     def build(length):
-        M, MA = inst.coefficient(dual)
-        gmod = diagonal_action(inst.lam, M, MA, inst.xi, inst.sigma_dd,
-                               inst.a_atoms, length + 1,
-                               cap=inst.chain_cap)
+        M, _ = inst.coefficient(dual)
+        gmod = diagonal_action(a_bar_complex(inst, length + 1, dual),
+                               inst.crossed_action(M), inst.sigma_dd,
+                               length + 1)
         ann = inst.ker_zeta_in_kpar()
         tower = []
         for q in range(length + 1):
             hd, mod_kpar = induced_action_on_homology(gmod, q, inst.kpar,
-                                                      inst.group,
                                                       annihilator_vectors=ann)
             mod_ksdd = None if dual else induced_action_on_homology(
-                gmod, q, inst.ksdd, inst.group, hd=hd)[1]
+                gmod, q, inst.ksdd, hd=hd)[1]
             tower.append((hd, mod_kpar, mod_ksdd))
         return gmod, tower
     return inst.longest(("tower", dual), max_q, build)
+
+
+def a_bar_complex(inst, length, dual=False):
+    """(ChainComplex, _BarBasis) of A's relative bar complex over the atoms
+    of the 1_g (`Instance.a_atoms`) with coefficients in M|A, or in M*|A
+    when `dual` is set, to degree `length`: the one complex of the
+    base-algebra oracle and of the chain-action tower.  Memoized on the
+    instance."""
+    return inst.longest(("a_bar", dual), length,
+                        lambda l: relative_bar_complex(
+                            inst.theta.algebra, inst.coefficient(dual)[1],
+                            inst.a_atoms, l, cap=inst.chain_cap))
 
 
 def right_resolution(inst, module, length):
@@ -352,11 +358,10 @@ def hochschild_oracle_check(inst, report, max_n=2):
     resc = lam_hochschild_resolution(inst, max_n, dual=True)
     okc = barc == resc
     report.record("Hochschild dual route (cohomology)", okc, (barc, resc))
-    MA = inst.m_over_a
-    A = inst.theta.algebra
-    bara = hochschild_homology_bar(A, MA, max_n, atoms=inst.a_atoms,
-                                   cap=inst.chain_cap)
-    resa = resolution_route(inst, A, inst.separability, MA, max_n)
+    bara = homology_dims_of_complex(a_bar_complex(inst, max_n + 1)[0],
+                                    max_n)
+    resa = resolution_route(inst, inst.theta.algebra, inst.separability,
+                            inst.m_over_a, max_n)
     oka = bara == resa
     report.record("Hochschild dual route (base algebra)", oka, (bara, resa))
     return ok and okc and oka
@@ -408,11 +413,12 @@ def collapse_check_maclane(inst, report, max_n=2):
                          [{inst.monoid.elements[m][1]: 1}
                           for m in inst.kpar.surviving], name="kpar->>kG")
         quo.verify().raise_if_failed()
-        Mg = restrict_along_hom(quo, regular_bimodule(kg))
+        kg_reg = regular_bimodule(kg)
+        Mg = restrict_along_hom(quo, kg_reg)
         lhs_par = hochschild_homology_bar(inst.kpar.algebra, Mg, max_n,
                                           atoms=_e_atoms(inst.kpar),
                                           cap=inst.chain_cap)
-        rhs_g = hochschild_homology_bar(kg, regular_bimodule(kg), max_n,
+        rhs_g = hochschild_homology_bar(kg, kg_reg, max_n,
                                         cap=inst.chain_cap)
         report.record("classical MacLane specialization", lhs_par == rhs_g,
                       (lhs_par, rhs_g))
@@ -450,11 +456,6 @@ def dimension_bound_check(inst, report, page, max_n=2):
     return ok
 
 
-def _a_tensor_m(A, MA):
-    """A (x)_{A^e} M for an A-bimodule M."""
-    return bimodule_tensor(regular_bimodule(A), MA)
-
-
 def structural_identity_suite(inst, report):
     """Exact checks of the bimodule identities connecting Lambda, B^sigma
     and the twisted partial group algebras."""
@@ -464,8 +465,7 @@ def structural_identity_suite(inst, report):
     A = inst.theta.algebra
     lam = inst.lam
     M = inst.M
-    AG, MG = _crossed_action_matrices(lam, M, inst.xi)
-    MA = inst.m_over_a
+    AG, MG = inst.crossed_action(M)
 
     # (a-i) e_g . a = 1_g a on A
     ok = True
@@ -505,7 +505,7 @@ def structural_identity_suite(inst, report):
     report.record("e_g^s (x) y = 1 (x) e_g''.y", ok)
 
     # (a-iv) e_g.(a (x) x) = a (x) e_g.x = e_g.a (x) x in A (x)_{A^e} M
-    TA = _a_tensor_m(A, MA)
+    TA = inst.a_tensor_m
     ok = True
     for g in range(G.n):
         # e_g applied to the basis vectors: the columns of its matrices
@@ -568,8 +568,8 @@ def structural_identity_suite(inst, report):
     # bimodule maps are automatically module maps for the conjugation
     # action m -> xi(g) 1_g d_g m 1_{g^-1} d_{g^-1}; verified for the
     # connecting map phi
-    lam_reg = regular_bimodule(lam.algebra)
-    _, conj_lam = _crossed_action_matrices(lam, lam_reg, inst.xi)
+    lam_reg = inst.lam_regular
+    _, conj_lam = inst.crossed_action(lam_reg)
     _, conj_T = _crossed_action_matrices(lam, TL_bimod, inst.xi)
     ok_conj = all(_sp_matmul(phi_mat, conj_lam[g], p) ==
                   _sp_matmul(conj_T[g], phi_mat, p) for g in range(G.n))
@@ -607,8 +607,8 @@ def structural_identity_suite(inst, report):
 
     # (d) Hom_{Lambda^e}(Lambda, M) = Hom_{ksdd}(B^sigma, Hom_{A^e}(A, M))
     W_basis = bimodule_hom(lam_reg, M)
-    carrier, hom_mod = hom_A_module_structure(lam, M, MA, inst.xi,
-                                              inst.ksdd)
+    carrier, hom_mod = hom_A_module_structure(inst.a_regular, inst.m_over_a,
+                                              (AG, MG), inst.ksdd)
     RHS_basis = hom_over_algebra(inst.ksdd.algebra, bs_left, hom_mod)
     ok_d = len(W_basis) == len(RHS_basis)
     if ok_d and W_basis:
@@ -662,7 +662,7 @@ def degree_zero_formula_check(inst, report):
     gmod, tower = module_tower(inst, 0)
     hd0, mod0, _ = tower[0]
     MA = inst.m_over_a
-    T = _a_tensor_m(A, MA)
+    T = inst.a_tensor_m
     ok = T.dim == hd0.dim
     if ok:
         pure_images = []
@@ -675,7 +675,7 @@ def degree_zero_formula_check(inst, report):
             pure_images.append(row)
         phi0 = T.map_from(pure_images, hd0.dim)
         ok = _rank_of(K, [dict(row) for row in phi0]) == hd0.dim
-        AG, MG = _crossed_action_matrices(inst.lam, M, inst.xi)
+        AG, MG = inst.crossed_action(M)
         p = _char(K)
         for g in range(G.n):
             if not ok:

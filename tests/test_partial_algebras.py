@@ -8,9 +8,10 @@ from conftest import (dense_map_on_quotient, densify, hom_matrix, rank,
                       z2_universal, z3_kappa2_action, z2xz2_partial_idempotent)
 from parhox.errors import ValidationFailure
 from parhox.fields import QQ, PrimeField
-from parhox.algebras import (AlgebraHom, ModuleData, product_field_algebra,
-                             regular_bimodule, restrict_along_hom,
-                             subalgebra_generated, tensor_over_algebra)
+from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
+                             product_field_algebra, regular_bimodule,
+                             restrict_along_hom, subalgebra_generated,
+                             tensor_over_algebra)
 from parhox.factor_sets import (PartialFactorSet, involution_star,
                                 sigma_prime, trivial_factor_set,
                                 validate_monoid_factor_set,
@@ -21,13 +22,13 @@ from parhox.groups import (cyclic_group, direct_product, enumerate_exel,
 from parhox.linalg import _char, _sp_identity, _sp_matmul, _sp_sum
 from parhox.partial_actions import (PartialProjRepresentation,
                                     build_crossed_product, gamma_sigma)
-from parhox.partial_algebras import (_associativity_defect, _build_table,
+from parhox.partial_algebras import (TwistedPartialGroupAlgebra,
+                                     _associativity_defect, _build_table,
                                      _close_vanishing, _complete,
                                      _light_generators, _table_defect,
                                      b_sigma_module_structures, build_B_sigma_omega,
                                      build_kpar, build_kpar_idempotent,
                                      build_kpar_sigma, check_defining_relations,
-                                     extract_idempotent_subalgebra,
                                      lambda_as_bsdd_module,
                                      monoid_factor_set_from_twisted,
                                      monomial_projection_hom, opposite_iso,
@@ -136,6 +137,38 @@ def test_defining_relations_exhaustive():
         assert check_defining_relations(ks).ok
 
 
+def _changed(ks, sc=None, table=None):
+    """ks with its structure constants or its sigma table replaced, the
+    monomial basis kept."""
+    alg = ks.algebra
+    sigma = ks.sigma if table is None else \
+        PartialFactorSet(ks.group, ks.field, table)
+    changed = StructureAlgebra(ks.field, alg.dim, sc or alg.sc, alg.unit,
+                               labels=alg.labels)
+    return TwistedPartialGroupAlgebra(ks.group, ks.field, sigma, ks.monoid,
+                                      ks.surviving, ks.vanished, changed)
+
+
+def test_defining_relations_name_what_a_change_breaks():
+    # kappa_par^sigma Z2 with sigma(t, t) = 5: basis [1], e_t, [t]
+    ks = build_kpar_sigma(z2_twist(F(5)))
+    (t,), (one,) = ks.gen_vector(1), ks.algebra.unit
+    assert check_defining_relations(ks).violations == []
+    # one structure constant: [t][1] = 2[t]
+    sc = dict(ks.algebra.sc)
+    sc[(t, one)] = [(t, 2)]
+    assert check_defining_relations(_changed(ks, sc=sc)).violations == [
+        ("left absorption", 1, 0), ("right absorption", 1, 0),
+        ("left absorption", 1, 1), ("unit relation", 1)]
+    # one sigma value: sigma(t, t) = 0, while [t][t] = 5 e_t and [t] != 0
+    table = [list(row) for row in ks.sigma.table]
+    table[1][1] = QQ.zero
+    assert check_defining_relations(_changed(ks, table=table)).violations == [
+        ("left absorption", 1, 1), ("right absorption", 1, 1),
+        ("zero relation left", 1, 1), ("zero relation right", 1, 1),
+        ("factor set property", 1, 1), ("generator zero pattern", 1)]
+
+
 def test_universal_hom_identity():
     ks = build_kpar_sigma(z2_twist(F(2)))
     can = ks.canonical_representation()
@@ -226,7 +259,7 @@ def test_B_sigma_z2_twist():
 
 def test_extract_matches_subalgebra_generated():
     ks = build_kpar_sigma(z3_partial_sigma())
-    alg, positions = extract_idempotent_subalgebra(ks)
+    alg, positions = ks.idempotent_subalgebra
     sub = subalgebra_generated(ks.algebra,
                                [ks.e_vector(g) for g in range(3)])
     assert sub.algebra.dim == alg.dim
@@ -284,10 +317,10 @@ def test_b_sigma_module_structures():
     xi, sdd = xi_sigma_double_prime(sigma)
     ks = build_kpar_sigma(sigma)
     ksdd = build_kpar_idempotent(sdd, monoid=ks.monoid)
-    left, right, iota = b_sigma_module_structures(ks, ksdd, xi)
+    left, right = b_sigma_module_structures(ks, ksdd, xi)
     assert left.validate().ok and right.validate().ok
     # e_g^{sigma''} . w = e_g^sigma w  (check on w = 1)
-    bsig_alg, positions = extract_idempotent_subalgebra(ks)
+    bsig_alg, positions = ks.idempotent_subalgebra
     one_b = bsig_alg.unit
     eg_dd = ksdd.e_vector(1)
     got = left.act_left(eg_dd, one_b)
@@ -304,8 +337,8 @@ def test_b_module_conjugation_pattern_untwisted():
     kp = build_kpar(G, QQ)
     from parhox.factor_sets import EquivalenceWitness
     xi = EquivalenceWitness(G, QQ, [QQ.one, QQ.one])
-    left, right, iota = b_sigma_module_structures(kp, kp, xi)
-    B_alg, positions = extract_idempotent_subalgebra(kp)
+    left, right = b_sigma_module_structures(kp, kp, xi)
+    B_alg, positions = kp.idempotent_subalgebra
     one_b = B_alg.unit
     t_gen = kp.monomial_vector(kp.monoid.gen(1))
     got = left.act_left(t_gen, one_b)                # [t].1 = e_t
@@ -326,7 +359,7 @@ def test_lemma_B_tensor_omega_is_B_sigma():
     from parhox.factor_sets import EquivalenceWitness
     xi = EquivalenceWitness(G, QQ, [QQ.one] * 3)
     # B as a right kpar module (sigma = 1 tower over kpar itself)
-    B_left, B_right, _ = b_sigma_module_structures(kp, kp, xi)
+    B_left, B_right = b_sigma_module_structures(kp, kp, xi)
     # Omega as a left kpar module via the projection
     om_reg = regular_bimodule(omega.algebra)
     om_as_kpar = restrict_along_hom(omega.projection, om_reg)
@@ -336,7 +369,7 @@ def test_lemma_B_tensor_omega_is_B_sigma():
                                        left=om_as_kpar.left))
     assert T.dim == bsig.algebra.dim
     # explicit map b (x) x -> zeta(b) . x, with the right kpar action on B^sigma
-    bs_left, bs_right, _ = b_sigma_module_structures(ks, ksdd, xi)
+    bs_left, bs_right = b_sigma_module_structures(ks, ksdd, xi)
     epi = monomial_projection_hom(kp, ksdd)
     bs_right_kpar = restrict_along_hom(
         epi, ModuleData(ksdd.algebra, bs_right.dim, right=bs_right.right))

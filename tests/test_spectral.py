@@ -7,7 +7,8 @@ import pytest
 
 from conftest import (densify, z2_dual_numbers, z2_global_twist,
                       z2_universal, z2xz2_partial_idempotent, z3_kappa2_action)
-from parhox import algebras, cli, homology, instance, linalg, spectral
+from parhox import (algebras, cli, homology, instance, linalg,
+                    partial_actions, partial_algebras, spectral)
 from parhox.fields import QQ, PrimeField
 from parhox.groups import cyclic_group
 from parhox.instance import Instance
@@ -244,21 +245,30 @@ def test_m_over_a_is_built_once_from_the_final_module(tmp_path, monkeypatch,
     path.write_text(json.dumps(_doubled_module_doc()))
     restricted, regular, built = [], [], []
     m_as_a, regular_bimodule = instance.m_as_a_bimodule, \
-        instance.regular_bimodule
+        algebras.regular_bimodule
     build = cli.build_instance
     monkeypatch.setattr(instance, "m_as_a_bimodule", lambda lam, M: (
         restricted.append(M) or m_as_a(lam, M)))
-    monkeypatch.setattr(instance, "regular_bimodule", lambda A: (
-        regular.append(A) or regular_bimodule(A)))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parhox") and \
+                getattr(module, "regular_bimodule", None) is regular_bimodule:
+            monkeypatch.setattr(module, "regular_bimodule", lambda A: (
+                regular.append(A) or regular_bimodule(A)))
+    # built[1]: how many regular bimodules the construction made
     monkeypatch.setattr(cli, "build_instance", lambda spec: (
-        built.append(build(spec)) or built[-1]))
+        built.append(build(spec)) or built.append(len(regular))
+        or built[0]))
     assert cli.main(["spectral", str(path)]) == 0
-    inst, = built
+    inst, at_construction = built
     assert inst.M.dim == 2 * inst.lam.algebra.dim
     # one M|A per spectral run, restricted from the problem's module; no
-    # regular bimodule of Lambda was built to be thrown away
+    # regular bimodule of Lambda was built to be thrown away: none at
+    # construction, and one in the run, `Instance.lam_regular`, which the
+    # battery reads
     assert len(restricted) == 1 and restricted[0] is inst.M
-    assert all(A is not inst.lam.algebra for A in regular)
+    assert all(A is not inst.lam.algebra for A in regular[:at_construction])
+    assert [A for A in regular if A is inst.lam.algebra] == \
+        [inst.lam.algebra]
 
 
 @pytest.mark.parametrize("fixture", ["z2_trivial_q.json", "z3_kappa2_q.json",
@@ -332,9 +342,8 @@ def test_noncommutative_base_algebra_passes_the_battery():
     checks = {name: (status, detail) for name, status, detail in report.checks}
     assert checks["degree-0 action matches tensor formula"] == ("pass",
                                                                 (2, 2))
-    A, MA = inst.theta.algebra, inst.m_over_a
-    assert spectral._a_tensor_m(A, MA).dim == \
-        algebras.commutator_quotient(MA).dim
+    assert inst.a_tensor_m.dim == \
+        algebras.commutator_quotient(inst.m_over_a).dim
 
 
 def test_enveloping_algebras_are_built_for_the_resolutions_only(monkeypatch):
@@ -361,6 +370,74 @@ def test_enveloping_algebras_are_built_for_the_resolutions_only(monkeypatch):
         assert report.ok
         assert calls == ([] if separable
                          else [inst.lam.algebra, inst.theta.algebra])
+
+
+# every builder of a structure that two checks read, with how many of its
+# leading arguments name the structure
+SHARED_BUILDERS = {
+    "bar": (homology, "relative_bar_complex", 2),
+    "tensor": (algebras, "bimodule_tensor", 2),
+    "crossed action": (homology, "_crossed_action_matrices", 2),
+    "regular": (algebras, "regular_bimodule", 1),
+    "idempotent subalgebra": (
+        partial_algebras.TwistedPartialGroupAlgebra.idempotent_subalgebra,
+        "func", 1),
+    "crossed product": (partial_actions, "build_crossed_product", 0),
+    "validate twisted": (partial_actions, "validate_twisted", 0),
+}
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(fixture_dir(), "v4_partial_q.json"),
+    os.path.join(fixture_dir(), "z3_unnormalized_q.json"),
+    os.path.join(os.path.dirname(__file__), "data", "universal_z4_f3.json")])
+def test_each_shared_structure_is_built_once(path, monkeypatch, capsys):
+    # a `parhox spectral` run at default options builds A's bar complex,
+    # A (x)_{A^e} M, the [g]-matrices, the regular bimodules and the
+    # idempotent subalgebras once each, and Lambda at most twice: once
+    # more only when an unnormalized sigma is transported (Lambda_rho and
+    # Lambda_nu), with validate_twisted run once
+    calls = {label: [] for label in SHARED_BUILDERS}
+    for label, (home, attr, arity) in SHARED_BUILDERS.items():
+        original = getattr(home, attr)
+
+        def counted(*args, _calls=calls[label], _arity=arity,
+                    _original=original, **kwargs):
+            # the arguments are kept, so no id is reused within the run
+            _calls.append(args[:_arity])
+            return _original(*args, **kwargs)
+
+        # a module function is replaced in every module that imported it
+        homes = [module for name, module in list(sys.modules.items())
+                 if name.startswith("parhox")
+                 and getattr(module, attr, None) is original] or [home]
+        for module in homes:
+            monkeypatch.setattr(module, attr, counted)
+    built = []
+    build = cli.build_instance
+    monkeypatch.setattr(cli, "build_instance", lambda spec: (
+        built.append(build(spec)) or built[-1]))
+    assert cli.main(["spectral", path]) == 0
+    inst, = built
+
+    def times(label, *key):
+        return sum(all(a is b for a, b in zip(args, key))
+                   for args in calls[label])
+
+    A, MA = inst.theta.algebra, inst.m_over_a
+    assert times("bar", A, MA) == 1
+    assert times("tensor", inst.a_regular, MA) == 1
+    assert times("crossed action", inst.lam, inst.M) == 1
+    assert times("regular", A) == times("regular", inst.lam.algebra) == 1
+    assert times("idempotent subalgebra", inst.kpar) == 1
+    assert times("idempotent subalgebra", inst.ksdd) == 1
+    # and no other structure is built twice either
+    for label, (_, _, arity) in SHARED_BUILDERS.items():
+        if arity:
+            assert all(times(label, *args) == 1 for args in calls[label]), \
+                label
+    assert len(calls["crossed product"]) <= 2
+    assert len(calls["validate twisted"]) == 1
 
 
 # E2^{p,q} for p, q <= 3 (one row per q, p = 0..3), as the route through
