@@ -50,9 +50,10 @@ __all__ = [
     "tensor_over_algebra", "bimodule_tensor", "hom_over_algebra",
     "bimodule_hom", "restrict_along_hom",
     "regular_bimodule", "dual_bimodule", "module_from_generator_actions",
-    "matrix_algebra", "product_field_algebra", "dual_numbers",
     "group_algebra", "commutator_quotient",
 ]
+
+ENVELOPING_LIMIT = 1 << 16       # the largest dim of an enveloping algebra
 
 
 class ValidationReport:
@@ -327,12 +328,6 @@ class ModuleData:
         if left is None and right is None:
             raise InvalidInput("module needs at least one action")
 
-    @property
-    def sidedness(self):
-        if self.left is not None and self.right is not None:
-            return "bi"
-        return "left" if self.left is not None else "right"
-
     def act_left(self, a_vec, x):
         return self._act(self.left, a_vec, x)
 
@@ -421,11 +416,14 @@ def opposite(A):
                             name=f"{A.name}^op")
 
 
-def enveloping(A, size_limit=1 << 16):
-    """A (x) A^op; basis (i, j) at index i * dim + j."""
+def enveloping(A):
+    """A (x) A^op; basis (i, j) at index i * dim + j.  Its dim^2 is checked
+    against ENVELOPING_LIMIT, not the chain cap, before any product is
+    formed, as the build forms |A.sc|^2 products."""
     d = A.dim
-    if d * d > size_limit:
-        raise SizeLimit(f"enveloping dimension {d * d} over limit")
+    if d * d > ENVELOPING_LIMIT:
+        raise SizeLimit(f"enveloping algebra of {A.name}: {d} x {d} = "
+                        f"{d * d} exceeds limit {ENVELOPING_LIMIT}")
     K = A.field
     sc = {}
     for (i, k), row1 in A.sc.items():
@@ -535,7 +533,7 @@ def check_orthogonal_idempotents(A, idems):
     return rep
 
 
-def separability_idempotent(A, cap=None):
+def separability_idempotent(A, cap):
     """Solve for e in A (x) A with mult(e) = 1 and a e = e a, A acting on
     the outer factors (a.(x (x) y) = ax (x) y, (x (x) y).a = x (x) ya).
 
@@ -548,7 +546,7 @@ def separability_idempotent(A, cap=None):
     The d^2 unknowns are checked against `cap` before any row is built.
     """
     d = A.dim
-    if cap is not None and d * d > cap:
+    if d * d > cap:
         raise SizeLimit(f"separability idempotent of {A.name}: {d} x {d} = "
                         f"{d * d} unknowns exceed cap {cap}")
     slot = {s: t for t, s in enumerate(A.generators)}
@@ -852,33 +850,7 @@ def commutator_quotient(M):
 
 
 # ---------------------------------------------------------------------------
-# stock algebras used by fixtures and tests
-
-
-def matrix_algebra(K, n, name=None):
-    """M_n(K) with basis E_{rc} at index r * n + c."""
-    sc = {}
-    for r in range(n):
-        for c in range(n):
-            for r2 in range(n):
-                for c2 in range(n):
-                    if c == r2:
-                        sc[(r * n + c, r2 * n + c2)] = [(r * n + c2, K.one)]
-    unit = {r * n + r: 1 for r in range(n)}
-    return StructureAlgebra(K, n * n, sc, unit, name=name or f"M{n}")
-
-
-def product_field_algebra(K, n, name=None):
-    """K x K x ... x K (n factors)."""
-    sc = {(i, i): [(i, K.one)] for i in range(n)}
-    return StructureAlgebra(K, n, sc, {i: 1 for i in range(n)},
-                            name=name or f"K^{n}")
-
-
-def dual_numbers(K, name=None):
-    """K[x]/(x^2), basis {1, x}."""
-    sc = {(0, 0): [(0, K.one)], (0, 1): [(1, K.one)], (1, 0): [(1, K.one)]}
-    return StructureAlgebra(K, 2, sc, {0: 1}, name=name or "K[x]/(x^2)")
+# group algebras
 
 
 def group_algebra(K, G, name=None):

@@ -239,12 +239,12 @@ def check_good_factor_set_identities(sigma):
     return rep
 
 
-def validate_twist(sigma, support, triple_support=None):
+def validate_twist(sigma, support, triple_support):
     """Validate sigma against concrete support data.
 
     support[g][h] is True iff 1_g 1_{gh} != 0; triple_support[g][h][t] is
-    True iff 1_g 1_{gh} 1_{ght} != 0 (derived from `support` and the group
-    when omitted is not possible, so it must be supplied by the caller).
+    True iff 1_g 1_{gh} 1_{ght} != 0 (it cannot be derived from `support`
+    and the group, so the caller supplies it).
     """
     G = sigma.group
     K = sigma.field
@@ -261,17 +261,16 @@ def validate_twist(sigma, support, triple_support=None):
         if support[g][ginv]:
             if sigma(g, 0) != K.one or sigma(0, g) != K.one:
                 rep.fail("unit condition", g)
-    if triple_support is not None:
-        for g in range(n):
-            for h in range(n):
-                gh = G.mul(g, h)
-                for t in range(n):
-                    if not triple_support[g][h][t]:
-                        continue
-                    lhs = K.mul(sigma(g, h), sigma(gh, t))
-                    rhs = K.mul(sigma(g, G.mul(h, t)), sigma(h, t))
-                    if lhs != rhs:
-                        rep.fail("partial cocycle", g, h, t)
+    for g in range(n):
+        for h in range(n):
+            gh = G.mul(g, h)
+            for t in range(n):
+                if not triple_support[g][h][t]:
+                    continue
+                lhs = K.mul(sigma(g, h), sigma(gh, t))
+                rhs = K.mul(sigma(g, G.mul(h, t)), sigma(h, t))
+                if lhs != rhs:
+                    rep.fail("partial cocycle", g, h, t)
     return rep
 
 

@@ -53,40 +53,13 @@ def _is_prime(p):
 
 
 class Field:
-    """Common interface; see RationalField and PrimeField."""
+    """What the two fields share: their identity, (kind, characteristic),
+    which `ensure_same_field` compares.  The arithmetic (add, sub, mul,
+    neg, inv, div, from_int, parse, dump, to_json) is RationalField's and
+    PrimeField's."""
 
     kind = None
     characteristic = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def parse(self, obj):
-        raise NotImplementedError
-
-    def dump(self, a):
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.kind == other.kind \

@@ -173,45 +173,10 @@ def criterion_resolution_independence(instances):
                            ok, secs, details)
 
 
-CHECK_TO_CRITERION = {
-    "Hochschild dual route (homology)": "hochschild oracles",
-    "Hochschild dual route (cohomology)": "hochschild oracles",
-    "Hochschild dual route (base algebra)": "hochschild oracles",
-    "separable collapse": "collapse isomorphisms",
-    "separable collapse (homology)": "collapse isomorphisms",
-    "separable collapse (cohomology)": "collapse isomorphisms",
-    "MacLane collapse": "collapse isomorphisms",
-    "MacLane: kpar^sigma G = B^sigma * G Hochschild dims":
-        "collapse isomorphisms",
-    "classical MacLane specialization": "collapse isomorphisms",
-    "tor-form bridge": "tor-form bridge",
-    "tor-form degree 0": "tor-form bridge",
-    "B (x) Omega = B^sigma": "tor-form bridge",
-    "degree-0 action matches tensor formula": "equivariance gate",
-    "e_g.a = 1_g a on A": "structural suite",
-    "e_g.x = 1_g x 1_g on M": "structural suite",
-    "e_g^s (x) y = 1 (x) e_g''.y": "structural suite",
-    "e_g.(a (x) x) identities": "structural suite",
-    "phi: Lambda = B^sigma (x) Lambda (bimodule iso)": "structural suite",
-    "X (x)_{B''} Lambda bimodule axioms": "structural suite",
-    "bimodule maps are ksdd-module maps (phi)": "structural suite",
-    "M/[Lambda,M] = B^sigma (x) (A (x) M)": "structural suite",
-    "Hom_{L^e}(L,M) = Hom_{ksdd}(B^s, Hom_{A^e}(A,M))": "structural suite",
-    "Omega flatness Tor_1 = 0": "structural suite",
-}
-
-
-def criterion_of(check_name):
-    """The criterion of a check record (or of a "dimension bound" skip)."""
-    if check_name.startswith("dimension bound"):
-        return "dimension bound"
-    return CHECK_TO_CRITERION.get(check_name, "structural suite")
-
-
 def criterion_fixture_suites(instances):
-    """Run the full check battery per fixture and fold the named checks
-    into per-criterion verdicts, each with the measured time of the calls
-    that recorded its checks."""
+    """Run the full check battery per fixture and fold its records into
+    per-criterion verdicts by the criterion each battery row stamps, each
+    with the measured time of its rows."""
     buckets = {}
     seconds = {}
     reports = {}
@@ -220,12 +185,11 @@ def criterion_fixture_suites(instances):
             inst, max_p=spec.options["max_p"], max_q=spec.options["max_q"],
             max_n=spec.options["max_n"])
         reports[fname] = (report, page, pagec)
-        for (name, status, detail) in report.checks:
-            crit = criterion_of(name)
+        for crit, (name, status, detail) in zip(report.criteria,
+                                                report.checks):
             buckets.setdefault(crit, []).append(
                 (fname, name, status, str(detail)[:200]))
-        for name, secs in report.seconds.items():
-            crit = criterion_of(name)
+        for crit, secs in report.seconds.items():
             seconds[crit] = seconds.get(crit, 0.0) + secs
     results = []
     # the equivariance gate also passes implicitly whenever the towers of

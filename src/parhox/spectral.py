@@ -19,7 +19,6 @@ The bar-route dims of H_*(Lambda, M) and H^*(Lambda, M) have one source,
 """
 
 import time
-from contextlib import contextmanager
 from functools import partial
 
 from .algebras import (AlgebraHom, ModuleData, bimodule_hom,
@@ -66,7 +65,8 @@ class SpectralCheckReport:
     def __init__(self, instance_name):
         self.instance = instance_name
         self.checks = []                         # (name, status, detail)
-        self.seconds = {}                        # name -> s, not in to_json
+        self.criteria = []                       # the row criterion of each
+        self.seconds = {}                        # criterion -> s, not in JSON
 
     def record(self, name, ok, detail=""):
         self.checks.append((name, "pass" if ok else "fail", detail))
@@ -74,16 +74,15 @@ class SpectralCheckReport:
     def skip(self, name, reason):
         self.checks.append((name, "skipped", reason))
 
-    @contextmanager
-    def timed(self, names=None):
-        """Credit the wall time of the enclosed calls to `names`, by default
-        to the checks they record, split evenly between them."""
-        start, t0 = len(self.checks), time.monotonic()
-        yield
-        names = names or [name for (name, _, _) in self.checks[start:]]
-        share = (time.monotonic() - t0) / max(len(names), 1)
-        for name in names:
-            self.seconds[name] = self.seconds.get(name, 0.0) + share
+    def run_row(self, criterion, check, inst):
+        """One battery row: check(inst, self), its records and skips stamped
+        with `criterion` and its wall time, measured whole, added to
+        `seconds[criterion]`."""
+        t0 = time.monotonic()
+        check(inst, self)
+        self.seconds[criterion] = (self.seconds.get(criterion, 0.0)
+                                   + time.monotonic() - t0)
+        self.criteria += [criterion] * (len(self.checks) - len(self.criteria))
 
     @property
     def ok(self):
@@ -282,7 +281,6 @@ def tor_form_consistency(inst, report, max_p=2, max_q=1):
     lhs0 = tensor_over_algebra(inst.ksdd.algebra, bs_right, X_ksdd).dim
     rhs0 = tensor_over_algebra(inst.kpar.algebra, B_right, OX).dim
     report.record("tor-form degree 0", lhs0 == rhs0, (lhs0, rhs0))
-    return ok_all
 
 
 def lemma_B_tensor_omega(inst, report):
@@ -307,7 +305,7 @@ def lemma_B_tensor_omega(inst, report):
         M = T.map_from(pure_images, inst.bsig.algebra.dim)
     except Exception as exc:
         report.record("B (x) Omega = B^sigma", False, str(exc))
-        return False
+        return
     p = _char(K)
     ok = (T.dim == inst.bsig.algebra.dim
           and _rank_of(K, [dict(row) for row in M]) == inst.bsig.algebra.dim)
@@ -322,7 +320,6 @@ def lemma_B_tensor_omega(inst, report):
             ok = False
     report.record("B (x) Omega = B^sigma", ok,
                   f"dims {T.dim} = {inst.bsig.algebra.dim}")
-    return ok
 
 
 def omega_flatness_spot_check(inst, report, max_n=1):
@@ -343,7 +340,6 @@ def omega_flatness_spot_check(inst, report, max_n=1):
         if any(d != 0 for d in dims[1:]):
             ok = False
     report.record("Omega flatness Tor_1 = 0", ok, details)
-    return ok
 
 
 def hochschild_oracle_check(inst, report, max_n=2):
@@ -364,7 +360,6 @@ def hochschild_oracle_check(inst, report, max_n=2):
                             inst.m_over_a, max_n)
     oka = bara == resa
     report.record("Hochschild dual route (base algebra)", oka, (bara, resa))
-    return ok and okc and oka
 
 
 def collapse_check_separable(inst, report, max_n=2, dual=False):
@@ -375,7 +370,7 @@ def collapse_check_separable(inst, report, max_n=2, dual=False):
         report.skip("separable collapse (cohomology)" if dual
                     else "separable collapse",
                     "A admits no separability idempotent")
-        return None
+        return
     lhs = lam_hochschild_bar(inst, max_n, dual=dual)
     _, tower = module_tower(inst, 0, dual=dual)
     _, mod0, _ = tower[0]
@@ -383,7 +378,6 @@ def collapse_check_separable(inst, report, max_n=2, dual=False):
     ok = lhs == rhs
     report.record("separable collapse (cohomology)" if dual
                   else "separable collapse (homology)", ok, (lhs, rhs))
-    return ok
 
 
 def collapse_check_maclane(inst, report, max_n=2):
@@ -392,7 +386,7 @@ def collapse_check_maclane(inst, report, max_n=2):
     classical specialization H_*(kpar G, M) = H_*(kG, M) for a G-module M."""
     if not inst.universal:
         report.skip("MacLane collapse", "instance has an external action")
-        return None
+        return
     # Lambda = B^sigma * G = kpar^sigma G via the verified Phi/Psi pair, so
     # the Hochschild side may be computed on kpar^sigma G itself, relative
     # to the atoms of its e_g
@@ -403,7 +397,7 @@ def collapse_check_maclane(inst, report, max_n=2):
     lam_side = lam_hochschild_bar(inst, max_n)
     report.record("MacLane: kpar^sigma G = B^sigma * G Hochschild dims",
                   lhs == lam_side, (lhs, lam_side))
-    ok = collapse_check_separable(inst, report, max_n=max_n)
+    collapse_check_separable(inst, report, max_n=max_n)
     K = inst.field
     trivial = all(inst.sigma(g, h) == K.one
                   for g in range(inst.group.n) for h in range(inst.group.n))
@@ -422,8 +416,6 @@ def collapse_check_maclane(inst, report, max_n=2):
                                         cap=inst.chain_cap)
         report.record("classical MacLane specialization", lhs_par == rhs_g,
                       (lhs_par, rhs_g))
-        ok = ok and (lhs_par == rhs_g)
-    return ok
 
 
 def _e_atoms(ktw):
@@ -453,7 +445,6 @@ def dimension_bound_check(inst, report, page, max_n=2):
         if not status:
             ok = False
     report.record(f"dimension bound ({orientation})", ok, rows)
-    return ok
 
 
 def structural_identity_suite(inst, report):
@@ -635,7 +626,6 @@ def structural_identity_suite(inst, report):
             and _rank_of(K, gammas) == len(W_basis)
     report.record("Hom_{L^e}(L,M) = Hom_{ksdd}(B^s, Hom_{A^e}(A,M))", ok_d,
                   (len(W_basis), len(RHS_basis)))
-    return report
 
 
 def _bsig_act_on_m(inst, w_amb, mvec):
@@ -687,31 +677,44 @@ def degree_zero_formula_check(inst, report):
                 ok = False
     report.record("degree-0 action matches tensor formula", ok,
                   (T.dim, hd0.dim))
-    return ok
 
 
 def run_all_checks(inst, max_p=2, max_q=2, max_n=2):
-    """The complete verdict battery on one instance."""
+    """The complete verdict battery on one instance: one ordered table of
+    (criterion, check) rows, each check called as check(inst, report).
+    The pages are assembled first, so the chain-action towers are built
+    once at the largest degree and reused by every later check; their time
+    goes to the dimension bounds they feed."""
     report = SpectralCheckReport(inst.name)
-    with report.timed():
-        hochschild_oracle_check(
-            inst, report, max_n=3 if inst.lam.algebra.dim <= 6 else 2)
-    # assemble the pages first so the chain-action towers are built once at
-    # the largest degree and reused by every later check; their time goes
-    # to the dimension bounds they feed
-    with report.timed(["dimension bound (homological)",
-                       "dimension bound (cohomological)"]):
-        page = assemble_E2(inst, max_p, max_q)
-        pagec = assemble_E2(inst, max_p, max_q, dual=True)
-    for check in (
-            partial(tor_form_consistency, max_p=max_p, max_q=min(1, max_q)),
-            lemma_B_tensor_omega, omega_flatness_spot_check,
-            partial(collapse_check_separable, max_n=max_n),
-            partial(collapse_check_separable, max_n=max_n, dual=True),
-            partial(collapse_check_maclane, max_n=max_n),
-            degree_zero_formula_check, structural_identity_suite,
-            partial(dimension_bound_check, page=page, max_n=max_n),
-            partial(dimension_bound_check, page=pagec, max_n=max_n)):
-        with report.timed():
-            check(inst, report)
+    pages = []
+
+    def assemble_pages(inst, report):
+        pages.extend(assemble_E2(inst, max_p, max_q, dual=dual)
+                     for dual in (False, True))
+
+    def dimension_bound(dual):
+        return lambda inst, report: dimension_bound_check(
+            inst, report, pages[dual], max_n=max_n)
+
+    for criterion, check in (
+            ("hochschild oracles", partial(
+                hochschild_oracle_check,
+                max_n=3 if inst.lam.algebra.dim <= 6 else 2)),
+            ("dimension bound", assemble_pages),
+            ("tor-form bridge", partial(tor_form_consistency, max_p=max_p,
+                                        max_q=min(1, max_q))),
+            ("tor-form bridge", lemma_B_tensor_omega),
+            ("structural suite", omega_flatness_spot_check),
+            ("collapse isomorphisms", partial(collapse_check_separable,
+                                              max_n=max_n)),
+            ("collapse isomorphisms", partial(collapse_check_separable,
+                                              max_n=max_n, dual=True)),
+            ("collapse isomorphisms", partial(collapse_check_maclane,
+                                              max_n=max_n)),
+            ("equivariance gate", degree_zero_formula_check),
+            ("structural suite", structural_identity_suite),
+            ("dimension bound", dimension_bound(False)),
+            ("dimension bound", dimension_bound(True))):
+        report.run_row(criterion, check, inst)
+    page, pagec = pages
     return report, page, pagec

@@ -4,8 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 from parhox.fields import QQ
-from parhox.algebras import (AlgebraHom, StructureAlgebra,
-                             product_field_algebra, dual_numbers)
+from parhox.algebras import AlgebraHom, StructureAlgebra
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
 from parhox.groups import cyclic_group, direct_product
 from parhox.homology import (ChainComplex, FreeResolution, GModuleOnChains,
@@ -84,6 +83,41 @@ def dense_row(K, row, n):
 def sparse_rows(K, M):
     """A dense matrix as kernel rows."""
     return [_sparse(K, row) for row in M]
+
+
+# -- small algebras and modules the tests build on ----------------------------
+
+def matrix_algebra(K, n, name=None):
+    """M_n(K) with basis E_{rc} at index r * n + c."""
+    sc = {}
+    for r in range(n):
+        for c in range(n):
+            for r2 in range(n):
+                for c2 in range(n):
+                    if c == r2:
+                        sc[(r * n + c, r2 * n + c2)] = [(r * n + c2, K.one)]
+    unit = {r * n + r: 1 for r in range(n)}
+    return StructureAlgebra(K, n * n, sc, unit, name=name or f"M{n}")
+
+
+def product_field_algebra(K, n, name=None):
+    """K x K x ... x K (n factors)."""
+    sc = {(i, i): [(i, K.one)] for i in range(n)}
+    return StructureAlgebra(K, n, sc, {i: 1 for i in range(n)},
+                            name=name or f"K^{n}")
+
+
+def dual_numbers(K, name=None):
+    """K[x]/(x^2), basis {1, x}."""
+    sc = {(0, 0): [(0, K.one)], (0, 1): [(1, K.one)], (1, 0): [(1, K.one)]}
+    return StructureAlgebra(K, 2, sc, {0: 1}, name=name or "K[x]/(x^2)")
+
+
+def sidedness(mod):
+    """"bi", "left" or "right": the actions a ModuleData carries."""
+    if mod.left is not None and mod.right is not None:
+        return "bi"
+    return "left" if mod.left is not None else "right"
 
 
 def z3_kappa2_action(field=QQ):

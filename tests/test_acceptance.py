@@ -12,12 +12,12 @@ from parhox.groups import cyclic_group, direct_product, symmetric_group, \
     exel_size_closed_form
 from parhox.partial_algebras import (build_kpar, build_kpar_sigma,
                                      phi_psi_crossed_iso)
-from parhox.selfcheck import (CHECK_TO_CRITERION, criterion_factor_calculus,
+from parhox.selfcheck import (criterion_factor_calculus,
                               criterion_fixture_suites,
                               criterion_idempotent_oracle, criterion_phi_psi,
                               criterion_resolution_independence,
-                              criterion_of, criterion_untwisted_oracle,
-                              load_instances, run_selfcheck)
+                              criterion_untwisted_oracle, load_instances,
+                              run_selfcheck)
 from parhox.spectral import module_tower
 
 
@@ -168,16 +168,48 @@ def test_criterion_10_dimension_bound_and_selfcheck(battery):
               f"selfcheck {elapsed:.1f}s")
 
 
-def test_every_check_record_maps_to_its_own_criterion(battery):
+# the criterion of every record and skip the battery writes, as the rows of
+# `run_all_checks` stamp it
+CRITERION_OF_RECORD = {
+    "Hochschild dual route (homology)": "hochschild oracles",
+    "Hochschild dual route (cohomology)": "hochschild oracles",
+    "Hochschild dual route (base algebra)": "hochschild oracles",
+    "dimension bound (homological)": "dimension bound",
+    "dimension bound (cohomological)": "dimension bound",
+    "tor-form bridge": "tor-form bridge",
+    "tor-form degree 0": "tor-form bridge",
+    "B (x) Omega = B^sigma": "tor-form bridge",
+    "Omega flatness Tor_1 = 0": "structural suite",
+    "e_g.a = 1_g a on A": "structural suite",
+    "e_g.x = 1_g x 1_g on M": "structural suite",
+    "e_g^s (x) y = 1 (x) e_g''.y": "structural suite",
+    "e_g.(a (x) x) identities": "structural suite",
+    "phi: Lambda = B^sigma (x) Lambda (bimodule iso)": "structural suite",
+    "X (x)_{B''} Lambda bimodule axioms": "structural suite",
+    "bimodule maps are ksdd-module maps (phi)": "structural suite",
+    "M/[Lambda,M] = B^sigma (x) (A (x) M)": "structural suite",
+    "Hom_{L^e}(L,M) = Hom_{ksdd}(B^s, Hom_{A^e}(A,M))": "structural suite",
+    "separable collapse": "collapse isomorphisms",
+    "separable collapse (homology)": "collapse isomorphisms",
+    "separable collapse (cohomology)": "collapse isomorphisms",
+    "MacLane collapse": "collapse isomorphisms",
+    "MacLane: kpar^sigma G = B^sigma * G Hochschild dims":
+        "collapse isomorphisms",
+    "classical MacLane specialization": "collapse isomorphisms",
+    "degree-0 action matches tensor formula": "equivariance gate",
+}
+
+
+def test_every_record_is_stamped_with_its_criterion(battery):
     instances, reports, by_name = battery
-    names = set()
-    for rep, _, _ in reports.values():
-        names |= {name for (name, _, _) in rep.checks} | set(rep.seconds)
-    # no name falls through to the structural-suite default
-    assert {n for n in names if n not in CHECK_TO_CRITERION
-            and not n.startswith("dimension bound")} == set()
-    assert criterion_of("dimension bound n=2 (homological)") == \
-        "dimension bound"
+    seen = set()
+    for fname, (rep, _, _) in reports.items():
+        assert len(rep.criteria) == len(rep.checks)
+        for crit, (name, _, _) in zip(rep.criteria, rep.checks):
+            assert (fname, name, crit) == \
+                (fname, name, CRITERION_OF_RECORD[name])
+            seen.add(name)
+    assert seen == set(CRITERION_OF_RECORD)
     # the skips are listed under the collapse isomorphisms
     skipped = {(f, n) for (f, n, status, _) in
                by_name["collapse isomorphisms"].details if status == "skipped"}

@@ -1,24 +1,26 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import (assert_kernel_rows, dense_kron, dense_map_on_quotient,
-                      dense_mult_matrix, dense_row, densify, hom_from_matrix,
-                      hom_matrix, identity, matvec, rank, ref_rref,
+                      dense_mult_matrix, dense_row, densify, dual_numbers,
+                      hom_from_matrix, hom_matrix, identity, matrix_algebra,
+                      matvec, product_field_algebra, rank, ref_rref,
                       sparse_rows)
 from parhox.errors import InvalidInput, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                              ValidationReport, bimodule_to_right_env_module,
-                             commutator_quotient, dual_numbers, enveloping,
-                             group_algebra, hom_over_algebra, matrix_algebra,
-                             module_from_generator_actions, opposite,
-                             orthogonalize_idempotents, product_field_algebra,
+                             commutator_quotient, enveloping, group_algebra,
+                             hom_over_algebra, module_from_generator_actions,
+                             opposite, orthogonalize_idempotents,
                              regular_bimodule, restrict_along_hom,
                              separability_idempotent, subalgebra_generated,
                              tensor_over_algebra)
 from parhox.groups import cyclic_group, symmetric_group
+from parhox.homology import DEFAULT_CHAIN_CAP
 from parhox.linalg import Subspace, _sp_identity, _sparse, _sparse_matrix
 from parhox.partial_algebras import build_kpar
 
@@ -324,11 +326,11 @@ def dense_separability_idempotent(A):
 
 def test_separability_idempotent():
     A = product_field_algebra(QQ, 2)
-    e = separability_idempotent(A)
+    e = separability_idempotent(A, DEFAULT_CHAIN_CAP)
     assert e is not None
     assert e == [{0: 1}, {1: 1}]          # e1(x)e1 + e2(x)e2
     M2 = matrix_algebra(QQ, 2)
-    e2 = separability_idempotent(M2)
+    e2 = separability_idempotent(M2, DEFAULT_CHAIN_CAP)
     assert e2 is not None
     # verify the axioms directly on the returned tensor
     mult = {}
@@ -337,8 +339,8 @@ def test_separability_idempotent():
             for k, a in M2.mul(M2.basis_vector(i), M2.basis_vector(j)).items():
                 mult[k] = mult.get(k, 0) + c * a
     assert {k: a for k, a in mult.items() if a} == M2.unit
-    assert separability_idempotent(dual_numbers(QQ)) is None
-    assert separability_idempotent(dual_numbers(PrimeField(2))) is None
+    for B in (dual_numbers(QQ), dual_numbers(PrimeField(2))):
+        assert separability_idempotent(B, DEFAULT_CHAIN_CAP) is None
     # the sparse equations give the dense reference's e, including the
     # choice of the particular solution (free unknowns 0)
     F3, F7 = PrimeField(3), PrimeField(7)
@@ -347,7 +349,8 @@ def test_separability_idempotent():
               product_field_algebra(F3, 3), group_algebra(QQ, cyclic_group(3)),
               group_algebra(F3, cyclic_group(3)), enveloping(dual_numbers(QQ)),
               coboundary_twisted_group_algebra(QQ, cyclic_group(4), f)):
-        got, want = separability_idempotent(B), dense_separability_idempotent(B)
+        got = separability_idempotent(B, DEFAULT_CHAIN_CAP)
+        want = dense_separability_idempotent(B)
         if want is None:
             assert got is None, B.name
         else:
@@ -514,6 +517,9 @@ def test_commutator_quotient():
 
 
 def test_enveloping_size_limit():
-    big = product_field_algebra(QQ, 10)
-    with pytest.raises(SizeLimit):
-        enveloping(big, size_limit=50)
+    # 257^2 = 66049 > 2^16: refused before any product is formed
+    big = product_field_algebra(QQ, 257)
+    with pytest.raises(SizeLimit, match=re.escape(
+            "enveloping algebra of K^257: 257 x 257 = 66049 exceeds limit "
+            "65536")):
+        enveloping(big)

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (absolute_diagonal_action, absolute_hochschild_dims,
                       boundary_matrix, bump, dense_map_on_quotient, densify,
+                      dual_numbers, matrix_algebra, product_field_algebra,
                       rank, sp_kron, transpose, z2_universal,
                       z3_kappa2_action, z2_dual_numbers, zeros)
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (ModuleData, bimodule_hom, commutator_quotient,
-                             dual_bimodule, dual_numbers, matrix_algebra,
-                             orthogonalize_idempotents, product_field_algebra,
+                             dual_bimodule, orthogonalize_idempotents,
                              regular_bimodule, restrict_along_hom,
                              hom_over_algebra, separability_idempotent,
                              tensor_over_algebra)
@@ -22,9 +22,9 @@ from parhox.errors import (EquivarianceFailure, InvalidInput, SizeLimit,
                            ValidationFailure)
 from parhox.groups import cyclic_group
 from parhox import homology, spectral
-from parhox.homology import (ChainComplex, GModuleOnChains,
-                             _crossed_action_matrices, diagonal_action,
-                             env_resolution, free_resolution,
+from parhox.homology import (DEFAULT_CHAIN_CAP, ChainComplex,
+                             GModuleOnChains, _crossed_action_matrices,
+                             diagonal_action, env_resolution, free_resolution,
                              hochschild_homology_bar,
                              hochschild_homology_resolution,
                              hochschild_homology_separable,
@@ -319,7 +319,7 @@ def test_a_changed_separability_idempotent_is_rejected_unused(algebra):
     # the re-verification before pi_M is formed
     inst = build_instance(load_fixture("v4_partial_q.json"))
     R = inst.lam.algebra if algebra == "lam" else inst.theta.algebra
-    e = separability_idempotent(R)
+    e = separability_idempotent(R, DEFAULT_CHAIN_CAP)
     reg = regular_bimodule(R)
     assert hochschild_homology_separable(R, e, reg, 1) == \
         hochschild_homology_bar(R, reg, 1)
@@ -341,7 +341,8 @@ def test_pi_m_of_a_non_bimodule_is_rejected():
     bad = ModuleData(R, R.dim, left=reg.left, right=reg.left, name="bad")
     with pytest.raises(ValidationFailure,
                        match="pi_M of bad is not idempotent"):
-        hochschild_homology_separable(R, separability_idempotent(R), bad, 1)
+        hochschild_homology_separable(
+            R, separability_idempotent(R, DEFAULT_CHAIN_CAP), bad, 1)
 
 
 def test_the_oracle_rejects_a_changed_separability_idempotent():

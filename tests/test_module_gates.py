@@ -10,9 +10,9 @@ from functools import lru_cache
 import pytest
 
 from conftest import (absolute_diagonal_action, assert_kernel_rows, bump,
-                      dense_row, densify)
+                      dense_row, densify, dual_numbers, sidedness)
 from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
-                             dual_numbers, regular_bimodule)
+                             regular_bimodule)
 from parhox.fields import QQ, PrimeField
 from parhox.homology import GModuleOnChains
 from parhox.linalg import _char, _sp_sum, _sparse_matrix
@@ -286,7 +286,7 @@ def test_module_validate_corruptions_match_dense_reference(fixture):
             continue
         bad = [changed_entry(mod, i) for i in range(mod.algebra.dim)]
         bad.append(wrong_unit(mod))
-        if mod.sidedness == "bi" and mod.dim > 1:
+        if sidedness(mod) == "bi" and mod.dim > 1:
             bad.append(conjugated_right(mod))
         for b in bad:
             rep = b.validate()

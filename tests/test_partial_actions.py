@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (hom_from_matrix, hom_matrix, z2_dual_numbers,
-                      z2_global_twist, z2_universal, z2xz2_partial_idempotent,
+from conftest import (hom_from_matrix, hom_matrix, matrix_algebra,
+                      product_field_algebra, z2_dual_numbers, z2_global_twist,
+                      z2_universal, z2xz2_partial_idempotent,
                       z3_kappa2_action)
 from parhox.errors import AssociativityFailure, NotCovariant
 from parhox.fields import QQ, PrimeField
-from parhox.algebras import (AlgebraHom, matrix_algebra,
-                             product_field_algebra)
+from parhox.algebras import AlgebraHom
 from parhox.factor_sets import EquivalenceWitness, trivial_factor_set
 from parhox.groups import cyclic_group
 from parhox.linalg import _char, _sp_identity, _sp_matmul, _sp_sum

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (dense_map_on_quotient, densify, hom_matrix, rank,
-                      z2_universal, z3_kappa2_action, z2xz2_partial_idempotent)
+from conftest import (dense_map_on_quotient, densify, hom_matrix,
+                      product_field_algebra, rank, z2_universal,
+                      z3_kappa2_action, z2xz2_partial_idempotent)
 from parhox.errors import ValidationFailure
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
-                             product_field_algebra, regular_bimodule,
-                             restrict_along_hom, subalgebra_generated,
+                             regular_bimodule, restrict_along_hom, subalgebra_generated,
                              tensor_over_algebra)
 from parhox.factor_sets import (PartialFactorSet, involution_star,
                                 sigma_prime, trivial_factor_set,

@@ -77,11 +77,29 @@ def test_full_suite_z3_kappa2_q():
     inst = Instance("z3_kappa2_q", QQ, G, theta=theta)
     report, page, pagec = run_all_checks(inst)
     assert report.ok, report.to_json()
-    # every check is credited the measured time of the call recording it,
-    # and the times stay out of the report
-    assert set(report.seconds) == {name for (name, _, _) in report.checks}
+    # each row is timed whole under its criterion: the keys are exactly the
+    # criteria that have records, and the times stay out of the report
+    assert set(report.seconds) == set(report.criteria) == {
+        "hochschild oracles", "dimension bound", "tor-form bridge",
+        "structural suite", "collapse isomorphisms", "equivariance gate"}
     assert all(secs >= 0 for secs in report.seconds.values())
     assert set(report.to_json()) == {"instance", "scope", "checks", "ok"}
+
+
+def test_a_row_stamps_whatever_its_check_records():
+    report = SpectralCheckReport("x")
+
+    def check(inst, rep):
+        rep.record("a name no table lists", True)
+        rep.skip("another", "why")
+
+    report.run_row("first", check, None)
+    report.run_row("silent", lambda inst, rep: None, None)
+    report.run_row("first", lambda inst, rep: rep.record("third", False),
+                   None)
+    assert report.criteria == ["first", "first", "first"]
+    assert set(report.seconds) == {"first", "silent"}
+    assert not report.ok
 
 
 def test_full_suite_z3_kappa2_f3():
