@@ -13,6 +13,10 @@ Degree conventions:
   * a FreeResolution of a module X over R keeps generator images, so the
     boundary in F_q = R^{r_q} is  u_j -> gen_images[q][j], and the induced
     complexes for Tor are assembled from action matrices of the blocks;
+  * Tor^R(X, Y) of a right module X is read on a projective resolution of
+    X: the length-0 resolution 0 -> eR -> X -> 0 when X = eR for a
+    splitting idempotent e (`splitting_idempotent`, `SplitResolution`),
+    which gives [dim eY, 0, ..., 0], a free resolution otherwise;
   * Hochschild homology of R with coefficients in a bimodule M is computed
     both on a bar complex and as Tor over R^e via a projective resolution
     of R: the length-0 resolution R = R^e e when R has a separability
@@ -45,11 +49,19 @@ maps S into S and descends to the relative complex (the proof is in its
 docstring).  Degree 0 is C_0 = sum_i e_i M e_i, included into M and
 projected from it by `_BarBasis.include_c0` / `project_c0`.  Partial
 group homology H_n^par(G, X) = Tor_n^{kpar}(B, X) is `tor_dims` on
-kappa_par G.
+kappa_par G.  When |G| is invertible in the field, kappa_par G, a product
+of matrix algebras over group algebras of subgroups of G
+(Dokuchaev-Exel-Piccione, J. Algebra 226, 2000), is semisimple, and so is
+kappa_par^{sigma''} G, a crossed product of the commutative semisimple
+B^{sigma''} by G (Bagio-Lazzarin-Paques, Comm. Algebra 38, 2010).  Then B,
+Omega and B^sigma are projective, and each that one vector generates
+resolves in length 0 through its splitting idempotent.
 """
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 
 from .errors import (EquivarianceFailure, InvalidInput, SizeLimit,
                      ValidationFailure)
@@ -60,12 +72,13 @@ from .algebras import (ModuleData, ValidationReport, bimodule_hom,
 from .linalg import (QuotientSpace, Subspace, _char, _Echelon, _kernel_of,
                      _nonzero, _rank_of, _sp_combination,
                      _sp_identity, _sp_matmul, _sp_matvec, _sp_sum,
-                     _sp_transpose, coordinates_in)
+                     _sp_transpose, coordinates_in, solve)
 
 __all__ = [
     "ChainComplex", "relative_bar_complex",
     "homology_dims_of_complex",
     "HomologyData", "homology_data", "FreeResolution", "free_resolution",
+    "SplitResolution", "splitting_idempotent", "check_splitting_idempotent",
     "tor_dims", "hochschild_homology_bar",
     "hochschild_homology_resolution", "hochschild_homology_separable",
     "GModuleOnChains", "diagonal_action",
@@ -413,15 +426,85 @@ def homology_data(cc, q):
 class FreeResolution:
     """X <- F_0 <- F_1 <- ... with F_q = R^{ranks[q]}; gen_images[0] lives
     in X, gen_images[q] (q >= 1) in kappa^{ranks[q-1] * dim R}, all of them
-    as sparse {index: value} rows of the linalg kernel."""
+    as sparse {index: value} rows of the linalg kernel.  `extend` builds
+    it, in place, to any length (`free_resolution`)."""
 
-    def __init__(self, R, module, side, ranks, gen_images):
+    def __init__(self, R, module, side, ranks=None, gen_images=None,
+                 style="greedy", cap=None):
+        if style not in RESOLUTION_STYLES:
+            raise InvalidInput(f"unknown resolution style {style!r}: expected "
+                               f"one of {', '.join(RESOLUTION_STYLES)}")
         self.R = R
         self.module = module
         self.side = side
-        self.ranks = ranks
-        self.gen_images = gen_images
+        self.ranks = [] if ranks is None else ranks
+        self.gen_images = [] if gen_images is None else gen_images
         self.acts = _action_table(R, side)
+        self.style = style
+        self.cap = DEFAULT_CHAIN_CAP if cap is None else cap
+
+    def extend(self, length):
+        """Build the degrees up to `length` not built yet; returns self.  A
+        resumed resolution forms the columns of its last degree again from
+        that degree's generators, instead of keeping them."""
+        K = self.R.field
+        d = self.R.dim
+        m = self.module.dim
+        p = _char(K)
+        style, cap = self.style, self.cap
+        ranks, gen_images = self.ranks, self.gen_images
+        mats = self.module.right if self.side == "right" else \
+            self.module.left
+
+        def module_images(v):
+            return [_sp_matvec(mat, v, p) for mat in mats]
+
+        def free_images(v):
+            return [_free_act(act, v, d, p) for act in self.acts]
+
+        start = len(ranks)
+        if start == 0:
+            # step 0: generators of the module itself, from the unit vectors
+            cand = _sp_identity(m)
+            if style == "greedy_reversed":
+                cand.reverse()
+            gens, prev = _select_generators(cand, module_images, p, cap, m)
+            _check_size(0, len(gens), d, cap)
+            ranks.append(len(gens))
+            gen_images.append(gens)
+            if _rank_of(K, [dict(c) for c in prev]) != m:
+                raise InvalidInput("augmentation not surjective")
+            start = 1
+        elif start <= length:
+            images_of = module_images if start == 1 else free_images
+            prev = [u for g in gen_images[-1] for u in images_of(g)]
+        for q in range(start, length + 1):
+            prev_tgt = m if q == 1 else ranks[q - 2] * d
+            ker = _kernel_of(K, _sp_transpose(prev, prev_tgt),
+                             ranks[q - 1] * d)
+            if style == "greedy_reversed":
+                ker.reverse()
+            gens, cols = _select_generators(ker, free_images, p, cap,
+                                            len(ker), fat=(style == "fat"))
+            _check_size(q, len(gens), d, cap)
+            ranks.append(len(gens))
+            gen_images.append(gens)
+            # d.d = 0 on the generators (hence everywhere: module maps)
+            if any(_sp_matmul(gens, prev, p)):
+                raise InvalidInput(f"d.d != 0 at degree {q}")
+            # exactness gate: image of d_q spans exactly ker(d_{q-1})
+            if ker and _rank_of(K, [dict(c) for c in cols]) != len(ker):
+                raise InvalidInput(f"resolution not exact at degree {q}")
+            prev = cols
+        return self
+
+    def tor_dims(self, Y_left, max_n):
+        """dim Tor_n^R(X, Y) for n <= max_n, X the right module resolved:
+        u_j (x) y -> sum_k w_k . y at block k."""
+        assert len(self.ranks) >= max_n + 2
+        m = Y_left.dim
+        return _induced_dims(self, [_sp_transpose(L, m) for L in Y_left.left],
+                             m, max_n)
 
 
 def _action_table(R, side):
@@ -449,23 +532,32 @@ def _free_act(act, vec, d, p):
     return _nonzero(out, p)
 
 
-def _select_generators(candidates, images_of, p, cap, fat=False):
+def _select_generators(candidates, images_of, p, cap, target, fat=False):
     """Module generators among the sparse `candidates`, taken in order, and
     their columns.  images_of(v) lists b_i . v for the basis b_i of R;
     R is unital, so they span R . v.  A candidate becomes a generator
     unless it lies in the span of the earlier generators' images (every
     one does when `fat`), and its images, formed once, are its columns.
-    Columns are kept only while there are at most `cap` of them: past
-    that the resolution is over its cap and is refused by the caller."""
+    `target` is the dimension of the module the candidates span (X at
+    step 0, the kernel after), which holds every image: once the span
+    reaches it, every later candidate and image lies in the span, so
+    nothing more is added or taken.  Columns are kept only while there
+    are at most `cap` of them: past that the resolution is over its cap
+    and is refused by the caller."""
     span = _Echelon(p)
     gens, cols = [], []
     for v in candidates:
-        if not (fat or span.add(dict(v))):
-            continue
+        if not fat:
+            if len(span) == target:
+                break
+            if not span.add(dict(v)):
+                continue
         gens.append(v)
         images = images_of(v)
         if not fat:
             for u in images:
+                if len(span) == target:
+                    break
                 span.add(dict(u))
         if len(gens) * len(images) <= cap:
             cols += images
@@ -478,10 +570,14 @@ def _check_size(q, rank_, d, cap):
                         f"dim {d} = {rank_ * d} exceeds cap {cap}")
 
 
-def free_resolution(R, module, side, length, style="greedy", cap=None):
+def free_resolution(R, module, side, length, style="greedy", cap=None,
+                    begun=None):
     """A free resolution of `module` (left or right R-module) of the given
     length (boundaries available for q <= length).  style: greedy | fat |
-    greedy_reversed (a second, genuinely different resolution).
+    greedy_reversed (a second, genuinely different resolution).  `begun`,
+    a FreeResolution of `module` built to a lower length (with its own R,
+    side, style and cap), is continued in place instead, so no degree is
+    built twice.
 
     F_0 is generated by unit vectors of the module and F_q (q >= 1) by
     vectors of ker d_{q-1}, both taken in order (reversed for
@@ -491,53 +587,98 @@ def free_resolution(R, module, side, length, style="greedy", cap=None):
     exactness are each checked on an elimination of their own.  Every
     F_q is checked against `cap` (default DEFAULT_CHAIN_CAP) before its
     columns outgrow it."""
-    if style not in RESOLUTION_STYLES:
-        raise InvalidInput(f"unknown resolution style {style!r}: expected "
-                           f"one of {', '.join(RESOLUTION_STYLES)}")
-    if cap is None:
-        cap = DEFAULT_CHAIN_CAP
-    K = R.field
-    d = R.dim
-    m = module.dim
-    p = _char(K)
-    ranks, gen_images = [], []
-    res = FreeResolution(R, module, side, ranks, gen_images)
-    mats = module.right if side == "right" else module.left
+    if begun is None:
+        begun = FreeResolution(R, module, side, style=style, cap=cap)
+    assert begun.module is module and begun.side == side
+    return begun.extend(length)
 
-    def module_images(v):
-        return [_sp_matvec(mat, v, p) for mat in mats]
 
-    def free_images(v):
-        return [_free_act(act, v, d, p) for act in res.acts]
+class SplitResolution:
+    """0 -> eR -> X -> 0: the length-0 projective resolution of a right
+    R-module X = eR, e a splitting idempotent (`splitting_idempotent`).
+    It covers every length."""
 
-    # step 0: generators of the module itself, taken from the unit vectors
-    cand = _sp_identity(m)
-    if style == "greedy_reversed":
-        cand.reverse()
-    gens, prev = _select_generators(cand, module_images, p, cap)
-    _check_size(0, len(gens), d, cap)
-    ranks.append(len(gens))
-    gen_images.append(gens)
-    if _rank_of(K, [dict(c) for c in prev]) != m:
-        raise InvalidInput("augmentation not surjective")
-    prev_tgt = m
-    for q in range(1, length + 1):
-        ker = _kernel_of(K, _sp_transpose(prev, prev_tgt), ranks[q - 1] * d)
-        if style == "greedy_reversed":
-            ker.reverse()
-        gens, cols = _select_generators(ker, free_images, p, cap,
-                                        fat=(style == "fat"))
-        _check_size(q, len(gens), d, cap)
-        ranks.append(len(gens))
-        gen_images.append(gens)
-        # d.d = 0 on the generators (hence everywhere: these are module maps)
-        if any(_sp_matmul(gens, prev, p)):
-            raise InvalidInput(f"d.d != 0 at degree {q}")
-        # exactness gate: image of d_q spans exactly ker(d_{q-1})
-        if ker and _rank_of(K, [dict(c) for c in cols]) != len(ker):
-            raise InvalidInput(f"resolution not exact at degree {q}")
-        prev, prev_tgt = cols, ranks[q - 1] * d
-    return res
+    def __init__(self, R, e):
+        self.R = R
+        self.e = e
+
+    def tor_dims(self, Y_left, max_n):
+        """[dim eY, 0, .., 0]: Tor_0^R(eR, Y) = eR (x)_R Y = eY, the image
+        of y -> e.y, and Tor_n = 0 for n >= 1, eR being projective."""
+        return [_rank_of(self.R.field, Y_left.left_matrix_of(self.e))] + \
+            [0] * max_n
+
+
+def splitting_idempotent(res, cap):
+    """e in R with X = eR for the right R-module X of `res`, a
+    FreeResolution built to degree >= 1; None when F_0 has more than one
+    generator or X is not projective.
+
+    With one generator x_0, F_0 = R and pi: R -> X, r -> x_0 r, is onto;
+    its kernel is the right ideal generated by the degree-1 generators
+    kappa, as the exactness gate of degree 1 checked.  Suppose x_0 e = x_0
+    and e kappa = 0 for every kappa.  Then:
+
+      * e ker(pi) = 0, and 1 - e lies in ker(pi), so e (1 - e) = 0 and
+        e = e^2;
+      * pi maps eR onto X, as pi(er) = x_0 e r = x_0 r, and one to one: if
+        x_0 e r = 0, er lies in ker(pi) and er = e (er) = 0.  So X = eR,
+        a summand of R = eR + (1 - e)R: X is projective and
+        0 -> eR -> X -> 0 a projective resolution of length 0, whence
+        Tor_n^R(X, Y) = 0 for n >= 1 and Tor_0 = eR (x)_R Y = eY, whose
+        dim is the rank of y -> e.y (`SplitResolution.tor_dims`);
+      * conversely, a projective X splits pi by a module map s, and e =
+        s(x_0) has x_0 e = pi(s(x_0)) = x_0 and e kappa = s(x_0 kappa) = 0.
+        So the system has no solution exactly when X is not projective.
+
+    One `solve` finds e: its d = dim R unknowns are e's coordinates, its
+    equations x_0 e = x_0 (dim X of them, read off X's right action on
+    x_0) and e kappa = 0 (d per kappa, the matrices of x -> x kappa).  The
+    number of equations is checked against `cap` before any row is built.
+    A solution is re-verified on R's own products and X's own action
+    (`check_splitting_idempotent`): a failure raises ValidationFailure,
+    never a fall-back to the free route."""
+    assert res.side == "right" and len(res.ranks) >= 2
+    if res.ranks[0] != 1:
+        return None
+    R, X = res.R, res.module
+    d, m = R.dim, X.dim
+    x0, = res.gen_images[0]
+    kappas = res.gen_images[1]
+    equations = m + len(kappas) * d
+    if equations > cap:
+        raise SizeLimit(f"splitting idempotent of {X.name} over {R.name}: "
+                        f"{m} + {len(kappas)} x {d} = {equations} equations "
+                        f"exceed cap {cap}")
+    rows = _sp_transpose([_sp_matvec(mat, x0, R.p) for mat in X.right], m)
+    for kappa in kappas:
+        rows += R.right_mult_matrix(kappa)
+    e = solve(R.field, rows, d, x0)
+    if e is None:
+        return None
+    check_splitting_idempotent(res, e).raise_if_failed()
+    return e
+
+
+def check_splitting_idempotent(res, e):
+    """e^2 = e, x_0 e = x_0 and e kappa = 0 for every degree-1 generator
+    kappa of `res`, recomputed from R's own products and X's own action,
+    not from the equations `splitting_idempotent` solved.  Over Q they are
+    checked on E = D e, D the least common denominator of e's entries, as
+    E^2 = D E, x_0 E = D x_0 and E kappa = 0, in int arithmetic."""
+    R, X = res.R, res.module
+    rep = ValidationReport(f"splitting idempotent of {X.name}")
+    x0, = res.gen_images[0]
+    D = lcm(*(a.denominator for a in e.values() if type(a) is Fraction))
+    E = {k: int(a * D) for k, a in e.items()}
+    if R.mul(E, E) != {k: D * a for k, a in E.items()}:
+        rep.fail("e^2 != e")
+    if X.act_right(x0, E) != {k: D * a for k, a in x0.items()}:
+        rep.fail("x_0 e != x_0")
+    for i, kappa in enumerate(res.gen_images[1]):
+        if R.mul(E, kappa):
+            rep.fail("e kappa != 0", i)
+    return rep
 
 
 def _induced_dims(res, cols_of, m, max_n):
@@ -568,15 +709,12 @@ def _induced_dims(res, cols_of, m, max_n):
 
 
 def tor_dims(R, X_right, Y_left, max_n, style="greedy", resolution=None):
-    """dim Tor_n^R(X, Y) for n <= max_n; a precomputed right resolution of
-    X may be supplied (it must reach degree max_n + 1)."""
+    """dim Tor_n^R(X, Y) for n <= max_n; a precomputed resolution of X may
+    be supplied: a FreeResolution that reaches degree max_n + 1, or a
+    SplitResolution."""
     res = resolution if resolution is not None else \
         free_resolution(R, X_right, "right", max_n + 1, style=style)
-    assert len(res.ranks) >= max_n + 2
-    # boundary Y^{r_q} -> Y^{r_{q-1}}: u_j (x) y -> sum_k w_k . y at block k
-    m = Y_left.dim
-    return _induced_dims(res, [_sp_transpose(L, m) for L in Y_left.left], m,
-                         max_n)
+    return res.tor_dims(Y_left, max_n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .factor_sets import (check_good_factor_set_identities, involution_star,
                           product)
 from .groups import cyclic_group, direct_product, exel_size_closed_form, \
     symmetric_group
-from .homology import tor_dims
+from .homology import SplitResolution, tor_dims
 from .partial_algebras import (build_kpar, build_kpar_sigma,
                                phi_psi_crossed_iso)
 from .problems import build_instance, bundled_fixtures, load_fixture
@@ -151,10 +151,13 @@ def criterion_factor_calculus(instances):
 
 
 def criterion_resolution_independence(instances):
+    """Tor^{kpar}(B, H_0(A, M)) on the greedy, greedy_reversed and (on
+    small kpar) fat free resolutions of B and, where B splits, on the
+    length-0 resolution through its splitting idempotent."""
     def run():
         ok = True
         details = []
-        from .spectral import module_tower
+        from .spectral import module_tower, resolution_start
         for fname, spec, inst in instances:
             _, tower = module_tower(inst, 0)
             _, mod0, _ = tower[0]
@@ -164,6 +167,9 @@ def criterion_resolution_independence(instances):
                 styles.append("fat")
             dims = [tor_dims(inst.kpar.algebra, B_right, mod0, 2, style=st)
                     for st in styles]
+            start = resolution_start(inst, B_right)
+            if isinstance(start, SplitResolution):
+                dims.append(start.tor_dims(mod0, 2))
             same = all(d == dims[0] for d in dims)
             details.append((fname, dims[0], same))
             ok = ok and same

@@ -25,13 +25,14 @@ from .algebras import (AlgebraHom, ModuleData, bimodule_hom,
                        commutator_quotient, group_algebra, hom_over_algebra,
                        orthogonalize_idempotents, regular_bimodule,
                        restrict_along_hom, tensor_over_algebra)
-from .homology import (_crossed_action_matrices, diagonal_action,
+from .homology import (FreeResolution, SplitResolution,
+                       _crossed_action_matrices, diagonal_action,
                        env_resolution, free_resolution,
                        hochschild_homology_bar, hochschild_homology_resolution,
                        hochschild_homology_separable,
                        hom_A_module_structure, homology_dims_of_complex,
                        induced_action_on_homology, relative_bar_complex,
-                       tor_dims)
+                       splitting_idempotent, tor_dims)
 from .linalg import (_char, _Echelon, _rank_of, _sp_combination, _sp_matmul,
                      _sp_matvec, _sp_sum, _sp_transpose)
 
@@ -164,14 +165,33 @@ def a_bar_complex(inst, length, dual=False):
 
 
 def right_resolution(inst, module, length):
-    """A free resolution of `module` as a right module over the algebra it
-    lives on, bounded by the instance's chain cap and memoized on the
-    instance per module; the modules are the instance's own (B and Omega
-    over kappa_par G, B^sigma over kappa_par^{sigma''} G)."""
+    """The instance's resolution of `module` as a right module over the
+    algebra it lives on (B and Omega over kappa_par G, B^sigma over
+    kappa_par^{sigma''} G), reaching degree `length`, bounded by the
+    instance's chain cap and memoized on the instance per module.  The
+    route is picked once per module (`resolution_start`): the length-0
+    resolution 0 -> eR -> X -> 0 when X = eR for a verified splitting
+    idempotent e, otherwise the free resolution, continued from the
+    degrees the splitting attempt built."""
+    start = resolution_start(inst, module)
+    if isinstance(start, SplitResolution):
+        return start
     return inst.longest(("resolution", module), length,
-                        lambda l: free_resolution(module.algebra, module,
-                                                  "right", l,
-                                                  cap=inst.chain_cap))
+                        lambda l: free_resolution(start.R, module, "right",
+                                                  l, begun=start))
+
+
+def resolution_start(inst, module):
+    """The SplitResolution of `module` when it has a splitting idempotent
+    (`splitting_idempotent`, tried on the free resolution begun to degree
+    1), else that begun FreeResolution.  Memoized on the instance."""
+    def attempt(_):
+        R = module.algebra
+        begun = FreeResolution(R, module, "right",
+                               cap=inst.chain_cap).extend(1)
+        e = splitting_idempotent(begun, inst.chain_cap)
+        return begun if e is None else SplitResolution(R, e)
+    return inst.longest(("resolution start", module), 0, attempt)
 
 
 def enveloping_resolution(inst, R, length):

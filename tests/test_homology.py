@@ -23,14 +23,17 @@ from parhox.errors import (EquivarianceFailure, InvalidInput, SizeLimit,
 from parhox.groups import cyclic_group
 from parhox import homology, spectral
 from parhox.homology import (DEFAULT_CHAIN_CAP, ChainComplex,
-                             GModuleOnChains, _crossed_action_matrices,
-                             diagonal_action, env_resolution, free_resolution,
+                             FreeResolution, GModuleOnChains,
+                             SplitResolution, _crossed_action_matrices,
+                             check_splitting_idempotent, diagonal_action,
+                             env_resolution, free_resolution,
                              hochschild_homology_bar,
                              hochschild_homology_resolution,
                              hochschild_homology_separable,
                              hom_A_module_structure, homology_data,
                              induced_action_on_homology,
-                             m_as_a_bimodule, relative_bar_complex, tor_dims)
+                             m_as_a_bimodule, relative_bar_complex,
+                             splitting_idempotent, tor_dims)
 from parhox.linalg import (_rank_of, _sp_identity, _sp_matmul, _sp_sum,
                            _sp_transpose, _sparse, _sparse_matrix)
 from parhox.partial_actions import build_crossed_product
@@ -369,6 +372,181 @@ def test_separability_system_is_checked_against_the_cap():
     inst.chain_cap = 15
     with pytest.raises(SizeLimit, match="16 unknowns exceed cap 15"):
         inst.lam_separability
+
+
+# the modules of the battery that split (X = eR for a splitting idempotent
+# e), per fixture; the others take the free route
+SPLIT_ROUTES = {
+    "v4_partial_q.json": {"B", "Omega", "Bsigma"},
+    "z2_dual_f2.json": {"Omega"},
+    "z2_dual_q.json": {"B", "Omega", "Bsigma"},
+    "z2_trivial_f2.json": {"Omega"},
+    "z2_trivial_q.json": {"B", "Omega", "Bsigma"},
+    "z2_twist2_q.json": {"B", "Omega", "Bsigma"},
+    "z2_twist4_f7.json": {"B", "Omega", "Bsigma"},
+    "z2_twist_third_q.json": {"B", "Omega", "Bsigma"},
+    "z3_kappa2_f3.json": {"Omega", "Bsigma"},
+    "z3_kappa2_q.json": {"B", "Omega", "Bsigma"},
+    "z3_unnormalized_q.json": {"B", "Omega", "Bsigma"},
+}
+
+
+def right_modules(inst):
+    """The right modules the battery resolves: B and Omega over kappa_par
+    G, B^sigma over kappa_par^{sigma''} G."""
+    return {"B": inst.b_over_kpar[1], "Omega": inst.omega_right_over_kpar,
+            "Bsigma": inst.bsig_modules_over_ksdd[1]}
+
+
+def test_split_routes_are_pinned():
+    assert sorted(SPLIT_ROUTES) == bundled_fixtures()
+    for fixture, split in SPLIT_ROUTES.items():
+        inst = build_instance(load_fixture(fixture))
+        routes = {label: spectral.resolution_start(inst, X)
+                  for label, X in right_modules(inst).items()}
+        assert {label for label, res in routes.items()
+                if isinstance(res, SplitResolution)} == split, fixture
+        for label, res in routes.items():
+            if label not in split:
+                # the free route continues the resolution the splitting
+                # attempt began, built to degree 1 with one generator
+                assert isinstance(res, FreeResolution)
+                assert res.ranks[0] == 1 and len(res.ranks) == 2
+                X = res.module
+                assert spectral.right_resolution(inst, X, 3) is res
+                assert len(res.ranks) == 4
+
+
+@pytest.mark.parametrize("fixture", bundled_fixtures())
+def test_split_route_matches_every_free_style(fixture, monkeypatch):
+    # every Tor that the battery reads off a split resolution, against the
+    # greedy, greedy_reversed and fat free resolutions of the same module;
+    # fat to Tor_1 only where R has dim > 8 (on v4_partial_q its length-3
+    # resolution of B has 4 332 generators)
+    calls = []
+    original = spectral.tor_dims
+
+    def recorded(R, X, Y, max_n, **kwargs):
+        calls.append((R, X, Y, max_n, kwargs.get("resolution")))
+        return original(R, X, Y, max_n, **kwargs)
+
+    monkeypatch.setattr(spectral, "tor_dims", recorded)
+    inst = build_instance(load_fixture(fixture))
+    report, _, _ = spectral.run_all_checks(inst)
+    assert report.ok
+    split = [call for call in calls if isinstance(call[4], SplitResolution)]
+    assert {id(X) for _, X, _, _, _ in split} == {
+        id(right_modules(inst)[label]) for label in SPLIT_ROUTES[fixture]}
+    for R, X, Y, max_n, res in split:
+        dims = res.tor_dims(Y, max_n)
+        assert dims[1:] == [0] * max_n
+        for style in ("greedy", "greedy_reversed", "fat"):
+            n = 1 if style == "fat" and R.dim > 8 else max_n
+            assert tor_dims(R, X, Y, n, style=style) == dims[:n + 1], style
+
+
+@pytest.mark.parametrize("fixture", ["z2_trivial_q.json", "v4_partial_q.json",
+                                     "z2_twist4_f7.json"])
+def test_a_changed_splitting_idempotent_is_rejected(fixture, monkeypatch):
+    # every single-entry change of e, zero entries included, fails the
+    # re-verification on R's own products: it raises, and never falls back
+    # to the free route
+    inst = build_instance(load_fixture(fixture))
+    splits = []
+    for X in right_modules(inst).values():
+        begun = FreeResolution(X.algebra, X, "right").extend(1)
+        e = splitting_idempotent(begun, DEFAULT_CHAIN_CAP)
+        assert check_splitting_idempotent(begun, e).ok
+        splits.append((begun, e))
+    for begun, e in splits:
+        R = begun.R
+        for k in range(R.dim):
+            bad = [dict(e)]
+            bump(R.field, bad, 0, k)
+            monkeypatch.setattr(homology, "solve",
+                                lambda *args, _bad=bad[0]: _bad)
+            with pytest.raises(ValidationFailure,
+                               match="splitting idempotent of"):
+                splitting_idempotent(begun, DEFAULT_CHAIN_CAP)
+
+
+def test_non_projective_and_two_generator_modules_take_the_free_route():
+    # B over kappa_par Z2 over F_2 and over kappa_par Z3 over F_3 is not
+    # projective: the splitting system has no solution; B + B needs two
+    # generators, so no system is set up
+    for fixture in ("z2_trivial_f2.json", "z3_kappa2_f3.json"):
+        inst = build_instance(load_fixture(fixture))
+        _, B = inst.b_over_kpar
+        begun = FreeResolution(B.algebra, B, "right").extend(1)
+        assert begun.ranks[0] == 1
+        assert splitting_idempotent(begun, DEFAULT_CHAIN_CAP) is None
+        assert isinstance(spectral.resolution_start(inst, B), FreeResolution)
+    inst = build_instance(load_fixture("z2_trivial_q.json"))
+    B_left, B = inst.b_over_kpar
+    m = B.dim
+    BB = ModuleData(B.algebra, 2 * m, right=[
+        mat + [{c + m: a for c, a in row.items()} for row in mat]
+        for mat in B.right], name="B + B")
+    BB.validate().raise_if_failed()
+    res = spectral.resolution_start(inst, BB)
+    assert isinstance(res, FreeResolution) and res.ranks[0] == 2
+    assert tor_dims(B.algebra, BB, B_left, 2,
+                    resolution=spectral.right_resolution(inst, BB, 3)) == \
+        [2 * d for d in spectral.right_resolution(inst, B, 3).tor_dims(
+            B_left, 2)]
+
+
+@pytest.mark.parametrize("fixture", bundled_fixtures())
+def test_the_battery_resolves_no_split_module_freely(fixture, monkeypatch):
+    # free_resolution is called on the modules without a splitting
+    # idempotent only, once each, continuing the begun resolution
+    called = []
+    original = spectral.free_resolution
+
+    def recorded(R, module, side, length, **kwargs):
+        called.append((module, kwargs.get("begun")))
+        return original(R, module, side, length, **kwargs)
+
+    monkeypatch.setattr(spectral, "free_resolution", recorded)
+    inst = build_instance(load_fixture(fixture))
+    assert spectral.run_all_checks(inst)[0].ok
+    modules = right_modules(inst)
+    free = [modules[label] for label in sorted(modules)
+            if label not in SPLIT_ROUTES[fixture]]
+    assert sorted(map(id, (X for X, _ in called))) == sorted(map(id, free))
+    assert all(begun is spectral.resolution_start(inst, X)
+               for X, begun in called)
+
+
+@pytest.mark.parametrize("style", ["greedy", "greedy_reversed", "fat"])
+def test_a_resumed_resolution_equals_one_built_at_once(style):
+    # continued from degree 0 and from degree 1, the columns of the last
+    # degree are formed again from its generators; left and right modules
+    inst = build_instance(load_fixture("z3_kappa2_f3.json"))
+    _, B = inst.b_over_kpar
+    lam = build_instance(load_fixture("z2_dual_q.json")).lam.algebra
+    env, whole = env_resolution(lam, 3, style=style)
+    for R, X, side, want in [
+            (B.algebra, B, "right",
+             free_resolution(B.algebra, B, "right", 3, style=style)),
+            (env, whole.module, "left", whole)]:
+        for first in (0, 1):
+            res = free_resolution(R, X, side, first, style=style)
+            assert free_resolution(R, X, side, 3, begun=res) is res
+            assert (res.ranks, res.gen_images) == \
+                (want.ranks, want.gen_images)
+
+
+def test_splitting_system_is_checked_against_the_cap():
+    # B over kappa_par Z2 (dim 3): one generator of dim 2 and one kappa
+    inst = build_instance(load_fixture("z2_dual_q.json"))
+    _, B = inst.b_over_kpar
+    begun = FreeResolution(B.algebra, B, "right").extend(1)
+    assert splitting_idempotent(begun, 5) is not None
+    with pytest.raises(SizeLimit) as err:
+        splitting_idempotent(begun, 4)
+    assert str(err.value) == ("splitting idempotent of module over kpar(Z2): "
+                              "2 + 1 x 3 = 5 equations exceed cap 4")
 
 
 def _add_a_non_cycle(images_of, gens, cols):

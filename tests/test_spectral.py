@@ -294,7 +294,8 @@ def test_m_over_a_is_built_once_from_the_final_module(tmp_path, monkeypatch,
 def test_coordinates_never_solve_a_system(fixture, monkeypatch):
     # the crossed product, B^sigma, the induced module actions, the homology
     # coordinates and the Hom bridge read coordinates off a basis; only the
-    # separability idempotent is a linear system
+    # separability idempotent and the splitting idempotents of B, Omega and
+    # B^sigma are linear systems
     callers = []
     solve = linalg.solve
 
@@ -308,7 +309,8 @@ def test_coordinates_never_solve_a_system(fixture, monkeypatch):
             monkeypatch.setattr(module, "solve", traced)
     report, _, _ = run_all_checks(build_instance(load_fixture(fixture)))
     assert report.ok
-    assert set(callers) == {"separability_idempotent"}
+    assert set(callers) == {"separability_idempotent",
+                            "splitting_idempotent"}
 
 
 @pytest.mark.parametrize("group, field", [
