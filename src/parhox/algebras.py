@@ -25,11 +25,13 @@ Convention table (used consistently by every module):
     1 (x) b, so an A**e-linear condition is one on the two actions
     (`bimodule_hom`, `bimodule_tensor`), and A**e itself is built only
     for the free A**e-modules of a resolution;
-  * `A.generators` are basis indices whose words span A.  A property that
-    holds for 1 and for the generators, and whose holders are closed under
-    products, holds on all of A (they form a unital subalgebra);
-    associativity, the module axioms, Hom, balanced tensors, commutators
-    and separability are decided over the generators only.
+  * `A.generators` are an irredundant set of basis indices whose words
+    span A.  A property that holds for 1 and for the generators, and whose
+    holders are closed under products, holds on all of A (they form a
+    unital subalgebra); associativity, the module axioms, Hom, balanced
+    tensors, commutators and separability are decided over the generators
+    only, and give the same answers and coordinates over any generating
+    set.
 """
 
 from functools import cached_property
@@ -122,16 +124,42 @@ class StructureAlgebra:
 
     @cached_property
     def generators(self):
-        """Basis indices, increasing, whose words span the algebra; built
-        once, on first use, from `sc`.  b_i is kept unless it lies
-        in the closure of the unit under left multiplication by the earlier
-        picks already.
+        """An irredundant set of basis indices, increasing, whose words
+        span the algebra; built once, on first use, from `sc`.
+
+        A greedy pass keeps b_i unless it lies in the closure of the unit
+        under left multiplication by the earlier picks already.  Then,
+        earliest pick first, each pick that the remaining picks generate
+        is dropped.  The picks left generate at every step, as the dropped
+        one lies in their closure.  A kept pick lies outside the closure
+        of the others as they were when it was tested, a superset of the
+        final others, so no final generator lies in the closure of the
+        rest: the set is irredundant.  On kappa_par^sigma G the greedy
+        pass keeps the e_g = ({1, g}, 1) ahead of the [g], and the pruning
+        drops them again wherever [g][g^-1] is a nonzero multiple of e_g.
 
         If the elements with some linear property contain 1 and are closed
         under products, they form a unital subalgebra, which is the whole
         algebra as soon as it holds the generators.  So (xy)z = x(yz) for
         all y, z (`validate`) and L(xy) = L(x) L(y) for all y
-        (`ModuleData.validate`) need checking for generators x only."""
+        (`ModuleData.validate`) need checking for generators x only, and
+        any generating set decides them alike.
+
+        Which generating set is used changes no coordinate either.  The
+        balancing relations x.b (x) y - x (x) b.y of the generators b span
+        those of every basis element, as
+        x.bc (x) y - x (x) bc.y = (x.b.c (x) y - x.b (x) c.y)
+                                  + (x.b (x) c.y - x (x) b.(c.y)),
+        and [A, M] is spanned by the [b, m] alike (`commutator_quotient`);
+        the maps commuting with the action of the generators are those
+        commuting with all of A (`hom_over_algebra`), and the solutions of
+        the separability system are the same (`separability_idempotent`).
+        The rows of a consistent linear system span the equations that
+        vanish on its solution set, so the row span, and with it its one
+        reduced row echelon form, depends on the solutions only.  The
+        `QuotientSpace` coordinates, the `_kernel_of` bases and the
+        solution `solve` returns are read off that form, so they do not
+        depend on the generating set."""
         span = Subspace(self.field, self.dim)
         elems = [self.unit] if span.add(self.unit) else []  # the closure
         picks = []
@@ -149,6 +177,12 @@ class StructureAlgebra:
                     w = self.mul({s: 1}, v)
                     if span.add(w):
                         elems.append(w)
+        # the closure of the other picks stops as soon as it holds b_i
+        for i in list(picks):
+            others = [{s: 1} for s in picks if s != i]
+            if any(closure.contains({i: 1})
+                   for closure in _growing_closure(self, others)):
+                picks.remove(i)
         return picks
 
     def mul(self, u, v):
@@ -458,16 +492,25 @@ class SubalgebraResult:
         self.inclusion = inclusion
 
 
-def subalgebra_span(A, gens):
-    """The subalgebra generated by gens, as a Subspace of A: the unit closed
-    under left multiplication by the gens, each element multiplied once."""
+def _growing_closure(A, gens):
+    """The unit closed under left multiplication by the gens (elements of
+    A), each element multiplied once: yields the one Subspace of A it
+    builds, first with the unit and then each time it grows."""
     span = Subspace(A.field, A.dim)
     vecs = [A.unit] if span.add(A.unit) else []
+    yield span
     for v in vecs:                      # vecs grows while it is read
         for g in gens:
             w = A.mul(g, v)
             if span.add(w):
                 vecs.append(w)
+                yield span
+
+
+def subalgebra_span(A, gens):
+    """The subalgebra generated by gens, as a Subspace of A."""
+    for span in _growing_closure(A, gens):
+        pass
     return span
 
 

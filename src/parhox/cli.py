@@ -111,7 +111,7 @@ def _emit(report, args):
 
 
 def _load_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -358,7 +358,9 @@ def main(argv=None):
         }
         print(_format(report))
         return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # a path that is missing, a directory or unreadable, or a file
+        # that is not UTF-8 JSON
         print(_format({"tool": "parhox", "ok": False,
                        "error": {"type": "IOError", "message": str(exc)}}))
         return 2

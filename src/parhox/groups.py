@@ -9,7 +9,7 @@ is always element index 0.
 from .errors import InvalidInput, SchemaError, SizeLimit
 
 __all__ = [
-    "FiniteGroup", "ExelMonoid", "enumerate_exel", "word_to_exel",
+    "FiniteGroup", "ExelMonoid", "enumerate_exel",
     "exel_size_closed_form", "cyclic_group", "direct_product",
     "symmetric_group",
 ]
@@ -229,16 +229,3 @@ def enumerate_exel(G, size_limit=100_000):
     elements.sort(key=lambda ag: (bin(ag[0]).count("1"), ag[0], ag[1]))
     assert len(elements) == expected
     return ExelMonoid(G, elements)
-
-
-def word_to_exel(monoid, word):
-    """Product in S(G) of a word in symbols ('g', i) and ('e', i)."""
-    acc = monoid.identity
-    for kind, i in word:
-        if kind == "g":
-            acc = monoid.mul(acc, monoid.gen(i))
-        elif kind == "e":
-            acc = monoid.mul(acc, monoid.e(i))
-        else:
-            raise InvalidInput(f"unknown symbol kind {kind!r}")
-    return monoid.elements[acc]

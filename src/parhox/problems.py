@@ -141,7 +141,7 @@ def _parse_options(opts):
 
 
 def parse_spec_file(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -23,6 +23,7 @@ from functools import partial
 
 from .algebras import (AlgebraHom, ModuleData, bimodule_hom,
                        commutator_quotient, group_algebra, hom_over_algebra,
+                       module_from_generator_actions,
                        orthogonalize_idempotents, regular_bimodule,
                        restrict_along_hom, tensor_over_algebra)
 from .homology import (FreeResolution, SplitResolution,
@@ -260,16 +261,18 @@ def assemble_E2(inst, max_p, max_q, dual=False):
 
 def _omega_tensor(inst, X_kpar):
     """Omega (x)_{kpar} X with its left kpar structure
-    r.(w (x) x) = rw (x) x, validated."""
-    T = tensor_over_algebra(inst.kpar.algebra, inst.omega_right_over_kpar,
-                            X_kpar)
+    r.(w (x) x) = rw (x) x, validated.  `tensor_map` proves descent and
+    gives the action for the generators r of kpar only; the other basis
+    elements act by the products that `module_from_generator_actions`
+    forms, which `validate` then checks against kpar's structure
+    constants."""
+    kpar = inst.kpar.algebra
+    T = tensor_over_algebra(kpar, inst.omega_right_over_kpar, X_kpar)
     om_alg = inst.omega.algebra
-    left_mats = []
-    for r in range(inst.kpar.dim):
-        img_in_omega = inst.omega.projection.apply(
-            inst.kpar.algebra.basis_vector(r))
-        left_mats.append(T.tensor_map(om_alg.left_mult_matrix(img_in_omega)))
-    OX = ModuleData(inst.kpar.algebra, T.dim, left=left_mats)
+    given = {r: T.tensor_map(om_alg.left_mult_matrix(
+                 inst.omega.projection.apply(kpar.basis_vector(r))))
+             for r in kpar.generators}
+    OX = module_from_generator_actions(kpar, T.dim, given)
     OX.validate().raise_if_failed()
     return OX
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+from parhox.errors import InvalidInput
 from parhox.fields import QQ
 from parhox.algebras import AlgebraHom, StructureAlgebra
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
@@ -266,6 +267,21 @@ def bump(K, rows, r, c):
         rows[r][c] = x
     else:
         del rows[r][c]
+
+
+# -- words in the Exel monoid -------------------------------------------------
+
+def word_to_exel(monoid, word):
+    """Product in S(G) of a word in symbols ('g', i) and ('e', i)."""
+    acc = monoid.identity
+    for kind, i in word:
+        if kind == "g":
+            acc = monoid.mul(acc, monoid.gen(i))
+        elif kind == "e":
+            acc = monoid.mul(acc, monoid.e(i))
+        else:
+            raise InvalidInput(f"unknown symbol kind {kind!r}")
+    return monoid.elements[acc]
 
 
 # -- reference for StructureAlgebra.generators -------------------------------

@@ -115,10 +115,14 @@ def test_validate_matches_dense_reference():
         assert got.notes == want.notes == []
     assert not doubled.validate().ok
     assert len(one_constant.validate().violations) == 158
-    # kappa_par S3 (dim 112) is decided over its 10 generators, exactly
-    kp = build_kpar(symmetric_group(3), QQ).algebra
+    # kappa_par S3 (dim 112) is decided over its 5 generators, exactly:
+    # the [g], g != 1
+    kt = build_kpar(symmetric_group(3), QQ)
+    kp = kt.algebra
     got = kp.validate()
-    assert len(kp.generators) == 10
+    assert len(kp.generators) == 5
+    assert kp.generators == [kt.position[kt.monoid.gen(g)]
+                             for g in range(1, 6)]
     assert got.ok and got.notes == []
 
 

@@ -239,6 +239,39 @@ def test_cli_malformed_json_is_machine_readable(tmp_path, capsys):
     assert doc["error"]["type"] == "IOError"
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+@pytest.mark.parametrize("where", ["validate", "--sigma", "--field"])
+def test_cli_unreadable_input_is_an_io_error(where, unreadable, tmp_path,
+                                             capsys):
+    # a directory, or a file that is not UTF-8, in place of a JSON file
+    bad = tmp_path / "bad.json"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"kind": "\xff\xfe"}')
+    argv = (["validate", str(bad)] if where == "validate"
+            else ["build-kpar", group_path("z2.json"), where, str(bad)])
+    code = main(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["ok"] is False
+    assert doc["error"]["type"] == "IOError"
+    assert "Traceback" not in captured.err
+
+
+def test_cli_permission_denied_is_an_io_error(monkeypatch, capsys):
+    # tests may run as a user that reads every file, so the refusal is
+    # raised where the command opens its input
+    def refused(path):
+        raise PermissionError(13, "Permission denied", path)
+    monkeypatch.setattr(cli, "_load_json", refused)
+    code = main(["validate", fixture_path("z2_trivial_q.json")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["error"]["type"] == "IOError"
+    assert "Permission denied" in doc["error"]["message"]
+
+
 def test_cli_internal_error_exits_3(monkeypatch, capsys):
     # a fault that is neither bad input nor a failed verdict; the parser,
     # built once per process, holds the command functions themselves, so

@@ -1,9 +1,10 @@
 import pytest
 
+from conftest import word_to_exel
 from parhox.errors import InvalidInput, SizeLimit
 from parhox.groups import (FiniteGroup, cyclic_group, direct_product,
                            enumerate_exel, exel_size_closed_form,
-                           symmetric_group, word_to_exel)
+                           symmetric_group)
 
 
 def test_group_validation():

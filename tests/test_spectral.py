@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (densify, z2_dual_numbers, z2_global_twist,
+from conftest import (bump, densify, z2_dual_numbers, z2_global_twist,
                       z2_universal, z2xz2_partial_idempotent, z3_kappa2_action)
 from parhox import (algebras, cli, homology, instance, linalg,
                     partial_actions, partial_algebras, spectral)
@@ -13,9 +13,11 @@ from parhox.fields import QQ, PrimeField
 from parhox.groups import cyclic_group
 from parhox.instance import Instance
 from parhox.factor_sets import PartialFactorSet, trivial_factor_set
-from parhox.problems import (build_instance, fixture_dir, load_fixture,
-                             parse_spec, parse_spec_file)
-from parhox.spectral import (assemble_E2, collapse_check_maclane,
+from parhox.errors import ValidationFailure
+from parhox.problems import (build_instance, bundled_fixtures, fixture_dir,
+                             load_fixture, parse_spec, parse_spec_file)
+from parhox.spectral import (_omega_tensor, assemble_E2,
+                             collapse_check_maclane,
                              collapse_check_separable, dimension_bound_check,
                              hochschild_oracle_check, lemma_B_tensor_omega,
                              module_tower, run_all_checks, SpectralCheckReport,
@@ -500,3 +502,58 @@ def test_cohomological_page_is_pinned(fixture):
     assert page.orientation == "cohomological"
     assert [[page.entry(p, q) for p in range(4)] for q in range(4)] == \
         COHOMOLOGICAL_PAGES[fixture]
+
+
+def omega_tensor_reference(inst, X_kpar):
+    """The left action on Omega (x)_{kpar} X of every basis element r of
+    kpar, each from its own `tensor_map` of left multiplication by r."""
+    kpar = inst.kpar.algebra
+    T = algebras.tensor_over_algebra(kpar, inst.omega_right_over_kpar,
+                                     X_kpar)
+    return [T.tensor_map(inst.omega.algebra.left_mult_matrix(
+                inst.omega.projection.apply(kpar.basis_vector(r))))
+            for r in range(kpar.dim)]
+
+
+@pytest.mark.parametrize("fixture", bundled_fixtures())
+def test_omega_tensor_matches_the_per_basis_element_maps(fixture):
+    # the generators' maps and their products give every basis element
+    # the action its own tensor map gives it
+    inst = build_instance(load_fixture(fixture))
+    _, tower = module_tower(inst, 1)
+    for _, X_kpar, _ in tower:
+        assert _omega_tensor(inst, X_kpar).left == \
+            omega_tensor_reference(inst, X_kpar)
+
+
+# the module axioms pin the generators' matrices on these fixtures; on the
+# Z2 fixtures kappa_par Z2 has the one generator [t], whose only relation is
+# [t]^3 = [t], and a changed matrix can still satisfy it (over F_2 every
+# single-entry change of the identity does), so no module gate can tell
+@pytest.mark.parametrize("fixture", ["v4_partial_q.json", "z3_kappa2_q.json",
+                                     "z3_kappa2_f3.json",
+                                     "z3_unnormalized_q.json"])
+def test_omega_tensor_rejects_a_changed_generator_matrix(fixture,
+                                                         monkeypatch):
+    inst = build_instance(load_fixture(fixture))
+    _, tower = module_tower(inst, 1)
+    tensor_map = algebras.TensorOverAlgebra.tensor_map
+    for _, X_kpar, _ in tower:
+        n = _omega_tensor(inst, X_kpar).dim
+        for t in range(len(inst.kpar.algebra.generators)):
+            for r in range(n):
+                for c in range(n):
+                    calls = []
+
+                    def changed(self, P=None, Q=None):
+                        rows = tensor_map(self, P, Q)
+                        if len(calls) == t:
+                            bump(inst.field, rows, r, c)
+                        calls.append(t)
+                        return rows
+                    monkeypatch.setattr(algebras.TensorOverAlgebra,
+                                        "tensor_map", changed)
+                    with pytest.raises(ValidationFailure):
+                        _omega_tensor(inst, X_kpar)
+                    monkeypatch.setattr(algebras.TensorOverAlgebra,
+                                        "tensor_map", tensor_map)
