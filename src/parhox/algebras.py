@@ -28,10 +28,13 @@ Convention table (used consistently by every module):
   * `A.generators` are an irredundant set of basis indices whose words
     span A.  A property that holds for 1 and for the generators, and whose
     holders are closed under products, holds on all of A (they form a
-    unital subalgebra); associativity, the module axioms, Hom, balanced
-    tensors, commutators and separability are decided over the generators
-    only, and give the same answers and coordinates over any generating
-    set.
+    unital subalgebra); associativity, the module axioms, algebra maps,
+    Hom, balanced tensors, commutators and separability are decided over
+    the generators only, and give the same answers and coordinates over
+    any generating set;
+  * a module given by the matrices of some generators is built and
+    checked by the same products (`WordPlan`): each generator's matrix
+    times each word's, once.
 """
 
 from functools import cached_property
@@ -51,7 +54,8 @@ __all__ = [
     "separability_idempotent", "check_separability_idempotent",
     "tensor_over_algebra", "bimodule_tensor", "hom_over_algebra",
     "bimodule_hom", "restrict_along_hom",
-    "regular_bimodule", "dual_bimodule", "module_from_generator_actions",
+    "regular_bimodule", "dual_bimodule", "WordPlan",
+    "module_from_generator_actions",
     "group_algebra", "commutator_quotient",
 ]
 
@@ -140,10 +144,14 @@ class StructureAlgebra:
 
         If the elements with some linear property contain 1 and are closed
         under products, they form a unital subalgebra, which is the whole
-        algebra as soon as it holds the generators.  So (xy)z = x(yz) for
-        all y, z (`validate`) and L(xy) = L(x) L(y) for all y
-        (`ModuleData.validate`) need checking for generators x only, and
-        any generating set decides them alike.
+        algebra as soon as it holds the generators.  So these gates check
+        generators x only, and any generating set decides them alike:
+        (xy)z = x(yz) for all y, z (`validate`); L(xy) = L(x) L(y) for all
+        y, and the commutation of the two sides (`ModuleData.validate`);
+        f(xy) = f(x) f(y) for all y (`AlgebraHom.verify`); and L(sw) =
+        L(s) L(w) for the words w, when a module is built from the
+        matrices of given generators s, which need not be these
+        (`WordPlan.module`, `module_from_generator_actions`).
 
         Which generating set is used changes no coordinate either.  The
         balancing relations x.b (x) y - x (x) b.y of the generators b span
@@ -177,8 +185,10 @@ class StructureAlgebra:
                     w = self.mul({s: 1}, v)
                     if span.add(w):
                         elems.append(w)
-        # the closure of the other picks stops as soon as it holds b_i
-        for i in list(picks):
+        # the closure of the other picks stops as soon as it holds b_i; the
+        # last pick needs none, as the others all come before it and the
+        # greedy pass found it outside the closure of those
+        for i in picks[:-1]:
             others = [{s: 1} for s in picks if s != i]
             if any(closure.contains({i: 1})
                    for closure in _growing_closure(self, others)):
@@ -314,8 +324,22 @@ class AlgebraHom:
                        self.source.p)
 
     def verify(self):
-        """f(b_i) f(b_j) = f(b_i b_j) for every pair of basis elements, and
-        f(1) = 1, both sides expanded by structure constants."""
+        """f(b_i) f(b_j) = f(b_i b_j) and f(1) = 1, both sides expanded by
+        structure constants.
+
+        `ok` is decided over the source's generators i and every j.  That
+        is exact: once f(1) = 1, the x with f(xy) = f(x) f(y) for every y
+        contain 1 and are closed under products, as f(xx'y) = f(x) f(x'y)
+        = f(x) f(x') f(y) = f(xx') f(y), so they are a unital subalgebra,
+        all of the source once it holds the generators.  Only a failed
+        pass sweeps every basis pair, so the violations are those of all
+        pairs, in order."""
+        rep = self._check(self.source.generators)
+        return rep if rep.ok else self._check(range(self.source.dim))
+
+    def _check(self, firsts):
+        """f(b_i) f(b_j) = f(b_i b_j) for i in firsts and every j, then
+        f(1) = 1."""
         rep = ValidationReport(f"hom {self.name}")
         src, tgt = self.source, self.target
         p = src.p
@@ -330,7 +354,8 @@ class AlgebraHom:
                     out[t] = out.get(t, 0) + c * e
             return _nonzero(out, p)
 
-        for i, fi in enumerate(imgs):
+        for i in firsts:
+            fi = imgs[i]
             for j, fj in enumerate(imgs):
                 lhs = combine((x * y, tsc.get((a, b), ()))
                               for a, x in fi.items() for b, y in fj.items())
@@ -829,52 +854,110 @@ def restrict_along_hom(hom, M):
                       name=f"{M.name} via {hom.name}")
 
 
-def module_from_generator_actions(A, dim, given, side="left"):
-    """Complete a module action specified only on generators of A.
+class WordPlan:
+    """The words in given generators of an algebra A, and the products of
+    their actions that a module over A is built and checked by.  It depends
+    on A and the generators alone, so one plan serves every module built
+    from matrices of the same generators (`module`).
 
-    `given` maps basis indices to action matrices (kernel rows).  The
-    closure tracks the span of algebra elements with known action: the
-    words in the generators, reached by left multiplication by them, each
-    known element multiplied by each generator once; the order of the
-    action product follows the side convention.
-    """
-    K = A.field
-    if dim == 0:
-        empty = [[] for _ in range(A.dim)]
-        if side == "left":
-            return ModuleData(A, 0, left=empty)
-        return ModuleData(A, 0, right=empty)
-    p = _char(K)
-    span = Subspace(K, A.dim)
-    known = []  # (algebra vector, action matrix as kernel rows)
+    The words are the unit, then each given generator s that the unit and
+    the earlier ones do not span (the others are not used), then each
+    product s.w (generator s, word w, the words read in order as they
+    grow) that is new to their span.  Every other product s.w, w not the
+    unit, is a relation, kept with the coordinates of s.w in the words,
+    and so is each basis element b_i.  Then `spans` tells whether the
+    words span A."""
 
-    def push(vec, mat):
-        if span.add(vec):
-            known.append((vec, mat))
+    def __init__(self, A, gens):
+        self.algebra = A
+        span = Subspace(A.field, A.dim, [A.unit])
+        words = [A.unit]
+        self.gens = []
+        for s in gens:
+            if span.add({s: 1}):
+                self.gens.append(s)
+                words.append({s: 1})
+        # (k, t) names the product s.w of the k-th word, generator s, and
+        # the t-th word w; w = 1 is skipped, as s.1 = s is a word
+        self.products = []     # (k, t) of each new word, in order
+        relations = []         # (k, t, s.w) of every other product
+        for t, w in enumerate(words):     # words grows while it is read
+            for k, s in enumerate(self.gens, 1) if t else ():
+                sw = A.mul({s: 1}, w)
+                if span.add(sw):
+                    self.products.append((k, t))
+                    words.append(sw)
+                else:
+                    relations.append((k, t, sw))
+        self.spans = span.dim == A.dim
+        self.relations, self.basis = [], []
+        if self.spans:
+            coords_of = coordinates_in(A.field, A.dim, words)
+            self.relations = [(k, t, coords_of(sw))
+                              for k, t, sw in relations]
+            self.basis = [coords_of({i: 1}) for i in range(A.dim)]
 
-    push(A.unit, _sp_identity(dim))
-    for i, mat in given.items():
-        push(A.basis_vector(i), mat)
-    for v, Mv in known:                 # known grows while it is read
-        if span.dim == A.dim:
-            break
-        for i, Mi in given.items():
-            w = A.mul({i: 1}, v)
-            # the product of the actions is formed only for a new w
-            if span.add(w):
-                known.append((w, _sp_matmul(Mi, Mv, p) if side == "left"
-                              else _sp_matmul(Mv, Mi, p)))
-    if span.dim < A.dim:
-        raise InvalidInput("the given generators do not generate the algebra")
-    coords_of = coordinates_in(K, A.dim, [u for (u, _) in known])
-    actions = []
-    for i in range(A.dim):
-        coords = coords_of(A.basis_vector(i))
-        actions.append(_sp_combination(
-            [(c, known[k][1]) for k, c in coords.items()], dim, p))
-    if side == "left":
-        return ModuleData(A, dim, left=actions)
-    return ModuleData(A, dim, right=actions)
+    def module(self, dim, given, side="left", name="module"):
+        """The module on K^dim in which each generator s of the plan acts
+        by given[s] (kernel rows) on `side`, every other element by the
+        products of those matrices; raises InvalidInput unless the words
+        span A and ValidationFailure unless it is a module.
+
+        The actions are built from one matrix per word: the identity for
+        the unit, given[s] for a generator s, and M_s M_w for a new word
+        s.w (M_w M_s on the right).  L(x) is the combination of the word
+        matrices by x's coordinates in the words, so L(w) = M_w for each
+        word.  Each relation s.w compares the product M_s M_w with
+        L(s.w); so every product of a generator and a word is formed
+        once, |generators| x (dim A - 1) of them, and s.1 = s needs none.
+
+        That decides exactly what `ModuleData.validate().ok` decides.  If
+        L is a module, every relation holds.  Conversely, if they all hold
+        then L(s) L(w) = L(sw) for every generator s and word w, so for
+        every y, the words being a basis; L(1) = 1 by construction; and
+        the x with L(xy) = L(x) L(y) for every y contain 1 and are closed
+        under products (L(xx'y) = L(x) L(x'y) = L(x) L(x') L(y) =
+        L(xx') L(y)), a unital subalgebra that holds the generators, so
+        all of A.  On the right, R(xy) = R(y) R(x) alike.  Only a failed
+        relation runs `validate` on L and raises its ValidationFailure,
+        whose violations are those of every basis pair, in order.  A
+        module of dim 0 forms no product."""
+        A = self.algebra
+        p = A.p
+        ok = True
+        actions = [[] for _ in range(A.dim)]
+        if dim:
+            if not self.spans:
+                raise InvalidInput("the given generators do not generate "
+                                   "the algebra")
+
+            def product(k, t):
+                return (_sp_matmul(mats[k], mats[t], p) if side == "left"
+                        else _sp_matmul(mats[t], mats[k], p))
+
+            def combination(coords):
+                return _sp_combination(
+                    [(c, mats[k]) for k, c in coords.items()], dim, p)
+
+            mats = [_sp_identity(dim)] + [given[s] for s in self.gens]
+            for k, t in self.products:
+                mats.append(product(k, t))
+            ok = all(product(k, t) == combination(coords)
+                     for k, t, coords in self.relations)
+            actions = [combination(coords) for coords in self.basis]
+        mod = (ModuleData(A, dim, left=actions, name=name) if side == "left"
+               else ModuleData(A, dim, right=actions, name=name))
+        if not ok:
+            mod.validate().raise_if_failed()
+        return mod
+
+
+def module_from_generator_actions(A, dim, given, side="left",
+                                  name="module"):
+    """The module on K^dim in which each generator i of A in `given` acts
+    by the matrix given[i] (kernel rows) on `side`, verified: the
+    `WordPlan` of the given generators, used once."""
+    return WordPlan(A, list(given)).module(dim, given, side, name)
 
 
 def commutator_quotient(M):

@@ -111,8 +111,13 @@ def _emit(report, args):
 
 
 def _load_json(path):
+    """The JSON document in the file at path; a file that is not UTF-8 or
+    not JSON raises an OSError that names the path (an IOError report)."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise OSError(f"{path}: {exc}") from None
 
 
 def _cap(args, default):
@@ -358,10 +363,11 @@ def main(argv=None):
         }
         print(_format(report))
         return 2
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         # a path that is missing, a directory or unreadable, or a file
-        # that is not UTF-8 JSON
-        print(_format({"tool": "parhox", "ok": False,
+        # that is not UTF-8 JSON (`_load_json`)
+        print(_format({"tool": "parhox", "command": args.command,
+                       "ok": False,
                        "error": {"type": "IOError", "message": str(exc)}}))
         return 2
     except Exception as exc:
@@ -370,7 +376,8 @@ def main(argv=None):
         # traceback is imported here to keep it out of start-up.
         import traceback
         traceback.print_exc()
-        print(_format({"tool": "parhox", "ok": False,
+        print(_format({"tool": "parhox", "command": args.command,
+                       "ok": False,
                        "error": {"type": "InternalError",
                                  "message": f"{type(exc).__name__}: {exc}"}}))
         return 3

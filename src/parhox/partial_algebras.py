@@ -37,8 +37,7 @@ from math import lcm
 from .errors import (CompletionDiverged, InvalidInput, NotARepresentation,
                      IsomorphismFailure, ValidationFailure)
 from .algebras import (AlgebraHom, ModuleData, StructureAlgebra,
-                       ValidationReport, module_from_generator_actions,
-                       subalgebra_span)
+                       ValidationReport, WordPlan, subalgebra_span)
 from .factor_sets import MonoidFactorSet, trivial_factor_set
 from .groups import enumerate_exel
 from .linalg import (_char, _sp_identity, _sp_matmul, _sp_sum,
@@ -121,16 +120,26 @@ class TwistedPartialGroupAlgebra:
                                 labels=labels,
                                 name=f"B^{self.sigma.name}"), positions
 
+    @cached_property
+    def word_plan(self):
+        """The `WordPlan` of the surviving [g], built once: every module
+        `group_module` builds over this algebra reads it."""
+        return WordPlan(self.algebra,
+                        [self.position[m] for m in map(self.monoid.gen,
+                                                       range(self.group.n))
+                         if m in self.position])
+
     def group_module(self, dim, matrix_of, side="left"):
-        """The validated module on kappa^dim in which each surviving
-        generator [g] acts by matrix_of(g), kernel rows on the given
-        `side` (`module_from_generator_actions`)."""
-        given = {self.position[m]: matrix_of(g) for g in range(self.group.n)
-                 if (m := self.monoid.gen(g)) in self.position}
-        mod = module_from_generator_actions(self.algebra, dim, given,
-                                            side=side)
-        mod.validate().raise_if_failed()
-        return mod
+        """The module on kappa^dim in which each surviving generator [g]
+        acts by matrix_of(g), kernel rows on the given `side`, verified
+        by the products that build it (`WordPlan.module`).  matrix_of is
+        called only for the [g] the plan uses: [1], a multiple of the
+        unit, is not one."""
+        plan = self.word_plan
+        g_of = {self.position.get(self.monoid.gen(g)): g
+                for g in range(self.group.n)}
+        return plan.module(dim, {s: matrix_of(g_of[s]) for s in plan.gens},
+                           side)
 
     def monomial_label(self, p):
         return self.monoid.label(self.surviving[p])

@@ -153,7 +153,9 @@ def parse_spec_file(path):
 
 def _parse_module(spec, lam):
     """The problem's bimodule over Lambda, its matrices converted to kernel
-    rows here, once; the Instance validates it."""
+    rows here, once; each side is verified as it is built
+    (`module_from_generator_actions`), and the Instance validates the
+    two together."""
     K = spec.field
     obj = spec.module
     dim = obj["dim"]
@@ -168,7 +170,7 @@ def _parse_module(spec, lam):
             given[labels.index(label)] = _sparse_matrix(
                 K, [[K.parse(c) for c in row] for row in mat])
         return module_from_generator_actions(lam.algebra, dim, given,
-                                             side=side)
+                                             side=side, name="M")
 
     left = right = None
     if "left" in obj:

@@ -21,11 +21,11 @@ The bar-route dims of H_*(Lambda, M) and H^*(Lambda, M) have one source,
 import time
 from functools import partial
 
-from .algebras import (AlgebraHom, ModuleData, bimodule_hom,
+from .algebras import (AlgebraHom, ModuleData, WordPlan, bimodule_hom,
                        commutator_quotient, group_algebra, hom_over_algebra,
-                       module_from_generator_actions,
                        orthogonalize_idempotents, regular_bimodule,
                        restrict_along_hom, tensor_over_algebra)
+from .errors import ValidationFailure
 from .homology import (FreeResolution, SplitResolution,
                        _crossed_action_matrices, diagonal_action,
                        env_resolution, free_resolution,
@@ -261,20 +261,35 @@ def assemble_E2(inst, max_p, max_q, dual=False):
 
 def _omega_tensor(inst, X_kpar):
     """Omega (x)_{kpar} X with its left kpar structure
-    r.(w (x) x) = rw (x) x, validated.  `tensor_map` proves descent and
-    gives the action for the generators r of kpar only; the other basis
-    elements act by the products that `module_from_generator_actions`
-    forms, which `validate` then checks against kpar's structure
-    constants."""
-    kpar = inst.kpar.algebra
-    T = tensor_over_algebra(kpar, inst.omega_right_over_kpar, X_kpar)
+    r.(w (x) x) = rw (x) x, verified.  Each [g] acts by the matrix
+    `tensor_map` gives for left multiplication by [g], which proves that
+    it descends; the matrix is then compared with T.pure([g]w, x) on every
+    basis pure tensor w (x) x.  The pure tensors span, so that pins it to
+    the map [g] induces, which the module axioms alone do not do where an
+    algebra has few relations (over kappa_par Z2, [t]^3 = [t] only).
+    `group_module` gives every other element the products of these
+    matrices, checked by the products that build them."""
+    kpar = inst.kpar
+    p = _char(inst.field)
+    T = tensor_over_algebra(kpar.algebra, inst.omega_right_over_kpar, X_kpar)
     om_alg = inst.omega.algebra
-    given = {r: T.tensor_map(om_alg.left_mult_matrix(
-                 inst.omega.projection.apply(kpar.basis_vector(r))))
-             for r in kpar.generators}
-    OX = module_from_generator_actions(kpar, T.dim, given)
-    OX.validate().raise_if_failed()
-    return OX
+    mx, my = om_alg.dim, X_kpar.dim
+    pure = [[T.pure({ix: 1}, {iy: 1}) for iy in range(my)]
+            for ix in range(mx)]
+
+    def matrix_of(g):
+        P = om_alg.left_mult_matrix(
+            inst.omega.projection.apply(kpar.gen_vector(g)))
+        mat = T.tensor_map(P)
+        for ix, gw in enumerate(_sp_transpose(P, mx)):     # [g] w_ix
+            for iy in range(my):
+                if _sp_matvec(mat, pure[ix][iy], p) != _sp_sum(
+                        ((a, pure[k][iy]) for k, a in gw.items()), p):
+                    raise ValidationFailure(
+                        f"Omega (x) X: [{g}] does not act as "
+                        f"w (x) x -> [{g}]w (x) x")
+        return mat
+    return kpar.group_module(T.dim, matrix_of)
 
 
 def tor_form_consistency(inst, report, max_p=2, max_q=1):
@@ -553,27 +568,36 @@ def structural_identity_suite(inst, report):
     phi_mat = _sp_transpose(phi_cols, TL.dim)
     ok_b = (TL.dim == lam.algebra.dim
             and _rank_of(K, [dict(c) for c in phi_cols]) == lam.algebra.dim)
-    # bimodule structure on B^sigma (x)_{B''} Lambda (X = B^sigma) and the
-    # intertwining phi(u . l . v) = u . phi(l) . v
-    left_mats, right_mats = [], []
-    for pos, (g, _) in enumerate(lam.basis_index):
-        u = lam.algebra.basis_vector(pos)
+    # bimodule structure on B^sigma (x)_{B''} Lambda (X = B^sigma): the
+    # generators u = a delta_g of Lambda act by the tensor maps of
+    # x -> x.[g^-1] (x) u.l and of 1 (x) l.u, every other basis element by
+    # the products of those that `WordPlan.module` forms and checks; the
+    # bimodule validate then decides the commutation of the two sides
+    lam_alg = lam.algebra
+    gens = lam_alg.generators
+    left_given, right_given = {}, {}
+    for s in gens:
+        g, _ = lam.basis_index[s]
+        u = lam_alg.basis_vector(s)
         gen_mono = inst.ksdd.monoid.gen(G.inv(g))
         x_act = bs_right.right_matrix_of(inst.ksdd.monomial_vector(gen_mono))
-        left_mats.append(TL.tensor_map(x_act, lam.algebra.left_mult_matrix(u)))
-        right_mats.append(TL.tensor_map(None,
-                                        lam.algebra.right_mult_matrix(u)))
-    TL_bimod = ModuleData(lam.algebra, TL.dim, left=left_mats,
-                          right=right_mats)
+        left_given[s] = TL.tensor_map(x_act, lam_alg.left_mult_matrix(u))
+        right_given[s] = TL.tensor_map(None, lam_alg.right_mult_matrix(u))
+    plan = WordPlan(lam_alg, gens)
+    TL_bimod = ModuleData(
+        lam_alg, TL.dim, left=plan.module(TL.dim, left_given).left,
+        right=plan.module(TL.dim, right_given, "right").right)
     bimod_rep = TL_bimod.validate()
     ok_e = bimod_rep.ok
-    for pos in range(lam.algebra.dim):
-        u = lam.algebra.basis_vector(pos)
-        if _sp_matmul(phi_mat, lam.algebra.left_mult_matrix(u), p) != \
-           _sp_matmul(left_mats[pos], phi_mat, p):
+    # phi(u . l . v) = u . phi(l) . v for the generators u, v: the u for
+    # which it holds on either side form a unital subalgebra
+    for s in gens:
+        u = lam_alg.basis_vector(s)
+        if _sp_matmul(phi_mat, lam_alg.left_mult_matrix(u), p) != \
+           _sp_matmul(left_given[s], phi_mat, p):
             ok_b = False
-        if _sp_matmul(phi_mat, lam.algebra.right_mult_matrix(u), p) != \
-           _sp_matmul(right_mats[pos], phi_mat, p):
+        if _sp_matmul(phi_mat, lam_alg.right_mult_matrix(u), p) != \
+           _sp_matmul(right_given[s], phi_mat, p):
             ok_b = False
     report.record("phi: Lambda = B^sigma (x) Lambda (bimodule iso)", ok_b)
     report.record("X (x)_{B''} Lambda bimodule axioms", ok_e,

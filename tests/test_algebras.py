@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (assert_kernel_rows, dense_kron, dense_map_on_quotient,
-                      dense_mult_matrix, dense_row, densify, dual_numbers,
-                      hom_from_matrix, hom_matrix, identity, matrix_algebra,
-                      matvec, product_field_algebra, rank, ref_rref,
-                      sparse_rows)
+from conftest import (assert_kernel_rows, bump, dense_kron,
+                      dense_map_on_quotient, dense_mult_matrix, dense_row,
+                      densify, dual_numbers, hom_from_matrix, hom_matrix,
+                      identity, matrix_algebra, matvec, product_field_algebra,
+                      rank, ref_rref, sparse_rows)
 from parhox.errors import InvalidInput, SizeLimit
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
-                             ValidationReport, bimodule_to_right_env_module,
+                             ValidationReport, WordPlan,
+                             bimodule_to_right_env_module,
                              commutator_quotient, enveloping, group_algebra,
                              hom_over_algebra, module_from_generator_actions,
                              opposite, orthogonalize_idempotents,
@@ -21,7 +22,8 @@ from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                              tensor_over_algebra)
 from parhox.groups import cyclic_group, symmetric_group
 from parhox.homology import DEFAULT_CHAIN_CAP
-from parhox.linalg import Subspace, _sp_identity, _sparse, _sparse_matrix
+from parhox.linalg import (Subspace, _sp_identity, _sp_matmul, _sparse,
+                           _sparse_matrix)
 from parhox.partial_algebras import build_kpar
 
 
@@ -174,6 +176,33 @@ def test_hom_verify_matches_dense_reference():
             got, want = bad.verify(), dense_verify(bad)
             assert want.violations, (hom.name, r, c)
             assert got.violations == want.violations, (hom.name, r, c)
+
+
+@pytest.mark.parametrize("fixture", ["v4_partial_q.json", "z3_kappa2_q.json",
+                                     "z3_kappa2_f3.json",
+                                     "z3_unnormalized_q.json"])
+def test_hom_verify_on_generators_matches_the_full_sweep(fixture):
+    # the instance's algebra maps, each image changed in one entry: the
+    # pass over the source's generators rejects what the sweep over every
+    # pair rejects, with the same violations
+    from parhox.problems import build_instance, load_fixture
+    inst = build_instance(load_fixture(fixture))
+    homs = [inst.omega.projection, inst.bsig.zeta, inst.kpar_to_ksdd,
+            inst.bsig_modules_over_ksdd[2]]
+    homs += [h for h in (inst.phi, inst.psi) if h is not None]
+    rejected = 0
+    for hom in homs:
+        assert hom.verify().ok and dense_verify(hom).ok, hom.name
+        K, n = hom.target.field, hom.target.dim
+        for j in range(hom.source.dim):
+            for t in {0, j % n}:
+                images = [dict(v) for v in hom.images]
+                bump(K, images, j, t)
+                bad = AlgebraHom(hom.source, hom.target, images, hom.name)
+                got, want = bad.verify(), dense_verify(bad)
+                assert got.violations == want.violations, (hom.name, j, t)
+                rejected += not got.ok
+    assert rejected
 
 
 @pytest.mark.parametrize("K", [QQ, PrimeField(2), PrimeField(3),
@@ -487,10 +516,11 @@ def test_module_from_generator_actions():
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_module_closure_multiplies_each_pair_once(side, monkeypatch):
-    # B over kappa_par(Z2 x Z2) (dim 20), rebuilt from its generators: the
-    # closure multiplies each known element by each generator once, on the
-    # left (56 products; pairing every two known elements made 334) and
-    # gives the same actions
+    # B over kappa_par(Z2 x Z2) (dim 20), rebuilt from the matrices of the
+    # three [g], g != 1 ([1] is the unit): the word plan multiplies each
+    # generator by each word but the unit once, in the algebra (3 x 19
+    # products); each module build then forms the 3 x 19 matching matrix
+    # products and no product in the algebra, and gives the same actions
     from parhox.problems import build_instance, load_fixture
     inst = build_instance(load_fixture("v4_partial_q.json"))
     kp = inst.kpar
@@ -498,7 +528,7 @@ def test_module_closure_multiplies_each_pair_once(side, monkeypatch):
     mats = mod.left if side == "left" else mod.right
     gens = [kp.position[kp.monoid.gen(g)] for g in range(inst.group.n)]
     A = kp.algebra
-    calls = []
+    calls, products = [], []
     mul = A.mul
 
     def counted(u, v):
@@ -506,10 +536,15 @@ def test_module_closure_multiplies_each_pair_once(side, monkeypatch):
         return mul(u, v)
 
     monkeypatch.setattr(A, "mul", counted)
-    out = module_from_generator_actions(A, mod.dim,
-                                        {i: mats[i] for i in gens}, side=side)
+    plan = WordPlan(A, gens)
+    assert A.dim == 20 and len(plan.gens) == 3
+    assert len(calls) == len(set(calls)) == 3 * 19
+    calls.clear()
+    monkeypatch.setattr("parhox.algebras._sp_matmul", lambda X, Y, p: (
+        products.append(1) or _sp_matmul(X, Y, p)))
+    out = plan.module(mod.dim, {i: mats[i] for i in plan.gens}, side)
     assert (out.left if side == "left" else out.right) == mats
-    assert len(calls) == len(set(calls)) == 56
+    assert not calls and len(products) == 3 * 19
 
 
 def test_commutator_quotient():

@@ -259,6 +259,25 @@ def test_cli_unreadable_input_is_an_io_error(where, unreadable, tmp_path,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("content", [b'{"kind": "\xff\xfe"}', b"{not json"],
+                         ids=["not_utf8", "bad_json"])
+@pytest.mark.parametrize("where", ["validate", "--sigma", "--field"])
+def test_cli_io_error_names_the_file_and_the_command(where, content,
+                                                     tmp_path, capsys):
+    # the report says which file could not be read, and by which command,
+    # as a ParhoxError report does
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = (["validate", str(bad)] if where == "validate"
+            else ["build-kpar", group_path("z2.json"), where, str(bad)])
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2 and doc["ok"] is False
+    assert doc["command"] == argv[0]
+    assert doc["error"]["type"] == "IOError"
+    assert doc["error"]["message"].startswith(f"{bad}: ")
+
+
 def test_cli_permission_denied_is_an_io_error(monkeypatch, capsys):
     # tests may run as a user that reads every file, so the refusal is
     # raised where the command opens its input
@@ -281,7 +300,7 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_instance", broken)
     code = main(["validate", fixture_path("z2_trivial_q.json")])
     doc = json.loads(capsys.readouterr().out)
-    assert code == 3 and doc["ok"] is False
+    assert code == 3 and doc["ok"] is False and doc["command"] == "validate"
     assert doc["error"] == {"type": "InternalError",
                             "message": "RuntimeError: broken invariant"}
 

@@ -12,10 +12,13 @@ import pytest
 from conftest import (absolute_diagonal_action, assert_kernel_rows, bump,
                       dense_row, densify, dual_numbers, sidedness)
 from parhox.algebras import (ModuleData, StructureAlgebra, ValidationReport,
-                             regular_bimodule)
+                             module_from_generator_actions, regular_bimodule)
+from parhox.errors import ValidationFailure
 from parhox.fields import QQ, PrimeField
 from parhox.homology import GModuleOnChains
-from parhox.linalg import _char, _sp_sum, _sparse_matrix
+from parhox.linalg import (Subspace, _char, _sp_combination, _sp_identity,
+                           _sp_matmul, _sp_sum, _sparse_matrix,
+                           coordinates_in)
 from parhox.problems import (build_instance, bundled_fixtures, fixture_dir,
                              load_fixture, parse_spec)
 from parhox.spectral import module_tower
@@ -344,6 +347,103 @@ def test_module_validate_dim_zero():
             rep = mod.validate()
             assert rep.ok
             assert_same(rep, dense_module_validate(mod))
+
+
+# -- WordPlan.module: the builder that group_module goes through --------------
+
+def completed_by_words(A, dim, given, side):
+    """Reference: the action of every basis element by the products of the
+    given generators' matrices, with no check.  The unit and the given
+    generators, then each element known so far times each generator, its
+    matrix the product of theirs when it is new to the span; each basis
+    element by its coordinates in them."""
+    K = A.field
+    p = _char(K)
+    span = Subspace(K, A.dim)
+    known = []
+    for vec, mat in [(A.unit, _sp_identity(dim))] + [
+            ({i: 1}, mat) for i, mat in given.items()]:
+        if span.add(vec):
+            known.append((vec, mat))
+    for v, Mv in known:
+        for i, Mi in given.items():
+            w = A.mul({i: 1}, v)
+            if span.add(w):
+                known.append((w, _sp_matmul(Mi, Mv, p) if side == "left"
+                              else _sp_matmul(Mv, Mi, p)))
+    coords_of = coordinates_in(K, A.dim, [u for u, _ in known])
+    return [_sp_combination([(c, known[k][1]) for k, c in
+                             coords_of({i: 1}).items()], dim, p)
+            for i in range(A.dim)]
+
+
+def group_modules(inst):
+    """The modules of positive dim that `group_module` builds, each with
+    the partial group algebra it is over."""
+    ktw_of = {id(inst.kpar.algebra): inst.kpar,
+              id(inst.ksdd.algebra): inst.ksdd}
+    mods = [*inst.bsig_modules_over_ksdd[:2], *inst.b_over_kpar]
+    for dual in (False, True):
+        for _, mod_kpar, mod_ksdd in module_tower(inst, 1, dual)[1]:
+            mods += [mod_kpar, mod_ksdd]
+    return [(ktw_of[id(m.algebra)], m) for m in mods if m is not None
+            and m.dim]
+
+
+@pytest.mark.parametrize("fixture", ["v4_partial_q.json", "z3_kappa2_q.json",
+                                     "z3_kappa2_f3.json",
+                                     "z3_unnormalized_q.json"])
+def test_word_plan_rejects_what_validate_rejects(fixture):
+    # one entry of one generator's matrix changed: the builder raises
+    # exactly when `validate` rejects the module the changed matrices
+    # complete to, with the same message and violations, and otherwise
+    # gives that module
+    inst = instance(fixture)
+    rejected = 0
+    for ktw, mod in group_modules(inst):
+        K, n = mod.algebra.field, mod.dim
+        side = "left" if mod.left is not None else "right"
+        mats = getattr(mod, side)
+        plan = ktw.word_plan
+        # each generator, each row, an entry on and one off the diagonal
+        for s, r, c in {(s, r, c) for s in plan.gens for r in range(n)
+                        for c in (r, (r + 1) % n)}:
+            given = {t: [dict(row) for row in mats[t]] for t in plan.gens}
+            bump(K, given[s], r, c)
+            want = ModuleData(mod.algebra, n, **{
+                side: completed_by_words(mod.algebra, n, given, side)})
+            rep = want.validate()
+            if rep.ok:
+                got = plan.module(n, given, side)
+                assert getattr(got, side) == getattr(want, side)
+                continue
+            with pytest.raises(ValidationFailure) as exc:
+                plan.module(n, given, side)
+            with pytest.raises(ValidationFailure) as ref:
+                rep.raise_if_failed()
+            assert str(exc.value) == str(ref.value)
+            assert exc.value.report.violations == rep.violations
+            rejected += 1
+    assert rejected
+
+
+def test_word_plan_builds_a_dim_zero_module_with_no_product(monkeypatch):
+    inst = instance("v4_partial_q.json")
+
+    def refused(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr("parhox.algebras._sp_matmul", refused)
+    for ktw in (inst.kpar, inst.ksdd):
+        plan = ktw.word_plan
+        A = ktw.algebra
+        monkeypatch.setattr(A, "mul", refused)
+        empty = [[] for _ in range(A.dim)]
+        for side in ("left", "right"):
+            for mod in (plan.module(0, {s: [] for s in plan.gens}, side),
+                        ktw.group_module(0, lambda g: [], side),
+                        module_from_generator_actions(A, 0, {}, side)):
+                assert mod.dim == 0 and getattr(mod, side) == empty
 
 
 # -- GModuleOnChains.gate ----------------------------------------------------

@@ -404,6 +404,8 @@ SHARED_BUILDERS = {
     "idempotent subalgebra": (
         partial_algebras.TwistedPartialGroupAlgebra.idempotent_subalgebra,
         "func", 1),
+    "word plan": (partial_algebras.TwistedPartialGroupAlgebra.word_plan,
+                  "func", 1),
     "crossed product": (partial_actions, "build_crossed_product", 0),
     "validate twisted": (partial_actions, "validate_twisted", 0),
 }
@@ -415,10 +417,11 @@ SHARED_BUILDERS = {
     os.path.join(os.path.dirname(__file__), "data", "universal_z4_f3.json")])
 def test_each_shared_structure_is_built_once(path, monkeypatch, capsys):
     # a `parhox spectral` run at default options builds A's bar complex,
-    # A (x)_{A^e} M, the [g]-matrices, the regular bimodules and the
-    # idempotent subalgebras once each, and Lambda at most twice: once
-    # more only when an unnormalized sigma is transported (Lambda_rho and
-    # Lambda_nu), with validate_twisted run once
+    # A (x)_{A^e} M, the [g]-matrices, the regular bimodules, the
+    # idempotent subalgebras and the word plans once each, and Lambda at
+    # most twice: once more only when an unnormalized sigma is transported
+    # (Lambda_rho and Lambda_nu), with validate_twisted run once; no
+    # module that group_module builds is validated a second time
     calls = {label: [] for label in SHARED_BUILDERS}
     for label, (home, attr, arity) in SHARED_BUILDERS.items():
         original = getattr(home, attr)
@@ -439,8 +442,23 @@ def test_each_shared_structure_is_built_once(path, monkeypatch, capsys):
     build = cli.build_instance
     monkeypatch.setattr(cli, "build_instance", lambda spec: (
         built.append(build(spec)) or built[-1]))
+    TPGA = partial_algebras.TwistedPartialGroupAlgebra
+    group_module, validate = TPGA.group_module, algebras.ModuleData.validate
+    open_builds, validated = [], []
+
+    def tracked_group_module(self, *args):
+        open_builds.append(self)
+        try:
+            return group_module(self, *args)
+        finally:
+            open_builds.pop()
+
+    monkeypatch.setattr(TPGA, "group_module", tracked_group_module)
+    monkeypatch.setattr(algebras.ModuleData, "validate", lambda self: (
+        validated.append(self) if open_builds else None) or validate(self))
     assert cli.main(["spectral", path]) == 0
     inst, = built
+    assert not validated
 
     def times(label, *key):
         return sum(all(a is b for a, b in zip(args, key))
@@ -453,6 +471,7 @@ def test_each_shared_structure_is_built_once(path, monkeypatch, capsys):
     assert times("regular", A) == times("regular", inst.lam.algebra) == 1
     assert times("idempotent subalgebra", inst.kpar) == 1
     assert times("idempotent subalgebra", inst.ksdd) == 1
+    assert times("word plan", inst.kpar) == times("word plan", inst.ksdd) == 1
     # and no other structure is built twice either
     for label, (_, _, arity) in SHARED_BUILDERS.items():
         if arity:
@@ -526,13 +545,31 @@ def test_omega_tensor_matches_the_per_basis_element_maps(fixture):
             omega_tensor_reference(inst, X_kpar)
 
 
-# the module axioms pin the generators' matrices on these fixtures; on the
-# Z2 fixtures kappa_par Z2 has the one generator [t], whose only relation is
-# [t]^3 = [t], and a changed matrix can still satisfy it (over F_2 every
-# single-entry change of the identity does), so no module gate can tell
-@pytest.mark.parametrize("fixture", ["v4_partial_q.json", "z3_kappa2_q.json",
-                                     "z3_kappa2_f3.json",
+@pytest.mark.parametrize("fixture", ["v4_partial_q.json",
                                      "z3_unnormalized_q.json"])
+def test_structural_suite_maps_only_lambdas_generators(fixture, monkeypatch):
+    # (b)/(e) take one tensor map per side for each generator of Lambda;
+    # the other basis elements act by products of those, and the records
+    # all pass
+    inst = build_instance(load_fixture(fixture))
+    calls = []
+    tensor_map = algebras.TensorOverAlgebra.tensor_map
+    monkeypatch.setattr(algebras.TensorOverAlgebra, "tensor_map",
+                        lambda self, P=None, Q=None: (
+                            calls.append(1) or tensor_map(self, P, Q)))
+    report = SpectralCheckReport(fixture)
+    structural_identity_suite(inst, report)
+    assert report.ok
+    assert len(calls) == 2 * len(inst.lam.algebra.generators) \
+        < 2 * inst.lam.algebra.dim
+
+
+# every single-entry change of a generator's matrix is rejected: the
+# module axioms alone do not pin it where kappa_par G has few relations
+# (kappa_par Z2 has the one generator [t] and the one relation
+# [t]^3 = [t], which over F_2 every single-entry change of the identity
+# keeps), so each matrix is compared with the pure tensors' images too
+@pytest.mark.parametrize("fixture", bundled_fixtures())
 def test_omega_tensor_rejects_a_changed_generator_matrix(fixture,
                                                          monkeypatch):
     inst = build_instance(load_fixture(fixture))
@@ -540,7 +577,7 @@ def test_omega_tensor_rejects_a_changed_generator_matrix(fixture,
     tensor_map = algebras.TensorOverAlgebra.tensor_map
     for _, X_kpar, _ in tower:
         n = _omega_tensor(inst, X_kpar).dim
-        for t in range(len(inst.kpar.algebra.generators)):
+        for t in range(len(inst.kpar.word_plan.gens)):
             for r in range(n):
                 for c in range(n):
                     calls = []
