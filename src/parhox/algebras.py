@@ -38,6 +38,8 @@ Convention table (used consistently by every module):
 """
 
 from functools import cached_property
+from itertools import islice
+from operator import lt
 
 from .errors import (InvalidInput, NotCommuting, NotIdempotent, SchemaError,
                      SizeLimit, ValidationFailure)
@@ -100,25 +102,34 @@ class ValidationReport:
 
 class StructureAlgebra:
     """Associative unital algebra given by sparse structure constants; the
-    unit and every element are kernel rows."""
+    unit and every element are kernel rows.
+
+    No code mutates a row of `sc` after construction, so one row object may
+    be the value of many keys: the builders of kappa_par^sigma G give
+    products with the same target and scalar one shared row."""
 
     def __init__(self, field, dim, sc, unit, labels=None, name=""):
         self.field = field
         self.p = _char(field)
         self.dim = dim
-        # one pass; a row is copied only to drop a zero coefficient or to
-        # store an integral Fraction, which Python arithmetic on field
-        # values can leave behind, as the int that `fields` makes of it;
-        # no code mutates a row after construction
-        self.sc = {}
-        for ij, row in sc.items():
+        # each distinct row object is normalized once: it is copied only to
+        # drop a zero coefficient or to store an integral Fraction, which
+        # Python arithmetic on field values can leave behind, as the int
+        # that `fields` makes of it, and an empty row is dropped; the ids
+        # are fixed while sc holds the rows
+        changed = {}       # id of a row that normalizing changes -> result
+        for key, row in {id(row): row for row in sc.values()}.items():
+            if not row:
+                changed[key] = row
             for _, c in row:
                 if not c or type(c) is not int and c.denominator == 1:
-                    row = [(k, c.numerator if c.denominator == 1 else c)
-                           for k, c in row if c]
+                    changed[key] = [
+                        (k, c.numerator if c.denominator == 1 else c)
+                        for k, c in row if c]
                     break
-            if row:
-                self.sc[ij] = row
+        self.sc = ({ij: norm for ij, row in sc.items()
+                    if (norm := changed.get(id(row), row))}
+                   if changed else dict(sc))
         self.unit = unit
         self.labels = labels or [f"b{i}" for i in range(dim)]
         self.name = name or f"algebra(dim={dim})"
@@ -279,9 +290,24 @@ class StructureAlgebra:
         return rep
 
     def to_json(self):
+        """dim, unit, labels and the structure constants [i, j, k, c] in
+        increasing (i, j).  `sc` is read as stored when one pass finds its
+        keys increasing already, and sorted otherwise; each distinct scalar
+        object is dumped once, found by its id, which is fixed while `sc`
+        holds the scalar."""
         K = self.field
-        sc = [[i, j, k, K.dump(c)] for (i, j), row in sorted(self.sc.items())
-              for (k, c) in row]
+        keys = list(self.sc)
+        items = self.sc.items()
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            items = sorted(items)
+        dumps = {}
+        sc = []
+        for (i, j), row in items:
+            for k, c in row:
+                d = dumps.get(id(c))
+                if d is None:
+                    d = dumps[id(c)] = K.dump(c)
+                sc.append([i, j, k, d])
         return {"dim": self.dim,
                 "unit": [K.dump(self.unit.get(i, 0)) for i in range(self.dim)],
                 "sc": sc, "labels": self.labels}
@@ -921,7 +947,12 @@ class WordPlan:
         all of A.  On the right, R(xy) = R(y) R(x) alike.  Only a failed
         relation runs `validate` on L and raises its ValidationFailure,
         whose violations are those of every basis pair, in order.  A
-        module of dim 0 forms no product."""
+        module of dim 0 forms no product.
+
+        A given matrix that the plan does not use (its element is spanned
+        by the unit and the earlier generators) must equal the action
+        L(s) the others complete, or ValidationFailure is raised: a module
+        in which s acts by given[s] is then no module over A at all."""
         A = self.algebra
         p = A.p
         ok = True
@@ -949,6 +980,12 @@ class WordPlan:
                else ModuleData(A, dim, right=actions, name=name))
         if not ok:
             mod.validate().raise_if_failed()
+        rep = ValidationReport(f"module {name}")
+        for s, mat in given.items():
+            if s not in self.gens and mat != actions[s]:
+                rep.fail("given matrix differs from the action it "
+                         "generates", side, A.labels[s])
+        rep.raise_if_failed()
         return mod
 
 

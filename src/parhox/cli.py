@@ -101,12 +101,26 @@ def _format(report):
     return write(report, 0)
 
 
+def _print(text):
+    """Print text to stdout and flush it.  If the reader has closed the
+    pipe (`parhox ... | head`), stdout is pointed at os.devnull instead,
+    so neither a later print nor the flush at exit raises, and the caller
+    still returns its verdict's exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report, args):
     text = _format(report)
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    _print(text)
     return 0 if report["ok"] else 1
 
 
@@ -275,8 +289,7 @@ def cmd_spectral(args):
     }
     doc = _report("spectral", raw, result, report.ok, t0)
     code = _emit(doc, args)
-    for line in _page_table(shown, max_p, max_q):
-        print(line)
+    _print("\n".join(_page_table(shown, max_p, max_q)))
     return code
 
 
@@ -361,12 +374,12 @@ def main(argv=None):
             "command": args.command, "ok": False,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        print(_format(report))
+        _print(_format(report))
         return 2
     except OSError as exc:
         # a path that is missing, a directory or unreadable, or a file
         # that is not UTF-8 JSON (`_load_json`)
-        print(_format({"tool": "parhox", "command": args.command,
+        _print(_format({"tool": "parhox", "command": args.command,
                        "ok": False,
                        "error": {"type": "IOError", "message": str(exc)}}))
         return 2
@@ -376,7 +389,7 @@ def main(argv=None):
         # traceback is imported here to keep it out of start-up.
         import traceback
         traceback.print_exc()
-        print(_format({"tool": "parhox", "command": args.command,
+        _print(_format({"tool": "parhox", "command": args.command,
                        "ok": False,
                        "error": {"type": "InternalError",
                                  "message": f"{type(exc).__name__}: {exc}"}}))

@@ -170,14 +170,14 @@ def _monoid_quotient(K, monoid, seeds, name):
                                 "is the whole algebra")
     surviving = [m for m in range(monoid.size) if m not in vanished]
     pos = {m: p for p, m in enumerate(surviving)}
-    one = K.one
+    rows = [[(t, K.one)] for t in range(len(surviving))]   # one per target
     sc = {}
     for p1, m1 in enumerate(surviving):
         row = mt[m1]
         for p2, m2 in enumerate(surviving):
             t = pos.get(row[m2])
             if t is not None:
-                sc[(p1, p2)] = [(t, one)]
+                sc[p1, p2] = rows[t]
     alg = StructureAlgebra(K, len(surviving), sc, {pos[monoid.identity]: 1},
                            labels=[monoid.label(m) for m in surviving],
                            name=name)
@@ -239,28 +239,39 @@ def _close_vanishing(monoid, sigma, vanished):
     return vanished
 
 
+def _presence(targ_row):
+    """The presence pattern of a target row: 1 where a product is present
+    (target >= 0), 0 where it is absent (-1); b"" when all are present."""
+    return bytes(map((-1).__lt__, targ_row)) if -1 in targ_row else b""
+
+
 def _build_table(monoid, sigma, vanished):
-    """Sparse (scalar, target) tables over the surviving monomials."""
+    """Sparse (scalar, target) tables over the surviving monomials.
+
+    A scalar row holds sigma(g, h) at each present product and None at
+    the others, so it depends on the grade g of its monomial and on which
+    of its products are present alone; the rows with the same grade and
+    the same presence pattern are one shared list, and no code mutates a
+    row.  The target rows are each their own."""
     zero = sigma.zero_pattern()
     surviving = [m for m in range(monoid.size) if m not in vanished]
     pos = {m: p for p, m in enumerate(surviving)}
     grades = [monoid.elements[m][1] for m in surviving]
-    n = len(surviving)
-    scal = [[None] * n for _ in range(n)]
-    targ = [[-1] * n for _ in range(n)]
-    for p1, m1 in enumerate(surviving):
-        g1 = grades[p1]
+    shared = {}            # (grade, presence pattern) -> scalar row
+    scal, targ = [], []
+    for m1, g1 in zip(surviving, grades):
         row = monoid.mul_table[m1]
-        srow, zrow = sigma.table[g1], zero[g1]
-        scal_row, targ_row = scal[p1], targ[p1]
-        for p2, m2 in enumerate(surviving):
-            g2 = grades[p2]
-            if zrow[g2]:
-                continue
-            t = pos.get(row[m2])
-            if t is not None:
-                scal_row[p2] = srow[g2]
-                targ_row[p2] = t
+        zrow = zero[g1]
+        targ_row = [-1 if zrow[g2] else pos.get(row[m2], -1)
+                    for m2, g2 in zip(surviving, grades)]
+        key = (g1, _presence(targ_row))
+        scal_row = shared.get(key)
+        if scal_row is None:
+            srow = sigma.table[g1]
+            scal_row = shared[key] = [srow[g2] if t >= 0 else None
+                                      for g2, t in zip(grades, targ_row)]
+        scal.append(scal_row)
+        targ.append(targ_row)
     return surviving, pos, scal, targ
 
 
@@ -287,17 +298,35 @@ def _int_rows(K, scal, targ):
     int and D = 1), so s1 s2 = s3 s4 exactly when w1 w2 = w3 w4 (mod p
     over F_p).  Cells without a target, the extra one included, get target
     -1 and scalar 0, so reading a row at the target -1 of an absent product
-    gives an absent product again."""
+    gives an absent product again.
+
+    An integer row depends on the scalar row and on its presence pattern
+    alone, so it is converted once per distinct pair of them, and the
+    monomials that share both share one integer row."""
+    keys = [(id(srow), _presence(trow)) for srow, trow in zip(scal, targ)]
+    distinct = dict(zip(keys, zip(scal, targ)))   # key -> one of its rows
     if K.characteristic:
         D = 1
     else:
-        D = lcm(*{s.denominator for srow, trow in zip(scal, targ)
+        D = lcm(*{s.denominator for srow, trow in distinct.values()
                   for s, t in zip(srow, trow) if t >= 0})
-    targets = [trow + [-1] for trow in targ]
-    ints = [[s.numerator * (D // s.denominator) if t >= 0 else 0
-             for s, t in zip(srow, trow)] + [0]
-            for srow, trow in zip(scal, targ)]
-    return targets, ints
+    rows = {key: [s.numerator * (D // s.denominator) if t >= 0 else 0
+                  for s, t in zip(srow, trow)] + [0]
+            for key, (srow, trow) in distinct.items()}
+    return [trow + [-1] for trow in targ], [rows[key] for key in keys]
+
+
+def _scalar_sweep(w1, wq, wj, wi, tj, p):
+    """The first k with w1 wq[k] != wj[k] wi[tj[k]] (mod p over F_p) on
+    integer rows of `_int_rows`, or the last index of the rows, whose
+    extra cell never differs."""
+    if p:
+        bad = (k for k, (a, b, t) in enumerate(zip(wq, wj, tj))
+               if (w1 * a - b * wi[t]) % p)
+    else:
+        bad = (k for k, (a, b, t) in enumerate(zip(wq, wj, tj))
+               if w1 * a != b * wi[t])
+    return next(bad, len(tj) - 1)
 
 
 def _associativity_defect(K, surviving, scal, targ, middles):
@@ -315,19 +344,28 @@ def _associativity_defect(K, surviving, scal, targ, middles):
     bracketing is nonzero, its monomial is the defect; when both are, the
     left one is (on tables over S(G) both land on the same monomial).
 
-    For each (x_i, x_j) the targets of x_i (x_j x_k) over all k form one
-    list, compared with the row of x_i x_j at once; the scalars are compared
-    only before the first target that differs, on the integers of
-    `_int_rows`.  An absent product has scalar 0 on both sides.
+    For each (x_i, x_j) the targets tq of (x_i x_j) x_k over all k form one
+    list, compared with the targets of x_i (x_j x_k) at once.  The scalars
+    count only before `stop`, the first k where those differ, and are
+    compared on the integers of `_int_rows`.  Before `stop` an absent
+    product is 0 on both sides: both targets are -1 there, and an integer
+    row holds 0 at every absent cell.  So the scalars w1 wq[k] and
+    wj[k] wi[tj[k]] (w1 = wi[j]) differ at some k < stop, where tq[k] >= 0
+    then, exactly when the first k at which they differ over the whole row
+    (`_scalar_sweep`) is below stop.  That first k depends on the integer
+    rows wi of x_i and wq of x_i x_j and on j alone, as j fixes wj and tj;
+    it is found once per distinct (wi, wq, j), and only read through tq
+    for each pair.  So the first defect, and with it the completion log,
+    is the one of the plain sweep.
     """
     p = K.characteristic
     targets, ints = _int_rows(K, scal, targ)
     n = len(surviving)
     absent = ([-1] * (n + 1), [0] * (n + 1))
+    first_bad = {}         # (id(wi), id(wq), j) -> `_scalar_sweep`
     for ti, wi in zip(targets, ints):
         for j in middles:
             q = ti[j]
-            w1 = wi[j]
             tj, wj = targets[j], ints[j]
             tq, wq = (targets[q], ints[q]) if q >= 0 else absent
             right = [ti[r] for r in tj]           # targets of x_i (x_j x_k)
@@ -336,11 +374,13 @@ def _associativity_defect(K, surviving, scal, targ, middles):
             else:
                 stop = next(k for k, (a, b) in enumerate(zip(tq, right))
                             if a != b)
-            for k in range(stop):
-                if tq[k] >= 0:
-                    d = w1 * wq[k] - wj[k] * wi[tj[k]]
-                    if d and (not p or d % p):
-                        return surviving[tq[k]]
+            key = (id(wi), id(wq), j)
+            bad = first_bad.get(key)
+            if bad is None:
+                bad = first_bad[key] = _scalar_sweep(wi[j], wq, wj, wi, tj,
+                                                     p)
+            if bad < stop:
+                return surviving[tq[bad]]
             if stop < n:
                 t = tq[stop]
                 return surviving[t if t >= 0 else right[stop]]
@@ -433,12 +473,18 @@ def build_kpar_sigma(sigma, monoid=None):
         monoid, sigma, vanished)
     log.extend(rounds)
     n = len(surviving)
+    # one shared row [(t, s)] per target t and grade h of the right factor:
+    # the left factor then has grade g = grade(t) h^-1, so s = sigma(g, h)
+    grades = [monoid.elements[m][1] for m in surviving]
     sc = {}
-    for p1 in range(n):
-        for p2 in range(n):
-            t = targ[p1][p2]
+    rows = [[None] * G.n for _ in range(n)]
+    for p1, (srow, trow) in enumerate(zip(scal, targ)):
+        for p2, (t, h) in enumerate(zip(trow, grades)):
             if t >= 0:
-                sc[(p1, p2)] = [(t, scal[p1][p2])]
+                row = rows[t][h]
+                if row is None:
+                    row = rows[t][h] = [(t, srow[p2])]
+                sc[p1, p2] = row
     labels = [monoid.label(m) for m in surviving]
     alg = StructureAlgebra(K, n, sc, {pos[monoid.identity]: 1}, labels=labels,
                            name=f"kpar^{sigma.name}({G.name})")

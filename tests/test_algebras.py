@@ -37,6 +37,21 @@ def test_validate_stock_algebras():
         assert A.validate().ok
 
 
+def test_structure_constants_are_normalized_once_per_row():
+    # one row object under two keys, with an integral Fraction and a zero
+    # coefficient: both keys get one normal copy; an empty row is dropped,
+    # and a row already normal is kept as given
+    shared = [(0, Fraction(2, 1)), (1, 0)]
+    normal = [(1, Fraction(1, 2))]
+    A = StructureAlgebra(QQ, 2, {(0, 0): normal, (0, 1): shared,
+                                 (1, 0): shared, (1, 1): []}, {0: 1})
+    assert A.sc == {(0, 0): normal, (0, 1): [(0, 2)], (1, 0): [(0, 2)]}
+    assert type(A.sc[0, 1][0][1]) is int and A.sc[0, 1] is A.sc[1, 0]
+    assert A.sc[0, 0] is normal
+    B = StructureAlgebra(QQ, 2, {(0, 0): normal, (1, 1): normal}, {0: 1})
+    assert B.sc == {(0, 0): normal, (1, 1): normal}
+
+
 def test_validate_catches_corruption():
     A = matrix_algebra(QQ, 2)
     A.sc[(1, 2)] = [(0, F(1))]     # corrupt E01*E10 = E00 -> E00 + nothing? break it

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -616,6 +618,26 @@ def test_reports_have_the_stdlib_layout(case, tmp_path, capsys):
     assert code == (2 if case == "exit 2" else 0)
     if case.startswith("global"):
         assert doc["result"]["dim"] == 112
+
+
+@pytest.mark.parametrize("case", ["universal S3", "spectral", "exit 2"])
+def test_a_closed_pipe_ends_with_the_verdict_code(case, tmp_path):
+    # the read end of stdout's pipe is closed before parhox starts, so its
+    # first write meets a broken pipe: no traceback and no "Exception
+    # ignored" on stderr, and the exit code is the verdict's
+    argv = report_cases(tmp_path)[case]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "parhox.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == (2 if case == "exit 2" else 0)
 
 
 def test_universal_z4_runs_on_relative_complexes(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from parhox.factor_sets import (PartialFactorSet, involution_star,
 from parhox.groups import (cyclic_group, direct_product, enumerate_exel,
                            group_from_permutations, symmetric_group)
 from parhox.linalg import _char, _sp_identity, _sp_matmul, _sp_sum
+from parhox import partial_algebras
 from parhox.partial_actions import (PartialProjRepresentation,
                                     build_crossed_product, gamma_sigma)
 from parhox.partial_algebras import (TwistedPartialGroupAlgebra,
@@ -497,10 +501,18 @@ def table_sc(targ, scal):
             for a in range(n) for b in range(n) if targ[a][b] >= 0}
 
 
+# sha256 of the JSON list of the [completion log, surviving monomials] of
+# the 150 completions below, in order; the defect each round adds is the
+# first of Light's sweep, so this pins which one it is
+COMPLETION_LOGS_SHA = \
+    "46339a82da166df02cf986a0baa8b380c3ac360d4e0e22fe9cc0dd48bc7abe5b"
+
+
 def test_completion_from_r4_seeds_reproduces_build():
     # Without the Z and C seeds, the completion loop has to find every
     # vanishing monomial by itself; it must reach the same algebra.
     completed = 0
+    logs = []
     for monoid, sigma in random_sigmas(seed=11, per_case=25):
         ks = build_kpar_sigma(sigma, monoid=monoid)
         _, (surviving, _, scal, targ), log = _complete(
@@ -508,7 +520,10 @@ def test_completion_from_r4_seeds_reproduces_build():
         assert surviving == ks.surviving
         assert table_sc(targ, scal) == ks.algebra.sc
         completed += bool(log)
+        logs.append([log, surviving])
     assert completed >= 50      # 99 of the 150 need completion rounds
+    blob = json.dumps(logs).encode()
+    assert hashlib.sha256(blob).hexdigest() == COMPLETION_LOGS_SHA
 
 
 def reference_defects(K, surviving, scal, targ):
@@ -546,19 +561,28 @@ def light_defect(K, monoid, table):
                                  _light_generators(targ, gens))
 
 
+def changed_cell(rows, a, b, value):
+    """rows with the cell (a, b) set to value in a copy of row a; the other
+    rows stay the same objects, shared ones included, so the change stays
+    one cell."""
+    rows = list(rows)
+    rows[a] = list(rows[a])
+    rows[a][b] = value
+    return rows
+
+
 def corruptions(rng, K, table):
     """The table with one scalar changed, and with one target changed."""
     surviving, pos, scal, targ = table
     cells = [(a, b) for a in range(len(targ)) for b in range(len(targ))
              if targ[a][b] >= 0]
     a, b = rng.choice(cells)
-    scal2 = [list(row) for row in scal]
-    scal2[a][b] = K.add(scal2[a][b], K.one) or K.add(K.one, K.one)
-    yield surviving, pos, scal2, targ
+    yield surviving, pos, changed_cell(
+        scal, a, b, K.add(scal[a][b], K.one) or K.add(K.one, K.one)), targ
     a, b = rng.choice(cells)
-    targ2 = [list(row) for row in targ]
-    targ2[a][b] = rng.choice([t for t in range(len(targ)) if t != targ[a][b]])
-    yield surviving, pos, scal, targ2
+    yield surviving, pos, scal, changed_cell(
+        targ, a, b, rng.choice([t for t in range(len(targ))
+                                if t != targ[a][b]]))
 
 
 def test_light_test_matches_full_sweep():
@@ -672,14 +696,12 @@ def unit_corruptions(rng, K, monoid, table):
     n = len(targ)
     others = [x for x in range(n) if x != u]
     for a, b in ((u, rng.choice(others)), (rng.choice(others), u)):
-        scal2 = [list(row) for row in scal]
-        scal2[a][b] = K.add(K.one, K.one)
-        yield surviving, pos, scal2, targ
-        targ2 = [list(row) for row in targ]
+        yield surviving, pos, changed_cell(scal, a, b,
+                                           K.add(K.one, K.one)), targ
         t = targ[a][b]
-        targ2[a][b] = rng.choice([x for x in range(n)
-                                  if grade[x] != grade[t]])
-        yield surviving, pos, scal, targ2
+        yield surviving, pos, scal, changed_cell(
+            targ, a, b, rng.choice([x for x in range(n)
+                                    if grade[x] != grade[t]]))
 
 
 def table_middles(monoid, table):
@@ -691,11 +713,14 @@ def table_middles(monoid, table):
 
 
 def test_light_test_returns_the_first_defect_of_the_sweep():
-    # the row comparison and the unit monomial left out of the middles
-    # must not change which defect comes first, so the completion log
-    # stays the same
+    # the row comparison, the scalar sweeps shared by equal rows and the
+    # unit monomial left out of the middles must not change which defect
+    # comes first, so the completion log stays the same; a table of
+    # `_build_table` shares its equal scalar rows, and each corruption
+    # changes one cell in a copy of its row, so the rows that shared it
+    # keep their scalars
     rng = random.Random(7)
-    found = 0
+    found = shared = 0
     for monoid, sigma in random_sigmas(seed=5, per_case=4):
         K = sigma.field
         tables = [_build_table(monoid, sigma, r4_vanishing(monoid, sigma))]
@@ -709,7 +734,101 @@ def test_light_test_returns_the_first_defect_of_the_sweep():
                                           table_middles(monoid, table))
             assert _table_defect(K, monoid, table) == want
             found += want is not None
-    assert found >= 40
+            shared += len({id(row) for row in scal}) < len(scal)
+    assert found >= 40 and shared >= 20
+
+
+def s3_twist(name, K):
+    """S3 and its twist `name` of tests/data/s3_twists.json over K."""
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "s3_twists.json")) as fh:
+        table = json.load(fh)[name]
+    S3 = group_from_permutations([[1, 2, 0], [1, 0, 2]])
+    return enumerate_exel(S3), PartialFactorSet.from_json(S3, K, table)
+
+
+@pytest.mark.parametrize("name", ["global_q", "global_f7", "partial_q",
+                                  "partial_f7"])
+def test_light_test_on_shared_rows_of_s3(name):
+    # the final S3 tables, whose 112 (or 37) scalar rows are a few shared
+    # lists, and the same tables with one cell changed in a copied row
+    K = PrimeField(7) if name.endswith("f7") else QQ
+    monoid, sigma = s3_twist(name, K)
+    final = _build_table(monoid, sigma,
+                         build_kpar_sigma(sigma, monoid=monoid).vanished)
+    assert len({id(row) for row in final[2]}) < len(final[2]) // 3
+    rng = random.Random(name)
+    tables = [final] + list(unit_corruptions(rng, K, monoid, final))
+    for _ in range(3):
+        tables += corruptions(rng, K, final)
+    found = 0
+    for table in tables:
+        surviving, _, scal, targ = table
+        want = first_reference_defect(K, surviving, scal, targ,
+                                      table_middles(monoid, table))
+        assert _table_defect(K, monoid, table) == want
+        found += want is not None
+    assert found == len(tables) - 1
+
+
+# Three tables on which a scalar sweep keyed on two of (row of x_i, row of
+# x_i x_j, middle) would be reused where it does not apply: (monomials,
+# middles, {(x, y): (target, scalar)} of the present products, groups of
+# monomials whose scalar rows are one list, the defect).  Each has one
+# failing triple, and reusing the sweep of an associating one hides it.
+MEMO_TABLES = {
+    # x0 and x1 share a row; x0 x2 = x4 and x1 x2 = x5 have different rows
+    "row of x_i x_j": (9, [2], {(0, 2): (4, 1), (0, 6): (7, 1),
+                                (1, 2): (5, 1), (1, 6): (8, 1),
+                                (4, 3): (7, 1), (5, 3): (8, 2),
+                                (2, 3): (6, 1)}, [(0, 1)], 8),
+    # x0 x1 = x4 and x0 x2 = x5 share a row; the middles x1, x2 differ
+    "middle": (10, [1, 2], {(0, 1): (4, 1), (0, 2): (5, 1), (0, 6): (8, 1),
+                            (0, 7): (9, 1), (4, 3): (8, 1), (5, 3): (9, 1),
+                            (1, 3): (6, 1), (2, 3): (7, 2)}, [(4, 5)], 9),
+    # x0 x2 = x4 and x1 x2 = x5 share a row; the rows of x0, x1 differ
+    "row of x_i": (9, [2], {(0, 2): (4, 1), (0, 6): (7, 1), (1, 2): (5, 1),
+                            (1, 6): (8, 2), (4, 3): (7, 1), (5, 3): (8, 1),
+                            (2, 3): (6, 1)}, [(4, 5)], 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_TABLES))
+def test_light_test_sweeps_are_reused_only_where_they_apply(name):
+    n, middles, products, shared, defect = MEMO_TABLES[name]
+    targ = [[-1] * n for _ in range(n)]
+    scal = [[None] * n for _ in range(n)]
+    for (x, y), (t, c) in products.items():
+        targ[x][y], scal[x][y] = t, F(c)
+    for first, other in shared:
+        assert scal[other] == scal[first]
+        scal[other] = scal[first]
+    surviving = list(range(20, 20 + n))
+    assert _associativity_defect(QQ, surviving, scal, targ, middles) == \
+        first_reference_defect(QQ, surviving, scal, targ, middles) == \
+        surviving[defect]
+
+
+def test_light_test_sweeps_once_per_distinct_row(monkeypatch):
+    # S3 with a global coboundary twist over Q: the 112 scalar rows are 6
+    # shared lists, one per grade, as every product is present, and the
+    # scalar sweep runs once per distinct (row of x_i, row of x_i x_j,
+    # middle), 6 x 5 times; one sweep per (x_i, middle) pair would be
+    # 112 x 5 = 560
+    monoid, sigma = s3_twist("global_q", QQ)
+    final = _build_table(monoid, sigma,
+                         build_kpar_sigma(sigma, monoid=monoid).vanished)
+    scal = final[2]
+    assert len(scal) == 112 and len({id(row) for row in scal}) == 6
+    middles = table_middles(monoid, final)
+    middles.remove(final[1][monoid.identity])
+    assert len(middles) == 5
+    sweeps = []
+    sweep = partial_algebras._scalar_sweep
+    monkeypatch.setattr(partial_algebras, "_scalar_sweep",
+                        lambda *a: sweeps.append(a) or sweep(*a))
+    assert _table_defect(QQ, monoid, final) is None
+    assert len(sweeps) == 30
 
 
 def test_light_test_reports_a_corrupted_unit_row_or_column():

@@ -291,6 +291,26 @@ def test_m_over_a_is_built_once_from_the_final_module(tmp_path, monkeypatch,
         [inst.lam.algebra]
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_given_matrix_the_builder_does_not_use_is_checked(side, tmp_path,
+                                                            capsys):
+    # Lambda's unit is d0[0] + d0[1], so the module is built without the
+    # matrices of d0[1]; one changed entry of one of them makes the given
+    # actions no module, and `validate` says so
+    doc = _doubled_module_doc()
+    path = tmp_path / "z3_doubled.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 0
+    mat = doc["module"][side]["d0[1]"]
+    mat[0][0] = "1" if mat[0][0] == "0" else "0"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValidationFailure"
+    assert "d0[1]" in error["message"]
+
+
 @pytest.mark.parametrize("fixture", ["z2_trivial_q.json", "z3_kappa2_q.json",
                                      "z3_kappa2_f3.json"])
 def test_coordinates_never_solve_a_system(fixture, monkeypatch):
