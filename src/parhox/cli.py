@@ -364,9 +364,20 @@ def _parser():
     return parser
 
 
+def _check_degrees(args):
+    """The degree flags follow the bound `problems._parse_options` applies
+    to the same options: an integer >= 0."""
+    for flag in ("max_n", "max_p", "max_q"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise SchemaError(f"--{flag.replace('_', '-')}: must be an "
+                              f"integer >= 0, got {value!r}")
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        _check_degrees(args)
         return args.fn(args)
     except ParhoxError as exc:
         report = {

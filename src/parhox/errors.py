@@ -49,10 +49,6 @@ class AssociativityFailure(ValidationFailure):
     pass
 
 
-class CompletionDiverged(ParhoxError):
-    pass
-
-
 class NotCovariant(ValidationFailure):
     pass
 

@@ -6,23 +6,57 @@ monomials are used, with the candidate product rule
 
     E_A[g] . E_B[h]  =  sigma(g, h) . E_{A | gB}[gh],
 
-pruned by a *vanishing set* V of monomials forced to zero.  V is seeded by
+pruned by a *vanishing set* V of monomials forced to zero.  V is the
+closure (`_close_vanishing`) of the seeds
 
   R4  every monomial whose letter set meets {a : sigma(a, a^-1) = 0};
-  Z   for each zero pair sigma(g, h) = 0: the idempotent monomial with
-      letters {g, gh}, and the monomial parts of [g^-1][gh] and [gh][h^-1]
-      whenever their own scalars do not already vanish;
   C   for each cocycle defect sigma(g,h)sigma(gh,t) != sigma(g,ht)sigma(h,t):
       the idempotent monomial with letters {g, gh, ght};
 
-then closed into a two-sided monomial ideal.  A completion loop re-checks
-associativity of the resulting table: whenever two bracketings of a triple
-produce the same monomial with different scalars, that monomial joins V and
-the closure reruns.  The loop terminates because V only grows; reaching the
-identity monomial means sigma admits no algebra at all and is reported.
-The final table is gated by Light's associativity test: every triple whose
-middle factor lies in a generating set of the table, which is complete
-because the associating elements form a subalgebra.
+so V holds m.n whenever m is in V and sigma(grade m, grade n) != 0, and
+n.m whenever sigma(grade n, grade m) != 0.  The table is built once on the
+monomials outside V, and Light's associativity test is its one gate: every
+triple whose middle factor lies in a generating set of the table, which is
+complete because the associating elements form a subalgebra.  Partial
+factor sets and their domains follow Dokuchaev-Novikov, J. Pure Appl.
+Algebra 214 (2010).  The precheck gives sigma(1, g) = sigma(g, 1) = 1 for
+each live letter g (sigma(g, g^-1) != 0), so the test never fails:
+
+Lemma 1 (the table associates).  Take monomials x = E_A[g], y = E_B[h],
+z = E_C[t] outside V.  Both bracketings land on the same monomial
+xyz = E_{A | gB | ghC}[ght], whose letters include g, gh and ght.  (xy)z is
+sigma(g,h)sigma(gh,t) xyz when sigma(g,h) != 0, xy is not in V,
+sigma(gh,t) != 0 and xyz is not in V, and 0 otherwise; x(yz) is the same
+with sigma(h,t)sigma(g,ht) and yz.
+  - If xyz is in V, both sides are 0.
+  - If sigma(g,h)sigma(gh,t) != sigma(g,ht)sigma(h,t), the C seed
+    e = E_{g,gh,ght} is in V, and xyz = e.xyz.  If ght is live,
+    sigma(1, ght) = 1 and the closure puts xyz in V; if ght is dead, R4
+    does.  Either way both sides are 0.
+  - Otherwise both sides carry one scalar s.  If s = 0 both are 0.  If
+    s != 0, all four sigma factors are nonzero; then xy in V would put
+    (xy)z = xyz in V, as sigma(gh, t) != 0, and yz in V would put
+    x(yz) = xyz in V, as sigma(g, ht) != 0.  So both sides are s xyz.
+
+Lemma 2 (the zero-pair monomials need no seeds).  Each zero pair
+sigma(g, h) = 0 forces E_{g,gh}, [g^-1][gh] and [gh][h^-1] to vanish; V
+already holds them.
+  - E_{g,gh} is the C seed of (g, g^-1, gh) when g and gh are live, since
+    sigma(g,g^-1)sigma(1,gh) != 0 = sigma(g,h)sigma(g^-1,gh); otherwise it
+    has a dead letter and R4 holds it.
+  - [g^-1][gh] = E_{g^-1,h}[h] = E_{g^-1,h}.[h], and E_{g^-1,h} is the C
+    seed of (g^-1, g, h) when g and h are live; then sigma(1, h) = 1 puts
+    the product in V.  Otherwise R4 holds it (g^-1 is dead with g).
+  - [gh][h^-1] = E_{g,gh}[g] = E_{g,gh}.[g], which V holds by the first
+    case and sigma(1, g) = 1 when g and gh are live; otherwise R4 does.
+
+So seeding the zero-pair monomials too gives the same V, and by Lemma 1 a
+completion loop, which adds the first defect of Light's test to V and
+closes again until none is left, stops where it starts: one pass gives its
+V, its table and its log.  Nor does the identity monomial ever vanish: no
+seed is the identity (sigma(1, 1) = 1, and the C seed with letters {1}
+needs g = h = t = 1, which is no defect), and a product with a factor
+other than the identity has two letters or more.  Both stay as gates.
 
 These loops run on Python ints only.  The closure and the table build read
 the zero pattern of sigma once.  Light's test takes every scalar s of the
@@ -34,7 +68,7 @@ w1 w2 - w3 w4 = 0, taken mod p over F_p.
 from functools import cached_property
 from math import lcm
 
-from .errors import (CompletionDiverged, InvalidInput, NotARepresentation,
+from .errors import (AssociativityFailure, InvalidInput, NotARepresentation,
                      IsomorphismFailure, ValidationFailure)
 from .algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                        ValidationReport, WordPlan, subalgebra_span)
@@ -355,8 +389,9 @@ def _associativity_defect(K, surviving, scal, targ, middles):
     (`_scalar_sweep`) is below stop.  That first k depends on the integer
     rows wi of x_i and wq of x_i x_j and on j alone, as j fixes wj and tj;
     it is found once per distinct (wi, wq, j), and only read through tq
-    for each pair.  So the first defect, and with it the completion log,
-    is the one of the plain sweep.
+    for each pair.  So the first defect, the one `build_kpar_sigma` names
+    and the one a completion loop adds to V, is the one of the plain
+    sweep.
     """
     p = K.characteristic
     targets, ints = _int_rows(K, scal, targ)
@@ -411,30 +446,29 @@ def _table_defect(K, monoid, table):
     return _associativity_defect(K, surviving, scal, targ, middles)
 
 
-def _complete(monoid, sigma, vanished):
-    """The completion loop from a closed vanishing set: one defect per round
-    joins V until the table associates.  Returns the final V, its table
-    (surviving, pos, scal, targ) and the completion-round log entries."""
-    K = sigma.field
-    log = []
-    max_rounds = monoid.size + 2
-    for round_no in range(max_rounds):
-        if monoid.identity in vanished:
-            raise ValidationFailure(
-                "the identity monomial vanished: sigma admits no twisted "
-                "partial group algebra (not a partial factor set)")
-        table = _build_table(monoid, sigma, vanished)
-        defect = _table_defect(K, monoid, table)
-        if defect is None:
-            return vanished, table, log
-        vanished.add(defect)
-        log.append(("completion-round", round_no, [defect]))
-        vanished = _close_vanishing(monoid, sigma, vanished)
-    raise CompletionDiverged(f"no fixpoint after {max_rounds} rounds")
+def _cocycle_seeds(monoid, sigma):
+    """The C seeds: the idempotent monomial with letters {g, gh, ght} for
+    each cocycle defect sigma(g,h)sigma(gh,t) != sigma(g,ht)sigma(h,t)."""
+    G, K = sigma.group, sigma.field
+    mul = G.mul
+    seeds = set()
+    for g in range(G.n):
+        for h in range(G.n):
+            gh = mul(g, h)
+            for t in range(G.n):
+                lhs = K.mul(sigma(g, h), sigma(gh, t))
+                rhs = K.mul(sigma(g, mul(h, t)), sigma(h, t))
+                if lhs != rhs:
+                    seeds.add(monoid.idempotent_of_mask(
+                        _mask_of((g, gh, mul(gh, t)))))
+    return seeds
 
 
 def build_kpar_sigma(sigma, monoid=None):
-    """The rewriting/completion construction of kappa_par^sigma G."""
+    """kappa_par^sigma G in one pass: the R4 and C seeds, their closure,
+    the table on the monomials outside it, and Light's test as the gate
+    (see the module docstring for why that gate never fails).  The
+    completion log holds the dead letters and the size of V."""
     G = sigma.group
     K = sigma.field
     monoid = monoid or enumerate_exel(G)
@@ -450,28 +484,19 @@ def build_kpar_sigma(sigma, monoid=None):
             if A & dead_mask:
                 vanished.add(m)
         log.append(("dead-letters", sorted(dead_letters)))
-    # seeds Z and C
-    inv, mul = G.inv, G.mul
-    for g in range(G.n):
-        for h in range(G.n):
-            gh = mul(g, h)
-            if sigma.is_zero(g, h):
-                vanished.add(monoid.idempotent_of_mask(_mask_of((g, gh))))
-                if not sigma.is_zero(inv(g), gh):
-                    vanished.add(monoid.mul_table[monoid.gen(inv(g))][monoid.gen(gh)])
-                if not sigma.is_zero(gh, inv(h)):
-                    vanished.add(monoid.mul_table[monoid.gen(gh)][monoid.gen(inv(h))])
-            for t in range(G.n):
-                lhs = K.mul(sigma(g, h), sigma(gh, t))
-                rhs = K.mul(sigma(g, mul(h, t)), sigma(h, t))
-                if lhs != rhs:
-                    vanished.add(monoid.idempotent_of_mask(
-                        _mask_of((g, gh, mul(gh, t)))))
+    vanished |= _cocycle_seeds(monoid, sigma)
     vanished = _close_vanishing(monoid, sigma, vanished)
     log.append(("seed-vanished", len(vanished)))
-    vanished, (surviving, pos, scal, targ), rounds = _complete(
-        monoid, sigma, vanished)
-    log.extend(rounds)
+    if monoid.identity in vanished:
+        raise ValidationFailure(
+            "the identity monomial vanished: sigma admits no twisted "
+            "partial group algebra (not a partial factor set)")
+    surviving, pos, scal, targ = _build_table(monoid, sigma, vanished)
+    defect = _table_defect(K, monoid, (surviving, pos, scal, targ))
+    if defect is not None:
+        raise AssociativityFailure(
+            f"kpar^{sigma.name}({G.name}) does not associate: the two "
+            f"bracketings differ at the monomial {monoid.label(defect)}")
     n = len(surviving)
     # one shared row [(t, s)] per target t and grade h of the right factor:
     # the left factor then has grade g = grade(t) h^-1, so s = sigma(g, h)

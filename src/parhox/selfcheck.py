@@ -88,10 +88,9 @@ def criterion_idempotent_oracle(instances):
         ok = True
         details = []
         for fname, spec, inst in instances:
-            via_completion = build_kpar_sigma(inst.sigma_dd,
-                                              monoid=inst.monoid)
-            same = (via_completion.surviving == inst.ksdd.surviving
-                    and via_completion.algebra.sc == inst.ksdd.algebra.sc)
+            via_rewrite = build_kpar_sigma(inst.sigma_dd, monoid=inst.monoid)
+            same = (via_rewrite.surviving == inst.ksdd.surviving
+                    and via_rewrite.algebra.sc == inst.ksdd.algebra.sc)
             details.append((fname, inst.ksdd.dim, same))
             ok = ok and same
         return ok, details

@@ -15,6 +15,8 @@ from parhox.linalg import (QuotientSpace, Subspace, _char, _Echelon,
                            _kernel_of, _nonzero, _sp_identity, _sp_matvec,
                            _sp_transpose, _sparse)
 from parhox.partial_actions import TwistedPartialAction, UnitalPartialAction
+from parhox.partial_algebras import (_build_table, _close_vanishing,
+                                     _table_defect)
 
 
 def frac(x, y=1):
@@ -270,6 +272,37 @@ def bump(K, rows, r, c):
 
 
 # -- words in the Exel monoid -------------------------------------------------
+
+def r4_vanishing(monoid, sigma):
+    """The closed ideal of the R4 seeds alone: monomials with a dead letter."""
+    G = sigma.group
+    dead = sum(1 << g for g in range(G.n) if sigma.is_zero(g, G.inv(g)))
+    seeds = {m for m, (A, _) in enumerate(monoid.elements) if A & dead}
+    return _close_vanishing(monoid, sigma, seeds)
+
+
+def completion_loop(monoid, sigma, vanished):
+    """The reference completion loop from a closed vanishing set: one defect
+    of Light's test per round joins V, and V is closed again, until the
+    table associates.  Returns the final V, its table (surviving, pos, scal,
+    targ) and the log of ("completion-round", round, [defect]) entries.
+    From the R4 seeds alone it has to find every other vanishing monomial
+    itself; `build_kpar_sigma` must reach the same algebra in one pass."""
+    K = sigma.field
+    log = []
+    max_rounds = monoid.size + 2
+    for round_no in range(max_rounds):
+        assert monoid.identity not in vanished, \
+            "the identity monomial vanished"
+        table = _build_table(monoid, sigma, vanished)
+        defect = _table_defect(K, monoid, table)
+        if defect is None:
+            return vanished, table, log
+        vanished.add(defect)
+        log.append(("completion-round", round_no, [defect]))
+        vanished = _close_vanishing(monoid, sigma, vanished)
+    raise AssertionError(f"no fixpoint after {max_rounds} rounds")
+
 
 def word_to_exel(monoid, word):
     """Product in S(G) of a word in symbols ('g', i) and ('e', i)."""

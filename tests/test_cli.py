@@ -489,6 +489,32 @@ def test_parse_spec_rejects_bad_options(options):
         parse_spec(doc)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["hochschild", "--max-n", "-1"], "--max-n"),
+    (["hochschild", "--max-n", "-1", "--cohomology"], "--max-n"),
+    (["spectral", "--max-p", "-1"], "--max-p"),
+    (["spectral", "--max-q", "-3"], "--max-q"),
+    (["partial-homology", "--max-n", "-2"], "--max-n"),
+], ids=["hochschild", "hochschild-cohomology", "spectral-p", "spectral-q",
+        "partial-homology"])
+def test_cli_rejects_negative_degree_flags(argv, flag, capsys):
+    # the bound the same options have in a problem file; before, these
+    # exited 1 (a failed verdict) or 0 with no dims
+    code = main(argv[:1] + [fixture_path("z2_trivial_q.json")] + argv[1:])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(f"{flag}: must be an integer >= 0")
+
+
+def test_cli_accepts_zero_degree_flags(capsys):
+    z2 = fixture_path("z2_trivial_q.json")
+    assert main(["hochschild", z2, "--max-n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["dims"] == {"H0": 3}
+    assert main(["partial-homology", z2, "--max-n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["dims"] == {"H0": 3}
+
+
 def test_parse_spec_accepts_zero_degrees():
     doc = json.loads(open(fixture_path("z2_trivial_q.json")).read())
     doc["options"] = {"max_p": 0, "max_q": 0, "max_n": 0, "cap": 1,

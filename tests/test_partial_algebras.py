@@ -3,14 +3,16 @@ import json
 import os
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (dense_map_on_quotient, densify, hom_matrix,
-                      product_field_algebra, rank, z2_universal,
-                      z3_kappa2_action, z2xz2_partial_idempotent)
-from parhox.errors import ValidationFailure
+from conftest import (completion_loop, dense_map_on_quotient, densify,
+                      hom_matrix, product_field_algebra, r4_vanishing, rank,
+                      z2_universal, z3_kappa2_action,
+                      z2xz2_partial_idempotent)
+from parhox.errors import AssociativityFailure, ValidationFailure
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                              regular_bimodule, restrict_along_hom, subalgebra_generated,
@@ -23,12 +25,13 @@ from parhox.factor_sets import (PartialFactorSet, involution_star,
 from parhox.groups import (cyclic_group, direct_product, enumerate_exel,
                            group_from_permutations, symmetric_group)
 from parhox.linalg import _char, _sp_identity, _sp_matmul, _sp_sum
-from parhox import partial_algebras
+from parhox import cli, partial_algebras
+from parhox.problems import fixture_dir
 from parhox.partial_actions import (PartialProjRepresentation,
                                     build_crossed_product, gamma_sigma)
 from parhox.partial_algebras import (TwistedPartialGroupAlgebra,
                                      _associativity_defect, _build_table,
-                                     _close_vanishing, _complete,
+                                     _close_vanishing, _cocycle_seeds,
                                      _light_generators, _table_defect,
                                      b_sigma_module_structures, build_B_sigma_omega,
                                      build_kpar, build_kpar_idempotent,
@@ -114,7 +117,7 @@ def test_kpar_sigma_dead_letters():
 
 
 def test_kpar_idempotent_oracle():
-    # idempotent route and completion route agree exactly
+    # idempotent route and rewrite route agree exactly
     cases = []
     G3 = cyclic_group(3)
     cases.append(z3_partial_sigma())
@@ -487,14 +490,6 @@ def random_sigmas(seed, per_case):
                 yield monoid, random_sigma(rng, G, K, values)
 
 
-def r4_vanishing(monoid, sigma):
-    """The closed ideal of the R4 seeds alone: monomials with a dead letter."""
-    G = sigma.group
-    dead = sum(1 << g for g in range(G.n) if sigma.is_zero(g, G.inv(g)))
-    seeds = {m for m, (A, _) in enumerate(monoid.elements) if A & dead}
-    return _close_vanishing(monoid, sigma, seeds)
-
-
 def table_sc(targ, scal):
     n = len(targ)
     return {(a, b): [(targ[a][b], scal[a][b])]
@@ -509,13 +504,13 @@ COMPLETION_LOGS_SHA = \
 
 
 def test_completion_from_r4_seeds_reproduces_build():
-    # Without the Z and C seeds, the completion loop has to find every
+    # Without the C seeds, the completion loop has to find every
     # vanishing monomial by itself; it must reach the same algebra.
     completed = 0
     logs = []
     for monoid, sigma in random_sigmas(seed=11, per_case=25):
         ks = build_kpar_sigma(sigma, monoid=monoid)
-        _, (surviving, _, scal, targ), log = _complete(
+        _, (surviving, _, scal, targ), log = completion_loop(
             monoid, sigma, r4_vanishing(monoid, sigma))
         assert surviving == ks.surviving
         assert table_sc(targ, scal) == ks.algebra.sc
@@ -524,6 +519,118 @@ def test_completion_from_r4_seeds_reproduces_build():
     assert completed >= 50      # 99 of the 150 need completion rounds
     blob = json.dumps(logs).encode()
     assert hashlib.sha256(blob).hexdigest() == COMPLETION_LOGS_SHA
+
+
+def all_sigmas(G, K, values):
+    """Every table passing the sigma prechecks with sigma(g, 1) =
+    sigma(1, g) = 1 and entries in `values`, zeros allowed."""
+    inv = G.inv
+    cells = [(g, h) for g in range(1, G.n) for h in range(1, G.n)
+             if not (h == inv(g) and h < g)]
+    for choice in product(values, repeat=len(cells)):
+        t = [[K.one] * G.n for _ in range(G.n)]
+        for (g, h), a in zip(cells, choice):
+            t[g][h] = a
+            if h == inv(g):
+                t[h][g] = a
+        yield PartialFactorSet(G, K, t)
+
+
+def zero_pair_seeds(monoid, sigma):
+    """For each zero pair sigma(g, h) = 0: E_{g,gh}, and [g^-1][gh] and
+    [gh][h^-1] where their own scalars do not vanish."""
+    G = sigma.group
+    inv, mt, gen = G.inv, monoid.mul_table, monoid.gen
+    seeds = set()
+    for g in range(G.n):
+        for h in range(G.n):
+            if sigma.is_zero(g, h):
+                gh = G.mul(g, h)
+                seeds.add(monoid.idempotent_of_mask((1 << g) | (1 << gh)))
+                if not sigma.is_zero(inv(g), gh):
+                    seeds.add(mt[gen(inv(g))][gen(gh)])
+                if not sigma.is_zero(gh, inv(h)):
+                    seeds.add(mt[gen(gh)][gen(inv(h))])
+    return seeds
+
+
+def test_one_pass_is_the_completion_fixpoint_on_every_small_sigma():
+    # every sigma of Z2 over F_5, Z3 over F_3 and Z2xZ2 over F_2: the one
+    # pass equals the loop started from R4 alone (Lemma 1), and the
+    # zero-pair seeds add nothing to the closure of R4 and C (Lemma 2)
+    cases = [(cyclic_group(2), PrimeField(5)), (cyclic_group(3), PrimeField(3)),
+             (direct_product(cyclic_group(2), cyclic_group(2)), PrimeField(2))]
+    tables = completed = 0
+    for G, K in cases:
+        monoid = enumerate_exel(G)
+        for sigma in all_sigmas(G, K, list(range(K.characteristic))):
+            ks = build_kpar_sigma(sigma, monoid=monoid)
+            r4 = r4_vanishing(monoid, sigma)
+            _, (surviving, _, scal, targ), log = completion_loop(
+                monoid, sigma, set(r4))
+            assert surviving == ks.surviving
+            assert table_sc(targ, scal) == ks.algebra.sc
+            r4_c = r4 | _cocycle_seeds(monoid, sigma)
+            assert _close_vanishing(monoid, sigma, set(r4_c)) == \
+                _close_vanishing(monoid, sigma,
+                                 r4_c | zero_pair_seeds(monoid, sigma)) == \
+                ks.vanished
+            tables += 1
+            completed += bool(log)
+    assert tables == 5 + 27 + 512
+    assert completed == 77
+
+
+def defective_z3_sigma():
+    # sigma(1,1) sigma(2,2) = 2 != 1 = sigma(1,0) sigma(1,2): a cocycle
+    # defect at (1, 1, 2), no zeros
+    G = cyclic_group(3)
+    o = QQ.one
+    return PartialFactorSet(G, QQ, [[o, o, o], [o, F(2), o], [o, o, o]],
+                            name="defective")
+
+
+def test_light_gate_names_the_defect_when_the_c_seeds_are_withheld(
+        monkeypatch):
+    sigma = defective_z3_sigma()
+    monoid = enumerate_exel(sigma.group)
+    K = sigma.field
+    # the first defect of the table on the R4 closure alone: the monomial
+    # the completion loop adds in its first round, which V holds
+    defect = _table_defect(K, monoid, _build_table(
+        monoid, sigma, r4_vanishing(monoid, sigma)))
+    assert defect is not None
+    assert defect in build_kpar_sigma(sigma, monoid=monoid).vanished
+    monkeypatch.setattr(partial_algebras, "_cocycle_seeds",
+                        lambda monoid, sigma: set())
+    with pytest.raises(AssociativityFailure) as exc:
+        build_kpar_sigma(sigma, monoid=monoid)
+    assert str(exc.value).endswith(f"monomial {monoid.label(defect)}")
+
+
+def test_cli_build_kpar_reports_the_light_gate(monkeypatch, tmp_path, capsys):
+    sigma = defective_z3_sigma()
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps([[str(a) for a in row] for row in sigma.table]))
+    group = os.path.join(fixture_dir(), "groups", "z3.json")
+    monkeypatch.setattr(partial_algebras, "_cocycle_seeds",
+                        lambda monoid, sigma: set())
+    assert cli.main(["build-kpar", group, "--sigma", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "AssociativityFailure"
+    assert "does not associate" in error["message"]
+
+
+def test_identity_gate_raises_when_the_identity_is_seeded(monkeypatch):
+    # no sigma passing the precheck vanishes the identity (module
+    # docstring); a seed step that returns it must still be caught
+    sigma = defective_z3_sigma()
+    monoid = enumerate_exel(sigma.group)
+    monkeypatch.setattr(partial_algebras, "_cocycle_seeds",
+                        lambda monoid, sigma: {monoid.identity})
+    with pytest.raises(ValidationFailure,
+                       match="the identity monomial vanished"):
+        build_kpar_sigma(sigma, monoid=monoid)
 
 
 def reference_defects(K, surviving, scal, targ):
