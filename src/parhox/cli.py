@@ -140,10 +140,13 @@ def _cap(args, default):
     env = os.environ.get("PARHOX_CAP")
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
-            raise SchemaError(f"PARHOX_CAP must be an integer: {env!r}") \
-                from None
+            cap = 0
+        if cap < 1:
+            raise SchemaError(f"PARHOX_CAP: must be an integer >= 1, got "
+                              f"{env!r}")
+        return cap
     flag = getattr(args, "cap", None)
     return default if flag is None else flag
 
@@ -364,20 +367,21 @@ def _parser():
     return parser
 
 
-def _check_degrees(args):
-    """The degree flags follow the bound `problems._parse_options` applies
-    to the same options: an integer >= 0."""
-    for flag in ("max_n", "max_p", "max_q"):
+def _check_flags(args):
+    """The degree flags and --cap follow the bounds `problems._parse_options`
+    applies to the same options, as PARHOX_CAP does in `_cap`."""
+    for flag, least in (("max_n", 0), ("max_p", 0), ("max_q", 0),
+                        ("cap", 1)):
         value = getattr(args, flag, None)
-        if value is not None and value < 0:
+        if value is not None and value < least:
             raise SchemaError(f"--{flag.replace('_', '-')}: must be an "
-                              f"integer >= 0, got {value!r}")
+                              f"integer >= {least}, got {value!r}")
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        _check_degrees(args)
+        _check_flags(args)
         return args.fn(args)
     except ParhoxError as exc:
         report = {

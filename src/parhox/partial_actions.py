@@ -26,7 +26,7 @@ __all__ = [
     "PartialProjRepresentation", "validate_partial_action", "validate_twisted",
     "build_crossed_product", "gamma_sigma", "induced_idempotents",
     "induced_partial_action", "validate_covariant", "pi_times_gamma",
-    "transport_by_equivalence", "check_ideal_splittings",
+    "transport_by_equivalence",
 ]
 
 
@@ -84,7 +84,14 @@ class TwistedPartialAction:
 
 
 def validate_partial_action(action, group):
-    """All the unital partial action axioms, on ideal bases."""
+    """All the unital partial action axioms, on ideal bases.
+
+    The "1_g not idempotent" gate also decides that D_g is projective, by
+    A = 1_g A + (1 - 1_g) A: x = ex + (1 - e)x for an idempotent e of the
+    associative A, and ea = (1 - e)b = y gives y = ey = e(1 - e)b = 0.  An
+    Instance runs this gate on every action it uses, through
+    `induced_partial_action`, `validate_twisted` or
+    `transport_by_equivalence`."""
     A = action.algebra
     K = A.field
     rep = ValidationReport("partial action")
@@ -465,23 +472,3 @@ def transport_by_equivalence(theta_rho, eta):
     if not hom.is_bijective():
         raise ValidationFailure("eta transport is not bijective")
     return theta_nu, lam_nu, lam_rho, hom
-
-
-def check_ideal_splittings(theta):
-    """A = D_g + (1 - 1_g)A directly, per group element (projectivity of
-    each D_g as a one-sided A-module)."""
-    A = theta.algebra
-    K = A.field
-    rep = ValidationReport("ideal splittings")
-    for g in range(theta.group.n):
-        comp = _sp_sum([(1, A.unit), (-1, theta.one[g])], A.p)
-        span = Subspace(K, A.dim, theta.action.ideal_basis(g))
-        d1 = span.dim
-        comp_span = Subspace(K, A.dim, (A.mul(comp, A.basis_vector(j))
-                                        for j in range(A.dim)))
-        d2 = comp_span.dim
-        for u in comp_span.basis():
-            span.add(u)
-        if d1 + d2 != A.dim or span.dim != A.dim:
-            rep.fail("splitting", g, d1, d2)
-    return rep

@@ -628,18 +628,19 @@ class BSigmaData:
 
 
 class OmegaData:
-    def __init__(self, algebra, surviving, projection, left_module, right_module):
+    def __init__(self, algebra, surviving, projection):
         self.algebra = algebra
         self.surviving = surviving
         self.projection = projection    # AlgebraHom kpar -> Omega
-        self.left_module = left_module  # over kappa_par^{sigma''} G
-        self.right_module = right_module
 
 
-def build_B_sigma_omega(kpar, ktw, ksdd=None):
+def build_B_sigma_omega(kpar, ktw):
     """B^sigma with zeta: B -> B^sigma, ker(zeta), the ideal J it generates
-    and Omega = kappa_par G / J with its module structures over
-    kappa_par^{sigma''} G (when ksdd is given)."""
+    and Omega = kappa_par G / J with the projection kpar ->> Omega, through
+    which the checks read Omega as a kappa_par G-module; none reads it
+    over kappa_par^{sigma''} G.  Omega's `validate` stays: `proj.verify()`
+    runs over generators, which presumes an associative target (its step
+    f(x) f(x') f(y))."""
     K = ktw.field
     G = ktw.group
     monoid = kpar.monoid
@@ -674,28 +675,15 @@ def build_B_sigma_omega(kpar, ktw, ksdd=None):
                       [{} if m in vanished else {pos[m]: 1}
                        for m in range(monoid.size)], name="kpar->>Omega")
     proj.verify().raise_if_failed()
-    left_mod = right_mod = None
-    if ksdd is not None:
-        # [g]^{sigma''} . x = image of [g] x in Omega; per basis monomial of
-        # kappa_par^{sigma''} G the action is multiplication by its image.
-        left = []
-        right = []
-        for m in ksdd.surviving:
-            img = {} if m in vanished else {pos[m]: 1}
-            left.append(omega_alg.left_mult_matrix(img))
-            right.append(omega_alg.right_mult_matrix(img))
-        left_mod = ModuleData(ksdd.algebra, len(surv), left=left,
-                              name="Omega as left module")
-        right_mod = ModuleData(ksdd.algebra, len(surv), right=right,
-                               name="Omega as right module")
-        left_mod.validate().raise_if_failed()
-        right_mod.validate().raise_if_failed()
-    return bsig, OmegaData(omega_alg, surv, proj, left_mod, right_mod)
+    return bsig, OmegaData(omega_alg, surv, proj)
 
 
 def phi_psi_crossed_iso(ktw):
     """The crossed-product decomposition: Phi: kpar^sigma G -> B^sigma * G
-    with inverse Psi, both verified exactly."""
+    with inverse Psi, both verified exactly: `universal_hom` verifies Phi,
+    and Phi o Psi = Psi o Phi = id makes Psi an algebra map too, as
+    Psi(xy) = Psi(Phi(Psi x) Phi(Psi y)) = Psi x . Psi y and
+    Psi(1) = Psi(Phi(1)) = 1."""
     G = ktw.group
     K = ktw.field
     can = ktw.canonical_representation()
@@ -711,7 +699,6 @@ def phi_psi_crossed_iso(ktw):
                             ktw.gen_vector(g))
             for (g, li) in lam.basis_index]
     psi = AlgebraHom(lam.algebra, ktw.algebra, cols, name="Psi")
-    psi.verify().raise_if_failed(IsomorphismFailure)
     # the images of Phi o Psi are psi.images . phi.images, and conversely
     p = _char(K)
     if _sp_matmul(psi.images, phi.images, p) != _sp_identity(lam.algebra.dim) \

@@ -25,7 +25,7 @@ from .algebras import (AlgebraHom, ModuleData, WordPlan, bimodule_hom,
                        commutator_quotient, group_algebra, hom_over_algebra,
                        orthogonalize_idempotents, regular_bimodule,
                        restrict_along_hom, tensor_over_algebra)
-from .errors import ValidationFailure
+from .errors import InvalidInput, ValidationFailure
 from .homology import (FreeResolution, SplitResolution,
                        _crossed_action_matrices, diagonal_action,
                        env_resolution, free_resolution,
@@ -341,7 +341,7 @@ def lemma_B_tensor_omega(inst, report):
         pure_images.append(row)
     try:
         M = T.map_from(pure_images, inst.bsig.algebra.dim)
-    except Exception as exc:
+    except InvalidInput as exc:         # the map is not balanced
         report.record("B (x) Omega = B^sigma", False, str(exc))
         return
     p = _char(K)
@@ -637,9 +637,10 @@ def structural_identity_suite(inst, report):
             pure_images.append(row)
         try:
             F_mat = TF.map_from(pure_images, lamq.dim)
-            ok_c = _rank_of(K, [dict(row) for row in F_mat]) == lamq.dim
-        except Exception as exc:
+        except InvalidInput:            # the map is not balanced
             ok_c = False
+        else:
+            ok_c = _rank_of(K, [dict(row) for row in F_mat]) == lamq.dim
     report.record("M/[Lambda,M] = B^sigma (x) (A (x) M)", ok_c,
                   (TF.dim, lamq.dim))
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from parhox import cli
 from parhox.cli import main
-from parhox.errors import SchemaError, SizeLimit
+from parhox.algebras import TensorOverAlgebra
+from parhox.errors import InvalidInput, SchemaError, SizeLimit
 from parhox.groups import FiniteGroup
 from parhox.instance import DEFAULT_MONOID_LIMIT
 from parhox.problems import (bundled_fixtures, build_instance, fixture_dir,
@@ -307,6 +308,47 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
                             "message": "RuntimeError: broken invariant"}
 
 
+BALANCED_MAP_CHECKS = {"lemma_B_tensor_omega": "B (x) Omega = B^sigma",
+                       "structural_identity_suite":
+                           "M/[Lambda,M] = B^sigma (x) (A (x) M)"}
+
+
+def map_from_raising(monkeypatch, caller, exc):
+    """TensorOverAlgebra.map_from raising exc when `caller` calls it."""
+    real = TensorOverAlgebra.map_from
+
+    def map_from(self, pure_images, target_dim):
+        if sys._getframe(1).f_code.co_name == caller:
+            raise exc
+        return real(self, pure_images, target_dim)
+    monkeypatch.setattr(TensorOverAlgebra, "map_from", map_from)
+
+
+@pytest.mark.parametrize("caller", BALANCED_MAP_CHECKS)
+def test_a_fault_in_a_balanced_map_check_is_an_internal_error(
+        caller, monkeypatch, capsys):
+    # only an unbalanced map (InvalidInput) is a failed verdict; any other
+    # exception is a fault of parhox
+    map_from_raising(monkeypatch, caller, KeyError("fault"))
+    code = main(["spectral", fixture_path("z2_trivial_q.json")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["error"] == {"type": "InternalError",
+                            "message": "KeyError: 'fault'"}
+
+
+@pytest.mark.parametrize("caller", BALANCED_MAP_CHECKS)
+def test_an_unbalanced_map_is_a_failed_record(caller, monkeypatch, capsys):
+    map_from_raising(monkeypatch, caller,
+                     InvalidInput("map is not balanced over the algebra"))
+    code = main(["spectral", fixture_path("z2_trivial_q.json")])
+    out = capsys.readouterr().out
+    checks = json.loads(out[:out.rindex("}") + 1])["result"]["checks"]
+    failed = [c["name"] for c in checks["checks"] if c["status"] == "fail"]
+    assert code == 1
+    assert failed == [BALANCED_MAP_CHECKS[caller]]
+
+
 @pytest.mark.parametrize("command", ["hochschild", "partial-homology"])
 def test_problem_file_cap_is_honored(command, tmp_path, capsys):
     # a tiny chain cap in the problem options must trip SizeLimit
@@ -505,6 +547,32 @@ def test_cli_rejects_negative_degree_flags(argv, flag, capsys):
     assert code == 2
     assert error["type"] == "SchemaError"
     assert error["message"].startswith(f"{flag}: must be an integer >= 0")
+
+
+@pytest.mark.parametrize("argv, env, name", [
+    (["build-kpar", group_path("z2.json"), "--cap", "0"], {}, "--cap"),
+    (["build-kpar", group_path("z2.json"), "--cap", "-1"], {}, "--cap"),
+    (["hochschild", fixture_path("z2_trivial_q.json"), "--cap", "0"], {},
+     "--cap"),
+    (["spectral", fixture_path("z2_trivial_q.json"), "--cap", "-1"], {},
+     "--cap"),
+    (["build-kpar", group_path("z2.json")], {"PARHOX_CAP": "0"},
+     "PARHOX_CAP"),
+    (["hochschild", fixture_path("z2_trivial_q.json")],
+     {"PARHOX_CAP": "-3"}, "PARHOX_CAP"),
+], ids=["build-kpar-0", "build-kpar-negative", "hochschild-0",
+        "spectral-negative", "env-build-kpar-0", "env-hochschild-negative"])
+def test_cli_rejects_a_cap_below_one(argv, env, name, capsys, monkeypatch):
+    # the bound of the problem file's cap and monoid_limit options; before,
+    # build-kpar reported "|S(G)| = 3 exceeds limit -1" and hochschild a
+    # SizeLimit
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main(argv)
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(f"{name}: must be an integer >= 1")
 
 
 def test_cli_accepts_zero_degree_flags(capsys):

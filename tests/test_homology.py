@@ -241,9 +241,7 @@ def test_omega_flatness_spot_check():
                                      [QQ.one, QQ.one, QQ.zero]])
     kp = build_kpar(G, QQ)
     ks = build_kpar_sigma(sigma, monoid=kp.monoid)
-    from parhox.factor_sets import sigma_prime
-    ksdd = build_kpar_idempotent(sigma_prime(sigma), monoid=kp.monoid)
-    bsig, omega = build_B_sigma_omega(kp, ks, ksdd=ksdd)
+    bsig, omega = build_B_sigma_omega(kp, ks)
     om_reg = regular_bimodule(omega.algebra)
     om_kpar = restrict_along_hom(omega.projection, om_reg)
     Om_right = ModuleData(kp.algebra, om_kpar.dim, right=om_kpar.right)
@@ -677,7 +675,7 @@ def test_induced_action_on_homology_z3():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
     gmod = _chain_action(lam, M, xi, sdd, 2)
-    bsig, omega = build_B_sigma_omega(kp, ks, ksdd=ksdd)
+    bsig, omega = build_B_sigma_omega(kp, ks)
     # annihilators: dead idempotent monomials of kpar, as kpar vectors
     ann = []
     B_positions = kp.idempotent_positions()

@@ -232,8 +232,7 @@ def test_instance_modules_and_homs_hold_kernel_rows(fixture):
     K = inst.field
     bs_left, bs_right, iota = inst.bsig_modules_over_ksdd
     modules = [inst.M, inst.m_over_a, *inst.b_over_kpar, bs_left, bs_right,
-               inst.omega_right_over_kpar, inst.omega.left_module,
-               inst.omega.right_module, inst.lambda_as_bsdd[1]]
+               inst.omega_right_over_kpar, inst.lambda_as_bsdd[1]]
     homs = [iota, inst.kpar_to_ksdd, inst.bsig.zeta, inst.omega.projection]
     homs += [h for h in (inst.phi, inst.psi) if h is not None]
     assert (inst.phi is not None) == inst.universal
@@ -335,6 +334,47 @@ def test_module_validate_violations_are_exact(field):
     rep = changed_entry(M, 1).validate()
     assert ("left action", 1, 1) in rep.violations
     assert_same(rep, dense_module_validate(changed_entry(M, 1)))
+
+
+# -- the regular bimodule is decided with its algebra --------------------------
+
+def single_entry_changes(A):
+    """A's table with 1 added to one structure constant c_ijk, for every
+    (i, j, k)."""
+    K = A.field
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                sc = dict(A.sc)
+                row = dict(sc.get((i, j), ()))
+                bump(K, [row], 0, k)
+                sc[(i, j)] = sorted(row.items())
+                yield StructureAlgebra(K, A.dim, sc, A.unit, name=A.name)
+
+
+@pytest.mark.parametrize("fixture", bundled_fixtures())
+def test_regular_bimodule_validates_with_its_algebra(fixture):
+    # the axioms of the regular bimodule are associativity triples of the
+    # algebra and its unit law, which is why an Instance does not validate
+    # Lambda's regular bimodule after the crossed product's validate
+    inst = instance(fixture)
+    for A in (inst.lam.algebra, inst.theta.algebra, inst.ksdd.algebra):
+        assert A.validate().ok
+        assert regular_bimodule(A).validate().ok
+
+
+@pytest.mark.parametrize("fixture, which", [
+    ("z2_dual_q.json", "lam"), ("z3_kappa2_f3.json", "lam"),
+    ("z3_kappa2_q.json", "ksdd")])
+def test_regular_bimodule_rejects_what_its_algebra_rejects(fixture, which):
+    inst = instance(fixture)
+    A = inst.lam.algebra if which == "lam" else inst.ksdd.algebra
+    rejected = 0
+    for B in single_entry_changes(A):
+        ok = B.validate().ok
+        assert regular_bimodule(B).validate().ok == ok
+        rejected += not ok
+    assert rejected
 
 
 def test_module_validate_dim_zero():

@@ -6,16 +6,18 @@ from conftest import (hom_from_matrix, hom_matrix, matrix_algebra,
                       product_field_algebra, z2_dual_numbers, z2_global_twist,
                       z2_universal, z2xz2_partial_idempotent,
                       z3_kappa2_action)
-from parhox.errors import AssociativityFailure, NotCovariant
+from parhox.errors import (AssociativityFailure, NotCovariant,
+                           ValidationFailure)
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import AlgebraHom
 from parhox.factor_sets import EquivalenceWitness, trivial_factor_set
 from parhox.groups import cyclic_group
-from parhox.linalg import _char, _sp_identity, _sp_matmul, _sp_sum
+from parhox.instance import Instance
+from parhox.linalg import (Subspace, _char, _sp_identity, _sp_matmul,
+                           _sp_sum)
 from parhox.partial_actions import (PartialProjRepresentation,
                                     TwistedPartialAction, UnitalPartialAction,
-                                    build_crossed_product,
-                                    check_ideal_splittings, gamma_sigma,
+                                    build_crossed_product, gamma_sigma,
                                     induced_idempotents,
                                     induced_partial_action, pi_times_gamma,
                                     transport_by_equivalence,
@@ -247,10 +249,35 @@ def test_transport_trivial_eta_is_identity():
     assert hom.images == _sp_identity(lam_nu.dim)
 
 
-def test_ideal_splittings():
+def test_ideal_splittings_hold_on_the_fixture_actions():
+    # A = 1_g A + (1 - 1_g) A, a direct sum, for every g: what
+    # validate_partial_action's "1_g not idempotent" gate decides
     for G, theta in (z3_kappa2_action(), z2_universal(), z2_dual_numbers(),
                      z2xz2_partial_idempotent()):
-        assert check_ideal_splittings(theta).ok
+        A = theta.algebra
+        assert validate_twisted(theta, G).ok
+        for g in range(G.n):
+            rest = _sp_sum([(1, A.unit), (-1, theta.one[g])], A.p)
+            ideal = Subspace(A.field, A.dim, theta.action.ideal_basis(g))
+            other = Subspace(A.field, A.dim, (A.mul(rest, A.basis_vector(j))
+                                              for j in range(A.dim)))
+            both = Subspace(A.field, A.dim, ideal.basis() + other.basis())
+            assert ideal.dim + other.dim == both.dim == A.dim
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_validate_rejects_a_non_idempotent_one_g(field):
+    # 1_t = 2 e1 squares to 4 e1 != 2 e1; an Instance given this action
+    # stops at the gate
+    G, theta = z3_kappa2_action(field)
+    one = list(theta.action.one)
+    one[1] = {0: 2}
+    act = UnitalPartialAction(theta.algebra, one, theta.action.theta)
+    assert validate_partial_action(act, G).violations[0] == (
+        "1_g not idempotent", 1)
+    with pytest.raises(ValidationFailure, match="1_g not idempotent"):
+        Instance("bad", field, G,
+                 theta=TwistedPartialAction(act, theta.sigma))
 
 
 def test_zero_pattern_equivalences():

@@ -8,11 +8,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (completion_loop, dense_map_on_quotient, densify,
+from conftest import (bump, completion_loop, dense_map_on_quotient, densify,
                       hom_matrix, product_field_algebra, r4_vanishing, rank,
                       z2_universal, z3_kappa2_action,
                       z2xz2_partial_idempotent)
-from parhox.errors import AssociativityFailure, ValidationFailure
+from parhox.errors import (AssociativityFailure, IsomorphismFailure,
+                           ValidationFailure)
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import (AlgebraHom, ModuleData, StructureAlgebra,
                              regular_bimodule, restrict_along_hom, subalgebra_generated,
@@ -247,13 +248,10 @@ def test_B_sigma_omega_z3():
     G = cyclic_group(3)
     kp = build_kpar(G, QQ)
     ks = build_kpar_sigma(z3_partial_sigma(), monoid=kp.monoid)
-    ksdd = build_kpar_idempotent(sigma_prime(z3_partial_sigma()),
-                                 monoid=kp.monoid)
-    bsig, omega = build_B_sigma_omega(kp, ks, ksdd=ksdd)
+    bsig, omega = build_B_sigma_omega(kp, ks)
     assert bsig.algebra.dim == 3                     # 1, e_t, e_{t^2}
     assert len(bsig.ker_zeta_basis) == 1             # e_t e_{t^2}
     assert omega.algebra.dim == 5
-    assert omega.left_module.validate().ok
 
 
 def test_B_sigma_z2_twist():
@@ -298,6 +296,28 @@ def test_phi_psi_z3_partial_and_v4():
         ks = build_kpar_sigma(sigma)
         lam, phi, psi, subres, act = phi_psi_crossed_iso(ks)
         assert lam.algebra.dim == ks.dim
+
+
+@pytest.mark.parametrize("sigma", [
+    z3_partial_sigma, lambda: z2_twist(4, field=PrimeField(7))],
+    ids=["z3-partial-Q", "z2-twist-F7"])
+def test_phi_psi_rejects_every_changed_entry_of_psi(sigma, monkeypatch):
+    # Psi is checked only as the inverse of the verified Phi: 1 added to
+    # any one entry of its matrix fails the mutual-inverse check
+    ks = build_kpar_sigma(sigma())
+    field = ks.field
+    _, _, psi, _, _ = phi_psi_crossed_iso(ks)
+    real = partial_algebras.AlgebraHom
+    for j in range(psi.source.dim):
+        for k in range(psi.target.dim):
+            def changed(source, target, images, name=""):
+                if name == "Psi":
+                    images = [dict(col) for col in images]
+                    bump(field, images, j, k)
+                return real(source, target, images, name=name)
+            monkeypatch.setattr(partial_algebras, "AlgebraHom", changed)
+            with pytest.raises(IsomorphismFailure, match="mutually inverse"):
+                phi_psi_crossed_iso(ks)
 
 
 def test_phi_psi_trivial_group():
@@ -362,7 +382,7 @@ def test_lemma_B_tensor_omega_is_B_sigma():
     ks = build_kpar_sigma(sigma, monoid=kp.monoid)
     _, sdd = xi_sigma_double_prime(sigma)
     ksdd = build_kpar_idempotent(sdd, monoid=kp.monoid)
-    bsig, omega = build_B_sigma_omega(kp, ks, ksdd=ksdd)
+    bsig, omega = build_B_sigma_omega(kp, ks)
     from parhox.factor_sets import EquivalenceWitness
     xi = EquivalenceWitness(G, QQ, [QQ.one] * 3)
     # B as a right kpar module (sigma = 1 tower over kpar itself)
