@@ -865,8 +865,11 @@ def bimodule_hom(X, Y):
                          X.dim, Y.dim)
 
 
-def restrict_along_hom(hom, M):
-    """Pull a module over hom.target back to a module over hom.source."""
+def restrict_along_hom(hom, M, name=None):
+    """Pull a module over hom.target back to a module over hom.source.  No
+    `validate` is needed: the module axioms of the restriction are those of
+    M at the images f(a), since f(ab) = f(a) f(b) and f(1) = 1, so they
+    hold once M is a module and `hom` an algebra map."""
     src = hom.source
     p = _char(src.field)
 
@@ -877,7 +880,7 @@ def restrict_along_hom(hom, M):
 
     left, right = pulled(M.left), pulled(M.right)
     return ModuleData(src, M.dim, left=left, right=right,
-                      name=f"{M.name} via {hom.name}")
+                      name=name or f"{M.name} via {hom.name}")
 
 
 class WordPlan:

@@ -24,7 +24,7 @@ from .groups import FiniteGroup, enumerate_exel
 from .instance import DEFAULT_MONOID_LIMIT
 from .partial_actions import validate_twisted
 from .partial_algebras import build_kpar, build_kpar_sigma
-from .problems import build_instance, parse_spec_file
+from .problems import build_instance, load_json as _load_json, parse_spec
 from .spectral import (lam_hochschild_bar, lam_hochschild_resolution,
                        module_tower, partial_dims, run_all_checks)
 
@@ -124,16 +124,6 @@ def _emit(report, args):
     return 0 if report["ok"] else 1
 
 
-def _load_json(path):
-    """The JSON document in the file at path; a file that is not UTF-8 or
-    not JSON raises an OSError that names the path (an IOError report)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise OSError(f"{path}: {exc}") from None
-
-
 def _cap(args, default):
     """Cap priority: PARHOX_CAP env > explicit flag > default (for a
     problem file, its `cap` option, which build_instance applies)."""
@@ -154,7 +144,7 @@ def _cap(args, default):
 def cmd_validate(args):
     t0 = time.monotonic()
     raw = _load_json(args.spec)
-    spec = parse_spec_file(args.spec)
+    spec = parse_spec(raw, args.spec)
     stages = {"schema": "ok"}
     ok = True
     if spec.action is not None:
@@ -173,7 +163,7 @@ def cmd_build_kpar(args):
     t0 = time.monotonic()
     raw = _load_json(args.spec)
     if isinstance(raw, dict) and "group" in raw:   # a full problem file
-        spec = parse_spec_file(args.spec)
+        spec = parse_spec(raw, args.spec)
         group, field, sigma = spec.group, spec.field, spec.sigma
     else:                                          # a bare group file
         group = FiniteGroup.from_json(raw)
@@ -209,7 +199,7 @@ def cmd_build_kpar(args):
 def cmd_build_crossed(args):
     t0 = time.monotonic()
     raw = _load_json(args.spec)
-    spec = parse_spec_file(args.spec)
+    spec = parse_spec(raw, args.spec)
     inst = build_instance(spec)
     lam = inst.lam
     result = {
@@ -225,7 +215,7 @@ def cmd_build_crossed(args):
 def cmd_hochschild(args):
     t0 = time.monotonic()
     raw = _load_json(args.spec)
-    spec = parse_spec_file(args.spec)
+    spec = parse_spec(raw, args.spec)
     inst = build_instance(spec)
     inst.chain_cap = _cap(args, inst.chain_cap)
     n = args.max_n
@@ -245,7 +235,7 @@ def cmd_hochschild(args):
 def cmd_partial_homology(args):
     t0 = time.monotonic()
     raw = _load_json(args.spec)
-    spec = parse_spec_file(args.spec)
+    spec = parse_spec(raw, args.spec)
     inst = build_instance(spec)
     inst.chain_cap = _cap(args, inst.chain_cap)
     n = args.max_n
@@ -276,7 +266,7 @@ def _page_table(page, max_p, max_q):
 def cmd_spectral(args):
     t0 = time.monotonic()
     raw = _load_json(args.spec)
-    spec = parse_spec_file(args.spec)
+    spec = parse_spec(raw, args.spec)
     inst = build_instance(spec)
     inst.chain_cap = _cap(args, inst.chain_cap)
     max_p = args.max_p if args.max_p is not None else spec.options["max_p"]

@@ -874,23 +874,11 @@ def _crossed_action_matrices(lam, M, xi):
     return AG, MG
 
 
-def m_as_a_bimodule(lam, M):
-    """Restrict a Lambda-bimodule to an A-bimodule through a -> a delta_1."""
-    A = lam.theta.algebra
-    left = [M.left_matrix_of(lam.embed_a(A.basis_vector(i)))
-            for i in range(A.dim)]
-    right = [M.right_matrix_of(lam.embed_a(A.basis_vector(i)))
-            for i in range(A.dim)]
-    MA = ModuleData(A, M.dim, left=left, right=right, name=f"{M.name}|A")
-    MA.validate().raise_if_failed()
-    return MA
-
-
 def diagonal_action(bar, action, sigma_dd, max_q):
     """The diagonal group action, in degrees q <= max_q, on the S-relative
     Hochschild chains of A with coefficients in M: `bar` is the pair
     (ChainComplex, _BarBasis) of `relative_bar_complex` on A with M
-    restricted to A (`m_as_a_bimodule`), to degree at least max_q, with S
+    restricted to A (`Instance.m_over_a`), to degree at least max_q, with S
     spanned by the atoms of the Boolean algebra generated by the 1_h in A
     (`orthogonalize_idempotents`); `action` is the pair (AG, MG) of
     `_crossed_action_matrices` on M:

@@ -5,16 +5,22 @@ the coefficient bimodule; the spectral-sequence checks consume instances.
 A structure that two checks read is built once, on first use, and kept on
 the instance.
 
-Construction decides each statement once: associativity by Light's test
-(kappa_par^sigma G) or a `validate` (kappa_par^{sigma''} G, Omega,
-Lambda); the maps zeta, kpar ->> Omega and Phi by `verify`, and Psi as the
-inverse of Phi (`phi_psi_crossed_iso`); the partial action, with each
-splitting A = 1_g A + (1 - 1_g) A, by `validate_partial_action`.  Only a
-module given in the problem file is validated as a bimodule: the axioms of
-the regular one are the associativity triples (s, j, x), (x, s, j) and
-(s, x, t) of Lambda, s and t generators, and Lambda's unit law, all
-decided by Lambda's `validate`, so `regular_bimodule(A).validate().ok ==
-A.validate().ok` for every table.
+Construction decides each statement once.  Associativity: by Light's
+test for kappa_par^sigma G; by the lemma of `partial_algebras._monoid_quotient`
+for kappa_par G, kappa_par^{sigma''} G and Omega, quotients of kappa S(G)
+by semigroup ideals, which rests on the associativity of G that
+`FiniteGroup` checks; and for Lambda by the theorem of Dokuchaev-Exel-Simon
+whose hypotheses are the gates of `validate_twisted`, run by
+`build_crossed_product` once per crossed product it builds (the partial
+action, with each splitting A = 1_g A + (1 - 1_g) A, is its first step,
+`validate_partial_action`).  The maps zeta, kpar ->> Omega and Phi are
+decided by `verify`, and Psi as the inverse of Phi (`phi_psi_crossed_iso`).
+Only a module given in the problem file is validated as a bimodule.  The
+axioms of the regular one are the associativity triples (s, j, x),
+(x, s, j) and (s, x, t) of Lambda, s and t generators, and Lambda's unit
+law, so `regular_bimodule(A).validate().ok == A.validate().ok` for every
+table; a module restricted along an algebra map, such as M|A along
+a -> a delta_1, is one by `restrict_along_hom`.
 """
 
 from functools import cached_property
@@ -27,10 +33,9 @@ from .factor_sets import (EquivalenceWitness, trivial_factor_set,
                           normalize_inverse_pairs, sigma_prime,
                           xi_sigma_double_prime)
 from .groups import enumerate_exel
-from .homology import (DEFAULT_CHAIN_CAP, _crossed_action_matrices,
-                       m_as_a_bimodule)
+from .homology import DEFAULT_CHAIN_CAP, _crossed_action_matrices
 from .partial_actions import (build_crossed_product, gamma_sigma,
-                              transport_by_equivalence, validate_twisted)
+                              transport_by_equivalence)
 from .partial_algebras import (b_sigma_iota, b_sigma_module_structures,
                                build_B_sigma_omega, build_kpar,
                                build_kpar_idempotent, build_kpar_sigma,
@@ -91,7 +96,6 @@ class Instance:
             lam, self.phi, self.psi, _, _ = phi_psi_crossed_iso(self.ks)
             theta = lam.theta
         elif lam is None:
-            validate_twisted(theta, G).raise_if_failed()
             lam = build_crossed_product(theta)
         self.theta, self.lam = theta, lam
         gamma_sigma(self.lam)          # canonical rep gates
@@ -135,8 +139,10 @@ class Instance:
 
     @cached_property
     def m_over_a(self):
-        """M|A: the coefficient bimodule restricted to A."""
-        return m_as_a_bimodule(self.lam, self.M)
+        """M|A: the coefficient bimodule restricted to A along
+        a -> a delta_1 (`CrossedProductAlgebra.embedding`)."""
+        return restrict_along_hom(self.lam.embedding, self.M,
+                                  name=f"{self.M.name}|A")
 
     @cached_property
     def _m_dual(self):

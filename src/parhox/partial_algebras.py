@@ -188,7 +188,28 @@ def _monoid_quotient(K, monoid, seeds, name):
     monomials `seeds` (untwisted, closed under multiplication by every
     monomial on either side): (vanished monomials, surviving monomials,
     the StructureAlgebra on the surviving ones).  With no seeds it is
-    kappa_par G itself."""
+    kappa_par G itself.
+
+    Lemma (the quotient table associates, so no `validate` runs on it).
+      - S(G) is a monoid: (A, g)(B, h) = (A | gB, gh) gives both
+        bracketings of three factors (A | gB | ghC, ght), since
+        g(hC) = (gh)C and g(B | C') = gB | gC'.  The first is the
+        associativity of G, which `FiniteGroup._validate` decides; the
+        second holds for any map of G applied elementwise.  So kappa S(G)
+        is an associative algebra with unit ({1}, 1).
+      - The loop below closes the seeds under multiplication by every
+        monomial on either side, so the vanished set I is a two-sided
+        semigroup ideal and its span kappa I a two-sided ideal of
+        kappa S(G).
+      - The table on the surviving monomials is m1 m2 when that survives
+        and 0 otherwise: the product of kappa S(G) / kappa I on the
+        classes of the surviving monomials, which form its basis.  A
+        quotient of an associative algebra by a two-sided ideal
+        associates, and ({1}, 1) is its unit unless it vanished, which
+        the gate below rejects.
+    So `AlgebraHom.verify` over generators, which presumes an associative
+    target, is exact on maps into these quotients (`monomial_projection_hom`,
+    the projection onto Omega)."""
     mt = monoid.mul_table
     vanished = set(seeds)
     work = list(vanished)
@@ -520,7 +541,8 @@ def build_kpar_sigma(sigma, monoid=None):
 def build_kpar_idempotent(sigma_dd, monoid=None):
     """Quotient construction for an idempotent factor set: kill the
     semigroup ideal generated by [g^-1][gh], [gh][h^-1], [g^-1][g][h] and
-    [g][h][h^-1] over all zero pairs, inside kappa S(G)."""
+    [g][h][h^-1] over all zero pairs, inside kappa S(G).  The quotient
+    associates by the lemma of `_monoid_quotient`."""
     G = sigma_dd.group
     K = sigma_dd.field
     if not sigma_dd.is_idempotent():
@@ -543,7 +565,6 @@ def build_kpar_idempotent(sigma_dd, monoid=None):
             seeds.add(mt[mt[x_g][x_h]][x_hinv])
     vanished, surviving, alg = _monoid_quotient(
         K, monoid, seeds, name=f"kpar^{sigma_dd.name}({G.name})//ideal")
-    alg.validate().raise_if_failed()
     return TwistedPartialGroupAlgebra(G, K, sigma_dd, monoid, surviving,
                                       vanished, alg,
                                       completion_log=[("semigroup-ideal",
@@ -638,9 +659,10 @@ def build_B_sigma_omega(kpar, ktw):
     """B^sigma with zeta: B -> B^sigma, ker(zeta), the ideal J it generates
     and Omega = kappa_par G / J with the projection kpar ->> Omega, through
     which the checks read Omega as a kappa_par G-module; none reads it
-    over kappa_par^{sigma''} G.  Omega's `validate` stays: `proj.verify()`
-    runs over generators, which presumes an associative target (its step
-    f(x) f(x') f(y))."""
+    over kappa_par^{sigma''} G.  Omega associates by the lemma of
+    `_monoid_quotient`, so `proj.verify()` over generators, which presumes
+    an associative target (its step f(x) f(x') f(y)), decides that the
+    projection is an algebra map."""
     K = ktw.field
     G = ktw.group
     monoid = kpar.monoid
@@ -670,7 +692,6 @@ def build_B_sigma_omega(kpar, ktw):
     vanished, surv, omega_alg = _monoid_quotient(
         K, monoid, dead_idem, name=f"Omega_{ktw.sigma.name}")
     pos = {m: p for p, m in enumerate(surv)}
-    omega_alg.validate().raise_if_failed()
     proj = AlgebraHom(kpar.algebra, omega_alg,
                       [{} if m in vanished else {pos[m]: 1}
                        for m in range(monoid.size)], name="kpar->>Omega")

@@ -16,8 +16,9 @@ from .instance import DEFAULT_MONOID_LIMIT, Instance
 from .linalg import _sparse, _sparse_matrix
 from .partial_actions import TwistedPartialAction, UnitalPartialAction
 
-__all__ = ["ProblemSpec", "parse_spec", "parse_spec_file", "build_instance",
-           "fixture_dir", "bundled_fixtures", "load_fixture"]
+__all__ = ["ProblemSpec", "load_json", "parse_spec", "parse_spec_file",
+           "build_instance", "fixture_dir", "bundled_fixtures",
+           "load_fixture"]
 
 DEFAULT_OPTIONS = {"max_p": 2, "max_q": 2, "max_n": 2,
                    "cap": DEFAULT_CHAIN_CAP,
@@ -41,7 +42,10 @@ def _require(cond, path, message):
         raise SchemaError(f"{path}: {message}")
 
 
-def parse_spec(obj, name=None):
+def parse_spec(obj, path=None):
+    """The ProblemSpec of a problem document; its name is the document's
+    `name`, else the stem of `path`, the file it was read from, else
+    "problem"."""
     _require(isinstance(obj, dict), "$", "problem spec must be an object")
     _require("field" in obj, "$.field", "missing")
     field = field_from_json(obj["field"])
@@ -98,7 +102,8 @@ def parse_spec(obj, name=None):
         _check_module(module)
     options = dict(DEFAULT_OPTIONS)
     options.update(_parse_options(obj.get("options", {})))
-    spec_name = name or obj.get("name", "problem")
+    stem = os.path.splitext(os.path.basename(path))[0] if path else "problem"
+    spec_name = obj.get("name", stem)
     return ProblemSpec(spec_name, field, group, sigma, action, module,
                        options)
 
@@ -140,15 +145,18 @@ def _parse_options(opts):
     return opts
 
 
-def parse_spec_file(path):
+def load_json(path):
+    """The JSON document in the file at path; a file that is not UTF-8 or
+    not JSON raises an OSError that names the path (an IOError report)."""
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON ({exc})")
-    _require(isinstance(obj, dict), "$", "problem spec must be an object")
-    return parse_spec(obj, name=obj.get("name",
-                                        os.path.splitext(os.path.basename(path))[0]))
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise OSError(f"{path}: {exc}") from None
+
+
+def parse_spec_file(path):
+    return parse_spec(load_json(path), path)
 
 
 def _parse_module(spec, lam):

@@ -553,6 +553,9 @@ def structural_identity_suite(inst, report):
 
     # (b) + (e): phi: Lambda -> B^sigma (x)_{B''} Lambda, a Lambda-bimodule
     # isomorphism; the bimodule axioms of X (x)_{B''} Lambda are validated.
+    # B^sigma as a right B''-module is B^sigma's right regular module
+    # restricted along the verified algebra map iota, so it is one with no
+    # `validate` (`restrict_along_hom`)
     bdd_alg, lam_bsdd = inst.lambda_as_bsdd
     bs_right_bdd = []
     for i in range(bdd_alg.dim):
@@ -561,7 +564,6 @@ def structural_identity_suite(inst, report):
             iota.apply(v)))
     Bs_right_bdd = ModuleData(bdd_alg, inst.bsig.algebra.dim,
                               right=bs_right_bdd)
-    Bs_right_bdd.validate().raise_if_failed()
     TL = tensor_over_algebra(bdd_alg, Bs_right_bdd, lam_bsdd)
     phi_cols = [TL.pure(inst.bsig.algebra.unit, lam.algebra.basis_vector(i))
                 for i in range(lam.algebra.dim)]
@@ -711,8 +713,12 @@ def degree_zero_formula_check(inst, report):
                 row.append(hd0.express(gmod.basis.project_c0(
                     MA.act_left(avec, {im: 1}))))
             pure_images.append(row)
-        phi0 = T.map_from(pure_images, hd0.dim)
-        ok = _rank_of(K, [dict(row) for row in phi0]) == hd0.dim
+        try:
+            phi0 = T.map_from(pure_images, hd0.dim)
+        except InvalidInput:            # the map is not balanced
+            ok = False
+        else:
+            ok = _rank_of(K, [dict(row) for row in phi0]) == hd0.dim
         AG, MG = inst.crossed_action(M)
         p = _char(K)
         for g in range(G.n):

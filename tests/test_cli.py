@@ -310,7 +310,9 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
 
 BALANCED_MAP_CHECKS = {"lemma_B_tensor_omega": "B (x) Omega = B^sigma",
                        "structural_identity_suite":
-                           "M/[Lambda,M] = B^sigma (x) (A (x) M)"}
+                           "M/[Lambda,M] = B^sigma (x) (A (x) M)",
+                       "degree_zero_formula_check":
+                           "degree-0 action matches tensor formula"}
 
 
 def map_from_raising(monkeypatch, caller, exc):
@@ -750,3 +752,20 @@ def test_universal_z4_runs_on_relative_complexes(capsys):
     doc, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
     assert doc["ok"] is True
     assert doc["result"]["E2"]["entries"]["0,0"] == 9
+
+
+@pytest.mark.parametrize("command", ["validate", "spectral"])
+def test_a_cocycle_defect_stops_at_the_crossed_product_gate(command, capsys):
+    # a global Z3 action on Q whose sigma is unit-normalized, support- and
+    # inverse-symmetric but breaks sigma(g,h) sigma(gh,t) =
+    # sigma(g,ht) sigma(h,t); sigma(t, t^-1) = 2, so the instance transports
+    # it first, and `build_crossed_product`'s gate `validate_twisted`
+    # rejects it before any associativity of Lambda could be asked
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "z3_cocycle_defect_q.json")
+    code = main([command, path])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2 and doc["ok"] is False
+    assert doc["error"]["type"] == "ValidationFailure"
+    assert doc["error"]["message"].startswith(
+        "partial action: [('partial cocycle', 1, 1, 2)")

@@ -32,7 +32,7 @@ from parhox.homology import (DEFAULT_CHAIN_CAP, ChainComplex,
                              hochschild_homology_separable,
                              hom_A_module_structure, homology_data,
                              induced_action_on_homology,
-                             m_as_a_bimodule, relative_bar_complex,
+                             relative_bar_complex,
                              splitting_idempotent, tor_dims)
 from parhox.linalg import (_rank_of, _sp_identity, _sp_matmul, _sp_sum,
                            _sp_transpose, _sparse, _sparse_matrix)
@@ -622,7 +622,8 @@ def _atoms(lam):
 def _chain_action(lam, M, xi, sdd, max_q):
     """The gated chain-level action on A's relative complex over the atoms
     of the 1_g, with coefficients in M."""
-    bar = relative_bar_complex(lam.theta.algebra, m_as_a_bimodule(lam, M),
+    bar = relative_bar_complex(lam.theta.algebra,
+                               restrict_along_hom(lam.embedding, M),
                                _atoms(lam), max_q)
     return diagonal_action(bar, _crossed_action_matrices(lam, M, xi), sdd,
                            max_q)
@@ -689,7 +690,7 @@ def test_induced_action_on_homology_z3():
         # [1] acts as the identity
         assert mod.left_matrix_of(kp.algebra.unit) == _sp_identity(hd.dim)
     # degree 0: H_0 = M/[A, M]; the action must match the quotient action
-    MA = m_as_a_bimodule(lam, M)
+    MA = restrict_along_hom(lam.embedding, M)
     hd0, mod0 = induced_action_on_homology(gmod, 0, kp)
     assert hd0.dim == commutator_quotient(MA).dim
 
@@ -702,7 +703,7 @@ def test_degree_zero_matches_tensor_formula():
     gmod = _chain_action(lam, M, xi, sdd, 1)
     from parhox.algebras import enveloping
     A = theta.algebra
-    MA = m_as_a_bimodule(lam, M)
+    MA = restrict_along_hom(lam.embedding, M)
     env = enveloping(A)
     # the reference is built over A^e itself: A as right A^e-module,
     # a.(b (x) c) = c a b, and M as left one, (b (x) c).m = b m c
@@ -772,13 +773,14 @@ def test_hom_A_module_structure():
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = regular_bimodule(lam.algebra)
     carrier, mod = hom_A_module_structure(
-        regular_bimodule(theta.algebra), m_as_a_bimodule(lam, M),
+        regular_bimodule(theta.algebra),
+        restrict_along_hom(lam.embedding, M),
         _crossed_action_matrices(lam, M, xi), ksdd)
     assert mod.validate().ok
     assert mod.left_matrix_of(ksdd.algebra.unit) == _sp_identity(len(carrier))
     # carrier = centralizer of A in M
     A = theta.algebra
-    MA = m_as_a_bimodule(lam, M)
+    MA = restrict_along_hom(lam.embedding, M)
     K = QQ
     cent = 0
     rows = []
@@ -801,7 +803,8 @@ def test_hom_A_classical_case():
     kp = build_kpar(G, QQ)
     M = regular_bimodule(lam.algebra)
     carrier, mod = hom_A_module_structure(
-        regular_bimodule(theta.algebra), m_as_a_bimodule(lam, M),
+        regular_bimodule(theta.algebra),
+        restrict_along_hom(lam.embedding, M),
         _crossed_action_matrices(lam, M, xi), kp)
     assert mod.validate().ok
 
@@ -945,8 +948,8 @@ def test_chain_action_gate_rejects_a_changed_entry(dual):
     # instance is 0
     G, theta, lam, sigma, xi, sdd, kp, ks, ksdd = _z3_tower()
     M = _coefficient(lam, dual)
-    gmod = absolute_diagonal_action(lam, M, m_as_a_bimodule(lam, M), xi, sdd,
-                                    2)
+    gmod = absolute_diagonal_action(
+        lam, M, restrict_along_hom(lam.embedding, M), xi, sdd, 2)
     assert _violations(gmod, G) == set()
     # one entry of T_t on C_1, in a column that the differential out of
     # C_1 does not kill
@@ -1130,3 +1133,19 @@ def test_degree_zero_inclusion_and_projection():
                         (-1, c0.include_c0(c0.project_c0({m: 1})))],
                        MA.algebra.p)
         assert not comm.project(diff)
+
+
+@pytest.mark.parametrize("fixture",
+                         bundled_fixtures() + ["universal_z4_f3.json"])
+def test_m_over_a_is_m_restricted_along_delta_1(fixture):
+    # M|A is M restricted along the algebra map a -> a delta_1, so it runs
+    # no `validate`; against the matrices of M at each a delta_1, formed
+    # one by one, and with `validate` as the reference
+    inst = problem(fixture)
+    lam, M, MA = inst.lam, inst.M, inst.m_over_a
+    A = lam.theta.algebra
+    deltas = [lam.embed_a(A.basis_vector(i)) for i in range(A.dim)]
+    assert MA.left == [M.left_matrix_of(x) for x in deltas]
+    assert MA.right == [M.right_matrix_of(x) for x in deltas]
+    assert MA.name == f"{M.name}|A"
+    assert MA.validate().ok

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,15 @@ from conftest import (hom_from_matrix, hom_matrix, matrix_algebra,
                       product_field_algebra, z2_dual_numbers, z2_global_twist,
                       z2_universal, z2xz2_partial_idempotent,
                       z3_kappa2_action)
-from parhox.errors import (AssociativityFailure, NotCovariant,
-                           ValidationFailure)
+from parhox.errors import NotCovariant, ValidationFailure
 from parhox.fields import QQ, PrimeField
 from parhox.algebras import AlgebraHom
-from parhox.factor_sets import EquivalenceWitness, trivial_factor_set
+from parhox.factor_sets import (EquivalenceWitness, PartialFactorSet,
+                                trivial_factor_set)
 from parhox.groups import cyclic_group
 from parhox.instance import Instance
+from parhox.problems import (build_instance, bundled_fixtures,
+                             load_fixture, parse_spec_file)
 from parhox.linalg import (Subspace, _char, _sp_identity, _sp_matmul,
                            _sp_sum)
 from parhox.partial_actions import (PartialProjRepresentation,
@@ -120,15 +123,12 @@ def test_crossed_product_global_twist():
 
 
 def test_crossed_product_invalid_input_fails():
-    # break the cocycle scalar so associativity must fail
+    # sigma(1, t) != 1 breaks w_{1,t} = 1_t, the unit axiom of the twisted
+    # partial action; the crossed product's gate rejects it
     G, theta = z2_universal(F(2))
-    sigma = theta.sigma
-    sigma.table[0][1] = F(3)       # sigma(1, t) != 1 wrecks unitality/assoc
-    with pytest.raises((AssociativityFailure, Exception)):
-        lam = build_crossed_product(theta)
-        rep = lam.algebra.validate()
-        assert not rep.ok
-        raise AssociativityFailure("forced", rep)
+    theta.sigma.table[0][1] = F(3)
+    with pytest.raises(ValidationFailure, match="unit condition"):
+        build_crossed_product(theta)
 
 
 def test_gamma_sigma_properties():
@@ -285,3 +285,63 @@ def test_zero_pattern_equivalences():
         lam = build_crossed_product(theta)
         rep = gamma_sigma(lam)
         assert rep.zero_pattern_equivalences().ok
+
+
+def single_entry_changes(theta):
+    """Copies of the twisted partial action theta with one entry of sigma,
+    of a theta_g or of a 1_g set to another of 0, 1, -1, 2, once per entry
+    and value."""
+    A, G, K = theta.algebra, theta.group, theta.algebra.field
+    n, d = G.n, A.dim
+    p = _char(K)
+    for kind, g, r, c in ([("sigma", g, None, h) for g in range(n)
+                           for h in range(n)]
+                          + [("theta", g, r, c) for g in range(n)
+                             for r in range(d) for c in range(d)]
+                          + [("one", g, None, c) for g in range(n)
+                             for c in range(d)]):
+        if kind == "sigma":
+            old = theta.sigma(g, c)
+        elif kind == "theta":
+            old = theta.action.theta[g][r].get(c, 0)
+        else:
+            old = theta.action.one[g].get(c, 0)
+        for x in sorted({x % p if p else x for x in (0, 1, -1, 2)} - {old}):
+            table = [list(row) for row in theta.sigma.table]
+            thetas = [[dict(row) for row in m] for m in theta.action.theta]
+            ones = [dict(v) for v in theta.action.one]
+            value = K.parse(str(x))
+            if kind == "sigma":
+                table[g][c] = value
+            else:
+                row = thetas[g][r] if kind == "theta" else ones[g]
+                row.pop(c, None)
+                if value:
+                    row[c] = value
+            yield TwistedPartialAction(UnitalPartialAction(A, ones, thetas),
+                                       PartialFactorSet(G, K, table))
+
+
+def test_single_entry_changes_of_the_fixture_actions():
+    # the crossed product runs no associativity sweep: its gate
+    # `validate_twisted` decides the axioms that make it associative
+    # (Dokuchaev-Exel-Simon).  On every single-entry change of the action
+    # of every bundled fixture (B^sigma's for the universal ones) and of
+    # the M_2(Q) problem, `validate` stays the reference: Lambda associates
+    # when the gate passes, and the build raises the gate's own failure
+    # otherwise
+    specs = [load_fixture(name) for name in bundled_fixtures()]
+    specs.append(parse_spec_file(os.path.join(os.path.dirname(__file__),
+                                              "data", "m2_z2_q.json")))
+    counts = [0, 0]
+    for spec in specs:
+        for theta in single_entry_changes(build_instance(spec).theta):
+            rep = validate_twisted(theta)
+            counts[rep.ok] += 1
+            if rep.ok:
+                assert build_crossed_product(theta).algebra.validate().ok
+            else:
+                with pytest.raises(ValidationFailure) as exc:
+                    build_crossed_product(theta)
+                assert exc.value.report.violations == rep.violations
+    assert counts == [723, 19]

@@ -978,3 +978,68 @@ def test_light_test_reports_a_corrupted_unit_row_or_column():
             assert _table_defect(K, monoid, table) == want
             checked += 1
     assert checked >= 40
+
+
+# -- the quotients of kappa S(G) associate without a `validate` of their own -
+
+QUOTIENT_GROUPS = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                direct_product(cyclic_group(2), cyclic_group(2)),
+                symmetric_group(3)]
+
+
+@pytest.mark.parametrize("G", QUOTIENT_GROUPS, ids=lambda G: G.name)
+def test_exel_monoid_table_associates(G):
+    # the monoid law (A, g)(B, h) = (A | gB, gh) associates on every triple,
+    # as the lemma of `_monoid_quotient` proves from the group's own law
+    mt = enumerate_exel(G).mul_table
+    rows = range(len(mt))
+    for x in rows:
+        mx = mt[x]
+        for y in rows:
+            xy, my = mt[mx[y]], mt[y]
+            assert all(xy[z] == mx[my[z]] for z in rows)
+
+
+def test_exel_monoid_of_d4_associates_by_lights_test():
+    # |S(D4)| = 576: the [g] generate S(G) as a monoid (the closure of the
+    # identity under right multiplication by them is all of it), so
+    # (x [g]) y = x ([g] y) for every x, y and g is the whole law
+    path = os.path.join(os.path.dirname(__file__), "data", "d4.json")
+    with open(path) as fh:
+        G = group_from_permutations(json.load(fh)["perm_generators"])
+    monoid = enumerate_exel(G, size_limit=576)
+    mt = monoid.mul_table
+    gens = [monoid.gen(g) for g in range(G.n)]
+    reached, work = {monoid.identity}, [monoid.identity]
+    while work:
+        x = work.pop()
+        for s in gens:
+            if mt[x][s] not in reached:
+                reached.add(mt[x][s])
+                work.append(mt[x][s])
+    assert len(reached) == monoid.size == 576
+    rows = range(monoid.size)
+    for s in gens:
+        ms = mt[s]
+        for x in rows:
+            xs, mx = mt[mt[x][s]], mt[x]
+            assert all(xs[y] == mx[ms[y]] for y in rows)
+
+
+@pytest.mark.parametrize("K", [QQ, PrimeField(2)], ids=["Q", "F2"])
+@pytest.mark.parametrize("G", QUOTIENT_GROUPS, ids=lambda G: G.name)
+def test_monoid_quotients_pass_validate(G, K):
+    # `_monoid_quotient` runs no `validate`: its table is kappa S(G) modulo
+    # a semigroup ideal.  `validate` stays the reference here, on the empty
+    # seed set (kappa_par G) and on random seed sets of one to three
+    # monomials other than the identity
+    monoid = enumerate_exel(G)
+    others = [m for m in range(monoid.size) if m != monoid.identity]
+    rng = random.Random(G.n)
+    seed_sets = [()] + [rng.sample(others, rng.randint(1, 3))
+                        for _ in range(4)]
+    for seeds in seed_sets:
+        vanished, surviving, alg = partial_algebras._monoid_quotient(
+            K, monoid, seeds, name="quotient")
+        assert vanished.isdisjoint(surviving)
+        assert alg.validate().ok, seeds

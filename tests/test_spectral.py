@@ -264,11 +264,12 @@ def test_m_over_a_is_built_once_from_the_final_module(tmp_path, monkeypatch,
     path = tmp_path / "z3_doubled.json"
     path.write_text(json.dumps(_doubled_module_doc()))
     restricted, regular, built = [], [], []
-    m_as_a, regular_bimodule = instance.m_as_a_bimodule, \
+    restrict, regular_bimodule = instance.restrict_along_hom, \
         algebras.regular_bimodule
     build = cli.build_instance
-    monkeypatch.setattr(instance, "m_as_a_bimodule", lambda lam, M: (
-        restricted.append(M) or m_as_a(lam, M)))
+    monkeypatch.setattr(instance, "restrict_along_hom", lambda hom, M, **kw: (
+        hom is built[0].lam.embedding and restricted.append(M)
+        or restrict(hom, M, **kw)))
     for name, module in list(sys.modules.items()):
         if name.startswith("parhox") and \
                 getattr(module, "regular_bimodule", None) is regular_bimodule:
@@ -440,8 +441,9 @@ def test_each_shared_structure_is_built_once(path, monkeypatch, capsys):
     # A (x)_{A^e} M, the [g]-matrices, the regular bimodules, the
     # idempotent subalgebras and the word plans once each, and Lambda at
     # most twice: once more only when an unnormalized sigma is transported
-    # (Lambda_rho and Lambda_nu), with validate_twisted run once; no
-    # module that group_module builds is validated a second time
+    # (Lambda_rho and Lambda_nu), with validate_twisted, the gate of
+    # build_crossed_product, run once per crossed product; no module that
+    # group_module builds is validated a second time
     calls = {label: [] for label in SHARED_BUILDERS}
     for label, (home, attr, arity) in SHARED_BUILDERS.items():
         original = getattr(home, attr)
@@ -497,8 +499,9 @@ def test_each_shared_structure_is_built_once(path, monkeypatch, capsys):
         if arity:
             assert all(times(label, *args) == 1 for args in calls[label]), \
                 label
-    assert len(calls["crossed product"]) <= 2
-    assert len(calls["validate twisted"]) == 1
+    transported = inst.eta is not None and not inst.universal
+    assert len(calls["crossed product"]) == (2 if transported else 1)
+    assert len(calls["validate twisted"]) == len(calls["crossed product"])
 
 
 # E2^{p,q} for p, q <= 3 (one row per q, p = 0..3), as the route through
